@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check test test-short race bench bench-store bench-json bench-smoke fig7 fuzz fuzz-smoke faults soak soak-smoke mvcc-smoke telemetry-smoke repl-smoke failover-smoke govern-smoke vet staticcheck cover clean
+.PHONY: all build check test test-short race bench bench-store bench-json bench-smoke fig7 fuzz fuzz-smoke faults soak soak-smoke mvcc-smoke telemetry-smoke repl-smoke failover-smoke govern-smoke e2e-smoke vet staticcheck cover clean
 
 all: check
 
@@ -17,8 +17,9 @@ vet:
 staticcheck:
 	@command -v staticcheck >/dev/null 2>&1 && staticcheck ./... || echo "staticcheck not installed; skipping"
 
-# The default verification path: compile, vet, full test suite.
-check: build vet test
+# The default verification path: compile, vet, full test suite, and the
+# benchmark harness (a nested module the first three never build).
+check: build vet test e2e-smoke
 
 test:
 	$(GO) test ./...
@@ -128,6 +129,15 @@ failover-smoke:
 govern-smoke:
 	$(GO) test -race -run TestGovernSmoke -v .
 	$(GO) test -race ./internal/govern ./internal/rescache ./internal/engine
+
+# End-to-end harness smoke: e2ebench/ is its own module, so `go build
+# ./...` and `go test ./...` at the root never compile it, yet it links
+# against internal/bayes, internal/engine and the rest directly. Vet it
+# and run its smoke test (all four workloads, untraced and traced, at a
+# hundredth of their size — a few seconds) under the module flags
+# e2ebench/run.sh builds with.
+e2e-smoke:
+	cd e2ebench && export GOFLAGS=-mod=mod GOPROXY=off GOWORK=off && $(GO) vet . && $(GO) test .
 
 # Quick fuzz smoke for CI: a few seconds per fuzzer, catching gross
 # decoder/parser regressions without the cost of a long campaign.

@@ -143,8 +143,9 @@ func BenchmarkAblationPointQueryNaiveVsEfficient(b *testing.B) {
 }
 
 // BenchmarkAblationPointQueryBayesVsEpsilon compares generic variable
-// elimination against the specialized ε recursion on tree instances of
-// growing size.
+// elimination — compiling the network per query (bayes-ve) and over a
+// network compiled once (bayes-warm) — against the specialized ε
+// recursion on tree instances of growing size.
 func BenchmarkAblationPointQueryBayesVsEpsilon(b *testing.B) {
 	for _, depth := range []int{3, 4, 5} {
 		in, err := gen.Generate(gen.Config{Depth: depth, Branch: 2, Labeling: gen.SL, Seed: 11, LeafDomainSize: 0})
@@ -166,6 +167,17 @@ func BenchmarkAblationPointQueryBayesVsEpsilon(b *testing.B) {
 		b.Run(fmt.Sprintf("bayes-ve/d%d", depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := bayes.PathProb(in.PI, p, o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		net, err := bayes.Compile(in.PI)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("bayes-warm/d%d", depth), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := bayes.PathProbWith(net, in.PI, p, o); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -398,7 +410,7 @@ func BenchmarkEngineColdVsWarmPointQuery(b *testing.B) {
 
 // BenchmarkEngineColdVsWarmDAG is the same pair on the paper's Figure 2
 // DAG, where the cold path recompiles the Bayesian network per query and
-// the warm engine compiles once and clones per query.
+// the warm engine compiles once and overlays each query on the shared network.
 func BenchmarkEngineColdVsWarmDAG(b *testing.B) {
 	pi := fixtures.Figure2()
 	p := pathexpr.MustParse("R.book.author")

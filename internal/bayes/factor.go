@@ -14,7 +14,6 @@ package bayes
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"pxml/internal/govern"
@@ -22,7 +21,9 @@ import (
 
 // Factor is a nonnegative function over a set of discrete variables,
 // identified by integer ids. Values are stored row-major with the first
-// variable varying slowest.
+// variable varying slowest: the stride of variable i is the product of
+// the cardinalities after it, and the kernels below walk vals by stride
+// instead of decoding each cell into an assignment.
 type Factor struct {
 	vars []int
 	card []int
@@ -47,11 +48,11 @@ func NewFactor(vars []int, card []int) *Factor {
 		}
 		size *= c
 	}
-	return &Factor{
-		vars: append([]int(nil), vars...),
-		card: append([]int(nil), card...),
-		vals: make([]float64, size),
-	}
+	n := len(vars)
+	ints := make([]int, 2*n)
+	copy(ints, vars)
+	copy(ints[n:], card)
+	return &Factor{vars: ints[:n:n], card: ints[n:], vals: make([]float64, size)}
 }
 
 // Vars returns the factor's variable ids.
@@ -92,133 +93,163 @@ func (f *Factor) EachAssignment(fn func(assign []int, v float64)) {
 	}
 }
 
-// Multiply returns the product factor over the union of the variables.
-func Multiply(a, b *Factor) *Factor {
-	pos := make(map[int]int, len(a.vars)+len(b.vars))
-	var vars []int
-	var card []int
-	for i, v := range a.vars {
-		pos[v] = len(vars)
-		vars = append(vars, v)
-		card = append(card, a.card[i])
+// pos returns the position of variable v in f.vars, or -1.
+func (f *Factor) pos(v int) int {
+	for i, fv := range f.vars {
+		if fv == v {
+			return i
+		}
 	}
+	return -1
+}
+
+// Multiply returns the product factor over the union of the variables:
+// a's variables in order, then b's that a does not mention.
+func Multiply(a, b *Factor) *Factor {
+	out := new(Factor)
+	mulInto(out, a, b)
+	return out
+}
+
+// mulInto computes a×b into dst, reusing dst's backing arrays when they
+// are large enough (the elimination loop multiplies every bucket into the
+// same two scratch factors). Every output cell is written once: an
+// odometer over the leading output variables keeps a's and b's flat
+// offsets in step, and the last variable is a plain strided inner loop.
+func mulInto(dst, a, b *Factor) {
+	vars := append(dst.vars[:0], a.vars...)
+	card := append(dst.card[:0], a.card...)
 	for i, v := range b.vars {
-		if _, ok := pos[v]; !ok {
-			pos[v] = len(vars)
+		if a.pos(v) < 0 {
 			vars = append(vars, v)
 			card = append(card, b.card[i])
 		}
 	}
-	out := NewFactor(vars, card)
-	aIdx := make([]int, len(a.vars))
-	bIdx := make([]int, len(b.vars))
-	for i, v := range a.vars {
-		aIdx[i] = pos[v]
-		_ = i
+	n := len(vars)
+	size := 1
+	for _, c := range card {
+		size *= c
 	}
-	for i, v := range b.vars {
-		bIdx[i] = pos[v]
+	vals := dst.vals
+	if cap(vals) < size {
+		vals = make([]float64, size)
 	}
-	assign := make([]int, len(vars))
-	aAssign := make([]int, len(a.vars))
-	bAssign := make([]int, len(b.vars))
-	total := len(out.vals)
-	for flat := 0; flat < total; flat++ {
-		// Decode flat into assign.
-		rem := flat
-		for i := len(vars) - 1; i >= 0; i-- {
-			assign[i] = rem % card[i]
-			rem /= card[i]
-		}
-		for i := range a.vars {
-			aAssign[i] = assign[aIdx[i]]
-		}
-		for i := range b.vars {
-			bAssign[i] = assign[bIdx[i]]
-		}
-		out.vals[flat] = a.At(aAssign) * b.At(bAssign)
+	vals = vals[:size]
+	dst.vars, dst.card, dst.vals = vars, card, vals
+	if n == 0 {
+		vals[0] = a.vals[0] * b.vals[0]
+		return
 	}
-	return out
+	// sa[i], sb[i]: how far a's and b's flat offsets move per step of
+	// output variable i (0 when the operand does not mention it).
+	var stack [3 * 16]int
+	scratch := stack[:]
+	if 3*n > len(scratch) {
+		scratch = make([]int, 3*n)
+	}
+	sa, sb, digit := scratch[:n], scratch[n:2*n], scratch[2*n:3*n]
+	for i := range digit {
+		sa[i], sb[i], digit[i] = 0, 0, 0
+	}
+	for i, s := len(a.vars)-1, 1; i >= 0; i-- {
+		sa[i] = s // a's variables lead the output in a's own order
+		s *= a.card[i]
+	}
+	tail := n - 1 // b-only variables trail the output in b's order
+	for i, s := len(b.vars)-1, 1; i >= 0; i-- {
+		p := a.pos(b.vars[i])
+		if p < 0 {
+			p = tail
+			tail--
+		}
+		sb[p] = s
+		s *= b.card[i]
+	}
+	last := n - 1
+	cl, sal, sbl := card[last], sa[last], sb[last]
+	ia, ib := 0, 0
+	for base := 0; base < size; base += cl {
+		row := vals[base : base+cl]
+		ja, jb := ia, ib
+		for k := range row {
+			row[k] = a.vals[ja] * b.vals[jb]
+			ja += sal
+			jb += sbl
+		}
+		for j := last - 1; j >= 0; j-- {
+			digit[j]++
+			ia += sa[j]
+			ib += sb[j]
+			if digit[j] < card[j] {
+				break
+			}
+			ia -= sa[j] * card[j]
+			ib -= sb[j] * card[j]
+			digit[j] = 0
+		}
+	}
+}
+
+// without returns a zero factor over f's variables minus position pos,
+// with the block sizes around pos: f's flat index is (h·c + s)·lo + l for
+// h < hi, state s < c of the dropped variable, l < lo, and the result's
+// is h·lo + l.
+func (f *Factor) without(pos int) (out *Factor, hi, c, lo int) {
+	n := len(f.vars) - 1
+	ints := make([]int, 2*n)
+	vars, card := ints[:n:n], ints[n:]
+	copy(vars, f.vars[:pos])
+	copy(vars[pos:], f.vars[pos+1:])
+	copy(card, f.card[:pos])
+	copy(card[pos:], f.card[pos+1:])
+	hi, lo = 1, 1
+	for _, k := range f.card[:pos] {
+		hi *= k
+	}
+	for _, k := range f.card[pos+1:] {
+		lo *= k
+	}
+	return &Factor{vars: vars, card: card, vals: make([]float64, hi*lo)}, hi, f.card[pos], lo
+}
+
+// clone returns a copy of f.
+func (f *Factor) clone() *Factor {
+	c := NewFactor(f.vars, f.card)
+	copy(c.vals, f.vals)
+	return c
 }
 
 // SumOut returns the factor with variable v marginalized away. Summing out
 // a variable the factor does not mention returns a copy.
 func (f *Factor) SumOut(v int) *Factor {
-	pos := -1
-	for i, fv := range f.vars {
-		if fv == v {
-			pos = i
-			break
-		}
-	}
+	pos := f.pos(v)
 	if pos == -1 {
-		c := NewFactor(f.vars, f.card)
-		copy(c.vals, f.vals)
-		return c
+		return f.clone()
 	}
-	var vars []int
-	var card []int
-	for i, fv := range f.vars {
-		if i != pos {
-			vars = append(vars, fv)
-			card = append(card, f.card[i])
-		}
-	}
-	out := NewFactor(vars, card)
-	assign := make([]int, len(f.vars))
-	reduced := make([]int, len(vars))
-	f.EachAssignment(func(a []int, val float64) {
-		copy(assign, a)
-		k := 0
-		for i := range assign {
-			if i != pos {
-				reduced[k] = assign[i]
-				k++
+	out, hi, c, lo := f.without(pos)
+	for h := 0; h < hi; h++ {
+		row := out.vals[h*lo : (h+1)*lo]
+		for s := 0; s < c; s++ {
+			src := f.vals[(h*c+s)*lo:]
+			for l := range row {
+				row[l] += src[l]
 			}
 		}
-		out.vals[out.index(reduced)] += val
-	})
+	}
 	return out
 }
 
 // Reduce returns the factor restricted to variable v taking state s: rows
 // inconsistent with the evidence are dropped (the variable is removed).
 func (f *Factor) Reduce(v, s int) *Factor {
-	pos := -1
-	for i, fv := range f.vars {
-		if fv == v {
-			pos = i
-			break
-		}
-	}
+	pos := f.pos(v)
 	if pos == -1 {
-		c := NewFactor(f.vars, f.card)
-		copy(c.vals, f.vals)
-		return c
+		return f.clone()
 	}
-	var vars []int
-	var card []int
-	for i, fv := range f.vars {
-		if i != pos {
-			vars = append(vars, fv)
-			card = append(card, f.card[i])
-		}
+	out, hi, c, lo := f.without(pos)
+	for h := 0; h < hi; h++ {
+		copy(out.vals[h*lo:(h+1)*lo], f.vals[(h*c+s)*lo:])
 	}
-	out := NewFactor(vars, card)
-	reduced := make([]int, len(vars))
-	f.EachAssignment(func(a []int, val float64) {
-		if a[pos] != s {
-			return
-		}
-		k := 0
-		for i := range a {
-			if i != pos {
-				reduced[k] = a[i]
-				k++
-			}
-		}
-		out.vals[out.index(reduced)] = val
-	})
 	return out
 }
 
@@ -235,9 +266,6 @@ func (f *Factor) Scalar() (float64, error) {
 // allocation to 32 MiB of float64s regardless of configured budgets.
 const MaxFactorEntries = 1 << 22
 
-// maxFactorSize is the historical internal name for the same cap.
-const maxFactorSize = MaxFactorEntries
-
 // cellsOf returns the table size for the given cardinalities as a
 // float64, so width-bomb products that overflow int64 stay comparable.
 func cellsOf(card []int) float64 {
@@ -251,32 +279,29 @@ func cellsOf(card []int) float64 {
 // productCells returns the table size Multiply(a, b) would allocate.
 func productCells(a, b *Factor) float64 {
 	cells := cellsOf(a.card)
-	seen := make(map[int]bool, len(a.vars))
-	for _, v := range a.vars {
-		seen[v] = true
-	}
 	for i, v := range b.vars {
-		if !seen[v] {
+		if a.pos(v) < 0 {
 			cells *= float64(b.card[i])
 		}
 	}
 	return cells
 }
 
-// checkedMultiply charges the governor for the product table and refuses
-// it before allocation when it exceeds the hard cap or the byte budget.
-func checkedMultiply(g *govern.Governor, a, b *Factor) (*Factor, error) {
-	cells := productCells(a, b)
+// chargeCells refuses a table of the given size when it exceeds the hard
+// cap or the query's budgets, BEFORE the caller allocates or fills it.
+func chargeCells(g *govern.Governor, cells float64, what string) error {
 	if cells > MaxFactorEntries {
-		return nil, fmt.Errorf("%w: intermediate factor needs %.4g entries (cap %d)", govern.ErrIntractable, cells, MaxFactorEntries)
+		return fmt.Errorf("%w: %s needs %.4g entries (cap %d)", govern.ErrIntractable, what, cells, MaxFactorEntries)
 	}
 	if err := g.Alloc(int64(cells) * 8); err != nil {
-		return nil, err
+		return err
 	}
-	if err := g.Step(int64(cells)); err != nil {
-		return nil, err
-	}
-	return Multiply(a, b), nil
+	return g.Step(int64(cells))
+}
+
+// chargeProduct is chargeCells for the table Multiply(a, b) would fill.
+func chargeProduct(g *govern.Governor, a, b *Factor) error {
+	return chargeCells(g, productCells(a, b), "intermediate factor")
 }
 
 // checkedNewFactor refuses an oversized factor table before allocating
@@ -284,14 +309,7 @@ func checkedMultiply(g *govern.Governor, a, b *Factor) (*Factor, error) {
 // and the path-reachability augmentation build factors through this so
 // a width-bomb fails with a typed error instead of an OOM.
 func checkedNewFactor(g *govern.Governor, vars []int, card []int) (*Factor, error) {
-	cells := cellsOf(card)
-	if cells > MaxFactorEntries {
-		return nil, fmt.Errorf("%w: factor over %d variables needs %.4g entries (cap %d)", govern.ErrIntractable, len(card), cells, MaxFactorEntries)
-	}
-	if err := g.Alloc(int64(cells) * 8); err != nil {
-		return nil, err
-	}
-	if err := g.Step(int64(cells)); err != nil {
+	if err := chargeCells(g, cellsOf(card), "factor"); err != nil {
 		return nil, err
 	}
 	return NewFactor(vars, card), nil
@@ -299,118 +317,243 @@ func checkedNewFactor(g *govern.Governor, vars []int, card []int) (*Factor, erro
 
 // EliminateAll multiplies the factors and sums out every variable in keep's
 // complement, returning the joint factor over keep (nil keep = eliminate
-// everything, yielding a scalar factor). Elimination order is min-degree
-// greedy over the factor graph.
+// everything, yielding a scalar factor). Elimination order is greedy
+// min-degree over the factor graph, weighted by cardinality.
 func EliminateAll(factors []*Factor, keep map[int]bool) (*Factor, error) {
 	return EliminateAllCtx(context.Background(), factors, keep)
 }
 
 // EliminateAllCtx is EliminateAll under a context-carried resource
 // governor: every intermediate product is charged against the query's
-// step and byte budgets and size-checked BEFORE its table is allocated,
+// step and byte budgets and size-checked BEFORE its table is filled,
 // and cancellation is honoured between bucket multiplications, so an
 // abandoned query stops within one factor product instead of running
 // the elimination to completion.
 func EliminateAllCtx(ctx context.Context, factors []*Factor, keep map[int]bool) (*Factor, error) {
-	g := govern.From(ctx)
-	work := append([]*Factor(nil), factors...)
-	// Collect variables to eliminate.
-	varCard := map[int]int{}
-	for _, f := range work {
-		for i, v := range f.vars {
-			varCard[v] = f.card[i]
+	return eliminate(govern.From(ctx), factors, func(v int) bool { return keep[v] })
+}
+
+// elimination is the state of one variable-elimination run. Everything
+// in it is per call: the factors it is given are only read.
+type elimination struct {
+	// work holds the input factors followed by each bucket's summed-out
+	// result; an entry is nil once it has been merged into a bucket.
+	work []*Factor
+	// ids lists the distinct variable ids in ascending order; a
+	// variable's position in it indexes adj, cost and mark.
+	ids []int
+	// adj[i] lists, ascending, the live factors that mention variable i.
+	// A bucket's result replaces at least one factor in each list it
+	// joins, so no list outgrows its initial length.
+	adj [][]int
+	// cost[i] is the table size eliminating variable i would leave (the
+	// product of its neighbours' cardinalities); -1 once it is
+	// eliminated, or from the start when the caller keeps it.
+	cost []float64
+	// mark stamps the neighbours already counted while scoring.
+	mark  []int
+	epoch int
+	// heap orders the candidates by (cost, variable id). Re-scoring
+	// pushes a fresh entry; entries whose cost is out of date are
+	// skipped when popped.
+	heap []candidate
+	// prod are the two scratch factors bucket products alternate between.
+	prod [2]Factor
+}
+
+type candidate struct {
+	cost float64
+	v    int // position in elimination.ids
+}
+
+func (c candidate) before(d candidate) bool {
+	return c.cost < d.cost || (c.cost == d.cost && c.v < d.v)
+}
+
+// eliminate runs bucket elimination over factors, keeping the variables
+// kept reports. The order is greedy by the size of the table each
+// elimination leaves, ties going to the smaller variable id, so equal
+// inputs give bit-identical outputs; after each bucket only the variables
+// that shared a factor with the eliminated one are re-scored.
+func eliminate(g *govern.Governor, factors []*Factor, kept func(v int) bool) (*Factor, error) {
+	e := elimination{work: make([]*Factor, len(factors), 2*len(factors)+1)}
+	copy(e.work, factors)
+	arity := 0
+	for _, f := range factors {
+		arity += len(f.vars)
+	}
+	ints := make([]int, 0, 2*arity)
+	for _, f := range factors {
+		ints = append(ints, f.vars...)
+	}
+	sort.Ints(ints)
+	n := 0
+	for i, v := range ints {
+		if i == 0 || v != ints[n-1] {
+			ints[n] = v
+			n++
 		}
 	}
-	var elim []int
-	for v := range varCard {
-		if keep == nil || !keep[v] {
-			elim = append(elim, v)
+	e.ids = ints[:n:n]
+	// Adjacency in one backing array: count, carve, fill.
+	scratch := make([]int, 2*n)
+	e.mark = scratch[:n:n]
+	degree := scratch[n:]
+	for _, f := range factors {
+		for _, v := range f.vars {
+			degree[e.local(v)]++
 		}
 	}
-	sort.Ints(elim)
-	for len(elim) > 0 {
+	backing := ints[n:n]
+	e.adj = make([][]int, n)
+	for i, d := range degree {
+		e.adj[i] = backing[len(backing) : len(backing) : len(backing)+d]
+		backing = backing[:len(backing)+d]
+	}
+	for fi, f := range factors {
+		for _, v := range f.vars {
+			i := e.local(v)
+			e.adj[i] = append(e.adj[i], fi)
+		}
+	}
+	e.cost = make([]float64, n)
+	e.heap = make([]candidate, 0, n)
+	for i, v := range e.ids {
+		if kept(v) {
+			e.cost[i] = -1
+			continue
+		}
+		e.rescore(i)
+	}
+	for len(e.heap) > 0 {
+		c := e.pop()
+		if c.cost != e.cost[c.v] {
+			continue // re-scored since, or already eliminated
+		}
 		if err := g.Err(); err != nil {
 			return nil, err
 		}
-		// Min-degree: pick the variable whose bucket product is smallest.
-		best, bestCost := -1, math.MaxFloat64
-		for _, v := range elim {
-			cost := bucketCost(work, v)
-			if cost < bestCost {
-				best, bestCost = v, cost
-			}
-		}
-		v := best
-		// Remove v from elim.
-		for i, e := range elim {
-			if e == v {
-				elim = append(elim[:i], elim[i+1:]...)
-				break
-			}
-		}
-		// Multiply the bucket and sum out v.
-		var bucket *Factor
-		var rest []*Factor
-		for _, f := range work {
-			if mentions(f, v) {
-				if bucket == nil {
-					bucket = f
-				} else {
-					var err error
-					if bucket, err = checkedMultiply(g, bucket, f); err != nil {
-						return nil, err
-					}
-				}
-			} else {
-				rest = append(rest, f)
-			}
-		}
-		if bucket == nil {
-			continue
-		}
-		work = append(rest, bucket.SumOut(v))
-	}
-	// Multiply the remainder.
-	out := NewFactor(nil, nil)
-	out.vals[0] = 1
-	for _, f := range work {
-		var err error
-		if out, err = checkedMultiply(g, out, f); err != nil {
+		if err := e.sumOut(g, c.v); err != nil {
 			return nil, err
 		}
+	}
+	// Multiply what is left: factors over kept variables and constants.
+	var out *Factor
+	for fi, f := range e.work {
+		switch {
+		case f == nil:
+		case out == nil && fi >= len(factors):
+			out = f
+		case out == nil:
+			out = f.clone() // never hand a caller's factor back
+		default:
+			if err := chargeProduct(g, out, f); err != nil {
+				return nil, err
+			}
+			out = Multiply(out, f)
+		}
+	}
+	if out == nil {
+		out = NewFactor(nil, nil)
+		out.vals[0] = 1
 	}
 	return out, nil
 }
 
-func mentions(f *Factor, v int) bool {
-	for _, fv := range f.vars {
-		if fv == v {
-			return true
+// local returns the position of variable id v in e.ids.
+func (e *elimination) local(v int) int { return sort.SearchInts(e.ids, v) }
+
+// rescore recomputes variable i's elimination cost from the live factors
+// that mention it and queues it under the new cost.
+func (e *elimination) rescore(i int) {
+	e.epoch++
+	cost := 1.0
+	for _, fi := range e.adj[i] {
+		f := e.work[fi]
+		for k, v := range f.vars {
+			if j := e.local(v); j != i && e.mark[j] != e.epoch {
+				e.mark[j] = e.epoch
+				cost *= float64(f.card[k])
+			}
 		}
 	}
-	return false
+	e.cost[i] = cost
+	e.push(candidate{cost, i})
 }
 
-// bucketCost estimates the table size produced by eliminating v.
-func bucketCost(work []*Factor, v int) float64 {
-	seen := map[int]int{}
-	for _, f := range work {
-		if !mentions(f, v) {
-			continue
+// sumOut multiplies the bucket of variable i — every live factor that
+// mentions it, in creation order — sums the variable out of the product,
+// and re-scores the variables the result touches.
+func (e *elimination) sumOut(g *govern.Governor, i int) error {
+	e.cost[i] = -1
+	bucket := e.adj[i]
+	if len(bucket) == 0 {
+		return nil
+	}
+	prod := e.work[bucket[0]]
+	for k, fi := range bucket[1:] {
+		f := e.work[fi]
+		if err := chargeProduct(g, prod, f); err != nil {
+			return err
 		}
-		for i, fv := range f.vars {
-			seen[fv] = f.card[i]
+		dst := &e.prod[k%2]
+		mulInto(dst, prod, f)
+		prod = dst
+	}
+	for _, fi := range bucket {
+		e.work[fi] = nil
+	}
+	tau := prod.SumOut(e.ids[i])
+	ti := len(e.work)
+	e.work = append(e.work, tau)
+	for _, v := range tau.vars {
+		j := e.local(v)
+		live := e.adj[j][:0]
+		for _, fi := range e.adj[j] {
+			if e.work[fi] != nil {
+				live = append(live, fi)
+			}
+		}
+		e.adj[j] = append(live, ti)
+		if e.cost[j] >= 0 {
+			e.rescore(j)
 		}
 	}
-	if len(seen) == 0 {
-		return math.MaxFloat64
-	}
-	cost := 1.0
-	for fv, c := range seen {
-		if fv == v {
-			continue
+	return nil
+}
+
+func (e *elimination) push(c candidate) {
+	h := append(e.heap, c)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h[i].before(h[parent]) {
+			break
 		}
-		cost *= float64(c)
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
 	}
-	return cost
+	e.heap = h
+}
+
+func (e *elimination) pop() candidate {
+	h := e.heap
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		least := i
+		for _, child := range [2]int{2*i + 1, 2*i + 2} {
+			if child < last && h[child].before(h[least]) {
+				least = child
+			}
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	e.heap = h
+	return top
 }

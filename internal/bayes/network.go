@@ -38,17 +38,31 @@ func (v Variable) StateIndex(name string) int {
 
 // Network is a Bayesian network compiled from a probabilistic instance:
 // one variable per object (child-set choice for non-leaves, value for typed
-// leaves, presence for untyped leaves) with a CPT factor each.
+// leaves, presence for untyped leaves) with a CPT factor each. A compiled
+// network is immutable: queries read it concurrently and keep their own
+// state in an overlay.
 type Network struct {
-	vars    []Variable
+	vars []Variable
+	// factors[id] is the CPT of variable id, over id followed by the
+	// variables of the object's weak parents. Parents are compiled before
+	// their children, so every parent id is smaller than id; each CPT is
+	// normalised over id for every parent assignment, which is what lets
+	// queries drop the CPTs of variables that are not ancestors of
+	// anything they mention (see relevant).
 	factors []*Factor
-	byName  map[string]int
 	// objVar maps an object id to its variable id.
 	objVar map[model.ObjectID]int
-	// setKeyState maps (variable, child-set key) to the state index, used
-	// when conditioning on a parent's choice containing a given child.
-	containsChild map[int]map[model.ObjectID][]int
-	root          model.ObjectID
+	// includes[id][c] is the set of states of variable id whose child set
+	// contains object c (nil when none does).
+	includes []map[model.ObjectID]stateSet
+	root     model.ObjectID
+}
+
+// stateSet is a bitmap over a variable's state indices.
+type stateSet []uint64
+
+func (s stateSet) has(st int) bool {
+	return st>>6 < len(s) && s[st>>6]>>(uint(st)&63)&1 != 0
 }
 
 // Var returns a variable by id.
@@ -65,13 +79,6 @@ func (n *Network) NumFactors() int { return len(n.factors) }
 func (n *Network) VarOf(o model.ObjectID) (int, bool) {
 	id, ok := n.objVar[o]
 	return id, ok
-}
-
-func (n *Network) addVar(name string, states []string) int {
-	id := len(n.vars)
-	n.vars = append(n.vars, Variable{ID: id, Name: name, States: states})
-	n.byName[name] = id
-	return id
 }
 
 // Compile maps a probabilistic instance to its Bayesian network per the
@@ -96,10 +103,8 @@ func CompileCtx(ctx context.Context, pi *core.ProbInstance) (*Network, error) {
 		return nil, fmt.Errorf("bayes: %w", err)
 	}
 	net := &Network{
-		byName:        make(map[string]int),
-		objVar:        make(map[model.ObjectID]int),
-		containsChild: make(map[int]map[model.ObjectID][]int),
-		root:          pi.Root(),
+		objVar: make(map[model.ObjectID]int),
+		root:   pi.Root(),
 	}
 	// Only objects reachable from the root matter.
 	reach := make(map[model.ObjectID]bool)
@@ -148,21 +153,27 @@ func CompileCtx(ctx context.Context, pi *core.ProbInstance) (*Network, error) {
 		if !isRoot {
 			states = append(states, Absent)
 		}
-		id := net.addVar(string(o), states)
+		id := len(net.vars)
+		net.vars = append(net.vars, Variable{ID: id, Name: string(o), States: states})
 		net.objVar[o] = id
 		// Record which states of this variable include each child.
-		cc := make(map[model.ObjectID][]int)
+		var inc map[model.ObjectID]stateSet
+		if len(childSets) > 0 {
+			inc = make(map[model.ObjectID]stateSet)
+		}
 		for si, cs := range childSets {
 			for _, ch := range cs {
-				cc[ch] = append(cc[ch], si)
+				if inc[ch] == nil {
+					inc[ch] = make(stateSet, (len(childSets)+63)/64)
+				}
+				inc[ch][si>>6] |= 1 << (uint(si) & 63)
 			}
 		}
-		net.containsChild[id] = cc
+		net.includes = append(net.includes, inc)
 
 		// CPT: X_o given the weak parents' variables.
-		parents := g.Parents(o)
 		var keptParents []model.ObjectID
-		for _, p := range parents {
+		for _, p := range g.Parents(o) {
 			if reach[p] {
 				keptParents = append(keptParents, p)
 			}
@@ -170,55 +181,101 @@ func CompileCtx(ctx context.Context, pi *core.ProbInstance) (*Network, error) {
 		sort.Strings(keptParents)
 		fvars := []int{id}
 		fcard := []int{len(states)}
+		// chosenBy[i] is the set of parent i's states that include o.
+		var chosenBy []stateSet
 		for _, p := range keptParents {
 			pv := net.objVar[p]
 			fvars = append(fvars, pv)
 			fcard = append(fcard, net.vars[pv].Card())
+			chosenBy = append(chosenBy, net.includes[pv][o])
 		}
 		f, err := checkedNewFactor(gov, fvars, fcard)
 		if err != nil {
 			return nil, fmt.Errorf("compiling CPT for %s: %w", o, err)
 		}
-		f.EachAssignment(func(assign []int, _ float64) {
-			present := isRoot
-			for i, p := range keptParents {
-				pv := net.objVar[p]
-				if includesChild(net, pv, assign[i+1], o) {
-					present = true
-					break
-				}
-			}
-			st := assign[0]
-			var pr float64
-			if present {
-				if st < len(probs) {
-					pr = probs[st]
-				} else {
-					pr = 0 // absent while some parent includes it
-				}
-			} else {
-				if !isRoot && st == len(states)-1 {
-					pr = 1 // absent
-				} else {
-					pr = 0
-				}
-			}
-			f.Set(assign, pr)
-		})
+		fillCPT(f, probs, chosenBy, isRoot)
 		net.factors = append(net.factors, f)
 	}
 	return net, nil
 }
 
-// includesChild reports whether state st of variable pv corresponds to a
-// child set containing o.
-func includesChild(net *Network, pv, st int, o model.ObjectID) bool {
-	for _, si := range net.containsChild[pv][o] {
-		if si == st {
-			return true
+// fillCPT writes P(X_o | parents) into the zeroed table f, whose first
+// variable is X_o: one column per parent assignment, walked with an
+// odometer. When some parent's state includes o (or o is the root) the
+// column holds o's local distribution probs over its leading states;
+// otherwise all mass sits on the trailing absent state.
+func fillCPT(f *Factor, probs []float64, chosenBy []stateSet, isRoot bool) {
+	cols := len(f.vals) / f.card[0]
+	absent := (f.card[0] - 1) * cols
+	parentCard := f.card[1:]
+	digit := make([]int, len(parentCard))
+	for col := 0; col < cols; col++ {
+		present := isRoot
+		for i, states := range chosenBy {
+			if states.has(digit[i]) {
+				present = true
+				break
+			}
+		}
+		if present {
+			for st, pr := range probs {
+				f.vals[st*cols+col] = pr
+			}
+		} else {
+			f.vals[absent+col] = 1
+		}
+		for j := len(digit) - 1; j >= 0; j-- {
+			digit[j]++
+			if digit[j] < parentCard[j] {
+				break
+			}
+			digit[j] = 0
 		}
 	}
-	return false
+}
+
+// relevant returns the CPTs a query over the seed variables needs, in
+// variable order, with room for extra more factors: those of the seeds
+// and of all their ancestors. Every other variable is barren — it is not
+// an ancestor of anything the query mentions, so summing it out of its own
+// normalised CPT gives 1 and, leaves first, the whole rest of the network
+// drops out. The seeds slice is consumed.
+func (n *Network) relevant(seeds []int, extra int) []*Factor {
+	seen := make(map[int]struct{}, 2*len(seeds))
+	var ids []int
+	for stack := seeds; len(stack) > 0; {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if _, ok := seen[v]; ok {
+			continue
+		}
+		seen[v] = struct{}{}
+		ids = append(ids, v)
+		stack = append(stack, n.factors[v].vars[1:]...)
+	}
+	sort.Ints(ids)
+	out := make([]*Factor, len(ids), len(ids)+extra)
+	for i, v := range ids {
+		out[i] = n.factors[v]
+	}
+	return out
+}
+
+// joint eliminates every variable but id (none when id < 0) from the CPTs
+// relevant to the seeds together with the extra factors, which may only
+// mention seed variables and variables of their own.
+func (n *Network) joint(g *govern.Governor, id int, seeds []int, extra []*Factor) (*Factor, error) {
+	factors := append(n.relevant(seeds, len(extra)), extra...)
+	return eliminate(g, factors, func(v int) bool { return v == id })
+}
+
+// distribution names the cells of a factor over variable id alone.
+func (n *Network) distribution(id int, f *Factor) map[string]float64 {
+	out := make(map[string]float64, len(f.vals))
+	for st, v := range f.vals {
+		out[n.vars[id].States[st]] += v
+	}
+	return out
 }
 
 // Marginal computes the marginal distribution of an object's variable.
@@ -226,21 +283,24 @@ func (n *Network) Marginal(o model.ObjectID) (map[string]float64, error) {
 	return n.MarginalCtx(context.Background(), o)
 }
 
-// MarginalCtx is Marginal with elimination governed by ctx's budget.
-func (n *Network) MarginalCtx(ctx context.Context, o model.ObjectID) (map[string]float64, error) {
+// marginal eliminates everything but o's variable from the CPTs relevant
+// to it.
+func (n *Network) marginal(ctx context.Context, o model.ObjectID) (id int, f *Factor, err error) {
 	id, ok := n.objVar[o]
 	if !ok {
-		return nil, fmt.Errorf("bayes: unknown object %s", o)
+		return 0, nil, fmt.Errorf("bayes: unknown object %s", o)
 	}
-	f, err := EliminateAllCtx(ctx, n.factors, map[int]bool{id: true})
+	f, err = n.joint(govern.From(ctx), id, []int{id}, nil)
+	return id, f, err
+}
+
+// MarginalCtx is Marginal with elimination governed by ctx's budget.
+func (n *Network) MarginalCtx(ctx context.Context, o model.ObjectID) (map[string]float64, error) {
+	id, f, err := n.marginal(ctx, o)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]float64, n.vars[id].Card())
-	f.EachAssignment(func(assign []int, v float64) {
-		out[n.vars[id].States[assign[0]]] += v
-	})
-	return out, nil
+	return n.distribution(id, f), nil
 }
 
 // ProbExists returns the probability that object o occurs in a compatible
@@ -252,11 +312,15 @@ func (n *Network) ProbExists(o model.ObjectID) (float64, error) {
 
 // ProbExistsCtx is ProbExists with elimination governed by ctx's budget.
 func (n *Network) ProbExistsCtx(ctx context.Context, o model.ObjectID) (float64, error) {
-	m, err := n.MarginalCtx(ctx, o)
+	id, f, err := n.marginal(ctx, o)
 	if err != nil {
 		return 0, err
 	}
-	return 1 - m[Absent], nil
+	absent := n.vars[id].StateIndex(Absent)
+	if absent < 0 {
+		return 1, nil // the root has no absent state
+	}
+	return 1 - f.vals[absent], nil
 }
 
 // ProbValue returns the probability that typed leaf o occurs with value v.
@@ -272,8 +336,8 @@ func (n *Network) ProbValue(o model.ObjectID, v model.Value) (float64, error) {
 // instance: the probability that object o satisfies path expression p (or,
 // with o == "", that any object does). It augments the compiled network
 // with deterministic reachability variables R_{i,x} — "x is reached by the
-// first i labels of p" — whose OR-structure mirrors the level sets of the
-// path plan, then eliminates everything.
+// first i labels of p" — for the objects on a root-to-match path, then
+// eliminates them together with the CPTs they depend on.
 func PathProb(pi *core.ProbInstance, p pathexpr.Path, o model.ObjectID) (float64, error) {
 	if p.Root != pi.Root() {
 		return 0, nil
@@ -287,8 +351,8 @@ func PathProb(pi *core.ProbInstance, p pathexpr.Path, o model.ObjectID) (float64
 
 // PathProbWith is PathProb over a previously compiled network: callers
 // holding many queries against one immutable instance compile once and
-// reuse. The shared network is never mutated — the path augmentation works
-// on a shallow per-query clone of the variable table.
+// reuse. The shared network is never mutated — the path augmentation lives
+// in a per-query overlay.
 func PathProbWith(net *Network, pi *core.ProbInstance, p pathexpr.Path, o model.ObjectID) (float64, error) {
 	return PathProbWithCtx(context.Background(), net, pi, p, o)
 }
@@ -301,186 +365,188 @@ func PathProbWithCtx(ctx context.Context, net *Network, pi *core.ProbInstance, p
 	if p.Root != pi.Root() {
 		return 0, nil
 	}
-	return pathProbOn(ctx, net.queryClone(), pi, p, o)
+	return pathProbOn(ctx, net, pi, p, o)
 }
 
-// queryClone returns a shallow copy whose variable table can be extended
-// by addVar without touching the receiver. Factors, objVar and
-// containsChild are shared: the augmentation only reads them.
-func (n *Network) queryClone() *Network {
-	byName := make(map[string]int, len(n.byName))
-	for k, v := range n.byName {
-		byName[k] = v
-	}
-	return &Network{
-		vars:          append([]Variable(nil), n.vars...),
-		factors:       n.factors,
-		byName:        byName,
-		objVar:        n.objVar,
-		containsChild: n.containsChild,
-		root:          n.root,
-	}
+// overlay is one path query's private extension of a shared Network: the
+// fresh variables it defines are numbered after the network's own and are
+// all boolean (false, true), so only the count and the defining factors
+// need storing.
+type overlay struct {
+	gov     *govern.Governor
+	next    int // id of the next fresh variable
+	factors []*Factor
 }
 
-// pathProbOn runs the reachability augmentation and elimination on net,
-// which it may extend with fresh variables (pass a queryClone when the
-// network is shared).
+func (q *overlay) fresh() int {
+	q.next++
+	return q.next - 1
+}
+
+// term adds the boolean variable "parent y was reached and chose x":
+// T = R ∧ (X_y ∋ x), over (T, X_y, R). reached < 0 stands for a parent
+// that is certainly reached (the root), and drops R from the factor.
+func (q *overlay) term(net *Network, yv int, x model.ObjectID, reached int) (int, error) {
+	t := q.fresh()
+	c := net.vars[yv].Card()
+	vars, card := []int{t, yv, reached}, []int{2, c, 2}
+	w := 2 // cells per state of X_y: one per value of R
+	if reached < 0 {
+		vars, card, w = vars[:2], card[:2], 1
+	}
+	f, err := checkedNewFactor(q.gov, vars, card)
+	if err != nil {
+		return 0, err
+	}
+	chosen := net.includes[yv][x]
+	for s := 0; s < c; s++ {
+		for r := 0; r < w; r++ {
+			// Flat index ((T·c)+s)·w + r; R is true in a state's last cell.
+			if r == w-1 && chosen.has(s) {
+				f.vals[(c+s)*w+r] = 1
+			} else {
+				f.vals[s*w+r] = 1
+			}
+		}
+	}
+	q.factors = append(q.factors, f)
+	return t, nil
+}
+
+// orCard and orTable are the shared, read-only body of every binary OR
+// factor over (Z, A, B): 1 where Z = A ∨ B.
+var (
+	orCard  = []int{2, 2, 2}
+	orTable = []float64{1, 0, 0, 0, 0, 1, 1, 1}
+)
+
+// or returns a variable that is true exactly when some term is, folding
+// the terms left to right through binary OR factors: a flat OR over m
+// terms would need 2^(m+1) cells, the chain needs 8 per term.
+func (q *overlay) or(terms []int) (int, error) {
+	acc := terms[0]
+	for _, t := range terms[1:] {
+		if err := q.gov.Step(int64(len(orTable))); err != nil {
+			return 0, err
+		}
+		z := q.fresh()
+		q.factors = append(q.factors, &Factor{vars: []int{z, acc, t}, card: orCard, vals: orTable})
+		acc = z
+	}
+	return acc, nil
+}
+
+// pathProbOn runs the reachability augmentation and elimination for one
+// query against the shared network.
 func pathProbOn(ctx context.Context, net *Network, pi *core.ProbInstance, p pathexpr.Path, o model.ObjectID) (float64, error) {
 	gov := govern.From(ctx)
-	if p.Len() == 0 {
+	n := p.Len()
+	if n == 0 {
 		if o == "" || o == pi.Root() {
 			return 1, nil
 		}
 		return 0, nil
 	}
 	g := pi.WeakInstance.Graph()
-	var targets map[model.ObjectID]bool
-	if o != "" {
-		targets = map[model.ObjectID]bool{o: true}
+	targets := []model.ObjectID{o}
+	if o == "" {
+		targets = p.Targets(g)
 	}
-	plan := pathexpr.NewPlan(g, p, targets)
-	if plan.IsEmpty() {
-		return 0, nil
-	}
-	// Kept edges grouped by (level, child).
-	type lk struct {
-		level int
-		child model.ObjectID
-	}
-	parentsOf := make(map[lk][]model.ObjectID)
-	for level := 1; level < len(plan.Keep); level++ {
-		want := p.Labels[level-1]
-		for x := range plan.Keep[level] {
-			for _, e := range plan.Edges {
-				// An edge contributes reach at this level only when its
-				// label matches the level's path label (kept edges may
-				// stem from other levels of a DAG plan).
-				if e.To == x && plan.Keep[level-1][e.From] &&
-					(want == pathexpr.Wildcard || e.Label == want) {
-					parentsOf[lk{level, x}] = append(parentsOf[lk{level, x}], e.From)
+	// Backward from the targets: via[i][x] lists the parents x can be
+	// reached from by label i. A point query touches only the target's
+	// path ancestors, never the level sets of the whole instance.
+	via := make([]map[model.ObjectID][]model.ObjectID, n+1)
+	for i, frontier := n, targets; i >= 1 && len(frontier) > 0; i-- {
+		want := p.Labels[i-1]
+		via[i] = make(map[model.ObjectID][]model.ObjectID, len(frontier))
+		var next []model.ObjectID
+		for _, x := range frontier {
+			if _, done := via[i][x]; done {
+				continue
+			}
+			var ps []model.ObjectID
+			for _, y := range g.Parents(x) {
+				if l, _ := g.Label(y, x); want == pathexpr.Wildcard || l == want {
+					ps = append(ps, y)
 				}
 			}
+			via[i][x] = ps
+			next = append(next, ps...)
 		}
+		frontier = next
 	}
-	factors := append([]*Factor(nil), net.factors...)
-	// rvar[(level, x)] = id of R_{level,x}; level 0 root is implicitly true.
-	rvar := make(map[lk]int)
-	boolStates := []string{"f", "t"}
-	for level := 1; level < len(plan.Keep); level++ {
-		for _, x := range sortedKeys(plan.Keep[level]) {
+	// Forward from the root: R_{i,x} exists for the objects some kept
+	// parent reaches at level i−1 (the root, at level 0, is certain), as
+	// the OR over those parents of "y reached and chose x".
+	type levelObj struct {
+		level int
+		obj   model.ObjectID
+	}
+	reach := make(map[levelObj]int)
+	q := overlay{gov: gov, next: len(net.vars)}
+	var seeds []int
+	for i := 1; i <= n; i++ {
+		for _, x := range sortedKeys(via[i]) {
 			if err := gov.Err(); err != nil {
 				return 0, err
 			}
-			key := lk{level, x}
-			ps := parentsOf[key]
-			sort.Strings(ps)
-			id := net.addVar(fmt.Sprintf("R%d:%s", level, x), boolStates)
-			rvar[key] = id
-			// Factor over (R_{level,x}, for each kept parent y: X_y [, R_{level-1,y}]).
-			fvars := []int{id}
-			fcard := []int{2}
-			type pref struct {
-				xvar int
-				rvar int // -1 when level-1 == 0 (root reach is certain)
-				y    model.ObjectID
-			}
-			var prefs []pref
-			for _, y := range ps {
-				xv := net.objVar[y]
-				rv := -1
-				if level-1 > 0 {
-					rv = rvar[lk{level - 1, y}]
-				}
-				prefs = append(prefs, pref{xvar: xv, rvar: rv, y: y})
-				fvars = append(fvars, xv)
-				fcard = append(fcard, net.vars[xv].Card())
-				if rv >= 0 {
-					fvars = append(fvars, rv)
-					fcard = append(fcard, 2)
-				}
-			}
-			f, err := checkedNewFactor(gov, fvars, fcard)
-			if err != nil {
-				return 0, fmt.Errorf("reachability factor R%d:%s: %w", level, x, err)
-			}
-			f.EachAssignment(func(assign []int, _ float64) {
-				reached := false
-				pos := 1
-				for _, pr := range prefs {
-					xState := assign[pos]
-					pos++
-					parentReached := true
-					if pr.rvar >= 0 {
-						parentReached = assign[pos] == 1
-						pos++
+			var terms []int
+			for _, y := range via[i][x] {
+				reached := -1
+				if i == 1 {
+					if y != net.root {
+						continue
 					}
-					if parentReached && includesChild(net, pr.xvar, xState, x) {
-						reached = true
-					}
-				}
-				want := 0
-				if reached {
-					want = 1
-				}
-				if assign[0] == want {
-					f.Set(assign, 1)
+				} else if r, ok := reach[levelObj{i - 1, y}]; ok {
+					reached = r
 				} else {
-					f.Set(assign, 0)
+					continue
 				}
-			})
-			factors = append(factors, f)
+				yv := net.objVar[y]
+				t, err := q.term(net, yv, x, reached)
+				if err != nil {
+					return 0, fmt.Errorf("reachability factor R%d:%s: %w", i, x, err)
+				}
+				terms = append(terms, t)
+				seeds = append(seeds, yv)
+			}
+			if len(terms) == 0 {
+				continue
+			}
+			r, err := q.or(terms)
+			if err != nil {
+				return 0, err
+			}
+			reach[levelObj{i, x}] = r
 		}
 	}
 	// Final event: OR over the matched objects' reach variables.
-	n := p.Len()
-	matchedIDs := sortedKeys(plan.Keep[n])
-	anyVar := net.addVar("ANY", boolStates)
-	fvars := []int{anyVar}
-	fcard := []int{2}
-	for _, m := range matchedIDs {
-		rv := rvar[lk{n, m}]
-		fvars = append(fvars, rv)
-		fcard = append(fcard, 2)
+	var matched []int
+	for _, m := range targets {
+		if r, ok := reach[levelObj{n, m}]; ok {
+			matched = append(matched, r)
+		}
 	}
-	f, err := checkedNewFactor(gov, fvars, fcard)
-	if err != nil {
-		return 0, fmt.Errorf("path match factor: %w", err)
+	if len(matched) == 0 {
+		return 0, nil
 	}
-	f.EachAssignment(func(assign []int, _ float64) {
-		any := false
-		for i := 1; i < len(assign); i++ {
-			if assign[i] == 1 {
-				any = true
-				break
-			}
-		}
-		want := 0
-		if any {
-			want = 1
-		}
-		if assign[0] == want {
-			f.Set(assign, 1)
-		}
-	})
-	factors = append(factors, f)
-	joint, err := EliminateAllCtx(ctx, factors, map[int]bool{anyVar: true})
+	match, err := q.or(matched)
 	if err != nil {
 		return 0, err
 	}
-	total, trueMass := 0.0, 0.0
-	joint.EachAssignment(func(assign []int, v float64) {
-		total += v
-		if assign[0] == 1 {
-			trueMass += v
-		}
-	})
+	joint, err := net.joint(gov, match, seeds, q.factors)
+	if err != nil {
+		return 0, err
+	}
+	// OPF mass is validated only to prob.Tolerance, so normalise.
+	total := joint.vals[0] + joint.vals[1]
 	if total <= 0 {
 		return 0, nil
 	}
-	return trueMass / total, nil
+	return joint.vals[1] / total, nil
 }
 
-func sortedKeys(m map[model.ObjectID]bool) []model.ObjectID {
+func sortedKeys[V any](m map[model.ObjectID]V) []model.ObjectID {
 	out := make([]model.ObjectID, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -497,9 +563,9 @@ type Evidence struct {
 	Absent []model.ObjectID
 }
 
-// evidenceFactors builds indicator factors for the evidence.
-func (n *Network) evidenceFactors(ev Evidence) ([]*Factor, error) {
-	var fs []*Factor
+// evidenceFactors builds one indicator factor per piece of evidence and
+// returns the variables they constrain.
+func (n *Network) evidenceFactors(ev Evidence) (fs []*Factor, ids []int, err error) {
 	add := func(o model.ObjectID, wantAbsent bool) error {
 		id, ok := n.objVar[o]
 		if !ok {
@@ -508,35 +574,35 @@ func (n *Network) evidenceFactors(ev Evidence) ([]*Factor, error) {
 		v := n.vars[id]
 		absentIdx := v.StateIndex(Absent)
 		f := NewFactor([]int{id}, []int{v.Card()})
-		for s := 0; s < v.Card(); s++ {
-			isAbsent := s == absentIdx
-			if isAbsent == wantAbsent {
-				f.Set([]int{s}, 1)
+		for s := range f.vals {
+			if (s == absentIdx) == wantAbsent {
+				f.vals[s] = 1
 			}
 		}
 		fs = append(fs, f)
+		ids = append(ids, id)
 		return nil
 	}
 	for _, o := range ev.Exists {
 		if err := add(o, false); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	for _, o := range ev.Absent {
 		if err := add(o, true); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return fs, nil
+	return fs, ids, nil
 }
 
 // ProbEvidence returns the probability that all the evidence holds.
 func (n *Network) ProbEvidence(ev Evidence) (float64, error) {
-	evf, err := n.evidenceFactors(ev)
+	evf, ids, err := n.evidenceFactors(ev)
 	if err != nil {
 		return 0, err
 	}
-	joint, err := EliminateAll(append(append([]*Factor(nil), n.factors...), evf...), nil)
+	joint, err := n.joint(nil, -1, ids, evf)
 	if err != nil {
 		return 0, err
 	}
@@ -552,23 +618,22 @@ func (n *Network) MarginalGiven(o model.ObjectID, ev Evidence) (map[string]float
 	if !ok {
 		return nil, fmt.Errorf("bayes: unknown object %s", o)
 	}
-	evf, err := n.evidenceFactors(ev)
+	evf, ids, err := n.evidenceFactors(ev)
 	if err != nil {
 		return nil, err
 	}
-	joint, err := EliminateAll(append(append([]*Factor(nil), n.factors...), evf...), map[int]bool{id: true})
+	joint, err := n.joint(nil, id, append(ids, id), evf)
 	if err != nil {
 		return nil, err
 	}
 	total := 0.0
-	out := make(map[string]float64, n.vars[id].Card())
-	joint.EachAssignment(func(assign []int, v float64) {
-		out[n.vars[id].States[assign[0]]] += v
+	for _, v := range joint.vals {
 		total += v
-	})
+	}
 	if total <= 0 {
 		return nil, fmt.Errorf("bayes: evidence has probability zero")
 	}
+	out := n.distribution(id, joint)
 	for k := range out {
 		out[k] /= total
 	}

@@ -259,10 +259,7 @@ func (e *Engine) Network() (*bayes.Network, error) {
 // object (tree instances; the error is cached on DAGs). The returned map
 // is a copy — callers may keep or mutate it.
 func (e *Engine) Marginals() (map[model.ObjectID]float64, error) {
-	v, err, hit := e.marg.get(func() (map[model.ObjectID]float64, error) {
-		return query.ExistenceMarginals(e.pi)
-	})
-	e.count(hit)
+	v, err := e.marginals()
 	if err != nil {
 		return nil, err
 	}
@@ -271,6 +268,16 @@ func (e *Engine) Marginals() (map[model.ObjectID]float64, error) {
 		out[k] = p
 	}
 	return out, nil
+}
+
+// marginals returns the cached existence marginals themselves, shared
+// between callers: read-only.
+func (e *Engine) marginals() (map[model.ObjectID]float64, error) {
+	v, err, hit := e.marg.get(func() (map[model.ObjectID]float64, error) {
+		return query.ExistenceMarginals(e.pi)
+	})
+	e.count(hit)
+	return v, err
 }
 
 // Profile returns the cached upfront width/cost profile of the instance
@@ -338,7 +345,7 @@ func (e *Engine) admit(op string, top int, g *govern.Governor) error {
 		}
 	case "prob-object", "prob-point", "prob-exists", "prob-value":
 		prof := e.Profile()
-		if prof.Tree && op != "prob-object" {
+		if prof.Tree {
 			// ε-recursion route: one pass over the local distributions.
 			g.SetEstimate(prof.TotalOPFEntries)
 			return nil
@@ -568,8 +575,8 @@ func (e *Engine) ProbValue(ctx context.Context, p pathexpr.Path, o model.ObjectI
 	return pr, nil
 }
 
-// ProbObject returns the existence marginal P(o exists) via the cached
-// network (DAG-capable).
+// ProbObject returns the existence marginal P(o exists): from the cached
+// ε-lane marginals on trees, via the cached network on DAGs.
 func (e *Engine) ProbObject(ctx context.Context, o model.ObjectID) (pr float64, err error) {
 	start := time.Now()
 	e.queries.Inc()
@@ -623,6 +630,18 @@ func (e *Engine) existsProb(ctx context.Context, p pathexpr.Path) (float64, erro
 }
 
 func (e *Engine) objectProb(ctx context.Context, o model.ObjectID) (float64, error) {
+	if e.IsTree() {
+		// The ε lane's chain products, computed once for every object.
+		marg, err := e.marginals()
+		if err != nil {
+			return 0, err
+		}
+		// Objects under a parent that never occurs have no entry.
+		if pr, ok := marg[o]; ok || e.pi.HasObject(o) {
+			return pr, nil
+		}
+		return 0, fmt.Errorf("engine: unknown object %s", o)
+	}
 	net, err := e.Network()
 	if err != nil {
 		return 0, err

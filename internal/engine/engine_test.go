@@ -9,8 +9,11 @@ import (
 	"time"
 
 	"pxml/internal/algebra"
+	"pxml/internal/bayes"
 	"pxml/internal/core"
 	"pxml/internal/fixtures"
+	"pxml/internal/gen"
+	"pxml/internal/govern"
 	"pxml/internal/metrics"
 	"pxml/internal/model"
 	"pxml/internal/pathexpr"
@@ -450,6 +453,51 @@ func TestShapeObserver(t *testing.T) {
 	for shape, n := range want {
 		if counts[shape] != n {
 			t.Errorf("shape %q observed %d times, want %d (all: %v)", shape, counts[shape], n, counts)
+		}
+	}
+}
+
+// TestProbObjectTreeRoute: on a tree PROB OBJECT is answered from the
+// cached ε-lane marginals — the network is never compiled, admission
+// predicts the ε route's cost — and agrees with the BN lane on every
+// object.
+func TestProbObjectTreeRoute(t *testing.T) {
+	in, err := gen.Generate(gen.Config{Depth: 3, Branch: 3, Labeling: gen.FR, LeafDomainSize: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pi := range []*core.ProbInstance{treeBib(t), in.PI} {
+		var estimated int64
+		eng := New(pi, WithBudget(govern.Budget{MaxSteps: 1 << 30}),
+			WithCostObserver(func(_ string, est, _ int64) { estimated = est }))
+		net, err := bayes.Compile(pi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range pi.Objects() {
+			got, err := eng.ProbObject(context.Background(), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := net.ProbExists(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got-want) > 1e-9*math.Max(got, want) {
+				t.Errorf("P(%s exists) = %v on the tree route, BN lane %v", o, got, want)
+			}
+		}
+		if _, err := eng.Run(context.Background(), "PROB OBJECT "+pi.Objects()[0]); err != nil {
+			t.Fatal(err)
+		}
+		if want := eng.Profile().TotalOPFEntries; estimated != want {
+			t.Errorf("admission estimated %d steps, want the ε route's %d", estimated, want)
+		}
+		if eng.net.ready.Load() {
+			t.Error("PROB OBJECT on a tree compiled the Bayesian network")
+		}
+		if _, err := eng.ProbObject(context.Background(), "no-such-object"); err == nil {
+			t.Error("unknown object accepted")
 		}
 	}
 }
