@@ -40,8 +40,11 @@ var ErrNotRepresentable = errors.New("algebra: result distribution does not fact
 // update + ℘ update + write) and, separately, the ℘-update time, which
 // dominates ancestor projection.
 type Timings struct {
-	// Copy is the time to deep-copy the input instance (selection returns
-	// an updated copy; projection builds its result directly).
+	// Copy is the time selection spends giving its result the input's
+	// content. The paper's implementation copies the instance; ours sets
+	// up a core.ProbInstance.Overlay that shares it, so this is
+	// independent of the instance's size. Projection builds its result
+	// directly and records nothing here.
 	Copy time.Duration
 	// Locate is the time to evaluate the path expression (and prune to the
 	// ancestor-projection plan).

@@ -2,11 +2,11 @@ package algebra
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"pxml/internal/core"
 	"pxml/internal/model"
-	"pxml/internal/pathexpr"
 	"pxml/internal/sets"
 )
 
@@ -50,9 +50,8 @@ func selectConjunction(pi, out *core.ProbInstance, c Conjunction, sw *stopwatch,
 		if !ok {
 			return 0, fmt.Errorf("algebra: conjunction fast path supports object conditions only, got %T (use SelectGlobal)", sub)
 		}
-		plan := pathexpr.NewPlan(g, oc.Path, map[model.ObjectID]bool{oc.Object: true})
-		if plan.IsEmpty() {
-			return 0, fmt.Errorf("%w: %s does not satisfy %s", ErrZeroProbability, oc.Object, oc.Path)
+		if _, err := rootChain(g, oc.Path, oc.Object); err != nil {
+			return 0, err
 		}
 		// Walk the unique parent chain up to the root.
 		cur := oc.Object
@@ -70,8 +69,16 @@ func selectConjunction(pi, out *core.ProbInstance, c Conjunction, sw *stopwatch,
 		}
 	}
 	sw.lap(&sink.Locate)
+	// Multiply the norms in sorted parent order: the product is the
+	// statement's answer and must not depend on map iteration order.
+	parents := make([]model.ObjectID, 0, len(required))
+	for parent := range required {
+		parents = append(parents, parent)
+	}
+	sort.Strings(parents)
 	total := 1.0
-	for parent, req := range required {
+	for _, parent := range parents {
+		req := required[parent]
 		opf := pi.OPF(parent)
 		if opf == nil {
 			return 0, fmt.Errorf("algebra: chain object %s has no OPF", parent)

@@ -137,7 +137,8 @@ func projectMatched(pi *core.ProbInstance, p pathexpr.Path, keepSubtrees bool) (
 		if !keepSubtrees {
 			continue
 		}
-		// Copy o's entire weak substructure and local functions verbatim.
+		// Copy o's entire weak substructure; its local functions are unchanged
+		// and shared with the input.
 		stack := []model.ObjectID{o}
 		seen := map[model.ObjectID]bool{o: true}
 		for len(stack) > 0 {
@@ -159,7 +160,7 @@ func projectMatched(pi *core.ProbInstance, p pathexpr.Path, keepSubtrees bool) (
 				}
 			}
 			if w := pi.OPF(cur); w != nil && !pi.IsLeaf(cur) {
-				out.SetOPF(cur, w.Clone())
+				out.SetOPF(cur, w)
 			}
 		}
 	}
@@ -176,7 +177,7 @@ func copyLeafInfo(pi, out *core.ProbInstance, o model.ObjectID) error {
 		return err
 	}
 	if v := pi.VPF(o); v != nil {
-		out.SetVPF(o, v.Clone())
+		out.SetVPF(o, v)
 	}
 	return nil
 }

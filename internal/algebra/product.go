@@ -109,12 +109,12 @@ func CartesianProduct(pi1, pi2 *core.ProbInstance, newRoot model.ObjectID) (*cor
 					return nil, nil, err
 				}
 				if v := src.VPF(o); v != nil {
-					out.SetVPF(dst, v.Clone())
+					out.SetVPF(dst, v)
 				}
 			}
 			if o != oldRoot {
 				if w := src.OPF(o); w != nil {
-					out.SetOPF(dst, w.Clone())
+					out.SetOPF(dst, w)
 				}
 			}
 		}

@@ -117,30 +117,32 @@ func AncestorProjectTimed(pi *core.ProbInstance, p pathexpr.Path, sink *Timings)
 
 	// Structure (final): strip objects that no surviving support set ever
 	// contains, then emit the result instance with updated card.
-	out := core.NewProbInstance(pi.Root())
-	for _, t := range pi.Types() {
-		// Error impossible: types were valid in the input.
-		_ = out.RegisterType(t)
-	}
 	rootOPF := newOPF[pi.Root()]
 	if rootOPF == nil || 1-rootOPF.Prob(nil) <= 0 {
 		sw.lap(&sink.Structure)
 		return bareRoot(pi), nil
 	}
-	type frame struct{ o model.ObjectID }
-	stack := []frame{{pi.Root()}}
+	// The result is assembled through the bulk loader: it is a fresh
+	// instance nobody else can see yet, so the per-call graph invalidation
+	// of SetLCh/SetCard/AddObject would buy nothing.
+	ld := core.NewLoader(pi.Root(), len(newOPF)+len(matched))
+	for _, t := range pi.Types() {
+		// Error impossible: types were valid in the input.
+		_ = ld.RegisterType(t)
+	}
+	stack := []model.ObjectID{pi.Root()}
 	visited := map[model.ObjectID]bool{pi.Root(): true}
 	for len(stack) > 0 {
-		o := stack[len(stack)-1].o
+		o := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if matched[o] {
 			// Matched objects are leaves of the result; keep their leaf
 			// type and VPF when they had one.
 			if t, ok := pi.TypeOf(o); ok {
-				// Errors impossible: type registered above, value valid.
-				_ = out.SetLeafType(o, t.Name)
+				// Error impossible: type registered above.
+				_ = ld.SetLeafType(o, t.Name)
 				if v := pi.VPF(o); v != nil {
-					out.SetVPF(o, v.Clone())
+					ld.SetVPF(o, v)
 				}
 			}
 			continue
@@ -159,7 +161,9 @@ func AncestorProjectTimed(pi *core.ProbInstance, p pathexpr.Path, sink *Timings)
 				marg[ch] += pr
 			}
 		})
-		perLabel := make(map[model.Label][]model.ObjectID)
+		// plan.Edges is sorted by (From, To), so keptChildren[o] and every
+		// per-label subsequence of it is a canonical set as built.
+		perLabel := make(map[model.Label]sets.Set)
 		for _, ch := range keptChildren[o] {
 			if marg[ch] <= 0 {
 				continue
@@ -171,18 +175,22 @@ func AncestorProjectTimed(pi *core.ProbInstance, p pathexpr.Path, sink *Timings)
 			perLabel[l] = append(perLabel[l], ch)
 			if !visited[ch] {
 				visited[ch] = true
-				stack = append(stack, frame{ch})
+				ld.AddObject(ch)
+				stack = append(stack, ch)
 			}
 		}
 		if len(perLabel) == 0 {
 			continue
 		}
 		for l, cs := range perLabel {
-			out.SetLCh(o, l, cs...)
 			lo, hi := cardBounds(w, pi, o, l)
-			out.SetCard(o, l, lo, hi)
+			ld.SetEdges(o, l, cs, lo, hi)
 		}
-		out.SetOPF(o, w)
+		ld.SetOPF(o, w)
+	}
+	out, err := ld.Instance()
+	if err != nil {
+		return nil, fmt.Errorf("algebra: assembling Λ_%s: %w", p, err)
 	}
 	// If stripping removed every root child, collapse to the bare root.
 	if out.IsLeaf(out.Root()) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pxml/internal/core"
+	"pxml/internal/graph"
 	"pxml/internal/model"
 	"pxml/internal/pathexpr"
 	"pxml/internal/prob"
@@ -100,13 +101,16 @@ func Select(pi *core.ProbInstance, cond Condition) (*core.ProbInstance, float64,
 	return SelectTimed(pi, cond, nil)
 }
 
-// SelectTimed is Select without the tree check, recording phase timings.
+// SelectTimed is Select without the tree check (the caller vouches for
+// tree structure), recording phase timings. The result is an Overlay of pi:
+// it shares everything selection leaves unchanged, so sink.Copy records
+// setting that up rather than a copy.
 func SelectTimed(pi *core.ProbInstance, cond Condition, sink *Timings) (*core.ProbInstance, float64, error) {
 	if sink == nil {
 		sink = &Timings{}
 	}
 	sw := newStopwatch(sink)
-	out := pi.Clone()
+	out := pi.Overlay()
 	sw.lap(&sink.Copy)
 
 	switch c := cond.(type) {
@@ -177,27 +181,12 @@ func SelectTimed(pi *core.ProbInstance, cond Condition, sink *Timings) (*core.Pr
 // optional extra conditioning step at the selected object itself. It
 // returns the total probability of the conditioned event.
 func conditionChain(pi, out *core.ProbInstance, p pathexpr.Path, o model.ObjectID, sw *stopwatch, sink *Timings, extra func(model.ObjectID) (float64, error)) (float64, error) {
-	g := pi.WeakInstance.Graph()
-	plan := pathexpr.NewPlan(g, p, map[model.ObjectID]bool{o: true})
+	chain, err := rootChain(pi.WeakInstance.Graph(), p, o)
 	sw.lap(&sink.Locate)
-	if plan.IsEmpty() {
-		return 0, fmt.Errorf("%w: %s does not satisfy %s", ErrZeroProbability, o, p)
+	if err != nil {
+		return 0, err
 	}
-	// In a tree the kept plan is a single chain root → … → o.
-	chain := []model.ObjectID{o}
-	cur := o
-	for level := p.Len(); level > 0; level-- {
-		ps := g.Parents(cur)
-		if len(ps) != 1 && !(level == 1 && len(ps) == 0) {
-			return 0, fmt.Errorf("algebra: object %s has %d parents; chain conditioning needs a tree", cur, len(ps))
-		}
-		if len(ps) == 0 {
-			break
-		}
-		cur = ps[0]
-		chain = append(chain, cur)
-	}
-	if cur != pi.Root() {
+	if chain[len(chain)-1] != pi.Root() {
 		return 0, fmt.Errorf("%w: %s not reachable from root via %s", ErrZeroProbability, o, p)
 	}
 	// chain is o … root; walk top-down conditioning each ancestor on
@@ -227,4 +216,45 @@ func conditionChain(pi, out *core.ProbInstance, p pathexpr.Path, o model.ObjectI
 	}
 	sw.lap(&sink.Update)
 	return total, nil
+}
+
+// rootChain locates o under p in O(depth): on a tree o ∈ p iff the unique
+// parent chain of o has p's length, carries p's labels and ends at p.Root,
+// so walking that chain upwards decides membership without evaluating p
+// over the whole graph. It returns the chain o … p.Root, or an
+// ErrZeroProbability error when o ∉ p. An object with several parents means
+// the caller's tree promise is broken; which error that yields is then
+// decided by evaluating p, as the chain alone cannot.
+func rootChain(g *graph.Graph, p pathexpr.Path, o model.ObjectID) ([]model.ObjectID, error) {
+	notIn := func() error {
+		return fmt.Errorf("%w: %s does not satisfy %s", ErrZeroProbability, o, p)
+	}
+	if !g.HasNode(o) {
+		return nil, notIn()
+	}
+	chain := make([]model.ObjectID, 1, p.Len()+1)
+	chain[0] = o
+	cur := o
+	for level := p.Len(); level > 0; level-- {
+		ps := g.Parents(cur)
+		if len(ps) > 1 {
+			if !p.Matches(g, o) {
+				return nil, notIn()
+			}
+			return nil, fmt.Errorf("algebra: object %s has %d parents; chain conditioning needs a tree", cur, len(ps))
+		}
+		if len(ps) == 0 {
+			return nil, notIn()
+		}
+		want := p.Labels[level-1]
+		if l, _ := g.Label(ps[0], cur); want != pathexpr.Wildcard && want != l {
+			return nil, notIn()
+		}
+		cur = ps[0]
+		chain = append(chain, cur)
+	}
+	if cur != p.Root {
+		return nil, notIn()
+	}
+	return chain, nil
 }

@@ -228,8 +228,9 @@ func MeasureQuery(op Op, in *gen.Instance, r *rand.Rand, scratch *os.File) (Meas
 		// copy in place; this implementation is copy-on-build — the result
 		// instance is materialized directly during the structure phase —
 		// so the paper's "copy" leg is folded into Structure here and
-		// Copy stays zero for projection. (Selection below does clone,
-		// because its result really is a full copy of the input.)
+		// Copy stays zero for projection. (Selection below reports the
+		// set-up of a copy-on-write overlay of its input there: its result
+		// differs from the input in one root chain of OPFs.)
 		res, err := algebra.AncestorProjectTimed(in.PI, p, &m.Timings)
 		if err != nil {
 			return m, err

@@ -53,8 +53,11 @@ func TestRunSelectionPanel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		if r.CopyNs <= 0 {
-			t.Errorf("selection must include copy time: %+v", r)
+		// Selection shares its input (core.ProbInstance.Overlay), so the
+		// copy leg is a constant few hundred ns and a coarse clock may read
+		// it as zero; the write still has to serialize the whole result.
+		if r.CopyNs < 0 || r.CopyNs >= r.WriteNs {
+			t.Errorf("selection's copy leg must not scale with the instance: %+v", r)
 		}
 		if r.StructNs != 0 {
 			t.Errorf("selection has no structure-update phase: %+v", r)

@@ -554,8 +554,8 @@ func TestWeakAccessors(t *testing.T) {
 	if fw.Weak() != w {
 		t.Error("FromWeak copied the weak instance")
 	}
-	if fw.Interp() == nil {
-		t.Error("FromWeak produced nil interpretation")
+	if got := fw.SortedOPFObjects(); len(got) != 0 {
+		t.Errorf("FromWeak interpretation not empty: %v", got)
 	}
 }
 

@@ -2,53 +2,95 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
+	"sync/atomic"
 
 	"pxml/internal/model"
 	"pxml/internal/prob"
 	"pxml/internal/sets"
 )
 
-// LocalInterpretation is ℘ of Definition 3.10: it maps each non-leaf object
-// to an OPF over its potential child sets, and each typed leaf object to a
-// VPF over its value domain. Untyped leaves (which the algebra can create;
-// see model.Instance) have no local probability function and contribute a
-// unit factor to instance probabilities.
-type LocalInterpretation struct {
+// localInterp is ℘ of Definition 3.10: it maps each non-leaf object to an
+// OPF over its potential child sets, and each typed leaf object to a VPF
+// over its value domain. Untyped leaves (which the algebra can create; see
+// model.Instance) have no local probability function and contribute a unit
+// factor to instance probabilities.
+//
+// An interpretation is either self-contained (base's maps are nil) or an
+// overlay: its own tables hold the assignments made through it and shadow
+// base, which it reads through to for every other object. Base tables are
+// some self-contained interpretation's own (overlays are one level deep),
+// and that interpretation is never written again once they are lent.
+type localInterp struct {
+	interpTables
+	base interpTables
+
+	// lent is set once some overlay has this interpretation's own tables
+	// as its base; ProbInstance.writable then stops writing them.
+	lent atomic.Bool
+}
+
+type interpTables struct {
 	opf map[model.ObjectID]*prob.OPF
 	vpf map[model.ObjectID]*prob.VPF
 }
 
-// NewLocalInterpretation returns an empty local interpretation.
-func NewLocalInterpretation() *LocalInterpretation {
-	return &LocalInterpretation{
+func newLocalInterp() *localInterp {
+	return &localInterp{interpTables: interpTables{
 		opf: make(map[model.ObjectID]*prob.OPF),
 		vpf: make(map[model.ObjectID]*prob.VPF),
+	}}
+}
+
+// overlay returns an interpretation that reads the same assignments as li
+// and records its own without touching li's maps. An overlay of an overlay
+// copies the delta and shares the base, so chains never grow.
+func (li *localInterp) overlay() *localInterp {
+	if li.base.opf != nil {
+		return &localInterp{
+			interpTables: interpTables{opf: maps.Clone(li.opf), vpf: maps.Clone(li.vpf)},
+			base:         li.base,
+		}
+	}
+	// Load first: concurrent overlays of one published instance would
+	// otherwise all write the same cache line.
+	if !li.lent.Load() {
+		li.lent.Store(true)
+	}
+	c := newLocalInterp()
+	c.base = li.interpTables
+	return c
+}
+
+// readThrough returns o's assignment: own shadows base (nil when there is
+// none).
+func readThrough[F any](own, base map[model.ObjectID]F, o model.ObjectID) F {
+	if f, ok := own[o]; ok {
+		return f
+	}
+	return base[o]
+}
+
+// eachThrough calls fn once per object with an assignment in own or, not
+// shadowed by it, in base — in no particular order.
+func eachThrough[F any](own, base map[model.ObjectID]F, fn func(model.ObjectID, F)) {
+	for o, f := range own {
+		fn(o, f)
+	}
+	for o, f := range base {
+		if _, shadowed := own[o]; !shadowed {
+			fn(o, f)
+		}
 	}
 }
 
-// SetOPF assigns ℘(o) for a non-leaf object.
-func (li *LocalInterpretation) SetOPF(o model.ObjectID, w *prob.OPF) { li.opf[o] = w }
+func (li *localInterp) eachOPF(fn func(model.ObjectID, *prob.OPF)) {
+	eachThrough(li.opf, li.base.opf, fn)
+}
 
-// SetVPF assigns ℘(o) for a leaf object.
-func (li *LocalInterpretation) SetVPF(o model.ObjectID, w *prob.VPF) { li.vpf[o] = w }
-
-// OPF returns ℘(o) for a non-leaf object, nil when unset.
-func (li *LocalInterpretation) OPF(o model.ObjectID) *prob.OPF { return li.opf[o] }
-
-// VPF returns ℘(o) for a leaf object, nil when unset.
-func (li *LocalInterpretation) VPF(o model.ObjectID) *prob.VPF { return li.vpf[o] }
-
-// Clone returns a deep copy.
-func (li *LocalInterpretation) Clone() *LocalInterpretation {
-	c := NewLocalInterpretation()
-	for o, w := range li.opf {
-		c.opf[o] = w.Clone()
-	}
-	for o, w := range li.vpf {
-		c.vpf[o] = w.Clone()
-	}
-	return c
+func (li *localInterp) eachVPF(fn func(model.ObjectID, *prob.VPF)) {
+	eachThrough(li.vpf, li.base.vpf, fn)
 }
 
 // ProbInstance is a probabilistic instance I = (V, lch, τ, val, card, ℘)
@@ -56,7 +98,7 @@ func (li *LocalInterpretation) Clone() *LocalInterpretation {
 // interpretation.
 type ProbInstance struct {
 	*WeakInstance
-	interp *LocalInterpretation
+	interp *localInterp
 }
 
 // NewProbInstance returns a probabilistic instance over a fresh weak
@@ -64,40 +106,70 @@ type ProbInstance struct {
 func NewProbInstance(root model.ObjectID) *ProbInstance {
 	return &ProbInstance{
 		WeakInstance: NewWeakInstance(root),
-		interp:       NewLocalInterpretation(),
+		interp:       newLocalInterp(),
 	}
 }
 
 // FromWeak wraps an existing weak instance with an empty local
 // interpretation. The weak instance is used directly, not copied.
 func FromWeak(w *WeakInstance) *ProbInstance {
-	return &ProbInstance{WeakInstance: w, interp: NewLocalInterpretation()}
+	return &ProbInstance{WeakInstance: w, interp: newLocalInterp()}
 }
 
 // Weak returns the underlying weak instance.
 func (pi *ProbInstance) Weak() *WeakInstance { return pi.WeakInstance }
 
-// Interp returns the local interpretation ℘.
-func (pi *ProbInstance) Interp() *LocalInterpretation { return pi.interp }
+// writable returns the interpretation SetOPF/SetVPF may write. Once an
+// overlay reads through to pi's maps they are frozen, and pi continues as an
+// overlay of them itself.
+func (pi *ProbInstance) writable() *localInterp {
+	if pi.interp.lent.Load() {
+		pi.interp = pi.interp.overlay()
+	}
+	return pi.interp
+}
 
-// SetOPF assigns ℘(o) for a non-leaf object.
-func (pi *ProbInstance) SetOPF(o model.ObjectID, w *prob.OPF) { pi.interp.SetOPF(o, w) }
+// SetOPF assigns ℘(o) for a non-leaf object. w must not be mutated
+// afterwards (see the package comment).
+func (pi *ProbInstance) SetOPF(o model.ObjectID, w *prob.OPF) { pi.writable().opf[o] = w }
 
-// SetVPF assigns ℘(o) for a leaf object.
-func (pi *ProbInstance) SetVPF(o model.ObjectID, w *prob.VPF) { pi.interp.SetVPF(o, w) }
+// SetVPF assigns ℘(o) for a leaf object. w must not be mutated afterwards
+// (see the package comment).
+func (pi *ProbInstance) SetVPF(o model.ObjectID, w *prob.VPF) { pi.writable().vpf[o] = w }
 
 // OPF returns ℘(o) for a non-leaf object, nil when unset.
-func (pi *ProbInstance) OPF(o model.ObjectID) *prob.OPF { return pi.interp.OPF(o) }
+func (pi *ProbInstance) OPF(o model.ObjectID) *prob.OPF {
+	return readThrough(pi.interp.opf, pi.interp.base.opf, o)
+}
 
 // VPF returns ℘(o) for a leaf object, nil when unset.
-func (pi *ProbInstance) VPF(o model.ObjectID) *prob.VPF { return pi.interp.VPF(o) }
+func (pi *ProbInstance) VPF(o model.ObjectID) *prob.VPF {
+	return readThrough(pi.interp.vpf, pi.interp.base.vpf, o)
+}
 
-// Clone returns a deep copy of the probabilistic instance.
-func (pi *ProbInstance) Clone() *ProbInstance {
+// Overlay returns an instance that is observationally a deep copy of pi but
+// shares everything with it: the weak-instance tables, the memoized graph
+// and tree verdict, and every OPF and VPF. SetOPF/SetVPF on the result
+// shadow pi's assignments in a small map of their own, and a structural
+// mutation of either handle first gives that handle private tables, so
+// neither ever sees the other's later changes. The Section 6 operators
+// build their results on it: they rewrite a handful of local functions of
+// an input that may be large. See the package comment for the contract
+// this rests on.
+func (pi *ProbInstance) Overlay() *ProbInstance {
 	return &ProbInstance{
-		WeakInstance: pi.WeakInstance.Clone(),
-		interp:       pi.interp.Clone(),
+		WeakInstance: pi.WeakInstance.overlay(),
+		interp:       pi.interp.overlay(),
 	}
+}
+
+// Clone returns a deep copy of the probabilistic instance, local
+// probability functions included; nothing is shared with pi.
+func (pi *ProbInstance) Clone() *ProbInstance {
+	c := &ProbInstance{WeakInstance: pi.WeakInstance.Clone(), interp: newLocalInterp()}
+	pi.interp.eachOPF(func(o model.ObjectID, w *prob.OPF) { c.interp.opf[o] = w.Clone() })
+	pi.interp.eachVPF(func(o model.ObjectID, w *prob.VPF) { c.interp.vpf[o] = w.Clone() })
+	return c
 }
 
 // Rename returns a copy with object identifiers substituted per the
@@ -111,9 +183,9 @@ func (pi *ProbInstance) Rename(m map[model.ObjectID]model.ObjectID) *ProbInstanc
 	}
 	out := &ProbInstance{
 		WeakInstance: pi.WeakInstance.Rename(m),
-		interp:       NewLocalInterpretation(),
+		interp:       newLocalInterp(),
 	}
-	for o, w := range pi.interp.opf {
+	pi.interp.eachOPF(func(o model.ObjectID, w *prob.OPF) {
 		nw := prob.NewOPF()
 		w.Each(func(c sets.Set, p float64) {
 			ids := make([]string, c.Len())
@@ -123,10 +195,10 @@ func (pi *ProbInstance) Rename(m map[model.ObjectID]model.ObjectID) *ProbInstanc
 			nw.Add(sets.NewSet(ids...), p)
 		})
 		out.interp.opf[rn(o)] = nw
-	}
-	for o, w := range pi.interp.vpf {
+	})
+	pi.interp.eachVPF(func(o model.ObjectID, w *prob.VPF) {
 		out.interp.vpf[rn(o)] = w.Clone()
-	}
+	})
 	return out
 }
 
@@ -388,9 +460,7 @@ func (pi *ProbInstance) ComputeStats() Stats {
 // SortedOPFObjects returns the non-leaf objects that carry an OPF, sorted.
 func (pi *ProbInstance) SortedOPFObjects() []model.ObjectID {
 	out := make([]model.ObjectID, 0, len(pi.interp.opf))
-	for o := range pi.interp.opf {
-		out = append(out, o)
-	}
+	pi.interp.eachOPF(func(o model.ObjectID, _ *prob.OPF) { out = append(out, o) })
 	sort.Strings(out)
 	return out
 }
@@ -398,9 +468,7 @@ func (pi *ProbInstance) SortedOPFObjects() []model.ObjectID {
 // SortedVPFObjects returns the leaf objects that carry a VPF, sorted.
 func (pi *ProbInstance) SortedVPFObjects() []model.ObjectID {
 	out := make([]model.ObjectID, 0, len(pi.interp.vpf))
-	for o := range pi.interp.vpf {
-		out = append(out, o)
-	}
+	pi.interp.eachVPF(func(o model.ObjectID, _ *prob.VPF) { out = append(out, o) })
 	sort.Strings(out)
 	return out
 }

@@ -33,8 +33,7 @@ func NewLoader(root model.ObjectID, nObjects int) *Loader {
 	// lch/card/opf carriers) and half are leaves (typ/val/vpf carriers);
 	// sizing to the halves avoids both rehashing and oversized tables.
 	half := nObjects/2 + 1
-	w := &WeakInstance{
-		root:    root,
+	w := &WeakInstance{root: root, weakTables: weakTables{
 		objects: make(map[model.ObjectID]struct{}, nObjects),
 		lch:     make(map[model.ObjectID]map[model.Label]sets.Set, half),
 		// Cardinality constraints and default values are sparse in
@@ -44,14 +43,14 @@ func NewLoader(root model.ObjectID, nObjects int) *Loader {
 		types: make(map[model.TypeName]model.Type),
 		typ:   make(map[model.ObjectID]model.TypeName, half),
 		val:   make(map[model.ObjectID]model.Value),
-	}
+	}}
 	w.objects[root] = struct{}{}
 	pi := &ProbInstance{
 		WeakInstance: w,
-		interp: &LocalInterpretation{
+		interp: &localInterp{interpTables: interpTables{
 			opf: make(map[model.ObjectID]*prob.OPF, half),
 			vpf: make(map[model.ObjectID]*prob.VPF, half),
-		},
+		}},
 	}
 	return &Loader{pi: pi}
 }

@@ -5,12 +5,28 @@
 // probabilistic instances (Definition 3.11), compatibility of semistructured
 // instances (Definition 4.1) and the local-to-global semantics
 // P_℘(S) = Π_o ℘(o)(c_S(o)) of Definition 4.4 whose coherence is Theorem 1.
+//
+// # Sharing
+//
+// ProbInstance.Overlay returns an instance that shares its receiver's
+// weak-instance tables, memoized graph and local probability functions
+// instead of copying them, yet behaves as a deep copy: SetOPF/SetVPF on
+// either handle are recorded in that handle alone, and the first structural
+// mutation of either handle gives it private tables. This rests on one
+// contract: an OPF or VPF installed in an instance is never mutated in
+// place, only replaced by SetOPF/SetVPF. Build a local probability function
+// completely, then install it; to change one, install a modified Clone.
+// Like every read of an instance, Overlay may run concurrently with other
+// readers; mutating an instance was never safe beside readers and still is
+// not.
 package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"pxml/internal/graph"
 	"pxml/internal/model"
@@ -34,33 +50,58 @@ const DefaultPCLimit = 1 << 20
 //   - PC(o) is the per-label cross product rather than literal minimal
 //     hitting sets (see sets.UnionProduct).
 type WeakInstance struct {
-	root    model.ObjectID
+	root model.ObjectID
+	weakTables
+
+	// shared is set while another WeakInstance (see overlay) may be reading
+	// the same table maps. Every mutator calls own first, which swaps in a
+	// private copy; readers never look at the flag.
+	shared atomic.Bool
+
+	// graphMu guards the two memos below. graphCache memoizes the
+	// Definition 3.7 weak instance graph: every algebra operation and query
+	// starts from it, so rebuilding per call would dominate repeated-query
+	// workloads. tree memoizes IsTree's verdict on that graph, which every
+	// Section 6 operator and tree-lane query asks for first. Any structural
+	// mutation invalidates both. The cached graph is shared with callers
+	// and must be treated as read-only.
+	graphMu    sync.Mutex
+	graphCache *graph.Graph
+	tree       treeVerdict
+}
+
+// weakTables are the maps behind a WeakInstance, grouped so that an
+// overlay can share them and Clone/own can copy them in one step.
+type weakTables struct {
 	objects map[model.ObjectID]struct{}
 	lch     map[model.ObjectID]map[model.Label]sets.Set
 	card    map[model.ObjectID]map[model.Label]sets.Interval
 	types   map[model.TypeName]model.Type
 	typ     map[model.ObjectID]model.TypeName
 	val     map[model.ObjectID]model.Value
-
-	// graphMu guards graphCache, which memoizes the Definition 3.7 weak
-	// instance graph: every algebra operation and query starts from it, so
-	// rebuilding per call would dominate repeated-query workloads. Any
-	// structural mutation invalidates the cache. The cached graph is
-	// shared with callers and must be treated as read-only.
-	graphMu    sync.Mutex
-	graphCache *graph.Graph
 }
+
+// treeVerdict is IsTree's memo; the zero value means "not computed".
+type treeVerdict int8
+
+const (
+	treeUnknown treeVerdict = iota
+	treeYes
+	treeNo
+)
 
 // NewWeakInstance returns a weak instance containing only the root object.
 func NewWeakInstance(root model.ObjectID) *WeakInstance {
 	w := &WeakInstance{
-		root:    root,
-		objects: make(map[model.ObjectID]struct{}),
-		lch:     make(map[model.ObjectID]map[model.Label]sets.Set),
-		card:    make(map[model.ObjectID]map[model.Label]sets.Interval),
-		types:   make(map[model.TypeName]model.Type),
-		typ:     make(map[model.ObjectID]model.TypeName),
-		val:     make(map[model.ObjectID]model.Value),
+		root: root,
+		weakTables: weakTables{
+			objects: make(map[model.ObjectID]struct{}),
+			lch:     make(map[model.ObjectID]map[model.Label]sets.Set),
+			card:    make(map[model.ObjectID]map[model.Label]sets.Interval),
+			types:   make(map[model.TypeName]model.Type),
+			typ:     make(map[model.ObjectID]model.TypeName),
+			val:     make(map[model.ObjectID]model.Value),
+		},
 	}
 	w.objects[root] = struct{}{}
 	return w
@@ -69,12 +110,39 @@ func NewWeakInstance(root model.ObjectID) *WeakInstance {
 // Root returns the root object identifier.
 func (w *WeakInstance) Root() model.ObjectID { return w.root }
 
-// invalidateGraph drops the memoized weak instance graph after a
-// structural mutation.
+// invalidateGraph drops the memoized weak instance graph and tree verdict
+// after a structural mutation.
 func (w *WeakInstance) invalidateGraph() {
 	w.graphMu.Lock()
 	w.graphCache = nil
+	w.tree = treeUnknown
 	w.graphMu.Unlock()
+}
+
+// overlay returns a weak instance that shares w's tables and whatever w has
+// memoized so far. Both are marked shared, so whichever is mutated first
+// copies the tables for itself and the other keeps seeing what it saw.
+func (w *WeakInstance) overlay() *WeakInstance {
+	c := &WeakInstance{root: w.root, weakTables: w.weakTables}
+	w.graphMu.Lock()
+	c.graphCache, c.tree = w.graphCache, w.tree
+	w.graphMu.Unlock()
+	c.shared.Store(true)
+	// Load first: concurrent overlays of one published instance would
+	// otherwise all write the same cache line.
+	if !w.shared.Load() {
+		w.shared.Store(true)
+	}
+	return c
+}
+
+// own gives w private tables if an overlay shares them. Every mutator calls
+// it before its first write.
+func (w *WeakInstance) own() {
+	if w.shared.Load() {
+		w.weakTables = w.weakTables.clone()
+		w.shared.Store(false)
+	}
 }
 
 // AddObject inserts an object into V.
@@ -82,6 +150,7 @@ func (w *WeakInstance) AddObject(o model.ObjectID) {
 	if _, ok := w.objects[o]; ok {
 		return
 	}
+	w.own()
 	w.objects[o] = struct{}{}
 	w.invalidateGraph()
 }
@@ -109,6 +178,7 @@ func (w *WeakInstance) NumObjects() int { return len(w.objects) }
 // children of o under label l. All mentioned objects are added to V.
 // Passing an empty children list removes the entry.
 func (w *WeakInstance) SetLCh(o model.ObjectID, l model.Label, children ...model.ObjectID) {
+	w.own()
 	w.invalidateGraph()
 	w.AddObject(o)
 	if len(children) == 0 {
@@ -157,18 +227,22 @@ func (w *WeakInstance) AllChildren(o model.ObjectID) sets.Set {
 
 // LabelOf returns the unique label under which child is a potential child
 // of o. The boolean result is false when child is not a potential child.
-// Uniqueness is guaranteed by Validate's label-disjointness check.
+// Uniqueness is guaranteed by Validate's label-disjointness check; on an
+// instance that fails it the smallest matching label is returned.
 func (w *WeakInstance) LabelOf(o, child model.ObjectID) (model.Label, bool) {
-	for _, l := range w.Labels(o) {
-		if w.lch[o][l].Contains(child) {
-			return l, true
+	var best model.Label
+	found := false
+	for l, cs := range w.lch[o] {
+		if (!found || l < best) && cs.Contains(child) {
+			best, found = l, true
 		}
 	}
-	return "", false
+	return best, found
 }
 
 // SetCard sets card(o, l) = [min, max] (Definition 3.4 item 5).
 func (w *WeakInstance) SetCard(o model.ObjectID, l model.Label, min, max int) {
+	w.own()
 	w.invalidateGraph()
 	w.AddObject(o)
 	if w.card[o] == nil {
@@ -214,6 +288,7 @@ func (w *WeakInstance) RegisterType(t model.Type) error {
 		}
 		return nil
 	}
+	w.own()
 	w.types[t.Name] = t
 	return nil
 }
@@ -227,6 +302,7 @@ func (w *WeakInstance) SetLeafType(o model.ObjectID, tn model.TypeName) error {
 	if _, ok := w.types[tn]; !ok {
 		return fmt.Errorf("core: unknown type %q for object %s", tn, o)
 	}
+	w.own()
 	w.AddObject(o)
 	w.typ[o] = tn
 	return nil
@@ -242,6 +318,7 @@ func (w *WeakInstance) SetDefaultValue(o model.ObjectID, v model.Value) error {
 	if !w.types[tn].Has(v) {
 		return fmt.Errorf("core: value %q outside dom(%s) for object %s", v, tn, o)
 	}
+	w.own()
 	w.val[o] = v
 	return nil
 }
@@ -340,10 +417,14 @@ func (w *WeakInstance) childMayAppear(o model.ObjectID, l model.Label) bool {
 func (w *WeakInstance) Graph() *graph.Graph {
 	w.graphMu.Lock()
 	defer w.graphMu.Unlock()
-	if w.graphCache != nil {
-		return w.graphCache
+	return w.graphLocked()
+}
+
+// graphLocked is Graph for callers holding graphMu.
+func (w *WeakInstance) graphLocked() *graph.Graph {
+	if w.graphCache == nil {
+		w.graphCache = w.buildGraph()
 	}
-	w.graphCache = w.buildGraph()
 	return w.graphCache
 }
 
@@ -379,9 +460,20 @@ func (w *WeakInstance) CheckAcyclic() error {
 // IsTree reports whether the weak instance graph is a tree rooted at the
 // root: acyclic, every non-root object has exactly one parent, and every
 // object is reachable from the root. The Section 6 fast algorithms assume
-// this structure.
+// this structure. The verdict is memoized with the graph it was read off.
 func (w *WeakInstance) IsTree() bool {
-	g := w.Graph()
+	w.graphMu.Lock()
+	defer w.graphMu.Unlock()
+	if w.tree == treeUnknown {
+		w.tree = treeNo
+		if w.isTree(w.graphLocked()) {
+			w.tree = treeYes
+		}
+	}
+	return w.tree == treeYes
+}
+
+func (w *WeakInstance) isTree(g *graph.Graph) bool {
 	if !g.IsAcyclic() {
 		return false
 	}
@@ -472,32 +564,25 @@ func (w *WeakInstance) Validate() error {
 // Clone returns a deep copy of the weak instance. Child sets are shared
 // (immutable by convention); maps are copied.
 func (w *WeakInstance) Clone() *WeakInstance {
-	c := NewWeakInstance(w.root)
-	for o := range w.objects {
-		c.objects[o] = struct{}{}
+	return &WeakInstance{root: w.root, weakTables: w.weakTables.clone()}
+}
+
+// clone copies every map, including the per-object label maps the mutators
+// write into; child sets and types are immutable values and stay shared.
+func (t weakTables) clone() weakTables {
+	c := weakTables{
+		objects: maps.Clone(t.objects),
+		lch:     make(map[model.ObjectID]map[model.Label]sets.Set, len(t.lch)),
+		card:    make(map[model.ObjectID]map[model.Label]sets.Interval, len(t.card)),
+		types:   maps.Clone(t.types),
+		typ:     maps.Clone(t.typ),
+		val:     maps.Clone(t.val),
 	}
-	for o, m := range w.lch {
-		cm := make(map[model.Label]sets.Set, len(m))
-		for l, s := range m {
-			cm[l] = s
-		}
-		c.lch[o] = cm
+	for o, m := range t.lch {
+		c.lch[o] = maps.Clone(m)
 	}
-	for o, m := range w.card {
-		cm := make(map[model.Label]sets.Interval, len(m))
-		for l, iv := range m {
-			cm[l] = iv
-		}
-		c.card[o] = cm
-	}
-	for k, v := range w.types {
-		c.types[k] = v
-	}
-	for k, v := range w.typ {
-		c.typ[k] = v
-	}
-	for k, v := range w.val {
-		c.val[k] = v
+	for o, m := range t.card {
+		c.card[o] = maps.Clone(m)
 	}
 	return c
 }

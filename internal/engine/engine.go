@@ -1,10 +1,10 @@
 // Package engine executes queries against one immutable probabilistic
 // instance while lazily caching the support structures every query
-// otherwise re-derives from scratch: the tree/DAG classification of the
-// weak graph, the label-partitioned path index, the compiled Bayesian
-// network, and the one-pass existence marginals. The first query that
-// needs a structure pays for building it; every later query — from any
-// goroutine — reuses it.
+// otherwise re-derives from scratch: the label-partitioned path index, the
+// compiled Bayesian network, and the one-pass existence marginals (the
+// weak graph and its tree/DAG classification are memoized by the instance
+// itself). The first query that needs a structure pays for building it;
+// every later query — from any goroutine — reuses it.
 //
 // An Engine is safe for concurrent use and assumes the wrapped instance is
 // never mutated after construction (the contract the server catalog
@@ -91,7 +91,6 @@ type Engine struct {
 	pi  *core.ProbInstance
 	sem chan struct{} // bounded worker pool for batch evaluation
 
-	tree lazy[bool]
 	idx  lazy[*pathexpr.Index]
 	net  lazy[*bayes.Network]
 	marg lazy[map[model.ObjectID]float64]
@@ -231,12 +230,9 @@ func (e *Engine) count(hit bool) {
 	}
 }
 
-// IsTree returns the cached tree/DAG classification of the weak graph.
-func (e *Engine) IsTree() bool {
-	v, _, hit := e.tree.get(func() (bool, error) { return e.pi.IsTree(), nil })
-	e.count(hit)
-	return v
-}
+// IsTree returns the tree/DAG classification of the weak graph, which the
+// instance memoizes; it does not move the cache_hits/cache_misses counters.
+func (e *Engine) IsTree() bool { return e.pi.IsTree() }
 
 // Index returns the cached label-partitioned path index.
 func (e *Engine) Index() *pathexpr.Index {

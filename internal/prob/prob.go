@@ -113,7 +113,7 @@ func (w *OPF) Each(fn func(c sets.Set, p float64)) {
 // Mass returns the total stored probability Σ_c ω(c).
 func (w *OPF) Mass() float64 {
 	total := 0.0
-	for _, e := range w.entries {
+	for _, e := range w.sortedEntries() {
 		total += e.Prob
 	}
 	return total
@@ -123,7 +123,7 @@ func (w *OPF) Mass() float64 {
 // total mass is 1 within Tolerance.
 func (w *OPF) Validate() error {
 	total := 0.0
-	for _, e := range w.entries {
+	for _, e := range w.sortedEntries() {
 		if e.Prob < -Tolerance || e.Prob > 1+Tolerance || math.IsNaN(e.Prob) {
 			return fmt.Errorf("prob: OPF entry %s has probability %v outside [0,1]", e.Set, e.Prob)
 		}
@@ -147,7 +147,12 @@ func (w *OPF) Normalize() error {
 		e.Prob /= total
 		w.entries[k] = e
 	}
-	w.sorted.Store(nil)
+	// Mass just built the canonical slice; rescaling it in step keeps it
+	// valid, where dropping it would cost the next traversal a re-sort.
+	es := w.sortedEntries()
+	for i := range es {
+		es[i].Prob /= total
+	}
 	return nil
 }
 
@@ -186,21 +191,24 @@ func (w *OPF) ConditionContains(member string) (*OPF, float64, bool) {
 // child sets, with the probability of the predicate. The second result is
 // false when the event has probability zero.
 func (w *OPF) Condition(pred func(sets.Set) bool) (*OPF, float64, bool) {
-	out := NewOPF()
+	var kept []OPFEntry
 	norm := 0.0
-	for k, e := range w.entries {
+	for _, e := range w.sortedEntries() {
 		if pred(e.Set) {
-			out.entries[k] = e
+			kept = append(kept, e)
 			norm += e.Prob
 		}
 	}
 	if norm <= 0 {
 		return nil, 0, false
 	}
-	for k, e := range out.entries {
-		e.Prob /= norm
-		out.entries[k] = e
+	out := NewOPFSized(len(kept))
+	for i := range kept {
+		kept[i].Prob /= norm
+		out.entries[kept[i].Set.Key()] = kept[i]
 	}
+	// A filtered canonical slice is the result's canonical slice.
+	out.sorted.Store(&kept)
 	return out, norm, true
 }
 
@@ -210,7 +218,7 @@ func (w *OPF) Condition(pred func(sets.Set) bool) (*OPF, float64, bool) {
 // ω'(c') = Σ_{d ⊆ dropped, c'∪d ∈ PC(o)} ω(c'∪d).
 func (w *OPF) MarginalizeDrop(dropped sets.Set) *OPF {
 	out := NewOPF()
-	for _, e := range w.entries {
+	for _, e := range w.sortedEntries() {
 		out.Add(e.Set.Minus(dropped), e.Prob)
 	}
 	return out
@@ -224,8 +232,9 @@ func (w *OPF) MarginalizeDrop(dropped sets.Set) *OPF {
 // Cartesian product guarantees by renaming.
 func (w *OPF) Product(v *OPF) *OPF {
 	out := NewOPF()
-	for _, e1 := range w.entries {
-		for _, e2 := range v.entries {
+	ves := v.sortedEntries()
+	for _, e1 := range w.sortedEntries() {
+		for _, e2 := range ves {
 			out.Add(e1.Set.Union(e2.Set), e1.Prob*e2.Prob)
 		}
 	}

@@ -427,7 +427,10 @@ func Exec(pi *core.ProbInstance, q Query) (*Result, error) {
 
 // ExecWith is Exec with the probabilistic primitives supplied by b; the
 // algebra, enumeration and stats statements still evaluate against pi
-// directly (they produce fresh instances, which caching cannot amortize).
+// directly: what they need memoized (the weak graph and its tree verdict)
+// pi memoizes itself, and an instance-valued result shares with pi whatever
+// the operator left unchanged (core.ProbInstance.Overlay) instead of
+// copying it.
 func ExecWith(pi *core.ProbInstance, q Query, b Backend) (*Result, error) {
 	return ExecWithCtx(context.Background(), pi, q, b)
 }

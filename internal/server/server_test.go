@@ -174,6 +174,48 @@ func TestQueryStoreResult(t *testing.T) {
 	}
 }
 
+// TestStoredSelectionIsAView: SELECT …?store=v keeps a result that shares
+// its source's tables. Both names must answer for their own distribution,
+// the source must read back byte-identical, and v must outlive its source —
+// in memory and through the durable store's encoder.
+func TestStoredSelectionIsAView(t *testing.T) {
+	for _, cfg := range []Config{{}, {StoreDir: t.TempDir()}} {
+		s := MustNew(cfg)
+		ts := httptest.NewServer(s.Handler())
+		var buf bytes.Buffer
+		if err := codec.EncodeText(&buf, smallTree()); err != nil {
+			t.Fatal(err)
+		}
+		do(t, "PUT", ts.URL+"/v1/instances/t", buf.String(), "text/plain")
+		_, before := do(t, "GET", ts.URL+"/v1/instances/t", "", "")
+
+		resp, body := do(t, "POST", ts.URL+"/v1/instances/t/query?store=v", "SELECT r.a.b = y", "text/plain")
+		if resp.StatusCode != http.StatusOK || !strings.Contains(body, `"stored":"v"`) || !strings.Contains(body, `"prob":0.35`) {
+			t.Fatalf("store query: %d %s", resp.StatusCode, body)
+		}
+		ask := func(name, stmt, want string) {
+			t.Helper()
+			if _, body := do(t, "POST", ts.URL+"/v1/instances/"+name+"/query", stmt, "text/plain"); !strings.Contains(body, want) {
+				t.Errorf("%s on %s: %s, want %s", stmt, name, body, want)
+			}
+		}
+		ask("v", "PROB r.a = x", `"prob":1`)
+		ask("v", "PROB r.a.b = y", `"prob":1`)
+		ask("t", "PROB r.a = x", `"prob":0.7`)
+		ask("t", "PROB r.a.b = y", `"prob":0.35`)
+		if _, after := do(t, "GET", ts.URL+"/v1/instances/t", "", ""); after != before {
+			t.Errorf("source changed by a stored selection:\n%s\nwas:\n%s", after, before)
+		}
+		do(t, "DELETE", ts.URL+"/v1/instances/t", "", "")
+		ask("v", "PROB r.a.b = y", `"prob":1`)
+		ask("v", "STATS", "objects=3")
+		ts.Close()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestPutRejectsGarbage(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, _ := do(t, "PUT", ts.URL+"/instances/x", "not an instance", "text/plain")
