@@ -36,10 +36,12 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Storage-engine benchmarks: WAL append under each fsync policy,
-# recovery replay, compaction, and the binary-vs-text codec pair.
+# recovery replay, compaction, the binary-vs-text codec pair, and the PUT
+# pipeline stage by stage (decode, validate, encode, profile + index).
 bench-store:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/store
 	$(GO) test -run '^$$' -bench 'Binary|Text' -benchmem ./internal/codec
+	$(GO) test -run '^$$' -bench PutPipeline -benchmem -cpu 1 ./internal/server
 
 # Benchmark trajectory baseline: run the Fig7/store/engine/codec suites
 # and record ns/op, B/op, allocs/op per benchmark as JSON (schema in
@@ -143,11 +145,13 @@ e2e-smoke:
 # decoder/parser regressions without the cost of a long campaign.
 fuzz-smoke:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzDecodeBinary -fuzztime 10s
+	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzDecodeTextDifferential -fuzztime 10s
 	$(GO) test ./internal/pathexpr -run '^$$' -fuzz FuzzParse -fuzztime 10s
 
 # Short fuzz passes over the codecs and the path-expression parser.
 fuzz:
-	$(GO) test ./internal/codec -fuzz FuzzDecodeText -fuzztime 30s
+	$(GO) test ./internal/codec -fuzz 'FuzzDecodeText$$' -fuzztime 30s
+	$(GO) test ./internal/codec -fuzz FuzzDecodeTextDifferential -fuzztime 30s
 	$(GO) test ./internal/codec -fuzz FuzzDecodeJSON -fuzztime 30s
 	$(GO) test ./internal/codec -fuzz FuzzDecodeBinary -fuzztime 30s
 	$(GO) test ./internal/pathexpr -fuzz FuzzParse -fuzztime 30s

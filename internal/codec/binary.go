@@ -106,19 +106,21 @@ func appendBinaryBody(buf []byte, pi *core.ProbInstance) []byte {
 	// (ids dominate the table; labels and values add a fraction) avoids
 	// rehash churn on large instances.
 	est := pi.NumObjects()*2 + 16
-	seen := make(map[string]struct{}, est)
+	idx := make(map[string]uint64, est)
 	strs := make([]string, 0, est)
 	intern := func(s string) {
-		if _, ok := seen[s]; !ok {
-			seen[s] = struct{}{}
+		if _, ok := idx[s]; !ok {
+			idx[s] = 0 // its table position, once the table is sorted
 			strs = append(strs, s)
 		}
 	}
 	objs := pi.Objects()
+	labels := make([][]model.Label, len(objs))
 	intern(pi.Root())
-	for _, o := range objs {
+	for i, o := range objs {
 		intern(o)
-		for _, l := range pi.Labels(o) {
+		labels[i] = pi.Labels(o)
+		for _, l := range labels[i] {
 			intern(l)
 			for _, c := range pi.LCh(o, l) {
 				intern(c)
@@ -128,16 +130,14 @@ func appendBinaryBody(buf []byte, pi *core.ProbInstance) []byte {
 			intern(v)
 		}
 		if w := pi.OPF(o); w != nil {
-			for _, e := range w.Entries() {
-				for _, m := range e.Set {
+			w.Each(func(c sets.Set, _ float64) {
+				for _, m := range c {
 					intern(m)
 				}
-			}
+			})
 		}
 		if v := pi.VPF(o); v != nil {
-			for _, e := range v.Entries() {
-				intern(e.Value)
-			}
+			v.Each(func(val string, _ float64) { intern(val) })
 		}
 	}
 	var typeNames []string
@@ -154,7 +154,6 @@ func appendBinaryBody(buf []byte, pi *core.ProbInstance) []byte {
 		typePos[name] = uint64(i)
 	}
 	sort.Strings(strs)
-	idx := make(map[string]uint64, len(strs))
 	for i, s := range strs {
 		idx[s] = uint64(i)
 	}
@@ -177,7 +176,7 @@ func appendBinaryBody(buf []byte, pi *core.ProbInstance) []byte {
 	}
 
 	buf = binary.AppendUvarint(buf, uint64(len(objs)))
-	for _, o := range objs {
+	for i, o := range objs {
 		buf = binary.AppendUvarint(buf, idx[o])
 		if t, ok := pi.TypeOf(o); ok {
 			buf = binary.AppendUvarint(buf, typePos[t.Name]+1)
@@ -189,9 +188,8 @@ func appendBinaryBody(buf []byte, pi *core.ProbInstance) []byte {
 		} else {
 			buf = binary.AppendUvarint(buf, 0)
 		}
-		labels := pi.Labels(o)
-		buf = binary.AppendUvarint(buf, uint64(len(labels)))
-		for _, l := range labels {
+		buf = binary.AppendUvarint(buf, uint64(len(labels[i])))
+		for _, l := range labels[i] {
 			buf = binary.AppendUvarint(buf, idx[l])
 			iv := pi.Card(o, l)
 			buf = binary.AppendVarint(buf, int64(iv.Min))
@@ -203,25 +201,23 @@ func appendBinaryBody(buf []byte, pi *core.ProbInstance) []byte {
 			}
 		}
 		if w := pi.OPF(o); w != nil {
-			es := w.Entries()
-			buf = binary.AppendUvarint(buf, uint64(len(es)))
-			for _, e := range es {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Prob))
-				buf = binary.AppendUvarint(buf, uint64(e.Set.Len()))
-				for _, m := range e.Set {
+			buf = binary.AppendUvarint(buf, uint64(w.Len()))
+			w.Each(func(c sets.Set, p float64) {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p))
+				buf = binary.AppendUvarint(buf, uint64(c.Len()))
+				for _, m := range c {
 					buf = binary.AppendUvarint(buf, idx[m])
 				}
-			}
+			})
 		} else {
 			buf = binary.AppendUvarint(buf, 0)
 		}
 		if v := pi.VPF(o); v != nil {
-			es := v.Entries()
-			buf = binary.AppendUvarint(buf, uint64(len(es)))
-			for _, e := range es {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Prob))
-				buf = binary.AppendUvarint(buf, idx[e.Value])
-			}
+			buf = binary.AppendUvarint(buf, uint64(v.Len()))
+			v.Each(func(val string, p float64) {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p))
+				buf = binary.AppendUvarint(buf, idx[val])
+			})
 		} else {
 			buf = binary.AppendUvarint(buf, 0)
 		}
@@ -370,21 +366,26 @@ func (c *bcursor) str(table []string) (string, error) {
 	return table[i], nil
 }
 
-// strArena hands out []string sub-slices from shared slabs, collapsing
-// the thousands of tiny member-list allocations a large record needs into
-// a few big ones. Callers adopt the slices (sets are immutable by
-// convention), so slabs are never reused.
-type strArena struct {
-	slab []string
+// arena hands out sub-slices from shared slabs, collapsing the thousands of
+// tiny allocations a large record needs (member lists, entry lists) into a
+// few big ones. Callers adopt the slices (sets and sealed local functions
+// are immutable by convention), so slabs are never reused; they double in
+// size up to maxArenaSlab, so a small instance does not pin a large slab.
+type arena[T any] struct {
+	slab []T
+	next int // size of the next slab
 }
 
-func (a *strArena) take(n int) []string {
+const (
+	minArenaSlab = 1 << 8
+	maxArenaSlab = 1 << 12
+)
+
+// take returns n zeroed elements with no spare capacity.
+func (a *arena[T]) take(n int) []T {
 	if n > cap(a.slab)-len(a.slab) {
-		size := 1 << 12
-		if n > size {
-			size = n
-		}
-		a.slab = make([]string, 0, size)
+		a.next = min(max(2*a.next, minArenaSlab), maxArenaSlab)
+		a.slab = make([]T, 0, max(a.next, n))
 	}
 	out := a.slab[len(a.slab) : len(a.slab)+n : len(a.slab)+n]
 	a.slab = a.slab[:len(a.slab)+n]
@@ -468,7 +469,11 @@ func decodeBinaryBody(body []byte, in *Interner) (*core.ProbInstance, error) {
 	if err != nil {
 		return nil, err
 	}
-	var arena strArena
+	var (
+		ids  arena[string]
+		opfs arena[prob.OPFEntry]
+		vpfs arena[prob.VPFEntry]
+	)
 	for i := 0; i < nObjs; i++ {
 		o, err := c.str(table)
 		if err != nil {
@@ -523,7 +528,7 @@ func decodeBinaryBody(body []byte, in *Interner) (*core.ProbInstance, error) {
 			if nCh == 0 {
 				return nil, fmt.Errorf("codec: empty lch entry for (%s, %s)", o, l)
 			}
-			children := arena.take(nCh)
+			children := ids.take(nCh)
 			for k := range children {
 				if children[k], err = c.str(table); err != nil {
 					return nil, err
@@ -538,8 +543,8 @@ func decodeBinaryBody(body []byte, in *Interner) (*core.ProbInstance, error) {
 			return nil, err
 		}
 		if nOPF > 0 {
-			w := prob.NewOPFSized(nOPF)
-			for j := 0; j < nOPF; j++ {
+			es := opfs.take(nOPF)
+			for j := range es {
 				p, err := c.f64()
 				if err != nil {
 					return nil, err
@@ -551,13 +556,24 @@ func decodeBinaryBody(body []byte, in *Interner) (*core.ProbInstance, error) {
 				if err != nil {
 					return nil, err
 				}
-				members := arena.take(nSet)
+				members := ids.take(nSet)
 				for k := range members {
 					if members[k], err = c.str(table); err != nil {
 						return nil, err
 					}
 				}
-				w.Put(sets.FromSorted(members), p)
+				es[j] = prob.OPFEntry{Set: sets.FromSorted(members), Prob: p}
+			}
+			// The encoder emits entries in canonical order, which
+			// OPFFromSorted adopts as they are.
+			w := prob.OPFFromSorted(es)
+			if w.Len() != nOPF {
+				// A record that repeats a set keeps the last occurrence,
+				// where OPFFromSorted's fallback sums.
+				w = prob.NewOPFSized(nOPF)
+				for _, e := range es {
+					w.Put(e.Set, e.Prob)
+				}
 			}
 			ld.SetOPF(o, w)
 		}
@@ -566,8 +582,8 @@ func decodeBinaryBody(body []byte, in *Interner) (*core.ProbInstance, error) {
 			return nil, err
 		}
 		if nVPF > 0 {
-			v := prob.NewVPFSized(nVPF)
-			for j := 0; j < nVPF; j++ {
+			es := vpfs.take(nVPF)
+			for j := range es {
 				p, err := c.f64()
 				if err != nil {
 					return nil, err
@@ -579,9 +595,9 @@ func decodeBinaryBody(body []byte, in *Interner) (*core.ProbInstance, error) {
 				if err != nil {
 					return nil, err
 				}
-				v.Put(val, p)
+				es[j] = prob.VPFEntry{Value: val, Prob: p}
 			}
-			ld.SetVPF(o, v)
+			ld.SetVPF(o, prob.VPFFromSorted(es))
 		}
 	}
 	if c.remaining() != 0 {

@@ -7,6 +7,7 @@ import (
 
 	"pxml/internal/core"
 	"pxml/internal/fixtures"
+	"pxml/internal/gen"
 )
 
 // FuzzDecodeText asserts the text decoder never panics on arbitrary input
@@ -161,4 +162,125 @@ func FuzzDecodeJSON(f *testing.F) {
 			t.Fatal("round trip unstable")
 		}
 	})
+}
+
+// textDifferentialSeeds are documents that each exercise one behaviour the
+// byte-level text decoder must share with the decoder it replaced.
+var textDifferentialSeeds = []string{
+	// Records in any order after root; a leaf ahead of its type.
+	"pxml/1\nroot r\nvpf x 1 a\nleaf x t a\nopf r 0.5 x\nopf r 0.5\nlch r l 0 1 x\ntype t a b\n",
+	// An lch without children removes (o,l) yet records its interval.
+	"pxml/1\nroot r\nlch r l 0 1 x\nlch r l 2 5\nopf r 1\n",
+	"pxml/1\nroot r\nlch r l 0 1 x\nlch r l 5 2\n",
+	// A repeated (o,l) replaces, and does not inherit an elided interval.
+	"pxml/1\nroot r\nlch r l 1 1 x y\nlch r l 0 3 x y z\nopf r 1 x y z\n",
+	"pxml/1\nroot r\nlch r l 0 2 x y\nlch r l 1 1 x y z\nopf r 1 x\n",
+	"pxml/1\nroot r\nlch r l 2 5\nlch r l 0 2 x y\nopf r 1\n",
+	// lch children and leaf ids join V without an obj record.
+	"pxml/1\nroot r\ntype t a\nleaf orphan t\nvpf orphan 1 a\nlch r l 0 2 x y\nopf r 1 x y\n",
+	// Non-canonical and repeated members.
+	"pxml/1\nroot r\nlch r l 0 3 z y x x\nopf r 0.5 z x\nopf r 0.5 y y x\n",
+	// Non-canonical entry order; a repeated set sums, a repeated value replaces.
+	"pxml/1\nroot r\nlch r l 0 2 x y\nopf r 0.25 x y\nopf r 0.25\nopf r 0.25 x\nopf r 0.25 x\n",
+	"pxml/1\nroot r\ntype t a b\nleaf r t\nvpf r 0.9 b\nvpf r 0.5 a\nvpf r 0.5 b\n",
+	"pxml/1\nroot r\nlch r l 0 1 x\nopf r -0 x\nopf r 1\n",
+	// Two objects' opf lines interleaved.
+	"pxml/1\nroot r\nlch r l 0 1 x\nlch x l 0 1 y\nopf r 0.5\nopf x 0.5\nopf r 0.5 x\nopf x 0.5 y\n",
+	// CRLF, blank lines, no trailing newline, odd ASCII spacing.
+	"pxml/1\r\nroot r\r\n\r\nlch r l 0 1 x\r\nopf r 1 x\r",
+	"  pxml/1 \n\n \t root\tr\v\nobj\fq",
+	// Non-ASCII separators (U+0085, U+00A0, U+2003) and invalid UTF-8.
+	"pxml/1\nroot r\nlch\u0085r\u00a0l 0\u20031 x\nopf r 1 x\n",
+	"pxml/1\nroot r\xff\nobj \xc2\n",
+	// A local function for an object outside V.
+	"pxml/1\nroot r\nopf ghost 1\n",
+	"pxml/1\nroot r\nvpf ghost 1 a\n",
+	// Every line-level error.
+	"", "\n", "pxml/2\nroot r\n", "pxml/1\n", "pxml/1\nobj x\nroot r\n", "pxml/1\nfrob\n",
+	"pxml/1\nroot r\nroot r\n", "pxml/1\nroot\n", "pxml/1\nroot r\ntype t\n",
+	"pxml/1\nroot r\ntype t a\ntype t b\n", "pxml/1\nroot r\nlch r l 0\n",
+	"pxml/1\nroot r\nlch r l a 1 x\n", "pxml/1\nroot r\nopf r\n", "pxml/1\nroot r\nopf r 0..5\n",
+	"pxml/1\nroot r\nleaf x\n", "pxml/1\nroot r\nleaf x nosuch\n",
+	"pxml/1\nroot r\ntype t a\nleaf x t b\n", "pxml/1\nroot r\nvpf x 1\n",
+	"pxml/1\nroot r\nvpf x one a\n", "pxml/1\nroot r\nobj\n", "pxml/1\nroot r\nfrob x\n",
+	// Structurally invalid once assembled.
+	"pxml/1\nroot r\nlch x l 0 1 r\n", "pxml/1\nroot r\nlch r a 0 1 x\nlch r b 0 1 x\n",
+	"pxml/1\nroot r\ntype t a\nlch r l 0 1 x\nleaf r t\n",
+	// Decodes, but is not a valid instance.
+	"pxml/1\nroot r\nlch r l 0 1 x\nlch x l 0 1 y\nlch y l 0 1 x\nopf r 1\nopf x 1\nopf y 1\n",
+	"pxml/1\nroot r\nlch r l 0 1 x\nopf r NaN x\nopf r Inf\n",
+}
+
+// FuzzDecodeTextDifferential holds DecodeTextBytes to the decoder it
+// replaced (decodeTextReference): the same verdict and, where the old
+// decoder's choice among several errors was deterministic, the same error
+// text; for accepted input an equal instance, byte-identical binary
+// records and the same ValidateLite outcome.
+func FuzzDecodeTextDifferential(f *testing.F) {
+	var fig2 bytes.Buffer
+	if err := EncodeText(&fig2, fixtures.Figure2VariedLeaves()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fig2.String())
+	in, err := gen.Generate(gen.Config{Depth: 3, Branch: 3, Labeling: gen.FR, Seed: 19, LeafDomainSize: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var tree bytes.Buffer
+	if err := EncodeText(&tree, in.PI); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(tree.String())
+	for _, s := range textDifferentialSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		if strings.IndexByte(doc, 0x1f) >= 0 {
+			// sets.Set.Key joins members with U+001F, so the accumulating
+			// decoder files {"a\x1fb"} and {"a","b"} under one key where a
+			// sealed OPF keeps them apart. Known, and not this test's.
+			return
+		}
+		diffDecodeText(t, doc)
+	})
+}
+
+// diffDecodeText fails t unless DecodeTextBytes and decodeTextReference
+// agree on doc.
+func diffDecodeText(t *testing.T, doc string) {
+	t.Helper()
+	want, wantErr := decodeTextReference(strings.NewReader(doc))
+	got, gotErr := DecodeTextBytes([]byte(doc))
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("verdict differs: reference %v, decoder %v", wantErr, gotErr)
+	}
+	if wantErr != nil {
+		// The reference ranged over maps to apply leaf records and to
+		// validate, so which of several such errors it reports is chance.
+		for _, class := range []string{"codec: leaf ", "codec: decoded instance invalid: "} {
+			if strings.HasPrefix(wantErr.Error(), class) {
+				if !strings.HasPrefix(gotErr.Error(), class) {
+					t.Fatalf("error class differs: reference %q, decoder %q", wantErr, gotErr)
+				}
+				return
+			}
+		}
+		if wantErr.Error() != gotErr.Error() {
+			t.Fatalf("error differs: reference %q, decoder %q", wantErr, gotErr)
+		}
+		return
+	}
+	if !core.Equal(want, got, 0) {
+		t.Fatalf("instances differ:\nreference: %v\ndecoder:   %v", want.Objects(), got.Objects())
+	}
+	if !bytes.Equal(AppendBinary(nil, want), AppendBinary(nil, got)) {
+		t.Fatal("binary records differ")
+	}
+	wantV, gotV := want.ValidateLite(), got.ValidateLite()
+	if (wantV == nil) != (gotV == nil) {
+		t.Fatalf("ValidateLite differs: reference %v, decoder %v", wantV, gotV)
+	}
+	if wantV != nil && wantV.Error() != gotV.Error() && !strings.Contains(wantV.Error(), "not acyclic") {
+		t.Fatalf("ValidateLite message differs: reference %q, decoder %q", wantV, gotV)
+	}
 }

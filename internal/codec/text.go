@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -135,149 +136,340 @@ func EncodeText(w io.Writer, pi *core.ProbInstance) error {
 	return bw.Flush()
 }
 
+// maxTextLine is the longest line, terminator excluded, the text decoder
+// accepts; a longer one fails with bufio.ErrTooLong.
+const maxTextLine = 1<<22 - 1
+
 // DecodeText reads an instance from the text encoding.
 func DecodeText(r io.Reader) (*core.ProbInstance, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	line := 0
-	if !sc.Scan() {
-		return nil, fmt.Errorf("codec: empty input")
+	var buf bytes.Buffer
+	if sized, ok := r.(interface{ Len() int }); ok {
+		// One allocation for a source that knows its length.
+		buf.Grow(sized.Len() + bytes.MinRead)
 	}
-	line++
-	if got := strings.TrimSpace(sc.Text()); got != FormatText {
-		return nil, fmt.Errorf("codec: line 1: unexpected header %q", got)
-	}
-	var pi *core.ProbInstance
-	opfs := map[model.ObjectID]*prob.OPF{}
-	vpfs := map[model.ObjectID]*prob.VPF{}
-	type pendingLeaf struct{ typ, val string }
-	leaves := map[model.ObjectID]pendingLeaf{}
-	for sc.Scan() {
-		line++
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		bad := func(msg string) error {
-			return fmt.Errorf("codec: line %d: %s: %q", line, msg, sc.Text())
-		}
-		switch fields[0] {
-		case "root":
-			if len(fields) != 2 {
-				return nil, bad("root needs one id")
-			}
-			if pi != nil {
-				return nil, bad("duplicate root")
-			}
-			pi = core.NewProbInstance(fields[1])
-		case "type":
-			if pi == nil {
-				return nil, bad("type before root")
-			}
-			if len(fields) < 3 {
-				return nil, bad("type needs a name and a domain")
-			}
-			if err := pi.RegisterType(model.NewType(fields[1], fields[2:]...)); err != nil {
-				return nil, fmt.Errorf("codec: line %d: %w", line, err)
-			}
-		case "lch":
-			if pi == nil {
-				return nil, bad("lch before root")
-			}
-			if len(fields) < 5 {
-				return nil, bad("lch needs id label min max children")
-			}
-			min, err1 := strconv.Atoi(fields[3])
-			max, err2 := strconv.Atoi(fields[4])
-			if err1 != nil || err2 != nil {
-				return nil, bad("bad cardinality")
-			}
-			pi.SetLCh(fields[1], fields[2], fields[5:]...)
-			pi.SetCard(fields[1], fields[2], min, max)
-		case "opf":
-			if pi == nil {
-				return nil, bad("opf before root")
-			}
-			if len(fields) < 3 {
-				return nil, bad("opf needs id and probability")
-			}
-			p, err := strconv.ParseFloat(fields[2], 64)
-			if err != nil {
-				return nil, bad("bad probability")
-			}
-			w := opfs[fields[1]]
-			if w == nil {
-				w = prob.NewOPF()
-				opfs[fields[1]] = w
-			}
-			w.Add(sets.NewSet(fields[3:]...), p)
-		case "leaf":
-			if pi == nil {
-				return nil, bad("leaf before root")
-			}
-			if len(fields) != 3 && len(fields) != 4 {
-				return nil, bad("leaf needs id type [value]")
-			}
-			pl := pendingLeaf{typ: fields[2]}
-			if len(fields) == 4 {
-				pl.val = fields[3]
-			}
-			leaves[fields[1]] = pl
-		case "vpf":
-			if pi == nil {
-				return nil, bad("vpf before root")
-			}
-			if len(fields) != 4 {
-				return nil, bad("vpf needs id probability value")
-			}
-			p, err := strconv.ParseFloat(fields[2], 64)
-			if err != nil {
-				return nil, bad("bad probability")
-			}
-			v := vpfs[fields[1]]
-			if v == nil {
-				v = prob.NewVPF()
-				vpfs[fields[1]] = v
-			}
-			v.Put(fields[3], p)
-		case "obj":
-			if pi == nil {
-				return nil, bad("obj before root")
-			}
-			if len(fields) != 2 {
-				return nil, bad("obj needs one id")
-			}
-			pi.AddObject(fields[1])
-		default:
-			return nil, bad("unknown record")
-		}
-	}
-	if err := sc.Err(); err != nil {
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("codec: %w", err)
 	}
-	if pi == nil {
+	return DecodeTextBytes(buf.Bytes())
+}
+
+// DecodeTextBytes is DecodeText over an in-memory document. Nothing in the
+// returned instance references raw.
+//
+// Records may come in any order after root. A repeated opf set sums; a
+// repeated vpf value, leaf record or lch (object, label) pair replaces the
+// earlier one, an lch without children removing the pair; lch children and
+// leaf ids join V without an obj record; a leaf may precede its type.
+func DecodeTextBytes(raw []byte) (*core.ProbInstance, error) {
+	// The encoder writes four to seven lines per object; sizing the tables
+	// from the line count spares them most of their regrowth.
+	objects := bytes.Count(raw, []byte{'\n'})/5 + 1
+	d := textDecoder{objects: objects, strs: make(map[string]string, objects)}
+	return d.decode(raw)
+}
+
+// textDecoder is the state of one DecodeTextBytes call. It tokenises the
+// document in place, interns every identifier once, and assembles the
+// instance through core.Loader; each object's opf and vpf lines are
+// collected and handed to prob as one slice, which a document in the
+// encoder's canonical order seals without an index.
+type textDecoder struct {
+	ld      *core.Loader
+	objects int // estimate, for sizing
+	strs    map[string]string
+	// lastObject is the id the latest lch, opf, leaf or vpf record named.
+	lastObject model.ObjectID
+	ids        arena[string]
+	fields     [][]byte
+	names      []string
+	opfs       runs[prob.OPFEntry]
+	vpfs       runs[prob.VPFEntry]
+	leaves     runs[pendingLeaf]
+}
+
+// pendingLeaf is a leaf record held back until every type record is in.
+type pendingLeaf struct{ typ, val string }
+
+// runs collects, per object and in line order, the entries its records
+// contribute. Adjacent records of one object, the normal layout, fill a
+// reused buffer that is copied out at its exact size when another object's
+// record arrives; only an object whose records resume later has its runs
+// joined at the end.
+type runs[E any] struct {
+	cur   []E // entries of curO's run in progress
+	curO  model.ObjectID
+	done  []objRun[E]
+	arena arena[E]
+}
+
+type objRun[E any] struct {
+	o  model.ObjectID
+	es []E
+}
+
+func (r *runs[E]) add(o model.ObjectID, e E) {
+	if o != r.curO {
+		r.flush()
+		r.curO = o
+	}
+	r.cur = append(r.cur, e)
+}
+
+// flush closes the run in progress.
+func (r *runs[E]) flush() {
+	if len(r.cur) > 0 {
+		es := r.arena.take(len(r.cur))
+		copy(es, r.cur)
+		r.done = append(r.done, objRun[E]{r.curO, es})
+		r.cur = r.cur[:0]
+	}
+}
+
+// finish returns one run per object, in order of first appearance, later
+// runs of an object appended to its first (into a new array: arena slices
+// have no spare capacity). The caller may keep the entry slices.
+func (r *runs[E]) finish() []objRun[E] {
+	r.flush()
+	first := make(map[model.ObjectID]int, len(r.done))
+	joined := r.done[:0]
+	for _, run := range r.done {
+		if j, resumed := first[run.o]; resumed {
+			joined[j].es = append(joined[j].es, run.es...)
+		} else {
+			first[run.o] = len(joined)
+			joined = append(joined, run)
+		}
+	}
+	return joined
+}
+
+// str interns a token: the lookup does not allocate, the first occurrence
+// copies the bytes out of the document.
+func (d *textDecoder) str(b []byte) string {
+	if s, ok := d.strs[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	d.strs[s] = s
+	return s
+}
+
+// object interns the id a record starts with; consecutive records mostly
+// name the same object, which a comparison settles without a lookup.
+func (d *textDecoder) object(b []byte) model.ObjectID {
+	if string(b) != d.lastObject {
+		d.lastObject = d.str(b)
+	}
+	return d.lastObject
+}
+
+// set returns the canonical set over the tokens, which it interns.
+func (d *textDecoder) set(tokens [][]byte) sets.Set {
+	members := d.ids.take(len(tokens))
+	for i, t := range tokens {
+		members[i] = d.str(t)
+	}
+	return sets.FromSorted(members)
+}
+
+// Byte classes for splitFields: a token byte, one of the six ASCII space
+// bytes, or part of a multi-byte rune.
+const (
+	byteToken = iota
+	byteSpace
+	byteHigh
+)
+
+var byteClass = func() (t [256]uint8) {
+	for _, c := range "\t\n\v\f\r " {
+		t[c] = byteSpace
+	}
+	for c := 0x80; c < 0x100; c++ {
+		t[c] = byteHigh
+	}
+	return t
+}()
+
+// splitFields is bytes.Fields into a reused buffer. A line holding any byte
+// of a multi-byte rune takes bytes.Fields itself, so U+0085, U+00A0 and the
+// other non-ASCII spaces still separate.
+func splitFields(dst [][]byte, line []byte) [][]byte {
+	dst = dst[:0]
+	for i := 0; i < len(line); {
+		start := i
+		for i < len(line) && byteClass[line[i]] == byteToken {
+			i++
+		}
+		if i > start {
+			dst = append(dst, line[start:i])
+		}
+		if i < len(line) {
+			if byteClass[line[i]] == byteHigh {
+				return append(dst[:0], bytes.Fields(line)...)
+			}
+			i++
+		}
+	}
+	return dst
+}
+
+// nextLine cuts the line starting at raw[pos] the way bufio.ScanLines does:
+// up to the next newline or the end of input, one trailing carriage return
+// dropped. It returns the position of the line after it.
+func nextLine(raw []byte, pos int) (line []byte, next int, err error) {
+	line, next = raw[pos:], len(raw)
+	if i := bytes.IndexByte(line, '\n'); i >= 0 {
+		line, next = line[:i], pos+i+1
+	}
+	if len(line) > maxTextLine {
+		return nil, next, bufio.ErrTooLong
+	}
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	return line, next, nil
+}
+
+func (d *textDecoder) decode(raw []byte) (*core.ProbInstance, error) {
+	header, pos, err := nextLine(raw, 0)
+	if len(raw) == 0 || err != nil {
+		return nil, fmt.Errorf("codec: empty input")
+	}
+	if got := bytes.TrimSpace(header); string(got) != FormatText {
+		return nil, fmt.Errorf("codec: line 1: unexpected header %q", got)
+	}
+	for lineNo := 2; pos < len(raw); lineNo++ {
+		var line []byte
+		if line, pos, err = nextLine(raw, pos); err != nil {
+			return nil, fmt.Errorf("codec: %w", err)
+		}
+		if err := d.record(lineNo, line); err != nil {
+			return nil, err
+		}
+	}
+	if d.ld == nil {
 		return nil, fmt.Errorf("codec: missing root record")
 	}
-	for o, pl := range leaves {
-		if err := pi.SetLeafType(o, pl.typ); err != nil {
+	for _, run := range d.leaves.finish() {
+		o, pl := run.o, run.es[len(run.es)-1]
+		if err := d.ld.SetLeafType(o, pl.typ); err != nil {
 			return nil, fmt.Errorf("codec: leaf %s: %w", o, err)
 		}
+		d.ld.AddObject(o)
 		if pl.val != "" {
-			if err := pi.SetDefaultValue(o, pl.val); err != nil {
+			if err := d.ld.SetDefaultValue(o, pl.val); err != nil {
 				return nil, fmt.Errorf("codec: leaf %s: %w", o, err)
 			}
 		}
 	}
-	for o, w := range opfs {
-		pi.SetOPF(o, w)
+	for _, run := range d.opfs.finish() {
+		d.ld.SetOPF(run.o, prob.OPFFromSorted(run.es))
 	}
-	for o, v := range vpfs {
-		pi.SetVPF(o, v)
+	for _, run := range d.vpfs.finish() {
+		d.ld.SetVPF(run.o, prob.VPFFromSorted(run.es))
 	}
-	if err := pi.WeakInstance.Validate(); err != nil {
+	pi, err := d.ld.Instance()
+	if err != nil {
 		return nil, fmt.Errorf("codec: decoded instance invalid: %w", err)
 	}
 	return pi, nil
+}
+
+// record applies one line of the document.
+func (d *textDecoder) record(lineNo int, line []byte) error {
+	d.fields = splitFields(d.fields, line)
+	fields := d.fields
+	if len(fields) == 0 {
+		return nil
+	}
+	bad := func(msg string) error {
+		return fmt.Errorf("codec: line %d: %s: %q", lineNo, msg, line)
+	}
+	if d.ld == nil {
+		switch string(fields[0]) {
+		case "root":
+		case "type", "lch", "opf", "leaf", "vpf", "obj":
+			return bad(string(fields[0]) + " before root")
+		default:
+			return bad("unknown record")
+		}
+	}
+	switch string(fields[0]) {
+	case "root":
+		if len(fields) != 2 {
+			return bad("root needs one id")
+		}
+		if d.ld != nil {
+			return bad("duplicate root")
+		}
+		d.ld = core.NewLoader(d.str(fields[1]), d.objects)
+	case "type":
+		if len(fields) < 3 {
+			return bad("type needs a name and a domain")
+		}
+		d.names = d.names[:0]
+		for _, f := range fields[1:] {
+			d.names = append(d.names, d.str(f))
+		}
+		if err := d.ld.RegisterType(model.NewType(d.names[0], d.names[1:]...)); err != nil {
+			return fmt.Errorf("codec: line %d: %w", lineNo, err)
+		}
+	case "lch":
+		if len(fields) < 5 {
+			return bad("lch needs id label min max children")
+		}
+		min, err1 := strconv.Atoi(string(fields[3]))
+		max, err2 := strconv.Atoi(string(fields[4]))
+		if err1 != nil || err2 != nil {
+			return bad("bad cardinality")
+		}
+		o, children := d.object(fields[1]), d.set(fields[5:])
+		d.ld.AddObject(o)
+		for _, c := range children {
+			d.ld.AddObject(c)
+		}
+		d.ld.SetEdges(o, d.str(fields[2]), children, min, max)
+	case "opf":
+		if len(fields) < 3 {
+			return bad("opf needs id and probability")
+		}
+		p, err := strconv.ParseFloat(string(fields[2]), 64)
+		if err != nil {
+			return bad("bad probability")
+		}
+		if p == 0 {
+			// Repeated sets sum from +0, which is what a lone "-0" has
+			// always decoded to.
+			p = 0
+		}
+		d.opfs.add(d.object(fields[1]), prob.OPFEntry{Set: d.set(fields[3:]), Prob: p})
+	case "leaf":
+		if len(fields) != 3 && len(fields) != 4 {
+			return bad("leaf needs id type [value]")
+		}
+		pl := pendingLeaf{typ: d.str(fields[2])}
+		if len(fields) == 4 {
+			pl.val = d.str(fields[3])
+		}
+		d.leaves.add(d.object(fields[1]), pl)
+	case "vpf":
+		if len(fields) != 4 {
+			return bad("vpf needs id probability value")
+		}
+		p, err := strconv.ParseFloat(string(fields[2]), 64)
+		if err != nil {
+			return bad("bad probability")
+		}
+		d.vpfs.add(d.object(fields[1]), prob.VPFEntry{Value: d.str(fields[3]), Prob: p})
+	case "obj":
+		if len(fields) != 2 {
+			return bad("obj needs one id")
+		}
+		d.ld.AddObject(d.str(fields[1]))
+	default:
+		return bad("unknown record")
+	}
+	return nil
 }
 
 func checkToken(s string) error {

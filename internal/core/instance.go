@@ -85,6 +85,19 @@ func eachThrough[F any](own, base map[model.ObjectID]F, fn func(model.ObjectID, 
 	}
 }
 
+// numThrough counts the objects eachThrough visits.
+func numThrough[F any](own, base map[model.ObjectID]F) int {
+	n := len(own) + len(base)
+	if len(base) > 0 {
+		for o := range own {
+			if _, shadows := base[o]; shadows {
+				n--
+			}
+		}
+	}
+	return n
+}
+
 func (li *localInterp) eachOPF(fn func(model.ObjectID, *prob.OPF)) {
 	eachThrough(li.opf, li.base.opf, fn)
 }
@@ -224,45 +237,77 @@ func (pi *ProbInstance) validate(checkPC bool) error {
 	if err := pi.CheckAcyclic(); err != nil {
 		return err
 	}
-	for _, o := range pi.Objects() {
+	var sc supportScratch
+	nOPF, nVPF := 0, 0
+	for _, o := range pi.sortedObjects() {
+		w, v := pi.OPF(o), pi.VPF(o)
+		if w != nil {
+			nOPF++
+		}
+		if v != nil {
+			nVPF++
+		}
 		if pi.IsLeaf(o) {
 			if t, typed := pi.TypeOf(o); typed {
-				v := pi.VPF(o)
 				if v == nil {
 					return fmt.Errorf("core: typed leaf %s has no VPF", o)
 				}
 				if err := v.Validate(); err != nil {
 					return fmt.Errorf("core: VPF(%s): %w", o, err)
 				}
-				for _, e := range v.Entries() {
-					if e.Prob > 0 && !t.Has(e.Value) {
-						return fmt.Errorf("core: VPF(%s) supports value %q outside dom(%s)", o, e.Value, t.Name)
+				var err error
+				v.Each(func(val string, p float64) {
+					if err == nil && p > 0 && !t.Has(val) {
+						err = fmt.Errorf("core: VPF(%s) supports value %q outside dom(%s)", o, val, t.Name)
 					}
+				})
+				if err != nil {
+					return err
 				}
-			} else if pi.VPF(o) != nil {
+			} else if v != nil {
 				return fmt.Errorf("core: untyped leaf %s has a VPF", o)
 			}
 			continue
 		}
-		w := pi.OPF(o)
 		if w == nil {
 			return fmt.Errorf("core: non-leaf %s has no OPF", o)
 		}
 		if err := w.Validate(); err != nil {
 			return fmt.Errorf("core: OPF(%s): %w", o, err)
 		}
-		if err := pi.checkOPFSupport(o, w, checkPC); err != nil {
+		if err := pi.checkOPFSupport(o, w, checkPC, &sc); err != nil {
 			return err
 		}
 	}
-	return nil
+	return pi.checkFunctionsInV(nOPF, nVPF)
+}
+
+// supportScratch is what checkOPFSupport reads once per object and reuses
+// across objects: o's labels in sorted order with lch(o,l) and card(o,l)
+// beside them, and one l-child count per label for the set under test.
+type supportScratch struct {
+	labels []model.Label
+	lch    []sets.Set
+	card   []sets.Interval
+	counts []int
 }
 
 // checkOPFSupport verifies every support set of the OPF is structurally
 // admissible: members are potential children and per-label counts lie in
 // card. With checkPC it additionally verifies exact membership in PC(o).
-func (pi *ProbInstance) checkOPFSupport(o model.ObjectID, w *prob.OPF, checkPC bool) error {
-	labels := pi.Labels(o)
+//
+// Support sets and lch(o,l) are canonical and Validate has shown the
+// labels' child sets pairwise disjoint, so |c ∩ lch(o,l)| per label counts
+// c's l-children, and c has a non-child exactly when the counts fall short
+// of |c|; only that failure looks for the member to name.
+func (pi *ProbInstance) checkOPFSupport(o model.ObjectID, w *prob.OPF, checkPC bool, sc *supportScratch) error {
+	sc.labels = pi.appendLabels(sc.labels[:0], o)
+	sc.lch, sc.card, sc.counts = sc.lch[:0], sc.card[:0], sc.counts[:0]
+	for _, l := range sc.labels {
+		sc.lch = append(sc.lch, pi.LCh(o, l))
+		sc.card = append(sc.card, pi.Card(o, l))
+		sc.counts = append(sc.counts, 0)
+	}
 	var pcKeys map[string]bool
 	if checkPC {
 		pc, err := pi.PotentialChildSets(o, DefaultPCLimit)
@@ -274,29 +319,70 @@ func (pi *ProbInstance) checkOPFSupport(o model.ObjectID, w *prob.OPF, checkPC b
 			pcKeys[c.Key()] = true
 		}
 	}
-	for _, e := range w.Entries() {
-		if e.Prob <= 0 {
-			continue
+	var err error
+	w.Each(func(c sets.Set, p float64) {
+		if err != nil || p <= 0 {
+			return
 		}
-		if checkPC && !pcKeys[e.Set.Key()] {
-			return fmt.Errorf("core: OPF(%s) supports %s ∉ PC(%s)", o, e.Set, o)
+		if checkPC && !pcKeys[c.Key()] {
+			err = fmt.Errorf("core: OPF(%s) supports %s ∉ PC(%s)", o, c, o)
+			return
 		}
-		counts := make(map[model.Label]int, len(labels))
-		for _, c := range e.Set {
-			l, ok := pi.LabelOf(o, c)
-			if !ok {
-				return fmt.Errorf("core: OPF(%s) supports %s containing non-child %s", o, e.Set, c)
+		claimed := 0
+		for i, cs := range sc.lch {
+			sc.counts[i] = c.IntersectLen(cs)
+			claimed += sc.counts[i]
+		}
+		if claimed != c.Len() {
+			for _, m := range c {
+				if _, ok := pi.LabelOf(o, m); !ok {
+					err = fmt.Errorf("core: OPF(%s) supports %s containing non-child %s", o, c, m)
+					return
+				}
 			}
-			counts[l]++
 		}
-		for _, l := range labels {
-			if !pi.Card(o, l).Contains(counts[l]) {
-				return fmt.Errorf("core: OPF(%s) set %s has %d %s-children outside card %v",
-					o, e.Set, counts[l], l, pi.Card(o, l))
+		for i, l := range sc.labels {
+			if !sc.card[i].Contains(sc.counts[i]) {
+				err = fmt.Errorf("core: OPF(%s) set %s has %d %s-children outside card %v",
+					o, c, sc.counts[i], l, sc.card[i])
+				return
 			}
+		}
+	})
+	return err
+}
+
+// checkFunctionsInV rejects a local probability function assigned to an
+// object outside V: nothing that walks V (the encoders, the engine) would
+// ever see it, so an instance carrying one is not the instance it encodes
+// to. The caller counted the functions on objects of V; only a surplus pays
+// for the scan that names an offender.
+func (pi *ProbInstance) checkFunctionsInV(nOPF, nVPF int) error {
+	li := pi.interp
+	if nOPF != numThrough(li.opf, li.base.opf) {
+		if o, found := outsideV(pi.WeakInstance, li.opf, li.base.opf); found {
+			return fmt.Errorf("core: OPF assigned to %s, which is not an object of the instance", o)
+		}
+	}
+	if nVPF != numThrough(li.vpf, li.base.vpf) {
+		if o, found := outsideV(pi.WeakInstance, li.vpf, li.base.vpf); found {
+			return fmt.Errorf("core: VPF assigned to %s, which is not an object of the instance", o)
 		}
 	}
 	return nil
+}
+
+// outsideV returns the smallest object outside V that own or base assigns
+// a (non-nil) function to.
+func outsideV[F any](w *WeakInstance, own, base map[model.ObjectID]*F) (model.ObjectID, bool) {
+	var least model.ObjectID
+	found := false
+	eachThrough(own, base, func(o model.ObjectID, f *F) {
+		if f != nil && !w.HasObject(o) && (!found || o < least) {
+			least, found = o, true
+		}
+	})
+	return least, found
 }
 
 // Compatible reports whether the semistructured instance S is compatible

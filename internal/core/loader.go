@@ -80,22 +80,33 @@ func (ld *Loader) SetDefaultValue(o model.ObjectID, v model.Value) error {
 }
 
 // SetEdges assigns lch(o, l) = children and card(o, l) = [min, max] in one
-// step. The set is adopted as-is (it must be canonical) and children are
-// not implicitly added to V.
+// step, replacing whatever an earlier call recorded for (o, l). The set is
+// adopted as-is (it must be canonical) and children are not implicitly
+// added to V. An empty set removes lch(o, l), as WeakInstance.SetLCh does,
+// and still records the interval.
 func (ld *Loader) SetEdges(o model.ObjectID, l model.Label, children sets.Set, min, max int) {
 	w := ld.pi.WeakInstance
 	lm := w.lch[o]
-	if lm == nil {
-		lm = make(map[model.Label]sets.Set, 2)
-		w.lch[o] = lm
-	}
-	lm[l] = children
-	if min == 0 && max == children.Len() {
-		// The default interval Card() reconstructs on lookup; storing it
-		// would only burn a map entry per edge group.
-		return
+	if children.IsEmpty() {
+		delete(lm, l)
+		if lm != nil && len(lm) == 0 {
+			delete(w.lch, o)
+		}
+	} else {
+		if lm == nil {
+			lm = make(map[model.Label]sets.Set, 2)
+			w.lch[o] = lm
+		}
+		lm[l] = children
 	}
 	cm := w.card[o]
+	if min == 0 && max == children.Len() {
+		// The default interval Card() reconstructs on lookup; storing it
+		// would only burn a map entry per edge group. An interval an earlier
+		// call stored must not outlive that call's set, though.
+		delete(cm, l)
+		return
+	}
 	if cm == nil {
 		cm = make(map[model.Label]sets.Interval, 2)
 		w.card[o] = cm
@@ -111,7 +122,9 @@ func (ld *Loader) SetVPF(o model.ObjectID, v *prob.VPF) { ld.pi.interp.vpf[o] = 
 
 // Instance finishes the load, returning the instance after the structural
 // Validate check every codec applies (root membership, edge targets in V,
-// label disjointness, well-formed cardinalities and types).
+// label disjointness, well-formed cardinalities and types). The instance
+// remembers that it passed, so the ValidateLite that usually follows a
+// decode does not walk lch again; the Loader must not be used afterwards.
 func (ld *Loader) Instance() (*ProbInstance, error) {
 	if err := ld.pi.WeakInstance.Validate(); err != nil {
 		return nil, err

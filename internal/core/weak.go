@@ -24,6 +24,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -58,16 +59,29 @@ type WeakInstance struct {
 	// private copy; readers never look at the flag.
 	shared atomic.Bool
 
-	// graphMu guards the two memos below. graphCache memoizes the
-	// Definition 3.7 weak instance graph: every algebra operation and query
-	// starts from it, so rebuilding per call would dominate repeated-query
-	// workloads. tree memoizes IsTree's verdict on that graph, which every
-	// Section 6 operator and tree-lane query asks for first. Any structural
-	// mutation invalidates both. The cached graph is shared with callers
-	// and must be treated as read-only.
-	graphMu    sync.Mutex
-	graphCache *graph.Graph
-	tree       treeVerdict
+	// graphMu guards memo: what the instance has already derived from its
+	// own tables, so that nobody derives it twice from tables nobody changed.
+	graphMu sync.Mutex
+	memo    structMemo
+}
+
+// structMemo holds the derived facts of a WeakInstance. The zero value
+// means "nothing derived yet".
+type structMemo struct {
+	// graph memoizes the Definition 3.7 weak instance graph: every algebra
+	// operation and query starts from it, so rebuilding per call would
+	// dominate repeated-query workloads. It is shared with callers and must
+	// be treated as read-only.
+	graph *graph.Graph
+	// shape is read off graph in one pass the first time CheckAcyclic,
+	// IsTree or AllReachable asks; shapeKnown says it has been.
+	shape      graph.Shape
+	shapeKnown bool
+	// valid records that Validate passed on the tables as they are.
+	valid bool
+	// objects is V in sorted order, which every pass over an instance
+	// (validation, the encoders, the governor's profile) starts from.
+	objects []model.ObjectID
 }
 
 // weakTables are the maps behind a WeakInstance, grouped so that an
@@ -80,15 +94,6 @@ type weakTables struct {
 	typ     map[model.ObjectID]model.TypeName
 	val     map[model.ObjectID]model.Value
 }
-
-// treeVerdict is IsTree's memo; the zero value means "not computed".
-type treeVerdict int8
-
-const (
-	treeUnknown treeVerdict = iota
-	treeYes
-	treeNo
-)
 
 // NewWeakInstance returns a weak instance containing only the root object.
 func NewWeakInstance(root model.ObjectID) *WeakInstance {
@@ -110,12 +115,19 @@ func NewWeakInstance(root model.ObjectID) *WeakInstance {
 // Root returns the root object identifier.
 func (w *WeakInstance) Root() model.ObjectID { return w.root }
 
-// invalidateGraph drops the memoized weak instance graph and tree verdict
-// after a structural mutation.
+// invalidateGraph drops everything memoized after a mutation of V, lch or
+// card: the graph, its shape and Validate's verdict.
 func (w *WeakInstance) invalidateGraph() {
 	w.graphMu.Lock()
-	w.graphCache = nil
-	w.tree = treeUnknown
+	w.memo = structMemo{}
+	w.graphMu.Unlock()
+}
+
+// invalidateValid drops Validate's verdict after a mutation of the type
+// tables, which the graph does not depend on.
+func (w *WeakInstance) invalidateValid() {
+	w.graphMu.Lock()
+	w.memo.valid = false
 	w.graphMu.Unlock()
 }
 
@@ -125,7 +137,7 @@ func (w *WeakInstance) invalidateGraph() {
 func (w *WeakInstance) overlay() *WeakInstance {
 	c := &WeakInstance{root: w.root, weakTables: w.weakTables}
 	w.graphMu.Lock()
-	c.graphCache, c.tree = w.graphCache, w.tree
+	c.memo = w.memo
 	w.graphMu.Unlock()
 	c.shared.Store(true)
 	// Load first: concurrent overlays of one published instance would
@@ -161,14 +173,25 @@ func (w *WeakInstance) HasObject(o model.ObjectID) bool {
 	return ok
 }
 
-// Objects returns V in sorted order.
+// Objects returns V in sorted order. The slice is the caller's to keep.
 func (w *WeakInstance) Objects() []model.ObjectID {
-	out := make([]model.ObjectID, 0, len(w.objects))
-	for o := range w.objects {
-		out = append(out, o)
+	return slices.Clone(w.sortedObjects())
+}
+
+// sortedObjects is Objects without the copy: the memoized slice itself,
+// which callers must not modify.
+func (w *WeakInstance) sortedObjects() []model.ObjectID {
+	w.graphMu.Lock()
+	defer w.graphMu.Unlock()
+	if w.memo.objects == nil {
+		out := make([]model.ObjectID, 0, len(w.objects))
+		for o := range w.objects {
+			out = append(out, o)
+		}
+		sort.Strings(out)
+		w.memo.objects = out
 	}
-	sort.Strings(out)
-	return out
+	return w.memo.objects
 }
 
 // NumObjects returns |V|.
@@ -206,13 +229,16 @@ func (w *WeakInstance) LCh(o model.ObjectID, l model.Label) sets.Set {
 
 // Labels returns the labels under which o has potential children, sorted.
 func (w *WeakInstance) Labels(o model.ObjectID) []model.Label {
-	m := w.lch[o]
-	ls := make([]model.Label, 0, len(m))
-	for l := range m {
-		ls = append(ls, l)
+	return w.appendLabels(make([]model.Label, 0, len(w.lch[o])), o)
+}
+
+// appendLabels is Labels into a caller-owned buffer.
+func (w *WeakInstance) appendLabels(dst []model.Label, o model.ObjectID) []model.Label {
+	for l := range w.lch[o] {
+		dst = append(dst, l)
 	}
-	sort.Strings(ls)
-	return ls
+	sort.Strings(dst)
+	return dst
 }
 
 // AllChildren returns the union of lch(o, l) over all labels: every object
@@ -289,6 +315,7 @@ func (w *WeakInstance) RegisterType(t model.Type) error {
 		return nil
 	}
 	w.own()
+	w.invalidateValid()
 	w.types[t.Name] = t
 	return nil
 }
@@ -303,6 +330,7 @@ func (w *WeakInstance) SetLeafType(o model.ObjectID, tn model.TypeName) error {
 		return fmt.Errorf("core: unknown type %q for object %s", tn, o)
 	}
 	w.own()
+	w.invalidateValid()
 	w.AddObject(o)
 	w.typ[o] = tn
 	return nil
@@ -319,6 +347,7 @@ func (w *WeakInstance) SetDefaultValue(o model.ObjectID, v model.Value) error {
 		return fmt.Errorf("core: value %q outside dom(%s) for object %s", v, tn, o)
 	}
 	w.own()
+	w.invalidateValid()
 	w.val[o] = v
 	return nil
 }
@@ -389,27 +418,6 @@ func (w *WeakInstance) PCSize(o model.ObjectID, limit int) int {
 	return total
 }
 
-// childMayAppear reports whether the given potential child of o under label
-// l occurs in at least one set of PC(o): some potential l-child set
-// contains it and no other label's family is empty.
-func (w *WeakInstance) childMayAppear(o model.ObjectID, l model.Label) bool {
-	iv := w.Card(o, l)
-	n := w.lch[o][l].Len()
-	if iv.Max < 1 || iv.Min > n {
-		return false
-	}
-	// Another label with an unsatisfiable cardinality annihilates PC(o).
-	for _, l2 := range w.Labels(o) {
-		if l2 == l {
-			continue
-		}
-		if w.Card(o, l2).Min > w.lch[o][l2].Len() {
-			return false
-		}
-	}
-	return true
-}
-
 // Graph returns the weak instance graph G_W of Definition 3.7: an edge
 // o → o' labeled l exists iff o' belongs to some c ∈ PC(o) (under label l).
 // The graph is memoized until the next structural mutation and is shared
@@ -422,21 +430,48 @@ func (w *WeakInstance) Graph() *graph.Graph {
 
 // graphLocked is Graph for callers holding graphMu.
 func (w *WeakInstance) graphLocked() *graph.Graph {
-	if w.graphCache == nil {
-		w.graphCache = w.buildGraph()
+	if w.memo.graph == nil {
+		w.memo.graph = w.buildGraph()
 	}
-	return w.graphCache
+	return w.memo.graph
 }
 
-// buildGraph constructs the weak instance graph from scratch.
+// shape returns the memoized shape of the weak instance graph, reading it
+// off the graph on first use.
+func (w *WeakInstance) shape() graph.Shape {
+	w.graphMu.Lock()
+	defer w.graphMu.Unlock()
+	if !w.memo.shapeKnown {
+		w.memo.shape = w.graphLocked().Shape(w.root)
+		w.memo.shapeKnown = true
+	}
+	return w.memo.shape
+}
+
+// buildGraph constructs the weak instance graph from scratch. A potential
+// child of o under label l occurs in some set of PC(o), and so gets its
+// edge, when some potential l-child set contains it and no label's family,
+// l's included, is empty.
 func (w *WeakInstance) buildGraph() *graph.Graph {
-	g := graph.New()
+	g := graph.NewSized(len(w.objects))
 	for o := range w.objects {
 		g.AddNode(o)
 	}
 	for o, m := range w.lch {
+		cm := w.card[o]
+		// A label whose minimum exceeds its potential children has no
+		// potential l-child set at all, which annihilates PC(o).
+		satisfiable := true
+		for l, iv := range cm {
+			if cs, labeled := m[l]; labeled && iv.Min > cs.Len() {
+				satisfiable = false
+			}
+		}
+		if !satisfiable {
+			continue
+		}
 		for l, cs := range m {
-			if !w.childMayAppear(o, l) {
+			if iv, ok := cm[l]; ok && iv.Max < 1 {
 				continue
 			}
 			for _, c := range cs {
@@ -451,57 +486,49 @@ func (w *WeakInstance) buildGraph() *graph.Graph {
 // CheckAcyclic reports an error when the weak instance graph contains a
 // directed cycle (Definition 4.3 requires acyclicity for coherence).
 func (w *WeakInstance) CheckAcyclic() error {
-	if _, err := w.Graph().TopoSort(); err != nil {
-		return fmt.Errorf("core: weak instance not acyclic: %w", err)
+	if w.shape().Acyclic {
+		return nil
 	}
-	return nil
+	// Only the failure pays for a sort that names a vertex on the cycle.
+	_, err := w.Graph().TopoSort()
+	return fmt.Errorf("core: weak instance not acyclic: %w", err)
 }
 
 // IsTree reports whether the weak instance graph is a tree rooted at the
 // root: acyclic, every non-root object has exactly one parent, and every
 // object is reachable from the root. The Section 6 fast algorithms assume
 // this structure. The verdict is memoized with the graph it was read off.
-func (w *WeakInstance) IsTree() bool {
-	w.graphMu.Lock()
-	defer w.graphMu.Unlock()
-	if w.tree == treeUnknown {
-		w.tree = treeNo
-		if w.isTree(w.graphLocked()) {
-			w.tree = treeYes
-		}
-	}
-	return w.tree == treeYes
-}
+func (w *WeakInstance) IsTree() bool { return w.shape().Tree }
 
-func (w *WeakInstance) isTree(g *graph.Graph) bool {
-	if !g.IsAcyclic() {
-		return false
-	}
-	reach := g.ReachableFrom(w.root)
-	if len(reach) != len(w.objects) {
-		return false
-	}
-	for o := range w.objects {
-		switch {
-		case o == w.root:
-			if g.InDegree(o) != 0 {
-				return false
-			}
-		default:
-			if g.InDegree(o) != 1 {
-				return false
-			}
-		}
-	}
-	return true
+// AllReachable reports whether every object of V is reachable from the root
+// in the weak instance graph, from the same memoized pass as IsTree.
+func (w *WeakInstance) AllReachable() bool {
+	return w.shape().Reachable == len(w.objects)
 }
 
 // Validate checks the structural invariants of Definition 3.4: the root
 // exists and is not anyone's potential child, lch targets are objects of V,
 // an object is a potential child of a given parent under at most one label,
 // cardinality intervals are well formed, types are registered with values
-// in domain, and only weak-instance leaves carry types.
+// in domain, and only weak-instance leaves carry types. A passing verdict
+// is memoized until the next mutation.
 func (w *WeakInstance) Validate() error {
+	w.graphMu.Lock()
+	valid := w.memo.valid
+	w.graphMu.Unlock()
+	if valid {
+		return nil
+	}
+	if err := w.validate(); err != nil {
+		return err
+	}
+	w.graphMu.Lock()
+	w.memo.valid = true
+	w.graphMu.Unlock()
+	return nil
+}
+
+func (w *WeakInstance) validate() error {
 	if _, ok := w.objects[w.root]; !ok {
 		return fmt.Errorf("core: root %s not in V", w.root)
 	}

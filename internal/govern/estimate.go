@@ -5,6 +5,7 @@ import (
 
 	"pxml/internal/core"
 	"pxml/internal/model"
+	"pxml/internal/sets"
 )
 
 // Profile is the upfront width/cost estimate for one probabilistic
@@ -50,44 +51,49 @@ func Measure(pi *core.ProbInstance) Profile {
 	p := Profile{Tree: pi.IsTree(), WorldsFloor: 1}
 	g := pi.WeakInstance.Graph()
 	root := pi.Root()
-	reach := make(map[model.ObjectID]bool)
-	for _, o := range g.ReachableFrom(root) {
-		reach[o] = true
+	// Only objects reachable from the root enter the BN. The shape pass
+	// behind IsTree has usually shown that to be all of V already; only
+	// otherwise is the graph walked for the reachable set.
+	var objs []model.ObjectID
+	if pi.AllReachable() {
+		objs = pi.Objects()
+	} else {
+		objs = g.ReachableFrom(root)
 	}
-	p.Objects = len(reach)
+	p.Objects = len(objs)
 
 	// First pass: per-object BN state counts, mirroring bayes.Compile
 	// (positive OPF entries for interior objects, positive VPF entries
 	// or a single "present" state for leaves, +1 absent for non-roots).
-	states := make(map[model.ObjectID]int, len(reach))
-	for o := range reach {
+	states := make(map[model.ObjectID]int, len(objs))
+	for _, o := range objs {
 		n := 0
 		if !pi.IsLeaf(o) {
 			if opf := pi.OPF(o); opf != nil {
-				entries := opf.Entries()
-				if len(entries) > p.MaxOPFEntries {
-					p.MaxOPFEntries = len(entries)
+				k := opf.Len()
+				if k > p.MaxOPFEntries {
+					p.MaxOPFEntries = k
 				}
-				p.TotalOPFEntries += int64(len(entries))
-				for _, e := range entries {
-					if len(e.Set) > p.MaxFanout {
-						p.MaxFanout = len(e.Set)
+				p.TotalOPFEntries += int64(k)
+				opf.Each(func(c sets.Set, pr float64) {
+					if len(c) > p.MaxFanout {
+						p.MaxFanout = len(c)
 					}
-					if e.Prob > 0 {
+					if pr > 0 {
 						n++
 					}
-				}
+				})
 				if o == root && n > 1 {
 					p.WorldsFloor = float64(n)
 				}
 			}
 		} else if vpf := pi.VPF(o); vpf != nil {
 			p.TotalOPFEntries += int64(vpf.Len())
-			for _, e := range vpf.Entries() {
-				if e.Prob > 0 {
+			vpf.Each(func(_ string, pr float64) {
+				if pr > 0 {
 					n++
 				}
-			}
+			})
 		} else {
 			n = 1
 		}
@@ -104,13 +110,15 @@ func Measure(pi *core.ProbInstance) Profile {
 
 	// Second pass: predicted CPT cells per object — its own cardinality
 	// times the product of its kept (reachable) parents' cardinalities.
-	for o := range reach {
+	// Objects come in sorted order, so of several equally wide the
+	// smallest id is the one named.
+	for _, o := range objs {
 		cells := float64(states[o])
-		for _, par := range g.Parents(o) {
-			if reach[par] {
-				cells *= float64(states[par])
+		g.EachParent(o, func(par string) {
+			if n, kept := states[par]; kept {
+				cells *= float64(n)
 			}
-		}
+		})
 		p.TotalCPTCells += cells
 		if cells > p.MaxCPTCells {
 			p.MaxCPTCells = cells

@@ -25,11 +25,15 @@ type Graph struct {
 }
 
 // New returns an empty graph.
-func New() *Graph {
+func New() *Graph { return NewSized(0) }
+
+// NewSized returns an empty graph with room for the given number of
+// vertices, for builders that know it upfront.
+func NewSized(nodes int) *Graph {
 	return &Graph{
-		nodes: make(map[string]struct{}),
-		out:   make(map[string]map[string]string),
-		in:    make(map[string]map[string]struct{}),
+		nodes: make(map[string]struct{}, nodes),
+		out:   make(map[string]map[string]string, nodes/2),
+		in:    make(map[string]map[string]struct{}, nodes),
 	}
 }
 
@@ -187,6 +191,22 @@ func (g *Graph) Parents(o string) []string {
 	}
 	sort.Strings(ps)
 	return ps
+}
+
+// EachParent calls fn for every parent of o in sorted order. It avoids the
+// allocation of Parents where o has at most one, which is every vertex of a
+// tree.
+func (g *Graph) EachParent(o string, fn func(parent string)) {
+	m := g.in[o]
+	if len(m) > 1 {
+		for _, p := range g.Parents(o) {
+			fn(p)
+		}
+		return
+	}
+	for p := range m {
+		fn(p)
+	}
 }
 
 // LCh returns lch(o, l): the children of o reached via edges labeled l, in
@@ -369,6 +389,94 @@ func mergeSorted(a, b []string) []string {
 func (g *Graph) IsAcyclic() bool {
 	_, err := g.TopoSort()
 	return err == nil
+}
+
+// Shape is what one pass over the graph establishes about its form
+// relative to a root vertex.
+type Shape struct {
+	// Acyclic reports that no directed cycle exists anywhere in the graph,
+	// reachable from the root or not.
+	Acyclic bool
+	// Tree reports that the graph is a tree rooted at the root: acyclic,
+	// the root has no parent, every other vertex has exactly one, and every
+	// vertex is reachable from the root.
+	Tree bool
+	// Reachable counts the vertices reachable from the root, the root
+	// included. It is -1 when a cycle kept the pass from finishing.
+	Reachable int
+}
+
+// Shape derives acyclicity, tree-ness and the number of vertices reachable
+// from root in one pass, where IsAcyclic, ReachableFrom and a degree scan
+// would each walk the graph again (and sort what they return).
+func (g *Graph) Shape(root string) Shape {
+	if !g.HasNode(root) {
+		return Shape{Acyclic: g.IsAcyclic()}
+	}
+	// Tree degrees: when every vertex has at most one parent and the root
+	// none, a walk from the root meets each vertex at most once, so it
+	// needs no visited set.
+	treeDegrees := len(g.in[root]) == 0
+	if treeDegrees {
+		for id := range g.nodes {
+			if id != root && len(g.in[id]) != 1 {
+				treeDegrees = false
+				break
+			}
+		}
+	}
+	if treeDegrees {
+		n := 0
+		stack := []string{root}
+		for len(stack) > 0 {
+			cur := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			n++
+			for c := range g.out[cur] {
+				stack = append(stack, c)
+			}
+		}
+		// Vertices the walk missed have one parent each, all among
+		// themselves: they close a cycle.
+		all := n == len(g.nodes)
+		return Shape{Acyclic: all, Tree: all, Reachable: n}
+	}
+	// Kahn's algorithm, carrying "reachable from root" along each edge: a
+	// vertex leaves the queue after all its parents, so its flag is final.
+	type mark struct {
+		indeg   int
+		reached bool
+	}
+	marks := make(map[string]mark, len(g.nodes))
+	queue := make([]string, 0, len(g.nodes))
+	for id := range g.nodes {
+		d := len(g.in[id])
+		marks[id] = mark{indeg: d, reached: id == root}
+		if d == 0 {
+			queue = append(queue, id)
+		}
+	}
+	reachable := 0
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
+		reached := marks[cur].reached
+		if reached {
+			reachable++
+		}
+		for c := range g.out[cur] {
+			m := marks[c]
+			m.indeg--
+			m.reached = m.reached || reached
+			marks[c] = m
+			if m.indeg == 0 {
+				queue = append(queue, c)
+			}
+		}
+	}
+	if len(queue) != len(g.nodes) {
+		return Shape{Reachable: -1}
+	}
+	return Shape{Acyclic: true, Reachable: reachable}
 }
 
 // Clone returns a deep copy of the graph.

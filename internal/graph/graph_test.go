@@ -266,3 +266,66 @@ func TestQuickDescendantPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQuickShapeMatchesSeparatePasses: Shape's one pass agrees with
+// IsAcyclic, ReachableFrom and a degree scan on random graphs — trees,
+// forests, DAGs with shared children, graphs with cycles on and off the
+// root's side — and EachParent with Parents.
+func TestQuickShapeMatchesSeparatePasses(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + r.Intn(9)
+		name := func(i int) string { return string(rune('a' + i)) }
+		g := NewSized(n)
+		for i := 0; i < n; i++ {
+			g.AddNode(name(i))
+		}
+		switch r.Intn(3) {
+		case 0: // a tree, possibly missing a few edges (a forest)
+			for i := 1; i < n; i++ {
+				if r.Intn(8) > 0 {
+					_ = g.AddEdge(name(r.Intn(i)), name(i), "l")
+				}
+			}
+		case 1: // forward edges only: a DAG
+			for k := r.Intn(2 * n); k > 0; k-- {
+				if i, j := r.Intn(n), r.Intn(n); i < j {
+					_ = g.AddEdge(name(i), name(j), "l")
+				}
+			}
+		default: // anything, self-loops and edges into the root included
+			for k := r.Intn(2 * n); k > 0; k-- {
+				_ = g.AddEdge(name(r.Intn(n)), name(r.Intn(n)), "l")
+			}
+		}
+		root := name(0)
+		reach := g.ReachableFrom(root)
+		tree := g.IsAcyclic() && len(reach) == n && g.InDegree(root) == 0
+		for i := 1; i < n; i++ {
+			tree = tree && g.InDegree(name(i)) == 1
+		}
+		got := g.Shape(root)
+		if got.Acyclic != g.IsAcyclic() || got.Tree != tree {
+			t.Logf("seed %d: %+v, want acyclic %v tree %v (edges %v)", seed, got, g.IsAcyclic(), tree, g.Edges())
+			return false
+		}
+		if got.Reachable != len(reach) && !(got.Reachable == -1 && !got.Acyclic) {
+			t.Logf("seed %d: reachable %d, want %d (edges %v)", seed, got.Reachable, len(reach), g.Edges())
+			return false
+		}
+		for i := 0; i < n; i++ {
+			var ps []string
+			g.EachParent(name(i), func(p string) { ps = append(ps, p) })
+			if len(ps) != g.InDegree(name(i)) || len(ps) > 0 && !reflect.DeepEqual(ps, g.Parents(name(i))) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(19))}); err != nil {
+		t.Fatal(err)
+	}
+	if got := New().Shape("nowhere"); got != (Shape{Acyclic: true}) {
+		t.Errorf("Shape of a root that is no vertex = %+v", got)
+	}
+}

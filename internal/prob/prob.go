@@ -8,7 +8,9 @@ package prob
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -24,14 +26,23 @@ const Tolerance = 1e-9
 // OPF is an object probability function ω : PC(o) → [0,1] with
 // Σ_c ω(c) = 1 (Definition 3.8). Entries with probability zero may be
 // stored explicitly; Prob returns 0 for absent sets.
+//
+// An OPF has two representations. While it is being built, entries are
+// indexed by Set.Key() so Put and Add can accumulate. A sealed OPF
+// (OPFFromSorted, Condition, Clone of a sealed one) has no index and no key
+// strings: its canonical-order slice is all there is, which is what every
+// reader walks anyway. The first Put or Add on a sealed OPF builds the
+// index, so any OPF stays mutable until it is installed in an instance.
 type OPF struct {
+	// entries is nil exactly when the OPF is sealed.
 	entries map[string]OPFEntry
-	// sorted caches the canonical-order entry slice behind Each/Entries.
-	// Built lazily on first iteration and dropped on mutation, it makes
-	// every OPF traversal deterministic — floating-point sums come out
-	// bit-identical across runs, which result caching relies on — and
-	// replaces map iteration with a slice walk on the query hot paths.
-	// Concurrent builders may race benignly: both compute the same slice.
+	// sorted is the canonical-order entry slice behind every traversal: the
+	// whole representation of a sealed OPF, a cache otherwise (built lazily
+	// on first iteration, dropped on mutation). Walking it makes every OPF
+	// traversal deterministic — floating-point sums come out bit-identical
+	// across runs, which result caching relies on — and replaces map
+	// iteration with a slice walk on the query hot paths. Concurrent
+	// builders may race benignly: both compute the same slice.
 	sorted atomic.Pointer[[]OPFEntry]
 }
 
@@ -46,21 +57,63 @@ func NewOPFSized(n int) *OPF {
 	return &OPF{entries: make(map[string]OPFEntry, n)}
 }
 
+// OPFFromSorted returns the OPF holding es. When the sets are strictly
+// ascending in canonical order (size, then lexicographic) the slice is
+// adopted as the sealed representation without a copy, an index or a key
+// string per entry, and the caller must not use it afterwards; otherwise the
+// entries are accumulated with Add in the order given, so a repeated set
+// sums. It is sets.FromSorted for local functions: bulk loaders that decode
+// entries in canonical order skip the accumulation.
+func OPFFromSorted(es []OPFEntry) *OPF {
+	for i := 1; i < len(es); i++ {
+		if !lessEntry(es[i-1].Set, es[i].Set) {
+			w := NewOPFSized(len(es))
+			for _, e := range es {
+				w.Add(e.Set, e.Prob)
+			}
+			return w
+		}
+	}
+	return sealedOPF(es)
+}
+
+// sealedOPF adopts a slice known to be in strict canonical order.
+func sealedOPF(es []OPFEntry) *OPF {
+	w := new(OPF)
+	w.sorted.Store(&es)
+	return w
+}
+
 // OPFEntry is one (child set, probability) pair of an OPF.
 type OPFEntry struct {
 	Set  sets.Set
 	Prob float64
 }
 
+// index gives a sealed OPF the keyed index Put and Add accumulate in.
+func (w *OPF) index() {
+	es := w.sortedEntries()
+	w.entries = make(map[string]OPFEntry, len(es)+1)
+	for _, e := range es {
+		w.entries[e.Set.Key()] = e
+	}
+}
+
 // Put assigns probability p to the child set c, replacing any previous
 // assignment for the same set.
 func (w *OPF) Put(c sets.Set, p float64) {
+	if w.entries == nil {
+		w.index()
+	}
 	w.entries[c.Key()] = OPFEntry{Set: c, Prob: p}
 	w.sorted.Store(nil)
 }
 
 // Add accumulates probability p onto the child set c.
 func (w *OPF) Add(c sets.Set, p float64) {
+	if w.entries == nil {
+		w.index()
+	}
 	k := c.Key()
 	e, ok := w.entries[k]
 	if !ok {
@@ -72,16 +125,34 @@ func (w *OPF) Add(c sets.Set, p float64) {
 }
 
 // Prob returns ω(c), zero when c has no entry.
-func (w *OPF) Prob(c sets.Set) float64 { return w.entries[c.Key()].Prob }
+func (w *OPF) Prob(c sets.Set) float64 {
+	if w.entries != nil {
+		return w.entries[c.Key()].Prob
+	}
+	es := w.sortedEntries()
+	i := sort.Search(len(es), func(i int) bool { return !lessEntry(es[i].Set, c) })
+	if i < len(es) && es[i].Set.Equal(c) {
+		return es[i].Prob
+	}
+	return 0
+}
 
 // Len returns the number of stored entries.
-func (w *OPF) Len() int { return len(w.entries) }
+func (w *OPF) Len() int {
+	if w.entries != nil {
+		return len(w.entries)
+	}
+	return len(w.sortedEntries())
+}
 
-// sortedEntries returns the cached canonical-order slice, building it on
-// first use. Callers must not mutate the result.
+// sortedEntries returns the canonical-order slice, building it from the
+// index on first use. Callers must not mutate the result.
 func (w *OPF) sortedEntries() []OPFEntry {
 	if p := w.sorted.Load(); p != nil {
 		return *p
+	}
+	if w.entries == nil {
+		return nil
 	}
 	es := make([]OPFEntry, 0, len(w.entries))
 	for _, e := range w.entries {
@@ -159,11 +230,10 @@ func (w *OPF) Normalize() error {
 // Clone returns a deep copy of the OPF. Child sets are shared (they are
 // immutable by convention).
 func (w *OPF) Clone() *OPF {
-	c := &OPF{entries: make(map[string]OPFEntry, len(w.entries))}
-	for k, e := range w.entries {
-		c.entries[k] = e
+	if w.entries == nil {
+		return sealedOPF(slices.Clone(w.sortedEntries()))
 	}
-	return c
+	return &OPF{entries: maps.Clone(w.entries)}
 }
 
 // ProbContains returns P(member ∈ c) = Σ_{c ∋ member} ω(c), the building
@@ -202,14 +272,11 @@ func (w *OPF) Condition(pred func(sets.Set) bool) (*OPF, float64, bool) {
 	if norm <= 0 {
 		return nil, 0, false
 	}
-	out := NewOPFSized(len(kept))
 	for i := range kept {
 		kept[i].Prob /= norm
-		out.entries[kept[i].Set.Key()] = kept[i]
 	}
 	// A filtered canonical slice is the result's canonical slice.
-	out.sorted.Store(&kept)
-	return out, norm, true
+	return sealedOPF(kept), norm, true
 }
 
 // MarginalizeDrop removes the given objects from every child set, summing
@@ -245,19 +312,18 @@ func (w *OPF) Product(v *OPF) *OPF {
 // canonical order.
 func (w *OPF) Support() []sets.Set {
 	var ss []sets.Set
-	for _, e := range w.entries {
+	for _, e := range w.sortedEntries() {
 		if e.Prob > 0 {
 			ss = append(ss, e.Set)
 		}
 	}
-	sort.Slice(ss, func(i, j int) bool { return lessEntry(ss[i], ss[j]) })
 	return ss
 }
 
 // String renders the OPF as a probability table for debugging.
 func (w *OPF) String() string {
 	var b strings.Builder
-	for _, e := range w.Entries() {
+	for _, e := range w.sortedEntries() {
 		fmt.Fprintf(&b, "%s=%.6g ", e.Set, e.Prob)
 	}
 	return strings.TrimSpace(b.String())
@@ -276,9 +342,15 @@ func lessEntry(a, b sets.Set) bool {
 }
 
 // VPF is a value probability function ω : dom(τ(o)) → [0,1] with
-// Σ_v ω(v) = 1 (Definition 3.9).
+// Σ_v ω(v) = 1 (Definition 3.9). Like an OPF it is either indexed by value
+// while Put builds it, or sealed: a by-value slice and nothing else.
 type VPF struct {
+	// probs is nil exactly when the VPF is sealed.
 	probs map[string]float64
+	// sorted is the by-value entry slice: the whole representation of a
+	// sealed VPF, otherwise a cache built on first traversal and dropped by
+	// Put. Every sum walks it, so masses are bit-identical across runs.
+	sorted atomic.Pointer[[]VPFEntry]
 }
 
 // NewVPF returns an empty VPF.
@@ -287,6 +359,30 @@ func NewVPF() *VPF { return &VPF{probs: make(map[string]float64)} }
 // NewVPFSized returns an empty VPF with capacity for n entries.
 func NewVPFSized(n int) *VPF { return &VPF{probs: make(map[string]float64, n)} }
 
+// VPFFromSorted returns the VPF holding es. When the values are strictly
+// ascending the slice is adopted as the sealed representation and the
+// caller must not use it afterwards; otherwise the entries are Put in the
+// order given, so the last of a repeated value wins.
+func VPFFromSorted(es []VPFEntry) *VPF {
+	for i := 1; i < len(es); i++ {
+		if es[i-1].Value >= es[i].Value {
+			w := NewVPFSized(len(es))
+			for _, e := range es {
+				w.Put(e.Value, e.Prob)
+			}
+			return w
+		}
+	}
+	return sealedVPF(es)
+}
+
+// sealedVPF adopts a slice known to be strictly ascending by value.
+func sealedVPF(es []VPFEntry) *VPF {
+	w := new(VPF)
+	w.sorted.Store(&es)
+	return w
+}
+
 // VPFEntry is one (value, probability) pair of a VPF.
 type VPFEntry struct {
 	Value string
@@ -294,29 +390,74 @@ type VPFEntry struct {
 }
 
 // Put assigns probability p to value v.
-func (w *VPF) Put(v string, p float64) { w.probs[v] = p }
+func (w *VPF) Put(v string, p float64) {
+	if w.probs == nil {
+		es := w.sortedEntries()
+		w.probs = make(map[string]float64, len(es)+1)
+		for _, e := range es {
+			w.probs[e.Value] = e.Prob
+		}
+	}
+	w.probs[v] = p
+	w.sorted.Store(nil)
+}
 
 // Prob returns ω(v), zero when v has no entry.
-func (w *VPF) Prob(v string) float64 { return w.probs[v] }
+func (w *VPF) Prob(v string) float64 {
+	if w.probs != nil {
+		return w.probs[v]
+	}
+	es := w.sortedEntries()
+	i := sort.Search(len(es), func(i int) bool { return es[i].Value >= v })
+	if i < len(es) && es[i].Value == v {
+		return es[i].Prob
+	}
+	return 0
+}
 
 // Len returns the number of stored entries.
-func (w *VPF) Len() int { return len(w.probs) }
+func (w *VPF) Len() int {
+	if w.probs != nil {
+		return len(w.probs)
+	}
+	return len(w.sortedEntries())
+}
 
-// Entries returns all entries sorted by value.
-func (w *VPF) Entries() []VPFEntry {
+// sortedEntries returns the by-value slice, building it from the index on
+// first use. Callers must not mutate the result.
+func (w *VPF) sortedEntries() []VPFEntry {
+	if p := w.sorted.Load(); p != nil {
+		return *p
+	}
+	if w.probs == nil {
+		return nil
+	}
 	es := make([]VPFEntry, 0, len(w.probs))
 	for v, p := range w.probs {
 		es = append(es, VPFEntry{Value: v, Prob: p})
 	}
 	sort.Slice(es, func(i, j int) bool { return es[i].Value < es[j].Value })
+	w.sorted.Store(&es)
 	return es
+}
+
+// Entries returns all entries sorted by value. The returned slice is the
+// caller's to keep.
+func (w *VPF) Entries() []VPFEntry { return slices.Clone(w.sortedEntries()) }
+
+// Each calls fn for every entry in value order without the allocation of
+// Entries.
+func (w *VPF) Each(fn func(v string, p float64)) {
+	for _, e := range w.sortedEntries() {
+		fn(e.Value, e.Prob)
+	}
 }
 
 // Mass returns the total stored probability.
 func (w *VPF) Mass() float64 {
 	total := 0.0
-	for _, p := range w.probs {
-		total += p
+	for _, e := range w.sortedEntries() {
+		total += e.Prob
 	}
 	return total
 }
@@ -325,11 +466,11 @@ func (w *VPF) Mass() float64 {
 // total mass is 1 within Tolerance.
 func (w *VPF) Validate() error {
 	total := 0.0
-	for v, p := range w.probs {
-		if p < -Tolerance || p > 1+Tolerance || math.IsNaN(p) {
-			return fmt.Errorf("prob: VPF value %q has probability %v outside [0,1]", v, p)
+	for _, e := range w.sortedEntries() {
+		if e.Prob < -Tolerance || e.Prob > 1+Tolerance || math.IsNaN(e.Prob) {
+			return fmt.Errorf("prob: VPF value %q has probability %v outside [0,1]", e.Value, e.Prob)
 		}
-		total += p
+		total += e.Prob
 	}
 	if math.Abs(total-1) > Tolerance {
 		return fmt.Errorf("prob: VPF mass %v != 1", total)
@@ -339,11 +480,10 @@ func (w *VPF) Validate() error {
 
 // Clone returns a deep copy.
 func (w *VPF) Clone() *VPF {
-	c := NewVPF()
-	for v, p := range w.probs {
-		c.probs[v] = p
+	if w.probs == nil {
+		return sealedVPF(slices.Clone(w.sortedEntries()))
 	}
-	return c
+	return &VPF{probs: maps.Clone(w.probs)}
 }
 
 // PointMass returns a VPF that assigns probability one to v, the result of

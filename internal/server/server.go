@@ -1325,6 +1325,12 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
+	// Refuse before working: a name the store cannot hold is known from the
+	// URL alone, ahead of reading, decoding and validating the body.
+	if s.persistent() && !validName(name) {
+		httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, fmt.Errorf("name %q not storable (use [A-Za-z0-9_-])", name))
+		return
+	}
 	// Read fully before decoding so an oversized body is always reported
 	// as 413 rather than as whatever parse error the truncation causes.
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
@@ -1336,7 +1342,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	if strings.Contains(r.Header.Get("Content-Type"), "json") {
 		pi, err = codec.DecodeJSON(bytes.NewReader(raw))
 	} else {
-		pi, err = codec.DecodeText(bytes.NewReader(raw))
+		pi, err = codec.DecodeTextBytes(raw)
 	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, err)
@@ -1344,10 +1350,6 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := pi.ValidateLite(); err != nil {
 		httpError(w, http.StatusUnprocessableEntity, apiv1.CodeInvalidInstance, fmt.Errorf("instance invalid: %w", err))
-		return
-	}
-	if s.persistent() && !validName(name) {
-		httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, fmt.Errorf("name %q not storable (use [A-Za-z0-9_-])", name))
 		return
 	}
 	if err := s.Put(name, pi); err != nil {

@@ -148,6 +148,38 @@ func (s Set) Intersect(t Set) Set {
 	return out
 }
 
+// IntersectLen returns |s ∩ t| without building the intersection: a merge
+// of the two sorted sets, or a search per member when one is much the
+// shorter.
+func (s Set) IntersectLen(t Set) int {
+	if len(s) > len(t) {
+		s, t = t, s
+	}
+	n := 0
+	if len(s)*8 < len(t) {
+		for _, id := range s {
+			if t.Contains(id) {
+				n++
+			}
+		}
+		return n
+	}
+	i, j := 0, 0
+	for i < len(s) && j < len(t) {
+		switch c := strings.Compare(s[i], t[j]); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
+}
+
 // Minus returns s \ t as a new canonical set.
 func (s Set) Minus(t Set) Set {
 	var out Set

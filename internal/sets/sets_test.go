@@ -49,6 +49,10 @@ func TestSetOps(t *testing.T) {
 }
 
 func TestQuickSetAlgebraLaws(t *testing.T) {
+	var padding Set
+	for c := 'c'; c < 'c'+60; c += 2 {
+		padding = append(padding, string(c))
+	}
 	gen := func(r *rand.Rand) Set {
 		n := r.Intn(6)
 		ids := make([]string, n)
@@ -69,6 +73,13 @@ func TestQuickSetAlgebraLaws(t *testing.T) {
 		}
 		// |A∪B| = |A| + |B| − |A∩B|.
 		if a.Union(b).Len() != a.Len()+b.Len()-a.Intersect(b).Len() {
+			return false
+		}
+		// |A∩B| without building it: by merge, and by search against a set
+		// more than eight times the longer.
+		wide := b.Union(padding)
+		if a.IntersectLen(b) != a.Intersect(b).Len() ||
+			a.IntersectLen(wide) != a.Intersect(wide).Len() || wide.IntersectLen(a) != a.IntersectLen(wide) {
 			return false
 		}
 		// (A\B) ∪ (A∩B) = A.
