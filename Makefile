@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check test test-short race bench bench-store bench-json bench-smoke fig7 fuzz fuzz-smoke faults soak soak-smoke mvcc-smoke telemetry-smoke repl-smoke failover-smoke govern-smoke e2e-smoke vet staticcheck cover clean
+.PHONY: all build check test test-short race bench bench-store bench-smoke fig7 fuzz fuzz-smoke faults soak soak-smoke mvcc-smoke telemetry-smoke repl-smoke failover-smoke govern-smoke e2e-smoke vet staticcheck cover clean
 
 all: check
 
@@ -43,24 +43,23 @@ bench-store:
 	$(GO) test -run '^$$' -bench 'Binary|Text' -benchmem ./internal/codec
 	$(GO) test -run '^$$' -bench PutPipeline -benchmem -cpu 1 ./internal/server
 
-# Benchmark trajectory baseline: run the Fig7/store/engine/codec suites
-# and record ns/op, B/op, allocs/op per benchmark as JSON (schema in
-# EXPERIMENTS.md) so future PRs can diff against this PR's numbers.
-#
-# For statistically sound before/after comparisons use benchstat
-# (golang.org/x/perf/cmd/benchstat) on raw `go test -bench` output:
+# Quick benchmark smoke for CI: one iteration per benchmark at
+# GOMAXPROCS 1 and 4, enough to catch perf-critical paths that stop
+# compiling or start failing. It measures nothing. A before/after is
+# pairs of `bash e2ebench/run.sh` runs (BENCHMARK.json), or for one
+# package benchstat (golang.org/x/perf/cmd/benchstat) on raw output:
 #   go test -run '^$$' -bench ConcurrentPut -count 10 ./internal/store > old.txt
 #   ... apply the change ...
 #   go test -run '^$$' -bench ConcurrentPut -count 10 ./internal/store > new.txt
 #   benchstat old.txt new.txt
-bench-json:
-	$(GO) run ./cmd/benchjson -out results/BENCH_pr9.json
-
-# Quick benchmark smoke for CI: a handful of iterations per benchmark,
-# enough to catch perf-critical paths that stop compiling or start
-# failing, without CI-grade timing noise pretending to be data.
+BENCH_SMOKE = $(GO) test -run '^$$' -benchtime 1x -cpu 1,4
 bench-smoke:
-	$(GO) run ./cmd/benchjson -benchtime 5x -out /tmp/pxml_bench_smoke.json
+	$(BENCH_SMOKE) -bench Fig7 .
+	$(BENCH_SMOKE) -bench 'WALAppend|ConcurrentPut|OpenReplay|Compact' ./internal/store
+	$(BENCH_SMOKE) -bench 'StormRead|ColdOpen' ./internal/store
+	$(BENCH_SMOKE) -bench QueryPoint ./internal/engine
+	$(BENCH_SMOKE) -bench 'Encode|Decode' ./internal/codec
+	$(BENCH_SMOKE) -bench FollowerFanout ./internal/server
 
 # Reproduce the paper's Figure 7 panels into results/.
 fig7:

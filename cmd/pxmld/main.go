@@ -52,8 +52,8 @@
 // daemon flips /readyz to 503, drains in-flight requests, then closes
 // the store so the WAL is flushed before exit.
 //
-// Endpoints (see internal/server and docs/API.md; unversioned legacy
-// paths answer 308 redirects onto /v1):
+// Endpoints (see internal/server and docs/API.md; everything but the
+// two probes lives under /v1, and any other path answers 404):
 //
 //	GET    /v1/instances
 //	PUT    /v1/instances/{name}

@@ -218,8 +218,7 @@ func TestIntegrationDaemon(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("PUT status %d", resp.StatusCode)
 	}
-	// Query it — once natively on /v1, once through the legacy path,
-	// which answers 308 and the default client follows transparently.
+	// Query it.
 	qresp, err := http.Post("http://"+addr+"/v1/instances/gen/query", "text/plain", strings.NewReader("STATS"))
 	if err != nil {
 		t.Fatal(err)
@@ -228,15 +227,6 @@ func TestIntegrationDaemon(t *testing.T) {
 	qresp.Body.Close()
 	if qresp.StatusCode != http.StatusOK || !strings.Contains(string(qbody), "objects=7") {
 		t.Fatalf("query: %d %s", qresp.StatusCode, qbody)
-	}
-	lresp, err := http.Post("http://"+addr+"/instances/gen/query", "text/plain", strings.NewReader("STATS"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lbody0, _ := io.ReadAll(lresp.Body)
-	lresp.Body.Close()
-	if lresp.StatusCode != http.StatusOK || !strings.Contains(string(lbody0), "objects=7") {
-		t.Fatalf("legacy query via redirect: %d %s", lresp.StatusCode, lbody0)
 	}
 	stop(cmd)
 

@@ -22,8 +22,8 @@ import (
 	"time"
 )
 
-// Prefix is the v1 route prefix. Legacy unversioned paths answer with a
-// 308 redirect onto their /v1 equivalent.
+// Prefix is the v1 route prefix; apart from the two health probes, no
+// route lives outside it.
 const Prefix = "/v1"
 
 // Stable error codes. Clients branch on these, never on messages.

@@ -9,47 +9,34 @@ import (
 	"pxml/internal/pathexpr"
 )
 
-// The *Indexed variants below answer the same Section 6.2 queries as their
-// namesakes but build the path plan through a prebuilt pathexpr.Index, so
-// only the edges of the queried labels are touched. They are the amortized
-// route for callers (the engine package) that run many queries against one
-// immutable instance.
+// The *IndexedCtx functions below answer the same Section 6.2 queries as
+// their index-free namesakes but build the path plan through a prebuilt
+// pathexpr.Index, so only the edges of the queried labels are touched.
+// They are the amortized route for callers (the engine package) that run
+// many queries against one immutable instance.
 //
-// The *IndexedCtx variants additionally honour a context-carried
-// resource governor (govern.From): the ε recursion charges its OPF
-// scans against the query's step budget and polls cancellation at each
-// kept object. The plain variants delegate with context.Background().
+// They honour a context-carried resource governor (govern.From): the ε
+// recursion charges its OPF scans against the query's step budget and
+// polls cancellation at each kept object.
 //
 // Precondition: the instance's weak graph must be a tree. The caller is
 // expected to have verified that once (and cached the answer); the
 // variants do not repeat the O(V+E) check that dominates small queries.
 
-// PointQueryIndexed is PointQuery through a prebuilt index.
-func PointQueryIndexed(pi *core.ProbInstance, idx *pathexpr.Index, p pathexpr.Path, o model.ObjectID) (float64, error) {
-	return PointQueryIndexedCtx(context.Background(), pi, idx, p, o)
-}
-
-// PointQueryIndexedCtx is PointQueryIndexed under ctx's governor.
+// PointQueryIndexedCtx is PointQuery through a prebuilt index, under
+// ctx's governor.
 func PointQueryIndexedCtx(ctx context.Context, pi *core.ProbInstance, idx *pathexpr.Index, p pathexpr.Path, o model.ObjectID) (float64, error) {
 	return epsilonRoot(pi, idx, p, map[model.ObjectID]bool{o: true}, nil, govern.From(ctx))
 }
 
-// ExistsQueryIndexed is ExistsQuery through a prebuilt index.
-func ExistsQueryIndexed(pi *core.ProbInstance, idx *pathexpr.Index, p pathexpr.Path) (float64, error) {
-	return ExistsQueryIndexedCtx(context.Background(), pi, idx, p)
-}
-
-// ExistsQueryIndexedCtx is ExistsQueryIndexed under ctx's governor.
+// ExistsQueryIndexedCtx is ExistsQuery through a prebuilt index, under
+// ctx's governor.
 func ExistsQueryIndexedCtx(ctx context.Context, pi *core.ProbInstance, idx *pathexpr.Index, p pathexpr.Path) (float64, error) {
 	return epsilonRoot(pi, idx, p, nil, nil, govern.From(ctx))
 }
 
-// ValueExistsQueryIndexed is ValueExistsQuery through a prebuilt index.
-func ValueExistsQueryIndexed(pi *core.ProbInstance, idx *pathexpr.Index, p pathexpr.Path, v model.Value) (float64, error) {
-	return ValueExistsQueryIndexedCtx(context.Background(), pi, idx, p, v)
-}
-
-// ValueExistsQueryIndexedCtx is ValueExistsQueryIndexed under ctx's governor.
+// ValueExistsQueryIndexedCtx is ValueExistsQuery through a prebuilt index,
+// under ctx's governor.
 func ValueExistsQueryIndexedCtx(ctx context.Context, pi *core.ProbInstance, idx *pathexpr.Index, p pathexpr.Path, v model.Value) (float64, error) {
 	success := func(o model.ObjectID) float64 {
 		if vpf := pi.VPF(o); vpf != nil {
@@ -60,12 +47,8 @@ func ValueExistsQueryIndexedCtx(ctx context.Context, pi *core.ProbInstance, idx 
 	return epsilonRoot(pi, idx, p, nil, success, govern.From(ctx))
 }
 
-// ValuePointQueryIndexed is ValuePointQuery through a prebuilt index.
-func ValuePointQueryIndexed(pi *core.ProbInstance, idx *pathexpr.Index, p pathexpr.Path, o model.ObjectID, v model.Value) (float64, error) {
-	return ValuePointQueryIndexedCtx(context.Background(), pi, idx, p, o, v)
-}
-
-// ValuePointQueryIndexedCtx is ValuePointQueryIndexed under ctx's governor.
+// ValuePointQueryIndexedCtx is ValuePointQuery through a prebuilt index,
+// under ctx's governor.
 func ValuePointQueryIndexedCtx(ctx context.Context, pi *core.ProbInstance, idx *pathexpr.Index, p pathexpr.Path, o model.ObjectID, v model.Value) (float64, error) {
 	success := func(m model.ObjectID) float64 {
 		if vpf := pi.VPF(m); vpf != nil {

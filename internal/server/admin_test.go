@@ -13,27 +13,19 @@ import (
 )
 
 func TestAdminBackupEndpoint(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewPersistent(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	root := t.TempDir()
+	s, ts := newTestServerWith(t, Config{StoreDir: t.TempDir(), BackupRoot: root})
 	if err := s.Put("bib", fixtures.Figure2()); err != nil {
 		t.Fatal(err)
 	}
-	root := t.TempDir()
-	s.SetBackupRoot(root)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
 
 	// No destination → 400.
-	resp, body := do(t, "POST", ts.URL+"/admin/backup", "", "application/json")
+	resp, body := do(t, "POST", ts.URL+"/v1/admin/backup", "", "application/json")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("backup without dir: status %d: %s", resp.StatusCode, body)
 	}
 
-	resp, body = do(t, "POST", ts.URL+"/admin/backup", `{"dir": "bkup"}`, "application/json")
+	resp, body = do(t, "POST", ts.URL+"/v1/admin/backup", `{"dir": "bkup"}`, "application/json")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("backup: status %d: %s", resp.StatusCode, body)
 	}
@@ -54,7 +46,7 @@ func TestAdminBackupEndpoint(t *testing.T) {
 	if _, err := store.Restore(bdir, target, store.RestoreOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewPersistent(target)
+	r, err := New(Config{StoreDir: target})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,38 +56,30 @@ func TestAdminBackupEndpoint(t *testing.T) {
 	}
 
 	// Backing up into the same (now non-empty) destination fails cleanly.
-	resp, body = do(t, "POST", ts.URL+"/admin/backup?dir=bkup", "", "application/json")
+	resp, body = do(t, "POST", ts.URL+"/v1/admin/backup?dir=bkup", "", "application/json")
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("backup into non-empty dir: status %d: %s", resp.StatusCode, body)
 	}
 }
 
 func TestAdminBackupConfinedToRoot(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewPersistent(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
 	// Without a configured backup root the endpoint is disabled outright.
-	resp, body := do(t, "POST", ts.URL+"/admin/backup?dir=x", "", "application/json")
+	_, closed := newTestServerWith(t, Config{StoreDir: t.TempDir()})
+	resp, body := do(t, "POST", closed.URL+"/v1/admin/backup?dir=x", "", "application/json")
 	if resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("backup without root: status %d: %s", resp.StatusCode, body)
 	}
 
-	s.SetBackupRoot(t.TempDir())
+	_, ts := newTestServerWith(t, Config{StoreDir: t.TempDir(), BackupRoot: t.TempDir()})
 	for _, dest := range []string{"/etc/pxml-pwned", "../escape", "a/../../escape", ".", "sub/.."} {
-		resp, body := do(t, "POST", ts.URL+"/admin/backup?dir="+url.QueryEscape(dest), "", "application/json")
+		resp, body := do(t, "POST", ts.URL+"/v1/admin/backup?dir="+url.QueryEscape(dest), "", "application/json")
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("backup dir=%q: status %d (want 400): %s", dest, resp.StatusCode, body)
 		}
 	}
 
 	// Nested relative names are fine — still under the root.
-	resp, body = do(t, "POST", ts.URL+"/admin/backup?dir="+url.QueryEscape("nightly/mon"), "", "application/json")
+	resp, body = do(t, "POST", ts.URL+"/v1/admin/backup?dir="+url.QueryEscape("nightly/mon"), "", "application/json")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("backup dir=nightly/mon: status %d: %s", resp.StatusCode, body)
 	}
@@ -105,29 +89,22 @@ func TestAdminBackupWithoutStore(t *testing.T) {
 	s := MustNew(Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	resp, body := do(t, "POST", ts.URL+"/admin/backup?dir=/tmp/x", "", "application/json")
+	resp, body := do(t, "POST", ts.URL+"/v1/admin/backup?dir=/tmp/x", "", "application/json")
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("backup on memory-only server: status %d: %s", resp.StatusCode, body)
 	}
-	resp, body = do(t, "POST", ts.URL+"/admin/scrub", "", "application/json")
+	resp, body = do(t, "POST", ts.URL+"/v1/admin/scrub", "", "application/json")
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("scrub on memory-only server: status %d: %s", resp.StatusCode, body)
 	}
 }
 
 func TestAdminScrubEndpoint(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewPersistent(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s, ts := newTestServerWith(t, Config{StoreDir: t.TempDir()})
 	if err := s.Put("bib", fixtures.Figure2()); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	resp, body := do(t, "POST", ts.URL+"/admin/scrub", "", "application/json")
+	resp, body := do(t, "POST", ts.URL+"/v1/admin/scrub", "", "application/json")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("scrub: status %d: %s", resp.StatusCode, body)
 	}

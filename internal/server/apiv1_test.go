@@ -25,43 +25,35 @@ func noRedirect() *http.Client {
 	}
 }
 
-func TestLegacyPathsRedirectToV1(t *testing.T) {
+// TestLegacyPathsAnswer404: the pre-v1 unversioned paths are gone; they
+// answer the not_found envelope, which names the prefix to use. A routed
+// path asked with the wrong method stays a 405.
+func TestLegacyPathsAnswer404(t *testing.T) {
 	s, ts := newTestServer(t)
 	if err := s.Put("fig", fixtures.Figure2()); err != nil {
 		t.Fatal(err)
 	}
-	c := noRedirect()
-	cases := []struct {
-		method, path, want string
-	}{
-		{"GET", "/instances", "/v1/instances"},
-		{"GET", "/instances/fig", "/v1/instances/fig"},
-		{"POST", "/instances/fig/query", "/v1/instances/fig/query"},
-		{"GET", "/metrics", "/v1/metrics"},
-		{"POST", "/admin/scrub", "/v1/admin/scrub"},
-		{"POST", "/instances/fig/query?store=x", "/v1/instances/fig/query?store=x"},
-	}
-	for _, tc := range cases {
-		req, _ := http.NewRequest(tc.method, ts.URL+tc.path, nil)
-		resp, err := c.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusPermanentRedirect {
-			t.Errorf("%s %s = %d, want 308", tc.method, tc.path, resp.StatusCode)
-			continue
-		}
-		if loc := resp.Header.Get("Location"); loc != tc.want {
-			t.Errorf("%s %s Location = %q, want %q", tc.method, tc.path, loc, tc.want)
+	for _, tc := range []struct{ method, path string }{
+		{"GET", "/instances"},
+		{"GET", "/instances/fig"},
+		{"POST", "/instances/fig/query"},
+		{"GET", "/metrics"},
+		{"POST", "/admin/scrub"},
+		{"POST", "/instances/fig/query?store=x"},
+		{"GET", "/v1/nonsense"},
+	} {
+		resp, body := do(t, tc.method, ts.URL+tc.path, "", "")
+		e := apiv1.ErrorFromBody(resp.StatusCode, []byte(body))
+		if resp.StatusCode != http.StatusNotFound || e.Code != apiv1.CodeNotFound || !strings.Contains(e.Message, apiv1.Prefix) {
+			t.Errorf("%s %s = %d %s, want the 404 not_found envelope naming %s", tc.method, tc.path, resp.StatusCode, body, apiv1.Prefix)
 		}
 	}
-
-	// A redirect-following client (the default) transparently completes
-	// the request, body and all.
-	resp, body := do(t, "POST", ts.URL+"/instances/fig/query", "PROB EXISTS R.book", "text/plain")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(body, "prob") {
-		t.Errorf("legacy query through redirect = %d: %s", resp.StatusCode, body)
+	if _, ok := s.Get("x"); ok {
+		t.Error("a legacy ?store= query stored its result")
+	}
+	resp, _ := do(t, "POST", ts.URL+"/v1/metrics", "", "")
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET" {
+		t.Errorf("POST /v1/metrics = %d Allow %q, want 405 Allow GET", resp.StatusCode, resp.Header.Get("Allow"))
 	}
 }
 
@@ -201,6 +193,13 @@ func TestAdmissionQuota429WithRetryAfter(t *testing.T) {
 	if !e.Retryable() {
 		t.Error("quota shed not marked retryable")
 	}
+
+	// The tenant is the whole decoded name: an encoded slash does not cut
+	// it short (and so charge "has").
+	do(t, "PUT", ts.URL+"/v1/instances/has%2Fslash", "pxml/1\nroot r\n", "text/plain")
+	if n := s.reg.Counter("admission_admitted.has/slash").Value(); n != 1 {
+		t.Errorf("admission_admitted.has/slash = %d, want 1 (has: %d)", n, s.reg.Counter("admission_admitted.has").Value())
+	}
 }
 
 // TestTwoTenantOverloadIsolation is the acceptance scenario: a hot tenant
@@ -337,6 +336,62 @@ func TestAdmissionBypassForProbes(t *testing.T) {
 	}
 }
 
+// TestRouteStacks walks the route table and checks, from inside each
+// route's handler, which middleware its stack put around it. What a path
+// is owed is stated here by prefix, not read back from the table's class.
+func TestRouteStacks(t *testing.T) {
+	const token = "s3cret"
+	s := MustNew(Config{
+		AdminToken:     token,
+		MaxInflight:    4,
+		RequestTimeout: time.Minute,
+		DefaultQuota:   admission.Quota{Rate: 1000, Burst: 1000},
+	})
+	for _, rt := range s.routes() {
+		method, path, _ := strings.Cut(rt.pattern, " ")
+		var gated, admitted, limited, deadline bool
+		switch {
+		case path == "/healthz", path == "/readyz":
+		case strings.HasPrefix(path, "/v1/repl/"):
+			gated = true
+		case strings.HasPrefix(path, "/v1/admin/"):
+			gated, limited, deadline = true, true, true
+		default:
+			admitted, limited, deadline = true, true, true
+		}
+
+		ran := false
+		spy := rt
+		spy.handle = func(w http.ResponseWriter, r *http.Request) {
+			ran = true
+			if got := s.adm.State().Inflight == 1; got != admitted {
+				t.Errorf("%s: inside admission = %v, want %v", rt.pattern, got, admitted)
+			}
+			if got := len(s.sem) == 1; got != limited {
+				t.Errorf("%s: inside the limiter = %v, want %v", rt.pattern, got, limited)
+			}
+			if _, got := r.Context().Deadline(); got != deadline {
+				t.Errorf("%s: under the deadline = %v, want %v", rt.pattern, got, deadline)
+			}
+		}
+		h := s.stack(spy)
+
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, nil))
+		if gated != (rec.Code == http.StatusUnauthorized) || gated == ran {
+			t.Errorf("%s without the token: status %d, handler ran = %v; want gated = %v", rt.pattern, rec.Code, ran, gated)
+		}
+		if gated {
+			req := httptest.NewRequest(method, path, nil)
+			req.Header.Set("Authorization", "Bearer "+token)
+			h.ServeHTTP(httptest.NewRecorder(), req)
+			if !ran {
+				t.Errorf("%s with the token: handler did not run", rt.pattern)
+			}
+		}
+	}
+}
+
 func TestConfigValidatesQuotasAndTelemetry(t *testing.T) {
 	if _, err := New(Config{DefaultQuota: admission.Quota{Rate: 5, Burst: 0.1}}); err == nil {
 		t.Error("New accepted unusable default quota")
@@ -346,9 +401,6 @@ func TestConfigValidatesQuotasAndTelemetry(t *testing.T) {
 	}
 	if _, err := New(Config{StatsdAddr: "sink:8125", StatsdNetwork: "carrier-pigeon"}); err == nil {
 		t.Error("New accepted unsupported statsd network")
-	}
-	if _, err := New(Config{StoreDir: "a", FilesDir: "b"}); err == nil {
-		t.Error("New accepted StoreDir+FilesDir together")
 	}
 }
 

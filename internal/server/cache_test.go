@@ -154,7 +154,7 @@ func TestResultCacheInvalidationOnDelete(t *testing.T) {
 
 func TestResultCacheServesDegradedStore(t *testing.T) {
 	ffs := vfs.NewFaultFS(nil)
-	s, _, err := NewWithStore(t.TempDir(), store.Options{Fsync: store.FsyncAlways, FS: ffs})
+	s, err := New(Config{StoreDir: t.TempDir(), StoreOptions: store.Options{Fsync: store.FsyncAlways, FS: ffs}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,11 +74,11 @@ func TestGovernorConfigValidation(t *testing.T) {
 // with 422 intractable — a structural verdict, not a retryable one.
 func TestQueryIntractableHTTP(t *testing.T) {
 	_, ts := newGovServer(t, Config{QueryMaxNodes: 1 << 20, QueryMaxBytes: 64 << 20})
-	if resp, body := do(t, "PUT", ts.URL+"/instances/bomb", widthBombText(t), "text/plain"); resp.StatusCode/100 != 2 {
+	if resp, body := do(t, "PUT", ts.URL+"/v1/instances/bomb", widthBombText(t), "text/plain"); resp.StatusCode/100 != 2 {
 		t.Fatalf("upload: %d %s", resp.StatusCode, body)
 	}
 	start := time.Now()
-	resp, body := do(t, "POST", ts.URL+"/instances/bomb/query", "PROB OBJECT leaf0", "text/plain")
+	resp, body := do(t, "POST", ts.URL+"/v1/instances/bomb/query", "PROB OBJECT leaf0", "text/plain")
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("status = %d, want 422: %s", resp.StatusCode, body)
 	}
@@ -96,8 +96,8 @@ func TestQueryIntractableHTTP(t *testing.T) {
 // the step budget gets 503 budget_exceeded with a Retry-After hint.
 func TestQueryBudgetExceededHTTP(t *testing.T) {
 	_, ts := newGovServer(t, Config{QueryMaxNodes: 1000})
-	do(t, "PUT", ts.URL+"/instances/bib", figure2Text(t), "text/plain")
-	resp, body := do(t, "POST", ts.URL+"/instances/bib/query", "ESTIMATE 1000000 EXISTS R.book", "text/plain")
+	do(t, "PUT", ts.URL+"/v1/instances/bib", figure2Text(t), "text/plain")
+	resp, body := do(t, "POST", ts.URL+"/v1/instances/bib/query", "ESTIMATE 1000000 EXISTS R.book", "text/plain")
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503: %s", resp.StatusCode, body)
 	}
@@ -112,7 +112,7 @@ func TestQueryBudgetExceededHTTP(t *testing.T) {
 		t.Fatal("missing Retry-After header")
 	}
 	// A statement under budget on the same server still succeeds.
-	resp, body = do(t, "POST", ts.URL+"/instances/bib/query", "ESTIMATE 20 EXISTS R.book", "text/plain")
+	resp, body = do(t, "POST", ts.URL+"/v1/instances/bib/query", "ESTIMATE 20 EXISTS R.book", "text/plain")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("small estimate: %d %s", resp.StatusCode, body)
 	}
@@ -128,18 +128,18 @@ func TestBreakerLifecycleHTTP(t *testing.T) {
 		BreakerCooldown:  cooldown,
 		BreakerProbes:    1,
 	})
-	do(t, "PUT", ts.URL+"/instances/bib", figure2Text(t), "text/plain")
+	do(t, "PUT", ts.URL+"/v1/instances/bib", figure2Text(t), "text/plain")
 	big := "ESTIMATE 1000000 EXISTS R.book"
 
 	// Two budget trips open the estimate breaker.
 	for i := 0; i < 2; i++ {
-		resp, body := do(t, "POST", ts.URL+"/instances/bib/query", big, "text/plain")
+		resp, body := do(t, "POST", ts.URL+"/v1/instances/bib/query", big, "text/plain")
 		if e := envCode(t, resp, body); e.Code != apiv1.CodeBudgetExceeded {
 			t.Fatalf("trip %d: code = %q, want budget_exceeded", i, e.Code)
 		}
 	}
 	// Now even a cheap estimate is shed without reaching the engine.
-	resp, body := do(t, "POST", ts.URL+"/instances/bib/query", "ESTIMATE 20 EXISTS R.book", "text/plain")
+	resp, body := do(t, "POST", ts.URL+"/v1/instances/bib/query", "ESTIMATE 20 EXISTS R.book", "text/plain")
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("shed status = %d: %s", resp.StatusCode, body)
 	}
@@ -149,21 +149,21 @@ func TestBreakerLifecycleHTTP(t *testing.T) {
 		t.Fatal("breaker_open must carry a retry hint")
 	}
 	// Other statement shapes are unaffected by the estimate breaker.
-	if resp, body := do(t, "POST", ts.URL+"/instances/bib/query", "STATS", "text/plain"); resp.StatusCode != http.StatusOK {
+	if resp, body := do(t, "POST", ts.URL+"/v1/instances/bib/query", "STATS", "text/plain"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("unrelated shape shed too: %d %s", resp.StatusCode, body)
 	}
 
 	// After the cooldown a half-open probe that succeeds recloses it.
 	time.Sleep(cooldown + 50*time.Millisecond)
-	if resp, body := do(t, "POST", ts.URL+"/instances/bib/query", "ESTIMATE 20 EXISTS R.book", "text/plain"); resp.StatusCode != http.StatusOK {
+	if resp, body := do(t, "POST", ts.URL+"/v1/instances/bib/query", "ESTIMATE 20 EXISTS R.book", "text/plain"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("half-open probe: %d %s", resp.StatusCode, body)
 	}
 	// Closed again: the next cheap estimate is admitted (not shed), and a
 	// single new failure does not reopen (threshold is 2).
-	if resp, body := do(t, "POST", ts.URL+"/instances/bib/query", "ESTIMATE 20 EXISTS R.book", "text/plain"); resp.StatusCode != http.StatusOK {
+	if resp, body := do(t, "POST", ts.URL+"/v1/instances/bib/query", "ESTIMATE 20 EXISTS R.book", "text/plain"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-reclose estimate: %d %s", resp.StatusCode, body)
 	}
-	resp, body = do(t, "POST", ts.URL+"/instances/bib/query", big, "text/plain")
+	resp, body = do(t, "POST", ts.URL+"/v1/instances/bib/query", big, "text/plain")
 	if e := envCode(t, resp, body); e.Code != apiv1.CodeBudgetExceeded {
 		t.Fatalf("post-reclose failure code = %q, want budget_exceeded (breaker closed)", e.Code)
 	}
@@ -178,11 +178,11 @@ func TestBatchBreakerShedsInline(t *testing.T) {
 		BreakerThreshold: 1,
 		BreakerCooldown:  time.Hour,
 	})
-	do(t, "PUT", ts.URL+"/instances/bib", figure2Text(t), "text/plain")
+	do(t, "PUT", ts.URL+"/v1/instances/bib", figure2Text(t), "text/plain")
 	// One trip opens the estimate breaker (threshold 1).
-	do(t, "POST", ts.URL+"/instances/bib/query", "ESTIMATE 1000000 EXISTS R.book", "text/plain")
+	do(t, "POST", ts.URL+"/v1/instances/bib/query", "ESTIMATE 1000000 EXISTS R.book", "text/plain")
 
-	resp, body := do(t, "POST", ts.URL+"/instances/bib/batch", "ESTIMATE 20 EXISTS R.book\nSTATS", "text/plain")
+	resp, body := do(t, "POST", ts.URL+"/v1/instances/bib/batch", "ESTIMATE 20 EXISTS R.book\nSTATS", "text/plain")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status = %d: %s", resp.StatusCode, body)
 	}
@@ -213,9 +213,9 @@ func TestMetricsGovernorSection(t *testing.T) {
 		BreakerThreshold: 1,
 		BreakerCooldown:  time.Hour,
 	})
-	do(t, "PUT", ts.URL+"/instances/bomb", widthBombText(t), "text/plain")
+	do(t, "PUT", ts.URL+"/v1/instances/bomb", widthBombText(t), "text/plain")
 	// One intractable refusal: counts, trips the point breaker.
-	do(t, "POST", ts.URL+"/instances/bomb/query", "PROB OBJECT leaf0", "text/plain")
+	do(t, "POST", ts.URL+"/v1/instances/bomb/query", "PROB OBJECT leaf0", "text/plain")
 
 	resp, body := do(t, "GET", ts.URL+"/v1/metrics", "", "")
 	if resp.StatusCode != http.StatusOK {
@@ -263,10 +263,10 @@ func TestChaosWidthBombShedding(t *testing.T) {
 		BreakerCooldown:  50 * time.Millisecond,
 		BreakerProbes:    1,
 	})
-	if resp, body := do(t, "PUT", ts.URL+"/instances/bomb", widthBombText(t), "text/plain"); resp.StatusCode/100 != 2 {
+	if resp, body := do(t, "PUT", ts.URL+"/v1/instances/bomb", widthBombText(t), "text/plain"); resp.StatusCode/100 != 2 {
 		t.Fatalf("bomb upload: %d %s", resp.StatusCode, body)
 	}
-	do(t, "PUT", ts.URL+"/instances/bib", figure2Text(t), "text/plain")
+	do(t, "PUT", ts.URL+"/v1/instances/bib", figure2Text(t), "text/plain")
 
 	const attackers, rounds = 4, 8
 	var wg sync.WaitGroup
@@ -276,7 +276,7 @@ func TestChaosWidthBombShedding(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				resp, body := do(t, "POST", ts.URL+"/instances/bomb/query", "PROB OBJECT leaf0", "text/plain")
+				resp, body := do(t, "POST", ts.URL+"/v1/instances/bomb/query", "PROB OBJECT leaf0", "text/plain")
 				e := apiv1.ErrorFromBody(resp.StatusCode, []byte(body))
 				switch e.Code {
 				case apiv1.CodeIntractable, apiv1.CodeBreakerOpen:
@@ -294,10 +294,10 @@ func TestChaosWidthBombShedding(t *testing.T) {
 			if resp, _ := do(t, "GET", ts.URL+"/readyz", "", ""); resp.StatusCode != http.StatusOK {
 				errs <- "readyz " + resp.Status
 			}
-			if resp, body := do(t, "PUT", ts.URL+"/instances/w"+string(rune('a'+i)), figure2Text(t), "text/plain"); resp.StatusCode/100 != 2 {
+			if resp, body := do(t, "PUT", ts.URL+"/v1/instances/w"+string(rune('a'+i)), figure2Text(t), "text/plain"); resp.StatusCode/100 != 2 {
 				errs <- "write: " + resp.Status + " " + body
 			}
-			if resp, body := do(t, "POST", ts.URL+"/instances/bib/query", "PROB OBJECT A1", "text/plain"); resp.StatusCode != http.StatusOK {
+			if resp, body := do(t, "POST", ts.URL+"/v1/instances/bib/query", "PROB OBJECT A1", "text/plain"); resp.StatusCode != http.StatusOK {
 				errs <- "healthy query: " + resp.Status + " " + body
 			}
 		}

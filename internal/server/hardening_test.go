@@ -69,17 +69,11 @@ func TestHealthzAndReadyz(t *testing.T) {
 // every fsync fails, yet the service stays up read-only.
 func TestDegradedStoreKeepsServingReads(t *testing.T) {
 	ffs := vfs.NewFaultFS(nil)
-	s, _, err := NewWithStore(t.TempDir(), store.Options{Fsync: store.FsyncAlways, FS: ffs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	_, ts := newTestServerWith(t, Config{StoreDir: t.TempDir(), StoreOptions: store.Options{Fsync: store.FsyncAlways, FS: ffs}})
 	client := ts.Client()
 
 	putInstance := func(name string) *http.Response {
-		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/instances/"+name, strings.NewReader(figure2Text(t)))
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/instances/"+name, strings.NewReader(figure2Text(t)))
 		resp, err := client.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -102,7 +96,7 @@ func TestDegradedStoreKeepsServingReads(t *testing.T) {
 	if resp := putInstance("also-doomed"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("PUT on degraded store = %d, want 503", resp.StatusCode)
 	}
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/instances/bib", nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/instances/bib", nil)
 	resp, err := client.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -113,10 +107,10 @@ func TestDegradedStoreKeepsServingReads(t *testing.T) {
 	}
 
 	// Reads and queries keep serving from memory.
-	if resp, _ := get(t, ts.URL+"/instances/bib"); resp.StatusCode != http.StatusOK {
+	if resp, _ := get(t, ts.URL+"/v1/instances/bib"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET on degraded store = %d, want 200", resp.StatusCode)
 	}
-	qresp, err := client.Post(ts.URL+"/instances/bib/query", "text/plain",
+	qresp, err := client.Post(ts.URL+"/v1/instances/bib/query", "text/plain",
 		strings.NewReader("PROB EXISTS R.book"))
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +131,7 @@ func TestDegradedStoreKeepsServingReads(t *testing.T) {
 	}
 
 	// /metrics carries the health section and the degraded gauge.
-	_, mbody := get(t, ts.URL+"/metrics")
+	_, mbody := get(t, ts.URL+"/v1/metrics")
 	var m struct {
 		Server map[string]any `json:"server"`
 		Store  struct {
@@ -156,8 +150,7 @@ func TestDegradedStoreKeepsServingReads(t *testing.T) {
 }
 
 func TestInflightLimiterSheds(t *testing.T) {
-	s := MustNew(Config{})
-	s.SetMaxInflight(1)
+	s := MustNew(Config{MaxInflight: 1})
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var enteredOnce sync.Once
@@ -212,32 +205,25 @@ func TestInflightLimiterSheds(t *testing.T) {
 }
 
 func TestHealthProbesBypassLimiter(t *testing.T) {
-	s, _ := newTestServer(t)
-	s.SetMaxInflight(1)
-	entered := make(chan struct{})
-	release := make(chan struct{})
+	s, ts := newTestServerWith(t, Config{MaxInflight: 1})
 
-	// Rebuild the handler with a hook occupying the API slot.
-	api := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		close(entered)
-		<-release
-	})
-	root := http.NewServeMux()
-	root.HandleFunc("GET /healthz", s.handleHealthz)
-	root.HandleFunc("GET /readyz", s.handleReadyz)
-	root.Handle("/", s.limitInflight(api))
-	ts := httptest.NewServer(root)
-	defer ts.Close()
-
+	// A PUT whose body never ends parks in the handler, holding the only
+	// slot.
+	body, feed := io.Pipe()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		resp, err := http.Get(ts.URL + "/instances")
-		if err == nil {
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/instances/parked", body)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
 			resp.Body.Close()
 		}
 	}()
-	<-entered
+	for len(s.sem) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if resp, _ := get(t, ts.URL+"/v1/instances"); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("API request under saturation = %d, want 429", resp.StatusCode)
+	}
 	if resp, _ := get(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz under saturation = %d, want 200", resp.StatusCode)
 	}
@@ -245,7 +231,7 @@ func TestHealthProbesBypassLimiter(t *testing.T) {
 		t.Fatalf("readyz under saturation = %d, want 200", resp.StatusCode)
 	}
 	// Unblock the parked request before ts.Close waits on it.
-	close(release)
+	feed.Close()
 	<-done
 }
 
@@ -255,7 +241,7 @@ func TestPanicRecovery(t *testing.T) {
 		panic("boom")
 	})))
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/instances", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/instances", nil))
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("panicking handler = %d, want 500", rec.Code)
 	}
@@ -273,23 +259,20 @@ func TestPanicRecovery(t *testing.T) {
 	}
 	// The server keeps serving after the panic.
 	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/instances", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/instances", nil))
 	if got := s.reg.Counter("http_panics").Value(); got != 2 {
 		t.Fatalf("http_panics after second panic = %d, want 2", got)
 	}
 }
 
 func TestRequestDeadlineAnswers503(t *testing.T) {
-	s, ts := newTestServer(t)
+	// The deadline expires before the engine runs.
+	s, ts := newTestServerWith(t, Config{RequestTimeout: time.Nanosecond})
 	if err := s.Put("fig", fixtures.Figure2()); err != nil {
 		t.Fatal(err)
 	}
-	s.SetRequestTimeout(time.Nanosecond) // expires before the engine runs
-	ts.Close()
-	ts2 := httptest.NewServer(s.Handler())
-	defer ts2.Close()
 
-	resp, err := http.Post(ts2.URL+"/instances/fig/query", "text/plain",
+	resp, err := http.Post(ts.URL+"/v1/instances/fig/query", "text/plain",
 		strings.NewReader("PROB EXISTS R.book"))
 	if err != nil {
 		t.Fatal(err)

@@ -233,7 +233,7 @@ func (s *Server) redirectToLeader(w http.ResponseWriter, r *http.Request) bool {
 	if leader == "" {
 		return false
 	}
-	target := leader + apiv1.Prefix + r.URL.Path
+	target := leader + r.URL.Path
 	if r.URL.RawQuery != "" {
 		target += "?" + r.URL.RawQuery
 	}
@@ -241,37 +241,23 @@ func (s *Server) redirectToLeader(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// checkToken enforces the configured bearer token, answering 401 and
-// reporting false when the request must not proceed. With no token
-// configured everything passes.
-func (s *Server) checkToken(w http.ResponseWriter, r *http.Request) bool {
-	if s.adminToken == "" {
-		return true
-	}
-	const scheme = "Bearer "
-	auth := r.Header.Get("Authorization")
-	if len(auth) > len(scheme) && strings.EqualFold(auth[:len(scheme)], scheme) &&
-		subtle.ConstantTimeCompare([]byte(auth[len(scheme):]), []byte(s.adminToken)) == 1 {
-		return true
-	}
-	w.Header().Set("WWW-Authenticate", `Bearer realm="pxmld"`)
-	apiv1.WriteError(w, http.StatusUnauthorized, apiv1.CodeUnauthorized,
-		"this endpoint requires the server's bearer token (Authorization: Bearer ...)")
-	return false
-}
-
-// authAdmin gates the /v1/admin/* surface behind the bearer token when
-// one is configured. It wraps the whole v1 chain (before admission's
-// admin bypass) so no admin handler is reachable unauthenticated.
-func (s *Server) authAdmin(next http.Handler) http.Handler {
+// requireToken gates the /v1/admin/* and /v1/repl/* routes behind the
+// bearer token when one is configured, answering 401 without it.
+func (s *Server) requireToken(next http.Handler) http.Handler {
 	if s.adminToken == "" {
 		return next
 	}
+	const scheme = "Bearer "
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, apiv1.Prefix+"/admin/") && !s.checkToken(w, r) {
+		auth := r.Header.Get("Authorization")
+		if len(auth) > len(scheme) && strings.EqualFold(auth[:len(scheme)], scheme) &&
+			subtle.ConstantTimeCompare([]byte(auth[len(scheme):]), []byte(s.adminToken)) == 1 {
+			next.ServeHTTP(w, r)
 			return
 		}
-		next.ServeHTTP(w, r)
+		w.Header().Set("WWW-Authenticate", `Bearer realm="pxmld"`)
+		apiv1.WriteError(w, http.StatusUnauthorized, apiv1.CodeUnauthorized,
+			"this endpoint requires the server's bearer token (Authorization: Bearer ...)")
 	})
 }
 
@@ -281,9 +267,6 @@ func (s *Server) authAdmin(next http.Handler) http.Handler {
 // Followers serve it too — their store streams exactly like a leader's,
 // so replicas can chain.
 func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
-	if !s.checkToken(w, r) {
-		return
-	}
 	if s.store == nil {
 		apiv1.WriteError(w, http.StatusConflict, apiv1.CodeConflict,
 			"server has no durable store to replicate")
@@ -298,9 +281,6 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 // handleReplBootstrap serves GET /v1/repl/bootstrap: a tar of a fresh
 // backup a new follower restores from.
 func (s *Server) handleReplBootstrap(w http.ResponseWriter, r *http.Request) {
-	if !s.checkToken(w, r) {
-		return
-	}
 	if s.store == nil {
 		apiv1.WriteError(w, http.StatusConflict, apiv1.CodeConflict,
 			"server has no durable store to replicate")

@@ -2,42 +2,45 @@
 // HTTP, turning the PXML library into a small probabilistic
 // semistructured database service:
 //
-//	GET    /instances                 list instances with summary stats
-//	PUT    /instances/{name}          store an instance (text or JSON body)
-//	GET    /instances/{name}          fetch an instance (Accept: application/json for JSON)
-//	DELETE /instances/{name}          drop an instance
-//	GET    /instances/{name}/dot      Graphviz rendering of the weak graph
-//	POST   /instances/{name}/query    execute one pxql statement (text body);
-//	                                  ?store=<new> keeps an instance-valued
-//	                                  result in the catalog under that name
-//	POST   /instances/{name}/batch    execute many statements (one per line)
-//	                                  concurrently over the engine's pool
-//	GET    /metrics                   JSON snapshot: server counters plus
-//	                                  per-instance engine metrics
-//	POST   /admin/backup              cut an online backup of the durable
-//	                                  store into a subdirectory of the
-//	                                  configured backup root (403 until
-//	                                  SetBackupRoot / pxmld -backup-dir)
-//	POST   /admin/scrub               synchronous checksum scrub of the
-//	                                  store's at-rest files
-//	GET    /healthz                   liveness: 200 while the process runs
-//	GET    /readyz                    readiness: 503 while draining or the
-//	                                  store is degraded
+//	GET    /v1/instances               list instances with summary stats
+//	PUT    /v1/instances/{name}        store an instance (text or JSON body)
+//	GET    /v1/instances/{name}        fetch an instance (Accept: application/json for JSON)
+//	DELETE /v1/instances/{name}        drop an instance
+//	GET    /v1/instances/{name}/dot    Graphviz rendering of the weak graph
+//	POST   /v1/instances/{name}/query  execute one pxql statement (text body);
+//	                                   ?store=<new> keeps an instance-valued
+//	                                   result in the catalog under that name
+//	POST   /v1/instances/{name}/batch  execute many statements (one per line)
+//	                                   concurrently over the engine's pool
+//	GET    /v1/metrics                 JSON snapshot: server counters plus
+//	                                   per-instance engine metrics
+//	POST   /v1/admin/backup            cut an online backup of the durable
+//	                                   store into a subdirectory of the
+//	                                   configured backup root (403 without
+//	                                   Config.BackupRoot / pxmld -backup-dir)
+//	POST   /v1/admin/scrub             synchronous checksum scrub of the
+//	                                   store's at-rest files
+//	GET    /healthz                    liveness: 200 while the process runs
+//	GET    /readyz                     readiness: 503 while draining or the
+//	                                   store is degraded
 //
+// (routes lists every route, including quotas, failover and replication.)
 // Query responses are JSON: {"text": ..., "prob": ..., "stored": ...}.
-// Errors are structured JSON: {"error": ...} with the matching status code
-// (400 malformed, 404 unknown, 413 oversized body, 422 invalid instance or
-// failing statement, 429 shed under overload with Retry-After, 503 for
-// expired request deadlines and writes against a degraded store).
+// Errors are the v1 envelope {"error": {"code", "message"}} with the
+// matching status code (400 malformed, 404 unknown, 413 oversized body,
+// 422 invalid instance or failing statement, 429 shed under overload with
+// Retry-After, 503 for expired request deadlines and writes against a
+// degraded store).
 //
 // The handler stack is hardened for production traffic: a panic in any
-// handler is recovered to a 500 (and counted), SetRequestTimeout bounds
-// each request with a context deadline, and SetMaxInflight sheds excess
-// concurrent requests with 429 + Retry-After instead of queueing without
-// bound. Health probes bypass the limiter so liveness checks still answer
-// under overload. When the backing store degrades (unrecoverable disk
-// errors), writes fail fast with 503 while reads and queries keep serving
-// from memory — the catalog never silently diverges from disk.
+// handler is recovered to a 500 (and counted), Config.RequestTimeout
+// bounds each request with a context deadline, and Config.MaxInflight
+// sheds excess concurrent requests with 429 + Retry-After instead of
+// queueing without bound. Health probes bypass the limiter so liveness
+// checks still answer under overload. When the backing store degrades
+// (unrecoverable disk errors), writes fail fast with 503 while reads and
+// queries keep serving from memory — the catalog never silently diverges
+// from disk.
 //
 // Each stored instance is wrapped in an engine.Engine, so repeated queries
 // against the same instance reuse its cached path index, compiled Bayesian
@@ -56,7 +59,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
@@ -82,7 +84,7 @@ import (
 	"pxml/internal/telemetry"
 )
 
-// defaultMaxBody bounds instance-upload bodies unless SetMaxBody overrides.
+// defaultMaxBody bounds instance-upload bodies unless Config.MaxBody overrides.
 const defaultMaxBody = 64 << 20
 
 // defaultResultCacheBytes bounds the shared query-result cache.
@@ -92,8 +94,8 @@ const defaultResultCacheBytes = 32 << 20
 const maxStatementBytes = 1 << 20
 
 // Server is a concurrency-safe catalog of named query engines, optionally
-// backed by the durable storage engine (see NewPersistent) or, for the
-// legacy layout, by a directory of flat text files (NewPersistentFiles).
+// backed by the durable storage engine (see Config.StoreDir). Everything
+// Config sets is fixed at construction.
 type Server struct {
 	mu sync.RWMutex
 	// engines is the published engine registry: an immutable map behind
@@ -104,9 +106,8 @@ type Server struct {
 	// servers build engines on demand: a name missing here but live in
 	// the store materializes through Engine's slow path.
 	engines    atomic.Pointer[map[string]*engine.Engine]
-	store      *store.Store // log-structured persistence; nil unless NewPersistent/NewWithStore
-	dir        string       // legacy flat-file persistence; "" unless NewPersistentFiles
-	backupRoot string       // /admin/backup destination root; "" = endpoint disabled
+	store      *store.Store // log-structured persistence; nil without Config.StoreDir
+	backupRoot string       // /v1/admin/backup destination root; "" = endpoint disabled
 	maxBody    int64
 	log        *slog.Logger
 
@@ -162,22 +163,23 @@ type Server struct {
 	proberDone    chan struct{}
 }
 
-// Config collects every construction-time knob in one validated place,
-// replacing the former grow-a-setter surface. The zero value is a fully
-// working in-memory server: defaults are applied by New, and invalid
-// combinations (negative limits, unusable quotas, a bad telemetry
-// address) are rejected there rather than surfacing as misbehavior at
-// serve time.
+// Config collects every construction-time knob in one validated place.
+// The zero value is a fully working in-memory server: defaults are
+// applied by New, and invalid combinations (negative limits, unusable
+// quotas, a bad telemetry address) are rejected there rather than
+// surfacing as misbehavior at serve time.
 type Config struct {
 	// StoreDir enables the durable log-structured store in this
-	// directory (see NewPersistent for recovery semantics).
+	// directory: writes go through a write-ahead log with periodic
+	// snapshots, and New runs crash recovery (replaying snapshot-then-WAL,
+	// quarantining corrupt records, truncating torn tails; see
+	// RecoveryReport). A directory of one-file-per-instance <name>.pxml
+	// text files is migrated on first open. Names are restricted to
+	// [A-Za-z0-9_-]+ to keep durable artifacts unambiguous.
 	StoreDir string
 	// StoreOptions tunes the durable store; only read with StoreDir.
 	// Its Registry is overridden with the server's own.
 	StoreOptions store.Options
-	// FilesDir enables the legacy flat-file persistence layout instead.
-	// Mutually exclusive with StoreDir.
-	FilesDir string
 
 	// Logger enables structured request/lifecycle logging; nil disables.
 	Logger *slog.Logger
@@ -293,9 +295,6 @@ type Config struct {
 // rest. The telemetry flush loop (if configured) starts immediately;
 // Close stops it.
 func New(cfg Config) (*Server, error) {
-	if cfg.StoreDir != "" && cfg.FilesDir != "" {
-		return nil, fmt.Errorf("server: StoreDir and FilesDir are mutually exclusive")
-	}
 	if cfg.FollowLeader != "" && cfg.StoreDir == "" {
 		return nil, fmt.Errorf("server: FollowLeader requires StoreDir (the replica's WAL mirror)")
 	}
@@ -402,8 +401,7 @@ func New(cfg Config) (*Server, error) {
 		s.outboundToken = cfg.AdminToken
 	}
 
-	switch {
-	case cfg.StoreDir != "":
+	if cfg.StoreDir != "" {
 		opts := cfg.StoreOptions
 		if opts.Registry == nil {
 			opts.Registry = s.reg
@@ -426,10 +424,6 @@ func New(cfg Config) (*Server, error) {
 		// Engines build lazily: Engine's slow path materializes one on a
 		// name's first query. Cold open therefore costs the store's
 		// frame scan, not a full decode + engine build per instance.
-	case cfg.FilesDir != "":
-		if err := s.loadFlatFiles(cfg.FilesDir); err != nil {
-			return nil, err
-		}
 	}
 
 	if cfg.FollowLeader != "" {
@@ -466,72 +460,6 @@ func MustNew(cfg Config) *Server {
 // nil when the server is not store-backed.
 func (s *Server) RecoveryReport() *store.RecoveryReport { return s.report }
 
-// SetLogger enables structured request logging through l (nil disables).
-//
-// Deprecated: set Config.Logger instead.
-func (s *Server) SetLogger(l *slog.Logger) { s.log = l }
-
-// SetMaxBody overrides the instance-upload size limit (bytes).
-//
-// Deprecated: set Config.MaxBody instead.
-func (s *Server) SetMaxBody(n int64) {
-	if n > 0 {
-		s.maxBody = n
-	}
-}
-
-// SetRequestTimeout bounds every API request with a context deadline;
-// handlers that outlive it answer 503. Zero disables.
-//
-// Deprecated: set Config.RequestTimeout instead.
-func (s *Server) SetRequestTimeout(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	s.reqTimeout = d
-}
-
-// SetMaxInflight caps concurrently served API requests; excess requests
-// are shed immediately with 429 + Retry-After rather than queued. Health
-// probes are exempt. Zero disables.
-//
-// Deprecated: set Config.MaxInflight instead (which also feeds the
-// admission tier's fairness capacity).
-func (s *Server) SetMaxInflight(n int) {
-	if n > 0 {
-		s.sem = make(chan struct{}, n)
-	} else {
-		s.sem = nil
-	}
-}
-
-// SetQueryWorkers bounds each engine's batch worker pool; n < 1 selects
-// GOMAXPROCS. Existing engines are rebuilt with the new bound (their
-// derived-structure caches restart cold).
-//
-// Deprecated: set Config.QueryWorkers instead.
-func (s *Server) SetQueryWorkers(n int) {
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.queryWorkers = n
-	s.mutateEnginesLocked(func(m map[string]*engine.Engine) {
-		for name, eng := range m {
-			m[name] = s.newEngine(name, eng.Instance())
-		}
-	})
-}
-
-// QueryWorkers returns the configured per-engine batch worker bound
-// (0 until SetQueryWorkers is called — the engine default applies).
-func (s *Server) QueryWorkers() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.queryWorkers
-}
-
 // newEngine wraps an instance in an engine wired to the shared result
 // cache under a fresh version prefix (the \x00 separator keeps any
 // name/statement pair from colliding with another prefix). Callers hold
@@ -563,15 +491,6 @@ func (s *Server) newEngine(name string, pi *core.ProbInstance) *engine.Engine {
 	return engine.New(pi, opts...)
 }
 
-// SetBackupRoot enables POST /v1/admin/backup and confines its
-// destinations to subdirectories of root. Until set the endpoint answers
-// 403: accepting arbitrary server-side paths would let any client that
-// can reach the API create directories and write store-content files
-// anywhere the process can.
-//
-// Deprecated: set Config.BackupRoot instead.
-func (s *Server) SetBackupRoot(root string) { s.backupRoot = root }
-
 // SetDraining flips the readiness probe: a draining server answers 503
 // on /readyz so load balancers stop routing to it, while in-flight and
 // new requests still complete. Safe to call at any time.
@@ -586,25 +505,20 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // rejects (degraded read-only mode, append failure) is not installed in
 // memory either, so the served catalog never silently diverges from
 // disk — the error matches store.ErrDegraded when the store has flipped
-// read-only. In legacy flat-file mode the in-memory catalog is updated
-// first and the error reports the persistence outcome.
+// read-only.
 func (s *Server) Put(name string, pi *core.ProbInstance) error {
-	if s.persistent() && !validName(name) {
-		return fmt.Errorf("server: name %q not storable (use [A-Za-z0-9_-])", name)
-	}
 	if s.store != nil {
+		if !validName(name) {
+			return fmt.Errorf("server: name %q not storable (use [A-Za-z0-9_-])", name)
+		}
 		if err := s.store.Put(name, pi); err != nil {
 			return err
 		}
-		s.mu.Lock()
-		s.mutateEnginesLocked(func(m map[string]*engine.Engine) { m[name] = s.newEngine(name, pi) })
-		s.mu.Unlock()
-		return nil
 	}
 	s.mu.Lock()
 	s.mutateEnginesLocked(func(m map[string]*engine.Engine) { m[name] = s.newEngine(name, pi) })
 	s.mu.Unlock()
-	return s.persist(name, pi)
+	return nil
 }
 
 // Get returns the named instance.
@@ -687,9 +601,6 @@ func (s *Server) Delete(name string) (bool, error) {
 	// fresh cache prefix; the dropped engine's entries are already
 	// unreachable and will age out of the LRU.
 	s.version.Add(1)
-	if existed && s.store == nil {
-		s.unpersist(name)
-	}
 	return existed, nil
 }
 
@@ -711,10 +622,6 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// persistent reports whether stored names must map to durable artifacts,
-// and hence are restricted to [A-Za-z0-9_-]+.
-func (s *Server) persistent() bool { return s.store != nil || s.dir != "" }
-
 // Names returns the stored names, sorted. Lock-free: the store's
 // catalog (which caches its sorted key list per epoch) on store-backed
 // servers, the published engine registry otherwise.
@@ -731,108 +638,126 @@ func (s *Server) Names() []string {
 	return out
 }
 
-// Handler returns the HTTP handler for the catalog. The API lives under
-// /v1/; unversioned legacy paths answer 308 Permanent Redirect onto
-// their /v1 equivalent (method- and body-preserving, so old clients that
-// follow redirects keep working). API routes run under the full
-// hardening stack — request metrics, optional structured logging, panic
-// recovery, per-tenant admission, the in-flight limiter, and the
-// per-request deadline; each route also records into its own percentile
-// timer (http_latency.<endpoint>). The /healthz and /readyz probes sit
-// outside the limiter, deadline, and admission so they keep answering
-// when the API is saturated.
-func (s *Server) Handler() http.Handler {
-	// route tags a handler with its per-endpoint percentile timer.
-	route := func(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-		t := s.reg.Timer("http_latency." + endpoint)
-		return func(w http.ResponseWriter, r *http.Request) {
-			start := time.Now()
-			h(w, r)
-			t.Observe(time.Since(start))
-		}
-	}
-	api := http.NewServeMux()
-	api.HandleFunc("GET /instances", route("list", s.handleList))
-	api.HandleFunc("PUT /instances/{name}", route("put", s.handlePut))
-	api.HandleFunc("GET /instances/{name}", route("get", s.handleGet))
-	api.HandleFunc("DELETE /instances/{name}", route("delete", s.handleDelete))
-	api.HandleFunc("GET /instances/{name}/dot", route("dot", s.handleDot))
-	api.HandleFunc("POST /instances/{name}/query", route("query", s.handleQuery))
-	api.HandleFunc("POST /instances/{name}/batch", route("batch", s.handleBatch))
-	api.HandleFunc("GET /metrics", route("metrics", s.handleMetrics))
-	api.HandleFunc("POST /admin/backup", route("backup", s.handleBackup))
-	api.HandleFunc("POST /admin/scrub", route("scrub", s.handleScrub))
-	api.HandleFunc("POST /admin/promote", route("promote", s.handlePromote))
-	api.HandleFunc("POST /admin/demote", route("demote", s.handleDemote))
-	api.HandleFunc("GET /admin/quotas", route("quotas", s.handleQuotasGet))
-	api.HandleFunc("PUT /admin/quotas", route("quotas", s.handleQuotasPut))
+// routeClass names the middleware stack a route runs under. Nothing
+// Config sets changes after New, so Handler assembles each route's stack
+// once instead of deciding per request.
+type routeClass int
 
-	root := http.NewServeMux()
-	root.HandleFunc("GET /healthz", s.handleHealthz)
-	root.HandleFunc("GET /readyz", s.handleReadyz)
-	// Replication sits outside admission, the inflight limiter, and the
-	// request deadline: a follower long-polling the tail must not burn a
-	// serving slot or be cut off mid-poll. The bearer token (when
-	// configured) gates it instead.
-	root.HandleFunc("GET "+repl.StreamPath, route("repl_stream", s.handleReplStream))
-	root.HandleFunc("GET "+repl.BootstrapPath, route("repl_bootstrap", s.handleReplBootstrap))
-	root.HandleFunc("GET "+repl.EpochPath, route("repl_epoch", s.handleReplEpoch))
-	// Admission sits in front of the global limiter: a tenant over its
-	// quota is rejected before it can occupy one of the shared slots.
-	root.Handle(apiv1.Prefix+"/",
-		s.authAdmin(s.admit(s.limitInflight(s.withDeadline(http.StripPrefix(apiv1.Prefix, api))))))
-	root.HandleFunc("/", s.redirectLegacy)
-	return s.instrument(s.recoverPanics(root))
+const (
+	// classProbe is bare: /healthz and /readyz keep answering while the
+	// API is saturated or shedding.
+	classProbe routeClass = iota
+	// classRepl is token-gated and timed, but outside admission, the
+	// in-flight limiter and the request deadline: a follower long-polling
+	// the tail must not burn a serving slot or be cut off mid-poll.
+	classRepl
+	// classAdmin is token-gated and runs under the limiter and the
+	// deadline, but bypasses admission: operators must be able to inspect
+	// and loosen quotas while the server is shedding.
+	classAdmin
+	// classInstance is the catalog and query surface. Admission sits in
+	// front of the global limiter: a tenant over its quota is rejected
+	// before it can occupy one of the shared slots.
+	classInstance
+)
+
+// route is one entry of the route table.
+type route struct {
+	pattern  string // ServeMux pattern: method and full path
+	class    routeClass
+	endpoint string // names the http_latency.<endpoint> timer; probes have none
+	handle   http.HandlerFunc
 }
 
-// redirectLegacy maps the pre-v1 unversioned API paths onto /v1 with a
-// 308 Permanent Redirect, which preserves method and body — a legacy
-// client that follows redirects (Go's default http.Client does) keeps
-// working unchanged.
-func (s *Server) redirectLegacy(w http.ResponseWriter, r *http.Request) {
-	// The escaped path keeps encoded separators intact (%2F must not
-	// become a real "/" and change how the v1 mux splits segments).
-	p := r.URL.EscapedPath()
-	switch {
-	case p == "/instances" || strings.HasPrefix(p, "/instances/"),
-		p == "/metrics",
-		strings.HasPrefix(p, "/admin/"):
-		target := apiv1.Prefix + p
-		if r.URL.RawQuery != "" {
-			target += "?" + r.URL.RawQuery
-		}
-		http.Redirect(w, r, target, http.StatusPermanentRedirect)
+// routes is the whole HTTP surface: the v1 API and the two probes.
+func (s *Server) routes() []route {
+	const v1 = apiv1.Prefix
+	return []route{
+		{"GET /healthz", classProbe, "", s.handleHealthz},
+		{"GET /readyz", classProbe, "", s.handleReadyz},
+		{"GET " + repl.StreamPath, classRepl, "repl_stream", s.handleReplStream},
+		{"GET " + repl.BootstrapPath, classRepl, "repl_bootstrap", s.handleReplBootstrap},
+		{"GET " + repl.EpochPath, classRepl, "repl_epoch", s.handleReplEpoch},
+		{"POST " + v1 + "/admin/backup", classAdmin, "backup", s.handleBackup},
+		{"POST " + v1 + "/admin/scrub", classAdmin, "scrub", s.handleScrub},
+		{"POST " + v1 + "/admin/promote", classAdmin, "promote", s.handlePromote},
+		{"POST " + v1 + "/admin/demote", classAdmin, "demote", s.handleDemote},
+		{"GET " + v1 + "/admin/quotas", classAdmin, "quotas", s.handleQuotasGet},
+		{"PUT " + v1 + "/admin/quotas", classAdmin, "quotas", s.handleQuotasPut},
+		{"GET " + v1 + "/instances", classInstance, "list", s.handleList},
+		{"PUT " + v1 + "/instances/{name}", classInstance, "put", s.handlePut},
+		{"GET " + v1 + "/instances/{name}", classInstance, "get", s.handleGet},
+		{"DELETE " + v1 + "/instances/{name}", classInstance, "delete", s.handleDelete},
+		{"GET " + v1 + "/instances/{name}/dot", classInstance, "dot", s.handleDot},
+		{"POST " + v1 + "/instances/{name}/query", classInstance, "query", s.handleQuery},
+		{"POST " + v1 + "/instances/{name}/batch", classInstance, "batch", s.handleBatch},
+		{"GET " + v1 + "/metrics", classInstance, "metrics", s.handleMetrics},
+	}
+}
+
+// stack wraps a route's handler in the middleware its class calls for.
+// The percentile timer is innermost, so it times the handler alone.
+func (s *Server) stack(rt route) http.Handler {
+	if rt.class == classProbe {
+		return rt.handle
+	}
+	t := s.reg.Timer("http_latency." + rt.endpoint)
+	var h http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		rt.handle(w, r)
+		t.Observe(time.Since(start))
+	})
+	switch rt.class {
+	case classRepl:
+		return s.requireToken(h)
+	case classAdmin:
+		return s.requireToken(s.limitInflight(s.withDeadline(h)))
 	default:
+		return s.admit(s.limitInflight(s.withDeadline(h)))
+	}
+}
+
+// Handler returns the HTTP handler for the catalog: every route of the
+// table on one mux, each under its class's stack, and the whole under
+// request metrics, optional structured logging and panic recovery.
+// Anything no route claims, unversioned paths included, answers the 404
+// envelope.
+func (s *Server) Handler() http.Handler {
+	mux := http.NewServeMux()
+	for _, rt := range s.routes() {
+		mux.Handle(rt.pattern, s.stack(rt))
+	}
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		// The catch-all also claims a routed path asked with the wrong
+		// method, which the mux alone would answer 405: ask it which
+		// methods the path does take.
+		var allow []string
+		probe := *r
+		for _, m := range []string{http.MethodGet, http.MethodPut, http.MethodPost, http.MethodDelete} {
+			probe.Method = m
+			if _, pattern := mux.Handler(&probe); pattern != "/" {
+				allow = append(allow, m)
+			}
+		}
+		if len(allow) > 0 {
+			w.Header().Set("Allow", strings.Join(allow, ", "))
+			http.Error(w, http.StatusText(http.StatusMethodNotAllowed), http.StatusMethodNotAllowed)
+			return
+		}
 		apiv1.WriteError(w, http.StatusNotFound, apiv1.CodeNotFound,
 			fmt.Sprintf("no route %s (the API lives under %s)", r.URL.Path, apiv1.Prefix))
-	}
-}
-
-// tenantFromPath extracts the admission tenant from a v1 request path:
-// the instance name for /v1/instances/{name}[/...], "" for everything
-// else (catalog listing, metrics, admin).
-func tenantFromPath(p string) string {
-	p = strings.TrimPrefix(p, apiv1.Prefix)
-	p = strings.TrimPrefix(p, "/instances/")
-	if i := strings.IndexByte(p, '/'); i >= 0 {
-		p = p[:i]
-	}
-	return p
+	})
+	return s.instrument(s.recoverPanics(mux))
 }
 
 // admit runs the per-tenant admission tier: token-bucket quotas first,
 // weighted fair sharing of the inflight capacity under overload second.
-// Shed requests answer 429 with the structured envelope and a
+// The tenant is the instance name ("" for the catalog listing and
+// metrics). Shed requests answer 429 with the structured envelope and a
 // Retry-After hint and never reach the shared limiter.
 func (s *Server) admit(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Admin endpoints bypass admission: operators must be able to
-		// inspect and loosen quotas while the server is shedding.
-		if strings.HasPrefix(r.URL.Path, apiv1.Prefix+"/admin/") {
-			next.ServeHTTP(w, r)
-			return
-		}
-		tenant := tenantFromPath(r.URL.Path)
+		tenant := r.PathValue("name")
 		d := s.adm.Admit(tenant)
 		if !d.OK {
 			s.shed.Inc()
@@ -898,15 +823,14 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 	})
 }
 
-// limitInflight sheds requests beyond the SetMaxInflight cap with 429 +
+// limitInflight sheds requests beyond the Config.MaxInflight cap with 429 +
 // Retry-After instead of queueing without bound: under overload it is
 // better to fail a few requests fast than to slow every request down.
 func (s *Server) limitInflight(next http.Handler) http.Handler {
+	if s.sem == nil {
+		return next
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.sem == nil {
-			next.ServeHTTP(w, r)
-			return
-		}
 		select {
 		case s.sem <- struct{}{}:
 			defer func() { <-s.sem }()
@@ -920,15 +844,14 @@ func (s *Server) limitInflight(next http.Handler) http.Handler {
 	})
 }
 
-// withDeadline bounds the request with SetRequestTimeout via the context
-// every engine call already honors; an expired deadline surfaces as 503
-// through overloadStatus.
+// withDeadline bounds the request with Config.RequestTimeout via the
+// context every engine call already honors; an expired deadline surfaces
+// as 503 through httpQueryError.
 func (s *Server) withDeadline(next http.Handler) http.Handler {
+	if s.reqTimeout <= 0 {
+		return next
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.reqTimeout <= 0 {
-			next.ServeHTTP(w, r)
-			return
-		}
 		ctx, cancel := context.WithTimeout(r.Context(), s.reqTimeout)
 		defer cancel()
 		next.ServeHTTP(w, r.WithContext(ctx))
@@ -1327,7 +1250,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	// Refuse before working: a name the store cannot hold is known from the
 	// URL alone, ahead of reading, decoding and validating the body.
-	if s.persistent() && !validName(name) {
+	if s.store != nil && !validName(name) {
 		httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, fmt.Errorf("name %q not storable (use [A-Za-z0-9_-])", name))
 		return
 	}
@@ -1409,7 +1332,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // handleBackup takes an online backup of the durable store into a
 // subdirectory of the configured backup root named by the request. The
 // client chooses only the name; the server chooses the filesystem
-// location, and the endpoint is disabled entirely until SetBackupRoot —
+// location, and the endpoint is disabled entirely without Config.BackupRoot —
 // an unrestricted destination would be a filesystem-write primitive for
 // anyone who can reach the API. The destination must be empty or absent;
 // writes keep flowing while the backup is cut (see store.Backup). The
@@ -1511,11 +1434,20 @@ type queryResponse struct {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	// A query that stores its result writes; on a follower it belongs on
-	// the leader. Plain queries serve locally — that is the point of a
-	// read replica.
-	if r.URL.Query().Get("store") != "" && s.redirectToLeader(w, r) {
-		return
+	storeAs := r.URL.Query().Get("store")
+	if storeAs != "" {
+		// A query that stores its result writes; on a follower it belongs
+		// on the leader. Plain queries serve locally — that is the point
+		// of a read replica.
+		if s.redirectToLeader(w, r) {
+			return
+		}
+		// Refuse before working, as handlePut does: a name the store
+		// cannot hold is known from the URL alone.
+		if s.store != nil && !validName(storeAs) {
+			httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, fmt.Errorf("name %q not storable (use [A-Za-z0-9_-])", storeAs))
+			return
+		}
 	}
 	eng, ok := s.Engine(r.PathValue("name"))
 	if !ok {
@@ -1545,20 +1477,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := queryResponse{Text: res.Text, Prob: res.Prob}
-	if store := r.URL.Query().Get("store"); store != "" {
+	if storeAs != "" {
 		if res.Instance == nil {
 			httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, fmt.Errorf("statement produced no instance to store"))
 			return
 		}
-		if s.persistent() && !validName(store) {
-			httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, fmt.Errorf("name %q not storable (use [A-Za-z0-9_-])", store))
-			return
-		}
-		if err := s.Put(store, res.Instance); err != nil {
+		if err := s.Put(storeAs, res.Instance); err != nil {
 			httpWriteError(w, err)
 			return
 		}
-		resp.Stored = store
+		resp.Stored = storeAs
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -1639,85 +1567,6 @@ func httpError(w http.ResponseWriter, status int, code string, err error) {
 	apiv1.WriteError(w, status, code, err.Error())
 }
 
-// NewPersistent returns a catalog backed by the durable storage engine
-// in dir: writes go through a write-ahead log with periodic snapshots,
-// and startup runs crash recovery (replaying snapshot-then-WAL,
-// quarantining corrupt records, truncating torn tails). A directory in
-// the legacy flat-file layout is migrated on first open. Names are
-// restricted to [A-Za-z0-9_-]+ to keep durable artifacts unambiguous.
-//
-// Deprecated: use New(Config{StoreDir: dir}).
-func NewPersistent(dir string) (*Server, error) {
-	return New(Config{StoreDir: dir})
-}
-
-// NewWithStore is NewPersistent with explicit store options, also
-// returning the crash-recovery report. The server's metrics registry is
-// installed into the options so store counters surface under /metrics.
-//
-// Deprecated: use New(Config{StoreDir: dir, StoreOptions: opts}) and
-// read the report from RecoveryReport.
-func NewWithStore(dir string, opts store.Options) (*Server, *store.RecoveryReport, error) {
-	s, err := New(Config{StoreDir: dir, StoreOptions: opts})
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, s.report, nil
-}
-
-// NewPersistentFiles returns a catalog backed by the legacy flat-file
-// layout: every stored instance is written to <dir>/<name>.pxml (text
-// encoding, fsynced and atomically renamed), deletes remove the file,
-// and all existing files are loaded at startup. A file that fails to
-// decode does not abort startup: it is logged and quarantined to
-// <name>.pxml.corrupt. Names are restricted to [A-Za-z0-9_-]+ to keep
-// the file mapping unambiguous.
-//
-// Deprecated: use New(Config{FilesDir: dir}).
-func NewPersistentFiles(dir string) (*Server, error) {
-	return New(Config{FilesDir: dir})
-}
-
-// loadFlatFiles wires up legacy flat-file persistence during New.
-func (s *Server) loadFlatFiles(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("server: creating data dir: %w", err)
-	}
-	s.dir = dir
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return fmt.Errorf("server: reading data dir: %w", err)
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".pxml") {
-			continue
-		}
-		name := strings.TrimSuffix(e.Name(), ".pxml")
-		path := filepath.Join(dir, e.Name())
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		pi, err := codec.DecodeText(f)
-		f.Close()
-		if err != nil {
-			// One damaged file must not take the whole catalog down:
-			// set it aside for inspection and keep loading the rest.
-			corrupt := path + ".corrupt"
-			if rerr := os.Rename(path, corrupt); rerr != nil {
-				return fmt.Errorf("server: quarantining corrupt %s: %w", e.Name(), rerr)
-			}
-			slog.Warn("corrupt instance file quarantined",
-				"file", path, "quarantined_to", corrupt, "error", err)
-			continue
-		}
-		s.mu.Lock()
-		s.mutateEnginesLocked(func(m map[string]*engine.Engine) { m[name] = s.newEngine(name, pi) })
-		s.mu.Unlock()
-	}
-	return nil
-}
-
 // validName reports whether a name is safe for persistent storage.
 func validName(name string) bool {
 	if name == "" {
@@ -1731,51 +1580,4 @@ func validName(name string) bool {
 		}
 	}
 	return true
-}
-
-// persist writes the named instance to disk when legacy flat-file
-// persistence is enabled. The temp file is fsynced before the rename and
-// the directory entry after it; without both, a crash shortly after Put
-// could leave a zero-length or unlinked file despite the rename being
-// "atomic".
-func (s *Server) persist(name string, pi *core.ProbInstance) error {
-	if s.dir == "" {
-		return nil
-	}
-	if !validName(name) {
-		return fmt.Errorf("server: name %q not storable (use [A-Za-z0-9_-])", name)
-	}
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := codec.EncodeText(tmp, pi); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, name+".pxml")); err != nil {
-		return err
-	}
-	d, err := os.Open(s.dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-// unpersist removes the named instance's file when persistence is enabled.
-func (s *Server) unpersist(name string) {
-	if s.dir == "" || !validName(name) {
-		return
-	}
-	_ = os.Remove(filepath.Join(s.dir, name+".pxml"))
 }

@@ -13,19 +13,32 @@ import (
 	"sync"
 	"testing"
 
+	"pxml/internal/apiv1"
 	"pxml/internal/codec"
 	"pxml/internal/core"
 	"pxml/internal/fixtures"
 	"pxml/internal/prob"
 	"pxml/internal/sets"
-	"pxml/internal/store"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	s := MustNew(Config{})
+	return newTestServerWith(t, Config{})
+}
+
+// newTestServerWith serves New(cfg) over a test listener; both are torn
+// down with the test.
+func newTestServerWith(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
 	return s, ts
 }
 
@@ -67,7 +80,7 @@ func TestPutGetDeleteRoundTrip(t *testing.T) {
 	_, ts := newTestServer(t)
 	text := figure2Text(t)
 
-	resp, body := do(t, "PUT", ts.URL+"/instances/bib", text, "text/plain")
+	resp, body := do(t, "PUT", ts.URL+"/v1/instances/bib", text, "text/plain")
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("PUT status %d: %s", resp.StatusCode, body)
 	}
@@ -76,7 +89,7 @@ func TestPutGetDeleteRoundTrip(t *testing.T) {
 	}
 
 	// Fetch back as text and as JSON.
-	resp, body = do(t, "GET", ts.URL+"/instances/bib", "", "")
+	resp, body = do(t, "GET", ts.URL+"/v1/instances/bib", "", "")
 	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(body, "pxml/1") {
 		t.Fatalf("GET text status %d: %.60s", resp.StatusCode, body)
 	}
@@ -87,7 +100,7 @@ func TestPutGetDeleteRoundTrip(t *testing.T) {
 	if back.NumObjects() != 11 {
 		t.Errorf("served instance objects = %d", back.NumObjects())
 	}
-	req, _ := http.NewRequest("GET", ts.URL+"/instances/bib", nil)
+	req, _ := http.NewRequest("GET", ts.URL+"/v1/instances/bib", nil)
 	req.Header.Set("Accept", "application/json")
 	jr, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -99,7 +112,7 @@ func TestPutGetDeleteRoundTrip(t *testing.T) {
 	}
 
 	// List.
-	resp, body = do(t, "GET", ts.URL+"/instances", "", "")
+	resp, body = do(t, "GET", ts.URL+"/v1/instances", "", "")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(body, `"name":"bib"`) {
 		t.Fatalf("list: %d %s", resp.StatusCode, body)
 	}
@@ -108,11 +121,11 @@ func TestPutGetDeleteRoundTrip(t *testing.T) {
 	}
 
 	// Delete.
-	resp, _ = do(t, "DELETE", ts.URL+"/instances/bib", "", "")
+	resp, _ = do(t, "DELETE", ts.URL+"/v1/instances/bib", "", "")
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("DELETE status %d", resp.StatusCode)
 	}
-	resp, _ = do(t, "DELETE", ts.URL+"/instances/bib", "", "")
+	resp, _ = do(t, "DELETE", ts.URL+"/v1/instances/bib", "", "")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("second DELETE status %d", resp.StatusCode)
 	}
@@ -120,10 +133,10 @@ func TestPutGetDeleteRoundTrip(t *testing.T) {
 
 func TestQueryEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
-	do(t, "PUT", ts.URL+"/instances/bib", figure2Text(t), "text/plain")
+	do(t, "PUT", ts.URL+"/v1/instances/bib", figure2Text(t), "text/plain")
 
 	// Probability query (DAG instance: pxql falls back to BN inference).
-	resp, body := do(t, "POST", ts.URL+"/instances/bib/query", "PROB OBJECT A1", "text/plain")
+	resp, body := do(t, "POST", ts.URL+"/v1/instances/bib/query", "PROB OBJECT A1", "text/plain")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query status %d: %s", resp.StatusCode, body)
 	}
@@ -139,13 +152,13 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 
 	// Bad statement.
-	resp, _ = do(t, "POST", ts.URL+"/instances/bib/query", "FROBNICATE", "text/plain")
+	resp, _ = do(t, "POST", ts.URL+"/v1/instances/bib/query", "FROBNICATE", "text/plain")
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("bad statement status %d", resp.StatusCode)
 	}
 
 	// Unknown instance.
-	resp, _ = do(t, "POST", ts.URL+"/instances/nope/query", "STATS", "text/plain")
+	resp, _ = do(t, "POST", ts.URL+"/v1/instances/nope/query", "STATS", "text/plain")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown instance status %d", resp.StatusCode)
 	}
@@ -158,9 +171,9 @@ func TestQueryStoreResult(t *testing.T) {
 	if err := codec.EncodeText(&buf, smallTree()); err != nil {
 		t.Fatal(err)
 	}
-	do(t, "PUT", ts.URL+"/instances/t", buf.String(), "text/plain")
+	do(t, "PUT", ts.URL+"/v1/instances/t", buf.String(), "text/plain")
 
-	resp, body := do(t, "POST", ts.URL+"/instances/t/query?store=proj", "PROJECT r.a", "text/plain")
+	resp, body := do(t, "POST", ts.URL+"/v1/instances/t/query?store=proj", "PROJECT r.a", "text/plain")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(body, `"stored":"proj"`) {
 		t.Fatalf("store query: %d %s", resp.StatusCode, body)
 	}
@@ -168,7 +181,7 @@ func TestQueryStoreResult(t *testing.T) {
 		t.Error("stored result missing from catalog")
 	}
 	// Storing a scalar result fails.
-	resp, _ = do(t, "POST", ts.URL+"/instances/t/query?store=x", "STATS", "text/plain")
+	resp, _ = do(t, "POST", ts.URL+"/v1/instances/t/query?store=x", "STATS", "text/plain")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("scalar store status %d", resp.StatusCode)
 	}
@@ -218,13 +231,13 @@ func TestStoredSelectionIsAView(t *testing.T) {
 
 func TestPutRejectsGarbage(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, _ := do(t, "PUT", ts.URL+"/instances/x", "not an instance", "text/plain")
+	resp, _ := do(t, "PUT", ts.URL+"/v1/instances/x", "not an instance", "text/plain")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage PUT status %d", resp.StatusCode)
 	}
 	// Structurally broken instance (child under two labels).
 	bad := "pxml/1\nroot r\nlch r a 0 1 x\nlch r b 0 1 x\n"
-	resp, _ = do(t, "PUT", ts.URL+"/instances/x", bad, "text/plain")
+	resp, _ = do(t, "PUT", ts.URL+"/v1/instances/x", bad, "text/plain")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid PUT status %d", resp.StatusCode)
 	}
@@ -232,8 +245,8 @@ func TestPutRejectsGarbage(t *testing.T) {
 
 func TestDotEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
-	do(t, "PUT", ts.URL+"/instances/bib", figure2Text(t), "text/plain")
-	resp, body := do(t, "GET", ts.URL+"/instances/bib/dot", "", "")
+	do(t, "PUT", ts.URL+"/v1/instances/bib", figure2Text(t), "text/plain")
+	resp, body := do(t, "GET", ts.URL+"/v1/instances/bib/dot", "", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("dot status %d", resp.StatusCode)
 	}
@@ -254,11 +267,11 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			name := string(rune('a' + i))
-			resp, _ := do(t, "PUT", ts.URL+"/instances/"+name, text, "text/plain")
+			resp, _ := do(t, "PUT", ts.URL+"/v1/instances/"+name, text, "text/plain")
 			if resp.StatusCode != http.StatusCreated {
 				t.Errorf("concurrent PUT status %d", resp.StatusCode)
 			}
-			resp, _ = do(t, "POST", ts.URL+"/instances/"+name+"/query", "STATS", "text/plain")
+			resp, _ = do(t, "POST", ts.URL+"/v1/instances/"+name+"/query", "STATS", "text/plain")
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("concurrent query status %d", resp.StatusCode)
 			}
@@ -288,7 +301,7 @@ func smallTree() *core.ProbInstance {
 
 func TestPersistentCatalog(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewPersistent(dir)
+	s, err := New(Config{StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +320,7 @@ func TestPersistentCatalog(t *testing.T) {
 	}
 
 	// A fresh catalog over the same directory sees both instances.
-	s2, err := NewPersistent(dir)
+	s2, err := New(Config{StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +338,7 @@ func TestPersistentCatalog(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s3, err := NewPersistent(dir)
+	s3, err := New(Config{StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,22 +349,29 @@ func TestPersistentCatalog(t *testing.T) {
 }
 
 func TestPersistentHTTPRejectsBadNames(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewPersistent(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	resp, body := do(t, "PUT", ts.URL+"/instances/has%2Fslash", figure2Text(t), "text/plain")
+	s, ts := newTestServerWith(t, Config{StoreDir: t.TempDir()})
+	resp, body := do(t, "PUT", ts.URL+"/v1/instances/has%2Fslash", figure2Text(t), "text/plain")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad name status %d: %s", resp.StatusCode, body)
+	}
+
+	// A bad ?store= target is refused from the URL alone, before the
+	// statement is evaluated.
+	if err := s.Put("t", smallTree()); err != nil {
+		t.Fatal(err)
+	}
+	resp, body = do(t, "POST", ts.URL+"/v1/instances/t/query?store=has%2Fslash", "PROJECT r.a", "text/plain")
+	if e := apiv1.ErrorFromBody(resp.StatusCode, []byte(body)); resp.StatusCode != http.StatusBadRequest || e.Code != apiv1.CodeInvalidRequest {
+		t.Fatalf("bad ?store= name: %d %s", resp.StatusCode, body)
+	}
+	eng, _ := s.Engine("t")
+	if n := eng.Metrics()["queries"]; n != int64(0) {
+		t.Errorf("engine ran %v statements for a refused ?store=, want 0", n)
 	}
 }
 
 func TestPutOversizedBodyGets413(t *testing.T) {
-	s := MustNew(Config{})
-	s.SetMaxBody(512)
+	s := MustNew(Config{MaxBody: 512})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -362,7 +382,7 @@ func TestPutOversizedBodyGets413(t *testing.T) {
 	for b.Len() < 2048 {
 		b.WriteString("obj filler\n")
 	}
-	resp, body := do(t, "PUT", ts.URL+"/instances/big", b.String(), "text/plain")
+	resp, body := do(t, "PUT", ts.URL+"/v1/instances/big", b.String(), "text/plain")
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized PUT status %d: %s", resp.StatusCode, body)
 	}
@@ -370,7 +390,7 @@ func TestPutOversizedBodyGets413(t *testing.T) {
 		t.Errorf("413 body not structured JSON: %s", body)
 	}
 	// Within the limit the same shape is accepted.
-	resp, body = do(t, "PUT", ts.URL+"/instances/ok", "pxml/1\nroot r\n", "text/plain")
+	resp, body = do(t, "PUT", ts.URL+"/v1/instances/ok", "pxml/1\nroot r\n", "text/plain")
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("small PUT status %d: %s", resp.StatusCode, body)
 	}
@@ -378,15 +398,15 @@ func TestPutOversizedBodyGets413(t *testing.T) {
 
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
-	do(t, "PUT", ts.URL+"/instances/bib", figure2Text(t), "text/plain")
+	do(t, "PUT", ts.URL+"/v1/instances/bib", figure2Text(t), "text/plain")
 	for i := 0; i < 5; i++ {
-		resp, body := do(t, "POST", ts.URL+"/instances/bib/query", "PROB OBJECT A1", "text/plain")
+		resp, body := do(t, "POST", ts.URL+"/v1/instances/bib/query", "PROB OBJECT A1", "text/plain")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("query %d: %d %s", i, resp.StatusCode, body)
 		}
 	}
 
-	resp, body := do(t, "GET", ts.URL+"/metrics", "", "")
+	resp, body := do(t, "GET", ts.URL+"/v1/metrics", "", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics status %d", resp.StatusCode)
 	}
@@ -445,10 +465,10 @@ func TestMetricsEndpoint(t *testing.T) {
 
 func TestBatchEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
-	do(t, "PUT", ts.URL+"/instances/bib", figure2Text(t), "text/plain")
+	do(t, "PUT", ts.URL+"/v1/instances/bib", figure2Text(t), "text/plain")
 
 	batch := "PROB OBJECT A1\n\nSTATS\nFROBNICATE\n"
-	resp, body := do(t, "POST", ts.URL+"/instances/bib/batch", batch, "text/plain")
+	resp, body := do(t, "POST", ts.URL+"/v1/instances/bib/batch", batch, "text/plain")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
 	}
@@ -475,22 +495,21 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 
 	// Empty batch is a 400.
-	resp, _ = do(t, "POST", ts.URL+"/instances/bib/batch", "\n\n", "text/plain")
+	resp, _ = do(t, "POST", ts.URL+"/v1/instances/bib/batch", "\n\n", "text/plain")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty batch status %d", resp.StatusCode)
 	}
 	// Unknown instance is a 404.
-	resp, _ = do(t, "POST", ts.URL+"/instances/nope/batch", "STATS", "text/plain")
+	resp, _ = do(t, "POST", ts.URL+"/v1/instances/nope/batch", "STATS", "text/plain")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown instance batch status %d", resp.StatusCode)
 	}
 }
 
 func TestRequestLogging(t *testing.T) {
-	s := MustNew(Config{})
 	var buf bytes.Buffer
 	var mu sync.Mutex
-	s.SetLogger(slog.New(slog.NewJSONHandler(syncWriter{&mu, &buf}, nil)))
+	s := MustNew(Config{Logger: slog.New(slog.NewJSONHandler(syncWriter{&mu, &buf}, nil))})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -530,62 +549,61 @@ func (s syncWriter) Write(p []byte) (int, error) {
 	return s.w.Write(p)
 }
 
-// TestPersistentFilesCatalog exercises the legacy flat-file backend:
-// stores and deletes survive a reopen, and a corrupt file is quarantined
-// to <name>.pxml.corrupt instead of failing startup.
-func TestPersistentFilesCatalog(t *testing.T) {
+// TestFlatFileDirMigratesUnderStoreDir: a directory holding the retired
+// one-file-per-instance layout opens through Config.StoreDir, serves the
+// good instances over /v1 and reports the corrupt one quarantined.
+func TestFlatFileDirMigratesUnderStoreDir(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewPersistentFiles(dir)
-	if err != nil {
+	var tree bytes.Buffer
+	if err := codec.EncodeText(&tree, smallTree()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("tree", smallTree()); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("bib", fixtures.Figure2()); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("../evil", smallTree()); err == nil {
-		t.Error("path-escaping name accepted")
-	}
-	if err := os.WriteFile(filepath.Join(dir, "mangled.pxml"), []byte("pxml/1\nnot an instance\n"), 0o644); err != nil {
-		t.Fatal(err)
+	for name, text := range map[string]string{
+		"tree.pxml":    tree.String(),
+		"bib.pxml":     figure2Text(t),
+		"mangled.pxml": "pxml/1\nnot an instance\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	s2, err := NewPersistentFiles(dir)
+	s, err := New(Config{StoreDir: dir})
 	if err != nil {
 		t.Fatalf("corrupt file aborted startup: %v", err)
 	}
-	names := s2.Names()
-	if len(names) != 2 || names[0] != "bib" || names[1] != "tree" {
-		t.Fatalf("restored names = %v", names)
+	defer s.Close()
+	rep := s.RecoveryReport()
+	if rep.MigratedLegacy != 2 || len(rep.Quarantined) != 1 || rep.Quarantined[0].Source != "mangled.pxml" {
+		t.Fatalf("recovery report = %s, quarantined %+v", rep, rep.Quarantined)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "mangled.pxml.corrupt")); err != nil {
-		t.Fatalf("corrupt file not quarantined: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "mangled.pxml")); !os.IsNotExist(err) {
-		t.Fatal("corrupt file still in place")
+		t.Fatalf("corrupt file not set aside: %v", err)
 	}
 
-	s2.Delete("tree")
-	s3, err := NewPersistentFiles(dir)
-	if err != nil {
-		t.Fatal(err)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, body := do(t, "GET", ts.URL+"/v1/instances", "", "")
+	if resp.StatusCode != http.StatusOK || !strings.Contains(body, `"name":"bib"`) || !strings.Contains(body, `"name":"tree"`) || strings.Contains(body, "mangled") {
+		t.Fatalf("list after migration: %d %s", resp.StatusCode, body)
 	}
-	if len(s3.Names()) != 1 {
-		t.Errorf("names after delete = %v", s3.Names())
+	if resp, body = do(t, "GET", ts.URL+"/v1/instances/tree", "", ""); resp.StatusCode != http.StatusOK || body != tree.String() {
+		t.Errorf("migrated tree reads back %d:\n%s\nwant:\n%s", resp.StatusCode, body, tree.String())
+	}
+	if resp, body = do(t, "POST", ts.URL+"/v1/instances/bib/query", "PROB OBJECT A1", "text/plain"); resp.StatusCode != http.StatusOK || !strings.Contains(body, `"prob":0.88`) {
+		t.Errorf("query on migrated bib: %d %s", resp.StatusCode, body)
 	}
 }
 
 // TestNewWithStoreReportAndMetrics checks that the store-backed catalog
-// surfaces the recovery report and a "store" section under /metrics.
+// surfaces the recovery report and a "store" section under /v1/metrics.
 func TestNewWithStoreReportAndMetrics(t *testing.T) {
 	dir := t.TempDir()
-	s, rep, err := NewWithStore(dir, store.Options{})
+	s, err := New(Config{StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep == nil || rep.Recovered != 0 {
+	if rep := s.RecoveryReport(); rep == nil || rep.Recovered != 0 {
 		t.Fatalf("fresh dir recovery report = %+v", rep)
 	}
 	if err := s.Put("tree", smallTree()); err != nil {
@@ -595,17 +613,17 @@ func TestNewWithStoreReportAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, rep2, err := NewWithStore(dir, store.Options{})
+	s2, err := New(Config{StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if rep2.Recovered != 1 {
+	if rep2 := s2.RecoveryReport(); rep2.Recovered != 1 {
 		t.Fatalf("reopen recovered %d, want 1 (%s)", rep2.Recovered, rep2)
 	}
 	ts := httptest.NewServer(s2.Handler())
 	defer ts.Close()
-	resp, body := do(t, "GET", ts.URL+"/metrics", "", "")
+	resp, body := do(t, "GET", ts.URL+"/v1/metrics", "", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics status %d", resp.StatusCode)
 	}
