@@ -1,0 +1,397 @@
+package server
+
+// Handlers of the catalog and query surface (/v1/instances...), and the
+// mapping of their failures onto the v1 error envelope.
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"sort"
+	"strconv"
+	"strings"
+	"time"
+
+	"pxml/internal/apiv1"
+	"pxml/internal/codec"
+	"pxml/internal/core"
+	"pxml/internal/dot"
+	"pxml/internal/engine"
+	"pxml/internal/govern"
+	"pxml/internal/pxql"
+	"pxml/internal/repl"
+	"pxml/internal/store"
+)
+
+type listEntry struct {
+	Name    string `json:"name"`
+	Root    string `json:"root"`
+	Objects int    `json:"objects"`
+	Edges   int    `json:"edges"`
+	Depth   int    `json:"depth"`
+	Tree    bool   `json:"tree"`
+}
+
+func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
+	// The registry map is immutable once published — iterate it
+	// directly, no lock, no copy. Store-backed servers list the store's
+	// catalog instead (engines build lazily, so the registry alone may
+	// under-report); Engine materializes any not-yet-built entry.
+	engines := s.engineMap()
+	if s.store != nil {
+		names := s.store.Names()
+		engines = make(map[string]*engine.Engine, len(names))
+		for _, name := range names {
+			if eng, ok := s.Engine(name); ok {
+				engines[name] = eng
+			}
+		}
+	}
+	entries := make([]listEntry, 0, len(engines))
+	for name, eng := range engines {
+		pi := eng.Instance()
+		st := pi.ComputeStats()
+		entries = append(entries, listEntry{
+			Name: name, Root: pi.Root(),
+			Objects: st.Objects, Edges: st.Edges, Depth: st.Depth,
+			Tree: eng.IsTree(),
+		})
+	}
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
+	writeJSON(w, http.StatusOK, entries)
+}
+
+// httpWriteError maps a persistence-write failure onto the envelope:
+// writes against a degraded (read-only) store are 503 — the condition is
+// the server's, not the request's — a follower's read-only refusal is a
+// 409 (the handler normally 307s writes away before this can happen),
+// and anything else stays a 500.
+func httpWriteError(w http.ResponseWriter, err error) {
+	if errors.Is(err, store.ErrDegraded) {
+		apiv1.WriteErrorRetry(w, http.StatusServiceUnavailable, apiv1.CodeDegraded, err.Error(), time.Second)
+		return
+	}
+	if errors.Is(err, store.ErrFollowerReadOnly) {
+		httpError(w, http.StatusConflict, apiv1.CodeConflict, err)
+		return
+	}
+	if errors.Is(err, store.ErrEpochFenced) {
+		// A fenced ex-leader without a known successor cannot redirect;
+		// the hard backstop is this typed rejection — a superseded node
+		// never acknowledges a write.
+		httpError(w, http.StatusConflict, apiv1.CodeEpochFenced, err)
+		return
+	}
+	httpError(w, http.StatusInternalServerError, apiv1.CodeInternal, err)
+}
+
+// breakerKey names one circuit: statement shape scoped by instance, so a
+// width-bomb tripping "point" on one instance never sheds point queries
+// on healthy instances. The key doubles as the breaker_state.<key> gauge
+// suffix in /v1/metrics.
+func breakerKey(instance, shape string) string {
+	return instance + "." + shape
+}
+
+// isBreakerTrip classifies one statement outcome for the circuit
+// breaker: budget exhaustion, a provably-intractable refusal, an expired
+// deadline, and a contained evaluation panic all count as trips — they
+// are the server protecting itself from the statement. A client that
+// went away (context.Canceled) is not the statement's fault and must not
+// open the breaker for everyone else.
+func isBreakerTrip(err error) bool {
+	if err == nil || errors.Is(err, context.Canceled) {
+		return false
+	}
+	return errors.Is(err, govern.ErrBudgetExceeded) ||
+		errors.Is(err, govern.ErrIntractable) ||
+		errors.Is(err, engine.ErrQueryPanic) ||
+		errors.Is(err, context.DeadlineExceeded)
+}
+
+// countQueryError tallies one failed statement on the governor counters.
+func (s *Server) countQueryError(err error) {
+	switch {
+	case errors.Is(err, govern.ErrIntractable):
+		s.qIntract.Inc()
+	case errors.Is(err, govern.ErrBudgetExceeded):
+		s.qBudget.Inc()
+	case errors.Is(err, engine.ErrQueryPanic):
+		s.qPanic.Inc()
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		s.qCancel.Inc()
+	}
+}
+
+// httpQueryError maps a statement failure onto the envelope. Governor
+// refusals keep their retry semantics on the wire: an intractable
+// statement is a 422 (retrying the same statement cannot succeed), a
+// runtime budget trip is a 503 with Retry-After (a cheaper variant may
+// fit), a contained evaluation panic is a 500. An expired per-request
+// deadline (or a caller that went away) is 503 so clients and load
+// balancers treat it as server pressure, not statement error.
+func httpQueryError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, govern.ErrIntractable):
+		apiv1.WriteError(w, http.StatusUnprocessableEntity, apiv1.CodeIntractable, err.Error())
+	case errors.Is(err, govern.ErrBudgetExceeded):
+		apiv1.WriteErrorRetry(w, http.StatusServiceUnavailable, apiv1.CodeBudgetExceeded, err.Error(), time.Second)
+	case errors.Is(err, engine.ErrQueryPanic):
+		apiv1.WriteError(w, http.StatusInternalServerError, apiv1.CodeInternal, err.Error())
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		apiv1.WriteErrorRetry(w, http.StatusServiceUnavailable, apiv1.CodeTimeout, err.Error(), time.Second)
+	default:
+		httpError(w, http.StatusUnprocessableEntity, apiv1.CodeStatementFailed, err)
+	}
+}
+
+// httpDecodeError maps a body-read/decode error onto the envelope:
+// oversized bodies (cut off by MaxBytesReader) are 413, anything else 400.
+func httpDecodeError(w http.ResponseWriter, err error) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		httpError(w, http.StatusRequestEntityTooLarge, apiv1.CodeBodyTooLarge, err)
+		return
+	}
+	httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, err)
+}
+
+func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
+	if s.redirectToLeader(w, r) {
+		return
+	}
+	name := r.PathValue("name")
+	// Refuse before working: a name the store cannot hold is known from the
+	// URL alone, ahead of reading, decoding and validating the body.
+	if s.store != nil && !validName(name) {
+		httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, fmt.Errorf("name %q not storable (use [A-Za-z0-9_-])", name))
+		return
+	}
+	// Read fully before decoding so an oversized body is always reported
+	// as 413 rather than as whatever parse error the truncation causes.
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+	if err != nil {
+		httpDecodeError(w, err)
+		return
+	}
+	var pi *core.ProbInstance
+	if strings.Contains(r.Header.Get("Content-Type"), "json") {
+		pi, err = codec.DecodeJSON(bytes.NewReader(raw))
+	} else {
+		pi, err = codec.DecodeTextBytes(raw)
+	}
+	if err != nil {
+		httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, err)
+		return
+	}
+	if err := pi.ValidateLite(); err != nil {
+		httpError(w, http.StatusUnprocessableEntity, apiv1.CodeInvalidInstance, fmt.Errorf("instance invalid: %w", err))
+		return
+	}
+	if err := s.Put(name, pi); err != nil {
+		httpWriteError(w, err)
+		return
+	}
+	s.stampEpoch(w)
+	writeJSON(w, http.StatusCreated, map[string]any{"name": name, "objects": pi.NumObjects()})
+}
+
+// stampEpoch marks a successful write acknowledgement with the leader
+// epoch it was committed under, so clients (and the failover chaos
+// harness) can prove no two epochs ever acknowledged writes
+// concurrently.
+func (s *Server) stampEpoch(w http.ResponseWriter) {
+	if s.store != nil {
+		w.Header().Set(repl.HeaderEpoch, strconv.FormatUint(s.store.Epoch(), 10))
+	}
+}
+
+func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
+	pi, ok := s.Get(r.PathValue("name"))
+	if !ok {
+		httpError(w, http.StatusNotFound, apiv1.CodeNotFound, fmt.Errorf("no instance %q", r.PathValue("name")))
+		return
+	}
+	if strings.Contains(r.Header.Get("Accept"), "json") {
+		w.Header().Set("Content-Type", "application/json")
+		if err := codec.EncodeJSON(w, pi); err != nil {
+			httpError(w, http.StatusInternalServerError, apiv1.CodeInternal, err)
+		}
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	if err := codec.EncodeText(w, pi); err != nil {
+		httpError(w, http.StatusInternalServerError, apiv1.CodeInternal, err)
+	}
+}
+
+func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
+	if s.redirectToLeader(w, r) {
+		return
+	}
+	ok, err := s.Delete(r.PathValue("name"))
+	if err != nil {
+		httpWriteError(w, err)
+		return
+	}
+	if !ok {
+		httpError(w, http.StatusNotFound, apiv1.CodeNotFound, fmt.Errorf("no instance %q", r.PathValue("name")))
+		return
+	}
+	s.stampEpoch(w)
+	w.WriteHeader(http.StatusNoContent)
+}
+
+func (s *Server) handleDot(w http.ResponseWriter, r *http.Request) {
+	pi, ok := s.Get(r.PathValue("name"))
+	if !ok {
+		httpError(w, http.StatusNotFound, apiv1.CodeNotFound, fmt.Errorf("no instance %q", r.PathValue("name")))
+		return
+	}
+	w.Header().Set("Content-Type", "text/vnd.graphviz; charset=utf-8")
+	io.WriteString(w, dot.Weak(pi))
+}
+
+type queryResponse struct {
+	Text   string   `json:"text"`
+	Prob   *float64 `json:"prob,omitempty"`
+	Stored string   `json:"stored,omitempty"`
+}
+
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	storeAs := r.URL.Query().Get("store")
+	if storeAs != "" {
+		// A query that stores its result writes; on a follower it belongs
+		// on the leader. Plain queries serve locally — that is the point
+		// of a read replica.
+		if s.redirectToLeader(w, r) {
+			return
+		}
+		// Refuse before working, as handlePut does: a name the store
+		// cannot hold is known from the URL alone.
+		if s.store != nil && !validName(storeAs) {
+			httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, fmt.Errorf("name %q not storable (use [A-Za-z0-9_-])", storeAs))
+			return
+		}
+	}
+	eng, ok := s.Engine(r.PathValue("name"))
+	if !ok {
+		httpError(w, http.StatusNotFound, apiv1.CodeNotFound, fmt.Errorf("no instance %q", r.PathValue("name")))
+		return
+	}
+	stmt, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxStatementBytes))
+	if err != nil {
+		httpDecodeError(w, err)
+		return
+	}
+	// The breaker key scopes by instance as well as shape: repeated trips
+	// on one instance must not shed the same statement shape on healthy
+	// instances.
+	key := breakerKey(r.PathValue("name"), pxql.ClassifyShape(string(stmt)))
+	if allowed, retry := s.breaker.Allow(key); !allowed {
+		s.breakerShed.Inc()
+		apiv1.WriteErrorRetry(w, http.StatusServiceUnavailable, apiv1.CodeBreakerOpen,
+			fmt.Sprintf("circuit breaker open for %q statements (repeated budget trips)", key), retry)
+		return
+	}
+	res, err := eng.Run(r.Context(), string(stmt))
+	s.breaker.Record(key, isBreakerTrip(err))
+	if err != nil {
+		s.countQueryError(err)
+		httpQueryError(w, err)
+		return
+	}
+	resp := queryResponse{Text: res.Text, Prob: res.Prob}
+	if storeAs != "" {
+		if res.Instance == nil {
+			httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, fmt.Errorf("statement produced no instance to store"))
+			return
+		}
+		if err := s.Put(storeAs, res.Instance); err != nil {
+			httpWriteError(w, err)
+			return
+		}
+		resp.Stored = storeAs
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+type batchEntry struct {
+	Statement string   `json:"statement"`
+	Text      string   `json:"text,omitempty"`
+	Prob      *float64 `json:"prob,omitempty"`
+	Error     string   `json:"error,omitempty"`
+}
+
+// handleBatch evaluates many statements (one per non-blank line) against
+// one instance, fanning them out over the engine's bounded worker pool.
+// Per-statement failures are reported inline so one bad statement doesn't
+// void the rest.
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	eng, ok := s.Engine(r.PathValue("name"))
+	if !ok {
+		httpError(w, http.StatusNotFound, apiv1.CodeNotFound, fmt.Errorf("no instance %q", r.PathValue("name")))
+		return
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxStatementBytes))
+	if err != nil {
+		httpDecodeError(w, err)
+		return
+	}
+	var stmts []string
+	for _, line := range strings.Split(string(body), "\n") {
+		if line = strings.TrimSpace(line); line != "" {
+			stmts = append(stmts, line)
+		}
+	}
+	if len(stmts) == 0 {
+		httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, fmt.Errorf("empty batch"))
+		return
+	}
+	// The breaker applies per statement, preserving input order: shed
+	// statements report breaker_open inline and never reach the engine,
+	// the rest run over the pool and feed their outcomes back.
+	out := make([]batchEntry, len(stmts))
+	shapes := make([]string, len(stmts))
+	run := make([]string, 0, len(stmts))
+	runIdx := make([]int, 0, len(stmts))
+	for i, stmt := range stmts {
+		out[i].Statement = stmt
+		shapes[i] = breakerKey(r.PathValue("name"), pxql.ClassifyShape(stmt))
+		if allowed, _ := s.breaker.Allow(shapes[i]); !allowed {
+			s.breakerShed.Inc()
+			out[i].Error = fmt.Sprintf("%s: circuit breaker open for %q statements", apiv1.CodeBreakerOpen, shapes[i])
+			continue
+		}
+		run = append(run, stmt)
+		runIdx = append(runIdx, i)
+	}
+	results := eng.RunBatch(r.Context(), run)
+	for j, br := range results {
+		i := runIdx[j]
+		s.breaker.Record(shapes[i], isBreakerTrip(br.Err))
+		if br.Err != nil {
+			s.countQueryError(br.Err)
+			out[i].Error = br.Err.Error()
+			continue
+		}
+		out[i].Text = br.Result.Text
+		out[i].Prob = br.Result.Prob
+	}
+	writeJSON(w, http.StatusOK, out)
+}
+
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// httpError writes the shared v1 error envelope (see apiv1).
+func httpError(w http.ResponseWriter, status int, code string, err error) {
+	apiv1.WriteError(w, status, code, err.Error())
+}
