@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check test test-short race bench bench-store bench-smoke fig7 fuzz fuzz-smoke faults soak soak-smoke mvcc-smoke telemetry-smoke repl-smoke failover-smoke govern-smoke e2e-smoke vet staticcheck cover clean
+.PHONY: all build check routing-lint test test-short race bench bench-store bench-smoke fig7 fuzz fuzz-smoke faults soak soak-smoke mvcc-smoke telemetry-smoke repl-smoke failover-smoke govern-smoke e2e-smoke vet staticcheck cover clean
 
 all: check
 
@@ -17,9 +17,18 @@ vet:
 staticcheck:
 	@command -v staticcheck >/dev/null 2>&1 && staticcheck ./... || echo "staticcheck not installed; skipping"
 
-# The default verification path: compile, vet, full test suite, and the
-# benchmark harness (a nested module the first three never build).
-check: build vet test e2e-smoke
+# The default verification path: compile, vet, the routing lint, full test
+# suite, and the benchmark harness (a nested module the others never build).
+check: build vet routing-lint test e2e-smoke
+
+# One evaluator (DESIGN §22): only internal/engine chooses between the ε
+# lane and the BN lane. An errors.Is(..., ErrNotTree) in non-test code
+# anywhere else is a second routing decision growing back; the kernels that
+# return the error and pxmlquery's hint are the exceptions.
+routing-lint:
+	@! grep -rn --include='*.go' --exclude='*_test.go' 'errors\.Is(.*ErrNotTree' . \
+		| grep -v '^\./internal/\(engine\|query\|algebra\)/\|^\./cmd/pxmlquery/' \
+		|| { echo "routing-lint: ErrNotTree fallback outside internal/engine"; exit 1; }
 
 test:
 	$(GO) test ./...

@@ -52,16 +52,15 @@ import (
 )
 
 func main() {
-	op := flag.String("op", "project", "operation: project|single|descend|select|selectval|point|exists|valexists|probex")
+	op := flag.String("op", "project", "operation: project|single|descend|select|selectval|point|exists|valexists|probex|marginals|worlds|topk|count")
 	pathArg := flag.String("path", "", "path expression, e.g. R.book.author")
 	object := flag.String("object", "", "object id (select/point/probex)")
 	value := flag.String("value", "", "leaf value (selectval/valexists)")
 	format := flag.String("format", "", "input format: text or json (default by extension)")
 	out := flag.String("o", "", "output file for instance-valued results (default stdout)")
 	outFormat := flag.String("oformat", "text", "output format: text or json")
-	limit := flag.Int("limit", 0, "world-enumeration cap for -op worlds (0 = default)")
 	top := flag.Int("top", 10, "print at most this many worlds for -op worlds (0 = all)")
-	timeout := flag.Duration("timeout", 0, "abort probabilistic queries after this long (0 = no limit)")
+	timeout := flag.Duration("timeout", 0, "abort probabilistic queries, counts and enumerations after this long (0 = no limit)")
 	serverURL := flag.String("server", "", "fetch the instance from this pxmld base URL; the positional argument becomes an instance name")
 	retries := flag.Int("retries", 3, "with -server: retries on 429/503 and transient network errors (exponential backoff + jitter, honors Retry-After)")
 	flag.Parse()
@@ -172,11 +171,8 @@ func main() {
 	case "valexists":
 		requirePath(path)
 		require(*value, "-value")
-		p, err := pxml.ValueExistsQuery(pi, path, *value)
-		if err != nil {
-			fatalHint(err)
-		}
-		fmt.Printf("%.9f\n", p)
+		res := exec(ctx, eng, pxml.PXQLQuery{Op: "prob-value", Path: path, Value: *value})
+		fmt.Printf("%.9f\n", *res.Prob)
 	case "probex":
 		require(*object, "-object")
 		p, err := eng.ProbObject(ctx, *object)
@@ -185,59 +181,27 @@ func main() {
 		}
 		fmt.Printf("%.9f\n", p)
 	case "marginals":
-		marg, err := eng.Marginals()
-		if err != nil {
-			fatalHint(err)
-		}
-		for _, o := range pi.Objects() {
-			fmt.Printf("%s\t%.9f\n", o, marg[o])
-		}
+		fmt.Println(exec(ctx, eng, pxml.PXQLQuery{Op: "marginals"}).Text)
 	case "count":
 		requirePath(path)
-		d, err := pxml.CountDistribution(pi, path)
-		if err != nil {
-			fatalHint(err)
-		}
-		e, err := pxml.ExpectedCount(pi, path)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "E[count(%s)] = %.6f\n", path, e)
-		maxK := 0
-		for k := range d {
-			if k > maxK {
-				maxK = k
-			}
-		}
-		for k := 0; k <= maxK; k++ {
-			if d[k] > 0 {
-				fmt.Printf("%d\t%.9f\n", k, d[k])
-			}
+		// "E[count(p)] = e", then one "P(count=k) = pr" line per k.
+		mean, dist, _ := strings.Cut(exec(ctx, eng, pxml.PXQLQuery{Op: "count", Path: path}).Text, "\n")
+		fmt.Fprintln(os.Stderr, mean)
+		for _, line := range strings.Split(dist, "\n") {
+			k, pr, _ := strings.Cut(strings.TrimPrefix(line, "P(count="), ") = ")
+			fmt.Printf("%s\t%s\n", k, pr)
 		}
 	case "topk":
 		n := *top
 		if n <= 0 {
 			n = 10
 		}
-		worlds, err := pxml.TopK(pi, n, 0)
-		if err != nil {
-			fatal(err)
-		}
-		for _, w := range worlds {
-			fmt.Printf("p=%.9f objects=%v\n", w.P, w.S.Objects())
-		}
+		fmt.Println(exec(ctx, eng, pxml.PXQLQuery{Op: "topk", Top: n}).Text)
 	case "worlds":
-		gi, err := pxml.Enumerate(pi, *limit)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "%d worlds, total probability %.9f\n", gi.Len(), gi.TotalMass())
-		for i, w := range gi.Worlds() {
-			if *top > 0 && i == *top {
-				break
-			}
-			fmt.Printf("p=%.9f objects=%v\n", w.P, w.S.Objects())
-		}
+		// "N worlds, total probability p", then one line per world.
+		total, worlds, _ := strings.Cut(exec(ctx, eng, pxml.PXQLQuery{Op: "worlds", Top: *top}).Text, "\n")
+		fmt.Fprintln(os.Stderr, total)
+		fmt.Println(worlds)
 	default:
 		fatal(fmt.Errorf("unknown op %q", *op))
 	}
@@ -279,6 +243,17 @@ func load(path, format string) (*pxml.ProbInstance, error) {
 		return pxml.DecodeJSON(f)
 	}
 	return pxml.DecodeText(f)
+}
+
+// exec runs one parsed statement on the engine — under ctx, so -timeout
+// bounds it, and under the engine's governor and panic isolation — and
+// exits on failure.
+func exec(ctx context.Context, eng *pxml.Engine, q pxml.PXQLQuery) *pxml.PXQLResult {
+	res, err := eng.Exec(ctx, q)
+	if err != nil {
+		fatalHint(err)
+	}
+	return res
 }
 
 // noteDAG tells the user when the answer came from the network route.

@@ -8,12 +8,13 @@
 //
 // An Engine is safe for concurrent use and assumes the wrapped instance is
 // never mutated after construction (the contract the server catalog
-// already enforces: algebra results are fresh instances). The execution
-// API is context-aware — Run and the Prob* entry points check for
-// cancellation between phases (parse, structure build, inference) — and
-// the batch entry points (RunBatch, BatchPoint, parallel Monte-Carlo
-// estimation) fan independent sub-evaluations out over a bounded worker
-// pool.
+// already enforces: algebra results are fresh instances). It is the only
+// evaluator: every pxql statement is executed by dispatch (exec.go), and
+// the tree-or-DAG lane is chosen by the routed primitives in this file and
+// nowhere else. The execution API is context-aware — Run, Exec and the
+// Prob* entry points check for cancellation between phases (parse,
+// structure build, inference) — and RunBatch and Monte-Carlo estimation
+// fan independent sub-evaluations out over a bounded worker pool.
 //
 // Per-engine observability: query and error counts, cache hits/misses,
 // and a latency histogram, exported as a JSON-encodable snapshot (the
@@ -30,7 +31,6 @@ import (
 
 	"pxml/internal/bayes"
 	"pxml/internal/core"
-	"pxml/internal/enumerate"
 	"pxml/internal/govern"
 	"pxml/internal/metrics"
 	"pxml/internal/model"
@@ -251,22 +251,8 @@ func (e *Engine) Network() (*bayes.Network, error) {
 	return v, err
 }
 
-// Marginals returns the cached existence marginals P(o exists) for every
-// object (tree instances; the error is cached on DAGs). The returned map
-// is a copy — callers may keep or mutate it.
-func (e *Engine) Marginals() (map[model.ObjectID]float64, error) {
-	v, err := e.marginals()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[model.ObjectID]float64, len(v))
-	for k, p := range v {
-		out[k] = p
-	}
-	return out, nil
-}
-
-// marginals returns the cached existence marginals themselves, shared
+// marginals returns the cached existence marginals P(o exists) for every
+// object (tree instances; the error is cached on DAGs). The map is shared
 // between callers: read-only.
 func (e *Engine) marginals() (map[model.ObjectID]float64, error) {
 	v, err, hit := e.marg.get(func() (map[model.ObjectID]float64, error) {
@@ -289,10 +275,10 @@ func (e *Engine) Profile() govern.Profile {
 func (e *Engine) Budget() govern.Budget { return e.budget }
 
 // governed returns ctx carrying a governor for one query. A governor
-// already on ctx is reused (backend sub-evaluations run under their
-// statement's governor rather than getting a fresh budget each); otherwise
-// the engine's budget deadline is applied to ctx and a new governor
-// installed. The cancel func must be called when the query finishes.
+// already on ctx is reused (a caller that governs several evaluations as
+// one keeps its budget); otherwise the engine's budget deadline is applied
+// to ctx and a new governor installed. The cancel func must be called when
+// the query finishes.
 func (e *Engine) governed(ctx context.Context) (context.Context, *govern.Governor, context.CancelFunc) {
 	if g := govern.From(ctx); g != nil {
 		return ctx, g, func() {}
@@ -457,7 +443,7 @@ func (e *Engine) runParsed(ctx context.Context, statement string) (*pxql.Result,
 	if err != nil {
 		return nil, err
 	}
-	return e.exec(ctx, q)
+	return e.exec(ctx, false, q)
 }
 
 // resultCost estimates the bytes a cached result pins: key text plus the
@@ -477,63 +463,22 @@ func copyResult(r *pxql.Result) *pxql.Result {
 	return out
 }
 
-// Exec executes a parsed statement (see Run for the context contract).
-func (e *Engine) Exec(ctx context.Context, q pxql.Query) (res *pxql.Result, err error) {
-	start := time.Now()
-	e.queries.Inc()
-	defer func() { e.finish(start, err) }()
-	defer e.observeShape(q.Shape(), start)
-	res, err = e.exec(ctx, q)
-	return res, err
-}
-
-func (e *Engine) exec(ctx context.Context, q pxql.Query) (res *pxql.Result, err error) {
-	if err = ctx.Err(); err != nil {
-		return nil, err
-	}
-	ctx, g, cancel := e.governed(ctx)
-	defer cancel()
-	if err = e.admit(q.Op, q.Top, g); err != nil {
-		return nil, err
-	}
-	if e.costObs != nil {
-		defer func() { e.costObs(q.Shape(), g.Estimate(), g.Steps()) }()
-	}
-	defer recoverQueryPanic(&err)
-	res, err = pxql.ExecWithCtx(ctx, e.pi, q, backend{e: e, ctx: ctx})
-	return res, err
-}
-
 // ProbExists returns P(∃o. o ∈ p): the Section 6.2 tree fast path through
 // the cached index, or cached-network BN inference on DAGs.
 func (e *Engine) ProbExists(ctx context.Context, p pathexpr.Path) (pr float64, err error) {
-	start := time.Now()
-	e.queries.Inc()
-	defer func() { e.finish(start, err) }()
-	defer e.observeShape(pxql.ShapeExists, start)
-	ctx, g, cancel := e.governed(ctx)
-	defer cancel()
-	if err = e.admit("prob-exists", 0, g); err != nil {
-		return 0, err
-	}
-	defer recoverQueryPanic(&err)
-	pr, err = e.existsProb(ctx, p)
+	err = e.evaluate(ctx, true, pxql.ShapeExists, "prob-exists", 0, func(ctx context.Context) (err error) {
+		pr, err = e.existsProb(ctx, p)
+		return err
+	})
 	return pr, err
 }
 
 // ProbPoint returns P(o ∈ p), routed like ProbExists.
 func (e *Engine) ProbPoint(ctx context.Context, p pathexpr.Path, o model.ObjectID) (pr float64, err error) {
-	start := time.Now()
-	e.queries.Inc()
-	defer func() { e.finish(start, err) }()
-	defer e.observeShape(pxql.ShapePoint, start)
-	ctx, g, cancel := e.governed(ctx)
-	defer cancel()
-	if err = e.admit("prob-point", 0, g); err != nil {
-		return 0, err
-	}
-	defer recoverQueryPanic(&err)
-	pr, err = e.pointProb(ctx, p, o)
+	err = e.evaluate(ctx, true, pxql.ShapePoint, "prob-point", 0, func(ctx context.Context) (err error) {
+		pr, err = e.pointProb(ctx, p, o)
+		return err
+	})
 	return pr, err
 }
 
@@ -542,54 +487,27 @@ func (e *Engine) ProbPoint(ctx context.Context, p pathexpr.Path, o model.ObjectI
 // into P(o ∈ p) · VPF(o)(v) (the value draw is independent of the
 // structure choice given that o occurs).
 func (e *Engine) ProbValue(ctx context.Context, p pathexpr.Path, o model.ObjectID, v model.Value) (pr float64, err error) {
-	start := time.Now()
-	e.queries.Inc()
-	defer func() { e.finish(start, err) }()
-	defer e.observeShape(pxql.ShapeExists, start)
-	if err = ctx.Err(); err != nil {
-		return 0, err
-	}
-	ctx, g, cancel := e.governed(ctx)
-	defer cancel()
-	if err = e.admit("prob-value", 0, g); err != nil {
-		return 0, err
-	}
-	defer recoverQueryPanic(&err)
-	if e.IsTree() {
-		pr, err = query.ValuePointQueryIndexedCtx(ctx, e.pi, e.Index(), p, o, v)
-		return pr, err
-	}
-	vpf := e.pi.VPF(o)
-	if vpf == nil {
-		return 0, nil
-	}
-	pr, err = e.pointProb(ctx, p, o)
-	if err != nil {
-		return 0, err
-	}
-	pr *= vpf.Prob(v)
-	return pr, nil
+	err = e.evaluate(ctx, true, pxql.ShapePoint, "prob-value", 0, func(ctx context.Context) (err error) {
+		pr, err = e.valuePointProb(ctx, p, o, v)
+		return err
+	})
+	return pr, err
 }
 
 // ProbObject returns the existence marginal P(o exists): from the cached
 // ε-lane marginals on trees, via the cached network on DAGs.
 func (e *Engine) ProbObject(ctx context.Context, o model.ObjectID) (pr float64, err error) {
-	start := time.Now()
-	e.queries.Inc()
-	defer func() { e.finish(start, err) }()
-	defer e.observeShape(pxql.ShapePoint, start)
-	ctx, g, cancel := e.governed(ctx)
-	defer cancel()
-	if err = e.admit("prob-object", 0, g); err != nil {
-		return 0, err
-	}
-	defer recoverQueryPanic(&err)
-	pr, err = e.objectProb(ctx, o)
+	err = e.evaluate(ctx, true, pxql.ShapePoint, "prob-object", 0, func(ctx context.Context) (err error) {
+		pr, err = e.objectProb(ctx, o)
+		return err
+	})
 	return pr, err
 }
 
-// Uninstrumented primitives: the Prob* wrappers and the pxql backend share
-// these so each statement is metered exactly once.
+// The routed primitives: each picks the ε lane on a tree and the compiled
+// network on a DAG, and nothing outside this package makes that choice.
+// They neither meter nor govern — the typed Prob* methods and dispatch
+// reach them through evaluate, which does both once per statement.
 
 func (e *Engine) pointProb(ctx context.Context, p pathexpr.Path, o model.ObjectID) (float64, error) {
 	if err := ctx.Err(); err != nil {
@@ -648,44 +566,32 @@ func (e *Engine) objectProb(ctx context.Context, o model.ObjectID) (float64, err
 	return net.ProbExistsCtx(ctx, o)
 }
 
-// backend adapts the engine's cached primitives to the pxql.Backend seam,
-// carrying the caller's context into each sub-evaluation.
-type backend struct {
-	e   *Engine
-	ctx context.Context
-}
-
-func (b backend) PointProb(p pathexpr.Path, o model.ObjectID) (float64, error) {
-	return b.e.pointProb(b.ctx, p, o)
-}
-
-func (b backend) ExistsProb(p pathexpr.Path) (float64, error) {
-	return b.e.existsProb(b.ctx, p)
-}
-
-func (b backend) ValueExistsProb(p pathexpr.Path, v model.Value) (float64, error) {
-	if err := b.ctx.Err(); err != nil {
+// valuePointProb is ProbValue's routing: the ε recursion with the VPF as the
+// success probability on a tree; P(o ∈ p) · VPF(o)(v) on a DAG.
+func (e *Engine) valuePointProb(ctx context.Context, p pathexpr.Path, o model.ObjectID, v model.Value) (float64, error) {
+	if e.IsTree() {
+		return query.ValuePointQueryIndexedCtx(ctx, e.pi, e.Index(), p, o, v)
+	}
+	vpf := e.pi.VPF(o)
+	if vpf == nil {
+		return 0, nil
+	}
+	pr, err := e.pointProb(ctx, p, o)
+	if err != nil {
 		return 0, err
 	}
-	if b.e.IsTree() {
-		return query.ValueExistsQueryIndexedCtx(b.ctx, b.e.pi, b.e.Index(), p, v)
+	return pr * vpf.Prob(v), nil
+}
+
+// valueExistsProb returns P(∃ leaf o ∈ p with val(o) = v). It has a tree
+// route only: summing over several leaves of a DAG is not a product of
+// marginals.
+func (e *Engine) valueExistsProb(ctx context.Context, p pathexpr.Path, v model.Value) (float64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
 	}
-	// Parity with the direct backend: no DAG route exists for
-	// value-existence over multiple leaves.
-	return query.ValueExistsQuery(b.e.pi, p, v)
-}
-
-func (b backend) ObjectProb(o model.ObjectID) (float64, error) {
-	return b.e.objectProb(b.ctx, o)
-}
-
-func (b backend) Marginals() (map[model.ObjectID]float64, error) {
-	if err := b.ctx.Err(); err != nil {
-		return nil, err
+	if !e.IsTree() {
+		return 0, query.ErrNotTree
 	}
-	return b.e.Marginals()
-}
-
-func (b backend) Estimate(op string, p pathexpr.Path, o model.ObjectID, n int) (enumerate.Estimate, error) {
-	return b.e.estimate(b.ctx, op, p, o, n)
+	return query.ValueExistsQueryIndexedCtx(ctx, e.pi, e.Index(), p, v)
 }

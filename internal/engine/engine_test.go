@@ -2,13 +2,13 @@ package engine
 
 import (
 	"context"
+	"maps"
 	"math"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"pxml/internal/algebra"
 	"pxml/internal/bayes"
 	"pxml/internal/core"
 	"pxml/internal/fixtures"
@@ -24,8 +24,7 @@ import (
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-// treeBib builds the tree bibliography the pxql tests use, so engine
-// results can be cross-checked against the direct evaluation route.
+// treeBib builds the tree bibliography the pxql tests use.
 func treeBib(t testing.TB) *core.ProbInstance {
 	t.Helper()
 	pi := core.NewProbInstance("R")
@@ -58,61 +57,6 @@ func treeBib(t testing.TB) *core.ProbInstance {
 	v.Put("Lore", 0.4)
 	pi.SetVPF("T1", v)
 	return pi
-}
-
-// statements every instance kind should answer identically through the
-// engine and through the direct pxql route.
-var parityStatements = []string{
-	"PROB R.book = B1",
-	"PROB R.book.author = A1",
-	"PROB EXISTS R.book.author",
-	"PROB OBJECT A1",
-	"CHAIN R.B1.A1",
-	"STATS",
-	"WORLDS 3",
-	"TOPK 2",
-}
-
-func TestEngineMatchesDirectEvaluation(t *testing.T) {
-	cases := []struct {
-		name  string
-		pi    *core.ProbInstance
-		extra []string
-	}{
-		{"tree", treeBib(t), []string{
-			"PROB VAL(R.book.title) = Lore",
-			"MARGINALS",
-			"COUNT R.book.author",
-			"SELECT R.book = B1",
-			"PROJECT R.book.author",
-		}},
-		{"dag", fixtures.Figure2(), nil},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			eng := New(tc.pi)
-			ctx := context.Background()
-			for _, stmt := range append(append([]string(nil), parityStatements...), tc.extra...) {
-				want, werr := pxql.Eval(tc.pi, stmt)
-				got, gerr := eng.Run(ctx, stmt)
-				if (werr == nil) != (gerr == nil) {
-					t.Fatalf("%s: direct err=%v engine err=%v", stmt, werr, gerr)
-				}
-				if werr != nil {
-					continue
-				}
-				if (want.Prob == nil) != (got.Prob == nil) {
-					t.Fatalf("%s: prob presence mismatch", stmt)
-				}
-				if want.Prob != nil && !approx(*want.Prob, *got.Prob) {
-					t.Errorf("%s: engine %v, direct %v", stmt, *got.Prob, *want.Prob)
-				}
-				if want.Text != got.Text {
-					t.Errorf("%s: text mismatch\nengine: %s\ndirect: %s", stmt, got.Text, want.Text)
-				}
-			}
-		})
-	}
 }
 
 func TestProbValueFactorsOnDAG(t *testing.T) {
@@ -156,17 +100,6 @@ func TestEngineCaches(t *testing.T) {
 	if m["cache_hits"].(int64) == 0 || m["cache_misses"].(int64) == 0 {
 		t.Errorf("cache counters not moving: %v", m)
 	}
-	// Marginals returns a caller-owned copy.
-	tree := New(treeBib(t))
-	m1, err := tree.Marginals()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1["R"] = -1
-	m2, _ := tree.Marginals()
-	if m2["R"] == -1 {
-		t.Error("Marginals aliases the cache")
-	}
 }
 
 func TestEngineMetricsCount(t *testing.T) {
@@ -206,35 +139,10 @@ func TestEngineContextCancellation(t *testing.T) {
 	if err := eng.Warm(ctx); err != context.Canceled {
 		t.Errorf("Warm on cancelled ctx: %v", err)
 	}
-	if _, err := eng.BatchPoint(ctx, pathexpr.MustParse("R.book"), []model.ObjectID{"B1", "B2"}); err == nil {
-		t.Error("BatchPoint on cancelled ctx succeeded")
-	}
 	deadline, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel2()
 	if _, err := eng.Run(deadline, "STATS"); err != context.DeadlineExceeded {
 		t.Errorf("expired deadline: %v", err)
-	}
-}
-
-func TestBatchPointMatchesSingles(t *testing.T) {
-	for _, pi := range []*core.ProbInstance{treeBib(t), fixtures.Figure2()} {
-		eng := New(pi, WithWorkers(3))
-		ctx := context.Background()
-		p := pathexpr.MustParse("R.book.author")
-		objs := []model.ObjectID{"A1", "A2", "A3", "nope"}
-		got, err := eng.BatchPoint(ctx, p, objs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, o := range objs {
-			want, err := eng.ProbPoint(ctx, p, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !approx(got[i], want) {
-				t.Errorf("BatchPoint[%s] = %v, want %v", o, got[i], want)
-			}
-		}
 	}
 }
 
@@ -288,42 +196,6 @@ func TestEstimateSharded(t *testing.T) {
 	}
 }
 
-func TestJoinAndProductEngines(t *testing.T) {
-	ctx := context.Background()
-	a := New(treeBib(t))
-	b := New(treeBib(t))
-	prodEng, renames, err := Product(ctx, a, b, "ROOT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantProd, wantRenames, err := algebra.CartesianProduct(a.Instance(), b.Instance(), "ROOT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !core.Equal(prodEng.Instance(), wantProd, 1e-12) {
-		t.Error("Product instance differs from algebra.CartesianProduct")
-	}
-	if len(renames) != len(wantRenames) {
-		t.Errorf("renames = %v, want %v", renames, wantRenames)
-	}
-
-	cond := algebra.ObjectCondition{Path: pathexpr.MustParse("ROOT.book"), Object: "B1"}
-	joinEng, res, err := Join(ctx, a, b, "ROOT", cond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJoin, err := algebra.Join(a.Instance(), b.Instance(), "ROOT", cond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(res.Prob, wantJoin.Prob) {
-		t.Errorf("join prob %v, want %v", res.Prob, wantJoin.Prob)
-	}
-	if !core.Equal(joinEng.Instance(), wantJoin.Instance, 1e-12) {
-		t.Error("Join instance differs from algebra.Join")
-	}
-}
-
 // TestEngineConcurrentHammer drives one engine from many goroutines with a
 // mix of point, existence, object, batch and pxql statement queries.
 // Run with -race; it is the engine's concurrency-safety witness.
@@ -338,15 +210,13 @@ func TestEngineConcurrentHammer(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := New(tc.pi, WithWorkers(4))
 			ctx := context.Background()
-			// Reference answers computed through the direct route.
-			wantPoint, err := pxql.Eval(tc.pi, "PROB R.book.author = A1")
-			if err != nil {
-				t.Fatal(err)
+			// Reference answers summed over the enumerated worlds.
+			or, ok := newOracle(t, tc.pi, 0)
+			if !ok {
+				t.Fatal("fixture too large to enumerate")
 			}
-			wantExists, err := pxql.Eval(tc.pi, "PROB EXISTS R.book.author")
-			if err != nil {
-				t.Fatal(err)
-			}
+			author := pathexpr.MustParse("R.book.author")
+			wantPoint, wantExists := or.point(author, "A1"), or.exists(author)
 			const goroutines = 16
 			const iters = 25
 			var wg sync.WaitGroup
@@ -355,18 +225,17 @@ func TestEngineConcurrentHammer(t *testing.T) {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					p := pathexpr.MustParse("R.book.author")
 					for i := 0; i < iters; i++ {
 						switch (g + i) % 5 {
 						case 0:
-							pr, err := eng.ProbPoint(ctx, p, "A1")
-							if err != nil || !approx(pr, *wantPoint.Prob) {
+							pr, err := eng.ProbPoint(ctx, author, "A1")
+							if err != nil || !sameProb(pr, wantPoint) {
 								errCh <- err
 								return
 							}
 						case 1:
-							pr, err := eng.ProbExists(ctx, p)
-							if err != nil || !approx(pr, *wantExists.Prob) {
+							pr, err := eng.ProbExists(ctx, author)
+							if err != nil || !sameProb(pr, wantExists) {
 								errCh <- err
 								return
 							}
@@ -381,9 +250,11 @@ func TestEngineConcurrentHammer(t *testing.T) {
 								return
 							}
 						case 4:
-							if _, err := eng.BatchPoint(ctx, p, []model.ObjectID{"A1", "A2"}); err != nil {
-								errCh <- err
-								return
+							for _, br := range eng.RunBatch(ctx, []string{"PROB R.book.author = A1", "PROB R.book.author = A2"}) {
+								if br.Err != nil {
+									errCh <- br.Err
+									return
+								}
 							}
 						}
 					}
@@ -429,24 +300,39 @@ func TestShapeObserver(t *testing.T) {
 	run("WORLDS 2")
 	run("ESTIMATE 50 EXISTS R.book")
 	run("STATS")
-	if _, err := eng.ProbExists(ctx, pathexpr.MustParse("R.book")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.ProbPoint(ctx, pathexpr.MustParse("R.book"), "B1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.BatchPoint(ctx, pathexpr.MustParse("R.book"), []model.ObjectID{"B1", "B2"}); err != nil {
-		t.Fatal(err)
+	// Each typed entry point reports its own shape, exactly once per call.
+	book, title := pathexpr.MustParse("R.book"), pathexpr.MustParse("R.book.title")
+	for _, tc := range []struct {
+		name, shape string
+		call        func() error
+	}{
+		{"ProbExists", pxql.ShapeExists, func() error { _, err := eng.ProbExists(ctx, book); return err }},
+		{"ProbPoint", pxql.ShapePoint, func() error { _, err := eng.ProbPoint(ctx, book, "B1"); return err }},
+		{"ProbValue", pxql.ShapePoint, func() error { _, err := eng.ProbValue(ctx, title, "T1", "Lore"); return err }},
+		{"ProbObject", pxql.ShapePoint, func() error { _, err := eng.ProbObject(ctx, "B1"); return err }},
+		{"Exec", pxql.ShapeStats, func() error { _, err := eng.Exec(ctx, pxql.Query{Op: "stats"}); return err }},
+	} {
+		mu.Lock()
+		want := maps.Clone(counts)
+		mu.Unlock()
+		want[tc.shape]++
+		if err := tc.call(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		mu.Lock()
+		if !maps.Equal(counts, want) {
+			t.Errorf("%s: observed %v, want one more %q and nothing else (%v)", tc.name, counts, tc.shape, want)
+		}
+		mu.Unlock()
 	}
 	want := map[string]int{
 		pxql.ShapeProject:  1,
 		pxql.ShapeSelect:   1,
-		pxql.ShapePoint:    2, // PROB point statement + ProbPoint call
+		pxql.ShapePoint:    4, // PROB point statement + ProbPoint, ProbValue, ProbObject calls
 		pxql.ShapeExists:   2, // PROB EXISTS statement + ProbExists call
 		pxql.ShapeEnum:     1,
 		pxql.ShapeEstimate: 1,
-		pxql.ShapeStats:    1,
-		pxql.ShapeBatch:    1,
+		pxql.ShapeStats:    2, // STATS statement + Exec of a parsed one
 	}
 	mu.Lock()
 	defer mu.Unlock()

@@ -12,7 +12,6 @@ import (
 	"pxml/internal/gen"
 	"pxml/internal/govern"
 	"pxml/internal/model"
-	"pxml/internal/pathexpr"
 	"pxml/internal/prob"
 	"pxml/internal/sets"
 )
@@ -204,16 +203,6 @@ func TestQueryPanicIsolated(t *testing.T) {
 	// And the panicking route keeps failing cleanly rather than crashing.
 	if _, err := eng.Run(context.Background(), "PROB OBJECT X"); !errors.Is(err, ErrQueryPanic) {
 		t.Fatalf("second panic not contained: %v", err)
-	}
-}
-
-// TestBatchPointPanicIsolated: a panic inside one point of a parallel
-// batch is contained by its worker and reported as the batch error.
-func TestBatchPointPanicIsolated(t *testing.T) {
-	eng := New(panicInstance())
-	_, err := eng.BatchPoint(context.Background(), pathexpr.MustParse("R.a"), []model.ObjectID{"X", "Y"})
-	if !errors.Is(err, ErrQueryPanic) {
-		t.Fatalf("err = %v, want ErrQueryPanic", err)
 	}
 }
 

@@ -14,8 +14,9 @@ import (
 	"sort"
 )
 
-// Graph is a mutable, edge-labeled directed graph. The zero value is not
-// usable; create instances with New.
+// Graph is an edge-labeled directed graph that only grows: vertices and
+// edges are added, never removed. The zero value is not usable; create
+// instances with New.
 type Graph struct {
 	nodes map[string]struct{}
 	// out maps a source vertex to its successors and the edge label.
@@ -70,41 +71,6 @@ func (g *Graph) AddEdge(from, to, label string) error {
 	}
 	g.in[to][from] = struct{}{}
 	return nil
-}
-
-// RemoveEdge deletes the edge from → to if present.
-func (g *Graph) RemoveEdge(from, to string) {
-	if m, ok := g.out[from]; ok {
-		delete(m, to)
-		if len(m) == 0 {
-			delete(g.out, from)
-		}
-	}
-	if m, ok := g.in[to]; ok {
-		delete(m, from)
-		if len(m) == 0 {
-			delete(g.in, to)
-		}
-	}
-}
-
-// RemoveNode deletes a vertex and all edges incident to it.
-func (g *Graph) RemoveNode(id string) {
-	for to := range g.out[id] {
-		delete(g.in[to], id)
-		if len(g.in[to]) == 0 {
-			delete(g.in, to)
-		}
-	}
-	delete(g.out, id)
-	for from := range g.in[id] {
-		delete(g.out[from], id)
-		if len(g.out[from]) == 0 {
-			delete(g.out, from)
-		}
-	}
-	delete(g.in, id)
-	delete(g.nodes, id)
 }
 
 // HasEdge reports whether the edge from → to exists.
@@ -225,30 +191,6 @@ func (g *Graph) LCh(o, label string) []string {
 // IsLeaf reports whether o has no children (Def 3.2).
 func (g *Graph) IsLeaf(o string) bool { return len(g.out[o]) == 0 }
 
-// Leaves returns all vertices with no children, in sorted order.
-func (g *Graph) Leaves() []string {
-	var ls []string
-	for id := range g.nodes {
-		if len(g.out[id]) == 0 {
-			ls = append(ls, id)
-		}
-	}
-	sort.Strings(ls)
-	return ls
-}
-
-// Roots returns all vertices with no parents, in sorted order.
-func (g *Graph) Roots() []string {
-	var rs []string
-	for id := range g.nodes {
-		if len(g.in[id]) == 0 {
-			rs = append(rs, id)
-		}
-	}
-	sort.Strings(rs)
-	return rs
-}
-
 // Descendants returns des(o): every vertex reachable from o by a non-empty
 // directed path, in sorted order (Def 3.2).
 func (g *Graph) Descendants(o string) []string {
@@ -276,23 +218,6 @@ func (g *Graph) Descendants(o string) []string {
 	}
 	sort.Strings(ds)
 	return ds
-}
-
-// NonDescendants returns non-des(o): every vertex that is neither o nor a
-// descendant of o, in sorted order (Def 3.2).
-func (g *Graph) NonDescendants(o string) []string {
-	des := make(map[string]bool)
-	for _, d := range g.Descendants(o) {
-		des[d] = true
-	}
-	var nds []string
-	for id := range g.nodes {
-		if id != o && !des[id] {
-			nds = append(nds, id)
-		}
-	}
-	sort.Strings(nds)
-	return nds
 }
 
 // ReachableFrom returns the set of vertices reachable from root, including
@@ -492,29 +417,6 @@ func (g *Graph) Clone() *Graph {
 		}
 	}
 	return c
-}
-
-// InducedSubgraph returns the subgraph on the given vertex set: it contains
-// exactly the listed vertices and every edge of g whose endpoints are both
-// in the set.
-func (g *Graph) InducedSubgraph(keep map[string]bool) *Graph {
-	s := New()
-	for id := range keep {
-		if g.HasNode(id) {
-			s.AddNode(id)
-		}
-	}
-	for from, m := range g.out {
-		if !keep[from] {
-			continue
-		}
-		for to, l := range m {
-			if keep[to] {
-				_ = s.AddEdge(from, to, l)
-			}
-		}
-	}
-	return s
 }
 
 // EachChild calls fn for every (child, label) pair of o in sorted child

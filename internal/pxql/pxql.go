@@ -1,7 +1,7 @@
-// Package pxql implements a small textual query language over PXML
-// probabilistic instances, wrapping the paper's algebra and queries in the
-// spirit of its Section 8 discussion of XPath/XQuery (path expressions
-// locate objects; the operators manipulate whole probabilistic instances).
+// Package pxql is a small textual query language over PXML probabilistic
+// instances, wrapping the paper's algebra and queries in the spirit of its
+// Section 8 discussion of XPath/XQuery (path expressions locate objects;
+// the operators manipulate whole probabilistic instances).
 //
 // Statements (keywords are case-insensitive; paths use the Definition 5.1
 // dotted form):
@@ -29,44 +29,30 @@
 //	                                      (n forward samples; reproducible seed)
 //	STATS                                 instance summary
 //
-// Exec returns a Result whose Instance field is set for algebra statements
-// and whose Prob/Text fields carry scalar answers and rendered output.
+// The package is the language only: Parse, the Query and Result types, and
+// the statement shapes. Nothing here evaluates — internal/engine executes a
+// Query and decides the tree-or-DAG lane, and it is the only thing that
+// does, so this package must not import an inference kernel (bayes, query,
+// enumerate), the governor or the engine (imports_test.go holds it to that).
 package pxql
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 
 	"pxml/internal/algebra"
-	"pxml/internal/bayes"
 	"pxml/internal/core"
-	"pxml/internal/enumerate"
-	"pxml/internal/govern"
-	"pxml/internal/model"
 	"pxml/internal/pathexpr"
-	"pxml/internal/query"
 	"pxml/internal/sets"
 )
-
-// execErr is the cooperative pre-dispatch check: the governor when one
-// is attached, the bare context otherwise.
-func execErr(ctx context.Context, gov *govern.Governor) error {
-	if gov != nil {
-		return gov.Err()
-	}
-	return ctx.Err()
-}
 
 // Query is a parsed statement.
 type Query struct {
 	// Op is the canonical operation name: project, single, descend,
 	// select, prob-point, prob-exists, prob-value, prob-object, chain,
-	// marginals, worlds, stats.
+	// count, marginals, worlds, topk, estimate-exists, estimate-point,
+	// stats.
 	Op string
 	// Path is set for path-based operations.
 	Path pathexpr.Path
@@ -81,7 +67,7 @@ type Query struct {
 	Top int
 }
 
-// Result is the outcome of executing a query.
+// Result is the outcome of executing a query (engine.Engine.Run / Exec).
 type Result struct {
 	// Instance is the resulting probabilistic instance for algebra
 	// statements (nil otherwise).
@@ -340,261 +326,4 @@ func splitCaseInsensitive(s, sep string) []string {
 		parts = append(parts, s[start:start+i])
 		start += i + len(sep)
 	}
-}
-
-// Backend supplies the probabilistic primitives Exec relies on, so that a
-// caching query engine (internal/engine) can substitute precomputed
-// structures — path indexes, compiled Bayesian networks, memoized
-// marginals — without duplicating statement dispatch or answer rendering.
-// The direct (uncached) backend re-derives everything per call, exactly as
-// Exec always did.
-type Backend interface {
-	// PointProb returns P(o ∈ p), falling back to BN inference on DAGs.
-	PointProb(p pathexpr.Path, o model.ObjectID) (float64, error)
-	// ExistsProb returns P(∃o. o ∈ p), falling back to BN inference on DAGs.
-	ExistsProb(p pathexpr.Path) (float64, error)
-	// ValueExistsProb returns P(∃ leaf o ∈ p with val(o) = v) (tree only).
-	ValueExistsProb(p pathexpr.Path, v model.Value) (float64, error)
-	// ObjectProb returns the existence marginal P(o exists) (DAG-capable).
-	ObjectProb(o model.ObjectID) (float64, error)
-	// Marginals returns P(o exists) for every object (tree only).
-	Marginals() (map[model.ObjectID]float64, error)
-	// Estimate Monte-Carlo-estimates P(∃o. o ∈ p) (op "exists") or
-	// P(o ∈ p) (op "point") from n forward samples.
-	Estimate(op string, p pathexpr.Path, o model.ObjectID, n int) (enumerate.Estimate, error)
-}
-
-// directBackend is the uncached Backend: every call re-derives its support
-// structures from the instance.
-type directBackend struct{ pi *core.ProbInstance }
-
-func (d directBackend) PointProb(p pathexpr.Path, o model.ObjectID) (float64, error) {
-	pr, err := query.PointQuery(d.pi, p, o)
-	if errors.Is(err, query.ErrNotTree) {
-		pr, err = bayes.PathProb(d.pi, p, o)
-	}
-	return pr, err
-}
-
-func (d directBackend) ExistsProb(p pathexpr.Path) (float64, error) {
-	pr, err := query.ExistsQuery(d.pi, p)
-	if errors.Is(err, query.ErrNotTree) {
-		pr, err = bayes.PathProb(d.pi, p, "")
-	}
-	return pr, err
-}
-
-func (d directBackend) ValueExistsProb(p pathexpr.Path, v model.Value) (float64, error) {
-	return query.ValueExistsQuery(d.pi, p, v)
-}
-
-func (d directBackend) ObjectProb(o model.ObjectID) (float64, error) {
-	net, err := bayes.Compile(d.pi)
-	if err != nil {
-		return 0, err
-	}
-	return net.ProbExists(o)
-}
-
-func (d directBackend) Marginals() (map[model.ObjectID]float64, error) {
-	return query.ExistenceMarginals(d.pi)
-}
-
-func (d directBackend) Estimate(op string, p pathexpr.Path, o model.ObjectID, n int) (enumerate.Estimate, error) {
-	r := rand.New(rand.NewSource(1)) // fixed seed: reproducible estimates
-	pred := EstimatePred(op, p, o)
-	return enumerate.EstimateProb(d.pi, pred, n, r)
-}
-
-// EstimatePred builds the possible-world predicate of an ESTIMATE
-// statement: op is "exists" or "point". Shared with backends that sample
-// in parallel.
-func EstimatePred(op string, p pathexpr.Path, o model.ObjectID) func(*model.Instance) bool {
-	return func(s *model.Instance) bool {
-		if op == "exists" {
-			return len(p.Targets(s.Graph())) > 0
-		}
-		return p.Matches(s.Graph(), o)
-	}
-}
-
-// Exec runs a parsed query against an instance. Tree-only fast paths fall
-// back to exact DAG routes where one exists (BN inference for point and
-// existence queries); otherwise the tree requirement surfaces as an error.
-func Exec(pi *core.ProbInstance, q Query) (*Result, error) {
-	return ExecWith(pi, q, directBackend{pi})
-}
-
-// ExecWith is Exec with the probabilistic primitives supplied by b; the
-// algebra, enumeration and stats statements still evaluate against pi
-// directly: what they need memoized (the weak graph and its tree verdict)
-// pi memoizes itself, and an instance-valued result shares with pi whatever
-// the operator left unchanged (core.ProbInstance.Overlay) instead of
-// copying it.
-func ExecWith(pi *core.ProbInstance, q Query, b Backend) (*Result, error) {
-	return ExecWithCtx(context.Background(), pi, q, b)
-}
-
-// ExecWithCtx is ExecWith under a context-carried resource governor
-// (govern.From): the enumeration, top-k, and count paths cooperate at
-// their loop boundaries, the algebra paths check the budget between
-// operator applications and charge each result instance's size, and
-// the probabilistic primitives inherit whatever governance the backend
-// itself threads (the engine backend passes the same ctx down to the
-// ε, BN, and sampling kernels).
-func ExecWithCtx(ctx context.Context, pi *core.ProbInstance, q Query, b Backend) (*Result, error) {
-	gov := govern.From(ctx)
-	if err := execErr(ctx, gov); err != nil {
-		return nil, err
-	}
-	switch q.Op {
-	case "project":
-		out, err := algebra.AncestorProject(pi, q.Path)
-		if err != nil {
-			return nil, err
-		}
-		if err := gov.Step(int64(out.NumObjects())); err != nil {
-			return nil, err
-		}
-		return &Result{Instance: out, Text: fmt.Sprintf("Λ_%s: %d objects", q.Path, out.NumObjects())}, nil
-	case "single":
-		out, err := algebra.SingleProject(pi, q.Path)
-		if err != nil {
-			return nil, err
-		}
-		if err := gov.Step(int64(out.NumObjects())); err != nil {
-			return nil, err
-		}
-		return &Result{Instance: out, Text: fmt.Sprintf("Π_%s: %d objects", q.Path, out.NumObjects())}, nil
-	case "descend":
-		out, err := algebra.DescendantProject(pi, q.Path)
-		if err != nil {
-			return nil, err
-		}
-		if err := gov.Step(int64(out.NumObjects())); err != nil {
-			return nil, err
-		}
-		return &Result{Instance: out, Text: fmt.Sprintf("Δ_%s: %d objects", q.Path, out.NumObjects())}, nil
-	case "select":
-		out, p, err := algebra.Select(pi, q.Cond)
-		if err != nil {
-			return nil, err
-		}
-		if err := gov.Step(int64(out.NumObjects())); err != nil {
-			return nil, err
-		}
-		return &Result{Instance: out, Prob: &p, Text: fmt.Sprintf("σ(%s): P = %.9f", q.Cond, p)}, nil
-	case "prob-point":
-		p, err := b.PointProb(q.Path, q.Object)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Prob: &p, Text: fmt.Sprintf("P(%s ∈ %s) = %.9f", q.Object, q.Path, p)}, nil
-	case "prob-exists":
-		p, err := b.ExistsProb(q.Path)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Prob: &p, Text: fmt.Sprintf("P(∃ %s) = %.9f", q.Path, p)}, nil
-	case "prob-value":
-		p, err := b.ValueExistsProb(q.Path, q.Value)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Prob: &p, Text: fmt.Sprintf("P(val(%s) = %s) = %.9f", q.Path, q.Value, p)}, nil
-	case "prob-object":
-		p, err := b.ObjectProb(q.Object)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Prob: &p, Text: fmt.Sprintf("P(%s exists) = %.9f", q.Object, p)}, nil
-	case "chain":
-		p, err := query.ChainProb(pi, q.Chain)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Prob: &p, Text: fmt.Sprintf("P(chain %s) = %.9f", strings.Join(q.Chain, "."), p)}, nil
-	case "count":
-		d, err := query.CountDistributionCtx(ctx, pi, q.Path)
-		if err != nil {
-			return nil, err
-		}
-		e := 0.0
-		for k, pr := range d {
-			e += float64(k) * pr
-		}
-		maxK := 0
-		for k := range d {
-			if k > maxK {
-				maxK = k
-			}
-		}
-		var b strings.Builder
-		fmt.Fprintf(&b, "E[count(%s)] = %.6f\n", q.Path, e)
-		for k := 0; k <= maxK; k++ {
-			if d[k] > 0 {
-				fmt.Fprintf(&b, "P(count=%d) = %.9f\n", k, d[k])
-			}
-		}
-		return &Result{Prob: &e, Text: strings.TrimRight(b.String(), "\n")}, nil
-	case "marginals":
-		marg, err := b.Marginals()
-		if err != nil {
-			return nil, err
-		}
-		var b strings.Builder
-		objs := pi.Objects()
-		sort.Strings(objs)
-		for _, o := range objs {
-			fmt.Fprintf(&b, "%s\t%.9f\n", o, marg[o])
-		}
-		return &Result{Text: strings.TrimRight(b.String(), "\n")}, nil
-	case "worlds":
-		gi, err := enumerate.EnumerateCtx(ctx, pi, 0)
-		if err != nil {
-			return nil, err
-		}
-		var b strings.Builder
-		fmt.Fprintf(&b, "%d worlds, total probability %.9f\n", gi.Len(), gi.TotalMass())
-		for i, w := range gi.Worlds() {
-			if q.Top > 0 && i == q.Top {
-				break
-			}
-			fmt.Fprintf(&b, "p=%.9f objects=%v\n", w.P, w.S.Objects())
-		}
-		return &Result{Text: strings.TrimRight(b.String(), "\n")}, nil
-	case "estimate-exists", "estimate-point":
-		est, err := b.Estimate(strings.TrimPrefix(q.Op, "estimate-"), q.Path, q.Object, q.Top)
-		if err != nil {
-			return nil, err
-		}
-		p := est.P
-		return &Result{Prob: &p, Text: fmt.Sprintf("P ≈ %s", est)}, nil
-	case "topk":
-		worlds, err := enumerate.TopKCtx(ctx, pi, q.Top, 0)
-		if err != nil {
-			return nil, err
-		}
-		var b strings.Builder
-		for _, w := range worlds {
-			fmt.Fprintf(&b, "p=%.9f objects=%v\n", w.P, w.S.Objects())
-		}
-		return &Result{Text: strings.TrimRight(b.String(), "\n")}, nil
-	case "stats":
-		st := pi.ComputeStats()
-		return &Result{Text: fmt.Sprintf(
-			"root=%s objects=%d edges=%d leaves=%d depth=%d opf-entries=%d vpf-entries=%d tree=%v",
-			pi.Root(), st.Objects, st.Edges, st.Leaves, st.Depth, st.OPFEntries, st.VPFEntries, pi.IsTree())}, nil
-	default:
-		return nil, fmt.Errorf("pxql: unknown operation %q", q.Op)
-	}
-}
-
-// Eval parses and executes a statement in one step.
-func Eval(pi *core.ProbInstance, statement string) (*Result, error) {
-	q, err := Parse(statement)
-	if err != nil {
-		return nil, err
-	}
-	return Exec(pi, q)
 }

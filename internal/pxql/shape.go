@@ -16,7 +16,6 @@ const (
 	ShapeEnum     = "enumerate" // WORLDS / TOPK / COUNT / MARGINALS (world-space work)
 	ShapeEstimate = "estimate"  // ESTIMATE (Monte-Carlo sampling)
 	ShapeStats    = "stats"     // STATS (instance summary)
-	ShapeBatch    = "batch"     // engine-level batched point queries (no statement form)
 	ShapeOther    = "other"     // unknown or unparsable statements
 )
 

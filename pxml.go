@@ -37,7 +37,7 @@
 package pxml
 
 import (
-	"errors"
+	"context"
 	"io"
 	"math/rand"
 
@@ -316,27 +316,19 @@ func Ingest(s *Instance, opts IngestOptions) (*ProbInstance, error) {
 	return ingest.FromInstance(s, opts)
 }
 
-// Prob returns P(∃o. o ∈ p) on any acyclic instance: it tries the
-// Section 6 tree fast path first and transparently falls back to
-// Bayesian-network inference when the instance is a DAG. Use ExistsQuery
-// (tree route) or PathProb (network route) to pick the route explicitly.
+// Prob returns P(∃o. o ∈ p) on any acyclic instance: the engine takes the
+// Section 6 tree fast path on a tree and Bayesian-network inference on a
+// DAG. Use ExistsQuery (tree route) or PathProb (network route) to pick
+// the route explicitly.
 func Prob(pi *ProbInstance, p Path) (float64, error) {
-	pr, err := query.ExistsQuery(pi, p)
-	if errors.Is(err, ErrNotTree) {
-		return bayes.PathProb(pi, p, "")
-	}
-	return pr, err
+	return engine.New(pi).ProbExists(context.Background(), p)
 }
 
 // ProbPoint returns P(o ∈ p) on any acyclic instance, routing like Prob.
 // Use PointQuery (tree route) or PathProb (network route) to pick the
 // route explicitly.
 func ProbPoint(pi *ProbInstance, p Path, o string) (float64, error) {
-	pr, err := query.PointQuery(pi, p, o)
-	if errors.Is(err, ErrNotTree) {
-		return bayes.PathProb(pi, p, o)
-	}
-	return pr, err
+	return engine.New(pi).ProbPoint(context.Background(), p, o)
 }
 
 // ProbValue returns P(o ∈ p ∧ val(o) = v) on any acyclic instance. Trees
@@ -345,19 +337,7 @@ func ProbPoint(pi *ProbInstance, p Path, o string) (float64, error) {
 // draw is independent of the structure choice given that o occurs). Use
 // ValuePointQuery to demand the tree route explicitly.
 func ProbValue(pi *ProbInstance, p Path, o, v string) (float64, error) {
-	pr, err := query.ValuePointQuery(pi, p, o, v)
-	if !errors.Is(err, ErrNotTree) {
-		return pr, err
-	}
-	vpf := pi.VPF(o)
-	if vpf == nil {
-		return 0, nil
-	}
-	pp, err := bayes.PathProb(pi, p, o)
-	if err != nil {
-		return 0, err
-	}
-	return pp * vpf.Prob(v), nil
+	return engine.New(pi).ProbValue(context.Background(), p, o, v)
 }
 
 // PointQuery returns P(o ∈ p) on a tree-structured instance (Definition
@@ -428,11 +408,7 @@ func CompileBayes(pi *ProbInstance) (*Network, error) { return bayes.Compile(pi)
 // ProbExists returns the probability that object o occurs in a possible
 // world, exact on DAGs (Section 2, scenario 4).
 func ProbExists(pi *ProbInstance, o string) (float64, error) {
-	net, err := bayes.Compile(pi)
-	if err != nil {
-		return 0, err
-	}
-	return net.ProbExists(o)
+	return engine.New(pi).ProbObject(context.Background(), o)
 }
 
 // PathProb answers a point query (o != "") or existence query (o == "")
@@ -504,11 +480,16 @@ func IntervalValueExistsBound(in *IntervalInstance, p Path, v string) (Bound, er
 	return interval.ValueExistsBound(in, p, v)
 }
 
-// EvalPXQL parses and executes one pxql statement against an instance.
-// For repeated statements against the same instance, prefer an Engine,
-// which caches the support structures between queries.
+// EvalPXQL parses and executes one pxql statement against an instance, on
+// a throwaway Engine. For repeated statements against the same instance,
+// keep the Engine, which caches the support structures between queries.
+// ESTIMATE n draws the engine's samples: for n ≥ 8, eight deterministic
+// streams (seeds 1–8) instead of the single seed-1 stream this function
+// used before it shared the engine's evaluator, so an estimate's digits
+// differ from those releases while staying reproducible and within its
+// reported standard error of the exact answer.
 func EvalPXQL(pi *ProbInstance, statement string) (*PXQLResult, error) {
-	return pxql.Eval(pi, statement)
+	return engine.New(pi).Run(context.Background(), statement)
 }
 
 // ParsePXQL parses one pxql statement.

@@ -552,12 +552,12 @@ func TestEnginePublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := pxml.EvalPXQL(eng.Instance(), "PROB R.book.author = A1")
+	want, err := pxml.PointQuery(eng.Instance(), pxml.MustParsePath("R.book.author"), "A1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Prob == nil || want.Prob == nil || !approx(*res.Prob, *want.Prob) {
-		t.Errorf("engine %v vs direct %v", res.Prob, want.Prob)
+	if res.Prob == nil || !approx(*res.Prob, want) {
+		t.Errorf("engine %v vs the ε kernel %v", res.Prob, want)
 	}
 	if _, err := eng.Run(ctx, "PROB R.book.author = A1"); err != nil {
 		t.Fatal(err)
