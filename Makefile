@@ -67,6 +67,8 @@ bench-smoke:
 	$(BENCH_SMOKE) -bench 'WALAppend|ConcurrentPut|OpenReplay|Compact' ./internal/store
 	$(BENCH_SMOKE) -bench 'StormRead|ColdOpen' ./internal/store
 	$(BENCH_SMOKE) -bench QueryPoint ./internal/engine
+	$(BENCH_SMOKE) -bench 'Select|AncestorProject' ./internal/algebra
+	$(BENCH_SMOKE) -bench PointQuery ./internal/query
 	$(BENCH_SMOKE) -bench 'Encode|Decode' ./internal/codec
 	$(BENCH_SMOKE) -bench FollowerFanout ./internal/server
 
@@ -155,14 +157,17 @@ fuzz-smoke:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzDecodeBinary -fuzztime 10s
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzDecodeTextDifferential -fuzztime 10s
 	$(GO) test ./internal/pathexpr -run '^$$' -fuzz FuzzParse -fuzztime 10s
+	$(GO) test ./internal/pathexpr -run '^$$' -fuzz FuzzPlanDifferential -fuzztime 10s
 
-# Short fuzz passes over the codecs and the path-expression parser.
+# Short fuzz passes over the codecs, the path-expression parser and the
+# plan builder (against the builder it replaced).
 fuzz:
 	$(GO) test ./internal/codec -fuzz 'FuzzDecodeText$$' -fuzztime 30s
 	$(GO) test ./internal/codec -fuzz FuzzDecodeTextDifferential -fuzztime 30s
 	$(GO) test ./internal/codec -fuzz FuzzDecodeJSON -fuzztime 30s
 	$(GO) test ./internal/codec -fuzz FuzzDecodeBinary -fuzztime 30s
 	$(GO) test ./internal/pathexpr -fuzz FuzzParse -fuzztime 30s
+	$(GO) test ./internal/pathexpr -fuzz FuzzPlanDifferential -fuzztime 30s
 
 cover:
 	$(GO) test -cover ./...

@@ -326,9 +326,10 @@ func BenchmarkSample(b *testing.B) {
 	}
 }
 
-// BenchmarkPathIndexVsDirect contrasts path-plan computation with and
-// without the label index on a 100k-object instance with a 4-label
-// alphabet per level (the index touches only same-label edges).
+// BenchmarkPathIndexVsDirect times path-plan computation on a 100k-object
+// instance with a 4-label alphabet per level: a plan read from the graph's
+// kept index (a step touches only same-label edges), and the index build a
+// graph pays once, here forced by rebuilding an equal graph each iteration.
 func BenchmarkPathIndexVsDirect(b *testing.B) {
 	in, err := gen.Generate(gen.Config{Depth: 9, Branch: 2, Labeling: gen.FR, Seed: 8, LeafDomainSize: 0, LabelsPerLevel: 4})
 	if err != nil {
@@ -346,20 +347,18 @@ func BenchmarkPathIndexVsDirect(b *testing.B) {
 		p.Labels = append(p.Labels, l)
 		cur = child
 	}
-	b.Run("direct", func(b *testing.B) {
+	pathexpr.NewIndex(g)
+	b.Run("plan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = pathexpr.NewPlan(g, p, nil)
 		}
 	})
-	idx := pathexpr.NewIndex(g)
-	b.Run("indexed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = pathexpr.NewPlanIndexed(idx, p, nil)
-		}
-	})
 	b.Run("index-build", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = pathexpr.NewIndex(g)
+			b.StopTimer()
+			fresh := g.Clone()
+			b.StartTimer()
+			_ = pathexpr.NewIndex(fresh)
 		}
 	})
 }

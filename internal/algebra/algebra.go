@@ -62,7 +62,9 @@ func (t Timings) Total() time.Duration {
 	return t.Copy + t.Locate + t.Structure + t.Update
 }
 
-// stopwatch measures into an optional Timings sink.
+// stopwatch charges the time between laps to the phases of an optional
+// Timings sink. With a nil sink it never reads the clock, which is how every
+// served statement runs.
 type stopwatch struct {
 	sink *Timings
 	last time.Time
@@ -76,11 +78,32 @@ func newStopwatch(sink *Timings) *stopwatch {
 	return sw
 }
 
-func (sw *stopwatch) lap(dst *time.Duration) {
+// phase names the Timings field a lap is charged to. A lap names its phase
+// rather than pointing into the sink, so the sink may be nil.
+type phase int
+
+const (
+	phaseCopy phase = iota
+	phaseLocate
+	phaseStructure
+	phaseUpdate
+)
+
+func (sw *stopwatch) lap(ph phase) {
 	if sw.sink == nil {
 		return
 	}
 	now := time.Now()
-	*dst += now.Sub(sw.last)
+	d := now.Sub(sw.last)
 	sw.last = now
+	switch ph {
+	case phaseCopy:
+		sw.sink.Copy += d
+	case phaseLocate:
+		sw.sink.Locate += d
+	case phaseStructure:
+		sw.sink.Structure += d
+	case phaseUpdate:
+		sw.sink.Update += d
+	}
 }

@@ -41,7 +41,7 @@ func (c Conjunction) String() string {
 
 // selectConjunction implements the fast path for conjunctions of object
 // conditions. Called from SelectTimed.
-func selectConjunction(pi, out *core.ProbInstance, c Conjunction, sw *stopwatch, sink *Timings) (float64, error) {
+func selectConjunction(pi, out *core.ProbInstance, c Conjunction, sw *stopwatch) (float64, error) {
 	g := pi.WeakInstance.Graph()
 	// required[o] is the set of children o must contain.
 	required := make(map[model.ObjectID]map[model.ObjectID]bool)
@@ -68,7 +68,7 @@ func selectConjunction(pi, out *core.ProbInstance, c Conjunction, sw *stopwatch,
 			cur = parent
 		}
 	}
-	sw.lap(&sink.Locate)
+	sw.lap(phaseLocate)
 	// Multiply the norms in sorted parent order: the product is the
 	// statement's answer and must not depend on map iteration order.
 	parents := make([]model.ObjectID, 0, len(required))
@@ -90,12 +90,12 @@ func selectConjunction(pi, out *core.ProbInstance, c Conjunction, sw *stopwatch,
 		need := sets.NewSet(reqSet...)
 		cond, norm, ok := opf.Condition(func(s sets.Set) bool { return need.SubsetOf(s) })
 		if !ok {
-			sw.lap(&sink.Update)
+			sw.lap(phaseUpdate)
 			return 0, fmt.Errorf("%w: %s cannot contain all of %s", ErrZeroProbability, parent, need)
 		}
 		out.SetOPF(parent, cond)
 		total *= norm
 	}
-	sw.lap(&sink.Update)
+	sw.lap(phaseUpdate)
 	return total, nil
 }

@@ -63,27 +63,18 @@ func projectMatched(pi *core.ProbInstance, p pathexpr.Path, keepSubtrees bool) (
 	if last == pathexpr.Wildcard {
 		return nil, fmt.Errorf("algebra: %s: wildcard final label has no canonical result label", p)
 	}
-	g := pi.WeakInstance.Graph()
-	plan := pathexpr.NewPlan(g, p, nil)
+	plan := pathexpr.NewPlan(pi.WeakInstance.Graph(), p, nil)
 	if plan.IsEmpty() {
 		return bareRoot(pi), nil
 	}
-	matched := make(map[model.ObjectID]bool)
-	for _, o := range plan.Matched() {
-		matched[o] = true
-	}
-	keptChildren := make(map[model.ObjectID][]model.ObjectID)
-	for _, e := range plan.Edges {
-		keptChildren[e.From] = append(keptChildren[e.From], e.To)
-	}
 
-	// Bottom-up joint: dist[o] is the distribution over subsets of matched
-	// objects below (or equal to) o, given o exists.
-	joint, err := matchedJoint(pi, plan, matched, keptChildren)
+	// Bottom-up joint: the distribution over subsets of matched objects
+	// below (or equal to) each kept object, given that it exists.
+	joint, err := matchedJoint(pi, plan)
 	if err != nil {
 		return nil, err
 	}
-	rootDist := joint[pi.Root()]
+	rootDist := joint[0]
 	if rootDist == nil || 1-rootDist.Prob(nil) <= 0 {
 		return bareRoot(pi), nil
 	}
@@ -184,48 +175,40 @@ func copyLeafInfo(pi, out *core.ProbInstance, o model.ObjectID) error {
 
 // matchedJoint computes, bottom-up over the plan, the distribution of the
 // set of matched objects occurring below each kept object given that the
-// object exists. Distributions are represented as OPFs over matched-object
-// sets.
-func matchedJoint(pi *core.ProbInstance, plan pathexpr.Plan, matched map[model.ObjectID]bool, keptChildren map[model.ObjectID][]model.ObjectID) (map[model.ObjectID]*prob.OPF, error) {
-	joint := make(map[model.ObjectID]*prob.OPF)
-	n := len(plan.Keep) - 1
-	for o := range plan.Keep[n] {
+// object exists, indexed by plan position. Distributions are represented as
+// OPFs over matched-object sets.
+func matchedJoint(pi *core.ProbInstance, plan pathexpr.Plan) ([]*prob.OPF, error) {
+	joint := make([]*prob.OPF, len(plan.Nodes))
+	n := plan.Path.Len()
+	matched, _ := plan.Level(n)
+	for pos := matched; pos < len(plan.Nodes); pos++ {
 		d := prob.NewOPF()
-		d.Put(sets.NewSet(o), 1)
-		joint[o] = d
+		d.Put(sets.NewSet(plan.Nodes[pos].ID), 1)
+		joint[pos] = d
 	}
+	var members []int32
 	for level := n - 1; level >= 0; level-- {
-		for o := range plan.Keep[level] {
-			if matched[o] {
-				continue
-			}
+		lo, hi := plan.Level(level)
+		for pos := lo; pos < hi; pos++ {
+			o := plan.Nodes[pos].ID
 			opf := pi.OPF(o)
 			if opf == nil {
 				return nil, fmt.Errorf("algebra: non-leaf %s has no OPF", o)
 			}
-			keptSet := make(map[model.ObjectID]bool, len(keptChildren[o]))
-			for _, c := range keptChildren[o] {
-				keptSet[c] = true
-			}
+			kids := plan.KidsOf(pos)
 			d := prob.NewOPF()
 			overflow := false
 			opf.Each(func(c sets.Set, pr float64) {
 				if pr <= 0 || overflow {
 					return
 				}
-				// Convolve the children's joints: start from the empty
-				// set and extend child by child.
+				// Convolve the joints of the kept children in c: start
+				// from the empty set and extend child by child.
 				acc := prob.NewOPF()
 				acc.Put(sets.NewSet(), pr)
-				for _, ch := range c {
-					if !keptSet[ch] {
-						continue
-					}
-					cd := joint[ch]
-					if cd == nil {
-						continue
-					}
-					acc = acc.Product(cd)
+				members = pathexpr.Members(members[:0], kids, c)
+				for _, j := range members {
+					acc = acc.Product(joint[kids[j].Pos])
 					if acc.Len() > maxJointSupport {
 						overflow = true
 						return
@@ -239,7 +222,7 @@ func matchedJoint(pi *core.ProbInstance, plan pathexpr.Plan, matched map[model.O
 			if overflow {
 				return nil, fmt.Errorf("algebra: joint matched-set distribution at %s exceeds %d entries", o, maxJointSupport)
 			}
-			joint[o] = d
+			joint[pos] = d
 		}
 	}
 	return joint, nil

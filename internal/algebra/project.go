@@ -1,7 +1,10 @@
 package algebra
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"pxml/internal/core"
 	"pxml/internal/model"
@@ -37,105 +40,73 @@ func AncestorProject(pi *core.ProbInstance, p pathexpr.Path) (*core.ProbInstance
 // caller vouches for tree structure), recording per-phase timings into sink
 // when non-nil. The bench harness uses it to reproduce Figure 7(a)/(b).
 func AncestorProjectTimed(pi *core.ProbInstance, p pathexpr.Path, sink *Timings) (*core.ProbInstance, error) {
-	if sink == nil {
-		sink = &Timings{}
-	}
 	sw := newStopwatch(sink)
 
 	// Locate: evaluate the path expression and prune to the plan.
-	g := pi.WeakInstance.Graph()
-	if p.Root != pi.Root() {
-		sw.lap(&sink.Locate)
-		return bareRoot(pi), nil
-	}
-	if p.Len() == 0 {
+	if p.Root != pi.Root() || p.Len() == 0 {
 		// Λ_r keeps just the root.
-		sw.lap(&sink.Locate)
+		sw.lap(phaseLocate)
 		return bareRoot(pi), nil
 	}
-	plan := pathexpr.NewPlan(g, p, nil)
-	sw.lap(&sink.Locate)
+	plan := pathexpr.NewPlan(pi.WeakInstance.Graph(), p, nil)
+	sw.lap(phaseLocate)
 	if plan.IsEmpty() {
 		return bareRoot(pi), nil
 	}
 
-	// Structure: assemble the projected weak instance skeleton.
-	keptChildren := make(map[model.ObjectID][]model.ObjectID)
-	for _, e := range plan.Edges {
-		keptChildren[e.From] = append(keptChildren[e.From], e.To)
-	}
-	matched := make(map[model.ObjectID]bool)
-	for _, o := range plan.Matched() {
-		matched[o] = true
-	}
-	sw.lap(&sink.Structure)
-
-	// Update ℘ bottom-up: levels n−1 … 0. In a tree every kept object
-	// occurs in exactly one level. eps[o] is ε_o, the probability that o
+	// Update ℘ bottom-up: levels n−1 … 0, everything indexed by plan
+	// position. eps[pos] is ε of the node there, the probability that it
 	// retains at least one surviving child (1 for matched objects).
-	eps := make(map[model.ObjectID]float64, len(keptChildren))
-	newOPF := make(map[model.ObjectID]*prob.OPF, len(keptChildren))
+	u := newUpdater(len(plan.Nodes))
+	newOPF := make([]*prob.OPF, len(plan.Nodes))
 	n := p.Len()
+	matched, _ := plan.Level(n)
+	for pos := matched; pos < len(plan.Nodes); pos++ {
+		u.eps[pos] = 1
+	}
 	for level := n - 1; level >= 0; level-- {
-		for o := range plan.Keep[level] {
-			if matched[o] {
-				// A matched object occurring at an inner level cannot
-				// happen in a tree; guard anyway.
-				continue
-			}
+		lo, hi := plan.Level(level)
+		for pos := lo; pos < hi; pos++ {
+			o := plan.Nodes[pos].ID
 			opf := pi.OPF(o)
 			if opf == nil {
 				return nil, fmt.Errorf("algebra: non-leaf %s has no OPF", o)
 			}
-			kc := keptChildren[o]
-			w, err := survivalUpdate(opf, kc, matched, eps)
-			if err != nil {
+			var err error
+			if newOPF[pos], u.eps[pos], err = u.survivalUpdate(o, opf, plan.KidsOf(pos), pos == 0); err != nil {
 				return nil, err
 			}
-			if o == pi.Root() {
-				// The root keeps its ∅ mass unnormalized: ω'(r)(∅) is the
-				// probability that a compatible instance has no match.
-				newOPF[o] = w
-				eps[o] = 1 - w.Prob(nil)
-				continue
-			}
-			e := 1 - w.Prob(nil)
-			eps[o] = e
-			if e <= 0 {
-				// o can never retain a surviving child; it will be
-				// stripped below via its parent's support.
-				continue
-			}
-			w.Put(sets.NewSet(), 0)
-			if err := w.Normalize(); err != nil {
-				return nil, fmt.Errorf("algebra: normalizing ℘'(%s): %w", o, err)
-			}
-			newOPF[o] = w
 		}
 	}
-	sw.lap(&sink.Update)
+	sw.lap(phaseUpdate)
 
-	// Structure (final): strip objects that no surviving support set ever
-	// contains, then emit the result instance with updated card.
-	rootOPF := newOPF[pi.Root()]
-	if rootOPF == nil || 1-rootOPF.Prob(nil) <= 0 {
-		sw.lap(&sink.Structure)
+	// Structure: walk down from the root through the children some
+	// supported set of the new OPFs still contains, which strips every
+	// object no surviving support set ever reaches, and emit the result
+	// with the updated card.
+	if u.eps[0] <= 0 {
+		sw.lap(phaseStructure)
 		return bareRoot(pi), nil
 	}
 	// The result is assembled through the bulk loader: it is a fresh
 	// instance nobody else can see yet, so the per-call graph invalidation
 	// of SetLCh/SetCard/AddObject would buy nothing.
-	ld := core.NewLoader(pi.Root(), len(newOPF)+len(matched))
+	ld := core.NewLoader(pi.Root(), len(plan.Nodes))
 	for _, t := range pi.Types() {
 		// Error impossible: types were valid in the input.
 		_ = ld.RegisterType(t)
 	}
-	stack := []model.ObjectID{pi.Root()}
-	visited := map[model.ObjectID]bool{pi.Root(): true}
+	var (
+		labels []labelCard // the distinct edge labels of one node's kept children
+		of     []int32     // of[j] is the index in labels of kept child j's label
+		alive  []bool      // alive[j]: some supported set contains kept child j
+	)
+	stack := []int32{0}
 	for len(stack) > 0 {
-		o := stack[len(stack)-1]
+		pos := int(stack[len(stack)-1])
 		stack = stack[:len(stack)-1]
-		if matched[o] {
+		o := plan.Nodes[pos].ID
+		if pos >= matched {
 			// Matched objects are leaves of the result; keep their leaf
 			// type and VPF when they had one.
 			if t, ok := pi.TypeOf(o); ok {
@@ -147,75 +118,181 @@ func AncestorProjectTimed(pi *core.ProbInstance, p pathexpr.Path, sink *Timings)
 			}
 			continue
 		}
-		w := newOPF[o]
+		w := newOPF[pos]
 		if w == nil {
 			continue
 		}
-		// Children with positive marginal in the new OPF survive.
-		marg := make(map[model.ObjectID]float64)
+		// One pass over the support of ℘'(o) finds the kept children with a
+		// positive marginal and, per label, the fewest and the most of them
+		// a supported set holds (the Section 6.1 card′ formulas). The plan
+		// carries each kept child's label, and its run is in id order, so
+		// every per-label subsequence is a canonical set as built.
+		kids := plan.KidsOf(pos)
+		labels, of, alive = labels[:0], of[:0], append(alive[:0], make([]bool, len(kids))...)
+		for _, k := range kids {
+			l := slices.IndexFunc(labels, func(lc labelCard) bool { return lc.label == k.Label })
+			if l < 0 {
+				l = len(labels)
+				labels = append(labels, labelCard{label: k.Label, lo: -1})
+			}
+			of = append(of, int32(l))
+		}
 		w.Each(func(c sets.Set, pr float64) {
 			if pr <= 0 {
 				return
 			}
-			for _, ch := range c {
-				marg[ch] += pr
+			u.members = pathexpr.Members(u.members[:0], kids, c)
+			for _, j := range u.members {
+				lc := &labels[of[j]]
+				lc.n++
+				if !alive[j] {
+					alive[j] = true
+					lc.kept++
+				}
+			}
+			for l := range labels {
+				lc := &labels[l]
+				if lc.lo == -1 || lc.n < lc.lo {
+					lc.lo = lc.n
+				}
+				lc.hi, lc.n = max(lc.hi, lc.n), 0
 			}
 		})
-		// plan.Edges is sorted by (From, To), so keptChildren[o] and every
-		// per-label subsequence of it is a canonical set as built.
-		perLabel := make(map[model.Label]sets.Set)
-		for _, ch := range keptChildren[o] {
-			if marg[ch] <= 0 {
+		survivors := 0
+		for l, lc := range labels {
+			if lc.kept == 0 {
 				continue
 			}
-			l, ok := pi.LabelOf(o, ch)
-			if !ok {
-				return nil, fmt.Errorf("algebra: kept child %s of %s has no label", ch, o)
+			cs := carve(&u.ids, lc.kept)
+			for j, k := range kids {
+				if alive[j] && int(of[j]) == l {
+					cs = append(cs, k.ID)
+					ld.AddObject(k.ID)
+					stack = append(stack, k.Pos)
+				}
 			}
-			perLabel[l] = append(perLabel[l], ch)
-			if !visited[ch] {
-				visited[ch] = true
-				ld.AddObject(ch)
-				stack = append(stack, ch)
-			}
+			ld.SetEdges(o, lc.label, cs, lc.lo, lc.hi)
+			survivors += lc.kept
 		}
-		if len(perLabel) == 0 {
-			continue
+		if survivors > 0 {
+			ld.SetOPF(o, w)
 		}
-		for l, cs := range perLabel {
-			lo, hi := cardBounds(w, pi, o, l)
-			ld.SetEdges(o, l, cs, lo, hi)
-		}
-		ld.SetOPF(o, w)
 	}
 	out, err := ld.Instance()
 	if err != nil {
 		return nil, fmt.Errorf("algebra: assembling Λ_%s: %w", p, err)
 	}
+	sw.lap(phaseStructure)
 	// If stripping removed every root child, collapse to the bare root.
 	if out.IsLeaf(out.Root()) {
-		sw.lap(&sink.Structure)
 		return bareRoot(pi), nil
 	}
-	sw.lap(&sink.Structure)
 	return out, nil
 }
 
-// survivalUpdate computes the Section 6.1 update for one object: for each
+// labelCard is what the structure pass learns about one edge label of one
+// node: how many kept children carrying it survive, and card′.
+type labelCard struct {
+	label  model.Label
+	kept   int
+	lo, hi int
+	n      int // members of the supported set being counted
+}
+
+// denseFanout is the most kept children an object may have for its survivor
+// sets to be summed in a table indexed by bitmask over those children
+// (2^denseFanout float64 cells at most). A wider object's survivor sets are
+// listed, sorted and merged instead.
+const denseFanout = 12
+
+// updater is the state the ℘ update carries from one object to the next:
+// the ε values found so far and the scratch each object's update reuses.
+type updater struct {
+	eps []float64 // by plan position
+
+	members []int32   // kept children in the entry being spread, as indexes into kids
+	sure    []int32   // those that survive surely (ε = 1) ...
+	unsure  []int32   // ... and those that may not,
+	ueps    []float64 // with their ε
+	acc     []float64 // dense: probability by survivor bitmask
+	masks   []uint16  // dense: the bitmasks that got any
+	runs    []int32   // survivor sets as runs of ascending indexes into kids
+	sets    []survivorSet
+
+	// What the result keeps is cut from shared chunks rather than allocated
+	// per object: the child sets of the new OPFs and of lch, and the OPFs'
+	// entry slices.
+	ids     []model.ObjectID
+	entries []prob.OPFEntry
+}
+
+// carve cuts a zero-length slice with room for exactly n elements from the
+// end of *arena, starting a new chunk when the current one cannot hold it.
+// The capacity stops at n, so appending to one cut never reaches the next.
+func carve[T any](arena *[]T, n int) []T {
+	const chunk = 128
+	if cap(*arena)-len(*arena) < n {
+		*arena = make([]T, 0, max(n, chunk))
+	}
+	at := len(*arena)
+	*arena = (*arena)[:at+n]
+	return (*arena)[at : at : at+n]
+}
+
+// newUpdater sizes the scratch for the fan-outs the paper's experiments
+// reach at branching 4 to 6; wider objects grow it.
+func newUpdater(nodes int) updater {
+	return updater{
+		eps:     make([]float64, nodes),
+		members: make([]int32, 0, 16),
+		sure:    make([]int32, 0, 16),
+		unsure:  make([]int32, 0, 16),
+		ueps:    make([]float64, 0, 16),
+		runs:    make([]int32, 0, 256),
+		sets:    make([]survivorSet, 0, 64),
+	}
+}
+
+// survivorSet is runs[lo:hi] with probability p.
+type survivorSet struct {
+	lo, hi int32
+	p      float64
+}
+
+// compare orders survivor sets canonically: by size, then by members. kids
+// is in id order, so comparing indexes compares ids.
+func (u *updater) compare(a, b survivorSet) int {
+	if c := cmp.Compare(a.hi-a.lo, b.hi-b.lo); c != 0 {
+		return c
+	}
+	return slices.Compare(u.runs[a.lo:a.hi], u.runs[b.lo:b.hi])
+}
+
+// survivalUpdate computes the Section 6.1 update for object o: for each
 // original OPF entry c, distribute its probability over the subsets of the
 // kept children in c that may survive, weighting by Π ε_j for survivors and
 // Π (1−ε_j) for kept non-survivors (dropped children marginalize away
-// implicitly). Matched children survive surely (ε = 1).
-func survivalUpdate(opf *prob.OPF, kept []model.ObjectID, matched map[model.ObjectID]bool, eps map[model.ObjectID]float64) (*prob.OPF, error) {
-	keptSet := make(map[model.ObjectID]float64, len(kept))
-	for _, c := range kept {
-		if matched[c] {
-			keptSet[c] = 1
+// implicitly). Matched children survive surely (ε = 1). It returns ℘'(o) and
+// ε_o = 1 − ℘'(o)(∅): for the root ℘' keeps its ∅ mass, the probability that
+// a compatible instance has no match; for any other object ℘' is conditioned
+// on some child surviving (∅ stays as an explicit zero entry), and is nil
+// when none can.
+//
+// Equal survivor sets are summed in the order the entries emit them and
+// ℘'(o) is normalized by a sum in canonical order, so the result is the same
+// bit for bit from run to run; it is handed to prob.OPFFromSorted already
+// canonical.
+func (u *updater) survivalUpdate(o model.ObjectID, opf *prob.OPF, kids []pathexpr.Kid, root bool) (*prob.OPF, float64, error) {
+	dense := len(kids) <= denseFanout
+	if dense {
+		if need := 1 << len(kids); cap(u.acc) < need {
+			u.acc = make([]float64, need)
 		} else {
-			keptSet[c] = eps[c]
+			u.acc = u.acc[:need]
+			clear(u.acc)
 		}
 	}
-	out := prob.NewOPF()
+	u.runs, u.sets = u.runs[:0], u.sets[:0]
 	var badFanout error
 	opf.Each(func(c sets.Set, p float64) {
 		if p <= 0 || badFanout != nil {
@@ -223,84 +300,148 @@ func survivalUpdate(opf *prob.OPF, kept []model.ObjectID, matched map[model.Obje
 		}
 		// Partition the entry's kept children into sure survivors (ε = 1)
 		// and uncertain ones; enumerate survivor subsets of the latter.
-		var sure, unsure []model.ObjectID
-		var unsureEps []float64
-		for _, ch := range c {
-			e, ok := keptSet[ch]
-			if !ok || e <= 0 {
-				continue // dropped or dead child: marginalized away
-			}
-			if e >= 1 {
-				sure = append(sure, ch)
-			} else {
-				unsure = append(unsure, ch)
-				unsureEps = append(unsureEps, e)
+		u.members = pathexpr.Members(u.members[:0], kids, c)
+		u.sure, u.unsure, u.ueps = u.sure[:0], u.unsure[:0], u.ueps[:0]
+		var sureMask uint16
+		for _, j := range u.members {
+			switch e := u.eps[kids[j].Pos]; {
+			case e <= 0: // dead child: marginalized away like a dropped one
+			case e >= 1:
+				u.sure = append(u.sure, j)
+				sureMask |= 1 << j
+			default:
+				u.unsure = append(u.unsure, j)
+				u.ueps = append(u.ueps, e)
 			}
 		}
-		k := len(unsure)
+		k := len(u.unsure)
 		if k > maxSurvivalFanout {
 			badFanout = fmt.Errorf("algebra: survival fanout 2^%d exceeds limit", k)
 			return
 		}
-		for mask := 0; mask < 1<<k; mask++ {
-			weight := p
-			// Build the survivor set in sorted order: sure and unsure are
-			// both drawn from the sorted entry, so a linear merge keeps
-			// canonical order without re-sorting.
-			survivors := make([]string, 0, len(sure)+k)
-			si := 0
-			for i := 0; i < k; i++ {
-				in := mask&(1<<i) != 0
-				if in {
-					weight *= unsureEps[i]
-					for si < len(sure) && sure[si] < unsure[i] {
-						survivors = append(survivors, sure[si])
-						si++
-					}
-					survivors = append(survivors, unsure[i])
+		for sub := 0; sub < 1<<k; sub++ {
+			weight, mask := p, sureMask
+			for i, e := range u.ueps {
+				if sub>>i&1 != 0 {
+					weight *= e
+					mask |= 1 << u.unsure[i]
 				} else {
-					weight *= 1 - unsureEps[i]
+					weight *= 1 - e
 				}
 			}
-			survivors = append(survivors, sure[si:]...)
 			if weight <= 0 {
 				continue
 			}
-			out.Add(sets.Set(survivors), weight)
+			if dense {
+				u.acc[mask] += weight
+				continue
+			}
+			// List the survivors in id order: sure and unsure are both
+			// ascending, so a linear merge keeps canonical order.
+			lo, si := int32(len(u.runs)), 0
+			for i, j := range u.unsure {
+				if sub>>i&1 == 0 {
+					continue
+				}
+				for si < len(u.sure) && u.sure[si] < j {
+					u.runs = append(u.runs, u.sure[si])
+					si++
+				}
+				u.runs = append(u.runs, j)
+			}
+			u.runs = append(u.runs, u.sure[si:]...)
+			u.sets = append(u.sets, survivorSet{lo, int32(len(u.runs)), weight})
 		}
 	})
 	if badFanout != nil {
-		return nil, badFanout
+		return nil, 0, badFanout
 	}
-	return out, nil
+
+	u.canonicalize(dense)
+	return u.seal(o, kids, root)
 }
 
-// cardBounds computes the updated cardinality of label l at object o: the
-// min and max count of l-labeled children over the support of the new OPF
-// (the Section 6.1 card′ formulas).
-func cardBounds(w *prob.OPF, pi *core.ProbInstance, o model.ObjectID, l model.Label) (int, int) {
-	lo, hi := -1, 0
-	w.Each(func(c sets.Set, pr float64) {
-		if pr <= 0 {
-			return
-		}
+// canonicalize leaves in u.sets the distinct survivor sets in canonical
+// order, each with its summed probability.
+func (u *updater) canonicalize(dense bool) {
+	if !dense {
+		// Stable, so equal sets stay in emission order and sum in it.
+		slices.SortStableFunc(u.sets, u.compare)
 		n := 0
-		for _, ch := range c {
-			if cl, ok := pi.LabelOf(o, ch); ok && cl == l {
+		for _, s := range u.sets {
+			if n > 0 && u.compare(u.sets[n-1], s) == 0 {
+				u.sets[n-1].p += s.p
+			} else {
+				u.sets[n] = s
 				n++
 			}
 		}
-		if lo == -1 || n < lo {
-			lo = n
-		}
-		if n > hi {
-			hi = n
-		}
-	})
-	if lo == -1 {
-		lo = 0
+		u.sets = u.sets[:n]
+		return
 	}
-	return lo, hi
+	u.masks = u.masks[:0]
+	for mask, p := range u.acc {
+		if p > 0 {
+			u.masks = append(u.masks, uint16(mask))
+		}
+	}
+	slices.SortFunc(u.masks, func(a, b uint16) int {
+		if c := cmp.Compare(bits.OnesCount16(a), bits.OnesCount16(b)); c != 0 {
+			return c
+		}
+		// The lowest kid in one set and not the other decides.
+		return cmp.Compare(bits.Reverse16(b), bits.Reverse16(a))
+	})
+	for _, mask := range u.masks {
+		lo := int32(len(u.runs))
+		for rest := mask; rest != 0; rest &= rest - 1 {
+			u.runs = append(u.runs, int32(bits.TrailingZeros16(rest)))
+		}
+		u.sets = append(u.sets, survivorSet{lo, int32(len(u.runs)), u.acc[mask]})
+	}
+}
+
+// seal turns the canonical survivor sets into ℘'(o) and reads ε_o off the
+// mass of ∅, which sorts first when any entry emitted it.
+func (u *updater) seal(o model.ObjectID, kids []pathexpr.Kid, root bool) (*prob.OPF, float64, error) {
+	survivors, empty, hasEmpty := u.sets, 0.0, false
+	if len(survivors) > 0 && survivors[0].lo == survivors[0].hi {
+		survivors, empty, hasEmpty = survivors[1:], survivors[0].p, true
+	}
+	eps := 1 - empty
+	total := 1.0 // the root keeps its ∅ mass and is not rescaled
+	if !root {
+		if eps <= 0 {
+			// o can never retain a surviving child; its parent's update
+			// treats it as dead and the structure pass never reaches it.
+			return nil, eps, nil
+		}
+		// Condition on some child surviving: ∅ becomes an explicit zero
+		// entry and the rest is rescaled to mass one.
+		empty, hasEmpty, total = 0, true, 0
+		for _, s := range survivors {
+			total += s.p
+		}
+		if total <= 0 {
+			return nil, 0, fmt.Errorf("algebra: normalizing ℘'(%s): prob: cannot normalize OPF with mass %v", o, total)
+		}
+	}
+	members := 0
+	for _, s := range survivors {
+		members += int(s.hi - s.lo)
+	}
+	ids, entries := carve(&u.ids, members), carve(&u.entries, len(survivors)+1)
+	if hasEmpty {
+		entries = append(entries, prob.OPFEntry{Prob: empty})
+	}
+	for _, s := range survivors {
+		at := len(ids)
+		for _, j := range u.runs[s.lo:s.hi] {
+			ids = append(ids, kids[j].ID)
+		}
+		entries = append(entries, prob.OPFEntry{Set: ids[at:len(ids):len(ids)], Prob: s.p / total})
+	}
+	return prob.OPFFromSorted(entries), eps, nil
 }
 
 // bareRoot returns the root-only probabilistic instance that an empty

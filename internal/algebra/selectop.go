@@ -106,19 +106,16 @@ func Select(pi *core.ProbInstance, cond Condition) (*core.ProbInstance, float64,
 // it shares everything selection leaves unchanged, so sink.Copy records
 // setting that up rather than a copy.
 func SelectTimed(pi *core.ProbInstance, cond Condition, sink *Timings) (*core.ProbInstance, float64, error) {
-	if sink == nil {
-		sink = &Timings{}
-	}
 	sw := newStopwatch(sink)
 	out := pi.Overlay()
-	sw.lap(&sink.Copy)
+	sw.lap(phaseCopy)
 
 	switch c := cond.(type) {
 	case Conjunction:
-		p, err := selectConjunction(pi, out, c, sw, sink)
+		p, err := selectConjunction(pi, out, c, sw)
 		return out, p, err
 	case ObjectCondition:
-		p, err := conditionChain(pi, out, c.Path, c.Object, sw, sink, nil)
+		p, err := conditionChain(pi, out, c.Path, c.Object, sw, nil)
 		return out, p, err
 	case CardCondition:
 		extra := func(o model.ObjectID) (float64, error) {
@@ -146,7 +143,7 @@ func SelectTimed(pi *core.ProbInstance, cond Condition, sink *Timings) (*core.Pr
 			out.SetOPF(o, ccond)
 			return norm, nil
 		}
-		p, err := conditionChain(pi, out, c.Path, c.Object, sw, sink, extra)
+		p, err := conditionChain(pi, out, c.Path, c.Object, sw, extra)
 		return out, p, err
 	case ValueCondition:
 		g := pi.WeakInstance.Graph()
@@ -169,7 +166,7 @@ func SelectTimed(pi *core.ProbInstance, cond Condition, sink *Timings) (*core.Pr
 			out.SetVPF(o, prob.PointMass(c.Value))
 			return vp, nil
 		}
-		p, err := conditionChain(pi, out, c.Path, o, sw, sink, extra)
+		p, err := conditionChain(pi, out, c.Path, o, sw, extra)
 		return out, p, err
 	default:
 		return nil, 0, fmt.Errorf("algebra: unsupported condition type %T", cond)
@@ -180,9 +177,9 @@ func SelectTimed(pi *core.ProbInstance, cond Condition, sink *Timings) (*core.Pr
 // root-to-object chain on containing the next chain object, applying an
 // optional extra conditioning step at the selected object itself. It
 // returns the total probability of the conditioned event.
-func conditionChain(pi, out *core.ProbInstance, p pathexpr.Path, o model.ObjectID, sw *stopwatch, sink *Timings, extra func(model.ObjectID) (float64, error)) (float64, error) {
+func conditionChain(pi, out *core.ProbInstance, p pathexpr.Path, o model.ObjectID, sw *stopwatch, extra func(model.ObjectID) (float64, error)) (float64, error) {
 	chain, err := rootChain(pi.WeakInstance.Graph(), p, o)
-	sw.lap(&sink.Locate)
+	sw.lap(phaseLocate)
 	if err != nil {
 		return 0, err
 	}
@@ -200,7 +197,7 @@ func conditionChain(pi, out *core.ProbInstance, p pathexpr.Path, o model.ObjectI
 		}
 		cond, norm, ok := opf.ConditionContains(child)
 		if !ok {
-			sw.lap(&sink.Update)
+			sw.lap(phaseUpdate)
 			return 0, fmt.Errorf("%w: edge %s → %s has zero probability", ErrZeroProbability, parent, child)
 		}
 		out.SetOPF(parent, cond)
@@ -209,12 +206,12 @@ func conditionChain(pi, out *core.ProbInstance, p pathexpr.Path, o model.ObjectI
 	if extra != nil {
 		norm, err := extra(o)
 		if err != nil {
-			sw.lap(&sink.Update)
+			sw.lap(phaseUpdate)
 			return 0, err
 		}
 		total *= norm
 	}
-	sw.lap(&sink.Update)
+	sw.lap(phaseUpdate)
 	return total, nil
 }
 

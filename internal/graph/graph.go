@@ -10,8 +10,11 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // Graph is an edge-labeled directed graph that only grows: vertices and
@@ -23,6 +26,8 @@ type Graph struct {
 	out map[string]map[string]string
 	// in maps a target vertex to the set of its predecessors.
 	in map[string]map[string]struct{}
+	// succ memoizes Successors until the next edge is added.
+	succ atomic.Pointer[Successors]
 }
 
 // New returns an empty graph.
@@ -66,6 +71,9 @@ func (g *Graph) AddEdge(from, to, label string) error {
 		g.out[from] = make(map[string]string)
 	}
 	g.out[from][to] = label
+	if g.succ.Load() != nil {
+		g.succ.Store(nil)
+	}
 	if g.in[to] == nil {
 		g.in[to] = make(map[string]struct{})
 	}
@@ -420,7 +428,9 @@ func (g *Graph) Clone() *Graph {
 }
 
 // EachChild calls fn for every (child, label) pair of o in sorted child
-// order. It avoids the allocation of Children for hot paths.
+// order. Like Children it collects and sorts o's successors on every call;
+// what it saves is the label lookup per child. Path evaluation, which needs
+// neither per call, reads Successors.
 func (g *Graph) EachChild(o string, fn func(child, label string)) {
 	m := g.out[o]
 	if len(m) == 0 {
@@ -434,4 +444,77 @@ func (g *Graph) EachChild(o string, fn func(child, label string)) {
 	for _, c := range cs {
 		fn(c, m[c])
 	}
+}
+
+// Arc is one out-edge of a vertex as the successor table stores it.
+type Arc struct {
+	To, Label string
+}
+
+// Successors is the label-partitioned successor table of a graph: for every
+// vertex its out-edges sorted by (label, target), so the edges carrying one
+// label are a contiguous run in target order. It is what path evaluation
+// reads; the graph builds it once (Graph.Successors) and shares it between
+// callers, who must treat every slice it returns as read-only.
+type Successors struct {
+	g *Graph
+	// out[v] is carved from one array holding every edge.
+	out map[string][]Arc
+	// forest reports that no vertex has two parents, so distinct vertices
+	// have disjoint successors and a level-by-level walk never meets a
+	// vertex twice.
+	forest bool
+}
+
+// Successors returns the graph's successor table, building it on first use
+// after the last AddEdge. Concurrent first readers may each build it; the
+// tables are equal and one of them stays.
+func (g *Graph) Successors() *Successors {
+	if s := g.succ.Load(); s != nil {
+		return s
+	}
+	s := &Successors{g: g, out: make(map[string][]Arc, len(g.out)), forest: true}
+	arcs := make([]Arc, 0, g.NumEdges())
+	for from, m := range g.out {
+		start := len(arcs)
+		for to, l := range m {
+			arcs = append(arcs, Arc{To: to, Label: l})
+		}
+		run := arcs[start:len(arcs):len(arcs)]
+		slices.SortFunc(run, func(a, b Arc) int {
+			if c := cmp.Compare(a.Label, b.Label); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.To, b.To)
+		})
+		s.out[from] = run
+	}
+	for _, ps := range g.in {
+		if len(ps) > 1 {
+			s.forest = false
+			break
+		}
+	}
+	g.succ.Store(s)
+	return s
+}
+
+// Graph returns the graph the table was built from.
+func (s *Successors) Graph() *Graph { return s.g }
+
+// Forest reports whether every vertex has at most one parent.
+func (s *Successors) Forest() bool { return s.forest }
+
+// Out returns every out-edge of v, sorted by (label, target).
+func (s *Successors) Out(v string) []Arc { return s.out[v] }
+
+// Via returns the out-edges of v labeled label, sorted by target.
+func (s *Successors) Via(v, label string) []Arc {
+	arcs := s.out[v]
+	lo := sort.Search(len(arcs), func(i int) bool { return arcs[i].Label >= label })
+	hi := lo
+	for hi < len(arcs) && arcs[hi].Label == label {
+		hi++
+	}
+	return arcs[lo:hi]
 }

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -305,4 +307,69 @@ func TestQuickShapeMatchesSeparatePasses(t *testing.T) {
 	if got := New().Shape("nowhere"); got != (Shape{Acyclic: true}) {
 		t.Errorf("Shape of a root that is no vertex = %+v", got)
 	}
+}
+
+// TestSuccessors: the table lists a vertex's out-edges by (label, target),
+// Via cuts out one label's run, Forest reads the in-degrees, and an added
+// edge is in the next table.
+func TestSuccessors(t *testing.T) {
+	g := New()
+	for _, e := range []Edge{{"r", "c", "b"}, {"r", "a", "b"}, {"r", "z", "a"}, {"r", "b", "c"}, {"a", "x", "b"}} {
+		if err := g.AddEdge(e.From, e.To, e.Label); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := g.Successors()
+	if s != g.Successors() || s.Graph() != g {
+		t.Error("the graph did not keep its table")
+	}
+	if got, want := s.Out("r"), []Arc{{"z", "a"}, {"a", "b"}, {"c", "b"}, {"b", "c"}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Out(r) = %v, want %v", got, want)
+	}
+	if got, want := s.Via("r", "b"), []Arc{{"a", "b"}, {"c", "b"}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Via(r,b) = %v, want %v", got, want)
+	}
+	for _, l := range []string{"", "aa", "bb", "d"} {
+		if got := s.Via("r", l); len(got) != 0 {
+			t.Errorf("Via(r,%q) = %v", l, got)
+		}
+	}
+	if len(s.Out("x")) != 0 || len(s.Via("nowhere", "a")) != 0 {
+		t.Error("a leaf or a stranger has successors")
+	}
+	if !s.Forest() {
+		t.Error("one parent each, yet not a forest")
+	}
+	if err := g.AddEdge("c", "x", "b"); err != nil {
+		t.Fatal(err)
+	}
+	s = g.Successors()
+	if s.Forest() || !reflect.DeepEqual(s.Via("c", "b"), []Arc{{"x", "b"}}) {
+		t.Errorf("after AddEdge: forest %v, Via(c,b) = %v", s.Forest(), s.Via("c", "b"))
+	}
+}
+
+// TestSuccessorsConcurrentFirstUse: readers of a published graph may all
+// ask for the table at once; each gets an equal one (run under -race).
+func TestSuccessorsConcurrentFirstUse(t *testing.T) {
+	g := New()
+	for i := 0; i < 200; i++ {
+		_ = g.AddEdge(fmt.Sprintf("n%d", i/3), fmt.Sprintf("n%d", i+1), string(rune('a'+i%3)))
+	}
+	want := g.Clone().Successors()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := g.Successors()
+			for i := 0; i <= 200; i++ {
+				v := fmt.Sprintf("n%d", i)
+				if !reflect.DeepEqual(s.Out(v), want.Out(v)) {
+					t.Errorf("Out(%s) = %v, want %v", v, s.Out(v), want.Out(v))
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -122,59 +122,48 @@ func epsilonBound(in *Instance, p pathexpr.Path, targets map[model.ObjectID]bool
 		}
 		return Point(1), nil
 	}
-	g := in.weak.Graph()
-	plan := pathexpr.NewPlan(g, p, targets)
+	plan := pathexpr.NewPlan(in.weak.Graph(), p, targets)
 	if plan.IsEmpty() {
 		return Point(0), nil
 	}
-	keptChildren := make(map[model.ObjectID][]model.ObjectID)
-	for _, e := range plan.Edges {
-		keptChildren[e.From] = append(keptChildren[e.From], e.To)
-	}
-	eps := make(map[model.ObjectID]Bound)
+	// eps is indexed by plan position; the root is at 0.
+	eps := make([]Bound, len(plan.Nodes))
 	n := p.Len()
-	for o := range plan.Keep[n] {
+	matched, _ := plan.Level(n)
+	for pos := matched; pos < len(plan.Nodes); pos++ {
+		eps[pos] = Point(1)
 		if success != nil {
-			eps[o] = success(o)
-		} else {
-			eps[o] = Point(1)
+			eps[pos] = success(plan.Nodes[pos].ID)
 		}
 	}
-	matched := plan.Keep[n]
+	var members []int32
 	for level := n - 1; level >= 0; level-- {
-		for o := range plan.Keep[level] {
-			if matched[o] {
-				continue
-			}
-			w := in.opf[o]
+		lo, hi := plan.Level(level)
+		for pos := lo; pos < hi; pos++ {
+			w := in.opf[plan.Nodes[pos].ID]
 			if w == nil {
-				return Bound{}, fmt.Errorf("interval: non-leaf %s has no interval OPF", o)
+				return Bound{}, fmt.Errorf("interval: non-leaf %s has no interval OPF", plan.Nodes[pos].ID)
 			}
-			kept := keptChildren[o]
-			qLo := func(c sets.Set) float64 {
-				// Minimal failure coefficient: children at ε max.
+			kids := plan.KidsOf(pos)
+			// fail is the failure coefficient of a child set with its kept
+			// children at one end of their ε bounds: ε max gives the least.
+			fail := func(c sets.Set, epsMax bool) float64 {
 				q := 1.0
-				for _, j := range kept {
-					if c.Contains(j) {
-						q *= 1 - eps[j].Hi
+				members = pathexpr.Members(members[:0], kids, c)
+				for _, j := range members {
+					if e := eps[kids[j].Pos]; epsMax {
+						q *= 1 - e.Hi
+					} else {
+						q *= 1 - e.Lo
 					}
 				}
 				return q
 			}
-			qHi := func(c sets.Set) float64 {
-				q := 1.0
-				for _, j := range kept {
-					if c.Contains(j) {
-						q *= 1 - eps[j].Lo
-					}
-				}
-				return q
-			}
-			failLo, _, err := w.ExtremizeLinear(qLo)
+			failLo, _, err := w.ExtremizeLinear(func(c sets.Set) float64 { return fail(c, true) })
 			if err != nil {
 				return Bound{}, err
 			}
-			_, failHi, err := w.ExtremizeLinear(qHi)
+			_, failHi, err := w.ExtremizeLinear(func(c sets.Set) float64 { return fail(c, false) })
 			if err != nil {
 				return Bound{}, err
 			}
@@ -188,12 +177,8 @@ func epsilonBound(in *Instance, p pathexpr.Path, targets map[model.ObjectID]bool
 			if hi < lo {
 				hi = lo
 			}
-			eps[o] = Bound{Lo: lo, Hi: hi}
+			eps[pos] = Bound{Lo: lo, Hi: hi}
 		}
 	}
-	b, ok := eps[in.weak.Root()]
-	if !ok {
-		return Point(0), nil
-	}
-	return b, nil
+	return eps[0], nil
 }

@@ -1,131 +1,22 @@
 package pathexpr
 
 import (
-	"sort"
-
 	"pxml/internal/graph"
 	"pxml/internal/model"
 )
 
-// Index is a label-partitioned adjacency index over a graph: for each edge
-// label it stores the per-source sorted successor lists. Path evaluation
-// over an Index touches only the edges of the queried labels, which on
-// instances with diverse label alphabets avoids scanning every child of
-// every frontier object (the locate leg of the paper's Figure 7 pipeline).
-// Build once per (immutable) graph and reuse across queries.
-type Index struct {
-	// byLabel[label][from] = sorted successors via edges with that label.
-	byLabel map[model.Label]map[model.ObjectID][]model.ObjectID
-	// all[from] = sorted (child, label) pairs, for wildcard steps.
-	g *graph.Graph
-}
+// Index is the label-partitioned successor table path evaluation reads: per
+// object, the out-edges of each label as one run in child order. It is the
+// weak instance graph's own table (graph.Successors), which the graph builds
+// once and keeps, so every evaluation over one instance version — through
+// the engine's cached handle or straight from the graph — reads the same
+// one and a step touches only the edges of its label.
+type Index = graph.Successors
 
-// NewIndex builds the index in one pass over the graph's edges.
-func NewIndex(g *graph.Graph) *Index {
-	idx := &Index{byLabel: make(map[model.Label]map[model.ObjectID][]model.ObjectID), g: g}
-	for _, e := range g.Edges() {
-		m := idx.byLabel[e.Label]
-		if m == nil {
-			m = make(map[model.ObjectID][]model.ObjectID)
-			idx.byLabel[e.Label] = m
-		}
-		m[e.From] = append(m[e.From], e.To)
-	}
-	// graph.Edges is sorted by (From, To), so successor lists are sorted.
-	return idx
-}
+// NewIndex returns g's index, building it if this is its first use.
+func NewIndex(g *graph.Graph) *Index { return g.Successors() }
 
-// Labels returns the indexed labels, sorted.
-func (idx *Index) Labels() []model.Label {
-	out := make([]model.Label, 0, len(idx.byLabel))
-	for l := range idx.byLabel {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// successors returns the children of o via label l (nil when none); the
-// wildcard falls back to the full child list.
-func (idx *Index) successors(o model.ObjectID, l model.Label) []model.ObjectID {
-	if l == Wildcard {
-		return idx.g.Children(o)
-	}
-	return idx.byLabel[l][o]
-}
-
-// LevelsIndexed is Path.Levels evaluated through the index.
-func (p Path) LevelsIndexed(idx *Index) []map[model.ObjectID]bool {
-	levels := make([]map[model.ObjectID]bool, p.Len()+1)
-	levels[0] = map[model.ObjectID]bool{}
-	if idx.g.HasNode(p.Root) {
-		levels[0][p.Root] = true
-	}
-	for i, l := range p.Labels {
-		next := map[model.ObjectID]bool{}
-		for o := range levels[i] {
-			for _, c := range idx.successors(o, l) {
-				next[c] = true
-			}
-		}
-		levels[i+1] = next
-	}
-	return levels
-}
-
-// TargetsIndexed is Path.Targets evaluated through the index.
+// TargetsIndexed is Path.Targets for a caller already holding the index.
 func (p Path) TargetsIndexed(idx *Index) []model.ObjectID {
-	last := p.LevelsIndexed(idx)[p.Len()]
-	out := make([]model.ObjectID, 0, len(last))
-	for o := range last {
-		out = append(out, o)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// NewPlanIndexed is NewPlan evaluated through the index: identical output,
-// but the backward pruning pass touches only same-label edges.
-func NewPlanIndexed(idx *Index, p Path, targets map[model.ObjectID]bool) Plan {
-	levels := p.LevelsIndexed(idx)
-	n := p.Len()
-	keep := make([]map[model.ObjectID]bool, n+1)
-	keep[n] = map[model.ObjectID]bool{}
-	for o := range levels[n] {
-		if targets == nil || targets[o] {
-			keep[n][o] = true
-		}
-	}
-	var edges []graph.Edge
-	for i := n - 1; i >= 0; i-- {
-		keep[i] = map[model.ObjectID]bool{}
-		l := p.Labels[i]
-		for o := range levels[i] {
-			for _, c := range idx.successors(o, l) {
-				if !keep[i+1][c] {
-					continue
-				}
-				keep[i][o] = true
-				label := l
-				if l == Wildcard {
-					label, _ = idx.g.Label(o, c)
-				}
-				edges = append(edges, graph.Edge{From: o, To: c, Label: label})
-			}
-		}
-	}
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a].From != edges[b].From {
-			return edges[a].From < edges[b].From
-		}
-		return edges[a].To < edges[b].To
-	})
-	w := 0
-	for i, e := range edges {
-		if i == 0 || e != edges[w-1] {
-			edges[w] = e
-			w++
-		}
-	}
-	return Plan{Path: p, Keep: keep, Edges: edges[:w]}
+	return p.Targets(idx.Graph())
 }

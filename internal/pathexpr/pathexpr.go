@@ -10,8 +10,9 @@
 package pathexpr
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"pxml/internal/graph"
@@ -68,140 +69,226 @@ func (p Path) String() string {
 // Len returns the number of edge labels in the expression.
 func (p Path) Len() int { return len(p.Labels) }
 
-// matchLabel reports whether an edge label satisfies a pattern label.
-func matchLabel(pattern, label model.Label) bool {
-	return pattern == Wildcard || pattern == label
-}
-
-// Levels returns the level sets of the expression over g:
-// level 0 is {p.Root} (empty when g lacks it), and level i is the set of
-// objects reachable from level i−1 via an edge labeled p.Labels[i−1]. In a
-// DAG the same object may appear in several levels.
-func (p Path) Levels(g *graph.Graph) []map[model.ObjectID]bool {
-	levels := make([]map[model.ObjectID]bool, p.Len()+1)
-	levels[0] = map[model.ObjectID]bool{}
-	if g.HasNode(p.Root) {
-		levels[0][p.Root] = true
-	}
-	for i, l := range p.Labels {
-		next := map[model.ObjectID]bool{}
-		for o := range levels[i] {
-			g.EachChild(o, func(child, label string) {
-				if matchLabel(l, label) {
-					next[child] = true
-				}
-			})
-		}
-		levels[i+1] = next
-	}
-	return levels
-}
-
 // Targets returns the objects the expression denotes over g — the set
 // {o | o ∈ p} of Definition 5.1 — in sorted order.
 func (p Path) Targets(g *graph.Graph) []model.ObjectID {
-	levels := p.Levels(g)
-	last := levels[p.Len()]
-	out := make([]model.ObjectID, 0, len(last))
-	for o := range last {
-		out = append(out, o)
-	}
-	sort.Strings(out)
-	return out
+	return NewPlan(g, p, nil).Matched()
 }
 
 // Matches reports whether o ∈ p over g.
 func (p Path) Matches(g *graph.Graph, o model.ObjectID) bool {
-	last := p.Levels(g)[p.Len()]
-	return last[o]
+	return !NewPlan(g, p, map[model.ObjectID]bool{o: true}).IsEmpty()
 }
 
-// Plan is the structural skeleton of an ancestor projection: per-level kept
-// object sets and the kept edges. Level len(Labels) holds the matched
-// objects; lower levels hold their path ancestors. Only objects and edges
-// lying on a complete root-to-match path are kept (Definition 5.2).
+// Plan is the located skeleton of an ancestor projection (Definition 5.2):
+// the objects and edges lying on a complete root-to-match path, as flat
+// slices.
+//
+// Nodes holds the kept objects level by level: level 0 is the root, level
+// Path.Len() the matched objects. A node's index in Nodes is its position,
+// dense from 0, which consumers use to index their own per-node state. Within
+// a level every object occurs once, in the order the walk from the root meets
+// it (its first parent's position, then its id); an object a DAG reaches at
+// several depths has one node per depth.
+//
+// Kids holds the kept edges grouped by parent: a node's kept children are one
+// contiguous run (KidsOf) in ascending child id, each with its edge label and
+// the child's position, which is always greater than the parent's.
 type Plan struct {
-	Path Path
-	// Keep[i] is the set of level-i objects on some complete match path.
-	Keep []map[model.ObjectID]bool
-	// Edges holds the kept edges.
-	Edges []graph.Edge
+	Path  Path
+	Nodes []Node
+	Kids  []Kid
+	// level[i] is where level i starts in Nodes and level[Path.Len()+1] ends
+	// the last one; nil for the empty plan.
+	level []int32
 }
 
-// NewPlan computes the ancestor-projection plan of p over g, restricted to
-// the target set targets (pass nil to keep every matched object — the plain
-// ancestor projection; pass a subset for point queries, which keep a single
-// object and its path ancestors, Section 6.2).
+// Node is one kept object at one depth.
+type Node struct {
+	ID            model.ObjectID
+	kids, kidsEnd int32
+}
+
+// Kid is one kept edge, seen from its parent.
+type Kid struct {
+	ID    model.ObjectID
+	Label model.Label
+	// Pos is the child's position in Plan.Nodes.
+	Pos int32
+}
+
+// NewPlan computes the ancestor-projection plan of p over g, read through
+// g's successor table (NewIndex), restricted to the target set targets (pass
+// nil to keep every matched object — the plain ancestor projection; pass a
+// subset for point queries, which keep a single object and its path
+// ancestors, Section 6.2). Only objects and edges on a complete root-to-match
+// path are kept, so the plan is empty exactly when nothing (targeted) matches.
 func NewPlan(g *graph.Graph, p Path, targets map[model.ObjectID]bool) Plan {
-	levels := p.Levels(g)
+	pl := Plan{Path: p}
+	if !g.HasNode(p.Root) {
+		return pl
+	}
+	idx := NewIndex(g)
 	n := p.Len()
-	keep := make([]map[model.ObjectID]bool, n+1)
-	keep[n] = map[model.ObjectID]bool{}
-	for o := range levels[n] {
-		if targets == nil || targets[o] {
-			keep[n][o] = true
-		}
-	}
-	var edges []graph.Edge
-	for i := n - 1; i >= 0; i-- {
-		keep[i] = map[model.ObjectID]bool{}
-		for o := range levels[i] {
-			g.EachChild(o, func(child, label string) {
-				if matchLabel(p.Labels[i], label) && keep[i+1][child] {
-					keep[i][o] = true
-					edges = append(edges, graph.Edge{From: o, To: child, Label: label})
-				}
-			})
-		}
-	}
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a].From != edges[b].From {
-			return edges[a].From < edges[b].From
-		}
-		return edges[a].To < edges[b].To
-	})
-	// Deduplicate edges (the same edge can be rediscovered when an object
-	// occurs in several levels of a DAG).
-	w := 0
-	for i, e := range edges {
-		if i == 0 || e != edges[w-1] {
-			edges[w] = e
-			w++
-		}
-	}
-	return Plan{Path: p, Keep: keep, Edges: edges[:w]}
-}
 
-// Kept returns the union of all kept level sets plus the expression root,
-// in sorted order: the vertex set V′ of Definition 5.2.
-func (pl Plan) Kept() []model.ObjectID {
-	all := map[model.ObjectID]bool{pl.Path.Root: true}
-	for _, k := range pl.Keep {
-		for o := range k {
-			all[o] = true
+	// Forward: every object the label sequence reaches, level by level;
+	// reached[start[i]:start[i+1]] is level i.
+	type candidate struct {
+		id   model.ObjectID
+		arcs []graph.Arc // the edges the next step may follow
+		// below[first+k] is where arcs[k].To sits in reached.
+		first int32
+		// pos is the object's position in the plan, -1 when it is not kept.
+		pos int32
+	}
+	reached := make([]candidate, 1, 64)
+	reached[0].id = p.Root
+	start := make([]int32, n+2)
+	start[1] = 1
+	below := make([]int32, 0, 64)
+	// In a forest no object is reached twice. Elsewhere seen finds the
+	// level's earlier occurrence; nil, it never does.
+	var seen map[model.ObjectID]int32
+	if !idx.Forest() {
+		seen = make(map[model.ObjectID]int32)
+	}
+	for i, l := range p.Labels {
+		clear(seen)
+		for c := start[i]; c < start[i+1]; c++ {
+			arcs := idx.Out(reached[c].id)
+			if l != Wildcard {
+				arcs = idx.Via(reached[c].id, l)
+			}
+			reached[c].arcs, reached[c].first = arcs, int32(len(below))
+			for _, a := range arcs {
+				at, again := seen[a.To]
+				if !again {
+					at = int32(len(reached))
+					reached = append(reached, candidate{id: a.To})
+					if seen != nil {
+						seen[a.To] = at
+					}
+				}
+				below = append(below, at)
+			}
+		}
+		start[i+2] = int32(len(reached))
+	}
+
+	// Backward: keep what lies on a complete path to a (targeted) match.
+	nodes, kids := 0, 0
+	for c := start[n]; c < start[n+1]; c++ {
+		reached[c].pos = -1
+		if targets == nil || targets[reached[c].id] {
+			reached[c].pos = 0
+			nodes++
 		}
 	}
-	out := make([]model.ObjectID, 0, len(all))
-	for o := range all {
-		out = append(out, o)
+	for i := n - 1; i >= 0; i-- {
+		for c := start[i]; c < start[i+1]; c++ {
+			r := &reached[c]
+			r.pos = -1
+			for _, at := range below[r.first : int(r.first)+len(r.arcs)] {
+				if reached[at].pos >= 0 {
+					r.pos = 0
+					kids++
+				}
+			}
+			if r.pos == 0 {
+				nodes++
+			}
+		}
 	}
-	sort.Strings(out)
-	return out
+	if reached[0].pos < 0 {
+		return pl
+	}
+
+	// Emit the kept objects in reached order. start becomes the plan's level
+	// table in place: level i's bounds are read before slot i is rewritten,
+	// and no level starts later in Nodes than it did in reached.
+	next := int32(0)
+	for c := range reached {
+		if reached[c].pos >= 0 {
+			reached[c].pos = next
+			next++
+		}
+	}
+	pl.Nodes = make([]Node, 0, nodes)
+	pl.Kids = make([]Kid, 0, kids)
+	for i := 0; i <= n; i++ {
+		lo, hi := start[i], start[i+1]
+		start[i] = int32(len(pl.Nodes))
+		for _, r := range reached[lo:hi] {
+			if r.pos < 0 {
+				continue
+			}
+			nd := Node{ID: r.id, kids: int32(len(pl.Kids))}
+			for k, a := range r.arcs {
+				if at := reached[below[int(r.first)+k]].pos; at >= 0 {
+					pl.Kids = append(pl.Kids, Kid{ID: a.To, Label: a.Label, Pos: at})
+				}
+			}
+			nd.kidsEnd = int32(len(pl.Kids))
+			if i < n && p.Labels[i] == Wildcard {
+				// A wildcard step follows several label runs, each in id
+				// order; the node's run must be in id order as a whole.
+				slices.SortFunc(pl.Kids[nd.kids:nd.kidsEnd], func(a, b Kid) int { return cmp.Compare(a.ID, b.ID) })
+			}
+			pl.Nodes = append(pl.Nodes, nd)
+		}
+	}
+	start[n+1] = int32(len(pl.Nodes))
+	pl.level = start
+	return pl
 }
 
 // IsEmpty reports whether no object matched the expression (the projection
 // result is the bare root).
-func (pl Plan) IsEmpty() bool { return len(pl.Keep[len(pl.Keep)-1]) == 0 }
+func (pl Plan) IsEmpty() bool { return len(pl.Nodes) == 0 }
+
+// Level returns the positions [lo, hi) of the level-i nodes.
+func (pl Plan) Level(i int) (lo, hi int) {
+	if pl.level == nil {
+		return 0, 0
+	}
+	return int(pl.level[i]), int(pl.level[i+1])
+}
+
+// KidsOf returns the kept children of the node at pos, in ascending id.
+func (pl Plan) KidsOf(pos int) []Kid {
+	nd := pl.Nodes[pos]
+	return pl.Kids[nd.kids:nd.kidsEnd]
+}
 
 // Matched returns the kept matched objects (deepest level), sorted.
 func (pl Plan) Matched() []model.ObjectID {
-	last := pl.Keep[len(pl.Keep)-1]
-	out := make([]model.ObjectID, 0, len(last))
-	for o := range last {
-		out = append(out, o)
+	lo, hi := pl.Level(pl.Path.Len())
+	out := make([]model.ObjectID, 0, hi-lo)
+	for _, nd := range pl.Nodes[lo:hi] {
+		out = append(out, nd.ID)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
+}
+
+// Members appends to dst, for every kept child in kids that is a member of
+// the canonical set c, its index in kids. Both are in ascending id, so this
+// is one merge walk; every reader of a local probability function over a plan
+// uses it to find which kept children a child set contains.
+func Members(dst []int32, kids []Kid, c []model.ObjectID) []int32 {
+	for i, j := 0, 0; i < len(c) && j < len(kids); {
+		switch strings.Compare(c[i], kids[j].ID) {
+		case -1:
+			i++
+		case 1:
+			j++
+		default:
+			dst = append(dst, int32(j))
+			i++
+			j++
+		}
+	}
+	return dst
 }
 
 // ProjectAncestors applies the ancestor projection Λ_p of Definition 5.2 to
@@ -220,27 +307,23 @@ func ProjectAncestors(s *model.Instance, p Path) *model.Instance {
 		return out
 	}
 	pl := NewPlan(s.Graph(), p, nil)
-	kept := map[model.ObjectID]bool{}
-	for _, o := range pl.Kept() {
-		kept[o] = true
-		out.AddObject(o)
+	for pos, nd := range pl.Nodes {
+		for _, k := range pl.KidsOf(pos) {
+			// Error impossible: source edges are uniquely labeled.
+			_ = out.AddEdge(nd.ID, k.ID, k.Label)
+		}
 	}
-	for _, e := range pl.Edges {
-		// Error impossible: source edges are uniquely labeled.
-		_ = out.AddEdge(e.From, e.To, e.Label)
-	}
-	// Preserve type/value for kept objects that remain leaves.
-	for o := range kept {
-		if !out.IsLeaf(o) {
+	// Preserve type/value for kept objects that remain leaves: a typed leaf
+	// of the source keeps its assignment; a source non-leaf that became a
+	// leaf here has no type to carry.
+	for _, nd := range pl.Nodes {
+		o := nd.ID
+		if !out.IsLeaf(o) || !s.IsLeaf(o) {
 			continue
 		}
 		if t, ok := s.TypeOf(o); ok {
 			if v, okV := s.ValueOf(o); okV {
-				// A typed leaf of the source keeps its assignment; a source
-				// non-leaf that became a leaf here has no type to carry.
-				if s.IsLeaf(o) {
-					_ = out.SetLeaf(o, t.Name, v)
-				}
+				_ = out.SetLeaf(o, t.Name, v)
 			}
 		}
 	}

@@ -1,0 +1,71 @@
+package query
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"pxml/internal/gen"
+)
+
+var benchSink float64
+
+// benchTrees calls run once per Section 7.1 tree of 341, 1 365 and 5 461
+// objects (branching 4, depths 4–6) under both labelings — the trees of
+// algebra's BenchmarkAncestorProject.
+func benchTrees(b *testing.B, run func(b *testing.B, in *gen.Instance, r *rand.Rand)) {
+	for _, lab := range []gen.Labeling{gen.SL, gen.FR} {
+		for _, depth := range []int{4, 5, 6} {
+			in, err := gen.Generate(gen.Config{Depth: depth, Branch: 4, Labeling: lab, LeafDomainSize: 2, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			in.PI.IsTree() // memoize the graph and verdict, as a served instance has
+			b.Run(fmt.Sprintf("%s/objects%d", lab, in.PI.NumObjects()), func(b *testing.B) {
+				run(b, in, rand.New(rand.NewSource(1)))
+			})
+		}
+	}
+}
+
+// BenchmarkPointQuery is P(o ∈ p) for a fixed random full-depth (p, o): the
+// plan walks every object p reaches before it keeps o's one root chain, so
+// the time follows p's level sets, not the chain.
+func BenchmarkPointQuery(b *testing.B) {
+	benchTrees(b, func(b *testing.B, in *gen.Instance, r *rand.Rand) {
+		p, o, ok := in.RandomSelection(r)
+		if !ok {
+			b.Fatal("no satisfiable selection")
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pr, err := PointQuery(in.PI, p, o)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink = pr
+		}
+	})
+}
+
+// TestPointQueryAllocations pins the ε lane's allocations for a depth-4
+// chain on the 341-object SL tree: the plan's slices, ε by position and the
+// one-entry target set, nothing per OPF entry. The flat plan measured 7;
+// the map-keyed plan it replaced allocated 134 times, a copy of every OPF
+// the chain reads among them.
+func TestPointQueryAllocations(t *testing.T) {
+	in, err := gen.Generate(gen.Config{Depth: 4, Branch: 4, Labeling: gen.SL, LeafDomainSize: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.PI.IsTree()
+	p, o, ok := in.RandomSelection(rand.New(rand.NewSource(1)))
+	if !ok {
+		t.Fatal("no satisfiable selection")
+	}
+	const ceiling = 8 // 20 % above the 7 measured
+	if allocs := testing.AllocsPerRun(50, func() { benchSink, _ = PointQuery(in.PI, p, o) }); allocs > ceiling {
+		t.Errorf("PointQuery allocates %v times, want at most %d", allocs, ceiling)
+	}
+}

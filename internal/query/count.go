@@ -6,8 +6,8 @@ import (
 
 	"pxml/internal/core"
 	"pxml/internal/govern"
-	"pxml/internal/model"
 	"pxml/internal/pathexpr"
+	"pxml/internal/sets"
 )
 
 // CountDistribution computes the exact probability distribution of
@@ -38,47 +38,43 @@ func CountDistributionCtx(ctx context.Context, pi *core.ProbInstance, p pathexpr
 	if p.Len() == 0 {
 		return map[int]float64{1: 1}, nil // the root always matches itself
 	}
-	g := pi.WeakInstance.Graph()
-	plan := pathexpr.NewPlan(g, p, nil)
+	plan := pathexpr.NewPlan(pi.WeakInstance.Graph(), p, nil)
 	if plan.IsEmpty() {
 		return map[int]float64{0: 1}, nil
 	}
-	keptChildren := groupPlanChildren(plan.Edges)
-	// dist[o] is the distribution of the number of matches in o's kept
-	// subtree given o exists.
-	dist := make(map[model.ObjectID]map[int]float64, planSize(plan))
+	// dist[pos] is the distribution of the number of matches in the kept
+	// subtree of the node at plan position pos, given that it exists.
+	dist := make([]map[int]float64, len(plan.Nodes))
 	n := p.Len()
-	for o := range plan.Keep[n] {
-		dist[o] = map[int]float64{1: 1}
+	matched, _ := plan.Level(n)
+	for pos := matched; pos < len(plan.Nodes); pos++ {
+		dist[pos] = map[int]float64{1: 1}
 	}
-	matched := plan.Keep[n]
+	var members []int32
 	for level := n - 1; level >= 0; level-- {
-		for o := range plan.Keep[level] {
-			if matched[o] {
-				continue
-			}
-			opf := pi.OPF(o)
+		lo, hi := plan.Level(level)
+		for pos := lo; pos < hi; pos++ {
+			opf := pi.OPF(plan.Nodes[pos].ID)
 			if opf == nil {
-				return nil, fmt.Errorf("query: non-leaf %s has no OPF", o)
+				return nil, fmt.Errorf("query: non-leaf %s has no OPF", plan.Nodes[pos].ID)
 			}
-			kept := keptChildren[o]
+			kids := plan.KidsOf(pos)
 			out := map[int]float64{}
-			for _, e := range opf.Entries() {
-				if e.Prob <= 0 {
-					continue
+			var err error
+			opf.Each(func(c sets.Set, pr float64) {
+				if pr <= 0 || err != nil {
+					return
 				}
-				if err := gov.Step(1); err != nil {
-					return nil, err
+				if err = gov.Step(1); err != nil {
+					return
 				}
 				// Convolve the kept children present in this child set.
-				acc := map[int]float64{0: e.Prob}
-				for _, j := range kept {
-					if !e.Set.Contains(j) {
-						continue
-					}
-					dj := dist[j]
-					if err := gov.Step(int64(len(acc) * len(dj))); err != nil {
-						return nil, err
+				acc := map[int]float64{0: pr}
+				members = pathexpr.Members(members[:0], kids, c)
+				for _, j := range members {
+					dj := dist[kids[j].Pos]
+					if err = gov.Step(int64(len(acc) * len(dj))); err != nil {
+						return
 					}
 					next := make(map[int]float64, len(acc)*len(dj))
 					for a, pa := range acc {
@@ -91,15 +87,14 @@ func CountDistributionCtx(ctx context.Context, pi *core.ProbInstance, p pathexpr
 				for k, v := range acc {
 					out[k] += v
 				}
+			})
+			if err != nil {
+				return nil, err
 			}
-			dist[o] = out
+			dist[pos] = out
 		}
 	}
-	root := dist[pi.Root()]
-	if root == nil {
-		return map[int]float64{0: 1}, nil
-	}
-	return root, nil
+	return dist[0], nil
 }
 
 // ExpectedCount returns E[|{o : o ∈ p}|] on a tree-structured instance.

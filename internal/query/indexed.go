@@ -10,10 +10,10 @@ import (
 )
 
 // The *IndexedCtx functions below answer the same Section 6.2 queries as
-// their index-free namesakes but build the path plan through a prebuilt
-// pathexpr.Index, so only the edges of the queried labels are touched.
-// They are the amortized route for callers (the engine package) that run
-// many queries against one immutable instance.
+// their index-free namesakes for a caller (the engine package) that holds
+// the instance's path index and runs many queries against one immutable
+// instance. Every plan is read from that index either way — the weak
+// instance graph keeps it — so what these skip is the tree check.
 //
 // They honour a context-carried resource governor (govern.From): the ε
 // recursion charges its OPF scans against the query's step budget and
@@ -26,13 +26,13 @@ import (
 // PointQueryIndexedCtx is PointQuery through a prebuilt index, under
 // ctx's governor.
 func PointQueryIndexedCtx(ctx context.Context, pi *core.ProbInstance, idx *pathexpr.Index, p pathexpr.Path, o model.ObjectID) (float64, error) {
-	return epsilonRoot(pi, idx, p, map[model.ObjectID]bool{o: true}, nil, govern.From(ctx))
+	return epsilonRoot(pi, idx.Graph(), p, map[model.ObjectID]bool{o: true}, nil, govern.From(ctx))
 }
 
 // ExistsQueryIndexedCtx is ExistsQuery through a prebuilt index, under
 // ctx's governor.
 func ExistsQueryIndexedCtx(ctx context.Context, pi *core.ProbInstance, idx *pathexpr.Index, p pathexpr.Path) (float64, error) {
-	return epsilonRoot(pi, idx, p, nil, nil, govern.From(ctx))
+	return epsilonRoot(pi, idx.Graph(), p, nil, nil, govern.From(ctx))
 }
 
 // ValueExistsQueryIndexedCtx is ValueExistsQuery through a prebuilt index,
@@ -44,7 +44,7 @@ func ValueExistsQueryIndexedCtx(ctx context.Context, pi *core.ProbInstance, idx 
 		}
 		return 0
 	}
-	return epsilonRoot(pi, idx, p, nil, success, govern.From(ctx))
+	return epsilonRoot(pi, idx.Graph(), p, nil, success, govern.From(ctx))
 }
 
 // ValuePointQueryIndexedCtx is ValuePointQuery through a prebuilt index,
@@ -56,5 +56,5 @@ func ValuePointQueryIndexedCtx(ctx context.Context, pi *core.ProbInstance, idx *
 		}
 		return 0
 	}
-	return epsilonRoot(pi, idx, p, map[model.ObjectID]bool{o: true}, success, govern.From(ctx))
+	return epsilonRoot(pi, idx.Graph(), p, map[model.ObjectID]bool{o: true}, success, govern.From(ctx))
 }

@@ -19,6 +19,7 @@ import (
 	"pxml/internal/graph"
 	"pxml/internal/model"
 	"pxml/internal/pathexpr"
+	"pxml/internal/sets"
 )
 
 // ErrNotTree is returned by the query fast paths on non-tree instances;
@@ -65,7 +66,7 @@ func PointQuery(pi *core.ProbInstance, p pathexpr.Path, o model.ObjectID) (float
 	if !pi.IsTree() {
 		return 0, ErrNotTree
 	}
-	return epsilonRoot(pi, nil, p, map[model.ObjectID]bool{o: true}, nil, nil)
+	return epsilonRoot(pi, pi.WeakInstance.Graph(), p, map[model.ObjectID]bool{o: true}, nil, nil)
 }
 
 // ExistsQuery computes the extension the paper describes at the end of
@@ -76,7 +77,7 @@ func ExistsQuery(pi *core.ProbInstance, p pathexpr.Path) (float64, error) {
 	if !pi.IsTree() {
 		return 0, ErrNotTree
 	}
-	return epsilonRoot(pi, nil, p, nil, nil, nil)
+	return epsilonRoot(pi, pi.WeakInstance.Graph(), p, nil, nil, nil)
 }
 
 // ValueExistsQuery computes the probability that some leaf satisfying p
@@ -93,7 +94,7 @@ func ValueExistsQuery(pi *core.ProbInstance, p pathexpr.Path, v model.Value) (fl
 		}
 		return 0
 	}
-	return epsilonRoot(pi, nil, p, nil, success, nil)
+	return epsilonRoot(pi, pi.WeakInstance.Graph(), p, nil, success, nil)
 }
 
 // ValuePointQuery computes P(o ∈ p ∧ val(o) = v) for a specific leaf o.
@@ -107,7 +108,7 @@ func ValuePointQuery(pi *core.ProbInstance, p pathexpr.Path, o model.ObjectID, v
 		}
 		return 0
 	}
-	return epsilonRoot(pi, nil, p, map[model.ObjectID]bool{o: true}, success, nil)
+	return epsilonRoot(pi, pi.WeakInstance.Graph(), p, map[model.ObjectID]bool{o: true}, success, nil)
 }
 
 // epsilonRoot runs the ε recursion of Section 6.1/6.2 over the plan of p
@@ -118,12 +119,12 @@ func ValuePointQuery(pi *core.ProbInstance, p pathexpr.Path, o model.ObjectID, v
 // with matched objects assigned success probability 1 (or success(o) when a
 // success function is supplied, e.g. a VPF lookup for value queries). ε_r
 // is the probability that a compatible instance contains a successful
-// match. When idx is non-nil the plan is built through the label index
-// (touching only same-label edges) instead of the full graph. A non-nil
-// governor is charged one work unit per OPF entry scanned, so wide-OPF
-// instances hit their step budget (or observe cancellation) within one
-// kept object instead of finishing the full bottom-up pass.
-func epsilonRoot(pi *core.ProbInstance, idx *pathexpr.Index, p pathexpr.Path, targets map[model.ObjectID]bool, success func(model.ObjectID) float64, gov *govern.Governor) (float64, error) {
+// match. g is pi's weak instance graph, whose successor table the plan is
+// read from. A non-nil governor is charged one work unit per OPF entry
+// scanned, so wide-OPF instances hit their step budget (or observe
+// cancellation) within one kept object instead of finishing the full
+// bottom-up pass.
+func epsilonRoot(pi *core.ProbInstance, g *graph.Graph, p pathexpr.Path, targets map[model.ObjectID]bool, success func(model.ObjectID) float64, gov *govern.Governor) (float64, error) {
 	if p.Root != pi.Root() {
 		return 0, nil
 	}
@@ -138,96 +139,47 @@ func epsilonRoot(pi *core.ProbInstance, idx *pathexpr.Index, p pathexpr.Path, ta
 		}
 		return 1, nil
 	}
-	var plan pathexpr.Plan
-	if idx != nil {
-		plan = pathexpr.NewPlanIndexed(idx, p, targets)
-	} else {
-		plan = pathexpr.NewPlan(pi.WeakInstance.Graph(), p, targets)
-	}
+	plan := pathexpr.NewPlan(g, p, targets)
 	if plan.IsEmpty() {
 		return 0, nil
 	}
-	keptChildren := groupPlanChildren(plan.Edges)
-	eps := make(map[model.ObjectID]float64, planSize(plan))
+	// eps is indexed by plan position; the root is at 0.
+	eps := make([]float64, len(plan.Nodes))
 	n := p.Len()
-	for o := range plan.Keep[n] {
+	matched, _ := plan.Level(n)
+	for pos := matched; pos < len(plan.Nodes); pos++ {
+		eps[pos] = 1
 		if success != nil {
-			eps[o] = success(o)
-		} else {
-			eps[o] = 1
+			eps[pos] = success(plan.Nodes[pos].ID)
 		}
 	}
-	matched := plan.Keep[n]
+	var members []int32
 	for level := n - 1; level >= 0; level-- {
-		for o := range plan.Keep[level] {
-			if matched[o] {
-				continue // cannot happen in a tree; keep ε from the match
-			}
-			opf := pi.OPF(o)
+		lo, hi := plan.Level(level)
+		for pos := lo; pos < hi; pos++ {
+			opf := pi.OPF(plan.Nodes[pos].ID)
 			if opf == nil {
-				return 0, fmt.Errorf("query: non-leaf %s has no OPF", o)
+				return 0, fmt.Errorf("query: non-leaf %s has no OPF", plan.Nodes[pos].ID)
 			}
 			if err := gov.Step(int64(opf.Len())); err != nil {
 				return 0, err
 			}
-			kept := keptChildren[o]
+			kids := plan.KidsOf(pos)
 			fail := 0.0
-			for _, e := range opf.Entries() {
-				if e.Prob <= 0 {
-					continue
+			opf.Each(func(c sets.Set, pr float64) {
+				if pr <= 0 {
+					return
 				}
-				f := e.Prob
-				for _, j := range kept {
-					if e.Set.Contains(j) {
-						f *= 1 - eps[j]
-					}
+				f := pr
+				members = pathexpr.Members(members[:0], kids, c)
+				for _, j := range members {
+					f *= 1 - eps[kids[j].Pos]
 				}
 				fail += f
-			}
-			eps[o] = 1 - fail
+			})
+			eps[pos] = 1 - fail
 		}
-	}
-	e, ok := eps[pi.Root()]
-	if !ok {
-		return 0, nil
 	}
 	// Clamp tiny negative residue from floating-point cancellation.
-	if e < 0 {
-		e = 0
-	}
-	return e, nil
-}
-
-// groupPlanChildren groups a plan's kept edges by parent, carving every
-// per-parent slice out of one shared backing array: a counting pass sizes
-// each group, a placement pass fills it. The append-per-edge pattern this
-// replaces reallocated each parent's slice O(log fan-out) times, which
-// dominated the ε recursion's allocation profile on wide instances.
-func groupPlanChildren(edges []graph.Edge) map[model.ObjectID][]model.ObjectID {
-	counts := make(map[model.ObjectID]int, len(edges))
-	for _, e := range edges {
-		counts[e.From]++
-	}
-	backing := make([]model.ObjectID, 0, len(edges))
-	out := make(map[model.ObjectID][]model.ObjectID, len(counts))
-	for _, e := range edges {
-		s, ok := out[e.From]
-		if !ok {
-			n := counts[e.From]
-			s = backing[len(backing) : len(backing) : len(backing)+n]
-			backing = backing[:len(backing)+n]
-		}
-		out[e.From] = append(s, e.To)
-	}
-	return out
-}
-
-// planSize counts the kept objects across all plan levels (an upper bound
-// on how many ε values the recursion stores).
-func planSize(plan pathexpr.Plan) int {
-	n := 0
-	for _, level := range plan.Keep {
-		n += len(level)
-	}
-	return n
+	return max(eps[0], 0), nil
 }

@@ -205,13 +205,13 @@ func PointMass(v string) *VPF { return prob.PointMass(v) }
 // UniformVPF returns the uniform VPF over values.
 func UniformVPF(values []string) *VPF { return prob.Uniform(values) }
 
-// PathIndex is a label-partitioned adjacency index for repeated path
-// evaluation over one (immutable) instance.
+// PathIndex is the label-partitioned successor table path evaluation reads
+// over one (immutable) instance.
 type PathIndex = pathexpr.Index
 
-// NewPathIndex builds a path-evaluation index over the instance's weak
-// instance graph. Build once, reuse across queries; rebuild after
-// structural mutation.
+// NewPathIndex returns the path-evaluation index of the instance's weak
+// instance graph, which builds it on first use and keeps it until the next
+// structural mutation; ask again after one.
 func NewPathIndex(pi *ProbInstance) *PathIndex {
 	return pathexpr.NewIndex(pi.WeakInstance.Graph())
 }
