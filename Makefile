@@ -44,13 +44,15 @@ test-short:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Storage-engine benchmarks: WAL append under each fsync policy,
-# recovery replay, compaction, the binary-vs-text codec pair, and the PUT
-# pipeline stage by stage (decode, validate, encode, profile + index).
+# Storage-engine and serving-path benchmarks: WAL append under each fsync
+# policy, recovery replay, compaction, the binary-vs-text codec pair, the PUT
+# pipeline stage by stage (decode, validate, encode, profile + index), and one
+# query through the whole handler stack, answered from the result cache
+# (CachedHit) and evaluated (QueryMiss).
 bench-store:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/store
 	$(GO) test -run '^$$' -bench 'Binary|Text' -benchmem ./internal/codec
-	$(GO) test -run '^$$' -bench PutPipeline -benchmem -cpu 1 ./internal/server
+	$(GO) test -run '^$$' -bench 'PutPipeline|CachedHit|QueryMiss' -benchmem -cpu 1 ./internal/server
 
 # Quick benchmark smoke for CI: one iteration per benchmark at
 # GOMAXPROCS 1 and 4, enough to catch perf-critical paths that stop
@@ -70,7 +72,7 @@ bench-smoke:
 	$(BENCH_SMOKE) -bench 'Select|AncestorProject' ./internal/algebra
 	$(BENCH_SMOKE) -bench PointQuery ./internal/query
 	$(BENCH_SMOKE) -bench 'Encode|Decode' ./internal/codec
-	$(BENCH_SMOKE) -bench FollowerFanout ./internal/server
+	$(BENCH_SMOKE) -bench 'FollowerFanout|CachedHit|QueryMiss' ./internal/server
 
 # Reproduce the paper's Figure 7 panels into results/.
 fig7:
@@ -158,9 +160,12 @@ fuzz-smoke:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzDecodeTextDifferential -fuzztime 10s
 	$(GO) test ./internal/pathexpr -run '^$$' -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/pathexpr -run '^$$' -fuzz FuzzPlanDifferential -fuzztime 10s
+	$(GO) test ./internal/pxql -run '^$$' -fuzz FuzzParse -fuzztime 10s
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzAppendQueryResponse -fuzztime 10s
 
-# Short fuzz passes over the codecs, the path-expression parser and the
-# plan builder (against the builder it replaced).
+# Short fuzz passes over the codecs, the path-expression parser, the plan
+# builder (against the builder it replaced), the pxql parser and shape
+# classifier, and the query response encoder (against encoding/json).
 fuzz:
 	$(GO) test ./internal/codec -fuzz 'FuzzDecodeText$$' -fuzztime 30s
 	$(GO) test ./internal/codec -fuzz FuzzDecodeTextDifferential -fuzztime 30s
@@ -168,6 +173,8 @@ fuzz:
 	$(GO) test ./internal/codec -fuzz FuzzDecodeBinary -fuzztime 30s
 	$(GO) test ./internal/pathexpr -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/pathexpr -fuzz FuzzPlanDifferential -fuzztime 30s
+	$(GO) test ./internal/pxql -fuzz FuzzParse -fuzztime 30s
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzAppendQueryResponse -fuzztime 30s
 
 cover:
 	$(GO) test -cover ./...

@@ -10,9 +10,8 @@
 // else in pxmld: storage, caching, and now capacity). The zero tenant ""
 // groups requests that target no instance (catalog listings, admin).
 //
-// The controller is safe for concurrent use. Admit takes one short mutex
-// — the shared bucket map plus the inflight accounting — which is
-// negligible next to a statement evaluation.
+// The controller is safe for concurrent use, and a tenant without a rate
+// bound is admitted and released without a lock (see Controller).
 package admission
 
 import (
@@ -20,6 +19,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pxml/internal/metrics"
@@ -99,49 +99,65 @@ type Decision struct {
 
 // bucket is one tenant's live admission state.
 type bucket struct {
-	tokens   float64   // current token balance, capped at quota burst
-	last     time.Time // last refill instant
-	inflight int       // requests admitted and not yet released
+	mu     sync.Mutex // guards tokens and last
+	tokens float64    // current token balance, capped at quota burst
+	last   time.Time  // last refill instant
+
+	inflight atomic.Int64 // requests admitted and not yet released
+
+	// The tenant's registry counters, resolved on first use (see counter).
+	admitted, shed atomic.Pointer[metrics.Counter]
 }
 
-// Controller admits or sheds requests per tenant.
+// quotas is one immutable quota table; Reload publishes a successor.
+type quotas struct {
+	def     Quota
+	tenants map[string]Quota
+}
+
+func (t *quotas) of(tenant string) Quota {
+	if q, ok := t.tenants[tenant]; ok {
+		return q
+	}
+	return t.def
+}
+
+// Controller admits or sheds requests per tenant. A request of a tenant
+// without a rate bound, below the overload threshold, takes no lock: the
+// quota table and the bucket map are immutable values behind atomic
+// pointers and the inflight accounting is atomic. A rate-bounded tenant
+// serializes on its own bucket. mu orders only what replaces a published
+// value: Reload and a tenant's first request.
 type Controller struct {
 	mu       sync.Mutex
-	def      Quota
-	tenants  map[string]Quota
-	buckets  map[string]*bucket
+	quotas   atomic.Pointer[quotas]
+	buckets  atomic.Pointer[map[string]*bucket]
 	limit    int
 	overload float64
 	now      func() time.Time
 	reg      *metrics.Registry
 
-	inflight int // total admitted and not yet released
+	inflight                 atomic.Int64 // total admitted and not yet released
+	admittedTotal, shedTotal atomic.Pointer[metrics.Counter]
 }
 
 // New builds a Controller from cfg. Invalid quotas are rejected.
 func New(cfg Config) (*Controller, error) {
-	if err := cfg.Default.Validate(); err != nil {
-		return nil, fmt.Errorf("default quota: %w", err)
-	}
-	for name, q := range cfg.Tenants {
-		if err := q.Validate(); err != nil {
-			return nil, fmt.Errorf("tenant %q: %w", name, err)
-		}
-	}
 	c := &Controller{
-		def:      cfg.Default,
-		tenants:  cloneQuotas(cfg.Tenants),
-		buckets:  make(map[string]*bucket),
 		limit:    cfg.InflightLimit,
 		overload: cfg.OverloadFraction,
 		now:      cfg.Now,
 		reg:      cfg.Registry,
 	}
+	c.buckets.Store(&map[string]*bucket{})
 	if c.overload <= 0 || c.overload > 1 {
 		c.overload = defaultOverloadFraction
 	}
 	if c.now == nil {
 		c.now = time.Now
+	}
+	if err := c.Reload(cfg.Default, cfg.Tenants); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -154,14 +170,6 @@ func cloneQuotas(m map[string]Quota) map[string]Quota {
 	return out
 }
 
-// quotaFor resolves the effective quota for a tenant (caller holds mu).
-func (c *Controller) quotaFor(tenant string) Quota {
-	if q, ok := c.tenants[tenant]; ok {
-		return q
-	}
-	return c.def
-}
-
 // weightOf normalises a quota's fairness weight.
 func weightOf(q Quota) float64 {
 	if q.Weight <= 0 {
@@ -170,44 +178,64 @@ func weightOf(q Quota) float64 {
 	return q.Weight
 }
 
-// Admit decides whether one request from tenant may proceed. Admitted
-// requests hold one unit of inflight accounting until Release.
-func (c *Controller) Admit(tenant string) Decision {
-	c.mu.Lock()
-	q := c.quotaFor(tenant)
-	b := c.buckets[tenant]
-	now := c.now()
-	if b == nil {
-		b = &bucket{tokens: q.Burst, last: now}
-		c.buckets[tenant] = b
+// bucketOf returns tenant's bucket, publishing a full one on the tenant's
+// first request.
+func (c *Controller) bucketOf(tenant string, q Quota) *bucket {
+	if b := (*c.buckets.Load())[tenant]; b != nil {
+		return b
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cur := *c.buckets.Load()
+	if b := cur[tenant]; b != nil {
+		return b
+	}
+	b := &bucket{tokens: q.Burst, last: c.now()}
+	m := make(map[string]*bucket, len(cur)+1)
+	for k, v := range cur {
+		m[k] = v
+	}
+	m[tenant] = b
+	c.buckets.Store(&m)
+	return b
+}
+
+// Admit decides whether one request from tenant may proceed. Admitted
+// requests hold one unit of inflight accounting until Release. Under
+// concurrency the overload tier reads the inflight counts as they pass, so
+// it may admit a request or two past a tenant's share; the server's
+// limiter behind it holds the hard cap.
+func (c *Controller) Admit(tenant string) Decision {
+	table := c.quotas.Load()
+	q := table.of(tenant)
+	b := c.bucketOf(tenant, q)
 
 	// Tier 1: the tenant's own token bucket.
 	if !q.Unlimited() {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		now := c.now()
 		b.tokens = math.Min(q.Burst, b.tokens+now.Sub(b.last).Seconds()*q.Rate)
 		b.last = now
 		if b.tokens < 1 {
-			wait := time.Duration((1 - b.tokens) / q.Rate * float64(time.Second))
-			c.mu.Unlock()
-			c.count(tenant, false)
-			return Decision{RetryAfter: wait, Reason: "quota"}
+			c.count(b, tenant, false)
+			return Decision{RetryAfter: time.Duration((1 - b.tokens) / q.Rate * float64(time.Second)), Reason: "quota"}
 		}
 	}
 
 	// Tier 2: weighted fair sharing of the inflight capacity, engaged
 	// only when the server is near its limit. A tenant already using at
 	// least its fair share is shed so the headroom goes to the others.
-	if c.limit > 0 && float64(c.inflight) >= c.overload*float64(c.limit) {
+	if c.limit > 0 && float64(c.inflight.Load()) >= c.overload*float64(c.limit) {
 		totalWeight := 0.0
-		for name, tb := range c.buckets {
-			if tb.inflight > 0 || name == tenant {
-				totalWeight += weightOf(c.quotaFor(name))
+		for name, tb := range *c.buckets.Load() {
+			if tb.inflight.Load() > 0 || name == tenant {
+				totalWeight += weightOf(table.of(name))
 			}
 		}
 		share := weightOf(q) / totalWeight * float64(c.limit)
-		if float64(b.inflight) >= share {
-			c.mu.Unlock()
-			c.count(tenant, false)
+		if float64(b.inflight.Load()) >= share {
+			c.count(b, tenant, false)
 			return Decision{Reason: "overload"}
 		}
 	}
@@ -215,26 +243,30 @@ func (c *Controller) Admit(tenant string) Decision {
 	if !q.Unlimited() {
 		b.tokens--
 	}
-	b.inflight++
-	c.inflight++
-	c.mu.Unlock()
-	c.count(tenant, true)
+	b.inflight.Add(1)
+	c.inflight.Add(1)
+	c.count(b, tenant, true)
 	return Decision{OK: true}
 }
 
 // Release returns one admitted request's inflight unit. Must be called
 // exactly once per successful Admit.
 func (c *Controller) Release(tenant string) {
-	c.mu.Lock()
-	if b := c.buckets[tenant]; b != nil && b.inflight > 0 {
-		b.inflight--
-		c.inflight--
+	b := (*c.buckets.Load())[tenant]
+	for b != nil {
+		n := b.inflight.Load()
+		if n <= 0 {
+			return
+		}
+		if b.inflight.CompareAndSwap(n, n-1) {
+			c.inflight.Add(-1)
+			return
+		}
 	}
-	c.mu.Unlock()
 }
 
-// count records the decision in the registry, outside the lock.
-func (c *Controller) count(tenant string, admitted bool) {
+// count records the decision on the tenant's counters and the totals.
+func (c *Controller) count(b *bucket, tenant string, admitted bool) {
 	if c.reg == nil {
 		return
 	}
@@ -242,12 +274,25 @@ func (c *Controller) count(tenant string, admitted bool) {
 		tenant = "_none"
 	}
 	if admitted {
-		c.reg.Counter("admission_admitted_total").Inc()
-		c.reg.Counter("admission_admitted." + tenant).Inc()
+		c.counter(&c.admittedTotal, "admission_admitted_total", "").Inc()
+		c.counter(&b.admitted, "admission_admitted.", tenant).Inc()
 	} else {
-		c.reg.Counter("admission_shed_total").Inc()
-		c.reg.Counter("admission_shed." + tenant).Inc()
+		c.counter(&c.shedTotal, "admission_shed_total", "").Inc()
+		c.counter(&b.shed, "admission_shed.", tenant).Inc()
 	}
+}
+
+// counter returns the handle kept in slot, looking prefix+tenant up in the
+// registry the first time only: the name is built and the registry's mutex
+// taken once per tenant, not once per request. First uses that race look up
+// the same counter.
+func (c *Controller) counter(slot *atomic.Pointer[metrics.Counter], prefix, tenant string) *metrics.Counter {
+	ctr := slot.Load()
+	if ctr == nil {
+		ctr = c.reg.Counter(prefix + tenant)
+		slot.Store(ctr)
+	}
+	return ctr
 }
 
 // Reload swaps the quota table at runtime (the admin endpoint's
@@ -264,18 +309,20 @@ func (c *Controller) Reload(def Quota, tenants map[string]Quota) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.def = def
-	c.tenants = cloneQuotas(tenants)
+	table := &quotas{def: def, tenants: cloneQuotas(tenants)}
+	c.quotas.Store(table)
 	now := c.now()
-	for name, b := range c.buckets {
-		q := c.quotaFor(name)
+	for name, b := range *c.buckets.Load() {
+		q := table.of(name)
 		if q.Unlimited() {
 			continue
 		}
 		// Refill under the old clock first, then cap to the new burst so
 		// a tightened quota takes effect immediately.
+		b.mu.Lock()
 		b.tokens = math.Min(q.Burst, b.tokens+now.Sub(b.last).Seconds()*q.Rate)
 		b.last = now
+		b.mu.Unlock()
 	}
 	return nil
 }
@@ -300,26 +347,21 @@ type Snapshot struct {
 
 // State returns the current configuration and per-tenant state.
 func (c *Controller) State() Snapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	table := c.quotas.Load()
 	s := Snapshot{
-		Default:          c.def,
+		Default:          table.def,
 		InflightLimit:    c.limit,
 		OverloadFraction: c.overload,
-		Inflight:         c.inflight,
+		Inflight:         int(c.inflight.Load()),
 		Tenants:          make(map[string]TenantState),
 	}
-	for name, q := range c.tenants {
+	for name, q := range table.tenants {
 		s.Tenants[name] = TenantState{Quota: q}
 	}
-	for name, b := range c.buckets {
-		ts := s.Tenants[name]
-		if _, ok := c.tenants[name]; !ok {
-			ts.Quota = c.def
-		}
-		ts.Tokens = b.tokens
-		ts.Inflight = b.inflight
-		s.Tenants[name] = ts
+	for name, b := range *c.buckets.Load() {
+		b.mu.Lock()
+		s.Tenants[name] = TenantState{Quota: table.of(name), Tokens: b.tokens, Inflight: int(b.inflight.Load())}
+		b.mu.Unlock()
 	}
 	s.TenantNames = make([]string, 0, len(s.Tenants))
 	for name := range s.Tenants {

@@ -371,19 +371,10 @@ func (e *Engine) Warm(ctx context.Context) error {
 }
 
 // finish records one query's latency and error outcome.
-func (e *Engine) finish(start time.Time, err error) {
-	e.latency.Observe(time.Since(start))
+func (e *Engine) finish(d time.Duration, err error) {
+	e.latency.Observe(d)
 	if err != nil {
 		e.errs.Inc()
-	}
-}
-
-// observeShape feeds the shape observer, if any, with the elapsed time
-// since start. Intended as a deferred call in the instrumented entry
-// points so each statement is observed exactly once.
-func (e *Engine) observeShape(shape string, start time.Time) {
-	if e.shapeObs != nil {
-		e.shapeObs(shape, time.Since(start))
 	}
 }
 
@@ -391,15 +382,19 @@ func (e *Engine) observeShape(shape string, start time.Time) {
 // on ctx are checked between the parse, structure-build and inference
 // phases (a phase already in flight runs to completion). With a result
 // cache attached (WithResultCache), a repeated statement is answered from
-// the cache and concurrent identical statements share one evaluation;
-// hits still count toward queries and latency.
+// the cache — with the very *pxql.Result the first evaluation produced — and
+// concurrent identical statements share one evaluation; hits still count
+// toward queries and latency.
 func (e *Engine) Run(ctx context.Context, statement string) (res *pxql.Result, err error) {
 	start := time.Now()
 	e.queries.Inc()
-	defer func() { e.finish(start, err) }()
-	if e.shapeObs != nil {
-		defer e.observeShape(pxql.ClassifyShape(statement), start)
-	}
+	defer func() {
+		d := time.Since(start)
+		e.finish(d, err)
+		if e.shapeObs != nil {
+			e.shapeObs(pxql.ClassifyShape(statement), d)
+		}
+	}()
 	if err = ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -427,14 +422,9 @@ func (e *Engine) Run(ctx context.Context, statement string) (res *pxql.Result, e
 	if err != nil {
 		return nil, err
 	}
-	r := v.(*pxql.Result)
-	if r.Instance != nil {
-		return r, nil
-	}
-	// Hand out a copy so no caller aliases the cached value (the cached
-	// result must stay byte-identical to a fresh evaluation).
-	res = copyResult(r)
-	return res, nil
+	// The cached value itself, shared with every other caller of the same
+	// statement: a Result is immutable once returned (see pxql.Result).
+	return v.(*pxql.Result), nil
 }
 
 // runParsed is the uncached parse+execute path behind Run.
@@ -450,17 +440,6 @@ func (e *Engine) runParsed(ctx context.Context, statement string) (*pxql.Result,
 // rendered answer plus the fixed struct overhead.
 func resultCost(statement string, r *pxql.Result) int64 {
 	return int64(len(statement)) + int64(len(r.Text)) + 64
-}
-
-// copyResult clones a scalar result (Instance is nil by construction on
-// every cached entry).
-func copyResult(r *pxql.Result) *pxql.Result {
-	out := &pxql.Result{Text: r.Text}
-	if r.Prob != nil {
-		p := *r.Prob
-		out.Prob = &p
-	}
-	return out
 }
 
 // ProbExists returns P(∃o. o ∈ p): the Section 6.2 tree fast path through

@@ -29,8 +29,11 @@ func (e *Engine) evaluate(ctx context.Context, metered bool, shape, op string, t
 		start := time.Now()
 		e.queries.Inc()
 		defer func() {
-			e.finish(start, err)
-			e.observeShape(shape, start)
+			d := time.Since(start)
+			e.finish(d, err)
+			if e.shapeObs != nil {
+				e.shapeObs(shape, d)
+			}
 		}()
 	}
 	if err = ctx.Err(); err != nil {

@@ -68,6 +68,9 @@ type Query struct {
 }
 
 // Result is the outcome of executing a query (engine.Engine.Run / Exec).
+// It is immutable once returned: an engine with a result cache hands the
+// same *Result to every caller of a repeated statement, so no holder may
+// write through it, Prob's pointee included.
 type Result struct {
 	// Instance is the resulting probabilistic instance for algebra
 	// statements (nil otherwise).
@@ -312,18 +315,19 @@ func splitCall(s, kw string) (inner, value string, err error) {
 	return inner, value, nil
 }
 
+// splitCaseInsensitive splits s around every occurrence of the upper-case
+// ASCII separator sep, matched without regard to ASCII case. It compares
+// the bytes of s itself: upper-casing s first would move the offsets of
+// everything after a rune whose upper case has another width.
 func splitCaseInsensitive(s, sep string) []string {
-	upper := strings.ToUpper(s)
-	sepU := strings.ToUpper(sep)
 	var parts []string
 	start := 0
-	for {
-		i := strings.Index(upper[start:], sepU)
-		if i < 0 {
-			parts = append(parts, s[start:])
-			return parts
+	for i := 0; i+len(sep) <= len(s); i++ {
+		if strings.EqualFold(s[i:i+len(sep)], sep) {
+			parts = append(parts, s[start:i])
+			start = i + len(sep)
+			i = start - 1
 		}
-		parts = append(parts, s[start:start+i])
-		start += i + len(sep)
 	}
+	return append(parts, s[start:])
 }

@@ -1,6 +1,11 @@
 package pxql
 
-import "strings"
+import (
+	"bytes"
+	"strings"
+	"unicode"
+	"unicode/utf8"
+)
 
 // Statement shapes: the coarse cost classes the server's telemetry tracks
 // per statement. PXML inference cost varies by orders of magnitude with
@@ -18,6 +23,27 @@ const (
 	ShapeStats    = "stats"     // STATS (instance summary)
 	ShapeOther    = "other"     // unknown or unparsable statements
 )
+
+// Shapes lists every statement shape; a shape's position in it is its
+// ShapeIndex, so per-shape state can live in a [NumShapes] array.
+var Shapes = [...]string{
+	ShapeProject, ShapeSelect, ShapeProduct, ShapePoint, ShapeExists,
+	ShapeEnum, ShapeEstimate, ShapeStats, ShapeOther,
+}
+
+// NumShapes is len(Shapes).
+const NumShapes = len(Shapes)
+
+// ShapeIndex returns shape's position in Shapes (ShapeOther's for a string
+// that is no shape).
+func ShapeIndex(shape string) int {
+	for i, s := range Shapes {
+		if s == shape {
+			return i
+		}
+	}
+	return NumShapes - 1
+}
 
 // Shape returns the parsed query's statement shape.
 func (q Query) Shape() string { return shapeOfOp(q.Op) }
@@ -46,13 +72,15 @@ func shapeOfOp(op string) string {
 }
 
 // ClassifyShape determines a statement's shape lexically — first keyword,
-// plus the PROB sub-form — without a full parse, so callers on the hot
-// path (the engine's per-statement latency hook) can classify a cache-hit
-// statement without paying Parse again. It agrees with Query.Shape for
-// every statement Parse accepts.
+// plus the PROB sub-form — without a full parse and without allocating, so
+// callers on the hot path (the server's breaker key, the engine's
+// per-statement latency hook) can classify a cache-hit statement without
+// paying Parse again. It splits and upper-cases fields exactly as Parse does,
+// so it agrees with Query.Shape for every statement Parse accepts.
 func ClassifyShape(statement string) string {
 	kw, rest := nextField(statement)
-	switch strings.ToUpper(kw) {
+	var buf [keywordWindow]byte
+	switch string(upperPrefix(buf[:0], kw)) {
 	case "PROJECT", "SINGLE", "DESCEND":
 		return ShapeProject
 	case "SELECT":
@@ -61,15 +89,10 @@ func ClassifyShape(statement string) string {
 		return ShapeProduct
 	case "PROB":
 		sub, _ := nextField(rest)
-		switch strings.ToUpper(sub) {
-		case "EXISTS", "VAL", "VAL(":
+		if up := upperPrefix(buf[:0], sub); string(up) == "EXISTS" || bytes.HasPrefix(up, []byte("VAL(")) {
 			return ShapeExists
-		default:
-			if strings.HasPrefix(strings.ToUpper(sub), "VAL(") {
-				return ShapeExists
-			}
-			return ShapePoint
 		}
+		return ShapePoint
 	case "CHAIN":
 		return ShapePoint
 	case "WORLDS", "TOPK", "COUNT", "MARGINALS":
@@ -82,13 +105,60 @@ func ClassifyShape(statement string) string {
 	return ShapeOther
 }
 
-// nextField returns the first whitespace-delimited field of s and the
-// remainder, without allocating a full Fields slice.
-func nextField(s string) (field, rest string) {
-	s = strings.TrimSpace(s)
-	i := strings.IndexFunc(s, func(r rune) bool { return r == ' ' || r == '\t' || r == '\n' || r == '\r' })
-	if i < 0 {
-		return s, ""
+// keywordWindow is one byte more than the longest keyword, MARGINALS: a
+// field whose upper case fills it is none of them.
+const keywordWindow = len("MARGINALS") + 1
+
+// upperPrefix appends to dst the first keywordWindow bytes of
+// strings.ToUpper(field): ASCII bytes folded in place, and ToUpper itself
+// only for a field with a byte outside ASCII among them (U+017F and U+0131
+// upper-case to S and I).
+func upperPrefix(dst []byte, field string) []byte {
+	for i := 0; i < len(field) && i < keywordWindow; i++ {
+		c := field[i]
+		if c >= utf8.RuneSelf {
+			up := strings.ToUpper(field)
+			return append(dst[:0], up[:min(len(up), keywordWindow)]...)
+		}
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		dst = append(dst, c)
 	}
-	return s[:i], s[i:]
+	return dst
+}
+
+// spaceAt returns the width of the unicode.IsSpace rune at s[i], 0 for
+// anything else.
+func spaceAt(s string, i int) int {
+	c := s[i]
+	if c < utf8.RuneSelf {
+		if c == ' ' || c-'\t' < 5 {
+			return 1
+		}
+		return 0
+	}
+	if r, n := utf8.DecodeRuneInString(s[i:]); unicode.IsSpace(r) {
+		return n
+	}
+	return 0
+}
+
+// nextField returns the first field of s, as strings.Fields splits it, and
+// the remainder.
+func nextField(s string) (field, rest string) {
+	i := 0
+	for i < len(s) && spaceAt(s, i) > 0 {
+		i += spaceAt(s, i)
+	}
+	// Byte steps: no byte inside a rune begins the encoding of a space. The
+	// ASCII test is spaceAt's, written out for the loop every operand byte
+	// goes through.
+	j := i
+	for ; j < len(s); j++ {
+		if c := s[j]; c == ' ' || c-'\t' < 5 || c >= utf8.RuneSelf && spaceAt(s, j) > 0 {
+			break
+		}
+	}
+	return s[i:j], s[j:]
 }

@@ -143,10 +143,10 @@ func (c *Cache) Get(key string) (any, bool) {
 	return e.val, true
 }
 
-// Put inserts (or replaces) key with the given value and cost. A cost
-// exceeding the shard budget is accepted and immediately evicted along
-// with everything else, so callers should skip storing oversized values
-// themselves when they can tell.
+// Put inserts (or replaces) key with the given value and cost. A cost the
+// shard's whole budget could not hold is refused: nothing is stored, no
+// resident is evicted to make room that could never be enough, and a value
+// already under key is dropped (it is no longer what key holds).
 func (c *Cache) Put(key string, v any, cost int64) {
 	s := c.shard(key)
 	s.mu.Lock()
@@ -157,8 +157,8 @@ func (c *Cache) Put(key string, v any, cost int64) {
 // Do returns the cached value for key, or computes it exactly once across
 // concurrent callers. compute returns (value, cost, err): on err the value
 // is handed to every waiting caller but never cached; on success the value
-// is cached unless cost is negative (the caller's "do not cache" signal —
-// still shared with concurrent waiters). A hit acquires no locks.
+// is cached unless cost is negative (the caller's "do not cache" signal) or
+// more than a shard can hold — still shared with concurrent waiters. A hit acquires no locks.
 func (c *Cache) Do(key string, compute func() (v any, cost int64, err error)) (any, error) {
 	return c.DoCtx(context.Background(), key, compute)
 }
@@ -217,12 +217,17 @@ func (c *Cache) DoCtx(ctx context.Context, key string, compute func() (v any, co
 
 // insertLocked publishes a successor map with the entry added or
 // replaced, evicting least-recently-used entries until the shard is back
-// under budget. Caller holds s.mu.
+// under budget. An entry that alone exceeds the budget is refused before
+// anything is copied. Caller holds s.mu.
 func (s *shard) insertLocked(c *Cache, key string, v any, cost int64) {
 	if cost < 0 {
 		cost = 0
 	}
 	cost += entryOverhead
+	if cost > s.budget {
+		s.removeLocked(key)
+		return
+	}
 	cur := *s.items.Load()
 	m := make(map[string]*entry, len(cur)+1)
 	for k, e := range cur {
@@ -255,6 +260,10 @@ func (c *Cache) Remove(key string) bool {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.removeLocked(key)
+}
+
+func (s *shard) removeLocked(key string) bool {
 	cur := *s.items.Load()
 	e, ok := cur[key]
 	if !ok {

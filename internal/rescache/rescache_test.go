@@ -60,10 +60,52 @@ func TestByteBudget(t *testing.T) {
 	if b, max := c.Bytes(), int64(10*(64+entryOverhead)); b > max {
 		t.Fatalf("Bytes = %d, over budget %d", b, max)
 	}
-	// Oversized entry: accepted then evicted, never violating the budget.
+}
+
+// TestOversizedEntryLeavesShardAlone: a result no shard could hold is
+// refused outright. It must not flush the residents on its way out (it used
+// to evict every one of them, then itself), it counts no eviction, and
+// concurrent waiters of the compute that produced it still share it.
+func TestOversizedEntryLeavesShardAlone(t *testing.T) {
+	c := NewSharded(10*(64+entryOverhead), 1)
+	for i := 0; i < 10; i++ {
+		c.Put(fmt.Sprintf("k%d", i), i, 64)
+	}
+	before := c.Stats()
 	c.Put("huge", "x", 1<<30)
-	if _, ok := c.Get("huge"); ok {
-		t.Fatal("oversized entry should not be retained")
+	v, err := c.Do("huger", func() (any, int64, error) { return "y", 1 << 30, nil })
+	if err != nil || v != "y" {
+		t.Fatalf("Do(huger) = %v, %v; the caller still gets its value", v, err)
+	}
+	for _, k := range []string{"huge", "huger"} {
+		if _, ok := c.Get(k); ok {
+			t.Errorf("oversized entry %q retained", k)
+		}
+	}
+	after := c.Stats()
+	if after.Evictions != before.Evictions || after.Entries != 10 || after.Bytes != before.Bytes {
+		t.Fatalf("oversized entries disturbed the shard: %+v then %+v", before, after)
+	}
+	for i := 0; i < 10; i++ {
+		if _, ok := c.Get(fmt.Sprintf("k%d", i)); !ok {
+			t.Errorf("resident k%d gone", i)
+		}
+	}
+	// Replacing a resident with a value that cannot fit drops the resident:
+	// the key no longer holds what it held.
+	c.Put("k0", "x", 1<<30)
+	if _, ok := c.Get("k0"); ok {
+		t.Error("k0 still answers its old value after an oversized replace")
+	}
+
+	// A zero budget (the server's ResultCacheBytes: 1) stores nothing and
+	// evicts nothing, however many misses pass through.
+	z := New(1)
+	for i := 0; i < 100; i++ {
+		z.Do(fmt.Sprintf("k%d", i), func() (any, int64, error) { return i, 8, nil })
+	}
+	if st := z.Stats(); st.Entries != 0 || st.Evictions != 0 || st.Misses != 100 {
+		t.Fatalf("zero-budget cache: %+v, want 100 misses and nothing else", st)
 	}
 }
 

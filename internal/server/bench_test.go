@@ -3,7 +3,10 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"net/http"
 	"testing"
+	"time"
 
 	"pxml/internal/codec"
 	"pxml/internal/core"
@@ -104,4 +107,104 @@ func BenchmarkPutPipeline(b *testing.B) {
 			})
 		}
 	}
+}
+
+// harnessConfig is e2ebench's base Config: the README's hardened
+// deployment, so the limiter, the request deadline, the governor and the
+// breaker are all on the path.
+func harnessConfig() Config {
+	return Config{
+		RequestTimeout:   30 * time.Second,
+		MaxInflight:      64,
+		QueryDeadline:    10 * time.Second,
+		QueryMaxNodes:    1 << 30,
+		BreakerThreshold: 5,
+	}
+}
+
+// nopWriter is a ResponseWriter that keeps the status and drops the body.
+type nopWriter struct {
+	hdr    http.Header
+	status int
+}
+
+func (w *nopWriter) Header() http.Header { return w.hdr }
+func (w *nopWriter) WriteHeader(code int) {
+	if w.status == 0 {
+		w.status = code
+	}
+}
+func (w *nopWriter) Write(b []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	return len(b), nil
+}
+
+// replay is one point query against one generated tree, served through
+// Handler() over and over with the same request and writer, as e2ebench
+// serves point_hot.
+type replay struct {
+	h    http.Handler
+	req  *http.Request
+	body *bytes.Reader
+	stmt []byte
+	w    nopWriter
+}
+
+func newReplay(tb testing.TB, cfg Config, depth int) *replay {
+	tb.Helper()
+	in, err := gen.Generate(gen.Config{Depth: depth, Branch: 4, Labeling: gen.FR, LeafDomainSize: 2, Seed: 1000})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, o, ok := in.RandomSelection(rand.New(rand.NewSource(20030305)))
+	if !ok {
+		tb.Fatal("no selection on the generated tree")
+	}
+	s := MustNew(cfg)
+	tb.Cleanup(func() { s.Close() })
+	if err := s.Put("hot0", in.PI); err != nil {
+		tb.Fatal(err)
+	}
+	rp := &replay{h: s.Handler(), stmt: []byte("PROB " + p.String() + " = " + o), w: nopWriter{hdr: http.Header{}}}
+	rp.body = bytes.NewReader(rp.stmt)
+	rp.req, err = http.NewRequest(http.MethodPost, "/v1/instances/hot0/query", rp.body)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rp
+}
+
+// serve replays the request and returns the status.
+func (rp *replay) serve() int {
+	rp.body.Reset(rp.stmt)
+	clear(rp.w.hdr)
+	rp.w.status = 0
+	rp.h.ServeHTTP(&rp.w, rp.req)
+	return rp.w.status
+}
+
+func benchReplay(b *testing.B, cfg Config) {
+	rp := newReplay(b, cfg, 6)
+	if st := rp.serve(); st != http.StatusOK {
+		b.Fatalf("warm-up status %d", st)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if st := rp.serve(); st != http.StatusOK {
+			b.Fatalf("status %d", st)
+		}
+	}
+}
+
+// BenchmarkCachedHit is point_hot's op: a PROB statement on a 5 461-object
+// tree answered from the result cache, through the whole handler stack.
+func BenchmarkCachedHit(b *testing.B) { benchReplay(b, harnessConfig()) }
+
+// BenchmarkQueryMiss is the same request with a result cache that holds
+// nothing (what infer_dag runs), so every op parses and evaluates.
+func BenchmarkQueryMiss(b *testing.B) {
+	cfg := harnessConfig()
+	cfg.ResultCacheBytes = 1
+	benchReplay(b, cfg)
 }

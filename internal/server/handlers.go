@@ -44,15 +44,16 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	engines := s.engineMap()
 	if s.store != nil {
 		names := s.store.Names()
-		engines = make(map[string]*engine.Engine, len(names))
+		engines = make(map[string]*served, len(names))
 		for _, name := range names {
-			if eng, ok := s.Engine(name); ok {
-				engines[name] = eng
+			if sv, ok := s.served(name); ok {
+				engines[name] = sv
 			}
 		}
 	}
 	entries := make([]listEntry, 0, len(engines))
-	for name, eng := range engines {
+	for name, sv := range engines {
+		eng := sv.eng
 		pi := eng.Instance()
 		st := pi.ComputeStats()
 		entries = append(entries, listEntry{
@@ -87,14 +88,6 @@ func httpWriteError(w http.ResponseWriter, err error) {
 		return
 	}
 	httpError(w, http.StatusInternalServerError, apiv1.CodeInternal, err)
-}
-
-// breakerKey names one circuit: statement shape scoped by instance, so a
-// width-bomb tripping "point" on one instance never sheds point queries
-// on healthy instances. The key doubles as the breaker_state.<key> gauge
-// suffix in /v1/metrics.
-func breakerKey(instance, shape string) string {
-	return instance + "." + shape
 }
 
 // isBreakerTrip classifies one statement outcome for the circuit
@@ -256,14 +249,16 @@ func (s *Server) handleDot(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, dot.Weak(pi))
 }
 
-type queryResponse struct {
-	Text   string   `json:"text"`
-	Prob   *float64 `json:"prob,omitempty"`
-	Stored string   `json:"stored,omitempty"`
-}
+// jsonContentType is the Content-Type value of every JSON response, shared
+// between responses: a header map holds the slice and nothing writes
+// through it.
+var jsonContentType = []string{"application/json"}
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	storeAs := r.URL.Query().Get("store")
+	storeAs := ""
+	if r.URL.RawQuery != "" {
+		storeAs = r.URL.Query().Get("store")
+	}
 	if storeAs != "" {
 		// A query that stores its result writes; on a follower it belongs
 		// on the leader. Plain queries serve locally — that is the point
@@ -278,34 +273,32 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	eng, ok := s.Engine(r.PathValue("name"))
+	sv, ok := s.served(r.PathValue("name"))
 	if !ok {
 		httpError(w, http.StatusNotFound, apiv1.CodeNotFound, fmt.Errorf("no instance %q", r.PathValue("name")))
 		return
 	}
-	stmt, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxStatementBytes))
+	st := w.(*reqState) // instrument hands every handler one
+	body, err := st.readBody(r.Body, maxStatementBytes)
 	if err != nil {
 		httpDecodeError(w, err)
 		return
 	}
-	// The breaker key scopes by instance as well as shape: repeated trips
-	// on one instance must not shed the same statement shape on healthy
-	// instances.
-	key := breakerKey(r.PathValue("name"), pxql.ClassifyShape(string(stmt)))
+	stmt := string(body) // the engine may keep it as a cache key; body is the pool's
+	key := sv.breakerKeys[pxql.ShapeIndex(pxql.ClassifyShape(stmt))]
 	if allowed, retry := s.breaker.Allow(key); !allowed {
 		s.breakerShed.Inc()
 		apiv1.WriteErrorRetry(w, http.StatusServiceUnavailable, apiv1.CodeBreakerOpen,
 			fmt.Sprintf("circuit breaker open for %q statements (repeated budget trips)", key), retry)
 		return
 	}
-	res, err := eng.Run(r.Context(), string(stmt))
+	res, err := sv.eng.Run(r.Context(), stmt)
 	s.breaker.Record(key, isBreakerTrip(err))
 	if err != nil {
 		s.countQueryError(err)
 		httpQueryError(w, err)
 		return
 	}
-	resp := queryResponse{Text: res.Text, Prob: res.Prob}
 	if storeAs != "" {
 		if res.Instance == nil {
 			httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, fmt.Errorf("statement produced no instance to store"))
@@ -315,9 +308,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			httpWriteError(w, err)
 			return
 		}
-		resp.Stored = storeAs
 	}
-	writeJSON(w, http.StatusOK, resp)
+	st.out = appendQueryResponse(st.out[:0], res.Text, res.Prob, storeAs)
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(st.out) // a client that went away is not the handler's to report
 }
 
 type batchEntry struct {
@@ -332,12 +327,12 @@ type batchEntry struct {
 // Per-statement failures are reported inline so one bad statement doesn't
 // void the rest.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	eng, ok := s.Engine(r.PathValue("name"))
+	sv, ok := s.served(r.PathValue("name"))
 	if !ok {
 		httpError(w, http.StatusNotFound, apiv1.CodeNotFound, fmt.Errorf("no instance %q", r.PathValue("name")))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxStatementBytes))
+	body, err := w.(*reqState).readBody(r.Body, maxStatementBytes)
 	if err != nil {
 		httpDecodeError(w, err)
 		return
@@ -361,7 +356,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	runIdx := make([]int, 0, len(stmts))
 	for i, stmt := range stmts {
 		out[i].Statement = stmt
-		shapes[i] = breakerKey(r.PathValue("name"), pxql.ClassifyShape(stmt))
+		shapes[i] = sv.breakerKeys[pxql.ShapeIndex(pxql.ClassifyShape(stmt))]
 		if allowed, _ := s.breaker.Allow(shapes[i]); !allowed {
 			s.breakerShed.Inc()
 			out[i].Error = fmt.Sprintf("%s: circuit breaker open for %q statements", apiv1.CodeBreakerOpen, shapes[i])
@@ -370,7 +365,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		run = append(run, stmt)
 		runIdx = append(runIdx, i)
 	}
-	results := eng.RunBatch(r.Context(), run)
+	results := sv.eng.RunBatch(r.Context(), run)
 	for j, br := range results {
 		i := runIdx[j]
 		s.breaker.Record(shapes[i], isBreakerTrip(br.Err))
@@ -386,7 +381,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }

@@ -81,8 +81,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// has no engine and no per-engine metrics to report.
 	em := s.engineMap()
 	insts := make(map[string]any, len(em))
-	for name, eng := range em {
-		insts[name] = eng.Metrics()
+	for name, sv := range em {
+		insts[name] = sv.eng.Metrics()
 	}
 	payload := metricsPayload{
 		SchemaVersion: metricsSchemaVersion,

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"pxml/internal/apiv1"
-	"pxml/internal/engine"
 	"pxml/internal/repl"
 	"pxml/internal/retry"
 	"pxml/internal/store"
@@ -179,7 +178,7 @@ func (s *Server) applyReplicated(res store.ApplyResult) {
 	// engine yet stay lazy — Engine's slow path builds them from the
 	// fresh store state on first query, so there is nothing stale to
 	// replace.
-	s.mutateEnginesLocked(func(m map[string]*engine.Engine) {
+	s.mutateEnginesLocked(func(m map[string]*served) {
 		for _, name := range res.Changed {
 			if _, built := m[name]; !built {
 				continue

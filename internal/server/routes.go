@@ -152,27 +152,6 @@ func (s *Server) admit(next http.Handler) http.Handler {
 	})
 }
 
-// statusRecorder captures the status code and body size a handler wrote.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	bytes  int
-	wrote  bool
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.wrote = true
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	r.wrote = true
-	n, err := r.ResponseWriter.Write(b)
-	r.bytes += n
-	return n, err
-}
-
 // recoverPanics converts a handler panic into a 500 (when the response
 // has not started) plus a counter and a log line, so one bad request
 // cannot take down the daemon. http.ErrAbortHandler keeps its meaning.
@@ -192,7 +171,7 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 					"method", r.Method, "path", r.URL.Path,
 					"panic", fmt.Sprint(v), "stack", string(debug.Stack()))
 			}
-			if rec, ok := w.(*statusRecorder); !ok || !rec.wrote {
+			if st, ok := w.(*reqState); !ok || !st.wrote {
 				httpError(w, http.StatusInternalServerError, apiv1.CodeInternal, fmt.Errorf("internal error"))
 			}
 		}()
@@ -204,33 +183,42 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 // Retry-After instead of queueing without bound: under overload it is
 // better to fail a few requests fast than to slow every request down.
 func (s *Server) limitInflight(next http.Handler) http.Handler {
-	if s.sem == nil {
+	if s.maxInflight == 0 {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-			next.ServeHTTP(w, r)
-		default:
+		if !s.takeSlot() {
 			s.shed.Inc()
-			w.Header().Set("Retry-After", "1")
 			apiv1.WriteErrorRetry(w, http.StatusTooManyRequests, apiv1.CodeOverloaded,
-				fmt.Sprintf("server overloaded (%d requests in flight), retry later", cap(s.sem)), time.Second)
+				fmt.Sprintf("server overloaded (%d requests in flight), retry later", s.maxInflight), time.Second)
+			return
 		}
+		defer s.limited.Add(-1)
+		next.ServeHTTP(w, r)
 	})
+}
+
+// takeSlot claims one of the limiter's MaxInflight slots, if one is free.
+func (s *Server) takeSlot() bool {
+	for n := s.limited.Load(); n < s.maxInflight; n = s.limited.Load() {
+		if s.limited.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+	return false
 }
 
 // withDeadline bounds the request with Config.RequestTimeout via the
 // context every engine call already honors; an expired deadline surfaces
-// as 503 through httpQueryError.
+// as 503 through httpQueryError. The context arms nothing unless something
+// waits on it (see deadlineCtx).
 func (s *Server) withDeadline(next http.Handler) http.Handler {
 	if s.reqTimeout <= 0 {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.reqTimeout)
-		defer cancel()
+		ctx := newDeadlineCtx(r.Context(), s.reqTimeout)
+		defer ctx.cancel(context.Canceled)
 		next.ServeHTTP(w, r.WithContext(ctx))
 	})
 }
@@ -298,11 +286,15 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // instrument wraps the mux with request counting, latency observation and
-// optional structured logging.
+// optional structured logging, and lends the request its pooled state: the
+// ResponseWriter everything beneath sees is a *reqState, taken here and
+// returned here (a handler that panics past recoverPanics keeps it from the
+// pool, which is only a missed reuse).
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		rec := statePool.Get().(*reqState)
+		rec.ResponseWriter, rec.status, rec.bytes, rec.wrote = w, http.StatusOK, 0, false
 		s.inflight.Inc()
 		defer s.inflight.Dec()
 		next.ServeHTTP(rec, r)
@@ -322,5 +314,6 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 				"remote", r.RemoteAddr,
 			)
 		}
+		rec.release()
 	})
 }

@@ -65,6 +65,7 @@ import (
 	"pxml/internal/engine"
 	"pxml/internal/govern"
 	"pxml/internal/metrics"
+	"pxml/internal/pxql"
 	"pxml/internal/rescache"
 	"pxml/internal/store"
 	"pxml/internal/telemetry"
@@ -91,7 +92,7 @@ type Server struct {
 	// publish it atomically (see mutateEnginesLocked). Store-backed
 	// servers build engines on demand: a name missing here but live in
 	// the store materializes through Engine's slow path.
-	engines    atomic.Pointer[map[string]*engine.Engine]
+	engines    atomic.Pointer[map[string]*served]
 	store      *store.Store // log-structured persistence; nil without Config.StoreDir
 	backupRoot string       // /v1/admin/backup destination root; "" = endpoint disabled
 	maxBody    int64
@@ -107,7 +108,11 @@ type Server struct {
 	started    time.Time
 	draining   atomic.Bool
 	reqTimeout time.Duration // per-request deadline; 0 = none
-	sem        chan struct{} // in-flight limiter; nil = unlimited
+
+	// The in-flight limiter: requests now inside it, and its cap (0 =
+	// unlimited).
+	limited     atomic.Int64
+	maxInflight int64
 
 	reg      *metrics.Registry
 	requests *metrics.Counter
@@ -116,6 +121,9 @@ type Server struct {
 	panics   *metrics.Counter
 	inflight *metrics.Gauge
 	latency  *metrics.Histogram
+
+	shapeLatency        perShape[metrics.Timer]        // pxql_latency.<shape>
+	costEst, costActual perShape[metrics.IntHistogram] // query_cost_{est,actual}_steps.<shape>
 
 	// Runaway-query protection: budget is the per-query resource
 	// envelope every engine enforces; breaker sheds statement shapes
@@ -312,8 +320,7 @@ func New(cfg Config) (*Server, error) {
 		reg:        metrics.NewRegistry(),
 		results:    rescache.New(cacheBytes),
 	}
-	em := make(map[string]*engine.Engine)
-	s.engines.Store(&em)
+	s.engines.Store(&map[string]*served{})
 	s.requests = s.reg.Counter("http_requests")
 	s.errors = s.reg.Counter("http_errors")
 	s.shed = s.reg.Counter("http_shed")
@@ -325,6 +332,9 @@ func New(cfg Config) (*Server, error) {
 	s.qCancel = s.reg.Counter("query_cancelled")
 	s.qPanic = s.reg.Counter("query_panics")
 	s.breakerShed = s.reg.Counter("breaker_shed")
+	s.shapeLatency.prefix, s.shapeLatency.lookup = "pxql_latency.", s.reg.Timer
+	s.costEst.prefix, s.costEst.lookup = "query_cost_est_steps.", s.reg.IntHistogram
+	s.costActual.prefix, s.costActual.lookup = "query_cost_actual_steps.", s.reg.IntHistogram
 	s.budget = govern.Budget{
 		Deadline: cfg.QueryDeadline,
 		MaxSteps: cfg.QueryMaxNodes,
@@ -339,7 +349,7 @@ func New(cfg Config) (*Server, error) {
 		s.reqTimeout = cfg.RequestTimeout
 	}
 	if cfg.MaxInflight > 0 {
-		s.sem = make(chan struct{}, cfg.MaxInflight)
+		s.maxInflight = int64(cfg.MaxInflight)
 	}
 	if cfg.QueryWorkers > 0 {
 		s.queryWorkers = cfg.QueryWorkers
@@ -446,11 +456,43 @@ func MustNew(cfg Config) *Server {
 // nil when the server is not store-backed.
 func (s *Server) RecoveryReport() *store.RecoveryReport { return s.report }
 
+// served is one entry of the engine registry: an engine and, built with it
+// rather than per request, the circuit-breaker key of every statement shape
+// on its instance.
+type served struct {
+	eng *engine.Engine
+	// breakerKeys[pxql.ShapeIndex(shape)] is "<instance>.<shape>": the
+	// breaker scopes by instance as well as shape, so a width-bomb tripping
+	// "point" on one instance never sheds point queries on healthy ones. The
+	// key doubles as the breaker_state.<key> gauge suffix in /v1/metrics.
+	breakerKeys [pxql.NumShapes]string
+}
+
+// perShape is one family of registry metrics, one per statement shape
+// (<prefix><shape>). A shape's metric is looked up in the registry on its
+// first observation only, so observing neither builds a name nor takes the
+// registry's mutex, and a shape never observed never appears in /v1/metrics.
+type perShape[T any] struct {
+	prefix string
+	lookup func(name string) *T
+	slots  [pxql.NumShapes]atomic.Pointer[T]
+}
+
+func (p *perShape[T]) of(shape string) *T {
+	slot := &p.slots[pxql.ShapeIndex(shape)]
+	m := slot.Load()
+	if m == nil {
+		m = p.lookup(p.prefix + shape)
+		slot.Store(m)
+	}
+	return m
+}
+
 // newEngine wraps an instance in an engine wired to the shared result
 // cache under a fresh version prefix (the \x00 separator keeps any
 // name/statement pair from colliding with another prefix). Callers hold
 // s.mu or have exclusive access during construction.
-func (s *Server) newEngine(name string, pi *core.ProbInstance) *engine.Engine {
+func (s *Server) newEngine(name string, pi *core.ProbInstance) *served {
 	prefix := fmt.Sprintf("%s@%d\x00", name, s.version.Add(1))
 	opts := []engine.Option{
 		engine.WithResultCache(s.results, prefix),
@@ -458,7 +500,7 @@ func (s *Server) newEngine(name string, pi *core.ProbInstance) *engine.Engine {
 		// percentile timers, so /v1/metrics and the statsd stream report
 		// p50/p95/p99 per statement shape across all instances.
 		engine.WithShapeObserver(func(shape string, d time.Duration) {
-			s.reg.Timer("pxql_latency." + shape).Observe(d)
+			s.shapeLatency.of(shape).Observe(d)
 		}),
 		// Per-query resource envelope (zero = no limits, cancellation
 		// still reaches the kernels) plus estimated-vs-actual cost
@@ -466,15 +508,19 @@ func (s *Server) newEngine(name string, pi *core.ProbInstance) *engine.Engine {
 		engine.WithBudget(s.budget),
 		engine.WithCostObserver(func(shape string, estimated, actual int64) {
 			if estimated > 0 {
-				s.reg.IntHistogram("query_cost_est_steps." + shape).Observe(estimated)
+				s.costEst.of(shape).Observe(estimated)
 			}
-			s.reg.IntHistogram("query_cost_actual_steps." + shape).Observe(actual)
+			s.costActual.of(shape).Observe(actual)
 		}),
 	}
 	if s.queryWorkers > 0 {
 		opts = append(opts, engine.WithWorkers(s.queryWorkers))
 	}
-	return engine.New(pi, opts...)
+	sv := &served{eng: engine.New(pi, opts...)}
+	for i, shape := range pxql.Shapes {
+		sv.breakerKeys[i] = name + "." + shape
+	}
+	return sv
 }
 
 // SetDraining flips the readiness probe: a draining server answers 503
@@ -502,7 +548,7 @@ func (s *Server) Put(name string, pi *core.ProbInstance) error {
 		}
 	}
 	s.mu.Lock()
-	s.mutateEnginesLocked(func(m map[string]*engine.Engine) { m[name] = s.newEngine(name, pi) })
+	s.mutateEnginesLocked(func(m map[string]*served) { m[name] = s.newEngine(name, pi) })
 	s.mu.Unlock()
 	return nil
 }
@@ -518,15 +564,15 @@ func (s *Server) Get(name string) (*core.ProbInstance, bool) {
 
 // engineMap returns the published engine registry. The map is immutable;
 // mutators publish successors via mutateEnginesLocked.
-func (s *Server) engineMap() map[string]*engine.Engine {
+func (s *Server) engineMap() map[string]*served {
 	return *s.engines.Load()
 }
 
 // mutateEnginesLocked publishes a copy-on-write successor of the engine
 // registry transformed by fn. Callers hold s.mu.
-func (s *Server) mutateEnginesLocked(fn func(m map[string]*engine.Engine)) {
+func (s *Server) mutateEnginesLocked(fn func(m map[string]*served)) {
 	cur := s.engineMap()
-	m := make(map[string]*engine.Engine, len(cur)+1)
+	m := make(map[string]*served, len(cur)+1)
 	for k, v := range cur {
 		m[k] = v
 	}
@@ -534,14 +580,23 @@ func (s *Server) mutateEnginesLocked(fn func(m map[string]*engine.Engine)) {
 	s.engines.Store(&m)
 }
 
-// Engine returns the named instance's query engine. The fast path is
+// Engine returns the named instance's query engine.
+func (s *Server) Engine(name string) (*engine.Engine, bool) {
+	sv, ok := s.served(name)
+	if !ok {
+		return nil, false
+	}
+	return sv.eng, true
+}
+
+// served returns the named instance's registry entry. The fast path is
 // one atomic registry load — no locks. On a store-backed server a name
 // that is live in the store but has no engine yet (cold start, or a
 // follower apply that outpaced queries) gets one built and published on
 // first touch.
-func (s *Server) Engine(name string) (*engine.Engine, bool) {
-	if eng, ok := s.engineMap()[name]; ok {
-		return eng, true
+func (s *Server) served(name string) (*served, bool) {
+	if sv, ok := s.engineMap()[name]; ok {
+		return sv, true
 	}
 	if s.store == nil {
 		return nil, false
@@ -552,12 +607,12 @@ func (s *Server) Engine(name string) (*engine.Engine, bool) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if eng, ok := s.engineMap()[name]; ok {
-		return eng, true
+	if sv, ok := s.engineMap()[name]; ok {
+		return sv, true
 	}
-	eng := s.newEngine(name, pi)
-	s.mutateEnginesLocked(func(m map[string]*engine.Engine) { m[name] = eng })
-	return eng, true
+	sv := s.newEngine(name, pi)
+	s.mutateEnginesLocked(func(m map[string]*served) { m[name] = sv })
+	return sv, true
 }
 
 // Delete removes the named instance, reporting whether it existed. Like
@@ -579,7 +634,7 @@ func (s *Server) Delete(name string) (bool, error) {
 	s.mu.Lock()
 	_, ok := s.engineMap()[name]
 	if ok {
-		s.mutateEnginesLocked(func(m map[string]*engine.Engine) { delete(m, name) })
+		s.mutateEnginesLocked(func(m map[string]*served) { delete(m, name) })
 	}
 	s.mu.Unlock()
 	existed = existed || ok
