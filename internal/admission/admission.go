@@ -10,8 +10,9 @@
 // else in pxmld: storage, caching, and now capacity). The zero tenant ""
 // groups requests that target no instance (catalog listings, admin).
 //
-// The controller is safe for concurrent use, and a tenant without a rate
-// bound is admitted and released without a lock (see Controller).
+// The controller is safe for concurrent use. Admit takes one short mutex
+// — the shared bucket map plus the inflight accounting — which is
+// negligible next to a statement evaluation.
 package admission
 
 import (
@@ -19,7 +20,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pxml/internal/metrics"
@@ -99,65 +99,53 @@ type Decision struct {
 
 // bucket is one tenant's live admission state.
 type bucket struct {
-	mu     sync.Mutex // guards tokens and last
-	tokens float64    // current token balance, capped at quota burst
-	last   time.Time  // last refill instant
+	tokens   float64   // current token balance, capped at quota burst
+	last     time.Time // last refill instant
+	inflight int       // requests admitted and not yet released
 
-	inflight atomic.Int64 // requests admitted and not yet released
-
-	// The tenant's registry counters, resolved on first use (see counter).
-	admitted, shed atomic.Pointer[metrics.Counter]
+	// The tenant's registry counters, resolved on first use (see count).
+	admitted, shed *metrics.Counter
 }
 
-// quotas is one immutable quota table; Reload publishes a successor.
-type quotas struct {
-	def     Quota
-	tenants map[string]Quota
-}
-
-func (t *quotas) of(tenant string) Quota {
-	if q, ok := t.tenants[tenant]; ok {
-		return q
-	}
-	return t.def
-}
-
-// Controller admits or sheds requests per tenant. A request of a tenant
-// without a rate bound, below the overload threshold, takes no lock: the
-// quota table and the bucket map are immutable values behind atomic
-// pointers and the inflight accounting is atomic. A rate-bounded tenant
-// serializes on its own bucket. mu orders only what replaces a published
-// value: Reload and a tenant's first request.
+// Controller admits or sheds requests per tenant.
 type Controller struct {
 	mu       sync.Mutex
-	quotas   atomic.Pointer[quotas]
-	buckets  atomic.Pointer[map[string]*bucket]
+	def      Quota
+	tenants  map[string]Quota
+	buckets  map[string]*bucket
 	limit    int
 	overload float64
 	now      func() time.Time
 	reg      *metrics.Registry
 
-	inflight                 atomic.Int64 // total admitted and not yet released
-	admittedTotal, shedTotal atomic.Pointer[metrics.Counter]
+	inflight                 int // total admitted and not yet released
+	admittedTotal, shedTotal *metrics.Counter
 }
 
 // New builds a Controller from cfg. Invalid quotas are rejected.
 func New(cfg Config) (*Controller, error) {
+	if err := cfg.Default.Validate(); err != nil {
+		return nil, fmt.Errorf("default quota: %w", err)
+	}
+	for name, q := range cfg.Tenants {
+		if err := q.Validate(); err != nil {
+			return nil, fmt.Errorf("tenant %q: %w", name, err)
+		}
+	}
 	c := &Controller{
+		def:      cfg.Default,
+		tenants:  cloneQuotas(cfg.Tenants),
+		buckets:  make(map[string]*bucket),
 		limit:    cfg.InflightLimit,
 		overload: cfg.OverloadFraction,
 		now:      cfg.Now,
 		reg:      cfg.Registry,
 	}
-	c.buckets.Store(&map[string]*bucket{})
 	if c.overload <= 0 || c.overload > 1 {
 		c.overload = defaultOverloadFraction
 	}
 	if c.now == nil {
 		c.now = time.Now
-	}
-	if err := c.Reload(cfg.Default, cfg.Tenants); err != nil {
-		return nil, err
 	}
 	return c, nil
 }
@@ -170,6 +158,14 @@ func cloneQuotas(m map[string]Quota) map[string]Quota {
 	return out
 }
 
+// quotaFor resolves the effective quota for a tenant (caller holds mu).
+func (c *Controller) quotaFor(tenant string) Quota {
+	if q, ok := c.tenants[tenant]; ok {
+		return q
+	}
+	return c.def
+}
+
 // weightOf normalises a quota's fairness weight.
 func weightOf(q Quota) float64 {
 	if q.Weight <= 0 {
@@ -178,64 +174,44 @@ func weightOf(q Quota) float64 {
 	return q.Weight
 }
 
-// bucketOf returns tenant's bucket, publishing a full one on the tenant's
-// first request.
-func (c *Controller) bucketOf(tenant string, q Quota) *bucket {
-	if b := (*c.buckets.Load())[tenant]; b != nil {
-		return b
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cur := *c.buckets.Load()
-	if b := cur[tenant]; b != nil {
-		return b
-	}
-	b := &bucket{tokens: q.Burst, last: c.now()}
-	m := make(map[string]*bucket, len(cur)+1)
-	for k, v := range cur {
-		m[k] = v
-	}
-	m[tenant] = b
-	c.buckets.Store(&m)
-	return b
-}
-
 // Admit decides whether one request from tenant may proceed. Admitted
-// requests hold one unit of inflight accounting until Release. Under
-// concurrency the overload tier reads the inflight counts as they pass, so
-// it may admit a request or two past a tenant's share; the server's
-// limiter behind it holds the hard cap.
+// requests hold one unit of inflight accounting until Release.
 func (c *Controller) Admit(tenant string) Decision {
-	table := c.quotas.Load()
-	q := table.of(tenant)
-	b := c.bucketOf(tenant, q)
+	c.mu.Lock()
+	q := c.quotaFor(tenant)
+	b := c.buckets[tenant]
+	now := c.now()
+	if b == nil {
+		b = &bucket{tokens: q.Burst, last: now}
+		c.buckets[tenant] = b
+	}
 
 	// Tier 1: the tenant's own token bucket.
 	if !q.Unlimited() {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		now := c.now()
 		b.tokens = math.Min(q.Burst, b.tokens+now.Sub(b.last).Seconds()*q.Rate)
 		b.last = now
 		if b.tokens < 1 {
+			wait := time.Duration((1 - b.tokens) / q.Rate * float64(time.Second))
 			c.count(b, tenant, false)
-			return Decision{RetryAfter: time.Duration((1 - b.tokens) / q.Rate * float64(time.Second)), Reason: "quota"}
+			c.mu.Unlock()
+			return Decision{RetryAfter: wait, Reason: "quota"}
 		}
 	}
 
 	// Tier 2: weighted fair sharing of the inflight capacity, engaged
 	// only when the server is near its limit. A tenant already using at
 	// least its fair share is shed so the headroom goes to the others.
-	if c.limit > 0 && float64(c.inflight.Load()) >= c.overload*float64(c.limit) {
+	if c.limit > 0 && float64(c.inflight) >= c.overload*float64(c.limit) {
 		totalWeight := 0.0
-		for name, tb := range *c.buckets.Load() {
-			if tb.inflight.Load() > 0 || name == tenant {
-				totalWeight += weightOf(table.of(name))
+		for name, tb := range c.buckets {
+			if tb.inflight > 0 || name == tenant {
+				totalWeight += weightOf(c.quotaFor(name))
 			}
 		}
 		share := weightOf(q) / totalWeight * float64(c.limit)
-		if float64(b.inflight.Load()) >= share {
+		if float64(b.inflight) >= share {
 			c.count(b, tenant, false)
+			c.mu.Unlock()
 			return Decision{Reason: "overload"}
 		}
 	}
@@ -243,29 +219,26 @@ func (c *Controller) Admit(tenant string) Decision {
 	if !q.Unlimited() {
 		b.tokens--
 	}
-	b.inflight.Add(1)
-	c.inflight.Add(1)
+	b.inflight++
+	c.inflight++
 	c.count(b, tenant, true)
+	c.mu.Unlock()
 	return Decision{OK: true}
 }
 
 // Release returns one admitted request's inflight unit. Must be called
 // exactly once per successful Admit.
 func (c *Controller) Release(tenant string) {
-	b := (*c.buckets.Load())[tenant]
-	for b != nil {
-		n := b.inflight.Load()
-		if n <= 0 {
-			return
-		}
-		if b.inflight.CompareAndSwap(n, n-1) {
-			c.inflight.Add(-1)
-			return
-		}
+	c.mu.Lock()
+	if b := c.buckets[tenant]; b != nil && b.inflight > 0 {
+		b.inflight--
+		c.inflight--
 	}
+	c.mu.Unlock()
 }
 
-// count records the decision on the tenant's counters and the totals.
+// count records the decision on the tenant's counters and the totals
+// (caller holds mu).
 func (c *Controller) count(b *bucket, tenant string, admitted bool) {
 	if c.reg == nil {
 		return
@@ -284,15 +257,12 @@ func (c *Controller) count(b *bucket, tenant string, admitted bool) {
 
 // counter returns the handle kept in slot, looking prefix+tenant up in the
 // registry the first time only: the name is built and the registry's mutex
-// taken once per tenant, not once per request. First uses that race look up
-// the same counter.
-func (c *Controller) counter(slot *atomic.Pointer[metrics.Counter], prefix, tenant string) *metrics.Counter {
-	ctr := slot.Load()
-	if ctr == nil {
-		ctr = c.reg.Counter(prefix + tenant)
-		slot.Store(ctr)
+// taken once per tenant, not once per request.
+func (c *Controller) counter(slot **metrics.Counter, prefix, tenant string) *metrics.Counter {
+	if *slot == nil {
+		*slot = c.reg.Counter(prefix + tenant)
 	}
-	return ctr
+	return *slot
 }
 
 // Reload swaps the quota table at runtime (the admin endpoint's
@@ -309,20 +279,18 @@ func (c *Controller) Reload(def Quota, tenants map[string]Quota) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	table := &quotas{def: def, tenants: cloneQuotas(tenants)}
-	c.quotas.Store(table)
+	c.def = def
+	c.tenants = cloneQuotas(tenants)
 	now := c.now()
-	for name, b := range *c.buckets.Load() {
-		q := table.of(name)
+	for name, b := range c.buckets {
+		q := c.quotaFor(name)
 		if q.Unlimited() {
 			continue
 		}
 		// Refill under the old clock first, then cap to the new burst so
 		// a tightened quota takes effect immediately.
-		b.mu.Lock()
 		b.tokens = math.Min(q.Burst, b.tokens+now.Sub(b.last).Seconds()*q.Rate)
 		b.last = now
-		b.mu.Unlock()
 	}
 	return nil
 }
@@ -347,21 +315,26 @@ type Snapshot struct {
 
 // State returns the current configuration and per-tenant state.
 func (c *Controller) State() Snapshot {
-	table := c.quotas.Load()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	s := Snapshot{
-		Default:          table.def,
+		Default:          c.def,
 		InflightLimit:    c.limit,
 		OverloadFraction: c.overload,
-		Inflight:         int(c.inflight.Load()),
+		Inflight:         c.inflight,
 		Tenants:          make(map[string]TenantState),
 	}
-	for name, q := range table.tenants {
+	for name, q := range c.tenants {
 		s.Tenants[name] = TenantState{Quota: q}
 	}
-	for name, b := range *c.buckets.Load() {
-		b.mu.Lock()
-		s.Tenants[name] = TenantState{Quota: table.of(name), Tokens: b.tokens, Inflight: int(b.inflight.Load())}
-		b.mu.Unlock()
+	for name, b := range c.buckets {
+		ts := s.Tenants[name]
+		if _, ok := c.tenants[name]; !ok {
+			ts.Quota = c.def
+		}
+		ts.Tokens = b.tokens
+		ts.Inflight = b.inflight
+		s.Tenants[name] = ts
 	}
 	s.TenantNames = make([]string, 0, len(s.Tenants))
 	for name := range s.Tenants {

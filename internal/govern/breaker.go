@@ -2,7 +2,6 @@ package govern
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -49,24 +48,15 @@ type BreakerConfig struct {
 // width-bomb ESTIMATE hammered in a retry loop) opens and sheds in
 // O(map lookup) instead of re-running the estimator and parser for
 // every attempt, then recloses via half-open probing once the bombs
-// stop. All methods are safe for concurrent use, and on a key whose breaker
-// is closed with no trip counted — every key of a healthy server — Allow
-// and a successful Record return without a lock.
+// stop. All methods are safe for concurrent use.
 type Breaker struct {
 	cfg BreakerConfig
 
-	// entries is an immutable map behind an atomic pointer; a new key
-	// publishes a successor under mu. mu also guards every entry's fields
-	// but quiet.
-	entries atomic.Pointer[map[string]*breakerEntry]
-	mu      sync.Mutex
+	mu sync.Mutex
+	m  map[string]*breakerEntry
 }
 
 type breakerEntry struct {
-	// quiet is true while the entry is closed with no trip counted: the
-	// state in which Allow admits and a success changes nothing. It is
-	// written under mu, after every change to state or fails.
-	quiet    atomic.Bool
 	state    BreakerState
 	fails    int       // consecutive trips while closed
 	openedAt time.Time // when the breaker last opened
@@ -92,15 +82,7 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	b := &Breaker{cfg: cfg}
-	b.entries.Store(&map[string]*breakerEntry{})
-	return b
-}
-
-// quiet reports whether key's breaker is closed with no trip counted.
-func (b *Breaker) quiet(key string) bool {
-	e := (*b.entries.Load())[key]
-	return e != nil && e.quiet.Load()
+	return &Breaker{cfg: cfg, m: make(map[string]*breakerEntry)}
 }
 
 // Allow reports whether a request for key may proceed. When it returns
@@ -109,7 +91,7 @@ func (b *Breaker) quiet(key string) bool {
 // flight). Every Allow must be paired with exactly one Record for the
 // same key once the request finishes.
 func (b *Breaker) Allow(key string) (ok bool, retryAfter time.Duration) {
-	if b == nil || b.quiet(key) {
+	if b == nil {
 		return true, 0
 	}
 	b.mu.Lock()
@@ -144,13 +126,12 @@ func (b *Breaker) Allow(key string) (ok bool, retryAfter time.Duration) {
 // the breaker exists to contain. Client-side cancellation is NOT a trip
 // (the statement shape did nothing wrong) and callers must pass false.
 func (b *Breaker) Record(key string, tripped bool) {
-	if b == nil || !tripped && b.quiet(key) {
+	if b == nil {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	e := b.entry(key)
-	defer func() { e.quiet.Store(e.state == BreakerClosed && e.fails == 0) }()
 	switch e.state {
 	case BreakerClosed:
 		if !tripped {
@@ -198,7 +179,7 @@ func (b *Breaker) StateOf(key string) BreakerState {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if e, ok := (*b.entries.Load())[key]; ok {
+	if e, ok := b.m[key]; ok {
 		return e.state
 	}
 	return BreakerClosed
@@ -219,9 +200,8 @@ func (b *Breaker) Status() map[string]BreakerStatus {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	cur := *b.entries.Load()
-	out := make(map[string]BreakerStatus, len(cur))
-	for k, e := range cur {
+	out := make(map[string]BreakerStatus, len(b.m))
+	for k, e := range b.m {
 		out[k] = BreakerStatus{
 			State:            e.state.String(),
 			ConsecutiveTrips: e.fails,
@@ -232,20 +212,11 @@ func (b *Breaker) Status() map[string]BreakerStatus {
 	return out
 }
 
-// entry returns key's entry, publishing a quiet one on the key's first
-// use. Caller holds b.mu.
 func (b *Breaker) entry(key string) *breakerEntry {
-	cur := *b.entries.Load()
-	if e, ok := cur[key]; ok {
-		return e
+	e, ok := b.m[key]
+	if !ok {
+		e = &breakerEntry{}
+		b.m[key] = e
 	}
-	e := &breakerEntry{}
-	e.quiet.Store(true)
-	m := make(map[string]*breakerEntry, len(cur)+1)
-	for k, v := range cur {
-		m[k] = v
-	}
-	m[key] = e
-	b.entries.Store(&m)
 	return e
 }

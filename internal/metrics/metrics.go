@@ -4,9 +4,9 @@
 // whose Snapshot is directly JSON-encodable (the expvar-style payload
 // behind GET /metrics).
 //
-// All types are safe for concurrent use. Counters, gauges, duration
-// histograms and timers are lock-free; an IntHistogram takes a short mutex
-// per observation, which is negligible next to the evaluation it meters.
+// All types are safe for concurrent use. Counters and gauges are
+// lock-free; histograms take a short mutex per observation, which is
+// negligible next to the inference work they time.
 package metrics
 
 import (
@@ -72,14 +72,13 @@ var bucketLabels = [numBuckets]string{
 	"le_100us", "le_1ms", "le_10ms", "le_100ms", "le_1s", "le_10s", "inf",
 }
 
-// Histogram accumulates durations into fixed exponential buckets. Like
-// Timer it is lock-free: every request observes into the server's and its
-// engine's, so a mutex here would be one every request takes.
+// Histogram accumulates durations into fixed exponential buckets.
 type Histogram struct {
-	count   atomic.Int64
-	sum     atomic.Int64 // nanoseconds
-	max     atomic.Int64 // nanoseconds
-	buckets [numBuckets]atomic.Int64
+	mu      sync.Mutex
+	count   int64
+	sum     time.Duration
+	max     time.Duration
+	buckets [numBuckets]int64
 }
 
 // Observe records one duration.
@@ -91,20 +90,14 @@ func (h *Histogram) Observe(d time.Duration) {
 	for i < len(bucketBounds) && d > bucketBounds[i] {
 		i++
 	}
-	h.count.Add(1)
-	h.sum.Add(int64(d))
-	storeMax(&h.max, int64(d))
-	h.buckets[i].Add(1)
-}
-
-// storeMax raises max to v if v is larger.
-func storeMax(max *atomic.Int64, v int64) {
-	for {
-		cur := max.Load()
-		if v <= cur || max.CompareAndSwap(cur, v) {
-			return
-		}
+	h.mu.Lock()
+	h.count++
+	h.sum += d
+	if d > h.max {
+		h.max = d
 	}
+	h.buckets[i]++
+	h.mu.Unlock()
 }
 
 // HistogramSnapshot is a point-in-time, JSON-encodable histogram view.
@@ -117,20 +110,21 @@ type HistogramSnapshot struct {
 	Bucket map[string]int64 `json:"buckets"`
 }
 
-// Snapshot returns the current histogram state. Observations racing the
-// read may be counted in one field and not yet in another.
+// Snapshot returns the current histogram state.
 func (h *Histogram) Snapshot() HistogramSnapshot {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	s := HistogramSnapshot{
-		Count:  h.count.Load(),
-		SumMS:  float64(h.sum.Load()) / float64(time.Millisecond),
-		MaxMS:  float64(h.max.Load()) / float64(time.Millisecond),
+		Count:  h.count,
+		SumMS:  float64(h.sum) / float64(time.Millisecond),
+		MaxMS:  float64(h.max) / float64(time.Millisecond),
 		Bucket: make(map[string]int64, len(h.buckets)),
 	}
-	if s.Count > 0 {
-		s.MeanMS = s.SumMS / float64(s.Count)
+	if h.count > 0 {
+		s.MeanMS = s.SumMS / float64(h.count)
 	}
-	for i := range h.buckets {
-		if n := h.buckets[i].Load(); n > 0 {
+	for i, n := range h.buckets {
+		if n > 0 {
 			s.Bucket[bucketLabels[i]] = n
 		}
 	}

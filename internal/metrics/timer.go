@@ -72,7 +72,12 @@ func (t *Timer) Observe(d time.Duration) {
 	}
 	t.count.Add(1)
 	t.sum.Add(int64(d))
-	storeMax(&t.max, int64(d))
+	for {
+		cur := t.max.Load()
+		if int64(d) <= cur || t.max.CompareAndSwap(cur, int64(d)) {
+			break
+		}
+	}
 	t.buckets[timerIndex(d)].Add(1)
 }
 

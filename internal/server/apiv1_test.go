@@ -367,7 +367,7 @@ func TestRouteStacks(t *testing.T) {
 			if got := s.adm.State().Inflight == 1; got != admitted {
 				t.Errorf("%s: inside admission = %v, want %v", rt.pattern, got, admitted)
 			}
-			if got := s.limited.Load() == 1; got != limited {
+			if got := len(s.sem) == 1; got != limited {
 				t.Errorf("%s: inside the limiter = %v, want %v", rt.pattern, got, limited)
 			}
 			if _, got := r.Context().Deadline(); got != deadline {

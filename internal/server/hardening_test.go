@@ -218,7 +218,7 @@ func TestHealthProbesBypassLimiter(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	for s.limited.Load() == 0 {
+	for len(s.sem) == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	if resp, _ := get(t, ts.URL+"/v1/instances"); resp.StatusCode != http.StatusTooManyRequests {

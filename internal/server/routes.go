@@ -183,29 +183,20 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 // Retry-After instead of queueing without bound: under overload it is
 // better to fail a few requests fast than to slow every request down.
 func (s *Server) limitInflight(next http.Handler) http.Handler {
-	if s.maxInflight == 0 {
+	if s.sem == nil {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !s.takeSlot() {
+		select {
+		case s.sem <- struct{}{}:
+			defer func() { <-s.sem }()
+			next.ServeHTTP(w, r)
+		default:
 			s.shed.Inc()
 			apiv1.WriteErrorRetry(w, http.StatusTooManyRequests, apiv1.CodeOverloaded,
-				fmt.Sprintf("server overloaded (%d requests in flight), retry later", s.maxInflight), time.Second)
-			return
+				fmt.Sprintf("server overloaded (%d requests in flight), retry later", cap(s.sem)), time.Second)
 		}
-		defer s.limited.Add(-1)
-		next.ServeHTTP(w, r)
 	})
-}
-
-// takeSlot claims one of the limiter's MaxInflight slots, if one is free.
-func (s *Server) takeSlot() bool {
-	for n := s.limited.Load(); n < s.maxInflight; n = s.limited.Load() {
-		if s.limited.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-	return false
 }
 
 // withDeadline bounds the request with Config.RequestTimeout via the

@@ -108,11 +108,7 @@ type Server struct {
 	started    time.Time
 	draining   atomic.Bool
 	reqTimeout time.Duration // per-request deadline; 0 = none
-
-	// The in-flight limiter: requests now inside it, and its cap (0 =
-	// unlimited).
-	limited     atomic.Int64
-	maxInflight int64
+	sem        chan struct{} // in-flight limiter; nil = unlimited
 
 	reg      *metrics.Registry
 	requests *metrics.Counter
@@ -349,7 +345,7 @@ func New(cfg Config) (*Server, error) {
 		s.reqTimeout = cfg.RequestTimeout
 	}
 	if cfg.MaxInflight > 0 {
-		s.maxInflight = int64(cfg.MaxInflight)
+		s.sem = make(chan struct{}, cfg.MaxInflight)
 	}
 	if cfg.QueryWorkers > 0 {
 		s.queryWorkers = cfg.QueryWorkers
