@@ -158,19 +158,22 @@ e2e-smoke:
 fuzz-smoke:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzDecodeBinary -fuzztime 10s
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzDecodeTextDifferential -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzWeakTablesDifferential -fuzztime 10s
 	$(GO) test ./internal/pathexpr -run '^$$' -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/pathexpr -run '^$$' -fuzz FuzzPlanDifferential -fuzztime 10s
 	$(GO) test ./internal/pxql -run '^$$' -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzAppendQueryResponse -fuzztime 10s
 
-# Short fuzz passes over the codecs, the path-expression parser, the plan
-# builder (against the builder it replaced), the pxql parser and shape
-# classifier, and the query response encoder (against encoding/json).
+# Short fuzz passes over the codecs, the weak-instance tables and the plan
+# builder (each against what it replaced), the path-expression parser, the
+# pxql parser and shape classifier, and the query response encoder (against
+# encoding/json).
 fuzz:
 	$(GO) test ./internal/codec -fuzz 'FuzzDecodeText$$' -fuzztime 30s
 	$(GO) test ./internal/codec -fuzz FuzzDecodeTextDifferential -fuzztime 30s
 	$(GO) test ./internal/codec -fuzz FuzzDecodeJSON -fuzztime 30s
 	$(GO) test ./internal/codec -fuzz FuzzDecodeBinary -fuzztime 30s
+	$(GO) test ./internal/core -fuzz FuzzWeakTablesDifferential -fuzztime 30s
 	$(GO) test ./internal/pathexpr -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/pathexpr -fuzz FuzzPlanDifferential -fuzztime 30s
 	$(GO) test ./internal/pxql -fuzz FuzzParse -fuzztime 30s

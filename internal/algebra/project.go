@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"pxml/internal/core"
 	"pxml/internal/model"
@@ -57,8 +58,8 @@ func AncestorProjectTimed(pi *core.ProbInstance, p pathexpr.Path, sink *Timings)
 	// Update ℘ bottom-up: levels n−1 … 0, everything indexed by plan
 	// position. eps[pos] is ε of the node there, the probability that it
 	// retains at least one surviving child (1 for matched objects).
-	u := newUpdater(len(plan.Nodes))
-	newOPF := make([]*prob.OPF, len(plan.Nodes))
+	u := getUpdater(len(plan.Nodes))
+	defer u.release()
 	n := p.Len()
 	matched, _ := plan.Level(n)
 	for pos := matched; pos < len(plan.Nodes); pos++ {
@@ -73,10 +74,13 @@ func AncestorProjectTimed(pi *core.ProbInstance, p pathexpr.Path, sink *Timings)
 				return nil, fmt.Errorf("algebra: non-leaf %s has no OPF", o)
 			}
 			var err error
-			if newOPF[pos], u.eps[pos], err = u.survivalUpdate(o, opf, plan.KidsOf(pos), pos == 0); err != nil {
+			if u.eps[pos], err = u.survivalUpdate(pos, o, opf, plan.KidsOf(pos)); err != nil {
 				return nil, err
 			}
 		}
+	}
+	if u.eps[0] > 0 {
+		u.seal(plan, matched)
 	}
 	sw.lap(phaseUpdate)
 
@@ -96,12 +100,8 @@ func AncestorProjectTimed(pi *core.ProbInstance, p pathexpr.Path, sink *Timings)
 		// Error impossible: types were valid in the input.
 		_ = ld.RegisterType(t)
 	}
-	var (
-		labels []labelCard // the distinct edge labels of one node's kept children
-		of     []int32     // of[j] is the index in labels of kept child j's label
-		alive  []bool      // alive[j]: some supported set contains kept child j
-	)
-	stack := []int32{0}
+	labels, of, alive := u.labels, u.of, u.alive
+	stack := append(u.stack[:0], 0)
 	for len(stack) > 0 {
 		pos := int(stack[len(stack)-1])
 		stack = stack[:len(stack)-1]
@@ -118,7 +118,7 @@ func AncestorProjectTimed(pi *core.ProbInstance, p pathexpr.Path, sink *Timings)
 			}
 			continue
 		}
-		w := newOPF[pos]
+		w := u.newOPF[pos]
 		if w == nil {
 			continue
 		}
@@ -163,7 +163,7 @@ func AncestorProjectTimed(pi *core.ProbInstance, p pathexpr.Path, sink *Timings)
 			if lc.kept == 0 {
 				continue
 			}
-			cs := carve(&u.ids, lc.kept)
+			cs := cut(&u.ids, lc.kept)
 			for j, k := range kids {
 				if alive[j] && int(of[j]) == l {
 					cs = append(cs, k.ID)
@@ -178,6 +178,7 @@ func AncestorProjectTimed(pi *core.ProbInstance, p pathexpr.Path, sink *Timings)
 			ld.SetOPF(o, w)
 		}
 	}
+	u.labels, u.of, u.alive, u.stack = labels, of, alive, stack
 	out, err := ld.Instance()
 	if err != nil {
 		return nil, fmt.Errorf("algebra: assembling Λ_%s: %w", p, err)
@@ -205,10 +206,15 @@ type labelCard struct {
 // listed, sorted and merged instead.
 const denseFanout = 12
 
-// updater is the state the ℘ update carries from one object to the next:
-// the ε values found so far and the scratch each object's update reuses.
+// updater is the state a projection carries from one object to the next:
+// what the update found at each plan position and the scratch each
+// object's update and the structure pass reuse. Everything but the two
+// slices the result is cut from is scratch, which one projection hands to
+// the next through updaterPool (DESIGN §25).
 type updater struct {
-	eps []float64 // by plan position
+	eps     []float64   // by plan position
+	pending []pending   // by plan position, above the matched level
+	newOPF  []*prob.OPF // by plan position: ℘'(o), nil when o keeps no child
 
 	members []int32   // kept children in the entry being spread, as indexes into kids
 	sure    []int32   // those that survive surely (ε = 1) ...
@@ -219,31 +225,55 @@ type updater struct {
 	runs    []int32   // survivor sets as runs of ascending indexes into kids
 	sets    []survivorSet
 
-	// What the result keeps is cut from shared chunks rather than allocated
-	// per object: the child sets of the new OPFs and of lch, and the OPFs'
-	// entry slices.
+	// The structure pass: the distinct edge labels of one node's kept
+	// children, of[j] the index in labels of kept child j's label, alive[j]
+	// whether some supported set contains kept child j, and the walk's stack.
+	labels []labelCard
+	of     []int32
+	alive  []bool
+	stack  []int32
+
+	// What the result keeps is cut from two slices sized to it once every
+	// object is updated: the child sets of the new OPFs and of lch, and the
+	// OPFs' entries. They belong to the result and are never pooled.
 	ids     []model.ObjectID
 	entries []prob.OPFEntry
 }
 
-// carve cuts a zero-length slice with room for exactly n elements from the
-// end of *arena, starting a new chunk when the current one cannot hold it.
-// The capacity stops at n, so appending to one cut never reaches the next.
-func carve[T any](arena *[]T, n int) []T {
-	const chunk = 128
-	if cap(*arena)-len(*arena) < n {
-		*arena = make([]T, 0, max(n, chunk))
-	}
-	at := len(*arena)
-	*arena = (*arena)[:at+n]
-	return (*arena)[at : at : at+n]
+// pending is what the update found for one object, for seal to turn into
+// ℘'(o): its canonical survivor sets other than ∅, u.sets[lo:hi], the mass
+// of ∅ when ℘' has an entry for it, and what the other masses are divided
+// by. live is false when o keeps no child and gets no ℘'.
+type pending struct {
+	lo, hi   int32
+	empty    float64
+	hasEmpty bool
+	total    float64
+	live     bool
 }
 
-// newUpdater sizes the scratch for the fan-outs the paper's experiments
-// reach at branching 4 to 6; wider objects grow it.
-func newUpdater(nodes int) updater {
-	return updater{
-		eps:     make([]float64, nodes),
+// len is the number of entries ℘'(o) has.
+func (pd pending) len() int {
+	if pd.hasEmpty {
+		return int(pd.hi-pd.lo) + 1
+	}
+	return int(pd.hi - pd.lo)
+}
+
+// cut returns a zero-length slice with room for exactly n elements from
+// the end of *s, whose capacity the caller sized to hold every cut. The
+// capacity stops at n, so appending to one cut never reaches the next.
+func cut[T any](s *[]T, n int) []T {
+	at := len(*s)
+	*s = (*s)[:at+n]
+	return (*s)[at : at : at+n]
+}
+
+// updaterPool holds updaters between projections. A new one is sized for
+// the fan-outs the paper's experiments reach at branching 4 to 6; wider
+// objects grow it.
+var updaterPool = sync.Pool{New: func() any {
+	return &updater{
 		members: make([]int32, 0, 16),
 		sure:    make([]int32, 0, 16),
 		unsure:  make([]int32, 0, 16),
@@ -251,6 +281,35 @@ func newUpdater(nodes int) updater {
 		runs:    make([]int32, 0, 256),
 		sets:    make([]survivorSet, 0, 64),
 	}
+}}
+
+// maxPooledUpdate bounds the plan positions and survivor runs an updater
+// may hold room for and still be pooled, so one huge projection does not
+// stay resident behind small ones.
+const maxPooledUpdate = 1 << 14
+
+// getUpdater takes an updater from the pool, zeroed for a plan of the given
+// number of nodes.
+func getUpdater(nodes int) *updater {
+	u := updaterPool.Get().(*updater)
+	u.eps = append(u.eps[:0], make([]float64, nodes)...)
+	u.pending = append(u.pending[:0], make([]pending, nodes)...)
+	u.newOPF = append(u.newOPF[:0], make([]*prob.OPF, nodes)...)
+	u.runs, u.sets = u.runs[:0], u.sets[:0]
+	return u
+}
+
+// release gives u back to the pool holding nothing the result keeps: the
+// new OPFs and labels are forgotten and the two result slices stay with
+// the result.
+func (u *updater) release() {
+	clear(u.newOPF)
+	clear(u.labels[:cap(u.labels)])
+	u.ids, u.entries = nil, nil
+	if cap(u.eps) > maxPooledUpdate || cap(u.runs) > maxPooledUpdate || cap(u.sets) > maxPooledUpdate {
+		return
+	}
+	updaterPool.Put(u)
 }
 
 // survivorSet is runs[lo:hi] with probability p.
@@ -268,21 +327,22 @@ func (u *updater) compare(a, b survivorSet) int {
 	return slices.Compare(u.runs[a.lo:a.hi], u.runs[b.lo:b.hi])
 }
 
-// survivalUpdate computes the Section 6.1 update for object o: for each
-// original OPF entry c, distribute its probability over the subsets of the
-// kept children in c that may survive, weighting by Π ε_j for survivors and
-// Π (1−ε_j) for kept non-survivors (dropped children marginalize away
-// implicitly). Matched children survive surely (ε = 1). It returns ℘'(o) and
-// ε_o = 1 − ℘'(o)(∅): for the root ℘' keeps its ∅ mass, the probability that
-// a compatible instance has no match; for any other object ℘' is conditioned
-// on some child surviving (∅ stays as an explicit zero entry), and is nil
-// when none can.
+// survivalUpdate computes the Section 6.1 update for the object o at plan
+// position pos: for each original OPF entry c, distribute its probability
+// over the subsets of the kept children in c that may survive, weighting by
+// Π ε_j for survivors and Π (1−ε_j) for kept non-survivors (dropped children
+// marginalize away implicitly). Matched children survive surely (ε = 1). It
+// records ℘'(o) in u.pending[pos] for seal and returns ε_o = 1 − ℘'(o)(∅):
+// for the root ℘' keeps its ∅ mass, the probability that a compatible
+// instance has no match; for any other object ℘' is conditioned on some
+// child surviving (∅ stays as an explicit zero entry), and there is none
+// when no child can survive.
 //
 // Equal survivor sets are summed in the order the entries emit them and
 // ℘'(o) is normalized by a sum in canonical order, so the result is the same
-// bit for bit from run to run; it is handed to prob.OPFFromSorted already
+// bit for bit from run to run; seal hands it to prob.OPFFromSorted already
 // canonical.
-func (u *updater) survivalUpdate(o model.ObjectID, opf *prob.OPF, kids []pathexpr.Kid, root bool) (*prob.OPF, float64, error) {
+func (u *updater) survivalUpdate(pos int, o model.ObjectID, opf *prob.OPF, kids []pathexpr.Kid) (float64, error) {
 	dense := len(kids) <= denseFanout
 	if dense {
 		if need := 1 << len(kids); cap(u.acc) < need {
@@ -292,7 +352,7 @@ func (u *updater) survivalUpdate(o model.ObjectID, opf *prob.OPF, kids []pathexp
 			clear(u.acc)
 		}
 	}
-	u.runs, u.sets = u.runs[:0], u.sets[:0]
+	base := len(u.sets)
 	var badFanout error
 	opf.Each(func(c sets.Set, p float64) {
 		if p <= 0 || badFanout != nil {
@@ -354,29 +414,56 @@ func (u *updater) survivalUpdate(o model.ObjectID, opf *prob.OPF, kids []pathexp
 		}
 	})
 	if badFanout != nil {
-		return nil, 0, badFanout
+		return 0, badFanout
 	}
+	u.canonicalize(base, dense)
 
-	u.canonicalize(dense)
-	return u.seal(o, kids, root)
+	// ε_o is read off the mass of ∅, which sorts first when any entry
+	// emitted it.
+	pd := pending{lo: int32(base), hi: int32(len(u.sets)), total: 1, live: true}
+	if pd.lo < pd.hi && u.sets[pd.lo].lo == u.sets[pd.lo].hi {
+		pd.empty, pd.hasEmpty = u.sets[pd.lo].p, true
+		pd.lo++
+	}
+	eps := 1 - pd.empty
+	if pos > 0 {
+		if eps <= 0 {
+			// o can never retain a surviving child; its parent's update
+			// treats it as dead and the structure pass never reaches it.
+			return eps, nil
+		}
+		// Condition on some child surviving: ∅ becomes an explicit zero
+		// entry and the rest is rescaled to mass one. The root keeps its ∅
+		// mass and is not rescaled.
+		pd.empty, pd.hasEmpty, pd.total = 0, true, 0
+		for _, s := range u.sets[pd.lo:pd.hi] {
+			pd.total += s.p
+		}
+		if pd.total <= 0 {
+			return 0, fmt.Errorf("algebra: normalizing ℘'(%s): prob: cannot normalize OPF with mass %v", o, pd.total)
+		}
+	}
+	u.pending[pos] = pd
+	return eps, nil
 }
 
-// canonicalize leaves in u.sets the distinct survivor sets in canonical
-// order, each with its summed probability.
-func (u *updater) canonicalize(dense bool) {
+// canonicalize leaves in u.sets[base:] the distinct survivor sets of one
+// object in canonical order, each with its summed probability.
+func (u *updater) canonicalize(base int, dense bool) {
 	if !dense {
 		// Stable, so equal sets stay in emission order and sum in it.
-		slices.SortStableFunc(u.sets, u.compare)
+		own := u.sets[base:]
+		slices.SortStableFunc(own, u.compare)
 		n := 0
-		for _, s := range u.sets {
-			if n > 0 && u.compare(u.sets[n-1], s) == 0 {
-				u.sets[n-1].p += s.p
+		for _, s := range own {
+			if n > 0 && u.compare(own[n-1], s) == 0 {
+				own[n-1].p += s.p
 			} else {
-				u.sets[n] = s
+				own[n] = s
 				n++
 			}
 		}
-		u.sets = u.sets[:n]
+		u.sets = u.sets[:base+n]
 		return
 	}
 	u.masks = u.masks[:0]
@@ -401,47 +488,41 @@ func (u *updater) canonicalize(dense bool) {
 	}
 }
 
-// seal turns the canonical survivor sets into ℘'(o) and reads ε_o off the
-// mass of ∅, which sorts first when any entry emitted it.
-func (u *updater) seal(o model.ObjectID, kids []pathexpr.Kid, root bool) (*prob.OPF, float64, error) {
-	survivors, empty, hasEmpty := u.sets, 0.0, false
-	if len(survivors) > 0 && survivors[0].lo == survivors[0].hi {
-		survivors, empty, hasEmpty = survivors[1:], survivors[0].p, true
-	}
-	eps := 1 - empty
-	total := 1.0 // the root keeps its ∅ mass and is not rescaled
-	if !root {
-		if eps <= 0 {
-			// o can never retain a surviving child; its parent's update
-			// treats it as dead and the structure pass never reaches it.
-			return nil, eps, nil
+// seal turns what the update recorded for the plan's objects above the
+// matched level into their ℘'. It first sizes u.entries and u.ids to the
+// whole result — ids with room for the structure pass's lch sets, which
+// hold at most every kept edge once — so every OPF is cut from the same two
+// slices.
+func (u *updater) seal(plan pathexpr.Plan, matched int) {
+	entries, members := 0, 0
+	for _, pd := range u.pending[:matched] {
+		if !pd.live {
+			continue
 		}
-		// Condition on some child surviving: ∅ becomes an explicit zero
-		// entry and the rest is rescaled to mass one.
-		empty, hasEmpty, total = 0, true, 0
-		for _, s := range survivors {
-			total += s.p
-		}
-		if total <= 0 {
-			return nil, 0, fmt.Errorf("algebra: normalizing ℘'(%s): prob: cannot normalize OPF with mass %v", o, total)
+		entries += pd.len()
+		for _, s := range u.sets[pd.lo:pd.hi] {
+			members += int(s.hi - s.lo)
 		}
 	}
-	members := 0
-	for _, s := range survivors {
-		members += int(s.hi - s.lo)
-	}
-	ids, entries := carve(&u.ids, members), carve(&u.entries, len(survivors)+1)
-	if hasEmpty {
-		entries = append(entries, prob.OPFEntry{Prob: empty})
-	}
-	for _, s := range survivors {
-		at := len(ids)
-		for _, j := range u.runs[s.lo:s.hi] {
-			ids = append(ids, kids[j].ID)
+	u.entries = make([]prob.OPFEntry, 0, entries)
+	u.ids = make([]model.ObjectID, 0, members+len(plan.Kids))
+	for pos, pd := range u.pending[:matched] {
+		if !pd.live {
+			continue
 		}
-		entries = append(entries, prob.OPFEntry{Set: ids[at:len(ids):len(ids)], Prob: s.p / total})
+		kids, es := plan.KidsOf(pos), cut(&u.entries, pd.len())
+		if pd.hasEmpty {
+			es = append(es, prob.OPFEntry{Prob: pd.empty})
+		}
+		for _, s := range u.sets[pd.lo:pd.hi] {
+			ids := cut(&u.ids, int(s.hi-s.lo))
+			for _, j := range u.runs[s.lo:s.hi] {
+				ids = append(ids, kids[j].ID)
+			}
+			es = append(es, prob.OPFEntry{Set: ids, Prob: s.p / pd.total})
+		}
+		u.newOPF[pos] = prob.OPFFromSorted(es)
 	}
-	return prob.OPFFromSorted(entries), eps, nil
 }
 
 // bareRoot returns the root-only probabilistic instance that an empty

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -435,6 +436,13 @@ func decodeBinaryBody(body []byte, in *Interner) (*core.ProbInstance, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Only a body holding U+001F at all has its object ids looked at for it.
+	unitSep := bytes.IndexByte(body, unitSeparator) >= 0
+	if unitSep {
+		if err := checkObjectID(root); err != nil {
+			return nil, err
+		}
+	}
 
 	nTypes, err := c.count(2)
 	if err != nil {
@@ -478,6 +486,11 @@ func decodeBinaryBody(body []byte, in *Interner) (*core.ProbInstance, error) {
 		o, err := c.str(table)
 		if err != nil {
 			return nil, err
+		}
+		if unitSep {
+			if err := checkObjectID(o); err != nil {
+				return nil, err
+			}
 		}
 		ld.AddObject(o)
 		typeRef, err := c.uvarint()
@@ -533,6 +546,11 @@ func decodeBinaryBody(body []byte, in *Interner) (*core.ProbInstance, error) {
 				if children[k], err = c.str(table); err != nil {
 					return nil, err
 				}
+				if unitSep {
+					if err := checkObjectID(children[k]); err != nil {
+						return nil, err
+					}
+				}
 			}
 			// The encoder emits members in canonical (sorted) order, so
 			// FromSorted adopts the slice without a sort or copy.
@@ -560,6 +578,11 @@ func decodeBinaryBody(body []byte, in *Interner) (*core.ProbInstance, error) {
 				for k := range members {
 					if members[k], err = c.str(table); err != nil {
 						return nil, err
+					}
+					if unitSep {
+						if err := checkObjectID(members[k]); err != nil {
+							return nil, err
+						}
 					}
 				}
 				es[j] = prob.OPFEntry{Set: sets.FromSorted(members), Prob: p}

@@ -9,6 +9,9 @@ import (
 
 	"pxml/internal/core"
 	"pxml/internal/fixtures"
+	"pxml/internal/model"
+	"pxml/internal/prob"
+	"pxml/internal/sets"
 )
 
 func roundTripJSON(t testing.TB, pi *core.ProbInstance) *core.ProbInstance {
@@ -170,5 +173,59 @@ func TestTextDeterministic(t *testing.T) {
 	}
 	if !strings.HasPrefix(a.String(), FormatText+"\n") {
 		t.Error("missing header")
+	}
+}
+
+// TestDecodersRefuseUnitSeparatorIDs: sets.Set.Key joins members with
+// U+001F, so an object id holding it — as the root, a child, an OPF member
+// or an object — would let {"a\x1fb"} and {"a","b"} share a key. Every
+// decoder refuses it; a label, type name or value may still hold it.
+func TestDecodersRefuseUnitSeparatorIDs(t *testing.T) {
+	decoders := map[string]func(pi *core.ProbInstance) error{
+		"text": func(pi *core.ProbInstance) error {
+			var buf bytes.Buffer
+			if err := EncodeText(&buf, pi); err != nil {
+				t.Fatal(err)
+			}
+			_, err := DecodeTextBytes(buf.Bytes())
+			return err
+		},
+		"json": func(pi *core.ProbInstance) error {
+			var buf bytes.Buffer
+			if err := EncodeJSON(&buf, pi); err != nil {
+				t.Fatal(err)
+			}
+			_, err := DecodeJSON(&buf)
+			return err
+		},
+		"binary": func(pi *core.ProbInstance) error {
+			_, err := DecodeBinaryBytes(AppendBinary(nil, pi))
+			return err
+		},
+	}
+	build := func(root, child, label, value string) *core.ProbInstance {
+		pi := core.NewProbInstance(root)
+		pi.SetLCh(root, label, child, "b")
+		pi.SetOPF(root, prob.OPFFromSorted([]prob.OPFEntry{{Set: sets.NewSet(child, "b"), Prob: 1}}))
+		if err := pi.RegisterType(model.NewType("t", value)); err != nil {
+			t.Fatal(err)
+		}
+		for _, leaf := range []string{child, "b"} {
+			if err := pi.SetLeafType(leaf, "t"); err != nil {
+				t.Fatal(err)
+			}
+			pi.SetVPF(leaf, prob.PointMass(value))
+		}
+		return pi
+	}
+	for name, decode := range decoders {
+		for _, pi := range []*core.ProbInstance{build("r\x1f", "a", "l", "v"), build("r", "a\x1fb", "l", "v")} {
+			if err := decode(pi); err == nil || !strings.Contains(err.Error(), "U+001F") {
+				t.Errorf("%s: root %q, children %v: err = %v, want a refusal naming U+001F", name, pi.Root(), pi.AllChildren(pi.Root()), err)
+			}
+		}
+		if err := decode(build("r", "a", "l\x1fm", "v\x1fw")); err != nil {
+			t.Errorf("%s: U+001F in a label and a value: %v", name, err)
+		}
 	}
 }

@@ -108,6 +108,27 @@ func EncodeJSON(w io.Writer, pi *core.ProbInstance) error {
 	return enc.Encode(doc)
 }
 
+// checkJSONIDs refuses a document naming an object with an id
+// checkObjectID refuses.
+func checkJSONIDs(doc *jsonDoc) error {
+	ids := []string{doc.Root}
+	for _, jo := range doc.Objects {
+		ids = append(ids, jo.ID)
+		for _, jl := range jo.Children {
+			ids = append(ids, jl.IDs...)
+		}
+		for _, e := range jo.OPF {
+			ids = append(ids, e.Set...)
+		}
+	}
+	for _, id := range ids {
+		if err := checkObjectID(id); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // DecodeJSON reads an instance from its JSON encoding. The result is
 // validated structurally (weak-instance invariants) but not
 // probabilistically; call Validate or ValidateLite on the result as needed.
@@ -122,6 +143,9 @@ func DecodeJSON(r io.Reader) (*core.ProbInstance, error) {
 	}
 	if doc.Root == "" {
 		return nil, fmt.Errorf("codec: missing root")
+	}
+	if err := checkJSONIDs(&doc); err != nil {
+		return nil, err
 	}
 	pi := core.NewProbInstance(doc.Root)
 	for _, t := range doc.Types {

@@ -177,6 +177,9 @@ type textDecoder struct {
 	ld      *core.Loader
 	objects int // estimate, for sizing
 	strs    map[string]string
+	// unitSep is set when the document holds U+001F anywhere, and only then
+	// are a record's object ids looked at for it (see checkObjectID).
+	unitSep bool
 	// lastObject is the id the latest lch, opf, leaf or vpf record named.
 	lastObject model.ObjectID
 	ids        arena[string]
@@ -338,6 +341,7 @@ func (d *textDecoder) decode(raw []byte) (*core.ProbInstance, error) {
 	if got := bytes.TrimSpace(header); string(got) != FormatText {
 		return nil, fmt.Errorf("codec: line 1: unexpected header %q", got)
 	}
+	d.unitSep = bytes.IndexByte(raw, unitSeparator) >= 0
 	for lineNo := 2; pos < len(raw); lineNo++ {
 		var line []byte
 		if line, pos, err = nextLine(raw, pos); err != nil {
@@ -392,6 +396,13 @@ func (d *textDecoder) record(lineNo int, line []byte) error {
 			return bad(string(fields[0]) + " before root")
 		default:
 			return bad("unknown record")
+		}
+	}
+	if d.unitSep {
+		for i, f := range fields {
+			if namesObject(string(fields[0]), i) && bytes.IndexByte(f, unitSeparator) >= 0 {
+				return bad("object id contains U+001F")
+			}
 		}
 	}
 	switch string(fields[0]) {
@@ -468,6 +479,33 @@ func (d *textDecoder) record(lineNo int, line []byte) error {
 		d.ld.AddObject(d.str(fields[1]))
 	default:
 		return bad("unknown record")
+	}
+	return nil
+}
+
+// namesObject reports whether field i of a record of the given kind is an
+// object id.
+func namesObject(kind string, i int) bool {
+	switch kind {
+	case "root", "leaf", "vpf", "obj":
+		return i == 1
+	case "lch":
+		return i == 1 || i >= 5
+	case "opf":
+		return i == 1 || i >= 3
+	}
+	return false
+}
+
+// unitSeparator is the byte sets.Set.Key joins members with: were it part
+// of an object id, {"a\x1fb"} and {"a","b"} would share a key, so every
+// decoder refuses such ids.
+const unitSeparator = 0x1f
+
+// checkObjectID refuses an object id holding unitSeparator.
+func checkObjectID(id string) error {
+	if strings.IndexByte(id, unitSeparator) >= 0 {
+		return fmt.Errorf("codec: object id %q contains U+001F", id)
 	}
 	return nil
 }

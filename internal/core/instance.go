@@ -218,10 +218,10 @@ func (pi *ProbInstance) Rename(m map[model.ObjectID]model.ObjectID) *ProbInstanc
 // ValidateLite checks everything Validate checks except PC membership of
 // OPF support sets, making it safe for instances whose PC(o) would be huge.
 // Specifically: the weak instance is valid and acyclic, every non-leaf
-// object reachable in the weak instance graph has a valid OPF whose support
-// sets are subsets of the object's potential children with per-label counts
-// within card, and every typed leaf has a valid VPF supported on its
-// domain.
+// object has a valid OPF whose support sets are subsets of the object's
+// potential children with per-label counts within card and no VPF, every
+// typed leaf has a valid VPF supported on its domain, and no leaf has an
+// OPF.
 func (pi *ProbInstance) ValidateLite() error { return pi.validate(false) }
 
 // Validate performs the full Definition 3.11 check: ValidateLite plus
@@ -248,6 +248,9 @@ func (pi *ProbInstance) validate(checkPC bool) error {
 			nVPF++
 		}
 		if pi.IsLeaf(o) {
+			if w != nil {
+				return fmt.Errorf("core: leaf %s has an OPF", o)
+			}
 			if t, typed := pi.TypeOf(o); typed {
 				if v == nil {
 					return fmt.Errorf("core: typed leaf %s has no VPF", o)
@@ -272,6 +275,9 @@ func (pi *ProbInstance) validate(checkPC bool) error {
 		if w == nil {
 			return fmt.Errorf("core: non-leaf %s has no OPF", o)
 		}
+		if v != nil {
+			return fmt.Errorf("core: non-leaf %s has a VPF", o)
+		}
 		if err := w.Validate(); err != nil {
 			return fmt.Errorf("core: OPF(%s): %w", o, err)
 		}
@@ -282,13 +288,9 @@ func (pi *ProbInstance) validate(checkPC bool) error {
 	return pi.checkFunctionsInV(nOPF, nVPF)
 }
 
-// supportScratch is what checkOPFSupport reads once per object and reuses
-// across objects: o's labels in sorted order with lch(o,l) and card(o,l)
-// beside them, and one l-child count per label for the set under test.
+// supportScratch is what checkOPFSupport reuses across objects: one
+// l-child count per edge group of o for the set under test.
 type supportScratch struct {
-	labels []model.Label
-	lch    []sets.Set
-	card   []sets.Interval
 	counts []int
 }
 
@@ -301,13 +303,8 @@ type supportScratch struct {
 // c's l-children, and c has a non-child exactly when the counts fall short
 // of |c|; only that failure looks for the member to name.
 func (pi *ProbInstance) checkOPFSupport(o model.ObjectID, w *prob.OPF, checkPC bool, sc *supportScratch) error {
-	sc.labels = pi.appendLabels(sc.labels[:0], o)
-	sc.lch, sc.card, sc.counts = sc.lch[:0], sc.card[:0], sc.counts[:0]
-	for _, l := range sc.labels {
-		sc.lch = append(sc.lch, pi.LCh(o, l))
-		sc.card = append(sc.card, pi.Card(o, l))
-		sc.counts = append(sc.counts, 0)
-	}
+	gs := pi.edges[o]
+	sc.counts = append(sc.counts[:0], make([]int, len(gs))...)
 	var pcKeys map[string]bool
 	if checkPC {
 		pc, err := pi.PotentialChildSets(o, DefaultPCLimit)
@@ -329,8 +326,8 @@ func (pi *ProbInstance) checkOPFSupport(o model.ObjectID, w *prob.OPF, checkPC b
 			return
 		}
 		claimed := 0
-		for i, cs := range sc.lch {
-			sc.counts[i] = c.IntersectLen(cs)
+		for i := range gs {
+			sc.counts[i] = c.IntersectLen(gs[i].kids)
 			claimed += sc.counts[i]
 		}
 		if claimed != c.Len() {
@@ -341,10 +338,11 @@ func (pi *ProbInstance) checkOPFSupport(o model.ObjectID, w *prob.OPF, checkPC b
 				}
 			}
 		}
-		for i, l := range sc.labels {
-			if !sc.card[i].Contains(sc.counts[i]) {
+		for i := range gs {
+			// A card without potential children constrains nothing here.
+			if iv := gs[i].interval(); len(gs[i].kids) > 0 && !iv.Contains(sc.counts[i]) {
 				err = fmt.Errorf("core: OPF(%s) set %s has %d %s-children outside card %v",
-					o, c, sc.counts[i], l, sc.card[i])
+					o, c, sc.counts[i], gs[i].label, iv)
 				return
 			}
 		}

@@ -21,6 +21,10 @@ import (
 // right trade for a decoder fed potentially corrupt bytes.
 type Loader struct {
 	pi *ProbInstance
+	// arena is the chunk every object's edge groups are cut from, and
+	// chunk the size of the next one.
+	arena []edgeGroup
+	chunk int
 }
 
 // NewLoader starts a load of an instance with the given root and an
@@ -35,14 +39,12 @@ func NewLoader(root model.ObjectID, nObjects int) *Loader {
 	half := nObjects/2 + 1
 	w := &WeakInstance{root: root, weakTables: weakTables{
 		objects: make(map[model.ObjectID]struct{}, nObjects),
-		lch:     make(map[model.ObjectID]map[model.Label]sets.Set, half),
-		// Cardinality constraints and default values are sparse in
-		// practice (SetEdges elides the default interval), so their maps
-		// start small and grow only when an instance actually uses them.
-		card:  make(map[model.ObjectID]map[model.Label]sets.Interval),
-		types: make(map[model.TypeName]model.Type),
-		typ:   make(map[model.ObjectID]model.TypeName, half),
-		val:   make(map[model.ObjectID]model.Value),
+		edges:   make(map[model.ObjectID][]edgeGroup, half),
+		types:   make(map[model.TypeName]model.Type),
+		typ:     make(map[model.ObjectID]model.TypeName, half),
+		// Default values are sparse in practice, so their map starts small
+		// and grows only when an instance actually uses one.
+		val: make(map[model.ObjectID]model.Value),
 	}}
 	w.objects[root] = struct{}{}
 	pi := &ProbInstance{
@@ -52,7 +54,7 @@ func NewLoader(root model.ObjectID, nObjects int) *Loader {
 			vpf: make(map[model.ObjectID]*prob.VPF, half),
 		}},
 	}
-	return &Loader{pi: pi}
+	return &Loader{pi: pi, chunk: half}
 }
 
 // AddObject inserts an object into V.
@@ -79,39 +81,55 @@ func (ld *Loader) SetDefaultValue(o model.ObjectID, v model.Value) error {
 	return ld.pi.SetDefaultValue(o, v)
 }
 
-// SetEdges assigns lch(o, l) = children and card(o, l) = [min, max] in one
+// SetEdges assigns lch(o, l) = children and card(o, l) = [lo, hi] in one
 // step, replacing whatever an earlier call recorded for (o, l). The set is
 // adopted as-is (it must be canonical) and children are not implicitly
 // added to V. An empty set removes lch(o, l), as WeakInstance.SetLCh does,
 // and still records the interval.
-func (ld *Loader) SetEdges(o model.ObjectID, l model.Label, children sets.Set, min, max int) {
-	w := ld.pi.WeakInstance
-	lm := w.lch[o]
-	if children.IsEmpty() {
-		delete(lm, l)
-		if lm != nil && len(lm) == 0 {
-			delete(w.lch, o)
-		}
-	} else {
-		if lm == nil {
-			lm = make(map[model.Label]sets.Set, 2)
-			w.lch[o] = lm
-		}
-		lm[l] = children
+//
+// The instance is nobody else's until Instance returns, so unlike the
+// WeakInstance mutators SetEdges writes o's groups in place, cut from one
+// arena (see room).
+func (ld *Loader) SetEdges(o model.ObjectID, l model.Label, children sets.Set, lo, hi int) {
+	g := edgeGroup{label: l}
+	if !children.IsEmpty() {
+		g.kids = children
 	}
-	cm := w.card[o]
-	if min == 0 && max == children.Len() {
-		// The default interval Card() reconstructs on lookup; storing it
-		// would only burn a map entry per edge group. An interval an earlier
-		// call stored must not outlive that call's set, though.
-		delete(cm, l)
-		return
+	// The default interval is what Card reconstructs; it is not stored, and
+	// an interval an earlier call stored does not outlive that call's set.
+	if lo != 0 || hi != children.Len() {
+		g.card, g.hasCard = sets.Interval{Min: lo, Max: hi}, true
 	}
-	if cm == nil {
-		cm = make(map[model.Label]sets.Interval, 2)
-		w.card[o] = cm
+	ld.pi.setGroups(o, withGroup(ld.room(ld.pi.edges[o]), g))
+}
+
+// room returns gs, o's groups, with room for one more. The groups cut last
+// grow in place at the end of the arena — an object's records are usually
+// adjacent — and others move to a cut twice their size, so an object given
+// k labels costs O(k) however its records are interleaved.
+func (ld *Loader) room(gs []edgeGroup) []edgeGroup {
+	n, end := len(gs), len(ld.arena)
+	switch {
+	case n < cap(gs):
+		return gs
+	case n > 0 && end < cap(ld.arena) && &gs[n-1] == &ld.arena[end-1]:
+		ld.arena = ld.arena[:end+1]
+		return ld.arena[end-n : end : end+1]
 	}
-	cm[l] = sets.Interval{Min: min, Max: max}
+	return append(ld.carve(max(1, 2*n)), gs...)
+}
+
+// carve cuts a zero-length slice with room for exactly n groups from the
+// arena, starting a chunk twice the size of the last when the current one
+// cannot hold them.
+func (ld *Loader) carve(n int) []edgeGroup {
+	if cap(ld.arena)-len(ld.arena) < n {
+		ld.arena = make([]edgeGroup, 0, max(n, ld.chunk))
+		ld.chunk *= 2
+	}
+	at := len(ld.arena)
+	ld.arena = ld.arena[:at+n]
+	return ld.arena[at : at : at+n]
 }
 
 // SetOPF assigns ℘(o) for a non-leaf object.

@@ -1,11 +1,14 @@
 package core_test
 
 import (
+	"bytes"
+	"regexp"
 	"strings"
 	"testing"
 
 	"pxml/internal/codec"
 	"pxml/internal/core"
+	"pxml/internal/gen"
 	"pxml/internal/model"
 	"pxml/internal/prob"
 	"pxml/internal/sets"
@@ -64,6 +67,12 @@ func TestValidateLiteRejections(t *testing.T) {
 			want: `core: VPF(x) supports value "c" outside dom(t)`},
 		{name: "typed non-leaf", make: typedNonLeaf,
 			want: `core: non-leaf object r carries leaf type "t"`},
+		{name: "OPF on a leaf",
+			doc:  "root r\nlch r l 1 1 x\nopf r 1 x\nopf x 1\n",
+			want: "core: leaf x has an OPF"},
+		{name: "VPF on a non-leaf",
+			doc:  "root r\ntype t a\nlch r l 1 1 x\nopf r 1 x\nvpf r 1 a\nleaf x t\nvpf x 1 a\n",
+			want: "core: non-leaf r has a VPF"},
 		{name: "untyped leaf with a VPF",
 			doc:  "root r\nlch r l 1 1 x\nopf r 1 x\nvpf x 1 a\n",
 			want: "core: untyped leaf x has a VPF"},
@@ -107,17 +116,15 @@ func TestValidateLiteRejections(t *testing.T) {
 	}
 }
 
-// TestValidateLiteAcceptsMisplacedFunctions: an OPF on a leaf and a VPF on
-// a non-leaf are ignored, not rejected; both are objects of V and both are
-// persisted. (Whether they should be rejected is open, see DESIGN §20.)
-func TestValidateLiteAcceptsMisplacedFunctions(t *testing.T) {
-	pi := decode(t, "root r\ntype t a\nlch r l 1 1 x\nopf r 1 x\nvpf r 1 a\nleaf x t\nvpf x 1 a\nopf x 1\n")
-	if err := pi.ValidateLite(); err != nil {
-		t.Fatal(err)
-	}
-	// A nil assignment is no function at all.
+// TestValidateLiteAcceptsNilFunctions: a nil assignment is no function at
+// all — not one outside V, and not an OPF on a leaf or a VPF on a non-leaf
+// (TestValidateLiteRejections has those).
+func TestValidateLiteAcceptsNilFunctions(t *testing.T) {
+	pi := decode(t, "root r\ntype t a\nlch r l 1 1 x\nopf r 1 x\nleaf x t\nvpf x 1 a\n")
 	pi.SetOPF("nobody", nil)
 	pi.SetVPF("nobody", nil)
+	pi.SetOPF("x", nil)
+	pi.SetVPF("r", nil)
 	if err := pi.ValidateLite(); err != nil {
 		t.Fatal(err)
 	}
@@ -262,5 +269,32 @@ func TestLoaderSetEdges(t *testing.T) {
 	}
 	if err := pi.ValidateLite(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodeMakesNoMapPerParent: the lch records of a 341-object tree (85
+// parents) cost the text decoder a handful of allocations — label strings,
+// the chunks child sets and edge groups are cut from — and nothing per
+// parent: 5 measured. With lch and card as maps of maps they cost 174, two
+// small maps per parent.
+func TestDecodeMakesNoMapPerParent(t *testing.T) {
+	in, err := gen.Generate(gen.Config{Depth: 4, Branch: 4, Labeling: gen.FR, LeafDomainSize: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if err := codec.EncodeText(&doc, in.PI); err != nil {
+		t.Fatal(err)
+	}
+	// Without its lch records the document still decodes (the decoder
+	// checks structure only) and interns the same ids.
+	noLch := regexp.MustCompile(`(?m)^lch .*\n`).ReplaceAll(doc.Bytes(), nil)
+	if _, err := codec.DecodeTextBytes(noLch); err != nil {
+		t.Fatal(err)
+	}
+	with := testing.AllocsPerRun(10, func() { _, _ = codec.DecodeTextBytes(doc.Bytes()) })
+	without := testing.AllocsPerRun(10, func() { _, _ = codec.DecodeTextBytes(noLch) })
+	if lch := with - without; lch > 16 {
+		t.Errorf("lch records of %d objects cost %v allocations, want at most 16", in.PI.NumObjects(), lch)
 	}
 }

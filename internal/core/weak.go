@@ -26,6 +26,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -88,11 +89,88 @@ type structMemo struct {
 // overlay can share them and Clone/own can copy them in one step.
 type weakTables struct {
 	objects map[model.ObjectID]struct{}
-	lch     map[model.ObjectID]map[model.Label]sets.Set
-	card    map[model.ObjectID]map[model.Label]sets.Interval
-	types   map[model.TypeName]model.Type
-	typ     map[model.ObjectID]model.TypeName
-	val     map[model.ObjectID]model.Value
+	// edges holds lch and card: per object, one group per label, sorted by
+	// label. A slice stored here is never written again — a mutator stores a
+	// fresh one — so copying the map copies the tables (DESIGN §25).
+	edges map[model.ObjectID][]edgeGroup
+	types map[model.TypeName]model.Type
+	typ   map[model.ObjectID]model.TypeName
+	val   map[model.ObjectID]model.Value
+}
+
+// edgeGroup is lch(o, label) with card(o, label) when one was set. A group
+// without kids keeps a card set for a label that has no potential children;
+// a group with neither is not stored, nor is the default interval.
+type edgeGroup struct {
+	label   model.Label
+	kids    sets.Set
+	card    sets.Interval
+	hasCard bool
+}
+
+// interval is card(o, label): the stored one, or the default [0, |kids|].
+func (g *edgeGroup) interval() sets.Interval {
+	if g.hasCard {
+		return g.card
+	}
+	return sets.Interval{Min: 0, Max: g.kids.Len()}
+}
+
+// findGroup returns where the group for l is, or would be inserted, in gs.
+func findGroup(gs []edgeGroup, l model.Label) (int, bool) {
+	return slices.BinarySearchFunc(gs, l, func(g edgeGroup, l model.Label) int { return strings.Compare(g.label, l) })
+}
+
+// hasKids reports whether some group of gs has potential children.
+func hasKids(gs []edgeGroup) bool {
+	for i := range gs {
+		if len(gs[i].kids) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// group returns o's group for l; nil when there is none.
+func (t *weakTables) group(o model.ObjectID, l model.Label) *edgeGroup {
+	gs := t.edges[o]
+	if i, ok := findGroup(gs, l); ok {
+		return &gs[i]
+	}
+	return nil
+}
+
+// withGroup returns gs with g in place of the group for g.label: inserted
+// in label order when gs has none, removed when g holds neither kids nor a
+// card. It writes gs's array, so a caller whose gs may be shared passes a
+// copy.
+func withGroup(gs []edgeGroup, g edgeGroup) []edgeGroup {
+	i, found := findGroup(gs, g.label)
+	switch keep := len(g.kids) > 0 || g.hasCard; {
+	case found && keep:
+		gs[i] = g
+	case found:
+		gs = slices.Delete(gs, i, i+1)
+	case keep:
+		gs = slices.Insert(gs, i, g)
+	}
+	return gs
+}
+
+// setGroups records gs as o's groups; no groups, no entry.
+func (t *weakTables) setGroups(o model.ObjectID, gs []edgeGroup) {
+	if len(gs) == 0 {
+		delete(t.edges, o)
+	} else {
+		t.edges[o] = gs
+	}
+}
+
+// putGroup is withGroup on o's groups for the mutators: the stored slice
+// is a new one, and the one it replaces, which an overlay or a clone may
+// share, is not written.
+func (t *weakTables) putGroup(o model.ObjectID, g edgeGroup) {
+	t.setGroups(o, withGroup(slices.Clone(t.edges[o]), g))
 }
 
 // NewWeakInstance returns a weak instance containing only the root object.
@@ -101,8 +179,7 @@ func NewWeakInstance(root model.ObjectID) *WeakInstance {
 		root: root,
 		weakTables: weakTables{
 			objects: make(map[model.ObjectID]struct{}),
-			lch:     make(map[model.ObjectID]map[model.Label]sets.Set),
-			card:    make(map[model.ObjectID]map[model.Label]sets.Interval),
+			edges:   make(map[model.ObjectID][]edgeGroup),
 			types:   make(map[model.TypeName]model.Type),
 			typ:     make(map[model.ObjectID]model.TypeName),
 			val:     make(map[model.ObjectID]model.Value),
@@ -204,49 +281,42 @@ func (w *WeakInstance) SetLCh(o model.ObjectID, l model.Label, children ...model
 	w.own()
 	w.invalidateGraph()
 	w.AddObject(o)
-	if len(children) == 0 {
-		if m := w.lch[o]; m != nil {
-			delete(m, l)
-			if len(m) == 0 {
-				delete(w.lch, o)
-			}
-		}
-		return
-	}
 	for _, c := range children {
 		w.AddObject(c)
 	}
-	if w.lch[o] == nil {
-		w.lch[o] = make(map[model.Label]sets.Set)
+	g := edgeGroup{label: l, kids: sets.NewSet(children...)}
+	if old := w.group(o, l); old != nil {
+		g.card, g.hasCard = old.card, old.hasCard
 	}
-	w.lch[o][l] = sets.NewSet(children...)
+	w.putGroup(o, g)
 }
 
 // LCh returns lch(o, l); nil when empty.
 func (w *WeakInstance) LCh(o model.ObjectID, l model.Label) sets.Set {
-	return w.lch[o][l]
+	if g := w.group(o, l); g != nil {
+		return g.kids
+	}
+	return nil
 }
 
 // Labels returns the labels under which o has potential children, sorted.
 func (w *WeakInstance) Labels(o model.ObjectID) []model.Label {
-	return w.appendLabels(make([]model.Label, 0, len(w.lch[o])), o)
-}
-
-// appendLabels is Labels into a caller-owned buffer.
-func (w *WeakInstance) appendLabels(dst []model.Label, o model.ObjectID) []model.Label {
-	for l := range w.lch[o] {
-		dst = append(dst, l)
+	gs := w.edges[o]
+	out := make([]model.Label, 0, len(gs))
+	for i := range gs {
+		if len(gs[i].kids) > 0 {
+			out = append(out, gs[i].label)
+		}
 	}
-	sort.Strings(dst)
-	return dst
+	return out
 }
 
 // AllChildren returns the union of lch(o, l) over all labels: every object
 // that may be a child of o.
 func (w *WeakInstance) AllChildren(o model.ObjectID) sets.Set {
 	var u sets.Set
-	for _, l := range w.Labels(o) {
-		u = u.Union(w.lch[o][l])
+	for _, g := range w.edges[o] {
+		u = u.Union(g.kids)
 	}
 	return u
 }
@@ -256,14 +326,12 @@ func (w *WeakInstance) AllChildren(o model.ObjectID) sets.Set {
 // Uniqueness is guaranteed by Validate's label-disjointness check; on an
 // instance that fails it the smallest matching label is returned.
 func (w *WeakInstance) LabelOf(o, child model.ObjectID) (model.Label, bool) {
-	var best model.Label
-	found := false
-	for l, cs := range w.lch[o] {
-		if (!found || l < best) && cs.Contains(child) {
-			best, found = l, true
+	for _, g := range w.edges[o] {
+		if g.kids.Contains(child) {
+			return g.label, true
 		}
 	}
-	return best, found
+	return "", false
 }
 
 // SetCard sets card(o, l) = [min, max] (Definition 3.4 item 5).
@@ -271,31 +339,27 @@ func (w *WeakInstance) SetCard(o model.ObjectID, l model.Label, min, max int) {
 	w.own()
 	w.invalidateGraph()
 	w.AddObject(o)
-	if w.card[o] == nil {
-		w.card[o] = make(map[model.Label]sets.Interval)
+	g := edgeGroup{label: l, card: sets.Interval{Min: min, Max: max}, hasCard: true}
+	if old := w.group(o, l); old != nil {
+		g.kids = old.kids
 	}
-	w.card[o][l] = sets.Interval{Min: min, Max: max}
+	w.putGroup(o, g)
 }
 
 // Card returns card(o, l). When no interval has been set the default is
 // [0, |lch(o, l)|] — the "no cardinality constraint" regime the paper's
 // experiments use.
 func (w *WeakInstance) Card(o model.ObjectID, l model.Label) sets.Interval {
-	if iv, ok := w.card[o][l]; ok {
-		return iv
+	if g := w.group(o, l); g != nil {
+		return g.interval()
 	}
-	return sets.Interval{Min: 0, Max: w.lch[o][l].Len()}
+	return sets.Interval{}
 }
 
 // IsLeaf reports whether o is a leaf of the weak instance: it has no
 // potential children under any label.
 func (w *WeakInstance) IsLeaf(o model.ObjectID) bool {
-	for _, s := range w.lch[o] {
-		if s.Len() > 0 {
-			return false
-		}
-	}
-	return true
+	return !hasKids(w.edges[o])
 }
 
 // RegisterType records a leaf type so objects can reference it by name.
@@ -372,7 +436,7 @@ func (w *WeakInstance) DefaultValue(o model.ObjectID) (model.Value, bool) {
 // Definition 3.5: subsets of lch(o, l) whose cardinality lies within
 // card(o, l).
 func (w *WeakInstance) PotentialLChildSets(o model.ObjectID, l model.Label) []sets.Set {
-	return sets.BoundedSubsets(w.lch[o][l], w.Card(o, l))
+	return sets.BoundedSubsets(w.LCh(o, l), w.Card(o, l))
 }
 
 // PotentialChildSets returns PC(o), the potential child sets of Definition
@@ -383,17 +447,20 @@ func (w *WeakInstance) PotentialChildSets(o model.ObjectID, limit int) ([]sets.S
 	if limit <= 0 {
 		limit = DefaultPCLimit
 	}
-	labels := w.Labels(o)
+	gs := w.edges[o]
 	total := 1
-	fams := make([]sets.Family, 0, len(labels))
-	for _, l := range labels {
-		n := w.lch[o][l].Len()
-		cnt := sets.CountBoundedSubsets(n, w.Card(o, l), limit)
+	fams := make([]sets.Family, 0, len(gs))
+	for i := range gs {
+		g := &gs[i]
+		if len(g.kids) == 0 {
+			continue
+		}
+		cnt := sets.CountBoundedSubsets(len(g.kids), g.interval(), limit)
 		if total*cnt > limit {
 			return nil, fmt.Errorf("core: PC(%s) exceeds limit %d", o, limit)
 		}
 		total *= cnt
-		fams = append(fams, sets.Family(w.PotentialLChildSets(o, l)))
+		fams = append(fams, sets.Family(sets.BoundedSubsets(g.kids, g.interval())))
 	}
 	return sets.UnionProduct(fams), nil
 }
@@ -406,10 +473,13 @@ func (w *WeakInstance) PCSize(o model.ObjectID, limit int) int {
 	if limit <= 0 {
 		limit = DefaultPCLimit
 	}
-	total := 1
-	for _, l := range w.Labels(o) {
-		n := w.lch[o][l].Len()
-		cnt := sets.CountBoundedSubsets(n, w.Card(o, l), limit)
+	gs, total := w.edges[o], 1
+	for i := range gs {
+		g := &gs[i]
+		if len(g.kids) == 0 {
+			continue
+		}
+		cnt := sets.CountBoundedSubsets(len(g.kids), g.interval(), limit)
 		if cnt > limit || total > limit/max(cnt, 1) {
 			return limit + 1
 		}
@@ -457,30 +527,33 @@ func (w *WeakInstance) buildGraph() *graph.Graph {
 	for o := range w.objects {
 		g.AddNode(o)
 	}
-	for o, m := range w.lch {
-		cm := w.card[o]
-		// A label whose minimum exceeds its potential children has no
-		// potential l-child set at all, which annihilates PC(o).
-		satisfiable := true
-		for l, iv := range cm {
-			if cs, labeled := m[l]; labeled && iv.Min > cs.Len() {
-				satisfiable = false
-			}
-		}
-		if !satisfiable {
+	for o, gs := range w.edges {
+		if !satisfiable(gs) {
 			continue
 		}
-		for l, cs := range m {
-			if iv, ok := cm[l]; ok && iv.Max < 1 {
+		for _, eg := range gs {
+			if eg.hasCard && eg.card.Max < 1 {
 				continue
 			}
-			for _, c := range cs {
+			for _, c := range eg.kids {
 				// Relabel conflicts surface in Validate; ignore here.
-				_ = g.AddEdge(o, c, l)
+				_ = g.AddEdge(o, c, eg.label)
 			}
 		}
 	}
 	return g
+}
+
+// satisfiable reports whether every label of gs has a potential l-child
+// set: one whose minimum exceeds its potential children has none, which
+// annihilates PC(o).
+func satisfiable(gs []edgeGroup) bool {
+	for _, g := range gs {
+		if len(g.kids) > 0 && g.hasCard && g.card.Min > len(g.kids) {
+			return false
+		}
+	}
+	return true
 }
 
 // CheckAcyclic reports an error when the weak instance graph contains a
@@ -533,40 +606,43 @@ func (w *WeakInstance) validate() error {
 		return fmt.Errorf("core: root %s not in V", w.root)
 	}
 	seen := make(map[model.ObjectID]model.Label)
-	for o, m := range w.lch {
-		if _, ok := w.objects[o]; !ok {
+	// Every lch error is reported ahead of any card error.
+	var cardErr error
+	for o, gs := range w.edges {
+		if _, ok := w.objects[o]; !ok && hasKids(gs) {
 			return fmt.Errorf("core: lch parent %s not in V", o)
 		}
 		// Cross-label duplicates need the seen map; within one label the
 		// canonical Set is already duplicate-free, so single-label objects
 		// (the common case) skip the bookkeeping entirely.
-		multi := len(m) > 1
+		multi := len(gs) > 1
 		if multi {
 			clear(seen)
 		}
-		for l, cs := range m {
-			for _, c := range cs {
+		for _, g := range gs {
+			if g.hasCard && cardErr == nil {
+				if err := g.card.Validate(); err != nil {
+					cardErr = fmt.Errorf("core: card(%s,%s): %w", o, g.label, err)
+				}
+			}
+			for _, c := range g.kids {
 				if _, ok := w.objects[c]; !ok {
-					return fmt.Errorf("core: lch(%s,%s) child %s not in V", o, l, c)
+					return fmt.Errorf("core: lch(%s,%s) child %s not in V", o, g.label, c)
 				}
 				if c == w.root {
-					return fmt.Errorf("core: root %s appears in lch(%s,%s)", w.root, o, l)
+					return fmt.Errorf("core: root %s appears in lch(%s,%s)", w.root, o, g.label)
 				}
 				if multi {
 					if prev, dup := seen[c]; dup {
-						return fmt.Errorf("core: object %s is a potential child of %s under labels %q and %q", c, o, prev, l)
+						return fmt.Errorf("core: object %s is a potential child of %s under labels %q and %q", c, o, prev, g.label)
 					}
-					seen[c] = l
+					seen[c] = g.label
 				}
 			}
 		}
 	}
-	for o, m := range w.card {
-		for l, iv := range m {
-			if err := iv.Validate(); err != nil {
-				return fmt.Errorf("core: card(%s,%s): %w", o, l, err)
-			}
-		}
+	if cardErr != nil {
+		return cardErr
 	}
 	for o, tn := range w.typ {
 		if _, ok := w.types[tn]; !ok {
@@ -588,30 +664,22 @@ func (w *WeakInstance) validate() error {
 	return nil
 }
 
-// Clone returns a deep copy of the weak instance. Child sets are shared
-// (immutable by convention); maps are copied.
+// Clone returns a deep copy of the weak instance. Edge groups, child sets
+// and types are shared (never written once stored); maps are copied.
 func (w *WeakInstance) Clone() *WeakInstance {
 	return &WeakInstance{root: w.root, weakTables: w.weakTables.clone()}
 }
 
-// clone copies every map, including the per-object label maps the mutators
-// write into; child sets and types are immutable values and stay shared.
+// clone copies every map. Nothing below them needs copying: the mutators
+// replace an object's group slice instead of writing into it.
 func (t weakTables) clone() weakTables {
-	c := weakTables{
+	return weakTables{
 		objects: maps.Clone(t.objects),
-		lch:     make(map[model.ObjectID]map[model.Label]sets.Set, len(t.lch)),
-		card:    make(map[model.ObjectID]map[model.Label]sets.Interval, len(t.card)),
+		edges:   maps.Clone(t.edges),
 		types:   maps.Clone(t.types),
 		typ:     maps.Clone(t.typ),
 		val:     maps.Clone(t.val),
 	}
-	for o, m := range t.lch {
-		c.lch[o] = maps.Clone(m)
-	}
-	for o, m := range t.card {
-		c.card[o] = maps.Clone(m)
-	}
-	return c
 }
 
 // Rename returns a copy of the weak instance with object identifiers
@@ -628,23 +696,17 @@ func (w *WeakInstance) Rename(m map[model.ObjectID]model.ObjectID) *WeakInstance
 	for o := range w.objects {
 		c.objects[rn(o)] = struct{}{}
 	}
-	for o, lm := range w.lch {
-		cm := make(map[model.Label]sets.Set, len(lm))
-		for l, s := range lm {
-			ids := make([]string, s.Len())
-			for i, id := range s {
-				ids[i] = rn(id)
+	for o, gs := range w.edges {
+		// Labels are not renamed, so the groups stay in label order.
+		cgs := slices.Clone(gs)
+		for i, g := range cgs {
+			ids := make([]string, g.kids.Len())
+			for j, id := range g.kids {
+				ids[j] = rn(id)
 			}
-			cm[l] = sets.NewSet(ids...)
+			cgs[i].kids = sets.NewSet(ids...)
 		}
-		c.lch[rn(o)] = cm
-	}
-	for o, lm := range w.card {
-		cm := make(map[model.Label]sets.Interval, len(lm))
-		for l, iv := range lm {
-			cm[l] = iv
-		}
-		c.card[rn(o)] = cm
+		c.edges[rn(o)] = cgs
 	}
 	for k, v := range w.types {
 		c.types[k] = v
@@ -656,11 +718,4 @@ func (w *WeakInstance) Rename(m map[model.ObjectID]model.ObjectID) *WeakInstance
 		c.val[rn(k)] = v
 	}
 	return c
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

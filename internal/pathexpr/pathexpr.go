@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"pxml/internal/graph"
 	"pxml/internal/model"
@@ -133,24 +134,20 @@ func NewPlan(g *graph.Graph, p Path, targets map[model.ObjectID]bool) Plan {
 
 	// Forward: every object the label sequence reaches, level by level;
 	// reached[start[i]:start[i+1]] is level i.
-	type candidate struct {
-		id   model.ObjectID
-		arcs []graph.Arc // the edges the next step may follow
-		// below[first+k] is where arcs[k].To sits in reached.
-		first int32
-		// pos is the object's position in the plan, -1 when it is not kept.
-		pos int32
-	}
-	reached := make([]candidate, 1, 64)
-	reached[0].id = p.Root
+	wk := walkPool.Get().(*walk)
+	reached := append(wk.reached[:0], candidate{id: p.Root})
+	below := wk.below[:0]
+	defer func() { wk.release(reached, below) }()
 	start := make([]int32, n+2)
 	start[1] = 1
-	below := make([]int32, 0, 64)
 	// In a forest no object is reached twice. Elsewhere seen finds the
 	// level's earlier occurrence; nil, it never does.
 	var seen map[model.ObjectID]int32
 	if !idx.Forest() {
-		seen = make(map[model.ObjectID]int32)
+		if wk.seen == nil {
+			wk.seen = make(map[model.ObjectID]int32)
+		}
+		seen = wk.seen
 	}
 	for i, l := range p.Labels {
 		clear(seen)
@@ -240,6 +237,46 @@ func NewPlan(g *graph.Graph, p Path, targets map[model.ObjectID]bool) Plan {
 	start[n+1] = int32(len(pl.Nodes))
 	pl.level = start
 	return pl
+}
+
+// candidate is an object the forward walk reached at one depth.
+type candidate struct {
+	id   model.ObjectID
+	arcs []graph.Arc // the edges the next step may follow
+	// below[first+k] is where arcs[k].To sits in reached.
+	first int32
+	// pos is the object's position in the plan, -1 when it is not kept.
+	pos int32
+}
+
+// walk is NewPlan's scratch: the candidates, where each arc's target sits
+// among them, and (off a forest) the map that finds a level's earlier
+// occurrence of an object. None of it escapes into a plan, so one call
+// hands it to the next through walkPool (DESIGN §25).
+type walk struct {
+	reached []candidate
+	below   []int32
+	seen    map[model.ObjectID]int32
+}
+
+var walkPool = sync.Pool{New: func() any { return new(walk) }}
+
+// maxPooledWalk is the most candidates a walk may hold room for and still
+// be pooled: a walk over a huge instance is left to the collector rather
+// than kept resident behind small ones.
+const maxPooledWalk = 1 << 13
+
+// release returns wk to walkPool with the slices a call grew it to, holding
+// no reference into any graph or instance, or drops it when it grew past
+// maxPooledWalk. Every candidate of a pooled walk is zero.
+func (wk *walk) release(reached []candidate, below []int32) {
+	if cap(reached) > maxPooledWalk {
+		return
+	}
+	clear(reached)
+	clear(wk.seen)
+	wk.reached, wk.below = reached, below
+	walkPool.Put(wk)
 }
 
 // IsEmpty reports whether no object matched the expression (the projection

@@ -3,6 +3,8 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"pxml/internal/gen"
@@ -51,10 +53,15 @@ func BenchmarkPointQuery(b *testing.B) {
 
 // TestPointQueryAllocations pins the ε lane's allocations for a depth-4
 // chain on the 341-object SL tree: the plan's slices, ε by position and the
-// one-entry target set, nothing per OPF entry. The flat plan measured 7;
-// the map-keyed plan it replaced allocated 134 times, a copy of every OPF
-// the chain reads among them.
+// one-entry target set, nothing per OPF entry. With the plan's walk reused
+// it measures 5; the flat plan with a fresh walk per call measured 7, and the
+// map-keyed plan before it 134, a copy of every OPF the chain reads among
+// them. The race detector drops pooled walks at random, so the test does
+// not run under it.
 func TestPointQueryAllocations(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts under -race are not the program's")
+	}
 	in, err := gen.Generate(gen.Config{Depth: 4, Branch: 4, Labeling: gen.SL, LeafDomainSize: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -64,8 +71,14 @@ func TestPointQueryAllocations(t *testing.T) {
 	if !ok {
 		t.Fatal("no satisfiable selection")
 	}
-	const ceiling = 8 // 20 % above the 7 measured
+	const ceiling = 6 // 20 % above the 5 measured
 	if allocs := testing.AllocsPerRun(50, func() { benchSink, _ = PointQuery(in.PI, p, o) }); allocs > ceiling {
 		t.Errorf("PointQuery allocates %v times, want at most %d", allocs, ceiling)
 	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }

@@ -96,6 +96,48 @@ func TestPutRejectsFunctionOutsideV(t *testing.T) {
 	}
 }
 
+// TestPutRejectsMisplacedFunctions: an OPF on a leaf and a VPF on a
+// non-leaf used to be stored and then ignored by every reader; each makes
+// the instance invalid, named in the message.
+func TestPutRejectsMisplacedFunctions(t *testing.T) {
+	s, ts := newTestServer(t)
+	for _, tc := range []struct{ what, doc, say string }{
+		{"OPF on a leaf", "pxml/1\nroot r\nlch r l 1 1 x\nopf r 1 x\nopf x 1\n", "leaf x has an OPF"},
+		{"VPF on a non-leaf", "pxml/1\nroot r\ntype t a\nlch r l 1 1 x\nopf r 1 x\nvpf r 1 a\nleaf x t\nvpf x 1 a\n", "non-leaf r has a VPF"},
+	} {
+		t.Run(tc.what, func(t *testing.T) {
+			resp, body := do(t, "PUT", ts.URL+"/v1/instances/m", tc.doc, "text/plain")
+			e := apiv1.ErrorFromBody(resp.StatusCode, []byte(body))
+			if resp.StatusCode != http.StatusUnprocessableEntity || e.Code != apiv1.CodeInvalidInstance || !strings.Contains(e.Message, tc.say) {
+				t.Errorf("status %d, error %q %q; want 422 invalid_instance saying %q", resp.StatusCode, e.Code, e.Message, tc.say)
+			}
+			if _, ok := s.Get("m"); ok {
+				t.Error("the rejected instance was installed")
+			}
+		})
+	}
+}
+
+// TestPutRefusesUnitSeparatorIDs: an object id holding U+001F, the byte
+// sets.Set.Key joins members with, is refused by the decoder like any other
+// malformed body, in text and in JSON.
+func TestPutRefusesUnitSeparatorIDs(t *testing.T) {
+	s, ts := newTestServer(t)
+	for _, tc := range []struct{ contentType, doc string }{
+		{"text/plain", "pxml/1\nroot r\nlch r l 0 2 a b\nobj a\x1fb\nopf r 0.5 a\x1fb\nopf r 0.5 a b\n"},
+		{"application/json", `{"format":"pxml-json/1","root":"r","objects":[{"id":"r","children":[{"label":"l","ids":["a\u001fb"]}],"opf":[{"set":["a\u001fb"],"p":1}]}]}`},
+	} {
+		resp, body := do(t, "PUT", ts.URL+"/v1/instances/us", tc.doc, tc.contentType)
+		e := apiv1.ErrorFromBody(resp.StatusCode, []byte(body))
+		if resp.StatusCode != http.StatusBadRequest || e.Code != apiv1.CodeInvalidRequest || !strings.Contains(e.Message, "U+001F") {
+			t.Errorf("%s: status %d, error %q %q; want 400 invalid_request naming U+001F", tc.contentType, resp.StatusCode, e.Code, e.Message)
+		}
+		if _, ok := s.Get("us"); ok {
+			t.Errorf("%s: the refused instance was installed", tc.contentType)
+		}
+	}
+}
+
 // TestPutServesWhatItAlwaysServed pins the bytes a PUT turns into: the text
 // GET returns and the binary record a reopened store decodes to are, for a
 // body in the encoder's order and for the same lines shuffled, the bytes the
