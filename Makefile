@@ -71,6 +71,7 @@ bench-smoke:
 	$(BENCH_SMOKE) -bench QueryPoint ./internal/engine
 	$(BENCH_SMOKE) -bench 'Select|AncestorProject' ./internal/algebra
 	$(BENCH_SMOKE) -bench PointQuery ./internal/query
+	$(BENCH_SMOKE) -bench 'InferDAG|TreePath' ./internal/bayes
 	$(BENCH_SMOKE) -bench 'Encode|Decode' ./internal/codec
 	$(BENCH_SMOKE) -bench 'FollowerFanout|CachedHit|QueryMiss' ./internal/server
 
@@ -163,11 +164,15 @@ fuzz-smoke:
 	$(GO) test ./internal/pathexpr -run '^$$' -fuzz FuzzPlanDifferential -fuzztime 10s
 	$(GO) test ./internal/pxql -run '^$$' -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzAppendQueryResponse -fuzztime 10s
+	$(GO) test ./internal/bayes -run '^$$' -fuzz FuzzEliminateDifferential -fuzztime 10s
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzScanFrames -fuzztime 10s
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s
 
-# Short fuzz passes over the codecs, the weak-instance tables and the plan
-# builder (each against what it replaced), the path-expression parser, the
-# pxql parser and shape classifier, and the query response encoder (against
-# encoding/json).
+# Short fuzz passes over the codecs, the weak-instance tables, the plan
+# builder and variable elimination (each against what it replaced), the
+# path-expression parser, the pxql parser and shape classifier, the query
+# response encoder (against encoding/json), and the store's frame scanner
+# and record decoder.
 fuzz:
 	$(GO) test ./internal/codec -fuzz 'FuzzDecodeText$$' -fuzztime 30s
 	$(GO) test ./internal/codec -fuzz FuzzDecodeTextDifferential -fuzztime 30s
@@ -178,6 +183,9 @@ fuzz:
 	$(GO) test ./internal/pathexpr -fuzz FuzzPlanDifferential -fuzztime 30s
 	$(GO) test ./internal/pxql -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzAppendQueryResponse -fuzztime 30s
+	$(GO) test ./internal/bayes -run '^$$' -fuzz FuzzEliminateDifferential -fuzztime 30s
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzScanFrames -fuzztime 30s
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 30s
 
 cover:
 	$(GO) test -cover ./...

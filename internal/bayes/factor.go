@@ -12,9 +12,8 @@
 package bayes
 
 import (
-	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pxml/internal/govern"
 )
@@ -36,6 +35,12 @@ func NewFactor(vars []int, card []int) *Factor {
 	if len(vars) != len(card) {
 		panic("bayes: vars/card length mismatch")
 	}
+	return (*arena)(nil).newFactor(vars, card)
+}
+
+// tableSize returns the number of cells of a table with the given
+// cardinalities.
+func tableSize(card []int) int {
 	size := 1
 	for _, c := range card {
 		if c <= 0 {
@@ -48,11 +53,7 @@ func NewFactor(vars []int, card []int) *Factor {
 		}
 		size *= c
 	}
-	n := len(vars)
-	ints := make([]int, 2*n)
-	copy(ints, vars)
-	copy(ints[n:], card)
-	return &Factor{vars: ints[:n:n], card: ints[n:], vals: make([]float64, size)}
+	return size
 }
 
 // Vars returns the factor's variable ids.
@@ -191,12 +192,12 @@ func mulInto(dst, a, b *Factor) {
 }
 
 // without returns a zero factor over f's variables minus position pos,
-// with the block sizes around pos: f's flat index is (h·c + s)·lo + l for
-// h < hi, state s < c of the dropped variable, l < lo, and the result's
-// is h·lo + l.
-func (f *Factor) without(pos int) (out *Factor, hi, c, lo int) {
+// cut from a, with the block sizes around pos: f's flat index is
+// (h·c + s)·lo + l for h < hi, state s < c of the dropped variable, l < lo,
+// and the result's is h·lo + l.
+func (f *Factor) without(a *arena, pos int) (out *Factor, hi, c, lo int) {
 	n := len(f.vars) - 1
-	ints := make([]int, 2*n)
+	ints := a.ints(2 * n)
 	vars, card := ints[:n:n], ints[n:]
 	copy(vars, f.vars[:pos])
 	copy(vars[pos:], f.vars[pos+1:])
@@ -209,24 +210,27 @@ func (f *Factor) without(pos int) (out *Factor, hi, c, lo int) {
 	for _, k := range f.card[pos+1:] {
 		lo *= k
 	}
-	return &Factor{vars: vars, card: card, vals: make([]float64, hi*lo)}, hi, f.card[pos], lo
+	return a.factor(vars, card, a.floats(hi*lo)), hi, f.card[pos], lo
 }
 
-// clone returns a copy of f.
-func (f *Factor) clone() *Factor {
-	c := NewFactor(f.vars, f.card)
+// clone returns a copy of f cut from a.
+func (f *Factor) clone(a *arena) *Factor {
+	c := a.newFactor(f.vars, f.card)
 	copy(c.vals, f.vals)
 	return c
 }
 
 // SumOut returns the factor with variable v marginalized away. Summing out
 // a variable the factor does not mention returns a copy.
-func (f *Factor) SumOut(v int) *Factor {
+func (f *Factor) SumOut(v int) *Factor { return f.sumOut(nil, v) }
+
+// sumOut is SumOut with the result cut from a.
+func (f *Factor) sumOut(a *arena, v int) *Factor {
 	pos := f.pos(v)
 	if pos == -1 {
-		return f.clone()
+		return f.clone(a)
 	}
-	out, hi, c, lo := f.without(pos)
+	out, hi, c, lo := f.without(a, pos)
 	for h := 0; h < hi; h++ {
 		row := out.vals[h*lo : (h+1)*lo]
 		for s := 0; s < c; s++ {
@@ -244,9 +248,9 @@ func (f *Factor) SumOut(v int) *Factor {
 func (f *Factor) Reduce(v, s int) *Factor {
 	pos := f.pos(v)
 	if pos == -1 {
-		return f.clone()
+		return f.clone(nil)
 	}
-	out, hi, c, lo := f.without(pos)
+	out, hi, c, lo := f.without(nil, pos)
 	for h := 0; h < hi; h++ {
 		copy(out.vals[h*lo:(h+1)*lo], f.vals[(h*c+s)*lo:])
 	}
@@ -304,37 +308,35 @@ func chargeProduct(g *govern.Governor, a, b *Factor) error {
 	return chargeCells(g, productCells(a, b), "intermediate factor")
 }
 
-// checkedNewFactor refuses an oversized factor table before allocating
-// it and charges the governor for the table it admits. CPT construction
-// and the path-reachability augmentation build factors through this so
-// a width-bomb fails with a typed error instead of an OOM.
-func checkedNewFactor(g *govern.Governor, vars []int, card []int) (*Factor, error) {
+// checkedFactor refuses an oversized factor table before a hands it out
+// and charges the governor for the table it admits. CPT construction and
+// the path-reachability augmentation build factors through this so a
+// width-bomb fails with a typed error instead of an OOM.
+func checkedFactor(g *govern.Governor, a *arena, vars []int, card []int) (*Factor, error) {
 	if err := chargeCells(g, cellsOf(card), "factor"); err != nil {
 		return nil, err
 	}
-	return NewFactor(vars, card), nil
+	return a.newFactor(vars, card), nil
 }
 
 // EliminateAll multiplies the factors and sums out every variable in keep's
 // complement, returning the joint factor over keep (nil keep = eliminate
 // everything, yielding a scalar factor). Elimination order is greedy
-// min-degree over the factor graph, weighted by cardinality.
+// min-degree over the factor graph, weighted by cardinality. The factors
+// are only read, and the result is the caller's.
 func EliminateAll(factors []*Factor, keep map[int]bool) (*Factor, error) {
-	return EliminateAllCtx(context.Background(), factors, keep)
+	w := acquire()
+	defer w.release()
+	out, err := w.eliminate(nil, factors, func(v int) bool { return keep[v] })
+	if err != nil {
+		return nil, err
+	}
+	return out.clone(nil), nil
 }
 
-// EliminateAllCtx is EliminateAll under a context-carried resource
-// governor: every intermediate product is charged against the query's
-// step and byte budgets and size-checked BEFORE its table is filled,
-// and cancellation is honoured between bucket multiplications, so an
-// abandoned query stops within one factor product instead of running
-// the elimination to completion.
-func EliminateAllCtx(ctx context.Context, factors []*Factor, keep map[int]bool) (*Factor, error) {
-	return eliminate(govern.From(ctx), factors, func(v int) bool { return keep[v] })
-}
-
-// elimination is the state of one variable-elimination run. Everything
-// in it is per call: the factors it is given are only read.
+// elimination is the state of one variable-elimination run. It lives in a
+// pooled workspace and every run starts by resetting it; the factors it is
+// given are only read.
 type elimination struct {
 	// work holds the input factors followed by each bucket's summed-out
 	// result; an entry is nil once it has been merged into a bucket.
@@ -344,20 +346,25 @@ type elimination struct {
 	ids []int
 	// adj[i] lists, ascending, the live factors that mention variable i.
 	// A bucket's result replaces at least one factor in each list it
-	// joins, so no list outgrows its initial length.
-	adj [][]int
+	// joins, so no list outgrows its initial length. The lists are carved
+	// from backing, behind ids.
+	adj     [][]int
+	backing []int
 	// cost[i] is the table size eliminating variable i would leave (the
 	// product of its neighbours' cardinalities); -1 once it is
 	// eliminated, or from the start when the caller keeps it.
 	cost []float64
-	// mark stamps the neighbours already counted while scoring.
-	mark  []int
-	epoch int
+	// mark stamps the neighbours already counted while scoring; it and
+	// the degree count are cut from scratch.
+	mark    []int
+	scratch []int
+	epoch   int
 	// heap orders the candidates by (cost, variable id). Re-scoring
 	// pushes a fresh entry; entries whose cost is out of date are
 	// skipped when popped.
 	heap []candidate
 	// prod are the two scratch factors bucket products alternate between.
+	// They outlive the run, so a warm workspace multiplies in place.
 	prod [2]Factor
 }
 
@@ -375,18 +382,21 @@ func (c candidate) before(d candidate) bool {
 // elimination leaves, ties going to the smaller variable id, so equal
 // inputs give bit-identical outputs; after each bucket only the variables
 // that shared a factor with the eliminated one are re-scored.
-func eliminate(g *govern.Governor, factors []*Factor, kept func(v int) bool) (*Factor, error) {
-	e := elimination{work: make([]*Factor, len(factors), 2*len(factors)+1)}
-	copy(e.work, factors)
+//
+// Each τ is cut from w's arena and the result is one of w's factors (a
+// product scratch, a τ, or an input): the caller reads it before release.
+func (w *workspace) eliminate(g *govern.Governor, factors []*Factor, kept func(v int) bool) (*Factor, error) {
+	e := &w.elimination
+	e.work = append(e.work[:0], factors...)
 	arity := 0
 	for _, f := range factors {
 		arity += len(f.vars)
 	}
-	ints := make([]int, 0, 2*arity)
+	ints := e.backing[:0]
 	for _, f := range factors {
 		ints = append(ints, f.vars...)
 	}
-	sort.Ints(ints)
+	slices.Sort(ints)
 	n := 0
 	for i, v := range ints {
 		if i == 0 || v != ints[n-1] {
@@ -394,10 +404,18 @@ func eliminate(g *govern.Governor, factors []*Factor, kept func(v int) bool) (*F
 			n++
 		}
 	}
+	if cap(ints) < n+arity {
+		ints = append(ints[:n], make([]int, arity)...)
+	}
+	e.backing = ints[:0]
 	e.ids = ints[:n:n]
 	// Adjacency in one backing array: count, carve, fill.
-	scratch := make([]int, 2*n)
-	e.mark = scratch[:n:n]
+	if cap(e.scratch) < 2*n {
+		e.scratch = make([]int, 2*n)
+	}
+	scratch := e.scratch[:2*n]
+	clear(scratch)
+	e.mark, e.epoch = scratch[:n:n], 0
 	degree := scratch[n:]
 	for _, f := range factors {
 		for _, v := range f.vars {
@@ -405,9 +423,9 @@ func eliminate(g *govern.Governor, factors []*Factor, kept func(v int) bool) (*F
 		}
 	}
 	backing := ints[n:n]
-	e.adj = make([][]int, n)
-	for i, d := range degree {
-		e.adj[i] = backing[len(backing) : len(backing) : len(backing)+d]
+	e.adj = e.adj[:0]
+	for _, d := range degree {
+		e.adj = append(e.adj, backing[len(backing):len(backing):len(backing)+d])
 		backing = backing[:len(backing)+d]
 	}
 	for fi, f := range factors {
@@ -416,8 +434,8 @@ func eliminate(g *govern.Governor, factors []*Factor, kept func(v int) bool) (*F
 			e.adj[i] = append(e.adj[i], fi)
 		}
 	}
-	e.cost = make([]float64, n)
-	e.heap = make([]candidate, 0, n)
+	e.cost = slices.Grow(e.cost[:0], n)[:n]
+	e.heap = e.heap[:0]
 	for i, v := range e.ids {
 		if kept(v) {
 			e.cost[i] = -1
@@ -433,35 +451,40 @@ func eliminate(g *govern.Governor, factors []*Factor, kept func(v int) bool) (*F
 		if err := g.Err(); err != nil {
 			return nil, err
 		}
-		if err := e.sumOut(g, c.v); err != nil {
+		if err := e.sumOut(g, &w.arena, c.v); err != nil {
 			return nil, err
 		}
 	}
 	// Multiply what is left: factors over kept variables and constants.
 	var out *Factor
-	for fi, f := range e.work {
+	k := 0
+	for _, f := range e.work {
 		switch {
 		case f == nil:
-		case out == nil && fi >= len(factors):
-			out = f
 		case out == nil:
-			out = f.clone() // never hand a caller's factor back
+			out = f
 		default:
 			if err := chargeProduct(g, out, f); err != nil {
 				return nil, err
 			}
-			out = Multiply(out, f)
+			dst := &e.prod[k%2]
+			k++
+			mulInto(dst, out, f)
+			out = dst
 		}
 	}
 	if out == nil {
-		out = NewFactor(nil, nil)
+		out = w.arena.newFactor(nil, nil)
 		out.vals[0] = 1
 	}
 	return out, nil
 }
 
 // local returns the position of variable id v in e.ids.
-func (e *elimination) local(v int) int { return sort.SearchInts(e.ids, v) }
+func (e *elimination) local(v int) int {
+	i, _ := slices.BinarySearch(e.ids, v)
+	return i
+}
 
 // rescore recomputes variable i's elimination cost from the live factors
 // that mention it and queues it under the new cost.
@@ -482,9 +505,9 @@ func (e *elimination) rescore(i int) {
 }
 
 // sumOut multiplies the bucket of variable i — every live factor that
-// mentions it, in creation order — sums the variable out of the product,
-// and re-scores the variables the result touches.
-func (e *elimination) sumOut(g *govern.Governor, i int) error {
+// mentions it, in creation order — sums the variable out of the product
+// into a table cut from a, and re-scores the variables the result touches.
+func (e *elimination) sumOut(g *govern.Governor, a *arena, i int) error {
 	e.cost[i] = -1
 	bucket := e.adj[i]
 	if len(bucket) == 0 {
@@ -503,7 +526,7 @@ func (e *elimination) sumOut(g *govern.Governor, i int) error {
 	for _, fi := range bucket {
 		e.work[fi] = nil
 	}
-	tau := prod.SumOut(e.ids[i])
+	tau := prod.sumOut(a, e.ids[i])
 	ti := len(e.work)
 	e.work = append(e.work, tau)
 	for _, v := range tau.vars {

@@ -39,7 +39,7 @@ func refMultiply(a, b *Factor) *Factor {
 func refDrop(f *Factor, v, s int) *Factor {
 	pos := f.pos(v)
 	if pos < 0 {
-		return f.clone()
+		return f.clone(nil)
 	}
 	out := NewFactor(
 		append(append([]int(nil), f.vars[:pos]...), f.vars[pos+1:]...),

@@ -3,7 +3,9 @@ package bayes
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"pxml/internal/core"
 	"pxml/internal/govern"
@@ -189,7 +191,7 @@ func CompileCtx(ctx context.Context, pi *core.ProbInstance) (*Network, error) {
 			fcard = append(fcard, net.vars[pv].Card())
 			chosenBy = append(chosenBy, net.includes[pv][o])
 		}
-		f, err := checkedNewFactor(gov, fvars, fcard)
+		f, err := checkedFactor(gov, nil, fvars, fcard)
 		if err != nil {
 			return nil, fmt.Errorf("compiling CPT for %s: %w", o, err)
 		}
@@ -234,39 +236,42 @@ func fillCPT(f *Factor, probs []float64, chosenBy []stateSet, isRoot bool) {
 	}
 }
 
-// relevant returns the CPTs a query over the seed variables needs, in
-// variable order, with room for extra more factors: those of the seeds
-// and of all their ancestors. Every other variable is barren — it is not
-// an ancestor of anything the query mentions, so summing it out of its own
-// normalised CPT gives 1 and, leaves first, the whole rest of the network
-// drops out. The seeds slice is consumed.
-func (n *Network) relevant(seeds []int, extra int) []*Factor {
-	seen := make(map[int]struct{}, 2*len(seeds))
-	var ids []int
-	for stack := seeds; len(stack) > 0; {
+// relevant returns the CPTs a query over the seed variables w.seeds needs,
+// in variable order: those of the seeds and of all their ancestors. Every
+// other variable is barren — it is not an ancestor of anything the query
+// mentions, so summing it out of its own normalised CPT gives 1 and, leaves
+// first, the whole rest of the network drops out. The seeds are consumed.
+func (n *Network) relevant(w *workspace) []*Factor {
+	w.seen.reset(len(n.vars))
+	ids := w.found[:0]
+	stack := w.seeds
+	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if _, ok := seen[v]; ok {
+		if !w.seen.add(v) {
 			continue
 		}
-		seen[v] = struct{}{}
 		ids = append(ids, v)
 		stack = append(stack, n.factors[v].vars[1:]...)
 	}
-	sort.Ints(ids)
-	out := make([]*Factor, len(ids), len(ids)+extra)
-	for i, v := range ids {
-		out[i] = n.factors[v]
+	w.seeds = stack
+	slices.Sort(ids)
+	w.found = ids
+	out := w.in[:0]
+	for _, v := range ids {
+		out = append(out, n.factors[v])
 	}
+	w.in = out
 	return out
 }
 
 // joint eliminates every variable but id (none when id < 0) from the CPTs
-// relevant to the seeds together with the extra factors, which may only
-// mention seed variables and variables of their own.
-func (n *Network) joint(g *govern.Governor, id int, seeds []int, extra []*Factor) (*Factor, error) {
-	factors := append(n.relevant(seeds, len(extra)), extra...)
-	return eliminate(g, factors, func(v int) bool { return v == id })
+// relevant to the seeds w.seeds together with the extra factors w.extra,
+// which may only mention seed variables and variables of their own. The
+// result is w's.
+func (n *Network) joint(g *govern.Governor, w *workspace, id int) (*Factor, error) {
+	w.in = append(n.relevant(w), w.extra...)
+	return w.eliminate(g, w.in, func(v int) bool { return v == id })
 }
 
 // distribution names the cells of a factor over variable id alone.
@@ -280,27 +285,25 @@ func (n *Network) distribution(id int, f *Factor) map[string]float64 {
 
 // Marginal computes the marginal distribution of an object's variable.
 func (n *Network) Marginal(o model.ObjectID) (map[string]float64, error) {
-	return n.MarginalCtx(context.Background(), o)
-}
-
-// marginal eliminates everything but o's variable from the CPTs relevant
-// to it.
-func (n *Network) marginal(ctx context.Context, o model.ObjectID) (id int, f *Factor, err error) {
-	id, ok := n.objVar[o]
-	if !ok {
-		return 0, nil, fmt.Errorf("bayes: unknown object %s", o)
-	}
-	f, err = n.joint(govern.From(ctx), id, []int{id}, nil)
-	return id, f, err
-}
-
-// MarginalCtx is Marginal with elimination governed by ctx's budget.
-func (n *Network) MarginalCtx(ctx context.Context, o model.ObjectID) (map[string]float64, error) {
-	id, f, err := n.marginal(ctx, o)
+	w := acquire()
+	defer w.release()
+	id, f, err := n.marginal(nil, w, o)
 	if err != nil {
 		return nil, err
 	}
 	return n.distribution(id, f), nil
+}
+
+// marginal eliminates everything but o's variable from the CPTs relevant
+// to it. The factor is w's.
+func (n *Network) marginal(g *govern.Governor, w *workspace, o model.ObjectID) (id int, f *Factor, err error) {
+	id, ok := n.objVar[o]
+	if !ok {
+		return 0, nil, fmt.Errorf("bayes: unknown object %s", o)
+	}
+	w.seeds = append(w.seeds[:0], id)
+	f, err = n.joint(g, w, id)
+	return id, f, err
 }
 
 // ProbExists returns the probability that object o occurs in a compatible
@@ -312,7 +315,9 @@ func (n *Network) ProbExists(o model.ObjectID) (float64, error) {
 
 // ProbExistsCtx is ProbExists with elimination governed by ctx's budget.
 func (n *Network) ProbExistsCtx(ctx context.Context, o model.ObjectID) (float64, error) {
-	id, f, err := n.marginal(ctx, o)
+	w := acquire()
+	defer w.release()
+	id, f, err := n.marginal(govern.From(ctx), w, o)
 	if err != nil {
 		return 0, err
 	}
@@ -371,11 +376,12 @@ func PathProbWithCtx(ctx context.Context, net *Network, pi *core.ProbInstance, p
 // overlay is one path query's private extension of a shared Network: the
 // fresh variables it defines are numbered after the network's own and are
 // all boolean (false, true), so only the count and the defining factors
-// need storing.
+// need storing. The factors are cut from the workspace's arena and
+// collected in its extra list.
 type overlay struct {
-	gov     *govern.Governor
-	next    int // id of the next fresh variable
-	factors []*Factor
+	gov  *govern.Governor
+	next int // id of the next fresh variable
+	w    *workspace
 }
 
 func (q *overlay) fresh() int {
@@ -389,12 +395,12 @@ func (q *overlay) fresh() int {
 func (q *overlay) term(net *Network, yv int, x model.ObjectID, reached int) (int, error) {
 	t := q.fresh()
 	c := net.vars[yv].Card()
-	vars, card := []int{t, yv, reached}, []int{2, c, 2}
-	w := 2 // cells per state of X_y: one per value of R
+	vars, card := [3]int{t, yv, reached}, [3]int{2, c, 2}
+	k, w := 3, 2 // k variables; w cells per state of X_y, one per value of R
 	if reached < 0 {
-		vars, card, w = vars[:2], card[:2], 1
+		k, w = 2, 1
 	}
-	f, err := checkedNewFactor(q.gov, vars, card)
+	f, err := checkedFactor(q.gov, &q.w.arena, vars[:k], card[:k])
 	if err != nil {
 		return 0, err
 	}
@@ -409,7 +415,7 @@ func (q *overlay) term(net *Network, yv int, x model.ObjectID, reached int) (int
 			}
 		}
 	}
-	q.factors = append(q.factors, f)
+	q.w.extra = append(q.w.extra, f)
 	return t, nil
 }
 
@@ -430,7 +436,9 @@ func (q *overlay) or(terms []int) (int, error) {
 			return 0, err
 		}
 		z := q.fresh()
-		q.factors = append(q.factors, &Factor{vars: []int{z, acc, t}, card: orCard, vals: orTable})
+		vars := q.w.arena.ints(3)
+		vars[0], vars[1], vars[2] = z, acc, t
+		q.w.extra = append(q.w.extra, q.w.arena.factor(vars, orCard, orTable))
 		acc = z
 	}
 	return acc, nil
@@ -447,69 +455,91 @@ func pathProbOn(ctx context.Context, net *Network, pi *core.ProbInstance, p path
 		}
 		return 0, nil
 	}
+	w := acquire()
+	defer w.release()
 	g := pi.WeakInstance.Graph()
-	targets := []model.ObjectID{o}
-	if o == "" {
-		targets = p.Targets(g)
+	// Objects the network does not hold are not reachable from the root,
+	// and neither is anything above them, so they cannot match.
+	targets := w.targets[:0]
+	if o != "" {
+		if x, ok := net.objVar[o]; ok {
+			targets = append(targets, x)
+		}
+	} else {
+		for _, m := range p.Targets(g) {
+			if x, ok := net.objVar[m]; ok {
+				targets = append(targets, x)
+			}
+		}
 	}
-	// Backward from the targets: via[i][x] lists the parents x can be
-	// reached from by label i. A point query touches only the target's
-	// path ancestors, never the level sets of the whole instance.
-	via := make([]map[model.ObjectID][]model.ObjectID, n+1)
-	for i, frontier := n, targets; i >= 1 && len(frontier) > 0; i-- {
+	w.targets = targets
+	// Backward from the targets: level i of via lists the objects the
+	// walk meets at depth i, each with the parents it can be reached from
+	// by label i — read off its CPT, which names exactly its parents the
+	// root reaches. A point query touches only the target's path
+	// ancestors, never the level sets of the whole instance.
+	w.via, w.par = w.via[:0], w.par[:0]
+	w.level = slices.Grow(w.level[:0], n+1)[:n+1]
+	frontier := targets
+	for i := n; i >= 1; i-- {
 		want := p.Labels[i-1]
-		via[i] = make(map[model.ObjectID][]model.ObjectID, len(frontier))
-		var next []model.ObjectID
+		w.seen.reset(len(net.vars))
+		w.level[i].lo = len(w.via)
+		next := len(w.par) // where the next level's frontier starts
 		for _, x := range frontier {
-			if _, done := via[i][x]; done {
+			if !w.seen.add(x) {
 				continue
 			}
-			var ps []model.ObjectID
-			for _, y := range g.Parents(x) {
-				if l, _ := g.Label(y, x); want == pathexpr.Wildcard || l == want {
-					ps = append(ps, y)
+			lo := len(w.par)
+			for _, y := range net.factors[x].vars[1:] {
+				if l, _ := g.Label(net.vars[y].Name, net.vars[x].Name); want == pathexpr.Wildcard || l == want {
+					w.par = append(w.par, y)
 				}
 			}
-			via[i][x] = ps
-			next = append(next, ps...)
+			w.via = append(w.via, viaEntry{x, lo, len(w.par)})
 		}
-		frontier = next
+		w.level[i].hi = len(w.via)
+		frontier = w.par[next:]
 	}
 	// Forward from the root: R_{i,x} exists for the objects some kept
 	// parent reaches at level i−1 (the root, at level 0, is certain), as
-	// the OR over those parents of "y reached and chose x".
-	type levelObj struct {
-		level int
-		obj   model.ObjectID
-	}
-	reach := make(map[levelObj]int)
-	q := overlay{gov: gov, next: len(net.vars)}
-	var seeds []int
+	// the OR over those parents of "y reached and chose x". Each level is
+	// taken in object-id order, which fixes the fresh variables' numbers.
+	rootVar := net.objVar[net.root]
+	q := overlay{gov: gov, next: len(net.vars), w: w}
+	w.extra, w.seeds = w.extra[:0], w.seeds[:0]
 	for i := 1; i <= n; i++ {
-		for _, x := range sortedKeys(via[i]) {
+		prev, cur := &w.reach[(i-1)&1], &w.reach[i&1]
+		cur.reset(len(net.vars))
+		level := w.via[w.level[i].lo:w.level[i].hi]
+		slices.SortFunc(level, func(a, b viaEntry) int {
+			return strings.Compare(net.vars[a.x].Name, net.vars[b.x].Name)
+		})
+		for _, e := range level {
 			if err := gov.Err(); err != nil {
 				return 0, err
 			}
-			var terms []int
-			for _, y := range via[i][x] {
+			x := net.vars[e.x].Name
+			terms := w.terms[:0]
+			for _, y := range w.par[e.lo:e.hi] {
 				reached := -1
 				if i == 1 {
-					if y != net.root {
+					if y != rootVar {
 						continue
 					}
-				} else if r, ok := reach[levelObj{i - 1, y}]; ok {
+				} else if r, ok := prev.get(y); ok {
 					reached = r
 				} else {
 					continue
 				}
-				yv := net.objVar[y]
-				t, err := q.term(net, yv, x, reached)
+				t, err := q.term(net, y, x, reached)
 				if err != nil {
 					return 0, fmt.Errorf("reachability factor R%d:%s: %w", i, x, err)
 				}
 				terms = append(terms, t)
-				seeds = append(seeds, yv)
+				w.seeds = append(w.seeds, y)
 			}
+			w.terms = terms
 			if len(terms) == 0 {
 				continue
 			}
@@ -517,16 +547,17 @@ func pathProbOn(ctx context.Context, net *Network, pi *core.ProbInstance, p path
 			if err != nil {
 				return 0, err
 			}
-			reach[levelObj{i, x}] = r
+			cur.put(e.x, r)
 		}
 	}
 	// Final event: OR over the matched objects' reach variables.
-	var matched []int
+	matched := w.terms[:0]
 	for _, m := range targets {
-		if r, ok := reach[levelObj{n, m}]; ok {
+		if r, ok := w.reach[n&1].get(m); ok {
 			matched = append(matched, r)
 		}
 	}
+	w.terms = matched
 	if len(matched) == 0 {
 		return 0, nil
 	}
@@ -534,7 +565,7 @@ func pathProbOn(ctx context.Context, net *Network, pi *core.ProbInstance, p path
 	if err != nil {
 		return 0, err
 	}
-	joint, err := net.joint(gov, match, seeds, q.factors)
+	joint, err := net.joint(gov, w, match)
 	if err != nil {
 		return 0, err
 	}
@@ -546,15 +577,6 @@ func pathProbOn(ctx context.Context, net *Network, pi *core.ProbInstance, p path
 	return joint.vals[1] / total, nil
 }
 
-func sortedKeys[V any](m map[model.ObjectID]V) []model.ObjectID {
-	out := make([]model.ObjectID, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Evidence asserts facts about objects when querying: each listed object
 // is required to occur (Exists) or to be absent (Absent) in the compatible
 // instance.
@@ -563,9 +585,10 @@ type Evidence struct {
 	Absent []model.ObjectID
 }
 
-// evidenceFactors builds one indicator factor per piece of evidence and
-// returns the variables they constrain.
-func (n *Network) evidenceFactors(ev Evidence) (fs []*Factor, ids []int, err error) {
+// evidenceFactors cuts one indicator factor per piece of evidence from
+// w's arena into w.extra and puts the variables they constrain in w.seeds.
+func (n *Network) evidenceFactors(w *workspace, ev Evidence) error {
+	w.extra, w.seeds = w.extra[:0], w.seeds[:0]
 	add := func(o model.ObjectID, wantAbsent bool) error {
 		id, ok := n.objVar[o]
 		if !ok {
@@ -573,36 +596,37 @@ func (n *Network) evidenceFactors(ev Evidence) (fs []*Factor, ids []int, err err
 		}
 		v := n.vars[id]
 		absentIdx := v.StateIndex(Absent)
-		f := NewFactor([]int{id}, []int{v.Card()})
+		f := w.arena.newFactor([]int{id}, []int{v.Card()})
 		for s := range f.vals {
 			if (s == absentIdx) == wantAbsent {
 				f.vals[s] = 1
 			}
 		}
-		fs = append(fs, f)
-		ids = append(ids, id)
+		w.extra = append(w.extra, f)
+		w.seeds = append(w.seeds, id)
 		return nil
 	}
 	for _, o := range ev.Exists {
 		if err := add(o, false); err != nil {
-			return nil, nil, err
+			return err
 		}
 	}
 	for _, o := range ev.Absent {
 		if err := add(o, true); err != nil {
-			return nil, nil, err
+			return err
 		}
 	}
-	return fs, ids, nil
+	return nil
 }
 
 // ProbEvidence returns the probability that all the evidence holds.
 func (n *Network) ProbEvidence(ev Evidence) (float64, error) {
-	evf, ids, err := n.evidenceFactors(ev)
-	if err != nil {
+	w := acquire()
+	defer w.release()
+	if err := n.evidenceFactors(w, ev); err != nil {
 		return 0, err
 	}
-	joint, err := n.joint(nil, -1, ids, evf)
+	joint, err := n.joint(nil, w, -1)
 	if err != nil {
 		return 0, err
 	}
@@ -618,11 +642,13 @@ func (n *Network) MarginalGiven(o model.ObjectID, ev Evidence) (map[string]float
 	if !ok {
 		return nil, fmt.Errorf("bayes: unknown object %s", o)
 	}
-	evf, ids, err := n.evidenceFactors(ev)
-	if err != nil {
+	w := acquire()
+	defer w.release()
+	if err := n.evidenceFactors(w, ev); err != nil {
 		return nil, err
 	}
-	joint, err := n.joint(nil, id, append(ids, id), evf)
+	w.seeds = append(w.seeds, id)
+	joint, err := n.joint(nil, w, id)
 	if err != nil {
 		return nil, err
 	}

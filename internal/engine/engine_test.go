@@ -273,6 +273,51 @@ func TestEngineConcurrentHammer(t *testing.T) {
 	}
 }
 
+// TestRunBatchBNConcurrent: BN-lane batches over one DAG from eight
+// goroutines at once give bit for bit the answers of serial runs. Every
+// statement borrows a pooled bayes workspace; under -race this shows no
+// two statements ever share one.
+func TestRunBatchBNConcurrent(t *testing.T) {
+	pi, err := gen.WidthBomb(gen.BombConfig{Width: 4, Parents: 2, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(pi, WithWorkers(4))
+	ctx := context.Background()
+	stmts := []string{"PROB EXISTS bomb.arm.leaf", "PROB bomb.arm.* = leaf1", "PROB OBJECT arm0", "PROB OBJECT arm1"}
+	for _, leaf := range []string{"leaf0", "leaf1", "leaf2", "leaf3"} {
+		stmts = append(stmts, "PROB OBJECT "+leaf, "PROB bomb.arm.leaf = "+leaf)
+	}
+	want := make([]float64, len(stmts))
+	for i, s := range stmts {
+		res, err := eng.Run(ctx, s)
+		if err != nil || res.Prob == nil {
+			t.Fatalf("%s: %v, %+v", s, err, res)
+		}
+		want[i] = *res.Prob
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 10; round++ {
+				for i, br := range eng.RunBatch(ctx, stmts) {
+					if br.Err != nil || br.Result.Prob == nil {
+						t.Errorf("%s: %v", stmts[i], br.Err)
+						return
+					}
+					if got := *br.Result.Prob; math.Float64bits(got) != math.Float64bits(want[i]) {
+						t.Errorf("%s = %v concurrently, %v serially", stmts[i], got, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestShapeObserver: every instrumented entry point must report its
 // statement shape exactly once, with a plausible duration.
 func TestShapeObserver(t *testing.T) {
