@@ -21,7 +21,6 @@ import (
 	"strconv"
 	"strings"
 
-	"pxml"
 	"pxml/internal/bench"
 	"pxml/internal/gen"
 )
@@ -48,7 +47,7 @@ func main() {
 		fatal(fmt.Errorf("unknown panel %q (want a, b or c)", *panel))
 	}
 
-	cfg := pxml.BenchConfig{
+	cfg := bench.Config{
 		Op:                 op,
 		Depths:             ints(*depths),
 		Branches:           ints(*branches),
@@ -58,7 +57,7 @@ func main() {
 		MaxObjects:         *maxObjects,
 		Seed:               *seed,
 	}
-	rows, err := pxml.RunBench(cfg)
+	rows, err := bench.Run(cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -68,18 +67,21 @@ func main() {
 		fatal(err)
 	}
 	// Linearity report (the paper's Section 7.2 observations).
-	metric := func(r pxml.BenchRow) float64 { return r.TotalNs }
+	metric := func(r bench.Row) float64 { return r.TotalNs }
 	metricName := "total time"
 	if *panel == "b" {
-		metric = func(r pxml.BenchRow) float64 { return r.UpdateNs }
+		metric = func(r bench.Row) float64 { return r.UpdateNs }
 		metricName = "℘-update time"
 	}
-	fits := bench.SeriesLinearity(rows, metric)
+	fits, err := bench.SeriesLinearity(rows, metric)
 	if len(fits) > 0 {
 		fmt.Printf("\nlinear fits of %s vs #objects (paper: linear per series):\n", metricName)
 		for name, fit := range fits {
 			fmt.Printf("  %-8s slope %.1f ns/object, R² = %.4f\n", name, fit.Slope, fit.R2)
 		}
+	}
+	if err != nil {
+		fmt.Printf("\nno linear fit of %s for:\n%v\n", metricName, err)
 	}
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)
@@ -117,8 +119,8 @@ func ints(s string) []int {
 	return out
 }
 
-func labs(s string) []pxml.Labeling {
-	var out []pxml.Labeling
+func labs(s string) []gen.Labeling {
+	var out []gen.Labeling
 	for _, part := range strings.Split(s, ",") {
 		switch strings.TrimSpace(part) {
 		case "SL":

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"pxml/internal/fixtures"
 	"pxml/internal/gen"
 	"pxml/internal/pathexpr"
 )
@@ -62,5 +63,16 @@ func BenchmarkTreePath(b *testing.B) {
 				sink = pr
 			}
 		})
+	}
+}
+
+// BenchmarkCompileFigure2 tracks the network compilation cost for the
+// paper's running example.
+func BenchmarkCompileFigure2(b *testing.B) {
+	pi := fixtures.Figure2()
+	for i := 0; i < b.N; i++ {
+		if _, err := Compile(pi); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

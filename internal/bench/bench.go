@@ -14,9 +14,14 @@
 // (for ancestor projection only), the time to update the local
 // interpretation, and the time to write the resulting instance onto a
 // disk."
+//
+// The panels' shapes are asserted by the package's TestFig7 on work counted
+// from each operation's input and output, not on time; cmd/pxmlbench prints
+// the timed series.
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -58,22 +63,6 @@ type Config struct {
 	// WriteDir is where result instances are written (the disk leg of the
 	// total time). Empty uses the OS temp directory.
 	WriteDir string
-}
-
-// DefaultConfig mirrors the paper's sweep, scaled so a full run finishes in
-// minutes rather than hours: 3 instances × 3 queries per configuration and
-// a 100k-object cap (the paper's own upper bound).
-func DefaultConfig(op Op) Config {
-	return Config{
-		Op:                 op,
-		Depths:             []int{3, 4, 5, 6, 7, 8, 9},
-		Branches:           []int{2, 4, 8},
-		Labelings:          []gen.Labeling{gen.SL, gen.FR},
-		InstancesPerConfig: 3,
-		QueriesPerInstance: 3,
-		MaxObjects:         100000,
-		Seed:               1,
-	}
 }
 
 // Row is one aggregated configuration point of a panel series.
@@ -158,10 +147,7 @@ func runConfig(cfg Config, lab gen.Labeling, depth, branch int, seed int64, scra
 	var totals []float64
 	qrand := rand.New(rand.NewSource(seed ^ 0x5eed))
 	for inst := 0; inst < cfg.InstancesPerConfig; inst++ {
-		in, err := gen.Generate(gen.Config{
-			Depth: depth, Branch: branch, Labeling: lab,
-			LeafDomainSize: 2, Seed: seed + int64(inst),
-		})
+		in, err := generate(lab, depth, branch, seed+int64(inst))
 		if err != nil {
 			return Row{}, err
 		}
@@ -170,12 +156,12 @@ func runConfig(cfg Config, lab gen.Labeling, depth, branch int, seed int64, scra
 			// One unmeasured warmup query absorbs first-touch effects
 			// (page faults, allocator growth) that would otherwise skew
 			// the smallest configurations.
-			if _, err := MeasureQuery(cfg.Op, in, qrand, scratch); err != nil {
+			if _, err := measureQuery(cfg.Op, in, qrand, scratch); err != nil {
 				return Row{}, err
 			}
 		}
 		for q := 0; q < cfg.QueriesPerInstance; q++ {
-			m, err := MeasureQuery(cfg.Op, in, qrand, scratch)
+			m, err := measureQuery(cfg.Op, in, qrand, scratch)
 			if err != nil {
 				return Row{}, err
 			}
@@ -212,17 +198,20 @@ func (m Measurement) Total() time.Duration {
 	return m.Timings.Total() + m.Write
 }
 
-// MeasureQuery runs one timed operation (a random query of the paper's
-// shape) on one instance, writing the result to scratch. It is exported so
-// the top-level testing.B benchmarks can reuse the exact Figure 7 pipeline.
-func MeasureQuery(op Op, in *gen.Instance, r *rand.Rand, scratch *os.File) (Measurement, error) {
-	var m Measurement
-	var result *core.ProbInstance
+// generate builds the Section 7.1 tree every experiment runs on.
+func generate(lab gen.Labeling, depth, branch int, seed int64) (*gen.Instance, error) {
+	return gen.Generate(gen.Config{Depth: depth, Branch: branch, Labeling: lab, LeafDomainSize: 2, Seed: seed})
+}
+
+// runQuery applies op to in for one random query of the paper's shape and
+// returns the result, charging the phases to sink when it is non-nil; with a
+// nil sink nothing reads the clock.
+func runQuery(op Op, in *gen.Instance, r *rand.Rand, sink *algebra.Timings) (*core.ProbInstance, error) {
 	switch op {
 	case OpProjection:
 		p, ok := in.RandomQuery(r)
 		if !ok {
-			return m, fmt.Errorf("bench: no satisfiable query for depth %d", in.Config.Depth)
+			return nil, fmt.Errorf("bench: no satisfiable query for depth %d", in.Config.Depth)
 		}
 		// The paper's pipeline copies the input instance and updates the
 		// copy in place; this implementation is copy-on-build — the result
@@ -231,23 +220,26 @@ func MeasureQuery(op Op, in *gen.Instance, r *rand.Rand, scratch *os.File) (Meas
 		// Copy stays zero for projection. (Selection below reports the
 		// set-up of a copy-on-write overlay of its input there: its result
 		// differs from the input in one root chain of OPFs.)
-		res, err := algebra.AncestorProjectTimed(in.PI, p, &m.Timings)
-		if err != nil {
-			return m, err
-		}
-		result = res
+		return algebra.AncestorProjectTimed(in.PI, p, sink)
 	case OpSelection:
 		p, o, ok := in.RandomSelection(r)
 		if !ok {
-			return m, fmt.Errorf("bench: no satisfiable selection for depth %d", in.Config.Depth)
+			return nil, fmt.Errorf("bench: no satisfiable selection for depth %d", in.Config.Depth)
 		}
-		res, _, err := algebra.SelectTimed(in.PI, algebra.ObjectCondition{Path: p, Object: o}, &m.Timings)
-		if err != nil {
-			return m, err
-		}
-		result = res
+		res, _, err := algebra.SelectTimed(in.PI, algebra.ObjectCondition{Path: p, Object: o}, sink)
+		return res, err
 	default:
-		return m, fmt.Errorf("bench: unknown op %q", op)
+		return nil, fmt.Errorf("bench: unknown op %q", op)
+	}
+}
+
+// measureQuery runs one timed query (runQuery) on one instance and writes
+// the result to scratch.
+func measureQuery(op Op, in *gen.Instance, r *rand.Rand, scratch *os.File) (Measurement, error) {
+	var m Measurement
+	result, err := runQuery(op, in, r, &m.Timings)
+	if err != nil {
+		return m, err
 	}
 	// Write the result to disk, as the paper's total time does.
 	start := time.Now()
@@ -302,30 +294,35 @@ func WriteTable(w io.Writer, rows []Row) error {
 
 // SeriesLinearity fits total time (or update time) against object count
 // for each (labeling, branch) series and returns the fits keyed by series
-// name — used by EXPERIMENTS.md and tests to check the paper's linearity
-// claims.
-func SeriesLinearity(rows []Row, metric func(Row) float64) map[string]stats.Fit {
+// name — used by EXPERIMENTS.md to check the paper's linearity claims. A
+// series that cannot be fitted (one point, or every point at one object
+// count) is named in the error; the other series' fits are still returned.
+func SeriesLinearity(rows []Row, metric func(Row) float64) (map[string]stats.Fit, error) {
 	type key struct {
 		lab    gen.Labeling
 		branch int
 	}
+	var order []key
 	xs := map[key][]float64{}
 	ys := map[key][]float64{}
 	for _, r := range rows {
 		k := key{r.Labeling, r.Branch}
+		if _, ok := xs[k]; !ok {
+			order = append(order, k)
+		}
 		xs[k] = append(xs[k], float64(r.Objects))
 		ys[k] = append(ys[k], metric(r))
 	}
 	out := map[string]stats.Fit{}
-	for k := range xs {
-		if len(xs[k]) < 2 {
-			continue
-		}
+	var errs []error
+	for _, k := range order {
+		name := fmt.Sprintf("%s-b%d", k.lab, k.branch)
 		fit, err := stats.LinearFit(xs[k], ys[k])
 		if err != nil {
+			errs = append(errs, fmt.Errorf("series %s: %w", name, err))
 			continue
 		}
-		out[fmt.Sprintf("%s-b%d", k.lab, k.branch)] = fit
+		out[name] = fit
 	}
-	return out
+	return out, errors.Join(errs...)
 }

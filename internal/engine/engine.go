@@ -350,10 +350,10 @@ func (e *Engine) admit(op string, top int, g *govern.Governor) error {
 	return nil
 }
 
-// Warm precomputes the structures queries will need: the tree
-// classification and path index always, the Bayesian network only for DAG
-// instances (tree queries never touch it). Cancellation is honored
-// between phases.
+// Warm precomputes the structures queries will need: the path index
+// always, the Bayesian network only for DAG instances (tree queries never
+// touch it). The tree classification it reads on the way is memoized by the
+// instance, not the engine. Cancellation is honored between phases.
 func (e *Engine) Warm(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err

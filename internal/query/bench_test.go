@@ -7,7 +7,10 @@ import (
 	"slices"
 	"testing"
 
+	"pxml/internal/bayes"
+	"pxml/internal/enumerate"
 	"pxml/internal/gen"
+	"pxml/internal/model"
 )
 
 var benchSink float64
@@ -49,6 +52,81 @@ func BenchmarkPointQuery(b *testing.B) {
 			benchSink = pr
 		}
 	})
+}
+
+// BenchmarkAblationPointQueryNaiveVsEfficient compares the Section 6.2
+// ε algorithm against naive marginalization over all compatible instances
+// (the paper's implicit baseline) on an instance small enough for the
+// latter to finish.
+func BenchmarkAblationPointQueryNaiveVsEfficient(b *testing.B) {
+	in, err := gen.Generate(gen.Config{Depth: 3, Branch: 2, Labeling: gen.FR, Seed: 5, LeafDomainSize: 0})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, _, ok := in.RandomSelection(rand.New(rand.NewSource(3)))
+	if !ok {
+		b.Fatal("no satisfiable selection")
+	}
+	o := p.Targets(in.PI.WeakInstance.Graph())[0]
+
+	b.Run("efficient-epsilon", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := PointQuery(in.PI, p, o); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("naive-enumerate", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			gi, err := enumerate.Enumerate(in.PI, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink = gi.ProbWhere(func(s *model.Instance) bool { return p.Matches(s.Graph(), o) })
+		}
+	})
+}
+
+// BenchmarkAblationPointQueryBayesVsEpsilon compares generic variable
+// elimination — compiling the network per query (bayes-ve) and over a
+// network compiled once (bayes-warm) — against the specialized ε
+// recursion on tree instances of growing size.
+func BenchmarkAblationPointQueryBayesVsEpsilon(b *testing.B) {
+	for _, depth := range []int{3, 4, 5} {
+		in, err := gen.Generate(gen.Config{Depth: depth, Branch: 2, Labeling: gen.SL, Seed: 11, LeafDomainSize: 0})
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, o, ok := in.RandomSelection(rand.New(rand.NewSource(4)))
+		if !ok {
+			b.Fatal("no satisfiable selection")
+		}
+		b.Run(fmt.Sprintf("epsilon/d%d", depth), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := PointQuery(in.PI, p, o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("bayes-ve/d%d", depth), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := bayes.PathProb(in.PI, p, o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		net, err := bayes.Compile(in.PI)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("bayes-warm/d%d", depth), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := bayes.PathProbWith(net, in.PI, p, o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // TestPointQueryAllocations pins the ε lane's allocations for a depth-4

@@ -19,9 +19,9 @@ import (
 // recursion charges its OPF scans against the query's step budget and
 // polls cancellation at each kept object.
 //
-// Precondition: the instance's weak graph must be a tree. The caller is
-// expected to have verified that once (and cached the answer); the
-// variants do not repeat the O(V+E) check that dominates small queries.
+// Precondition: the instance's weak graph must be a tree; the variants do
+// not check. The check they skip is a read of the verdict the instance
+// memoizes with its graph (DESIGN §19), so they save a lookup, not a walk.
 
 // PointQueryIndexedCtx is PointQuery through a prebuilt index, under
 // ctx's governor.

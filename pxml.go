@@ -16,8 +16,8 @@
 //     instances, a Bayesian-network compiler with exact variable
 //     elimination for DAG-structured instances, and probabilistic point,
 //     existence and chain queries;
-//   - serialization (JSON and a compact text format), the Section 7.1
-//     workload generator, and the Figure 7 experiment harness.
+//   - serialization (JSON and a compact text format) and the Section 7.1
+//     workload generator (cmd/pxmlbench runs the Figure 7 experiments on it).
 //
 // Construct instances with NewBuilder (or New for manual assembly), then
 // apply operators:
@@ -43,7 +43,6 @@ import (
 
 	"pxml/internal/algebra"
 	"pxml/internal/bayes"
-	"pxml/internal/bench"
 	"pxml/internal/codec"
 	"pxml/internal/core"
 	"pxml/internal/engine"
@@ -148,7 +147,7 @@ type (
 	PXQLResult = pxql.Result
 )
 
-// Workload/bench types.
+// Workload types.
 type (
 	// GenConfig parameterizes the Section 7.1 workload generator.
 	GenConfig = gen.Config
@@ -158,10 +157,6 @@ type (
 	Labeling = gen.Labeling
 	// BombConfig parameterizes the adversarial width-bomb generator.
 	BombConfig = gen.BombConfig
-	// BenchConfig parameterizes the Figure 7 experiment harness.
-	BenchConfig = bench.Config
-	// BenchRow is one aggregated experiment series point.
-	BenchRow = bench.Row
 )
 
 // Labeling schemes (Section 7.1).
@@ -438,9 +433,6 @@ func GenerateWorkload(cfg GenConfig) (*Workload, error) { return gen.Generate(cf
 // is astronomical — the governor test workload.
 func GenerateWidthBomb(cfg BombConfig) (*ProbInstance, error) { return gen.WidthBomb(cfg) }
 
-// RunBench executes a Figure 7 experiment sweep.
-func RunBench(cfg BenchConfig) ([]BenchRow, error) { return bench.Run(cfg) }
-
 // Equal reports whether two probabilistic instances are identical within
 // the probability tolerance.
 func Equal(a, b *ProbInstance, tol float64) bool { return core.Equal(a, b, tol) }
@@ -496,9 +488,10 @@ func EvalPXQL(pi *ProbInstance, statement string) (*PXQLResult, error) {
 func ParsePXQL(statement string) (PXQLQuery, error) { return pxql.Parse(statement) }
 
 // Engine executes queries against one immutable instance while caching
-// the derived structures (tree classification, path index, compiled
-// Bayesian network, existence marginals) across queries. It is safe for
-// concurrent use, context-aware, and keeps per-engine metrics.
+// the derived structures (path index, compiled Bayesian network, existence
+// marginals) across queries; the tree classification is memoized by the
+// instance itself. It is safe for concurrent use, context-aware, and keeps
+// per-engine metrics.
 type Engine = engine.Engine
 
 // EngineOption configures NewEngine.

@@ -234,26 +234,13 @@ func TestEndToEndCodecs(t *testing.T) {
 	}
 }
 
-func TestEndToEndWorkloadAndBench(t *testing.T) {
+func TestEndToEndWorkload(t *testing.T) {
 	w, err := pxml.GenerateWorkload(pxml.GenConfig{Depth: 2, Branch: 2, Labeling: pxml.SL, Seed: 3, LeafDomainSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w.PI.NumObjects() != 7 {
 		t.Errorf("workload objects = %d", w.PI.NumObjects())
-	}
-	rows, err := pxml.RunBench(pxml.BenchConfig{
-		Op:     "projection",
-		Depths: []int{2}, Branches: []int{2},
-		Labelings:          []pxml.Labeling{pxml.SL},
-		InstancesPerConfig: 1, QueriesPerInstance: 1,
-		MaxObjects: 100, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0].TotalNs <= 0 {
-		t.Errorf("bench rows = %+v", rows)
 	}
 }
 
