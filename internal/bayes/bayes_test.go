@@ -1,6 +1,7 @@
 package bayes
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -106,7 +107,7 @@ func TestCompileFigure2Exists(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range []string{"B1", "B2", "B3", "A1", "A2", "A3", "I1", "I2", "T1", "T2"} {
-		got, err := net.ProbExists(o)
+		got, err := net.ProbExistsCtx(context.Background(), o)
 		if err != nil {
 			t.Fatalf("ProbExists(%s): %v", o, err)
 		}
@@ -231,7 +232,7 @@ func TestQuickBayesMatchesOracleDAG(t *testing.T) {
 		}
 		objs := pi.Objects()
 		o := objs[r.Intn(len(objs))]
-		got, err := net.ProbExists(o)
+		got, err := net.ProbExistsCtx(context.Background(), o)
 		if err != nil {
 			return false
 		}

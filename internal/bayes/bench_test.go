@@ -1,6 +1,7 @@
 package bayes
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -27,8 +28,8 @@ func BenchmarkInferDAG(b *testing.B) {
 		name string
 		ask  func() (float64, error)
 	}{
-		{"object_leaf", func() (float64, error) { return net.ProbExists("leaf2") }},
-		{"object_arm", func() (float64, error) { return net.ProbExists("arm1") }},
+		{"object_leaf", func() (float64, error) { return net.ProbExistsCtx(context.Background(), "leaf2") }},
+		{"object_arm", func() (float64, error) { return net.ProbExistsCtx(context.Background(), "arm1") }},
 		{"path_leaf", func() (float64, error) { return PathProbWith(net, pi, p, "leaf2") }},
 	} {
 		b.Run(q.name, func(b *testing.B) {

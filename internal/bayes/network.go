@@ -87,18 +87,14 @@ func (n *Network) VarOf(o model.ObjectID) (int, bool) {
 // Section 6 correspondence. Variables are created in topological order of
 // the weak instance graph, so every object's weak parents already have
 // variables when its CPT is built.
+//
+// Compile takes no governor: a compiled network is shared by every query
+// on the instance, so no one query's budget or cancellation may stop it.
+// Each CPT is still size-checked against the hard MaxFactorEntries cap
+// BEFORE its table is allocated, so a width-bomb instance fails
+// compilation with a typed error instead of allocating an astronomically
+// large table.
 func Compile(pi *core.ProbInstance) (*Network, error) {
-	return CompileCtx(context.Background(), pi)
-}
-
-// CompileCtx is Compile under a context-carried resource governor: each
-// CPT is size-checked against the hard factor cap and the query's byte
-// budget BEFORE its table is allocated, and cancellation is honoured
-// between objects. Even without a governor the hard cap applies, so a
-// width-bomb instance fails compilation with a typed error instead of
-// allocating an astronomically large table.
-func CompileCtx(ctx context.Context, pi *core.ProbInstance) (*Network, error) {
-	gov := govern.From(ctx)
 	g := pi.WeakInstance.Graph()
 	order, err := g.TopoSort()
 	if err != nil {
@@ -116,9 +112,6 @@ func CompileCtx(ctx context.Context, pi *core.ProbInstance) (*Network, error) {
 	for _, o := range order {
 		if !reach[o] {
 			continue
-		}
-		if err := gov.Err(); err != nil {
-			return nil, err
 		}
 		isRoot := o == pi.Root()
 		var states []string
@@ -191,7 +184,7 @@ func CompileCtx(ctx context.Context, pi *core.ProbInstance) (*Network, error) {
 			fcard = append(fcard, net.vars[pv].Card())
 			chosenBy = append(chosenBy, net.includes[pv][o])
 		}
-		f, err := checkedFactor(gov, nil, fvars, fcard)
+		f, err := checkedFactor(nil, nil, fvars, fcard)
 		if err != nil {
 			return nil, fmt.Errorf("compiling CPT for %s: %w", o, err)
 		}
@@ -306,14 +299,10 @@ func (n *Network) marginal(g *govern.Governor, w *workspace, o model.ObjectID) (
 	return id, f, err
 }
 
-// ProbExists returns the probability that object o occurs in a compatible
-// instance — the Section 2 scenario 4 query ("the probability that a
-// particular author exists"), exact on DAGs.
-func (n *Network) ProbExists(o model.ObjectID) (float64, error) {
-	return n.ProbExistsCtx(context.Background(), o)
-}
-
-// ProbExistsCtx is ProbExists with elimination governed by ctx's budget.
+// ProbExistsCtx returns the probability that object o occurs in a
+// compatible instance — the Section 2 scenario 4 query ("the probability
+// that a particular author exists"), exact on DAGs — with elimination
+// governed by ctx's budget.
 func (n *Network) ProbExistsCtx(ctx context.Context, o model.ObjectID) (float64, error) {
 	w := acquire()
 	defer w.release()

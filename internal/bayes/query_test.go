@@ -229,7 +229,7 @@ func TestSharedNetworkIsDeterministic(t *testing.T) {
 		if out[1], err = PathProbWith(net, pi, p, ""); err != nil {
 			return out, err
 		}
-		if out[2], err = net.ProbExists("leaf1"); err != nil {
+		if out[2], err = net.ProbExistsCtx(context.Background(), "leaf1"); err != nil {
 			return out, err
 		}
 		out[3], err = net.ProbExistsGiven("leaf0", Evidence{Exists: []model.ObjectID{"leaf2"}, Absent: []model.ObjectID{"leaf4"}})

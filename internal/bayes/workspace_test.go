@@ -98,7 +98,7 @@ func FuzzEliminateDifferential(f *testing.F) {
 			case 0:
 				_, _ = PathProbWith(warm, warmPI, warmPath, "leaf3")
 			case 1:
-				_, _ = warm.ProbExists("leaf1")
+				_, _ = warm.ProbExistsCtx(context.Background(), "leaf1")
 			default:
 				_, _ = warm.MarginalGiven("leaf0", Evidence{Exists: []model.ObjectID{"arm1"}})
 			}
@@ -207,8 +207,8 @@ func TestInferAllocations(t *testing.T) {
 		ceiling float64
 		ask     func() (float64, error)
 	}{
-		{"object_leaf", 1, func() (float64, error) { return net.ProbExists("leaf2") }},
-		{"object_arm", 1, func() (float64, error) { return net.ProbExists("arm1") }},
+		{"object_leaf", 1, func() (float64, error) { return net.ProbExistsCtx(context.Background(), "leaf2") }},
+		{"object_arm", 1, func() (float64, error) { return net.ProbExistsCtx(context.Background(), "arm1") }},
 		{"path_leaf", 2, func() (float64, error) { return PathProbWith(net, pi, p, "leaf2") }},
 		{"tree_depth6", 2, func() (float64, error) { return PathProbWith(treeNet, tree.PI, tp, to) }},
 	} {

@@ -17,7 +17,7 @@
 // fan independent sub-evaluations out over a bounded worker pool.
 //
 // Per-engine observability: query and error counts, cache hits/misses,
-// and a latency histogram, exported as a JSON-encodable snapshot (the
+// and a latency timer, exported as a JSON-encodable snapshot (the
 // server aggregates these under GET /metrics).
 package engine
 
@@ -125,7 +125,7 @@ type Engine struct {
 	misses  *metrics.Counter
 	rhits   *metrics.Counter
 	rmisses *metrics.Counter
-	latency *metrics.Histogram
+	latency *metrics.Timer
 }
 
 // Option configures an Engine.
@@ -204,7 +204,7 @@ func New(pi *core.ProbInstance, opts ...Option) *Engine {
 	e.misses = e.reg.Counter("cache_misses")
 	e.rhits = e.reg.Counter("result_cache_hits")
 	e.rmisses = e.reg.Counter("result_cache_misses")
-	e.latency = e.reg.Histogram("latency")
+	e.latency = e.reg.Timer("latency")
 	for _, o := range opts {
 		o(e)
 	}
@@ -218,7 +218,7 @@ func (e *Engine) Instance() *core.ProbInstance { return e.pi }
 func (e *Engine) Workers() int { return cap(e.sem) }
 
 // Metrics returns a JSON-encodable snapshot of the engine's counters and
-// latency histogram.
+// latency timer.
 func (e *Engine) Metrics() map[string]any { return e.reg.Snapshot() }
 
 // count tallies a cache access on the engine's hit/miss counters.
@@ -442,8 +442,8 @@ func resultCost(statement string, r *pxql.Result) int64 {
 	return int64(len(statement)) + int64(len(r.Text)) + 64
 }
 
-// ProbExists returns P(∃o. o ∈ p): the Section 6.2 tree fast path through
-// the cached index, or cached-network BN inference on DAGs.
+// ProbExists returns P(∃o. o ∈ p): the Section 6.2 tree fast path, or
+// cached-network BN inference on DAGs.
 func (e *Engine) ProbExists(ctx context.Context, p pathexpr.Path) (pr float64, err error) {
 	err = e.evaluate(ctx, true, pxql.ShapeExists, "prob-exists", 0, func(ctx context.Context) (err error) {
 		pr, err = e.existsProb(ctx, p)
@@ -510,7 +510,7 @@ func (e *Engine) existsProb(ctx context.Context, p pathexpr.Path) (float64, erro
 		return 0, err
 	}
 	if e.IsTree() {
-		return query.ExistsQueryIndexedCtx(ctx, e.pi, e.Index(), p)
+		return query.ExistsQuery(ctx, e.pi, p)
 	}
 	net, err := e.Network()
 	if err != nil {
@@ -549,7 +549,7 @@ func (e *Engine) objectProb(ctx context.Context, o model.ObjectID) (float64, err
 // success probability on a tree; P(o ∈ p) · VPF(o)(v) on a DAG.
 func (e *Engine) valuePointProb(ctx context.Context, p pathexpr.Path, o model.ObjectID, v model.Value) (float64, error) {
 	if e.IsTree() {
-		return query.ValuePointQueryIndexedCtx(ctx, e.pi, e.Index(), p, o, v)
+		return query.ValuePointQuery(ctx, e.pi, p, o, v)
 	}
 	vpf := e.pi.VPF(o)
 	if vpf == nil {
@@ -572,5 +572,5 @@ func (e *Engine) valueExistsProb(ctx context.Context, p pathexpr.Path, v model.V
 	if !e.IsTree() {
 		return 0, query.ErrNotTree
 	}
-	return query.ValueExistsQueryIndexedCtx(ctx, e.pi, e.Index(), p, v)
+	return query.ValueExistsQuery(ctx, e.pi, p, v)
 }

@@ -120,7 +120,7 @@ func TestEngineMetricsCount(t *testing.T) {
 	if e := m["errors"].(int64); e != 1 {
 		t.Errorf("errors = %d, want 1", e)
 	}
-	lat := m["latency"].(metrics.HistogramSnapshot)
+	lat := m["latency"].(metrics.TimerSnapshot)
 	if lat.Count != 6 {
 		t.Errorf("latency count = %d, want 6", lat.Count)
 	}
@@ -410,7 +410,7 @@ func TestProbObjectTreeRoute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := net.ProbExists(o)
+			want, err := net.ProbExistsCtx(context.Background(), o)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -115,7 +115,7 @@ func (e *Engine) dispatch(ctx context.Context, q pxql.Query) (*pxql.Result, erro
 		p, err := query.ChainProb(e.pi, q.Chain)
 		return scalar(p, err, "P(chain %s) = %.9f", strings.Join(q.Chain, "."), p)
 	case "count":
-		d, err := query.CountDistributionCtx(ctx, e.pi, q.Path)
+		d, err := query.CountDistribution(ctx, e.pi, q.Path)
 		if err != nil {
 			return nil, err
 		}
@@ -160,7 +160,7 @@ func (e *Engine) dispatch(ctx context.Context, q pxql.Query) (*pxql.Result, erro
 		writeWorlds(&b, worlds)
 		return &pxql.Result{Text: strings.TrimRight(b.String(), "\n")}, nil
 	case "topk":
-		worlds, err := enumerate.TopKCtx(ctx, e.pi, q.Top, 0)
+		worlds, err := enumerate.TopK(ctx, e.pi, q.Top, 0)
 		if err != nil {
 			return nil, err
 		}

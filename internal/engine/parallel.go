@@ -90,7 +90,7 @@ func (e *Engine) estimate(ctx context.Context, q pxql.Query) (enumerate.Estimate
 		pred = func(s *model.Instance) bool { return len(q.Path.Targets(s.Graph())) > 0 }
 	}
 	if n < estimateShards {
-		return enumerate.EstimateProbCtx(ctx, e.pi, pred, n, rand.New(rand.NewSource(1)))
+		return enumerate.EstimateProb(ctx, e.pi, pred, n, rand.New(rand.NewSource(1)))
 	}
 	var (
 		wg   sync.WaitGroup

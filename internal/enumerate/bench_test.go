@@ -1,6 +1,7 @@
 package enumerate
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -26,7 +27,7 @@ func BenchmarkTopKVsEnumerate(b *testing.B) {
 	pi := fixtures.Figure2()
 	b.Run("topk-3", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := TopK(pi, 3, 0); err != nil {
+			if _, err := TopK(context.Background(), pi, 3, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

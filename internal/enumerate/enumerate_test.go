@@ -1,6 +1,7 @@
 package enumerate
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -335,7 +336,7 @@ func TestTopKMatchesEnumeration(t *testing.T) {
 	}
 	full := gi.Worlds()
 	for _, k := range []int{1, 3, 10, 500} {
-		top, err := TopK(pi, k, 0)
+		top, err := TopK(context.Background(), pi, k, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,7 +383,7 @@ func TestQuickTopKMatchesEnumeration(t *testing.T) {
 			return false
 		}
 		full := gi.Worlds()
-		top, err := TopK(pi, 3, 0)
+		top, err := TopK(context.Background(), pi, 3, 0)
 		if err != nil {
 			return false
 		}
@@ -418,7 +419,7 @@ func TestTopKLargeInstance(t *testing.T) {
 		pi.SetOPF(prev, w)
 		prev = cur
 	}
-	top, err := TopK(pi, 2, 0)
+	top, err := TopK(context.Background(), pi, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,17 +442,17 @@ func TestTopKLargeInstance(t *testing.T) {
 
 func TestTopKErrors(t *testing.T) {
 	pi := fixtures.Figure2()
-	if _, err := TopK(pi, 0, 0); err == nil {
+	if _, err := TopK(context.Background(), pi, 0, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := TopK(pi, 5, 2); err == nil {
+	if _, err := TopK(context.Background(), pi, 5, 2); err == nil {
 		t.Error("expansion cap not enforced")
 	}
 	cyc := core.NewProbInstance("r")
 	cyc.SetLCh("r", "l", "a")
 	cyc.SetLCh("a", "l", "b")
 	cyc.SetLCh("b", "l", "a")
-	if _, err := TopK(cyc, 1, 0); err == nil {
+	if _, err := TopK(context.Background(), cyc, 1, 0); err == nil {
 		t.Error("cyclic instance accepted")
 	}
 }
@@ -505,7 +506,7 @@ func TestEstimateProbMatchesExact(t *testing.T) {
 	pred := func(s *model.Instance) bool { return s.HasObject("A1") && s.HasObject("I1") }
 	exact := gi.ProbWhere(pred)
 	r := rand.New(rand.NewSource(7))
-	est, err := EstimateProb(pi, pred, 20000, r)
+	est, err := EstimateProb(context.Background(), pi, pred, 20000, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +519,7 @@ func TestEstimateProbMatchesExact(t *testing.T) {
 	if est.String() == "" {
 		t.Error("empty String")
 	}
-	if _, err := EstimateProb(pi, pred, 0, r); err == nil {
+	if _, err := EstimateProb(context.Background(), pi, pred, 0, r); err == nil {
 		t.Error("n=0 accepted")
 	}
 }

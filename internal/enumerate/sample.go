@@ -109,15 +109,11 @@ func (e Estimate) String() string {
 // pred by drawing n forward samples. It is the approximate fallback for
 // queries on instances too large for Enumerate (and too entangled for the
 // tree fast paths): the error shrinks as 1/√n regardless of instance size.
-func EstimateProb(pi *core.ProbInstance, pred func(*model.Instance) bool, n int, r *rand.Rand) (Estimate, error) {
-	return EstimateProbCtx(context.Background(), pi, pred, n, r)
-}
-
-// EstimateProbCtx is EstimateProb under a context-carried resource
-// governor: every sample charges the instance's object count against
-// the step budget and polls cancellation, so an adversarially large n
-// stops within one sample of its budget instead of running all n.
-func EstimateProbCtx(ctx context.Context, pi *core.ProbInstance, pred func(*model.Instance) bool, n int, r *rand.Rand) (Estimate, error) {
+// Under ctx's governor every sample charges the instance's object count
+// against the step budget and polls cancellation, so an adversarially
+// large n stops within one sample of its budget instead of running all n;
+// without one, ctx itself is polled every 64 samples.
+func EstimateProb(ctx context.Context, pi *core.ProbInstance, pred func(*model.Instance) bool, n int, r *rand.Rand) (Estimate, error) {
 	if n <= 0 {
 		return Estimate{}, fmt.Errorf("enumerate: sample count must be positive")
 	}

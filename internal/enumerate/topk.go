@@ -57,16 +57,11 @@ func (h *topkHeap) Pop() (out any) {
 //
 // maxExpansions bounds the search (≤ 0 for a default of ~1M pops); the
 // search typically needs O(k · |V|) expansions but can degenerate when the
-// local distributions are near-uniform.
-func TopK(pi *core.ProbInstance, k int, maxExpansions int) ([]World, error) {
-	return TopKCtx(context.Background(), pi, k, maxExpansions)
-}
-
-// TopKCtx is TopK under a context-carried resource governor: every pop
+// local distributions are near-uniform. Under ctx's governor every pop
 // charges one work unit plus the entries scanned to expand it, so a
-// degenerate (near-uniform) search stops at its budget or cancellation
-// instead of grinding through the full expansion cap.
-func TopKCtx(ctx context.Context, pi *core.ProbInstance, k int, maxExpansions int) ([]World, error) {
+// degenerate search stops at its budget or cancellation instead of
+// grinding through the full expansion cap.
+func TopK(ctx context.Context, pi *core.ProbInstance, k int, maxExpansions int) ([]World, error) {
 	gov := govern.From(ctx)
 	if k <= 0 {
 		return nil, fmt.Errorf("enumerate: k must be positive")

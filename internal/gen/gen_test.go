@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -122,7 +123,7 @@ func TestRandomQuerySatisfiable(t *testing.T) {
 		}
 		// The existence probability of an accepted query is positive
 		// (all generated local probabilities are positive).
-		e, err := query.ExistsQuery(in.PI, p)
+		e, err := query.ExistsQuery(context.Background(), in.PI, p)
 		if err != nil {
 			t.Fatal(err)
 		}

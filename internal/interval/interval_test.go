@@ -1,6 +1,7 @@
 package interval
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -316,7 +317,7 @@ func TestQuickSampledInstancesWithinBounds(t *testing.T) {
 			if !pb.Contains(pq) {
 				return false
 			}
-			eq, err := query.ExistsQuery(pt, p)
+			eq, err := query.ExistsQuery(context.Background(), pt, p)
 			if err != nil {
 				return false
 			}

@@ -1,19 +1,18 @@
 // Package metrics provides the small, dependency-free instrumentation
 // primitives the query engine and HTTP server use: monotonic counters,
-// up-down gauges, fixed-bucket latency histograms, and a named registry
-// whose Snapshot is directly JSON-encodable (the expvar-style payload
-// behind GET /metrics).
+// up-down gauges, percentile latency timers, integer histograms, and a
+// named registry whose Snapshot is directly JSON-encodable (the
+// expvar-style payload behind GET /metrics).
 //
-// All types are safe for concurrent use. Counters and gauges are
-// lock-free; histograms take a short mutex per observation, which is
-// negligible next to the inference work they time.
+// All types are safe for concurrent use. Counters, gauges and timers are
+// lock-free; integer histograms take a short mutex per observation, which
+// is negligible next to the work they measure.
 package metrics
 
 import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing event count.
@@ -50,86 +49,6 @@ func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// bucketBounds are the histogram's inclusive upper bounds; observations
-// above the last bound land in the overflow bucket. The spacing is
-// decade-exponential, matching the spread between an index-hit point query
-// (microseconds) and a cold DAG inference (potentially seconds).
-var bucketBounds = []time.Duration{
-	100 * time.Microsecond,
-	time.Millisecond,
-	10 * time.Millisecond,
-	100 * time.Millisecond,
-	time.Second,
-	10 * time.Second,
-}
-
-// numBuckets is len(bucketBounds) + 1 (the overflow bucket).
-const numBuckets = 7
-
-// bucketLabels mirror bucketBounds for snapshots, plus the overflow.
-var bucketLabels = [numBuckets]string{
-	"le_100us", "le_1ms", "le_10ms", "le_100ms", "le_1s", "le_10s", "inf",
-}
-
-// Histogram accumulates durations into fixed exponential buckets.
-type Histogram struct {
-	mu      sync.Mutex
-	count   int64
-	sum     time.Duration
-	max     time.Duration
-	buckets [numBuckets]int64
-}
-
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	i := 0
-	for i < len(bucketBounds) && d > bucketBounds[i] {
-		i++
-	}
-	h.mu.Lock()
-	h.count++
-	h.sum += d
-	if d > h.max {
-		h.max = d
-	}
-	h.buckets[i]++
-	h.mu.Unlock()
-}
-
-// HistogramSnapshot is a point-in-time, JSON-encodable histogram view.
-// Durations are reported in milliseconds.
-type HistogramSnapshot struct {
-	Count  int64            `json:"count"`
-	SumMS  float64          `json:"sum_ms"`
-	MeanMS float64          `json:"mean_ms"`
-	MaxMS  float64          `json:"max_ms"`
-	Bucket map[string]int64 `json:"buckets"`
-}
-
-// Snapshot returns the current histogram state.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := HistogramSnapshot{
-		Count:  h.count,
-		SumMS:  float64(h.sum) / float64(time.Millisecond),
-		MaxMS:  float64(h.max) / float64(time.Millisecond),
-		Bucket: make(map[string]int64, len(h.buckets)),
-	}
-	if h.count > 0 {
-		s.MeanMS = s.SumMS / float64(h.count)
-	}
-	for i, n := range h.buckets {
-		if n > 0 {
-			s.Bucket[bucketLabels[i]] = n
-		}
-	}
-	return s
-}
 
 // intBucketBounds are the IntHistogram's inclusive upper bounds;
 // observations above the last bound land in the overflow bucket. Powers
@@ -202,13 +121,12 @@ func (h *IntHistogram) Snapshot() IntHistogramSnapshot {
 	return s
 }
 
-// Registry is a named collection of counters, gauges, histograms, and
-// timers.
+// Registry is a named collection of counters, gauges, integer histograms,
+// and timers.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 	intHists map[string]*IntHistogram
 	timers   map[string]*Timer
 }
@@ -218,7 +136,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
 		intHists: make(map[string]*IntHistogram),
 		timers:   make(map[string]*Timer),
 	}
@@ -246,18 +163,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
 }
 
 // IntHistogram returns the named integer histogram, creating it on first
@@ -339,21 +244,18 @@ func (r *Registry) EachIntHistogram(f func(name string, h *IntHistogram)) {
 }
 
 // Snapshot returns a JSON-encodable view of every registered metric:
-// counters as integers, histograms as HistogramSnapshot values. Names are
-// deterministic (map iteration order does not leak into encoded output
-// because encoding/json sorts keys).
+// counters and gauges as integers, timers and integer histograms as their
+// snapshot structs. Names are deterministic (map iteration order does not
+// leak into encoded output because encoding/json sorts keys).
 func (r *Registry) Snapshot() map[string]any {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]any, len(r.counters)+len(r.gauges)+len(r.hists)+len(r.intHists)+len(r.timers))
+	out := make(map[string]any, len(r.counters)+len(r.gauges)+len(r.intHists)+len(r.timers))
 	for name, c := range r.counters {
 		out[name] = c.Value()
 	}
 	for name, g := range r.gauges {
 		out[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		out[name] = h.Snapshot()
 	}
 	for name, h := range r.intHists {
 		out[name] = h.Snapshot()
@@ -369,14 +271,11 @@ func (r *Registry) Snapshot() map[string]any {
 func (r *Registry) Names() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists)+len(r.intHists)+len(r.timers))
+	out := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.intHists)+len(r.timers))
 	for n := range r.counters {
 		out = append(out, n)
 	}
 	for n := range r.gauges {
-		out = append(out, n)
-	}
-	for n := range r.hists {
 		out = append(out, n)
 	}
 	for n := range r.intHists {

@@ -31,34 +31,11 @@ func TestGauge(t *testing.T) {
 	}
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	var h Histogram
-	h.Observe(50 * time.Microsecond)  // le_100us
-	h.Observe(500 * time.Microsecond) // le_1ms
-	h.Observe(2 * time.Millisecond)   // le_10ms
-	h.Observe(time.Minute)            // inf
-	s := h.Snapshot()
-	if s.Count != 4 {
-		t.Fatalf("count = %d", s.Count)
-	}
-	for _, b := range []string{"le_100us", "le_1ms", "le_10ms", "inf"} {
-		if s.Bucket[b] != 1 {
-			t.Errorf("bucket %s = %d, want 1 (%v)", b, s.Bucket[b], s.Bucket)
-		}
-	}
-	if s.MaxMS < 59_000 {
-		t.Errorf("max_ms = %v", s.MaxMS)
-	}
-	if s.MeanMS <= 0 {
-		t.Errorf("mean_ms = %v", s.MeanMS)
-	}
-}
-
 func TestRegistrySnapshotJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("queries").Add(3)
 	r.Gauge("inflight").Set(2)
-	r.Histogram("latency").Observe(time.Millisecond)
+	r.Timer("latency").Observe(time.Millisecond)
 	b, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -74,8 +51,8 @@ func TestRegistrySnapshotJSON(t *testing.T) {
 		t.Errorf("inflight = %v", back["inflight"])
 	}
 	lat := back["latency"].(map[string]any)
-	if lat["count"].(float64) != 1 {
-		t.Errorf("latency count = %v", lat["count"])
+	if lat["count"].(float64) != 1 || lat["p99_ms"] == nil {
+		t.Errorf("latency = %v", lat)
 	}
 	names := r.Names()
 	if len(names) != 3 || names[0] != "inflight" || names[1] != "latency" || names[2] != "queries" {
@@ -92,7 +69,7 @@ func TestConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				r.Counter("c").Inc()
-				r.Histogram("h").Observe(time.Duration(j) * time.Microsecond)
+				r.Timer("h").Observe(time.Duration(j) * time.Microsecond)
 			}
 		}()
 	}
@@ -100,7 +77,7 @@ func TestConcurrentUse(t *testing.T) {
 	if got := r.Counter("c").Value(); got != 8000 {
 		t.Fatalf("counter = %d", got)
 	}
-	if got := r.Histogram("h").Snapshot().Count; got != 8000 {
-		t.Fatalf("histogram count = %d", got)
+	if got := r.Timer("h").Snapshot().Count; got != 8000 {
+		t.Fatalf("timer count = %d", got)
 	}
 }

@@ -6,12 +6,12 @@ import (
 	"time"
 )
 
-// Timer is a percentile-capable latency histogram. Where Histogram's seven
-// decade buckets are enough for a coarse shape, Timer records observations
-// into fine-grained exponential buckets (timerPerDecade per decade between
-// 1µs and 1000s) so p50/p95/p99 can be read back with a bounded relative
-// error of about ±6% — tight enough that a 263ns cached point query and a
-// multi-second cold DAG inference land ten decades of buckets apart.
+// Timer is a percentile-capable latency histogram, the package's one
+// duration type. It records observations into fine-grained exponential
+// buckets (timerPerDecade per decade between 1µs and 1000s) so p50/p95/p99
+// can be read back with a bounded relative error of about ±6% — tight
+// enough that a 263ns cached point query and a multi-second cold DAG
+// inference land ten decades of buckets apart.
 //
 // Observations are lock-free: one atomic add into the bucket array plus
 // atomic count/sum/max updates, so the request path never serializes on a

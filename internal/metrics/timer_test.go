@@ -39,6 +39,9 @@ func TestTimerQuantileAccuracy(t *testing.T) {
 	if s.MaxMS < 9.99 || s.MaxMS > 10.01 {
 		t.Errorf("MaxMS = %v", s.MaxMS)
 	}
+	if s.MeanMS < 5.0 || s.MeanMS > 5.001 { // (1 + 10000) / 2 µs
+		t.Errorf("MeanMS = %v", s.MeanMS)
+	}
 	if s.P50MS <= 0 || s.P95MS < s.P50MS || s.P99MS < s.P95MS {
 		t.Errorf("percentiles not monotone: %+v", s)
 	}

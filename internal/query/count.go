@@ -18,16 +18,11 @@ import (
 // node's distribution has at most #matched+1 entries).
 //
 // The result maps counts to probabilities and always sums to one (count 0
-// collects the no-match worlds).
-func CountDistribution(pi *core.ProbInstance, p pathexpr.Path) (map[int]float64, error) {
-	return CountDistributionCtx(context.Background(), pi, p)
-}
-
-// CountDistributionCtx is CountDistribution under a context-carried
-// resource governor: each convolution product is charged against the
-// step budget before it is computed, so a wide plan stops within one
-// OPF entry of exhausting its budget or being cancelled.
-func CountDistributionCtx(ctx context.Context, pi *core.ProbInstance, p pathexpr.Path) (map[int]float64, error) {
+// collects the no-match worlds). Under ctx's governor each convolution
+// product is charged against the step budget before it is computed, so a
+// wide plan stops within one OPF entry of exhausting its budget or being
+// cancelled.
+func CountDistribution(ctx context.Context, pi *core.ProbInstance, p pathexpr.Path) (map[int]float64, error) {
 	gov := govern.From(ctx)
 	if !pi.IsTree() {
 		return nil, ErrNotTree
@@ -101,8 +96,8 @@ func CountDistributionCtx(ctx context.Context, pi *core.ProbInstance, p pathexpr
 // By linearity of expectation it equals the sum of the per-match chain
 // probabilities, which the implementation cross-checks cheaply against the
 // full distribution.
-func ExpectedCount(pi *core.ProbInstance, p pathexpr.Path) (float64, error) {
-	d, err := CountDistribution(pi, p)
+func ExpectedCount(ctx context.Context, pi *core.ProbInstance, p pathexpr.Path) (float64, error) {
+	d, err := CountDistribution(ctx, pi, p)
 	if err != nil {
 		return 0, err
 	}

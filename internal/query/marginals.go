@@ -11,7 +11,7 @@ import (
 // P(child ∈ c(parent)), the chain-probability factorization of Section 6.2
 // applied to every object at once. It is the batch form of the paper's
 // point query (and of the Section 2 "does this author exist?" scenario).
-// DAG instances need per-object inference (bayes.Network.ProbExists)
+// DAG instances need per-object inference (bayes.Network.ProbExistsCtx)
 // because an object's parents' choices are not independent events there.
 func ExistenceMarginals(pi *core.ProbInstance) (map[model.ObjectID]float64, error) {
 	if !pi.IsTree() {

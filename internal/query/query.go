@@ -8,9 +8,15 @@
 // The fast algorithms assume a tree-structured weak instance graph, exactly
 // as Section 6 does. For DAG instances use the bayes package (exact
 // variable-elimination inference) or the enumeration oracle.
+//
+// Every governed entry point takes a context first and runs under the
+// resource governor it carries (govern.From): the ε recursion charges its
+// OPF scans against the query's step budget and polls cancellation at each
+// kept object. A context without a governor runs unmetered.
 package query
 
 import (
+	"context"
 	"fmt"
 
 	"pxml/internal/algebra"
@@ -61,7 +67,8 @@ func ChainProb(pi *core.ProbInstance, chain []model.ObjectID) (float64, error) {
 // probability that object o satisfies path expression p in a compatible
 // instance. Per Section 6.2 it extracts o and its path ancestors and
 // evaluates ε_r over that restriction; in a tree that restriction is the
-// unique root chain of o.
+// unique root chain of o. It runs ungoverned; PointQueryIndexedCtx is the
+// governed form.
 func PointQuery(pi *core.ProbInstance, p pathexpr.Path, o model.ObjectID) (float64, error) {
 	if !pi.IsTree() {
 		return 0, ErrNotTree
@@ -69,46 +76,51 @@ func PointQuery(pi *core.ProbInstance, p pathexpr.Path, o model.ObjectID) (float
 	return epsilonRoot(pi, pi.WeakInstance.Graph(), p, map[model.ObjectID]bool{o: true}, nil, nil)
 }
 
+// PointQueryIndexedCtx is PointQuery through a prebuilt index, under ctx's
+// governor. Precondition: pi's weak graph is a tree; it does not check.
+func PointQueryIndexedCtx(ctx context.Context, pi *core.ProbInstance, idx *pathexpr.Index, p pathexpr.Path, o model.ObjectID) (float64, error) {
+	return epsilonRoot(pi, idx.Graph(), p, map[model.ObjectID]bool{o: true}, nil, govern.From(ctx))
+}
+
 // ExistsQuery computes the extension the paper describes at the end of
 // Section 6.2: the probability that some object satisfies p. It keeps all
 // objects satisfying the path expression together with their path
 // ancestors and computes ε_r bottom-up.
-func ExistsQuery(pi *core.ProbInstance, p pathexpr.Path) (float64, error) {
-	if !pi.IsTree() {
-		return 0, ErrNotTree
-	}
-	return epsilonRoot(pi, pi.WeakInstance.Graph(), p, nil, nil, nil)
+func ExistsQuery(ctx context.Context, pi *core.ProbInstance, p pathexpr.Path) (float64, error) {
+	return treeEpsilon(ctx, pi, p, nil, nil)
 }
 
 // ValueExistsQuery computes the probability that some leaf satisfying p
 // carries value v — the probabilistic reading of the value selection
 // condition val(p) = v. Matched leaves succeed with probability VPF(v);
 // matched non-leaves or unvalued leaves never do.
-func ValueExistsQuery(pi *core.ProbInstance, p pathexpr.Path, v model.Value) (float64, error) {
+func ValueExistsQuery(ctx context.Context, pi *core.ProbInstance, p pathexpr.Path, v model.Value) (float64, error) {
+	return treeEpsilon(ctx, pi, p, nil, valueSuccess(pi, v))
+}
+
+// ValuePointQuery computes P(o ∈ p ∧ val(o) = v) for a specific leaf o.
+func ValuePointQuery(ctx context.Context, pi *core.ProbInstance, p pathexpr.Path, o model.ObjectID, v model.Value) (float64, error) {
+	return treeEpsilon(ctx, pi, p, map[model.ObjectID]bool{o: true}, valueSuccess(pi, v))
+}
+
+// treeEpsilon is epsilonRoot on a tree instance under ctx's governor, and
+// ErrNotTree on any other.
+func treeEpsilon(ctx context.Context, pi *core.ProbInstance, p pathexpr.Path, targets map[model.ObjectID]bool, success func(model.ObjectID) float64) (float64, error) {
 	if !pi.IsTree() {
 		return 0, ErrNotTree
 	}
-	success := func(o model.ObjectID) float64 {
+	return epsilonRoot(pi, pi.WeakInstance.Graph(), p, targets, success, govern.From(ctx))
+}
+
+// valueSuccess is the success probability of a matched object in a value
+// query: VPF(o)(v), and 0 for an object without a VPF.
+func valueSuccess(pi *core.ProbInstance, v model.Value) func(model.ObjectID) float64 {
+	return func(o model.ObjectID) float64 {
 		if vpf := pi.VPF(o); vpf != nil {
 			return vpf.Prob(v)
 		}
 		return 0
 	}
-	return epsilonRoot(pi, pi.WeakInstance.Graph(), p, nil, success, nil)
-}
-
-// ValuePointQuery computes P(o ∈ p ∧ val(o) = v) for a specific leaf o.
-func ValuePointQuery(pi *core.ProbInstance, p pathexpr.Path, o model.ObjectID, v model.Value) (float64, error) {
-	if !pi.IsTree() {
-		return 0, ErrNotTree
-	}
-	success := func(m model.ObjectID) float64 {
-		if vpf := pi.VPF(m); vpf != nil {
-			return vpf.Prob(v)
-		}
-		return 0
-	}
-	return epsilonRoot(pi, pi.WeakInstance.Graph(), p, map[model.ObjectID]bool{o: true}, success, nil)
 }
 
 // epsilonRoot runs the ε recursion of Section 6.1/6.2 over the plan of p

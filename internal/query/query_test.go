@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -168,7 +169,7 @@ func TestExistsQuery(t *testing.T) {
 	// P(some object satisfies r.a.b) = 1 − P(no leaf reachable):
 	// fail = Σ_c ω(r)(c) Π (1−ε); ε_x = 0.6, ε_y = 0.5.
 	want := 1 - (0.1 + 0.3*0.4 + 0.2*0.5 + 0.4*0.4*0.5)
-	p, err := ExistsQuery(pi, pathexpr.MustParse("r.a.b"))
+	p, err := ExistsQuery(context.Background(), pi, pathexpr.MustParse("r.a.b"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestExistsQuery(t *testing.T) {
 		t.Errorf("exists = %v, oracle = %v", p, oracle)
 	}
 	// Unsatisfiable path.
-	if p, _ := ExistsQuery(pi, pathexpr.MustParse("r.zz")); p != 0 {
+	if p, _ := ExistsQuery(context.Background(), pi, pathexpr.MustParse("r.zz")); p != 0 {
 		t.Errorf("unsatisfiable exists = %v", p)
 	}
 }
@@ -197,7 +198,7 @@ func TestValueQueries(t *testing.T) {
 	pi := chainTree(t)
 	path := pathexpr.MustParse("r.a.b")
 	// P(∃ leaf on r.a.b with value "0").
-	p, err := ValueExistsQuery(pi, path, "0")
+	p, err := ValueExistsQuery(context.Background(), pi, path, "0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestValueQueries(t *testing.T) {
 	}
 
 	// Specific leaf.
-	pv, err := ValuePointQuery(pi, path, "u", "1")
+	pv, err := ValuePointQuery(context.Background(), pi, path, "u", "1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestValueQueries(t *testing.T) {
 		t.Errorf("value point = %v, want %v", pv, 0.42*0.75)
 	}
 	// Value absent from the domain.
-	pv, err = ValueExistsQuery(pi, path, "nope")
+	pv, err = ValueExistsQuery(context.Background(), pi, path, "nope")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,13 +241,13 @@ func TestQueriesRejectDAG(t *testing.T) {
 	if _, err := PointQuery(pi, pathexpr.MustParse("R.book"), "B1"); err != ErrNotTree {
 		t.Fatalf("PointQuery err = %v", err)
 	}
-	if _, err := ExistsQuery(pi, pathexpr.MustParse("R.book")); err != ErrNotTree {
+	if _, err := ExistsQuery(context.Background(), pi, pathexpr.MustParse("R.book")); err != ErrNotTree {
 		t.Fatalf("ExistsQuery err = %v", err)
 	}
-	if _, err := ValueExistsQuery(pi, pathexpr.MustParse("R.book.title"), "Lore"); err != ErrNotTree {
+	if _, err := ValueExistsQuery(context.Background(), pi, pathexpr.MustParse("R.book.title"), "Lore"); err != ErrNotTree {
 		t.Fatalf("ValueExistsQuery err = %v", err)
 	}
-	if _, err := ValuePointQuery(pi, pathexpr.MustParse("R.book.title"), "T2", "Lore"); err != ErrNotTree {
+	if _, err := ValuePointQuery(context.Background(), pi, pathexpr.MustParse("R.book.title"), "T2", "Lore"); err != ErrNotTree {
 		t.Fatalf("ValuePointQuery err = %v", err)
 	}
 }
@@ -293,7 +294,7 @@ func TestQuickExistsQueryMatchesOracle(t *testing.T) {
 		for i := 0; i < 1+r.Intn(3); i++ {
 			p.Labels = append(p.Labels, labels[r.Intn(len(labels))])
 		}
-		got, err := ExistsQuery(pi, p)
+		got, err := ExistsQuery(context.Background(), pi, p)
 		if err != nil {
 			return false
 		}
@@ -325,7 +326,7 @@ func TestQuickValueExistsMatchesOracle(t *testing.T) {
 		for i := 0; i < 1+r.Intn(2); i++ {
 			p.Labels = append(p.Labels, labels[r.Intn(len(labels))])
 		}
-		got, err := ValueExistsQuery(pi, p, "v0")
+		got, err := ValueExistsQuery(context.Background(), pi, p, "v0")
 		if err != nil {
 			return false
 		}
@@ -370,7 +371,7 @@ func rootPath(pi *core.ProbInstance, o model.ObjectID) pathexpr.Path {
 func TestCountDistributionChainTree(t *testing.T) {
 	pi := chainTree(t)
 	p := pathexpr.MustParse("r.a.b")
-	d, err := CountDistribution(pi, p)
+	d, err := CountDistribution(context.Background(), pi, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +395,7 @@ func TestCountDistributionChainTree(t *testing.T) {
 		}
 	}
 	// Expectation agrees with the sum of point-query marginals.
-	e, err := ExpectedCount(pi, p)
+	e, err := ExpectedCount(context.Background(), pi, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,22 +409,22 @@ func TestCountDistributionChainTree(t *testing.T) {
 func TestCountDistributionEdgeCases(t *testing.T) {
 	pi := chainTree(t)
 	// No match.
-	d, err := CountDistribution(pi, pathexpr.MustParse("r.zz"))
+	d, err := CountDistribution(context.Background(), pi, pathexpr.MustParse("r.zz"))
 	if err != nil || !approx(d[0], 1) {
 		t.Errorf("no-match distribution = %v err=%v", d, err)
 	}
 	// Bare root.
-	d, err = CountDistribution(pi, pathexpr.MustParse("r"))
+	d, err = CountDistribution(context.Background(), pi, pathexpr.MustParse("r"))
 	if err != nil || !approx(d[1], 1) {
 		t.Errorf("root distribution = %v err=%v", d, err)
 	}
 	// Wrong root.
-	d, err = CountDistribution(pi, pathexpr.MustParse("z.a"))
+	d, err = CountDistribution(context.Background(), pi, pathexpr.MustParse("z.a"))
 	if err != nil || !approx(d[0], 1) {
 		t.Errorf("wrong-root distribution = %v err=%v", d, err)
 	}
 	// DAG rejected.
-	if _, err := CountDistribution(fixtures.Figure2(), pathexpr.MustParse("R.book")); err != ErrNotTree {
+	if _, err := CountDistribution(context.Background(), fixtures.Figure2(), pathexpr.MustParse("R.book")); err != ErrNotTree {
 		t.Errorf("DAG err = %v", err)
 	}
 }
@@ -442,7 +443,7 @@ func TestQuickCountDistributionMatchesOracle(t *testing.T) {
 		for i := 0; i < 1+r.Intn(3); i++ {
 			p.Labels = append(p.Labels, labels[r.Intn(len(labels))])
 		}
-		d, err := CountDistribution(pi, p)
+		d, err := CountDistribution(context.Background(), pi, p)
 		if err != nil {
 			return false
 		}

@@ -20,7 +20,7 @@ func TestDoCtxWaiterCancelled(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, err := c.Do("k", func() (any, int64, error) {
+		v, err := c.DoCtx(context.Background(), "k", func() (any, int64, error) {
 			close(leaderIn)
 			<-release
 			return "computed", 8, nil
@@ -67,7 +67,7 @@ func TestDoCtxWaiterCompletesNormally(t *testing.T) {
 	leaderIn := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		_, _ = c.Do("k", func() (any, int64, error) {
+		_, _ = c.DoCtx(context.Background(), "k", func() (any, int64, error) {
 			close(leaderIn)
 			<-release
 			return 42, 8, nil

@@ -154,22 +154,20 @@ func (c *Cache) Put(key string, v any, cost int64) {
 	s.mu.Unlock()
 }
 
-// Do returns the cached value for key, or computes it exactly once across
-// concurrent callers. compute returns (value, cost, err): on err the value
-// is handed to every waiting caller but never cached; on success the value
-// is cached unless cost is negative (the caller's "do not cache" signal) or
-// more than a shard can hold — still shared with concurrent waiters. A hit acquires no locks.
-func (c *Cache) Do(key string, compute func() (v any, cost int64, err error)) (any, error) {
-	return c.DoCtx(context.Background(), key, compute)
-}
-
-// DoCtx is Do with caller cancellation: a waiter whose ctx is done
-// returns ctx.Err() promptly instead of blocking on the flight leader.
-// The leader itself is NOT cancelled by a waiter's ctx — it runs compute
-// to completion and still populates the cache, so one abandoned client
-// cannot poison the result for the callers that stayed. (A leader whose
-// own compute observes its ctx — as the engine's governed computes do —
-// fails with an error, which is never cached.)
+// DoCtx returns the cached value for key, or computes it exactly once
+// across concurrent callers. compute returns (value, cost, err): on err the
+// value is handed to every waiting caller but never cached; on success the
+// value is cached unless cost is negative (the caller's "do not cache"
+// signal) or more than a shard can hold — still shared with concurrent
+// waiters. A hit acquires no locks.
+//
+// A waiter whose ctx is done returns ctx.Err() promptly instead of
+// blocking on the flight leader. The leader itself is NOT cancelled by a
+// waiter's ctx — it runs compute to completion and still populates the
+// cache, so one abandoned client cannot poison the result for the callers
+// that stayed. (A leader whose own compute observes its ctx — as the
+// engine's governed computes do — fails with an error, which is never
+// cached.)
 func (c *Cache) DoCtx(ctx context.Context, key string, compute func() (v any, cost int64, err error)) (any, error) {
 	s := c.shard(key)
 	if e, ok := (*s.items.Load())[key]; ok {

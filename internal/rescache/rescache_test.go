@@ -1,6 +1,7 @@
 package rescache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -73,7 +74,7 @@ func TestOversizedEntryLeavesShardAlone(t *testing.T) {
 	}
 	before := c.Stats()
 	c.Put("huge", "x", 1<<30)
-	v, err := c.Do("huger", func() (any, int64, error) { return "y", 1 << 30, nil })
+	v, err := c.DoCtx(context.Background(), "huger", func() (any, int64, error) { return "y", 1 << 30, nil })
 	if err != nil || v != "y" {
 		t.Fatalf("Do(huger) = %v, %v; the caller still gets its value", v, err)
 	}
@@ -102,7 +103,7 @@ func TestOversizedEntryLeavesShardAlone(t *testing.T) {
 	// evicts nothing, however many misses pass through.
 	z := New(1)
 	for i := 0; i < 100; i++ {
-		z.Do(fmt.Sprintf("k%d", i), func() (any, int64, error) { return i, 8, nil })
+		z.DoCtx(context.Background(), fmt.Sprintf("k%d", i), func() (any, int64, error) { return i, 8, nil })
 	}
 	if st := z.Stats(); st.Entries != 0 || st.Evictions != 0 || st.Misses != 100 {
 		t.Fatalf("zero-budget cache: %+v, want 100 misses and nothing else", st)
@@ -114,7 +115,7 @@ func TestDoCachesSuccess(t *testing.T) {
 	calls := 0
 	compute := func() (any, int64, error) { calls++; return 42, 8, nil }
 	for i := 0; i < 3; i++ {
-		v, err := c.Do("k", compute)
+		v, err := c.DoCtx(context.Background(), "k", compute)
 		if err != nil || v.(int) != 42 {
 			t.Fatalf("Do = %v, %v", v, err)
 		}
@@ -132,10 +133,10 @@ func TestDoErrorNotCached(t *testing.T) {
 	c := New(1 << 20)
 	boom := errors.New("boom")
 	calls := 0
-	if _, err := c.Do("k", func() (any, int64, error) { calls++; return nil, 0, boom }); !errors.Is(err, boom) {
+	if _, err := c.DoCtx(context.Background(), "k", func() (any, int64, error) { calls++; return nil, 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if v, err := c.Do("k", func() (any, int64, error) { calls++; return 7, 8, nil }); err != nil || v.(int) != 7 {
+	if v, err := c.DoCtx(context.Background(), "k", func() (any, int64, error) { calls++; return 7, 8, nil }); err != nil || v.(int) != 7 {
 		t.Fatalf("retry = %v, %v", v, err)
 	}
 	if calls != 2 {
@@ -148,7 +149,7 @@ func TestDoNegativeCostNotCached(t *testing.T) {
 	calls := 0
 	compute := func() (any, int64, error) { calls++; return "big", -1, nil }
 	for i := 0; i < 2; i++ {
-		if v, err := c.Do("k", compute); err != nil || v.(string) != "big" {
+		if v, err := c.DoCtx(context.Background(), "k", compute); err != nil || v.(string) != "big" {
 			t.Fatalf("Do = %v, %v", v, err)
 		}
 	}
@@ -168,7 +169,7 @@ func TestSingleflightCollapse(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := c.Do("k", func() (any, int64, error) {
+			v, err := c.DoCtx(context.Background(), "k", func() (any, int64, error) {
 				calls.Add(1)
 				<-gate // hold the flight open so everyone piles on
 				return "shared", 8, nil
@@ -226,7 +227,7 @@ func TestConcurrentMixed(t *testing.T) {
 				case 1:
 					c.Get(k)
 				default:
-					c.Do(k, func() (any, int64, error) { return i, 32, nil })
+					c.DoCtx(context.Background(), k, func() (any, int64, error) { return i, 32, nil })
 				}
 			}
 		}(g)

@@ -22,6 +22,7 @@ import (
 	"pxml/internal/dot"
 	"pxml/internal/engine"
 	"pxml/internal/govern"
+	"pxml/internal/metrics"
 	"pxml/internal/pxql"
 	"pxml/internal/repl"
 	"pxml/internal/store"
@@ -90,56 +91,55 @@ func httpWriteError(w http.ResponseWriter, err error) {
 	httpError(w, http.StatusInternalServerError, apiv1.CodeInternal, err)
 }
 
-// isBreakerTrip classifies one statement outcome for the circuit
-// breaker: budget exhaustion, a provably-intractable refusal, an expired
-// deadline, and a contained evaluation panic all count as trips — they
-// are the server protecting itself from the statement. A client that
-// went away (context.Canceled) is not the statement's fault and must not
-// open the breaker for everyone else.
-func isBreakerTrip(err error) bool {
-	if err == nil || errors.Is(err, context.Canceled) {
-		return false
-	}
-	return errors.Is(err, govern.ErrBudgetExceeded) ||
-		errors.Is(err, govern.ErrIntractable) ||
-		errors.Is(err, engine.ErrQueryPanic) ||
-		errors.Is(err, context.DeadlineExceeded)
+// queryFailure is the server's one verdict on a failed statement: the
+// status, code and Retry-After (0 for none) it answers with, the governor
+// counter it moves (nil for none), and whether it trips the statement
+// shape's circuit breaker.
+type queryFailure struct {
+	status  int
+	code    string
+	retry   time.Duration
+	counter *metrics.Counter
+	trip    bool
 }
 
-// countQueryError tallies one failed statement on the governor counters.
-func (s *Server) countQueryError(err error) {
-	switch {
-	case errors.Is(err, govern.ErrIntractable):
-		s.qIntract.Inc()
-	case errors.Is(err, govern.ErrBudgetExceeded):
-		s.qBudget.Inc()
-	case errors.Is(err, engine.ErrQueryPanic):
-		s.qPanic.Inc()
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		s.qCancel.Inc()
-	}
-}
-
-// httpQueryError maps a statement failure onto the envelope. Governor
+// classifyQueryError maps a statement failure onto its verdict. Governor
 // refusals keep their retry semantics on the wire: an intractable
 // statement is a 422 (retrying the same statement cannot succeed), a
 // runtime budget trip is a 503 with Retry-After (a cheaper variant may
 // fit), a contained evaluation panic is a 500. An expired per-request
 // deadline (or a caller that went away) is 503 so clients and load
-// balancers treat it as server pressure, not statement error.
-func httpQueryError(w http.ResponseWriter, err error) {
+// balancers treat it as server pressure, not statement error. All of these
+// but the caller that went away (context.Canceled) trip the breaker: they
+// are the server protecting itself from the statement, while a departed
+// client is not the statement's fault and must not open the breaker for
+// everyone else. Anything else is the statement's own error, a 422 that
+// counts nowhere and trips nothing.
+func (s *Server) classifyQueryError(err error) queryFailure {
 	switch {
 	case errors.Is(err, govern.ErrIntractable):
-		apiv1.WriteError(w, http.StatusUnprocessableEntity, apiv1.CodeIntractable, err.Error())
+		return queryFailure{http.StatusUnprocessableEntity, apiv1.CodeIntractable, 0, s.qIntract, true}
 	case errors.Is(err, govern.ErrBudgetExceeded):
-		apiv1.WriteErrorRetry(w, http.StatusServiceUnavailable, apiv1.CodeBudgetExceeded, err.Error(), time.Second)
+		return queryFailure{http.StatusServiceUnavailable, apiv1.CodeBudgetExceeded, time.Second, s.qBudget, true}
 	case errors.Is(err, engine.ErrQueryPanic):
-		apiv1.WriteError(w, http.StatusInternalServerError, apiv1.CodeInternal, err.Error())
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		apiv1.WriteErrorRetry(w, http.StatusServiceUnavailable, apiv1.CodeTimeout, err.Error(), time.Second)
-	default:
-		httpError(w, http.StatusUnprocessableEntity, apiv1.CodeStatementFailed, err)
+		return queryFailure{http.StatusInternalServerError, apiv1.CodeInternal, 0, s.qPanic, true}
+	case errors.Is(err, context.DeadlineExceeded):
+		return queryFailure{http.StatusServiceUnavailable, apiv1.CodeTimeout, time.Second, s.qCancel, true}
+	case errors.Is(err, context.Canceled):
+		return queryFailure{http.StatusServiceUnavailable, apiv1.CodeTimeout, time.Second, s.qCancel, false}
 	}
+	return queryFailure{http.StatusUnprocessableEntity, apiv1.CodeStatementFailed, 0, nil, false}
+}
+
+// recordQueryError classifies a failed statement, feeds the verdict to
+// the breaker under key and to its counter, and returns it.
+func (s *Server) recordQueryError(key string, err error) queryFailure {
+	f := s.classifyQueryError(err)
+	s.breaker.Record(key, f.trip)
+	if f.counter != nil {
+		f.counter.Inc()
+	}
+	return f
 }
 
 // httpDecodeError maps a body-read/decode error onto the envelope:
@@ -293,12 +293,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, err := sv.eng.Run(r.Context(), stmt)
-	s.breaker.Record(key, isBreakerTrip(err))
 	if err != nil {
-		s.countQueryError(err)
-		httpQueryError(w, err)
+		f := s.recordQueryError(key, err)
+		if f.retry > 0 {
+			apiv1.WriteErrorRetry(w, f.status, f.code, err.Error(), f.retry)
+		} else {
+			apiv1.WriteError(w, f.status, f.code, err.Error())
+		}
 		return
 	}
+	s.breaker.Record(key, false)
 	if storeAs != "" {
 		if res.Instance == nil {
 			httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, fmt.Errorf("statement produced no instance to store"))
@@ -368,12 +372,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	results := sv.eng.RunBatch(r.Context(), run)
 	for j, br := range results {
 		i := runIdx[j]
-		s.breaker.Record(shapes[i], isBreakerTrip(br.Err))
 		if br.Err != nil {
-			s.countQueryError(br.Err)
+			s.recordQueryError(shapes[i], br.Err)
 			out[i].Error = br.Err.Error()
 			continue
 		}
+		s.breaker.Record(shapes[i], false)
 		out[i].Text = br.Result.Text
 		out[i].Prob = br.Result.Prob
 	}

@@ -201,8 +201,8 @@ func (s *Server) limitInflight(next http.Handler) http.Handler {
 
 // withDeadline bounds the request with Config.RequestTimeout via the
 // context every engine call already honors; an expired deadline surfaces
-// as 503 through httpQueryError. The context arms nothing unless something
-// waits on it (see deadlineCtx).
+// as 503 through classifyQueryError. The context arms nothing unless
+// something waits on it (see deadlineCtx).
 func (s *Server) withDeadline(next http.Handler) http.Handler {
 	if s.reqTimeout <= 0 {
 		return next

@@ -116,7 +116,7 @@ type Server struct {
 	shed     *metrics.Counter
 	panics   *metrics.Counter
 	inflight *metrics.Gauge
-	latency  *metrics.Histogram
+	latency  *metrics.Timer
 
 	shapeLatency        perShape[metrics.Timer]        // pxql_latency.<shape>
 	costEst, costActual perShape[metrics.IntHistogram] // query_cost_{est,actual}_steps.<shape>
@@ -322,7 +322,7 @@ func New(cfg Config) (*Server, error) {
 	s.shed = s.reg.Counter("http_shed")
 	s.panics = s.reg.Counter("http_panics")
 	s.inflight = s.reg.Gauge("http_inflight")
-	s.latency = s.reg.Histogram("http_latency")
+	s.latency = s.reg.Timer("http_latency")
 	s.qBudget = s.reg.Counter("query_budget_exceeded")
 	s.qIntract = s.reg.Counter("query_intractable")
 	s.qCancel = s.reg.Counter("query_cancelled")

@@ -130,7 +130,6 @@ func (s *Store) entryInstance(name string, e *catEntry) (*core.ProbInstance, boo
 		// and the error is surfaced via log + counter rather than
 		// degrading the whole store.
 		e.failed.Store(true)
-		s.lazyErrs.Add(1)
 		if s.lazyErrsC != nil {
 			s.lazyErrsC.Inc()
 		}
@@ -191,10 +190,6 @@ func (s *Store) Version(name string) (uint64, bool) {
 // CatalogEpoch returns the current catalog's publication epoch,
 // strictly increasing by one per publish. Lock-free.
 func (s *Store) CatalogEpoch() uint64 { return s.cat.Load().epoch }
-
-// LazyDecodeErrors reports how many lazy materializations have failed
-// since open (see entryInstance).
-func (s *Store) LazyDecodeErrors() int64 { return s.lazyErrs.Load() }
 
 // snapshotAppendLocked appends name's put record to buf: materialized
 // entries re-encode from the instance, still-lazy ones splice their raw

@@ -198,11 +198,10 @@ type Store struct {
 	// follower apply, recovery) builds a copy-on-write successor under
 	// s.mu and stores it here. nameVers is the publish-side per-name
 	// version counter feeding catEntry.version; interner dedupes strings
-	// across lazy decodes; lazyErrs counts failed materializations.
+	// across lazy decodes.
 	cat      atomic.Pointer[catalog]
 	nameVers map[string]uint64
 	interner *codec.Interner
-	lazyErrs atomic.Int64
 	// recm is the catalog under construction during recovery; published
 	// into cat (and cleared) before Open starts any goroutine.
 	recm map[string]*catEntry

@@ -283,7 +283,7 @@ func Enumerate(pi *ProbInstance, limit int) (*GlobalInterpretation, error) {
 // TopK returns the k most probable possible worlds via best-first search,
 // exact without enumerating the (possibly astronomical) full domain.
 func TopK(pi *ProbInstance, k, maxExpansions int) ([]World, error) {
-	return enumerate.TopK(pi, k, maxExpansions)
+	return enumerate.TopK(context.Background(), pi, k, maxExpansions)
 }
 
 // Sample draws one possible world by forward sampling (linear in the
@@ -298,7 +298,7 @@ type MonteCarloEstimate = enumerate.Estimate
 // EstimateProb estimates P(pred) over possible worlds from n forward
 // samples — the approximate route for instances too large for Enumerate.
 func EstimateProb(pi *ProbInstance, pred func(*Instance) bool, n int, r *rand.Rand) (MonteCarloEstimate, error) {
-	return enumerate.EstimateProb(pi, pred, n, r)
+	return enumerate.EstimateProb(context.Background(), pi, pred, n, r)
 }
 
 // IngestOptions configures Ingest.
@@ -346,7 +346,7 @@ func PointQuery(pi *ProbInstance, p Path, o string) (float64, error) {
 // ExistsQuery returns P(∃o. o ∈ p) on a tree-structured instance — the
 // explicit tree-route variant of Prob.
 func ExistsQuery(pi *ProbInstance, p Path) (float64, error) {
-	return query.ExistsQuery(pi, p)
+	return query.ExistsQuery(context.Background(), pi, p)
 }
 
 // ChainProb returns the probability of a root-anchored object chain
@@ -357,13 +357,13 @@ func ChainProb(pi *ProbInstance, chain []string) (float64, error) {
 
 // ValueExistsQuery returns P(∃ leaf o ∈ p with val(o) = v) on a tree.
 func ValueExistsQuery(pi *ProbInstance, p Path, v string) (float64, error) {
-	return query.ValueExistsQuery(pi, p, v)
+	return query.ValueExistsQuery(context.Background(), pi, p, v)
 }
 
 // ValuePointQuery returns P(o ∈ p ∧ val(o) = v) on a tree — the explicit
 // tree-route variant of ProbValue.
 func ValuePointQuery(pi *ProbInstance, p Path, o, v string) (float64, error) {
-	return query.ValuePointQuery(pi, p, o, v)
+	return query.ValuePointQuery(context.Background(), pi, p, o, v)
 }
 
 // ExistenceMarginals returns P(o exists) for every object of a
@@ -375,12 +375,12 @@ func ExistenceMarginals(pi *ProbInstance) (map[string]float64, error) {
 // CountDistribution returns the exact distribution of the number of
 // objects satisfying p in a possible world (tree-structured instances).
 func CountDistribution(pi *ProbInstance, p Path) (map[int]float64, error) {
-	return query.CountDistribution(pi, p)
+	return query.CountDistribution(context.Background(), pi, p)
 }
 
 // ExpectedCount returns E[|{o : o ∈ p}|] on a tree-structured instance.
 func ExpectedCount(pi *ProbInstance, p Path) (float64, error) {
-	return query.ExpectedCount(pi, p)
+	return query.ExpectedCount(context.Background(), pi, p)
 }
 
 // Rename returns a copy of the instance with object identifiers

@@ -266,6 +266,12 @@ func TestErrNotTreeSurfaces(t *testing.T) {
 	if _, err := pxml.ExistsQuery(dag, pxml.MustParsePath("r.a.b")); !errors.Is(err, pxml.ErrNotTree) {
 		t.Errorf("exists err = %v", err)
 	}
+	if _, err := pxml.ValueExistsQuery(dag, pxml.MustParsePath("r.a.b"), "v"); !errors.Is(err, pxml.ErrNotTree) {
+		t.Errorf("value exists err = %v", err)
+	}
+	if _, err := pxml.ValuePointQuery(dag, pxml.MustParsePath("r.a.b"), "s", "v"); !errors.Is(err, pxml.ErrNotTree) {
+		t.Errorf("value point err = %v", err)
+	}
 	// The DAG-capable route still answers.
 	p, err := pxml.PathProb(dag, pxml.MustParsePath("r.a.b"), "s")
 	if err != nil {
