@@ -74,6 +74,7 @@ bench-smoke:
 	$(BENCH_SMOKE) -bench 'InferDAG|TreePath|CompileFigure2' ./internal/bayes
 	$(BENCH_SMOKE) -bench 'Encode|Decode' ./internal/codec
 	$(BENCH_SMOKE) -bench 'FollowerFanout|CachedHit|QueryMiss' ./internal/server
+	$(BENCH_SMOKE) -bench InsertFull ./internal/rescache
 
 # Reproduce the paper's Figure 7 panels into results/ (wall clock). The
 # panels' shapes are asserted on counted work by internal/bench's TestFig7,
@@ -169,12 +170,13 @@ fuzz-smoke:
 	$(GO) test ./internal/bayes -run '^$$' -fuzz FuzzEliminateDifferential -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzScanFrames -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s
+	$(GO) test ./internal/rescache -run '^$$' -fuzz FuzzCacheDifferential -fuzztime 10s
 
 # Short fuzz passes over the codecs, the weak-instance tables, the plan
 # builder and variable elimination (each against what it replaced), the
 # path-expression parser, the pxql parser and shape classifier, the query
-# response encoder (against encoding/json), and the store's frame scanner
-# and record decoder.
+# response encoder (against encoding/json), the store's frame scanner
+# and record decoder, and the result cache (against a reference LRU).
 fuzz:
 	$(GO) test ./internal/codec -fuzz 'FuzzDecodeText$$' -fuzztime 30s
 	$(GO) test ./internal/codec -fuzz FuzzDecodeTextDifferential -fuzztime 30s
@@ -188,6 +190,7 @@ fuzz:
 	$(GO) test ./internal/bayes -run '^$$' -fuzz FuzzEliminateDifferential -fuzztime 30s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzScanFrames -fuzztime 30s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 30s
+	$(GO) test ./internal/rescache -run '^$$' -fuzz FuzzCacheDifferential -fuzztime 30s
 
 cover:
 	$(GO) test -cover ./...

@@ -60,6 +60,74 @@ func TestDoCtxWaiterCancelled(t *testing.T) {
 	}
 }
 
+// TestDoCtxComputePanics: a compute that panics re-panics in its leader,
+// hands the waiter an error wrapping the panic, caches nothing and leaves
+// no flight behind — the next caller computes afresh instead of blocking
+// until its deadline on a flight nobody will finish.
+func TestDoCtxComputePanics(t *testing.T) {
+	c := New(1 << 20)
+	boom := errors.New("boom")
+	leaderIn := make(chan struct{})
+	release := make(chan struct{})
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		c.DoCtx(context.Background(), "k", func() (any, int64, error) {
+			close(leaderIn)
+			<-release
+			panic(boom)
+		})
+	}()
+	<-leaderIn
+	waiterCtx := &joinCtx{Context: context.Background(), joined: make(chan struct{})}
+	waiterDone := make(chan error, 1)
+	go func() {
+		_, err := c.DoCtx(waiterCtx, "k", func() (any, int64, error) {
+			t.Error("waiter must not compute")
+			return nil, 0, nil
+		})
+		waiterDone <- err
+	}()
+	<-waiterCtx.joined
+	close(release)
+	if p := <-leaderPanic; p != boom {
+		t.Fatalf("leader recovered %v, want the compute's panic", p)
+	}
+	select {
+	case err := <-waiterDone:
+		if !errors.Is(err, boom) {
+			t.Fatalf("waiter error = %v, want one wrapping the panic", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("waiter still blocked on a flight whose leader panicked")
+	}
+	if _, ok := c.Get("k"); ok {
+		t.Fatal("a panicked compute left a cached value")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	v, err := c.DoCtx(ctx, "k", func() (any, int64, error) { return "fresh", 8, nil })
+	if err != nil || v != "fresh" {
+		t.Fatalf("next caller: %v, %v; want a fresh compute", v, err)
+	}
+	if st := c.Stats(); st.Collapsed != 1 || st.Entries != 1 {
+		t.Fatalf("stats %+v: want the one waiter collapsed and the fresh value cached", st)
+	}
+}
+
+// joinCtx closes joined the first time its Done is asked for, which DoCtx
+// does only once the caller is waiting on a flight.
+type joinCtx struct {
+	context.Context
+	once   sync.Once
+	joined chan struct{}
+}
+
+func (c *joinCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.joined) })
+	return c.Context.Done()
+}
+
 // TestDoCtxWaiterCompletesNormally: a live waiter still collapses onto
 // the leader's result exactly as Do always did.
 func TestDoCtxWaiterCompletesNormally(t *testing.T) {

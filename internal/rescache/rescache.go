@@ -12,26 +12,20 @@
 // every mutation, so entries for the old version become unreachable and
 // age out of the LRU naturally.
 //
-// The hit path is lock-free: each shard publishes an immutable entry map
-// behind an atomic pointer, so a lookup is one pointer load, one map
-// index, and one atomic timestamp touch. Mutations (inserts after a
-// computed miss, removals, purges) build a copy-on-write successor map
-// under the shard mutex and publish it atomically — the cost lands on
-// the miss path, next to the compute it just paid for. Recency is
-// tracked by a global monotone tick each hit stamps into the entry;
-// eviction removes the smallest-tick entries until the shard is back
-// under budget. Under serial access this reproduces exact LRU order;
-// under concurrency it is approximate (ticks race by at most the number
-// of in-flight readers), which is indistinguishable for a result cache.
-//
 // A key is hashed (FNV-1a) to one of a power-of-two number of shards,
-// each with its own budget. All methods are safe for concurrent use.
+// each with its own byte budget and its own mutex. A shard is a map from
+// key to entry plus an intrusive doubly-linked list of the same entries in
+// recency order, both guarded by that mutex: a hit moves its entry to the
+// front, an insert links one entry and unlinks from the tail until the
+// shard is back under budget, and a removal unlinks. Every operation is
+// O(1), nothing is copied, and the order is exact LRU under any
+// interleaving. All methods are safe for concurrent use.
 package rescache
 
 import (
 	"context"
+	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // DefaultShards is the shard count used by New. Must be a power of two.
@@ -46,32 +40,27 @@ const entryOverhead = 96
 type Cache struct {
 	shards []shard
 	mask   uint32
-
-	// clock is the recency tick: every hit and insert stamps the next
-	// value into the touched entry.
-	clock atomic.Int64
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-	collapsed atomic.Int64 // lookups served by joining an in-flight compute
 }
 
+// shard is one lock's worth of the cache; mu guards every field, the
+// counters included, so a lookup pays for no atomic besides the lock.
 type shard struct {
-	// items is the published immutable entry map; readers load it
-	// without taking mu. mu guards everything else and all publishes.
-	items   atomic.Pointer[map[string]*entry]
 	mu      sync.Mutex
+	items   map[string]*entry
+	lru     entry // sentinel: lru.next is the most recently used, lru.prev the least
 	budget  int64
 	bytes   int64
 	flights map[string]*flight
+
+	hits, misses, evictions int64
+	collapsed               int64 // lookups served by joining an in-flight compute
 }
 
 type entry struct {
-	key  string
-	val  any
-	cost int64
-	used atomic.Int64 // last-touch tick from Cache.clock
+	key        string
+	val        any
+	cost       int64
+	prev, next *entry
 }
 
 // flight is one in-progress compute that concurrent callers share.
@@ -103,9 +92,8 @@ func NewSharded(maxBytes int64, shards int) *Cache {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.budget = per
-		empty := make(map[string]*entry)
-		s.items.Store(&empty)
 		s.flights = make(map[string]*flight)
+		s.clearLocked()
 	}
 	return c
 }
@@ -129,18 +117,16 @@ func (c *Cache) shard(key string) *shard {
 }
 
 // Get returns the cached value for key, if present, marking it
-// most-recently-used. Lock-free: one atomic map load plus an atomic
-// recency stamp.
+// most-recently-used.
 func (c *Cache) Get(key string) (any, bool) {
 	s := c.shard(key)
-	e, ok := (*s.items.Load())[key]
+	s.mu.Lock()
+	v, ok := s.getLocked(key)
 	if !ok {
-		c.misses.Add(1)
-		return nil, false
+		s.misses++
 	}
-	e.used.Store(c.clock.Add(1))
-	c.hits.Add(1)
-	return e.val, true
+	s.mu.Unlock()
+	return v, ok
 }
 
 // Put inserts (or replaces) key with the given value and cost. A cost the
@@ -150,7 +136,7 @@ func (c *Cache) Get(key string) (any, bool) {
 func (c *Cache) Put(key string, v any, cost int64) {
 	s := c.shard(key)
 	s.mu.Lock()
-	s.insertLocked(c, key, v, cost)
+	s.insertLocked(key, v, cost)
 	s.mu.Unlock()
 }
 
@@ -159,7 +145,7 @@ func (c *Cache) Put(key string, v any, cost int64) {
 // value is handed to every waiting caller but never cached; on success the
 // value is cached unless cost is negative (the caller's "do not cache"
 // signal) or more than a shard can hold — still shared with concurrent
-// waiters. A hit acquires no locks.
+// waiters.
 //
 // A waiter whose ctx is done returns ctx.Err() promptly instead of
 // blocking on the flight leader. The leader itself is NOT cancelled by a
@@ -167,29 +153,23 @@ func (c *Cache) Put(key string, v any, cost int64) {
 // cache, so one abandoned client cannot poison the result for the callers
 // that stayed. (A leader whose own compute observes its ctx — as the
 // engine's governed computes do — fails with an error, which is never
-// cached.)
+// cached.) A compute that panics caches nothing, hands its waiters an
+// error wrapping the panic value, and re-panics in the leader.
 func (c *Cache) DoCtx(ctx context.Context, key string, compute func() (v any, cost int64, err error)) (any, error) {
 	s := c.shard(key)
-	if e, ok := (*s.items.Load())[key]; ok {
-		e.used.Store(c.clock.Add(1))
-		c.hits.Add(1)
-		return e.val, nil
-	}
 	s.mu.Lock()
-	// Re-check under the mutex: the entry may have been published
-	// between the lock-free miss and acquiring mu.
-	if e, ok := (*s.items.Load())[key]; ok {
+	if v, ok := s.getLocked(key); ok {
 		s.mu.Unlock()
-		e.used.Store(c.clock.Add(1))
-		c.hits.Add(1)
-		return e.val, nil
+		return v, nil
 	}
 	if f, ok := s.flights[key]; ok {
 		s.mu.Unlock()
 		select {
 		case <-f.done:
-			c.collapsed.Add(1)
-			c.hits.Add(1)
+			s.mu.Lock()
+			s.hits++
+			s.collapsed++
+			s.mu.Unlock()
 			return f.val, f.err
 		case <-ctx.Done():
 			return nil, ctx.Err()
@@ -197,59 +177,87 @@ func (c *Cache) DoCtx(ctx context.Context, key string, compute func() (v any, co
 	}
 	f := &flight{done: make(chan struct{})}
 	s.flights[key] = f
+	s.misses++
 	s.mu.Unlock()
-	c.misses.Add(1)
 
-	v, cost, err := compute()
-	f.val, f.err = v, err
-
-	s.mu.Lock()
-	delete(s.flights, key)
-	if err == nil && cost >= 0 {
-		s.insertLocked(c, key, v, cost)
-	}
-	s.mu.Unlock()
-	close(f.done)
-	return v, err
+	// Settle the flight however compute ends, a panic included: a flight
+	// left registered and open blocks every later caller of key until its
+	// own deadline.
+	cost := int64(-1)
+	defer func() {
+		p := recover()
+		if p != nil {
+			f.err = panicError(p)
+		}
+		s.mu.Lock()
+		delete(s.flights, key)
+		if f.err == nil && cost >= 0 {
+			s.insertLocked(key, f.val, cost)
+		}
+		s.mu.Unlock()
+		close(f.done)
+		if p != nil {
+			panic(p)
+		}
+	}()
+	f.val, cost, f.err = compute()
+	return f.val, f.err
 }
 
-// insertLocked publishes a successor map with the entry added or
-// replaced, evicting least-recently-used entries until the shard is back
-// under budget. An entry that alone exceeds the budget is refused before
-// anything is copied. Caller holds s.mu.
-func (s *shard) insertLocked(c *Cache, key string, v any, cost int64) {
-	if cost < 0 {
-		cost = 0
+// panicError is what the waiters of a compute that panicked with p receive.
+func panicError(p any) error {
+	if err, ok := p.(error); ok {
+		return fmt.Errorf("rescache: compute panicked: %w", err)
 	}
-	cost += entryOverhead
+	return fmt.Errorf("rescache: compute panicked: %v", p)
+}
+
+// getLocked returns key's value, moves its entry to the front of the list
+// and counts the hit. Caller holds s.mu.
+func (s *shard) getLocked(key string) (any, bool) {
+	e, ok := s.items[key]
+	if !ok {
+		return nil, false
+	}
+	s.hits++
+	unlink(e)
+	s.pushFront(e)
+	return e.val, true
+}
+
+// insertLocked links a new entry for key at the front, replacing any entry
+// already under key, then evicts from the tail until the shard is back
+// under budget. An entry that alone exceeds the budget is refused (and the
+// old one dropped) before anything moves. Caller holds s.mu.
+func (s *shard) insertLocked(key string, v any, cost int64) {
+	cost = max(cost, 0) + entryOverhead
+	s.removeLocked(key)
 	if cost > s.budget {
-		s.removeLocked(key)
 		return
 	}
-	cur := *s.items.Load()
-	m := make(map[string]*entry, len(cur)+1)
-	for k, e := range cur {
-		m[k] = e
-	}
-	if old, ok := m[key]; ok {
-		s.bytes -= old.cost
-	}
 	e := &entry{key: key, val: v, cost: cost}
-	e.used.Store(c.clock.Add(1))
-	m[key] = e
+	s.items[key] = e
+	s.pushFront(e)
 	s.bytes += cost
-	for s.bytes > s.budget && len(m) > 0 {
-		var victim *entry
-		for _, cand := range m {
-			if victim == nil || cand.used.Load() < victim.used.Load() {
-				victim = cand
-			}
-		}
-		delete(m, victim.key)
-		s.bytes -= victim.cost
-		c.evictions.Add(1)
+	// The new entry alone fits, so the loop stops before reaching it.
+	for s.bytes > s.budget {
+		s.drop(s.lru.prev)
+		s.evictions++
 	}
-	s.items.Store(&m)
+}
+
+func (s *shard) pushFront(e *entry) {
+	e.prev, e.next = &s.lru, s.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+func unlink(e *entry) { e.prev.next, e.next.prev = e.next, e.prev }
+
+// drop removes a resident entry from the map, the list and the byte count.
+func (s *shard) drop(e *entry) {
+	unlink(e)
+	delete(s.items, e.key)
+	s.bytes -= e.cost
 }
 
 // Remove drops key from the cache, reporting whether it was present.
@@ -262,20 +270,19 @@ func (c *Cache) Remove(key string) bool {
 }
 
 func (s *shard) removeLocked(key string) bool {
-	cur := *s.items.Load()
-	e, ok := cur[key]
-	if !ok {
-		return false
+	e, ok := s.items[key]
+	if ok {
+		s.drop(e)
 	}
-	m := make(map[string]*entry, len(cur))
-	for k, v := range cur {
-		if k != key {
-			m[k] = v
-		}
-	}
-	s.bytes -= e.cost
-	s.items.Store(&m)
-	return true
+	return ok
+}
+
+// clearLocked empties the shard: a fresh map (so a purge releases the old
+// one's buckets) and an empty list.
+func (s *shard) clearLocked() {
+	s.items = make(map[string]*entry)
+	s.lru.prev, s.lru.next = &s.lru, &s.lru
+	s.bytes = 0
 }
 
 // Purge drops every cached entry (in-flight computes are unaffected).
@@ -283,34 +290,17 @@ func (c *Cache) Purge() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		empty := make(map[string]*entry)
-		s.items.Store(&empty)
-		s.bytes = 0
+		s.clearLocked()
 		s.mu.Unlock()
 	}
 }
 
-// Len returns the number of cached entries. Lock-free.
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		n += len(*c.shards[i].items.Load())
-	}
-	return n
-}
+// Len returns the number of cached entries.
+func (c *Cache) Len() int { return c.Stats().Entries }
 
 // Bytes returns the total charged cost of cached entries (including the
 // per-entry overhead).
-func (c *Cache) Bytes() int64 {
-	var n int64
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.bytes
-		s.mu.Unlock()
-	}
-	return n
-}
+func (c *Cache) Bytes() int64 { return c.Stats().Bytes }
 
 // Stats is a point-in-time, JSON-encodable counter snapshot.
 type Stats struct {
@@ -324,12 +314,17 @@ type Stats struct {
 
 // Stats returns the cache's cumulative counters and current occupancy.
 func (c *Cache) Stats() Stats {
-	return Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Collapsed: c.collapsed.Load(),
-		Entries:   c.Len(),
-		Bytes:     c.Bytes(),
+	var st Stats
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		st.Hits += s.hits
+		st.Misses += s.misses
+		st.Evictions += s.evictions
+		st.Collapsed += s.collapsed
+		st.Entries += len(s.items)
+		st.Bytes += s.bytes
+		s.mu.Unlock()
 	}
+	return st
 }

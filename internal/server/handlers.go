@@ -165,17 +165,23 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Read fully before decoding so an oversized body is always reported
-	// as 413 rather than as whatever parse error the truncation causes.
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+	// as 413 rather than as whatever parse error the truncation causes. A
+	// body that declares its length is read into one buffer of that size
+	// (capped at the limit); a chunked or understated one grows as it goes.
+	var body bytes.Buffer
+	if r.ContentLength >= 0 {
+		body.Grow(int(min(r.ContentLength, s.maxBody)) + bytes.MinRead)
+	}
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
 		httpDecodeError(w, err)
 		return
 	}
 	var pi *core.ProbInstance
 	if strings.Contains(r.Header.Get("Content-Type"), "json") {
-		pi, err = codec.DecodeJSON(bytes.NewReader(raw))
+		pi, err = codec.DecodeJSON(&body)
 	} else {
-		pi, err = codec.DecodeTextBytes(raw)
+		pi, err = codec.DecodeTextBytes(body.Bytes())
 	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, err)

@@ -12,6 +12,7 @@ import (
 
 	"pxml/internal/apiv1"
 	"pxml/internal/codec"
+	"pxml/internal/core"
 	"pxml/internal/gen"
 )
 
@@ -134,6 +135,57 @@ func TestPutRefusesUnitSeparatorIDs(t *testing.T) {
 		}
 		if _, ok := s.Get("us"); ok {
 			t.Errorf("%s: the refused instance was installed", tc.contentType)
+		}
+	}
+}
+
+// TestPutBodyDeclaredLength: a PUT body is sized from its Content-Length
+// but read to its end whatever that says — chunked (-1), understated,
+// exact, overstated or declared past the limit — and every reading decodes
+// to the same instance; a body over the limit is 413 whatever it declares.
+func TestPutBodyDeclaredLength(t *testing.T) {
+	in, err := gen.Generate(gen.Config{Depth: 3, Branch: 3, Labeling: gen.FR, LeafDomainSize: 2, Seed: 29})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if err := codec.EncodeText(&doc, in.PI); err != nil {
+		t.Fatal(err)
+	}
+	n := int64(doc.Len())
+	s := MustNew(Config{MaxBody: n + 1024})
+	h := s.Handler()
+	put := func(body []byte, declared int64) *httptest.ResponseRecorder {
+		r := httptest.NewRequest("PUT", "/v1/instances/x", bytes.NewReader(body))
+		r.ContentLength = declared
+		r.Header.Set("Content-Type", "text/plain")
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		return w
+	}
+	oversized := append(bytes.Clone(doc.Bytes()), bytes.Repeat([]byte{'\n'}, 2048)...)
+	for _, tc := range []struct {
+		what     string
+		declared int64
+	}{
+		{"chunked", -1},
+		{"declared empty", 0},
+		{"understated", n / 3},
+		{"exact", n},
+		{"overstated", 2 * n},
+		{"declared past the limit", 1 << 40},
+	} {
+		s.Delete("x")
+		if w := put(doc.Bytes(), tc.declared); w.Code != http.StatusCreated {
+			t.Errorf("%s: status %d: %s", tc.what, w.Code, w.Body)
+			continue
+		}
+		if got, ok := s.Get("x"); !ok || !core.Equal(got, in.PI, 0) {
+			t.Errorf("%s: the stored instance is not the one sent", tc.what)
+		}
+		w := put(oversized, tc.declared)
+		if e := apiv1.ErrorFromBody(w.Code, w.Body.Bytes()); w.Code != http.StatusRequestEntityTooLarge || e.Code != apiv1.CodeBodyTooLarge {
+			t.Errorf("%s, over the limit: status %d, code %q; want 413 %s", tc.what, w.Code, e.Code, apiv1.CodeBodyTooLarge)
 		}
 	}
 }
