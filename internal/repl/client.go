@@ -94,8 +94,8 @@ type Chunk struct {
 	Data []byte
 	// CaughtUp is true when the long poll expired with nothing new.
 	CaughtUp bool
-	// Epoch is the leader epoch the response was served under (0 when
-	// the leader predates the epoch protocol).
+	// Epoch is the leader epoch the response was served under (always
+	// at least 1).
 	Epoch uint64
 }
 
@@ -141,18 +141,16 @@ func apiError(resp *http.Response) error {
 
 // Stream fetches one chunk of WAL starting at from, long-polling on the
 // leader for up to wait when caught up (0 means the leader's default).
-// epoch, when non-zero, is the follower's highest-seen leader epoch; a
-// leader superseded by it fences itself and answers 409 epoch_fenced.
+// epoch is the follower's highest-seen leader epoch; a leader superseded
+// by it fences itself and answers 409 epoch_fenced. An answer without a
+// positive X-Pxml-Repl-Epoch is an error: every leader stamps one.
 func (c *Client) Stream(ctx context.Context, from store.Pos, maxBytes int, wait time.Duration, epoch uint64) (Chunk, error) {
-	q := url.Values{ParamFrom: {from.String()}}
+	q := url.Values{ParamFrom: {from.String()}, ParamEpoch: {strconv.FormatUint(epoch, 10)}}
 	if maxBytes > 0 {
 		q.Set(ParamMaxBytes, strconv.Itoa(maxBytes))
 	}
 	if wait > 0 {
 		q.Set(ParamWaitMS, strconv.FormatInt(int64(wait/time.Millisecond), 10))
-	}
-	if epoch > 0 {
-		q.Set(ParamEpoch, strconv.FormatUint(epoch, 10))
 	}
 	resp, err := c.get(ctx, StreamPath, q)
 	if err != nil {
@@ -179,10 +177,9 @@ func (c *Client) Stream(ctx context.Context, from store.Pos, maxBytes int, wait 
 			return Chunk{}, fmt.Errorf("repl: stream: bad %s header: %q", HeaderLag, v)
 		}
 	}
-	if v := resp.Header.Get(HeaderEpoch); v != "" {
-		if chunk.Epoch, err = strconv.ParseUint(v, 10, 64); err != nil {
-			return Chunk{}, fmt.Errorf("repl: stream: bad %s header: %q", HeaderEpoch, v)
-		}
+	v := resp.Header.Get(HeaderEpoch)
+	if chunk.Epoch, err = strconv.ParseUint(v, 10, 64); err != nil || chunk.Epoch == 0 {
+		return Chunk{}, fmt.Errorf("repl: stream: bad %s header: %q", HeaderEpoch, v)
 	}
 	if resp.StatusCode == http.StatusOK {
 		chunk.Data, err = io.ReadAll(io.LimitReader(resp.Body, MaxChunkBytes+1))

@@ -78,7 +78,7 @@ type Status struct {
 	// clears it.
 	Diverged bool
 	// LeaderEpoch is the highest leader epoch observed on the stream (0
-	// before first contact or against a pre-epoch leader).
+	// before first contact).
 	LeaderEpoch uint64
 	// LastErr is the most recent transient error, cleared on success.
 	LastErr string

@@ -25,9 +25,10 @@
 //	  409  {"error":{"code":"epoch_fenced"}} — this node has been
 //	       superseded by a higher leader epoch and no longer serves the
 //	       stream; X-Pxml-Repl-Leader names the successor when known, so
-//	       the puller can retarget. The optional epoch=E request
-//	       parameter is the follower's highest-seen epoch: a leader that
-//	       receives a higher one than its own fences itself on the spot.
+//	       the puller can retarget. The epoch=E request parameter
+//	       (optional on the wire; Client always sends it) is the
+//	       follower's highest-seen epoch: a leader that receives a
+//	       higher one than its own fences itself on the spot.
 //	  401  bearer token required/wrong (when the leader enables auth).
 //
 //	GET /v1/repl/bootstrap

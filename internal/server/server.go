@@ -163,9 +163,10 @@ type Config struct {
 	// directory: writes go through a write-ahead log with periodic
 	// snapshots, and New runs crash recovery (replaying snapshot-then-WAL,
 	// quarantining corrupt records, truncating torn tails; see
-	// RecoveryReport). A directory of one-file-per-instance <name>.pxml
-	// text files is migrated on first open. Names are restricted to
-	// [A-Za-z0-9_-]+ to keep durable artifacts unambiguous.
+	// RecoveryReport). A directory in a retired layout (a wal.log or
+	// top-level <name>.pxml files) fails New with store.ErrRetiredLayout.
+	// Names are restricted to [A-Za-z0-9_-]+ to keep durable artifacts
+	// unambiguous.
 	StoreDir string
 	// StoreOptions tunes the durable store; only read with StoreDir.
 	// Its Registry is overridden with the server's own.

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"net/http"
@@ -19,6 +20,7 @@ import (
 	"pxml/internal/fixtures"
 	"pxml/internal/prob"
 	"pxml/internal/sets"
+	"pxml/internal/store"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
@@ -549,49 +551,21 @@ func (s syncWriter) Write(p []byte) (int, error) {
 	return s.w.Write(p)
 }
 
-// TestFlatFileDirMigratesUnderStoreDir: a directory holding the retired
-// one-file-per-instance layout opens through Config.StoreDir, serves the
-// good instances over /v1 and reports the corrupt one quarantined.
-func TestFlatFileDirMigratesUnderStoreDir(t *testing.T) {
+// TestRetiredLayoutRefusedUnderStoreDir: a directory holding the retired
+// one-file-per-instance layout fails New through Config.StoreDir with
+// store.ErrRetiredLayout instead of serving an empty catalog over it.
+func TestRetiredLayoutRefusedUnderStoreDir(t *testing.T) {
 	dir := t.TempDir()
-	var tree bytes.Buffer
-	if err := codec.EncodeText(&tree, smallTree()); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "bib.pxml"), []byte(figure2Text(t)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for name, text := range map[string]string{
-		"tree.pxml":    tree.String(),
-		"bib.pxml":     figure2Text(t),
-		"mangled.pxml": "pxml/1\nnot an instance\n",
-	} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	s, err := New(Config{StoreDir: dir})
-	if err != nil {
-		t.Fatalf("corrupt file aborted startup: %v", err)
+	if err == nil {
+		s.Close()
+		t.Fatal("New served a retired-layout directory")
 	}
-	defer s.Close()
-	rep := s.RecoveryReport()
-	if rep.MigratedLegacy != 2 || len(rep.Quarantined) != 1 || rep.Quarantined[0].Source != "mangled.pxml" {
-		t.Fatalf("recovery report = %s, quarantined %+v", rep, rep.Quarantined)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "mangled.pxml.corrupt")); err != nil {
-		t.Fatalf("corrupt file not set aside: %v", err)
-	}
-
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	resp, body := do(t, "GET", ts.URL+"/v1/instances", "", "")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(body, `"name":"bib"`) || !strings.Contains(body, `"name":"tree"`) || strings.Contains(body, "mangled") {
-		t.Fatalf("list after migration: %d %s", resp.StatusCode, body)
-	}
-	if resp, body = do(t, "GET", ts.URL+"/v1/instances/tree", "", ""); resp.StatusCode != http.StatusOK || body != tree.String() {
-		t.Errorf("migrated tree reads back %d:\n%s\nwant:\n%s", resp.StatusCode, body, tree.String())
-	}
-	if resp, body = do(t, "POST", ts.URL+"/v1/instances/bib/query", "PROB OBJECT A1", "text/plain"); resp.StatusCode != http.StatusOK || !strings.Contains(body, `"prob":0.88`) {
-		t.Errorf("query on migrated bib: %d %s", resp.StatusCode, body)
+	if !errors.Is(err, store.ErrRetiredLayout) || !strings.Contains(err.Error(), "bib.pxml") {
+		t.Fatalf("New = %v, want store.ErrRetiredLayout naming bib.pxml", err)
 	}
 }
 

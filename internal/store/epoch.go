@@ -231,7 +231,7 @@ func (s *Store) persistEpochLocked(epoch uint64, fenced bool, leaderURL string) 
 }
 
 // loadEpoch recovers the epoch/fencing state on open. A missing file is
-// epoch 1, unfenced (every pre-epoch store, and every fresh one). A
+// epoch 1, unfenced (a store never promoted or fenced, or a fresh one). A
 // file that exists but does not parse is an open error: fencing
 // correctness depends on this state, so guessing is worse than failing.
 func (s *Store) loadEpoch() error {

@@ -262,10 +262,9 @@ func TestReplApplyEpochGuard(t *testing.T) {
 	if _, err := follower.ReplApply(next.From, next.Epoch, next.Data); !errors.Is(err, ErrEpochFenced) {
 		t.Fatalf("ReplApply from stale epoch = %v, want ErrEpochFenced", err)
 	}
-	// Epoch 0 means "no epoch information" (legacy peer) and bypasses
-	// the guard rather than fencing on it.
-	if _, err := follower.ReplApply(next.From, 0, next.Data); err != nil {
-		t.Fatalf("ReplApply with epoch 0 = %v, want pass-through", err)
+	// Epoch 0 is below every store's epoch, so the same guard refuses it.
+	if _, err := follower.ReplApply(next.From, 0, next.Data); !errors.Is(err, ErrEpochFenced) {
+		t.Fatalf("ReplApply with epoch 0 = %v, want ErrEpochFenced", err)
 	}
 
 	// The adopted epoch survives follower restart.

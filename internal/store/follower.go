@@ -55,9 +55,9 @@ type ApplyResult struct {
 // epoch is the leader era the chunk was served under (the stream's
 // X-Pxml-Repl-Epoch stamp). A chunk from an epoch lower than the
 // highest this follower has seen is refused with ErrEpochFenced —
-// bytes from a superseded leader would fork the mirror. A higher epoch
-// is adopted (and persisted) before any byte lands. epoch 0 skips the
-// check, for callers speaking the pre-epoch protocol.
+// bytes from a superseded leader would fork the mirror; epoch 0, below
+// every store's epoch, is refused the same way. A higher epoch is
+// adopted (and persisted) before any byte lands.
 func (s *Store) ReplApply(from Pos, epoch uint64, data []byte) (ApplyResult, error) {
 	if !s.roleFollower.Load() {
 		return ApplyResult{}, fmt.Errorf("store: ReplApply on a non-follower store")
@@ -89,17 +89,15 @@ func (s *Store) ReplApply(from Pos, epoch uint64, data []byte) (ApplyResult, err
 	if s.degraded {
 		return ApplyResult{}, s.degradedErrLocked()
 	}
-	if epoch != 0 {
-		if epoch < s.epoch {
-			return ApplyResult{}, fmt.Errorf("%w: chunk from epoch %d, follower has seen epoch %d",
-				ErrEpochFenced, epoch, s.epoch)
-		}
-		// Adopt-before-apply: if the new era cannot be persisted, the
-		// bytes must not land either, or a crash could replay them under
-		// the old era's authority.
-		if err := s.adoptEpochLocked(epoch); err != nil {
-			return ApplyResult{}, fmt.Errorf("store: repl epoch adopt: %w", err)
-		}
+	if epoch < s.epoch {
+		return ApplyResult{}, fmt.Errorf("%w: chunk from epoch %d, follower has seen epoch %d",
+			ErrEpochFenced, epoch, s.epoch)
+	}
+	// Adopt-before-apply: if the new era cannot be persisted, the bytes
+	// must not land either, or a crash could replay them under the old
+	// era's authority.
+	if err := s.adoptEpochLocked(epoch); err != nil {
+		return ApplyResult{}, fmt.Errorf("store: repl epoch adopt: %w", err)
 	}
 	switch {
 	case from.Seg == s.seg:

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -20,11 +21,10 @@ import (
 // QuarantinedRecord describes one corrupt region recovery set aside
 // instead of failing on.
 type QuarantinedRecord struct {
-	// Source is "snapshot", "wal", or the legacy file name the bytes
-	// came from.
+	// Source is "snapshot" or the WAL segment ("wal-00000001") the
+	// bytes came from.
 	Source string `json:"source"`
-	// Offset is the byte offset of the region within its source file
-	// (zero for legacy files, which are quarantined whole).
+	// Offset is the byte offset of the region within its source file.
 	Offset int64 `json:"offset"`
 	// Path is where the bytes were preserved for inspection.
 	Path string `json:"path"`
@@ -47,17 +47,12 @@ type RecoveryReport struct {
 	TruncatedBytes int64 `json:"truncated_bytes,omitempty"`
 	// Segments is how many WAL segment files recovery replayed.
 	Segments int `json:"segments,omitempty"`
-	// MigratedLegacy counts legacy .pxml text files folded into the
-	// log-structured layout; MigratedWAL reports a pre-segmentation
-	// single-file wal.log replayed and retired.
-	MigratedLegacy int  `json:"migrated_legacy,omitempty"`
-	MigratedWAL    bool `json:"migrated_wal,omitempty"`
 }
 
 // dirty reports whether recovery changed or repaired on-disk state, which
 // Open follows with an immediate compaction.
 func (r *RecoveryReport) dirty() bool {
-	return len(r.Quarantined) > 0 || r.TruncatedBytes > 0 || r.MigratedLegacy > 0 || r.MigratedWAL
+	return len(r.Quarantined) > 0 || r.TruncatedBytes > 0
 }
 
 // String renders a one-line summary for startup logs.
@@ -71,20 +66,35 @@ func (r *RecoveryReport) String() string {
 	if r.TruncatedBytes > 0 {
 		fmt.Fprintf(&b, ", truncated %d-byte torn wal tail", r.TruncatedBytes)
 	}
-	if r.MigratedLegacy > 0 {
-		fmt.Fprintf(&b, ", migrated %d legacy files", r.MigratedLegacy)
-	}
-	if r.MigratedWAL {
-		b.WriteString(", migrated legacy wal")
-	}
 	return b.String()
 }
 
-// recover rebuilds the in-memory catalog: snapshot first, then a legacy
-// single-file WAL (if one survives from the pre-segmentation layout),
-// then every WAL segment in ascending order. Corrupt records are
-// quarantined, a torn tail on a file that was being appended to is
-// truncated, and a legacy flat-file directory is migrated. Only I/O
+// ErrRetiredLayout rejects a data directory holding a layout this build
+// no longer reads: the single-file wal.log or one-file-per-instance
+// <name>.pxml files. Match with errors.Is.
+var ErrRetiredLayout = errors.New("store: retired on-disk layout")
+
+// checkLayout refuses a directory holding a retired layout's files. It
+// only lists dir: recovering next to those files would serve an empty
+// catalog over data a later cleanup could delete. Commit ccfb1a5 is the
+// last build that migrates them.
+func checkLayout(fsys vfs.FS, dir string) error {
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	for _, e := range entries {
+		if n := e.Name(); n == "wal.log" || filepath.Ext(n) == ".pxml" {
+			return fmt.Errorf("%w: %s; open the directory once with a build of commit ccfb1a5, the last that migrates it",
+				ErrRetiredLayout, filepath.Join(dir, n))
+		}
+	}
+	return nil
+}
+
+// recover rebuilds the in-memory catalog: snapshot first, then every WAL
+// segment in ascending order. Corrupt records are quarantined and a torn
+// tail on the segment that was being appended to is truncated. Only I/O
 // failures (not data corruption) abort recovery.
 func (s *Store) recover() (*RecoveryReport, error) {
 	report := &RecoveryReport{}
@@ -98,17 +108,8 @@ func (s *Store) recover() (*RecoveryReport, error) {
 	// query time). WAL files replay eagerly — they are short-lived,
 	// carry deletes, and get truncated/rewritten, so aliasing them is
 	// not worth the bookkeeping.
-	if _, _, err := s.recoverFile(snapshotName, "snapshot", false, true, &report.SnapshotRecords, report); err != nil {
+	if _, err := s.recoverFile(snapshotName, "snapshot", false, true, &report.SnapshotRecords, report); err != nil {
 		return nil, err
-	}
-	// A pre-segmentation wal.log predates every segment, so it replays
-	// right after the snapshot. It is retired (snapshotted into the new
-	// layout, then deleted) by the post-recovery compaction.
-	if _, found, err := s.recoverFile(legacyWALName, "wal", true, false, &report.WALRecords, report); err != nil {
-		return nil, err
-	} else if found {
-		report.MigratedWAL = true
-		s.legacyMigrated = append(s.legacyMigrated, s.path(legacyWALName))
 	}
 	segs, err := listSegments(s.fs, s.dir)
 	if err != nil {
@@ -121,7 +122,7 @@ func (s *Store) recover() (*RecoveryReport, error) {
 		// quarantined instead.
 		last := i == len(segs)-1
 		source := strings.TrimSuffix(segmentFile(n), segSuffix)
-		size, _, err := s.recoverFile(segmentFile(n), source, last, false, &report.WALRecords, report)
+		size, err := s.recoverFile(segmentFile(n), source, last, false, &report.WALRecords, report)
 		if err != nil {
 			return nil, err
 		}
@@ -131,11 +132,6 @@ func (s *Store) recover() (*RecoveryReport, error) {
 			s.activeBytes = size // post-truncation; Open may seal it as-is
 		} else {
 			s.sealed = append(s.sealed, segInfo{n: n, size: size})
-		}
-	}
-	if report.SnapshotRecords == 0 && report.WALRecords == 0 && len(report.Quarantined) == 0 && !report.MigratedWAL {
-		if err := s.migrateLegacy(report); err != nil {
-			return nil, err
 		}
 	}
 	// Pick up quarantine files left by earlier runs so the cap and the
@@ -153,14 +149,14 @@ func (s *Store) recover() (*RecoveryReport, error) {
 	return report, nil
 }
 
-// recoverFile replays one frame file into the catalog, reporting its
-// (post-truncation) size and whether it existed. With truncateTail set —
-// the file was being appended to when the process died — a trailing
+// recoverFile replays one frame file, if present, into the catalog,
+// reporting its (post-truncation) size. With truncateTail set — the
+// file was being appended to when the process died — a trailing
 // region with no later frame to resync on is dropped in place: that is
 // the signature of an append cut short by a crash. Otherwise a torn tail
 // is quarantined like any other corruption (snapshots and sealed
 // segments are never appended to, so a short tail means real damage).
-func (s *Store) recoverFile(fileName, source string, truncateTail, lazy bool, nRecords *int, report *RecoveryReport) (int64, bool, error) {
+func (s *Store) recoverFile(fileName, source string, truncateTail, lazy bool, nRecords *int, report *RecoveryReport) (int64, error) {
 	var data []byte
 	var src *vfs.Mapping
 	if lazy {
@@ -170,10 +166,10 @@ func (s *Store) recoverFile(fileName, source string, truncateTail, lazy bool, nR
 		// read failures still fire.
 		m, err := vfs.MapFile(s.fs, s.path(fileName))
 		if os.IsNotExist(err) {
-			return 0, false, nil
+			return 0, nil
 		}
 		if err != nil {
-			return 0, false, fmt.Errorf("store: %w", err)
+			return 0, fmt.Errorf("store: %w", err)
 		}
 		src = m
 		data = m.Bytes()
@@ -181,10 +177,10 @@ func (s *Store) recoverFile(fileName, source string, truncateTail, lazy bool, nR
 		var err error
 		data, err = s.fs.ReadFile(s.path(fileName))
 		if os.IsNotExist(err) {
-			return 0, false, nil
+			return 0, nil
 		}
 		if err != nil {
-			return 0, false, fmt.Errorf("store: %w", err)
+			return 0, fmt.Errorf("store: %w", err)
 		}
 	}
 	res, err := scanFrames(data, func(off int64, payload []byte) error {
@@ -230,29 +226,29 @@ func (s *Store) recoverFile(fileName, source string, truncateTail, lazy bool, nR
 		return nil
 	})
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	for _, bad := range res.Bad {
 		if err := s.quarantine(source, bad.Off, bad.Data, bad.Err, report); err != nil {
-			return 0, false, err
+			return 0, err
 		}
 	}
 	size := int64(len(data))
 	if res.TornTail > 0 {
 		if truncateTail {
 			if err := s.fs.Truncate(s.path(fileName), res.CleanLen); err != nil {
-				return 0, false, fmt.Errorf("store: truncate torn wal tail: %w", err)
+				return 0, fmt.Errorf("store: truncate torn wal tail: %w", err)
 			}
 			report.TruncatedBytes += res.TornTail
 			size = res.CleanLen
 		} else {
 			tailOff := size - res.TornTail
 			if err := s.quarantine(source, tailOff, data[tailOff:], fmt.Errorf("store: undecodable %s tail", source), report); err != nil {
-				return 0, false, err
+				return 0, err
 			}
 		}
 	}
-	return size, true, nil
+	return size, nil
 }
 
 // quarantine preserves a corrupt byte region under quarantine/ and logs
@@ -320,66 +316,4 @@ func quarantineModTime(e os.DirEntry) time.Time {
 		return time.Time{}
 	}
 	return info.ModTime()
-}
-
-// migrateLegacy folds a pre-WAL data directory of per-instance .pxml
-// text files into the store. Decodable files are loaded (and later
-// snapshotted by Open's post-recovery compaction) and removed; corrupt
-// files are renamed to <name>.pxml.corrupt and reported.
-func (s *Store) migrateLegacy(report *RecoveryReport) error {
-	paths, err := s.fs.Glob(filepath.Join(s.dir, "*.pxml"))
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	var migrated []string
-	for _, p := range paths {
-		name := strings.TrimSuffix(filepath.Base(p), ".pxml")
-		f, err := s.fs.Open(p)
-		if err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		pi, derr := codec.DecodeText(f)
-		f.Close()
-		if derr != nil {
-			corrupt := p + ".corrupt"
-			if err := s.fs.Rename(p, corrupt); err != nil {
-				return fmt.Errorf("store: quarantine legacy file: %w", err)
-			}
-			report.Quarantined = append(report.Quarantined, QuarantinedRecord{
-				Source: filepath.Base(p),
-				Path:   corrupt,
-				Err:    derr.Error(),
-			})
-			if s.opts.Logger != nil {
-				s.opts.Logger.Printf("store: legacy file %s is corrupt, renamed to %s: %v", p, corrupt, derr)
-			}
-			continue
-		}
-		s.recm[name] = s.newEntryLocked(name, pi)
-		migrated = append(migrated, p)
-		report.MigratedLegacy++
-	}
-	// Removal is deferred until Open has written a durable snapshot
-	// containing the migrated instances; deleting the sources first
-	// would lose them to a crash in between.
-	s.legacyMigrated = migrated
-	return nil
-}
-
-// removeMigratedLegacy deletes legacy source files once their contents
-// are snapshot-durable.
-func (s *Store) removeMigratedLegacy() error {
-	if len(s.legacyMigrated) == 0 {
-		return nil
-	}
-	for _, p := range s.legacyMigrated {
-		if err := s.fs.Remove(p); err != nil {
-			return fmt.Errorf("store: remove migrated legacy file: %w", err)
-		}
-	}
-	s.legacyMigrated = nil
-	if err := s.fs.SyncDir(s.dir); err != nil {
-		return fmt.Errorf("store: dir fsync: %w", err)
-	}
-	return nil
 }

@@ -163,10 +163,8 @@ const commitQueueDepth = 256
 const maxCommitScratch = 4 << 20
 
 // Store names inside the data directory. The WAL itself lives in
-// numbered segment files (see segment.go); legacyWALName is the
-// pre-segmentation single-file WAL, replayed and retired on first open.
+// numbered segment files (see segment.go).
 const (
-	legacyWALName = "wal.log"
 	snapshotName  = "snapshot.pxs"
 	quarantineDir = "quarantine"
 )
@@ -243,10 +241,6 @@ type Store struct {
 	archiveErrs  int64
 	lastErr      string
 	lastErrAt    time.Time
-
-	// legacyMigrated holds .pxml paths folded in by recovery, removed
-	// once the post-recovery snapshot is durable.
-	legacyMigrated []string
 
 	walAppends     *metrics.Counter
 	walAppendBytes *metrics.Counter
@@ -335,8 +329,8 @@ func freeCommitReq(req *commitReq) {
 // Open opens (creating if necessary) the store in dir, runs crash
 // recovery, and starts the background maintenance goroutine. The returned
 // report describes what recovery found; it is never nil when the error is
-// nil. A directory holding legacy per-instance .pxml text files is
-// migrated into the log-structured layout on first open.
+// nil. A directory in a retired layout (a wal.log or top-level .pxml
+// files) is refused with ErrRetiredLayout and left untouched.
 func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 	if dir == "" {
 		return nil, nil, fmt.Errorf("store: empty directory")
@@ -364,6 +358,9 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 	}
 	if err := opts.FS.MkdirAll(dir); err != nil {
 		return nil, nil, fmt.Errorf("store: %w", err)
+	}
+	if err := checkLayout(opts.FS, dir); err != nil {
+		return nil, nil, err
 	}
 	if opts.ArchiveDir != "" {
 		if err := opts.FS.MkdirAll(opts.ArchiveDir); err != nil {
@@ -467,15 +464,11 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 	if s.segmentsG != nil {
 		s.segmentsG.Set(int64(len(s.sealed) + 1))
 	}
-	// A recovery that had to quarantine, truncate, or migrate leaves the
-	// on-disk state it repaired around; compact immediately so the next
-	// open starts from a clean snapshot and an empty WAL.
+	// A recovery that had to quarantine or truncate leaves the on-disk
+	// state it repaired around; compact immediately so the next open
+	// starts from a clean snapshot and an empty WAL.
 	if report.dirty() {
 		if err := s.Compact(); err != nil {
-			wal.Close()
-			return nil, nil, err
-		}
-		if err := s.removeMigratedLegacy(); err != nil {
 			wal.Close()
 			return nil, nil, err
 		}

@@ -3,7 +3,6 @@ package vfs
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"sync"
@@ -28,10 +27,9 @@ const (
 	OpMkdir      Op = "mkdir"
 	OpOpenAppend Op = "open-append"
 	OpCreate     Op = "create" // CreateTemp
-	OpOpen       Op = "open"
-	OpRead       Op = "read"  // ReadFile
-	OpWrite      Op = "write" // File.Write and WriteFile
-	OpSync       Op = "sync"  // File.Sync and FS.Sync
+	OpRead       Op = "read"   // ReadFile
+	OpWrite      Op = "write"  // File.Write and WriteFile
+	OpSync       Op = "sync"   // File.Sync and FS.Sync
 	OpSyncDir    Op = "sync-dir"
 	OpRename     Op = "rename"
 	OpLink       Op = "link"
@@ -235,13 +233,6 @@ func (f *FaultFS) CreateTemp(dir, pattern string) (File, error) {
 		return nil, err
 	}
 	return &faultFile{fs: f, File: file, path: file.Name()}, nil
-}
-
-func (f *FaultFS) Open(name string) (io.ReadCloser, error) {
-	if err := f.apply(OpOpen, name); err != nil {
-		return nil, err
-	}
-	return f.base.Open(name)
 }
 
 func (f *FaultFS) ReadFile(name string) ([]byte, error) {

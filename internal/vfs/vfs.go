@@ -38,8 +38,6 @@ type FS interface {
 	// CreateTemp creates a new temp file in dir (pattern as in
 	// os.CreateTemp).
 	CreateTemp(dir, pattern string) (File, error)
-	// Open opens name for reading.
-	Open(name string) (io.ReadCloser, error)
 	// ReadFile returns the contents of name.
 	ReadFile(name string) ([]byte, error)
 	// WriteFile writes data to name, creating or truncating it.
@@ -96,8 +94,6 @@ func (osFS) CreateTemp(dir, pattern string) (File, error) {
 	}
 	return osFile{f}, nil
 }
-
-func (osFS) Open(name string) (io.ReadCloser, error) { return os.Open(name) }
 
 func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 

@@ -2,7 +2,6 @@ package vfs
 
 import (
 	"errors"
-	"io"
 	"path/filepath"
 	"syscall"
 	"testing"
@@ -72,14 +71,8 @@ func TestOSFSRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rc, err := OS.Open(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := io.ReadAll(rc)
-	rc.Close()
-	if string(got) != "snapshot" {
-		t.Fatalf("Open read %q", got)
+	if got, err := OS.ReadFile(snap); err != nil || string(got) != "snapshot" {
+		t.Fatalf("ReadFile after rename = %q, %v", got, err)
 	}
 
 	matches, err := OS.Glob(filepath.Join(sub, "*.pxs"))
