@@ -48,11 +48,12 @@ bench:
 # policy, recovery replay, compaction, the binary-vs-text codec pair, the PUT
 # pipeline stage by stage (decode, validate, encode, profile + index), and one
 # query through the whole handler stack, answered from the result cache
-# (CachedHit) and evaluated (QueryMiss).
+# (CachedHit) and evaluated on the tree lane (QueryMiss) and the BN lane
+# (QueryMissDAG).
 bench-store:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/store
 	$(GO) test -run '^$$' -bench 'Binary|Text' -benchmem ./internal/codec
-	$(GO) test -run '^$$' -bench 'PutPipeline|CachedHit|QueryMiss' -benchmem -cpu 1 ./internal/server
+	$(GO) test -run '^$$' -bench 'PutPipeline|CachedHit|QueryMiss(DAG)?' -benchmem -cpu 1 ./internal/server
 
 # Quick benchmark smoke for CI: one iteration per benchmark at
 # GOMAXPROCS 1 and 4, enough to catch perf-critical paths that stop
@@ -73,7 +74,7 @@ bench-smoke:
 	$(BENCH_SMOKE) -bench PointQuery ./internal/query
 	$(BENCH_SMOKE) -bench 'InferDAG|TreePath|CompileFigure2' ./internal/bayes
 	$(BENCH_SMOKE) -bench 'Encode|Decode' ./internal/codec
-	$(BENCH_SMOKE) -bench 'FollowerFanout|CachedHit|QueryMiss' ./internal/server
+	$(BENCH_SMOKE) -bench 'FollowerFanout|CachedHit|QueryMiss(DAG)?' ./internal/server
 	$(BENCH_SMOKE) -bench InsertFull ./internal/rescache
 
 # Reproduce the paper's Figure 7 panels into results/ (wall clock). The

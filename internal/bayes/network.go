@@ -280,41 +280,66 @@ func (n *Network) distribution(id int, f *Factor) map[string]float64 {
 func (n *Network) Marginal(o model.ObjectID) (map[string]float64, error) {
 	w := acquire()
 	defer w.release()
-	id, f, err := n.marginal(nil, w, o)
+	id, ok := n.objVar[o]
+	if !ok {
+		return nil, fmt.Errorf("bayes: unknown object %s", o)
+	}
+	w.seeds = append(w.seeds[:0], id)
+	f, err := n.joint(nil, w, id)
 	if err != nil {
 		return nil, err
 	}
 	return n.distribution(id, f), nil
 }
 
-// marginal eliminates everything but o's variable from the CPTs relevant
-// to it. The factor is w's.
-func (n *Network) marginal(g *govern.Governor, w *workspace, o model.ObjectID) (id int, f *Factor, err error) {
-	id, ok := n.objVar[o]
-	if !ok {
-		return 0, nil, fmt.Errorf("bayes: unknown object %s", o)
-	}
-	w.seeds = append(w.seeds[:0], id)
-	f, err = n.joint(g, w, id)
-	return id, f, err
-}
-
 // ProbExistsCtx returns the probability that object o occurs in a
 // compatible instance — the Section 2 scenario 4 query ("the probability
 // that a particular author exists"), exact on DAGs — with elimination
 // governed by ctx's budget.
+//
+// An object occurs exactly when some parent occurs and chose a child set
+// holding it (Definition 4.4), so the answer is the OR over o's parents y
+// of "X_y ∋ o", built from the path lane's term and or factors with the
+// parents as seeds. o's own CPT, a table over the product of its parents'
+// states, never enters the elimination (DESIGN §18).
 func (n *Network) ProbExistsCtx(ctx context.Context, o model.ObjectID) (float64, error) {
+	id, ok := n.objVar[o]
+	if !ok {
+		return 0, fmt.Errorf("bayes: unknown object %s", o)
+	}
+	parents := n.factors[id].vars[1:]
+	if len(parents) == 0 {
+		return 1, nil // the root occurs in every compatible instance
+	}
+	gov := govern.From(ctx)
 	w := acquire()
 	defer w.release()
-	id, f, err := n.marginal(govern.From(ctx), w, o)
+	q := overlay{gov: gov, next: len(n.vars), w: w}
+	w.extra, w.seeds = w.extra[:0], w.seeds[:0]
+	terms := w.terms[:0]
+	for _, y := range parents {
+		t, err := q.term(n, y, o, -1)
+		if err != nil {
+			return 0, err
+		}
+		terms = append(terms, t)
+		w.seeds = append(w.seeds, y)
+	}
+	w.terms = terms
+	occurs, err := q.or(terms)
 	if err != nil {
 		return 0, err
 	}
-	absent := n.vars[id].StateIndex(Absent)
-	if absent < 0 {
-		return 1, nil // the root has no absent state
+	joint, err := n.joint(gov, w, occurs)
+	if err != nil {
+		return 0, err
 	}
-	return 1 - f.vals[absent], nil
+	// OPF mass is validated only to prob.Tolerance, so normalise.
+	total := joint.vals[0] + joint.vals[1]
+	if total <= 0 {
+		return 0, nil
+	}
+	return joint.vals[1] / total, nil
 }
 
 // ProbValue returns the probability that typed leaf o occurs with value v.

@@ -32,7 +32,8 @@ type workspace struct {
 	// reached from by that level's label; level[i] is level i's run of
 	// via. reach[i&1] maps an object of level i to its reachability
 	// variable R_{i,x} while level i+1 is built. terms and targets are the
-	// forward pass's OR operands and the matched objects.
+	// forward pass's OR operands (ProbExistsCtx's too) and the matched
+	// objects.
 	via     []viaEntry
 	par     []int
 	level   []span

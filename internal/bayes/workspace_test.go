@@ -2,6 +2,7 @@ package bayes
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"runtime/debug"
@@ -21,8 +22,12 @@ import (
 // random factor sets and keep sets through eliminate, and ProbExists,
 // PathProbWith and MarginalGiven through a random small DAG, every call
 // made right after a different query left its workspace warm. The answers
-// must be bit-identical and a governor must refuse both at the same point
-// with the same error; budget 0 runs ungoverned.
+// of eliminate, PathProbWith and MarginalGiven must be bit-identical and a
+// governor must refuse both at the same point with the same error; budget
+// 0 runs ungoverned. ProbExists computes existence from the parents'
+// choices instead of eliminating the object's CPT, so it is held to the
+// CPT marginal within 1e-12, and under a budget it must give the same bits
+// or ErrBudgetExceeded.
 func FuzzEliminateDifferential(f *testing.F) {
 	for _, in := range []struct {
 		seed   int64
@@ -106,10 +111,16 @@ func FuzzEliminateDifferential(f *testing.F) {
 		for k := 0; k < 6; k++ {
 			o := pick()
 			warmUp(k)
-			got, err := net.ProbExistsCtx(governed(), o)
-			want, refErr := net.refProbExistsCtx(governed(), o)
+			got, err := net.ProbExistsCtx(context.Background(), o)
+			want, refErr := net.refProbExistsCtx(context.Background(), o)
 			sameOutcome(t, "ProbExists("+o+")", err, refErr)
-			sameFloat(t, "ProbExists("+o+")", got, want)
+			nearFloat(t, "ProbExists("+o+")", got, want)
+			warmUp(k + 1)
+			if gov, err := net.ProbExistsCtx(governed(), o); err == nil {
+				sameFloat(t, "governed ProbExists("+o+")", gov, got)
+			} else if refErr == nil && !errors.Is(err, govern.ErrBudgetExceeded) {
+				t.Fatalf("governed ProbExists(%s): %v, want an answer or ErrBudgetExceeded", o, err)
+			}
 
 			p := pathexpr.Path{Root: pi.Root()}
 			for i := 1 + r.Intn(3); i > 0; i-- {
@@ -157,6 +168,15 @@ func sameOutcome(t *testing.T, what string, err, ref error) {
 func sameFloat(t *testing.T, what string, got, want float64) {
 	t.Helper()
 	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s = %v, reference %v", what, got, want)
+	}
+}
+
+// nearFloat holds an answer computed by a different elimination to its
+// reference: within 1e-12 relative, or absolute below 1.
+func nearFloat(t *testing.T, what string, got, want float64) {
+	t.Helper()
+	if math.Abs(got-want) > 1e-12*math.Max(1, math.Max(math.Abs(got), math.Abs(want))) {
 		t.Fatalf("%s = %v, reference %v", what, got, want)
 	}
 }

@@ -276,19 +276,15 @@ func (e *Engine) Budget() govern.Budget { return e.budget }
 
 // governed returns ctx carrying a governor for one query. A governor
 // already on ctx is reused (a caller that governs several evaluations as
-// one keeps its budget); otherwise the engine's budget deadline is applied
-// to ctx and a new governor installed. The cancel func must be called when
-// the query finishes.
-func (e *Engine) governed(ctx context.Context) (context.Context, *govern.Governor, context.CancelFunc) {
+// one keeps its budget); otherwise a new one enforces the engine's budget,
+// deadline included: the governor owns the deadline and checks it once per
+// quantum, so no query arms a timer (DESIGN §17).
+func (e *Engine) governed(ctx context.Context) (context.Context, *govern.Governor) {
 	if g := govern.From(ctx); g != nil {
-		return ctx, g, func() {}
-	}
-	cancel := context.CancelFunc(func() {})
-	if e.budget.Deadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, e.budget.Deadline)
+		return ctx, g
 	}
 	g := govern.New(ctx, e.budget)
-	return govern.With(ctx, g), g, cancel
+	return govern.With(ctx, g), g
 }
 
 // admit is the upfront admission check: it compares the statement's
@@ -486,10 +482,13 @@ func (e *Engine) ProbObject(ctx context.Context, o model.ObjectID) (pr float64, 
 // The routed primitives: each picks the ε lane on a tree and the compiled
 // network on a DAG, and nothing outside this package makes that choice.
 // They neither meter nor govern — the typed Prob* methods and dispatch
-// reach them through evaluate, which does both once per statement.
+// reach them through evaluate, which does both once per statement. Their
+// checks between stages ask that statement's governor, which owns the
+// deadline, and not ctx, whose own deadline may arm a timer when asked.
 
 func (e *Engine) pointProb(ctx context.Context, p pathexpr.Path, o model.ObjectID) (float64, error) {
-	if err := ctx.Err(); err != nil {
+	gov := govern.From(ctx)
+	if err := gov.Err(); err != nil {
 		return 0, err
 	}
 	if e.IsTree() {
@@ -499,14 +498,15 @@ func (e *Engine) pointProb(ctx context.Context, p pathexpr.Path, o model.ObjectI
 	if err != nil {
 		return 0, err
 	}
-	if err := ctx.Err(); err != nil {
+	if err := gov.Err(); err != nil {
 		return 0, err
 	}
 	return bayes.PathProbWithCtx(ctx, net, e.pi, p, o)
 }
 
 func (e *Engine) existsProb(ctx context.Context, p pathexpr.Path) (float64, error) {
-	if err := ctx.Err(); err != nil {
+	gov := govern.From(ctx)
+	if err := gov.Err(); err != nil {
 		return 0, err
 	}
 	if e.IsTree() {
@@ -516,7 +516,7 @@ func (e *Engine) existsProb(ctx context.Context, p pathexpr.Path) (float64, erro
 	if err != nil {
 		return 0, err
 	}
-	if err := ctx.Err(); err != nil {
+	if err := gov.Err(); err != nil {
 		return 0, err
 	}
 	return bayes.PathProbWithCtx(ctx, net, e.pi, p, "")
@@ -539,7 +539,7 @@ func (e *Engine) objectProb(ctx context.Context, o model.ObjectID) (float64, err
 	if err != nil {
 		return 0, err
 	}
-	if err := ctx.Err(); err != nil {
+	if err := govern.From(ctx).Err(); err != nil {
 		return 0, err
 	}
 	return net.ProbExistsCtx(ctx, o)
@@ -566,7 +566,7 @@ func (e *Engine) valuePointProb(ctx context.Context, p pathexpr.Path, o model.Ob
 // route only: summing over several leaves of a DAG is not a product of
 // marginals.
 func (e *Engine) valueExistsProb(ctx context.Context, p pathexpr.Path, v model.Value) (float64, error) {
-	if err := ctx.Err(); err != nil {
+	if err := govern.From(ctx).Err(); err != nil {
 		return 0, err
 	}
 	if !e.IsTree() {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"maps"
 	"math"
 	"strings"
@@ -429,6 +430,19 @@ func TestProbObjectTreeRoute(t *testing.T) {
 		}
 		if _, err := eng.ProbObject(context.Background(), "no-such-object"); err == nil {
 			t.Error("unknown object accepted")
+		}
+	}
+}
+
+// TestWithProbMatchesFmt: answers rendered without fmt carry the bytes
+// %.9f wrote, for any float64 a kernel could return and some it should not.
+func TestWithProbMatchesFmt(t *testing.T) {
+	for _, p := range []float64{
+		0, 1, 0.56, 0.1 + 0.2, 1e-6, 5e-10, 4.9999999999e-10, 5e-324, 0.9999999995, 1e20, 1.5e300,
+		-0.25, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+	} {
+		if got, want := withProb(p, "P(", "x", " exists) = "), fmt.Sprintf("P(%s exists) = %.9f", "x", p); got != want {
+			t.Errorf("withProb(%v) = %q, fmt %q", p, got, want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -39,8 +40,7 @@ func (e *Engine) evaluate(ctx context.Context, metered bool, shape, op string, t
 	if err = ctx.Err(); err != nil {
 		return err
 	}
-	ctx, g, cancel := e.governed(ctx)
-	defer cancel()
+	ctx, g := e.governed(ctx)
 	if err = e.admit(op, top, g); err != nil {
 		return err
 	}
@@ -98,22 +98,22 @@ func (e *Engine) dispatch(ctx context.Context, q pxql.Query) (*pxql.Result, erro
 		if err := gov.Step(int64(out.NumObjects())); err != nil {
 			return nil, err
 		}
-		return &pxql.Result{Instance: out, Prob: &p, Text: fmt.Sprintf("σ(%s): P = %.9f", q.Cond, p)}, nil
+		return &pxql.Result{Instance: out, Prob: &p, Text: withProb(p, "σ(", q.Cond.String(), "): P = ")}, nil
 	case "prob-point":
 		p, err := e.pointProb(ctx, q.Path, q.Object)
-		return scalar(p, err, "P(%s ∈ %s) = %.9f", q.Object, q.Path, p)
+		return scalar(p, err, "P(", q.Object, " ∈ ", q.Path.String(), ") = ")
 	case "prob-exists":
 		p, err := e.existsProb(ctx, q.Path)
-		return scalar(p, err, "P(∃ %s) = %.9f", q.Path, p)
+		return scalar(p, err, "P(∃ ", q.Path.String(), ") = ")
 	case "prob-value":
 		p, err := e.valueExistsProb(ctx, q.Path, q.Value)
-		return scalar(p, err, "P(val(%s) = %s) = %.9f", q.Path, q.Value, p)
+		return scalar(p, err, "P(val(", q.Path.String(), ") = ", q.Value, ") = ")
 	case "prob-object":
 		p, err := e.objectProb(ctx, q.Object)
-		return scalar(p, err, "P(%s exists) = %.9f", q.Object, p)
+		return scalar(p, err, "P(", q.Object, " exists) = ")
 	case "chain":
 		p, err := query.ChainProb(e.pi, q.Chain)
-		return scalar(p, err, "P(chain %s) = %.9f", strings.Join(q.Chain, "."), p)
+		return scalar(p, err, "P(chain ", strings.Join(q.Chain, "."), ") = ")
 	case "count":
 		d, err := query.CountDistribution(ctx, e.pi, q.Path)
 		if err != nil {
@@ -169,7 +169,10 @@ func (e *Engine) dispatch(ctx context.Context, q pxql.Query) (*pxql.Result, erro
 		return &pxql.Result{Text: strings.TrimRight(b.String(), "\n")}, nil
 	case "estimate-exists", "estimate-point":
 		est, err := e.estimate(ctx, q)
-		return scalar(est.P, err, "P ≈ %s", est)
+		if err != nil {
+			return nil, err
+		}
+		return &pxql.Result{Prob: &est.P, Text: "P ≈ " + est.String()}, nil
 	case "stats":
 		st := e.pi.ComputeStats()
 		return &pxql.Result{Text: fmt.Sprintf(
@@ -191,12 +194,30 @@ var projections = map[string]struct {
 	"descend": {"Δ", algebra.DescendantProject},
 }
 
-// scalar renders a probability-valued answer, or passes the error on.
-func scalar(p float64, err error, format string, args ...any) (*pxql.Result, error) {
+// scalar renders a probability-valued answer, text followed by p, or
+// passes the error on.
+func scalar(p float64, err error, text ...string) (*pxql.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &pxql.Result{Prob: &p, Text: fmt.Sprintf(format, args...)}, nil
+	return &pxql.Result{Prob: &p, Text: withProb(p, text...)}, nil
+}
+
+// withProb is the concatenation of text and p to nine decimals, the bytes
+// fmt's %.9f writes, built in one buffer.
+func withProb(p float64, text ...string) string {
+	n := len("0.000000000")
+	for _, s := range text {
+		n += len(s)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, s := range text {
+		b.WriteString(s)
+	}
+	var digits [24]byte
+	b.Write(strconv.AppendFloat(digits[:0], p, 'f', 9, 64))
+	return b.String()
 }
 
 // writeWorlds renders possible worlds one per line.

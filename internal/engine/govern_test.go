@@ -220,6 +220,37 @@ func TestGovernedDeadlineReachesKernels(t *testing.T) {
 	}
 }
 
+// TestBudgetDeadlineArmsNoTimer: the governor owns WithBudget's deadline.
+// The statement stops with context.DeadlineExceeded, and neither the
+// engine nor the governor asks the caller's context for its Done channel,
+// which a lazy request deadline would arm a timer for.
+func TestBudgetDeadlineArmsNoTimer(t *testing.T) {
+	eng := New(treeBib(t), WithBudget(govern.Budget{Deadline: 20 * time.Millisecond}))
+	ctx := &noDoneCtx{Context: context.Background(), t: t}
+	start := time.Now()
+	_, err := eng.Run(ctx, "ESTIMATE 50000000 EXISTS R.book.author")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("deadline enforcement took %v", d)
+	}
+	if _, err := eng.Run(ctx, "PROB R.book.author = A1"); err != nil {
+		t.Fatalf("a quick statement under the same budget: %v", err)
+	}
+}
+
+// noDoneCtx fails the test when its Done channel is asked for.
+type noDoneCtx struct {
+	context.Context
+	t *testing.T
+}
+
+func (c *noDoneCtx) Done() <-chan struct{} {
+	c.t.Error("the context was asked for its Done channel")
+	return c.Context.Done()
+}
+
 // TestCostObserver: the estimated-vs-actual hook fires with the
 // admission estimate and the steps actually charged.
 func TestCostObserver(t *testing.T) {

@@ -19,8 +19,14 @@ type BatchResult struct {
 }
 
 // acquire takes a worker-pool slot, or reports the context error if the
-// caller is cancelled first.
+// caller is cancelled first. A free slot is taken without asking ctx for
+// its Done channel, which a lazy request deadline arms a timer for.
 func (e *Engine) acquire(ctx context.Context) error {
+	select {
+	case e.sem <- struct{}{}:
+		return nil
+	default:
+	}
 	select {
 	case e.sem <- struct{}{}:
 		return nil

@@ -110,8 +110,9 @@ func (e Estimate) String() string {
 // queries on instances too large for Enumerate (and too entangled for the
 // tree fast paths): the error shrinks as 1/√n regardless of instance size.
 // Under ctx's governor every sample charges the instance's object count
-// against the step budget and polls cancellation, so an adversarially
-// large n stops within one sample of its budget instead of running all n;
+// against the step budget and polls the governor, so an adversarially
+// large n stops within one sample of its budget (within one governor
+// quantum of cancellation or the deadline) instead of running all n;
 // without one, ctx itself is polled every 64 samples.
 func EstimateProb(ctx context.Context, pi *core.ProbInstance, pred func(*model.Instance) bool, n int, r *rand.Rand) (Estimate, error) {
 	if n <= 0 {

@@ -53,6 +53,9 @@ func TestAllocBudget(t *testing.T) {
 	}
 }
 
+// TestCancellationPropagates: cancellation is seen within one quantum —
+// by the 64th Step(1), or at once by a Step(4096) — and from then on by
+// every poll.
 func TestCancellationPropagates(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	g := New(ctx, Budget{})
@@ -60,12 +63,63 @@ func TestCancellationPropagates(t *testing.T) {
 		t.Fatalf("before cancel: %v", err)
 	}
 	cancel()
-	if err := g.Step(1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("after cancel: %v", err)
+	calls := 0
+	for err := error(nil); err == nil; {
+		if calls++; calls > pollQuantum {
+			t.Fatalf("no error after %d Step(1) calls", pollQuantum)
+		}
+		if err = g.Step(1); err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("after cancel: %v", err)
+		}
 	}
 	if err := g.Err(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Err after cancel: %v", err)
 	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	g = New(ctx, Budget{})
+	if err := g.Step(1); err != nil {
+		t.Fatalf("before cancel: %v", err)
+	}
+	cancel()
+	if err := g.Step(stepQuantum); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Step(%d) after cancel: %v", stepQuantum, err)
+	}
+}
+
+// TestDeadlineWithinQuantum: Budget.Deadline stops the governor with
+// context.DeadlineExceeded within one quantum, and New never asks the
+// context for its Done channel.
+func TestDeadlineWithinQuantum(t *testing.T) {
+	ctx := &noDoneCtx{Context: context.Background(), t: t}
+	g := New(ctx, Budget{Deadline: time.Millisecond})
+	if err := g.Step(stepQuantum); err != nil {
+		t.Fatalf("before the deadline: %v", err)
+	}
+	time.Sleep(5 * time.Millisecond)
+	calls := 0
+	for err := error(nil); err == nil; {
+		if calls++; calls > pollQuantum {
+			t.Fatalf("no error %d polls after the deadline", pollQuantum)
+		}
+		if err = g.Err(); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("after the deadline: %v", err)
+		}
+	}
+	if err := g.Step(1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Step after the deadline: %v", err)
+	}
+}
+
+// noDoneCtx fails the test when its Done channel is asked for.
+type noDoneCtx struct {
+	context.Context
+	t *testing.T
+}
+
+func (c *noDoneCtx) Done() <-chan struct{} {
+	c.t.Error("the governor asked the context for its Done channel")
+	return c.Context.Done()
 }
 
 func TestContextRoundTrip(t *testing.T) {

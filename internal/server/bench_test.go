@@ -160,13 +160,34 @@ func newReplay(tb testing.TB, cfg Config, depth int) *replay {
 	if !ok {
 		tb.Fatal("no selection on the generated tree")
 	}
-	s := MustNew(cfg)
-	tb.Cleanup(func() { s.Close() })
-	if err := s.Put("hot0", in.PI); err != nil {
+	return replayOf(tb, cfg, in.PI, "PROB "+p.String()+" = "+o)
+}
+
+// newDAGReplay is infer_dag's op: PROB OBJECT on a leaf of a width-5,
+// two-parent diamond DAG, with a result cache that holds nothing, so every
+// op parses and runs the BN lane.
+func newDAGReplay(tb testing.TB) *replay {
+	tb.Helper()
+	pi, err := gen.WidthBomb(gen.BombConfig{Width: 5, Parents: 2, Seed: 1})
+	if err != nil {
 		tb.Fatal(err)
 	}
-	rp := &replay{h: s.Handler(), stmt: []byte("PROB " + p.String() + " = " + o), w: nopWriter{hdr: http.Header{}}}
+	cfg := harnessConfig()
+	cfg.ResultCacheBytes = 1
+	return replayOf(tb, cfg, pi, "PROB OBJECT leaf2")
+}
+
+// replayOf serves stmt on pi, stored as instance hot0 of a new server.
+func replayOf(tb testing.TB, cfg Config, pi *core.ProbInstance, stmt string) *replay {
+	tb.Helper()
+	s := MustNew(cfg)
+	tb.Cleanup(func() { s.Close() })
+	if err := s.Put("hot0", pi); err != nil {
+		tb.Fatal(err)
+	}
+	rp := &replay{h: s.Handler(), stmt: []byte(stmt), w: nopWriter{hdr: http.Header{}}}
 	rp.body = bytes.NewReader(rp.stmt)
+	var err error
 	rp.req, err = http.NewRequest(http.MethodPost, "/v1/instances/hot0/query", rp.body)
 	if err != nil {
 		tb.Fatal(err)
@@ -183,8 +204,7 @@ func (rp *replay) serve() int {
 	return rp.w.status
 }
 
-func benchReplay(b *testing.B, cfg Config) {
-	rp := newReplay(b, cfg, 6)
+func benchReplay(b *testing.B, rp *replay) {
 	if st := rp.serve(); st != http.StatusOK {
 		b.Fatalf("warm-up status %d", st)
 	}
@@ -199,12 +219,17 @@ func benchReplay(b *testing.B, cfg Config) {
 
 // BenchmarkCachedHit is point_hot's op: a PROB statement on a 5 461-object
 // tree answered from the result cache, through the whole handler stack.
-func BenchmarkCachedHit(b *testing.B) { benchReplay(b, harnessConfig()) }
+func BenchmarkCachedHit(b *testing.B) { benchReplay(b, newReplay(b, harnessConfig(), 6)) }
 
 // BenchmarkQueryMiss is the same request with a result cache that holds
-// nothing (what infer_dag runs), so every op parses and evaluates.
+// nothing, so every op parses and evaluates on the tree lane.
 func BenchmarkQueryMiss(b *testing.B) {
 	cfg := harnessConfig()
 	cfg.ResultCacheBytes = 1
-	benchReplay(b, cfg)
+	benchReplay(b, newReplay(b, cfg, 6))
 }
+
+// BenchmarkQueryMissDAG is infer_dag's PROB OBJECT on a leaf through the
+// whole handler stack: admission, the governor, the BN lane and the
+// response, with nothing cached.
+func BenchmarkQueryMissDAG(b *testing.B) { benchReplay(b, newDAGReplay(b)) }
