@@ -105,10 +105,11 @@ soak-smoke:
 # MVCC publication smoke: the epoch-catalog stress suite (point readers,
 # Names/All scanners, a 16-writer storm, follower ReplApply, and a
 # degraded-mode flip, all asserting monotone epochs/versions) under the
-# race detector, plus the mmap/lazy-decode seams and a cold-open
+# race detector, plus the mmap/lazy-decode seams, racing PUTs of one
+# name served from the store's catalog entry, and a cold-open
 # benchmark pass at GOMAXPROCS>1 to catch the lazy path regressing.
 mvcc-smoke:
-	$(GO) test -race -run 'TestMVCCStress|TestMapFile|TestCheckBinary|TestDecodeBinaryInterned' -v ./internal/store ./internal/vfs ./internal/codec
+	$(GO) test -race -run 'TestMVCCStress|TestMapFile|TestCheckBinary|TestDecodeBinaryInterned|TestConcurrentPutsServeTheStoredInstance' -v ./internal/store ./internal/vfs ./internal/codec ./internal/server
 	$(GO) test -run '^$$' -bench 'StormRead|ColdOpen' -benchtime 20x -cpu 2 -benchmem ./internal/store
 
 # Telemetry end-to-end smoke: boot the real pxmld with the statsd

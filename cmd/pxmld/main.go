@@ -16,8 +16,9 @@
 // the committer linger to fill a batch.
 //
 // Performance knobs: -query-workers bounds each engine's batch worker
-// pool (default GOMAXPROCS), and -pprof serves net/http/pprof on a
-// separate loopback listener (off by default) for live profiling:
+// pool (default 8, not GOMAXPROCS, so many engines cannot over-subscribe
+// the machine), and -pprof serves net/http/pprof on a separate loopback
+// listener (off by default) for live profiling:
 //
 //	pxmld -addr :8080 -pprof 127.0.0.1:6060
 //	go tool pprof http://127.0.0.1:6060/debug/pprof/profile
@@ -184,7 +185,7 @@ func main() {
 	maxBody := flag.Int64("maxbody", 0, "instance upload size limit in bytes (0 = default 64MiB)")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline for API requests; expired requests answer 503 (0 = no deadline)")
 	maxInflight := flag.Int("max-inflight", 0, "maximum concurrent API requests before shedding with 429 (0 = unlimited)")
-	queryWorkers := flag.Int("query-workers", 0, "per-engine batch query worker bound (0 = GOMAXPROCS)")
+	queryWorkers := flag.Int("query-workers", 0, "per-engine batch query worker bound (0 = the engine default, 8)")
 	queryDeadline := flag.Duration("query-deadline", 0, "per-statement evaluation deadline inside the query engines (0 = none; -request-timeout still bounds the whole request)")
 	queryMaxNodes := flag.Int64("query-max-nodes", 0, "per-statement work-unit budget: objects visited, OPF entries scanned, factor cells filled, samples drawn; provably-over-budget statements are refused upfront with 422 (0 = unlimited)")
 	queryMaxBytes := flag.Int64("query-max-bytes", 0, "per-statement inference allocation budget in bytes (factor tables, enumeration state); 0 = unlimited")

@@ -36,9 +36,6 @@ type PullerConfig struct {
 	// 250ms..5s (retry.Default's shape). MaxAttempts is ignored — the
 	// puller never gives up on transient errors.
 	Backoff retry.Policy
-	// OnApply, when set, observes every applied chunk — the serving
-	// layer uses it to install changed instances into warm engines.
-	OnApply func(store.ApplyResult)
 	// OnRetarget, when set, observes leader changes: when the old leader
 	// answers 409 epoch_fenced naming its successor, the puller swaps
 	// Client.BaseURL to the new leader and reports the URL here so the
@@ -300,9 +297,6 @@ func (p *Puller) Run(ctx context.Context) error {
 		}
 		p.mu.Unlock()
 		p.noteExchange(chunk, now, res.Pos == chunk.End)
-		if p.cfg.OnApply != nil {
-			p.cfg.OnApply(res)
-		}
 	}
 }
 

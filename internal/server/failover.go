@@ -145,7 +145,7 @@ func (s *Server) PromoteSelf(ctx context.Context, force bool) (*promoteResult, e
 // cannot finish. The puller is stopped, so the follower store and the
 // repl client are exclusively ours here.
 func (s *Server) drainOldLeader(ctx context.Context, f *followerState, res *promoteResult) error {
-	st, _ := s.ReplStatusOf(f)
+	st := f.puller.Status()
 	res.GapBytes = st.LagBytes
 	if st.Diverged {
 		return fmt.Errorf("follower diverged from the old leader; its history is not drainable")
@@ -181,21 +181,10 @@ func (s *Server) drainOldLeader(ctx context.Context, f *followerState, res *prom
 			res.GapBytes = 0
 			return nil // caught up: nothing acknowledged is left behind
 		}
-		applied, err := s.store.ReplApply(chunk.From, chunk.Epoch, chunk.Data)
-		if err != nil {
+		if _, err := s.store.ReplApply(chunk.From, chunk.Epoch, chunk.Data); err != nil {
 			return fmt.Errorf("drain apply at %s: %w", chunk.From, err)
 		}
-		s.applyReplicated(applied)
 	}
-}
-
-// ReplStatusOf is ReplStatus for an explicit follower state (used while
-// the atomic pointer still names it during a promotion).
-func (s *Server) ReplStatusOf(f *followerState) (repl.Status, bool) {
-	if f == nil {
-		return repl.Status{}, false
-	}
-	return f.puller.Status(), true
 }
 
 // fenceSelf fences this node at epoch (recording leaderURL when known),

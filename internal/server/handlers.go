@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -38,23 +37,14 @@ type listEntry struct {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	// The registry map is immutable once published — iterate it
-	// directly, no lock, no copy. Store-backed servers list the store's
-	// catalog instead (engines build lazily, so the registry alone may
-	// under-report); Engine materializes any not-yet-built entry.
-	engines := s.engineMap()
-	if s.store != nil {
-		names := s.store.Names()
-		engines = make(map[string]*served, len(names))
-		for _, name := range names {
-			if sv, ok := s.served(name); ok {
-				engines[name] = sv
-			}
+	// Names is sorted; a name deleted since it was listed is skipped.
+	names := s.Names()
+	entries := make([]listEntry, 0, len(names))
+	for _, name := range names {
+		eng, ok := s.Engine(name)
+		if !ok {
+			continue
 		}
-	}
-	entries := make([]listEntry, 0, len(engines))
-	for name, sv := range engines {
-		eng := sv.eng
 		pi := eng.Instance()
 		st := pi.ComputeStats()
 		entries = append(entries, listEntry{
@@ -63,7 +53,6 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 			Tree: eng.IsTree(),
 		})
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
 	writeJSON(w, http.StatusOK, entries)
 }
 

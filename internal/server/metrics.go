@@ -77,12 +77,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			s.reg.Gauge("breaker_state." + key).Set(int64(s.breaker.StateOf(key)))
 		}
 	}
-	// Live engines only: a lazily loaded instance that was never queried
-	// has no engine and no per-engine metrics to report.
-	em := s.engineMap()
-	insts := make(map[string]any, len(em))
-	for name, sv := range em {
-		insts[name] = sv.eng.Metrics()
+	// Built engines only: a version not queried yet has no engine and no
+	// per-engine metrics to report.
+	names := s.Names()
+	insts := make(map[string]any, len(names))
+	for _, name := range names {
+		if sv, ok := s.built(name); ok {
+			insts[name] = sv.eng.Metrics()
+		}
 	}
 	payload := metricsPayload{
 		SchemaVersion: metricsSchemaVersion,

@@ -19,7 +19,6 @@ import (
 	"pxml/internal/apiv1"
 	"pxml/internal/repl"
 	"pxml/internal/retry"
-	"pxml/internal/store"
 )
 
 // defaultReplMaxStaleness gates follower readiness unless
@@ -65,8 +64,8 @@ func (f *followerState) setLeaderURL(u string) {
 
 // startFollower wires the puller (and, when configured, the failover
 // monitor) into the server and starts the loops. Called from New after
-// the store and engines are up, and from PromoteSelf when a failed
-// drain rolls the promotion back.
+// the store is up, and from PromoteSelf when a failed drain rolls the
+// promotion back.
 func (s *Server) startFollower(cfg Config) error {
 	client := &repl.Client{
 		BaseURL: cfg.FollowLeader,
@@ -91,7 +90,6 @@ func (s *Server) startFollower(cfg Config) error {
 		Store:      s.store,
 		Client:     client,
 		PollWait:   cfg.ReplPollWait,
-		OnApply:    s.applyReplicated,
 		OnRetarget: f.setLeaderURL,
 		Logf:       s.logf(),
 	})
@@ -163,34 +161,6 @@ func (s *Server) stopFollower() {
 	}
 	f.pullCancel()
 	<-f.pullDone
-}
-
-// applyReplicated refreshes the serving catalog after a replicated chunk
-// commits: every changed instance gets a fresh engine (or is dropped),
-// exactly as a local Put/Delete would have installed it.
-func (s *Server) applyReplicated(res store.ApplyResult) {
-	if len(res.Changed) == 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// One copy-on-write publish per applied chunk. Names without an
-	// engine yet stay lazy — Engine's slow path builds them from the
-	// fresh store state on first query, so there is nothing stale to
-	// replace.
-	s.mutateEnginesLocked(func(m map[string]*served) {
-		for _, name := range res.Changed {
-			if _, built := m[name]; !built {
-				continue
-			}
-			if pi, ok := s.store.Get(name); ok {
-				m[name] = s.newEngine(name, pi)
-			} else {
-				delete(m, name)
-				s.version.Add(1)
-			}
-		}
-	})
 }
 
 // Follower reports whether this server runs as a read replica, and if

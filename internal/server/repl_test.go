@@ -8,6 +8,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -274,6 +275,68 @@ func TestReplStaleFollowerNotReady(t *testing.T) {
 	st, _ := c.followers[0].ReplStatus()
 	if st.Reconnects == 0 {
 		t.Error("expected at least one recorded reconnect after the partition healed")
+	}
+}
+
+// TestReplFollowerServesReplacedAndDeleted checks that a follower which
+// has already served a name answers for the leader's next version of it,
+// and stops answering (and reporting it in /v1/metrics) once the leader
+// deletes it.
+func TestReplFollowerServesReplacedAndDeleted(t *testing.T) {
+	c := newReplCluster(t, 1, store.Options{})
+	fURL := c.followerTS[0].URL
+	put := func(text string) {
+		t.Helper()
+		if resp, body := do(t, "PUT", c.frontTS.URL+"/v1/instances/bib", text, "text/plain"); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("PUT: %d %s", resp.StatusCode, body)
+		}
+		c.waitConverged()
+	}
+	stats := func() (int, string) {
+		t.Helper()
+		resp, body := do(t, "POST", fURL+"/v1/instances/bib/query", "STATS", "text/plain")
+		return resp.StatusCode, body
+	}
+	metricsInstances := func() map[string]any {
+		t.Helper()
+		_, body := do(t, "GET", fURL+"/v1/metrics", "", "")
+		var m struct {
+			Instances map[string]any `json:"instances"`
+		}
+		if err := json.Unmarshal([]byte(body), &m); err != nil {
+			t.Fatalf("metrics: %v: %s", err, body)
+		}
+		return m.Instances
+	}
+
+	put(figure2Text(t))
+	code, first := stats()
+	if code != http.StatusOK {
+		t.Fatalf("follower query: %d %s", code, first)
+	}
+	if _, ok := metricsInstances()["bib"]; !ok {
+		t.Fatal("follower metrics do not list the queried bib")
+	}
+
+	var small bytes.Buffer
+	if err := codec.EncodeText(&small, smallTree()); err != nil {
+		t.Fatal(err)
+	}
+	put(small.String())
+	code, second := stats()
+	if code != http.StatusOK || second == first {
+		t.Fatalf("follower answer after re-PUT: %d %s (before: %s)", code, second, first)
+	}
+
+	if resp, body := do(t, "DELETE", c.frontTS.URL+"/v1/instances/bib", "", ""); resp.StatusCode/100 != 2 {
+		t.Fatalf("DELETE: %d %s", resp.StatusCode, body)
+	}
+	c.waitConverged()
+	if code, body := stats(); code != http.StatusNotFound {
+		t.Fatalf("follower query after DELETE: %d %s", code, body)
+	}
+	if _, ok := metricsInstances()["bib"]; ok {
+		t.Fatal("follower metrics still list the deleted bib")
 	}
 }
 

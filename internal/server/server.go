@@ -84,14 +84,13 @@ const maxStatementBytes = 1 << 20
 // backed by the durable storage engine (see Config.StoreDir). Everything
 // Config sets is fixed at construction.
 type Server struct {
-	mu sync.RWMutex
-	// engines is the published engine registry: an immutable map behind
-	// an atomic pointer, mirroring the store's MVCC catalog. Readers
-	// (Engine, Get, request handlers) load it with one pointer read and
-	// no lock; writers build a copy-on-write successor under s.mu and
-	// publish it atomically (see mutateEnginesLocked). Store-backed
-	// servers build engines on demand: a name missing here but live in
-	// the store materializes through Engine's slow path.
+	// With a store, the store's catalog is the only catalog: each name's
+	// engine is memoized on its current catalog entry (store.Memo), so it
+	// lives exactly as long as the version it was built from. Without
+	// one, engines is the catalog: an immutable map behind an atomic
+	// pointer that readers load with one pointer read and no lock, and
+	// that writers replace with a copy-on-write successor under mu.
+	mu         sync.Mutex
 	engines    atomic.Pointer[map[string]*served]
 	store      *store.Store // log-structured persistence; nil without Config.StoreDir
 	backupRoot string       // /v1/admin/backup destination root; "" = endpoint disabled
@@ -99,8 +98,8 @@ type Server struct {
 	log        *slog.Logger
 
 	// results memoizes scalar query answers across all instances; version
-	// feeds each engine's cache-key prefix so entries for a replaced
-	// instance become unreachable the moment Put installs the new engine.
+	// gives every engine built a fresh cache-key prefix, so entries for a
+	// replaced instance are unreachable from its successor's engine.
 	results      *rescache.Cache
 	version      atomic.Uint64
 	queryWorkers int // batch worker bound per engine; 0 = engine default
@@ -414,9 +413,9 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.store = st
 		s.report = report
-		// Engines build lazily: Engine's slow path materializes one on a
-		// name's first query. Cold open therefore costs the store's
-		// frame scan, not a full decode + engine build per instance.
+		// Engines build lazily, on a version's first query (served). Cold
+		// open therefore costs the store's frame scan, not a full decode
+		// + engine build per instance.
 	}
 
 	if cfg.FollowLeader != "" {
@@ -453,9 +452,9 @@ func MustNew(cfg Config) *Server {
 // nil when the server is not store-backed.
 func (s *Server) RecoveryReport() *store.RecoveryReport { return s.report }
 
-// served is one entry of the engine registry: an engine and, built with it
-// rather than per request, the circuit-breaker key of every statement shape
-// on its instance.
+// served is what the server keeps per instance version: an engine and,
+// built with it rather than per request, the circuit-breaker key of every
+// statement shape on its instance.
 type served struct {
 	eng *engine.Engine
 	// breakerKeys[pxql.ShapeIndex(shape)] is "<instance>.<shape>": the
@@ -487,8 +486,7 @@ func (p *perShape[T]) of(shape string) *T {
 
 // newEngine wraps an instance in an engine wired to the shared result
 // cache under a fresh version prefix (the \x00 separator keeps any
-// name/statement pair from colliding with another prefix). Callers hold
-// s.mu or have exclusive access during construction.
+// name/statement pair from colliding with another prefix).
 func (s *Server) newEngine(name string, pi *core.ProbInstance) *served {
 	prefix := fmt.Sprintf("%s@%d\x00", name, s.version.Add(1))
 	opts := []engine.Option{
@@ -525,24 +523,18 @@ func (s *Server) newEngine(name string, pi *core.ProbInstance) *served {
 // new requests still complete. Safe to call at any time.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
-// Draining reports whether the server is draining.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Put stores an instance under a name, replacing any previous one. The
 // instance must not be mutated afterwards. With the durable store
-// backing the catalog, durability gates acceptance: a write the store
-// rejects (degraded read-only mode, append failure) is not installed in
-// memory either, so the served catalog never silently diverges from
-// disk — the error matches store.ErrDegraded when the store has flipped
-// read-only.
+// backing the catalog, Put only writes the store, which is what is
+// served: a write the store rejects (degraded read-only mode, append
+// failure) is not served either — the error matches store.ErrDegraded
+// when the store has flipped read-only.
 func (s *Server) Put(name string, pi *core.ProbInstance) error {
 	if s.store != nil {
 		if !validName(name) {
 			return fmt.Errorf("server: name %q not storable (use [A-Za-z0-9_-])", name)
 		}
-		if err := s.store.Put(name, pi); err != nil {
-			return err
-		}
+		return s.store.Put(name, pi)
 	}
 	s.mu.Lock()
 	s.mutateEnginesLocked(func(m map[string]*served) { m[name] = s.newEngine(name, pi) })
@@ -559,14 +551,14 @@ func (s *Server) Get(name string) (*core.ProbInstance, bool) {
 	return eng.Instance(), true
 }
 
-// engineMap returns the published engine registry. The map is immutable;
-// mutators publish successors via mutateEnginesLocked.
+// engineMap returns the in-memory server's published catalog. The map is
+// immutable; mutators publish successors via mutateEnginesLocked.
 func (s *Server) engineMap() map[string]*served {
 	return *s.engines.Load()
 }
 
-// mutateEnginesLocked publishes a copy-on-write successor of the engine
-// registry transformed by fn. Callers hold s.mu.
+// mutateEnginesLocked publishes a copy-on-write successor of the
+// in-memory catalog transformed by fn. Callers hold s.mu.
 func (s *Server) mutateEnginesLocked(fn func(m map[string]*served)) {
 	cur := s.engineMap()
 	m := make(map[string]*served, len(cur)+1)
@@ -586,60 +578,55 @@ func (s *Server) Engine(name string) (*engine.Engine, bool) {
 	return sv.eng, true
 }
 
-// served returns the named instance's registry entry. The fast path is
-// one atomic registry load — no locks. On a store-backed server a name
-// that is live in the store but has no engine yet (cold start, or a
-// follower apply that outpaced queries) gets one built and published on
-// first touch.
+// served returns the named instance's engine and breaker keys: one
+// atomic catalog load and no lock. On a store-backed server they are
+// built on the first query of each version and memoized on its catalog
+// entry, so they are always those of the version the store serves.
 func (s *Server) served(name string) (*served, bool) {
-	if sv, ok := s.engineMap()[name]; ok {
-		return sv, true
-	}
 	if s.store == nil {
-		return nil, false
+		sv, ok := s.engineMap()[name]
+		return sv, ok
 	}
-	pi, ok := s.store.Get(name)
+	v, ok := s.store.Memo(name, func(pi *core.ProbInstance) any { return s.newEngine(name, pi) })
 	if !ok {
 		return nil, false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sv, ok := s.engineMap()[name]; ok {
-		return sv, true
+	return v.(*served), true
+}
+
+// built is served without the build: on a store-backed server a version
+// not queried yet has no engine.
+func (s *Server) built(name string) (*served, bool) {
+	if s.store == nil {
+		return s.served(name)
 	}
-	sv := s.newEngine(name, pi)
-	s.mutateEnginesLocked(func(m map[string]*served) { m[name] = sv })
-	return sv, true
+	v, ok := s.store.Memo(name, nil)
+	if !ok {
+		return nil, false
+	}
+	return v.(*served), true
 }
 
 // Delete removes the named instance, reporting whether it existed. Like
-// Put, the durable store is consulted first: a degraded store rejects
-// the delete (error matching store.ErrDegraded) and the instance stays
-// served, rather than vanishing from memory only to resurrect from disk
-// on the next restart.
+// Put, a store-backed server only writes the store: a degraded store
+// rejects the delete (error matching store.ErrDegraded) and the instance
+// stays served, rather than vanishing from memory only to resurrect from
+// disk on the next restart.
 func (s *Server) Delete(name string) (bool, error) {
-	var existed bool
 	if s.store != nil {
-		// Existence comes from the store's catalog, not the engine map:
-		// with lazily built engines, a recovered instance that was never
-		// queried has no engine yet but very much exists.
-		_, existed = s.store.Version(name)
+		_, existed := s.store.Version(name)
 		if err := s.store.Delete(name); err != nil {
 			return false, err
 		}
+		return existed, nil
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	_, ok := s.engineMap()[name]
 	if ok {
 		s.mutateEnginesLocked(func(m map[string]*served) { delete(m, name) })
 	}
-	s.mu.Unlock()
-	existed = existed || ok
-	// Bump the version so any future engine for this name starts under a
-	// fresh cache prefix; the dropped engine's entries are already
-	// unreachable and will age out of the LRU.
-	s.version.Add(1)
-	return existed, nil
+	return ok, nil
 }
 
 // Close stops the telemetry flush loop (after one final flush), stops
@@ -662,7 +649,7 @@ func (s *Server) Close() error {
 
 // Names returns the stored names, sorted. Lock-free: the store's
 // catalog (which caches its sorted key list per epoch) on store-backed
-// servers, the published engine registry otherwise.
+// servers, the in-memory catalog otherwise.
 func (s *Server) Names() []string {
 	if s.store != nil {
 		return s.store.Names()

@@ -285,6 +285,35 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
+// TestConcurrentPutsServeTheStoredInstance races eight PUTs of one name
+// per round and checks that the server then serves the instance the store
+// holds: an engine kept apart from the store's catalog can be installed
+// out of commit order and serve a version the store has replaced.
+func TestConcurrentPutsServeTheStoredInstance(t *testing.T) {
+	s, err := New(Config{StoreDir: t.TempDir(), StoreOptions: store.Options{Fsync: store.FsyncNever}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for round := 0; round < 300; round++ {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := s.Put("hot", smallTree()); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		want, _ := s.store.Get("hot")
+		if got, ok := s.Get("hot"); !ok || got != want {
+			t.Fatalf("round %d: server serves %p, store holds %p", round, got, want)
+		}
+	}
+}
+
 // smallTree builds a tiny tree instance (so the algebra fast paths apply).
 func smallTree() *core.ProbInstance {
 	pi := core.NewProbInstance("r")

@@ -76,6 +76,9 @@ type catEntry struct {
 	version uint64
 	inst    atomic.Pointer[core.ProbInstance]
 	failed  atomic.Bool
+	// memo is the caller's value for this version (see Memo); nil until
+	// first built, then fixed.
+	memo atomic.Pointer[any]
 
 	// Lazy state, guarded by mu: raw is the full put-record frame
 	// payload (op | name | pxml-bin record), bodyOff the offset of the
@@ -185,6 +188,37 @@ func (s *Store) Version(name string) (uint64, bool) {
 		return 0, false
 	}
 	return e.version, true
+}
+
+// Memo returns the value memoized on name's current entry, building it
+// from the entry's instance on first use. An entry is one version of one
+// name: Put, ReplApply and recovery install a fresh entry with an empty
+// memo, Delete removes it, and compaction and commits to other names
+// carry it over untouched, so a memo lives exactly as long as the version
+// it was built from. Racing first builds may both run; one wins the
+// compare-and-swap and every caller gets the winner. A nil build only
+// peeks. ok is false when name is absent or its lazy decode failed, and,
+// with a nil build, when nothing is memoized yet. Lock-free.
+func (s *Store) Memo(name string, build func(*core.ProbInstance) any) (any, bool) {
+	e, ok := s.cat.Load().m[name]
+	if !ok {
+		return nil, false
+	}
+	if p := e.memo.Load(); p != nil {
+		return *p, true
+	}
+	if build == nil {
+		return nil, false
+	}
+	pi, ok := s.entryInstance(name, e)
+	if !ok {
+		return nil, false
+	}
+	v := build(pi)
+	if !e.memo.CompareAndSwap(nil, &v) {
+		v = *e.memo.Load()
+	}
+	return v, true
 }
 
 // CatalogEpoch returns the current catalog's publication epoch,

@@ -36,10 +36,6 @@ type ApplyResult struct {
 	// nanoseconds), 0 if the chunk carried none. The leader writes one
 	// ahead of each group commit when Options.Stamps or archiving is on.
 	StampNanos int64
-	// Changed lists the instance names the chunk mutated, in apply
-	// order (duplicates possible). Serving layers use it to refresh
-	// per-instance engines.
-	Changed []string
 }
 
 // ReplApply appends one replicated chunk — raw CRC-framed bytes read
@@ -141,11 +137,9 @@ func (s *Store) ReplApply(from Pos, epoch uint64, data []byte) (ApplyResult, err
 				case opPut:
 					m[rec.name] = s.newEntryLocked(rec.name, rec.inst)
 					out.Records++
-					out.Changed = append(out.Changed, rec.name)
 				case opDelete:
 					delete(m, rec.name)
 					out.Records++
-					out.Changed = append(out.Changed, rec.name)
 				case opStamp:
 					if rec.ts > out.StampNanos {
 						out.StampNanos = rec.ts

@@ -95,6 +95,89 @@ func TestPutOverwriteLastWins(t *testing.T) {
 	wantInstance(t, s2, "x", want)
 }
 
+// TestMemoLivesAsLongAsItsVersion checks that a memo survives commits to
+// other names and compaction, and that a put, a delete or a reopen of its
+// own name starts it over.
+func TestMemoLivesAsLongAsItsVersion(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := open(t, dir, Options{})
+	builds := 0
+	build := func(pi *core.ProbInstance) any {
+		builds++
+		return builds
+	}
+	memo := func(b func(*core.ProbInstance) any) any {
+		t.Helper()
+		v, ok := s.Memo("x", b)
+		if !ok {
+			return nil
+		}
+		return v
+	}
+	if v := memo(build); v != nil {
+		t.Fatalf("memo of an absent name = %v", v)
+	}
+	mustPut(t, s, "x", fixtures.Figure2())
+	if v := memo(nil); v != nil {
+		t.Fatalf("peek before any build = %v", v)
+	}
+	if v := memo(build); v != 1 {
+		t.Fatalf("first build = %v, want 1", v)
+	}
+	mustPut(t, s, "other", fixtures.Figure2())
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if v := memo(build); v != 1 {
+		t.Fatalf("memo after another name's commit and a compaction = %v, want 1", v)
+	}
+	mustPut(t, s, "x", fixtures.Figure2VariedLeaves())
+	if v := memo(nil); v != nil {
+		t.Fatalf("peek after a re-put = %v", v)
+	}
+	if v := memo(build); v != 2 {
+		t.Fatalf("build after a re-put = %v, want 2", v)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, _ = open(t, dir, Options{})
+	defer s.Close()
+	if v := memo(build); v != 3 {
+		t.Fatalf("build after reopen = %v, want 3", v)
+	}
+	if err := s.Delete("x"); err != nil {
+		t.Fatal(err)
+	}
+	if v := memo(build); v != nil {
+		t.Fatalf("memo after delete = %v", v)
+	}
+}
+
+// TestMemoRacingBuildsAgree checks that concurrent first builds of one
+// version hand every caller the same value.
+func TestMemoRacingBuildsAgree(t *testing.T) {
+	s, _ := open(t, t.TempDir(), Options{})
+	defer s.Close()
+	mustPut(t, s, "x", fixtures.Figure2())
+	got := make([]any, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _ = s.Memo("x", func(*core.ProbInstance) any { return new(int) })
+		}()
+	}
+	wg.Wait()
+	for i, v := range got {
+		if v == nil || v != got[0] {
+			t.Fatalf("caller %d got %v, caller 0 got %v", i, v, got[0])
+		}
+	}
+}
+
 func TestPutRejectsBadArgs(t *testing.T) {
 	s, _ := open(t, t.TempDir(), Options{})
 	defer s.Close()
