@@ -57,14 +57,15 @@ bench-store:
 
 # Quick benchmark smoke for CI: one iteration per benchmark at
 # GOMAXPROCS 1 and 4, enough to catch perf-critical paths that stop
-# compiling or start failing. It measures nothing. A before/after is
+# compiling or start failing. It measures nothing and gates nothing; it
+# prints each benchmark's B/op and allocs/op into the log. A before/after is
 # pairs of `bash e2ebench/run.sh` runs (BENCHMARK.json), or for one
 # package benchstat (golang.org/x/perf/cmd/benchstat) on raw output:
 #   go test -run '^$$' -bench ConcurrentPut -count 10 ./internal/store > old.txt
 #   ... apply the change ...
 #   go test -run '^$$' -bench ConcurrentPut -count 10 ./internal/store > new.txt
 #   benchstat old.txt new.txt
-BENCH_SMOKE = $(GO) test -run '^$$' -benchtime 1x -cpu 1,4
+BENCH_SMOKE = $(GO) test -run '^$$' -benchtime 1x -benchmem -cpu 1,4
 bench-smoke:
 	$(BENCH_SMOKE) -bench . ./internal/prob ./internal/enumerate ./internal/pathexpr
 	$(BENCH_SMOKE) -bench 'WALAppend|ConcurrentPut|OpenReplay|Compact' ./internal/store

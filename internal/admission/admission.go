@@ -175,21 +175,28 @@ func weightOf(q Quota) float64 {
 }
 
 // Admit decides whether one request from tenant may proceed. Admitted
-// requests hold one unit of inflight accounting until Release.
-func (c *Controller) Admit(tenant string) Decision {
+// requests hold one unit of inflight accounting until Release. It reads
+// the clock only for a tenant with a rate quota.
+func (c *Controller) Admit(tenant string) Decision { return c.AdmitAt(tenant, time.Time{}) }
+
+// AdmitAt is Admit for a caller that has read the clock already: now is
+// when the request arrived. The zero time has the controller read its own
+// clock, and only for a tenant with a rate quota.
+func (c *Controller) AdmitAt(tenant string, now time.Time) Decision {
 	c.mu.Lock()
 	q := c.quotaFor(tenant)
 	b := c.buckets[tenant]
-	now := c.now()
 	if b == nil {
-		b = &bucket{tokens: q.Burst, last: now}
+		b = &bucket{tokens: q.Burst}
 		c.buckets[tenant] = b
 	}
 
 	// Tier 1: the tenant's own token bucket.
 	if !q.Unlimited() {
-		b.tokens = math.Min(q.Burst, b.tokens+now.Sub(b.last).Seconds()*q.Rate)
-		b.last = now
+		if now.IsZero() {
+			now = c.now()
+		}
+		b.refill(q, now)
 		if b.tokens < 1 {
 			wait := time.Duration((1 - b.tokens) / q.Rate * float64(time.Second))
 			c.count(b, tenant, false)
@@ -289,10 +296,23 @@ func (c *Controller) Reload(def Quota, tenants map[string]Quota) error {
 		}
 		// Refill under the old clock first, then cap to the new burst so
 		// a tightened quota takes effect immediately.
-		b.tokens = math.Min(q.Burst, b.tokens+now.Sub(b.last).Seconds()*q.Rate)
-		b.last = now
+		b.refill(q, now)
 	}
 	return nil
+}
+
+// refill credits the bucket with what q's rate earned since its last
+// refill, capped at the burst. A bucket never refilled (a new one, or one
+// kept while its tenant had no rate quota) fills to the burst. A now
+// before the last refill, which concurrent requests stamped at arrival
+// can present, credits nothing and keeps the later instant.
+func (b *bucket) refill(q Quota, now time.Time) {
+	earned := 0.0
+	if now.After(b.last) {
+		earned = now.Sub(b.last).Seconds() * q.Rate
+		b.last = now
+	}
+	b.tokens = math.Min(q.Burst, b.tokens+earned)
 }
 
 // TenantState is one tenant's snapshot row.

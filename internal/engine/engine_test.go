@@ -20,6 +20,7 @@ import (
 	"pxml/internal/pathexpr"
 	"pxml/internal/prob"
 	"pxml/internal/pxql"
+	"pxml/internal/rescache"
 	"pxml/internal/sets"
 )
 
@@ -125,6 +126,73 @@ func TestEngineMetricsCount(t *testing.T) {
 	if lat.Count != 6 {
 		t.Errorf("latency count = %d, want 6", lat.Count)
 	}
+}
+
+// TestResultCacheHitsCountServedAnswers: result_cache_hits counts answers
+// served from the cache, not calls that did not compute. A caller that
+// joined another's evaluation and gave up, and one whose evaluation failed,
+// count as no hit; the shape observer still sees both statements' shape.
+func TestResultCacheHitsCountServedAnswers(t *testing.T) {
+	cache := rescache.New(1 << 20)
+	var mu sync.Mutex
+	shapes := map[string]int{}
+	eng := New(treeBib(t), WithResultCache(cache, "x\x00"), WithShapeObserver(func(shape string, _ time.Duration) {
+		mu.Lock()
+		shapes[shape]++
+		mu.Unlock()
+	}))
+	const slow = "ESTIMATE 2000000000 EXISTS R.book"
+	leaderCtx, stopLeader := context.WithCancel(context.Background())
+	defer stopLeader()
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := eng.Run(leaderCtx, slow)
+		leaderErr <- err
+	}()
+	for cache.Stats().Misses == 0 { // the leader's flight is registered
+		time.Sleep(time.Millisecond)
+	}
+	waiterCtx, stopWaiter := context.WithCancel(context.Background())
+	joined := &doneSpy{Context: waiterCtx, asked: make(chan struct{})}
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, err := eng.Run(joined, slow)
+		waiterErr <- err
+	}()
+	<-joined.asked // waiting on the leader's flight
+	stopWaiter()
+	if err := <-waiterErr; err != context.Canceled {
+		t.Fatalf("waiter: %v, want context.Canceled", err)
+	}
+	stopLeader()
+	if err := <-leaderErr; err == nil {
+		t.Fatal("the cancelled leader answered")
+	}
+	m := eng.Metrics()
+	if hits, misses := m["result_cache_hits"].(int64), m["result_cache_misses"].(int64); hits != 0 || misses != 1 {
+		t.Errorf("result_cache_hits %d, misses %d; want 0 and 1", hits, misses)
+	}
+	if st := cache.Stats(); st.Hits != 0 {
+		t.Errorf("cache hits %d, want 0", st.Hits)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if shapes[pxql.ShapeEstimate] != 2 || len(shapes) != 1 {
+		t.Errorf("observed shapes %v, want estimate twice", shapes)
+	}
+}
+
+// doneSpy closes asked the first time its Done is asked for, which the
+// result cache does only for a caller waiting on another's flight.
+type doneSpy struct {
+	context.Context
+	once  sync.Once
+	asked chan struct{}
+}
+
+func (c *doneSpy) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.asked) })
+	return c.Context.Done()
 }
 
 func TestEngineContextCancellation(t *testing.T) {

@@ -73,9 +73,10 @@ func shapeOfOp(op string) string {
 
 // ClassifyShape determines a statement's shape lexically — first keyword,
 // plus the PROB sub-form — without a full parse and without allocating, so
-// callers on the hot path (the server's breaker key, the engine's
-// per-statement latency hook) can classify a cache-hit statement without
-// paying Parse again. It splits and upper-cases fields exactly as Parse does,
+// a caller on the hot path (the server's breaker key) can classify a
+// cache-hit statement without paying Parse. (The engine reads a shape off
+// its own parse and keeps it with the cached result.) It splits and
+// upper-cases fields exactly as Parse does,
 // so it agrees with Query.Shape for every statement Parse accepts.
 func ClassifyShape(statement string) string {
 	kw, rest := nextField(statement)

@@ -115,6 +115,57 @@ func TestDoCtxComputePanics(t *testing.T) {
 	}
 }
 
+// TestDoCtxFailedFlightIsNoHit: waiters that joined a compute which failed
+// were served nothing, so they count as collapsed but not as hits; nor
+// does a waiter that gave up before the compute finished.
+func TestDoCtxFailedFlightIsNoHit(t *testing.T) {
+	c := New(1 << 20)
+	boom := errors.New("boom")
+	leaderIn := make(chan struct{})
+	release := make(chan struct{})
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, err := c.DoCtx(context.Background(), "k", func() (any, int64, error) {
+			close(leaderIn)
+			<-release
+			return nil, 0, boom
+		})
+		leaderDone <- err
+	}()
+	<-leaderIn
+	join := func(ctx context.Context, errs chan<- error) {
+		_, err := c.DoCtx(ctx, "k", func() (any, int64, error) {
+			t.Error("waiter must not compute")
+			return nil, 0, nil
+		})
+		errs <- err
+	}
+	waiterErrs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		ctx := &joinCtx{Context: context.Background(), joined: make(chan struct{})}
+		go join(ctx, waiterErrs)
+		<-ctx.joined
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	quitter := &joinCtx{Context: cancelled, joined: make(chan struct{})}
+	quitErr := make(chan error, 1)
+	go join(quitter, quitErr)
+	<-quitter.joined
+	cancel()
+	if err := <-quitErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter: %v, want context.Canceled", err)
+	}
+	close(release)
+	for _, errs := range []chan error{leaderDone, waiterErrs, waiterErrs} {
+		if err := <-errs; !errors.Is(err, boom) {
+			t.Fatalf("got %v, want the compute's error", err)
+		}
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 1 || st.Collapsed != 2 {
+		t.Fatalf("stats %+v: want hits 0, misses 1, collapsed 2", st)
+	}
+}
+
 // joinCtx closes joined the first time its Done is asked for, which DoCtx
 // does only once the caller is waiting on a flight.
 type joinCtx struct {

@@ -140,6 +140,14 @@ func (c *Cache) Put(key string, v any, cost int64) {
 	s.mu.Unlock()
 }
 
+// Holds reports whether the cache could keep a value of the given cost: a
+// cost that is not negative and that, with the per-entry overhead, fits a
+// shard's budget. A compute that prepares something only a kept value
+// needs asks first.
+func (c *Cache) Holds(cost int64) bool {
+	return cost >= 0 && cost+entryOverhead <= c.shards[0].budget
+}
+
 // DoCtx returns the cached value for key, or computes it exactly once
 // across concurrent callers. compute returns (value, cost, err): on err the
 // value is handed to every waiting caller but never cached; on success the
@@ -167,8 +175,10 @@ func (c *Cache) DoCtx(ctx context.Context, key string, compute func() (v any, co
 		select {
 		case <-f.done:
 			s.mu.Lock()
-			s.hits++
 			s.collapsed++
+			if f.err == nil { // a failed or panicked compute served nothing
+				s.hits++
+			}
 			s.mu.Unlock()
 			return f.val, f.err
 		case <-ctx.Done():

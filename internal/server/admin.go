@@ -4,6 +4,7 @@ package server
 // scrub. (Promote and demote live in failover.go.)
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,7 +18,7 @@ import (
 
 // handleQuotasGet reports the live admission configuration and per-tenant
 // state (token balances, inflight counts).
-func (s *Server) handleQuotasGet(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleQuotasGet(_ context.Context, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.adm.State())
 }
 
@@ -31,7 +32,7 @@ type quotasRequest struct {
 // handleQuotasPut replaces the admission quota table at runtime. Shed and
 // admit counters carry over; bucket levels are re-capped to the new
 // bursts so a tightened quota bites immediately.
-func (s *Server) handleQuotasPut(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleQuotasPut(_ context.Context, w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxStatementBytes))
 	if err != nil {
 		httpDecodeError(w, err)
@@ -61,7 +62,7 @@ func (s *Server) handleQuotasPut(w http.ResponseWriter, r *http.Request) {
 // writes keep flowing while the backup is cut (see store.Backup). The
 // response is the backup's manifest — everything a later pxmlbackup
 // verify/restore needs to know about what was captured.
-func (s *Server) handleBackup(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleBackup(_ context.Context, w http.ResponseWriter, r *http.Request) {
 	if s.store == nil {
 		httpError(w, http.StatusConflict, apiv1.CodeConflict, fmt.Errorf("server has no durable store to back up"))
 		return
@@ -124,7 +125,7 @@ func resolveBackupDir(root, name string) (string, error) {
 // handleScrub runs a synchronous full verification pass over the store's
 // at-rest files. Corruption degrades the store (readyz flips) and comes
 // back as a 500 so the caller knows restoration is now the job at hand.
-func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleScrub(_ context.Context, w http.ResponseWriter, r *http.Request) {
 	if s.store == nil {
 		httpError(w, http.StatusConflict, apiv1.CodeConflict, fmt.Errorf("server has no durable store to scrub"))
 		return

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -362,7 +364,7 @@ func TestRouteStacks(t *testing.T) {
 
 		ran := false
 		spy := rt
-		spy.handle = func(w http.ResponseWriter, r *http.Request) {
+		spy.handle = func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 			ran = true
 			if got := s.adm.State().Inflight == 1; got != admitted {
 				t.Errorf("%s: inside admission = %v, want %v", rt.pattern, got, admitted)
@@ -370,11 +372,11 @@ func TestRouteStacks(t *testing.T) {
 			if got := len(s.sem) == 1; got != limited {
 				t.Errorf("%s: inside the limiter = %v, want %v", rt.pattern, got, limited)
 			}
-			if _, got := r.Context().Deadline(); got != deadline {
+			if _, got := ctx.Deadline(); got != deadline {
 				t.Errorf("%s: under the deadline = %v, want %v", rt.pattern, got, deadline)
 			}
 		}
-		h := s.stack(spy)
+		h := s.instrument(s.stack(spy))
 
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(method, path, nil))
@@ -387,6 +389,55 @@ func TestRouteStacks(t *testing.T) {
 			h.ServeHTTP(httptest.NewRecorder(), req)
 			if !ran {
 				t.Errorf("%s with the token: handler did not run", rt.pattern)
+			}
+		}
+	}
+}
+
+// TestRouteDeadlines walks the route table: every route under the request
+// deadline hands its handler a context that expires RequestTimeout after
+// the request arrived, keeps the request's values and is settled once the
+// handler returns; every other route, and every route of a server without
+// RequestTimeout, hands the request's own context. As in TestRouteStacks,
+// what a path is owed is stated by prefix.
+func TestRouteDeadlines(t *testing.T) {
+	const timeout = time.Minute
+	type key struct{}
+	for _, cfg := range []Config{{RequestTimeout: timeout}, {}} {
+		s := MustNew(cfg)
+		for _, rt := range s.routes() {
+			method, path, _ := strings.Cut(rt.pattern, " ")
+			owed := cfg.RequestTimeout > 0 && path != "/healthz" && path != "/readyz" && !strings.HasPrefix(path, "/v1/repl/")
+			var seen context.Context
+			spy := rt
+			spy.handle = func(ctx context.Context, w http.ResponseWriter, r *http.Request) { seen = ctx }
+			req := httptest.NewRequest(method, path, nil)
+			req = req.WithContext(context.WithValue(req.Context(), key{}, "v"))
+			before := time.Now()
+			s.instrument(s.stack(spy)).ServeHTTP(httptest.NewRecorder(), req)
+			after := time.Now()
+			if seen == nil {
+				t.Fatalf("%s (timeout %v): handler did not run", rt.pattern, cfg.RequestTimeout)
+			}
+			if seen.Value(key{}) != "v" {
+				t.Errorf("%s: the handler's context lost the request's values", rt.pattern)
+			}
+			d, ok := seen.Deadline()
+			if ok != owed {
+				t.Errorf("%s (timeout %v): deadline %v, want one: %v", rt.pattern, cfg.RequestTimeout, ok, owed)
+				continue
+			}
+			if !owed {
+				if seen != req.Context() {
+					t.Errorf("%s (timeout %v): handler got a context other than the request's", rt.pattern, cfg.RequestTimeout)
+				}
+				continue
+			}
+			if d.Before(before.Add(timeout)) || d.After(after.Add(timeout)) {
+				t.Errorf("%s: deadline %v, want the request's arrival plus %v (within %v..%v)", rt.pattern, d, timeout, before.Add(timeout), after.Add(timeout))
+			}
+			if !errors.Is(seen.Err(), context.Canceled) {
+				t.Errorf("%s: deadline not settled when the handler returned: %v", rt.pattern, seen.Err())
 			}
 		}
 	}

@@ -12,9 +12,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"pxml/internal/apiv1"
+	"pxml/internal/codec"
 	"pxml/internal/core"
 	"pxml/internal/engine"
 	"pxml/internal/fixtures"
@@ -187,6 +195,92 @@ func TestResultCacheServesDegradedStore(t *testing.T) {
 	}
 	if !bytes.Equal(after, runJSON(t, engine.New(fig), stmt)) {
 		t.Fatal("cached answer diverged from fresh evaluation")
+	}
+}
+
+// escapeDoc is a tree whose label and object ids need JSON escaping in
+// every answer that names them.
+const escapeDoc = "pxml/1\nroot R\nlch R a<b 1 2 X&1 Y\"2\nopf R 0.25 X&1\nopf R 0.75 X&1 Y\"2\n"
+
+// escapeServer serves escapeDoc as instance "esc" through Handler().
+func escapeServer(t *testing.T) (*core.ProbInstance, func(url, stmt string) (int, []byte)) {
+	t.Helper()
+	pi, err := codec.DecodeTextBytes([]byte(escapeDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := MustNew(Config{RequestTimeout: time.Minute})
+	t.Cleanup(func() { s.Close() })
+	if err := s.Put("esc", pi); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	return pi, func(url, stmt string) (int, []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, url, strings.NewReader(stmt)))
+		return rec.Code, rec.Body.Bytes()
+	}
+}
+
+// TestCachedBodyIsTheMissBody: a hit writes the body rendered when its
+// miss filled the cache, byte for byte what encoding/json makes of the
+// result, and a statement the cache does not keep (SELECT) renders the
+// same bytes on every request.
+func TestCachedBodyIsTheMissBody(t *testing.T) {
+	pi, post := escapeServer(t)
+	for _, stmt := range []string{`PROB R.a<b = X&1`, `PROB EXISTS R.a<b`, `PROB OBJECT Y"2`, `SELECT R.a<b = Y"2`} {
+		res, err := engine.New(pi).Run(context.Background(), stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(apiv1.QueryResponse{Text: res.Text, Prob: res.Prob}); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.IndexByte(want.Bytes(), '\\') < 0 {
+			t.Fatalf("%s: %s escapes nothing", stmt, want.Bytes())
+		}
+		code, miss := post("/v1/instances/esc/query", stmt)
+		if code != http.StatusOK || !bytes.Equal(miss, want.Bytes()) {
+			t.Fatalf("%s: first answer %d %s, want %s", stmt, code, miss, want.Bytes())
+		}
+		for i := 0; i < 2; i++ {
+			if code, again := post("/v1/instances/esc/query", stmt); code != http.StatusOK || !bytes.Equal(again, miss) {
+				t.Errorf("%s: answer %d is %d %s, the first was %s", stmt, i+2, code, again, miss)
+			}
+		}
+	}
+}
+
+// TestStoreQueryNamesWhatItStored: a ?store= statement's answer carries
+// "stored" however its result was reached: after the same statement ran
+// without ?store=, and shared with concurrent callers of the statement,
+// each storing under its own name.
+func TestStoreQueryNamesWhatItStored(t *testing.T) {
+	_, post := escapeServer(t)
+	const stmt = `SELECT R.a<b = Y"2`
+	if code, body := post("/v1/instances/esc/query", stmt); code != http.StatusOK {
+		t.Fatalf("plain query: %d %s", code, body)
+	}
+	const n = 8
+	bodies := make([][]byte, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, bodies[i] = post(fmt.Sprintf("/v1/instances/esc/query?store=v%d", i), stmt)
+		}(i)
+	}
+	wg.Wait()
+	for i, body := range bodies {
+		var qr apiv1.QueryResponse
+		if err := json.Unmarshal(body, &qr); err != nil || qr.Stored != fmt.Sprintf("v%d", i) || qr.Prob == nil || *qr.Prob != 0.75 {
+			t.Errorf("?store=v%d answered %s (%v)", i, body, err)
+		}
+		if code, _ := post(fmt.Sprintf("/v1/instances/v%d/query", i), "STATS"); code != http.StatusOK {
+			t.Errorf("v%d was not stored: STATS answers %d", i, code)
+		}
 	}
 }
 

@@ -270,7 +270,7 @@ func (s *Server) epochInfo() epochInfo {
 // handleReplEpoch serves GET /v1/repl/epoch: the lightweight peer epoch
 // probe. Token-gated like the rest of the replication surface, mounted
 // outside admission so probes keep answering under load.
-func (s *Server) handleReplEpoch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReplEpoch(_ context.Context, w http.ResponseWriter, r *http.Request) {
 	if s.store == nil {
 		apiv1.WriteError(w, http.StatusConflict, apiv1.CodeConflict,
 			"server has no durable store, hence no replication epoch")
@@ -280,13 +280,13 @@ func (s *Server) handleReplEpoch(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePromote serves POST /v1/admin/promote?force=1 on a follower.
-func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePromote(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	if s.store == nil {
 		httpError(w, http.StatusConflict, apiv1.CodeConflict, fmt.Errorf("server has no durable store to promote"))
 		return
 	}
 	force := r.URL.Query().Get("force") != ""
-	res, err := s.PromoteSelf(r.Context(), force)
+	res, err := s.PromoteSelf(ctx, force)
 	if err != nil {
 		switch {
 		case errors.Is(err, store.ErrNotFollower):
@@ -306,7 +306,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 // itself when the claim is higher than its own era; a stale or equal
 // claim is refused — fencing on rumor alone would let any caller with
 // the token turn the real leader read-only.
-func (s *Server) handleDemote(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDemote(_ context.Context, w http.ResponseWriter, r *http.Request) {
 	if s.store == nil {
 		httpError(w, http.StatusConflict, apiv1.CodeConflict, fmt.Errorf("server has no durable store to demote"))
 		return

@@ -3,6 +3,7 @@ package server
 // Assembly of the GET /v1/metrics payload.
 
 import (
+	"context"
 	"net/http"
 	"runtime"
 	"time"
@@ -67,7 +68,7 @@ type telemetryStatus struct {
 	Bytes          int64   `json:"bytes"`
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMetrics(_ context.Context, w http.ResponseWriter, r *http.Request) {
 	s.updateRuntimeGauges()
 	// Publish breaker states as gauges (closed=0, half-open=1, open=2),
 	// keyed <instance>.<shape>, so the statsd stream and alerting see

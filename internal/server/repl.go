@@ -235,7 +235,7 @@ func (s *Server) requireToken(next http.Handler) http.Handler {
 // not burn an inflight slot or be killed by the request deadline.
 // Followers serve it too — their store streams exactly like a leader's,
 // so replicas can chain.
-func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReplStream(_ context.Context, w http.ResponseWriter, r *http.Request) {
 	if s.store == nil {
 		apiv1.WriteError(w, http.StatusConflict, apiv1.CodeConflict,
 			"server has no durable store to replicate")
@@ -249,7 +249,7 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 
 // handleReplBootstrap serves GET /v1/repl/bootstrap: a tar of a fresh
 // backup a new follower restores from.
-func (s *Server) handleReplBootstrap(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReplBootstrap(_ context.Context, w http.ResponseWriter, r *http.Request) {
 	if s.store == nil {
 		apiv1.WriteError(w, http.StatusConflict, apiv1.CodeConflict,
 			"server has no durable store to replicate")

@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"pxml/internal/metrics"
 )
 
 // reqState is one request's scratch: the status recorder every handler
@@ -26,6 +28,15 @@ type reqState struct {
 	body    bytes.Buffer
 	limited io.LimitedReader // readBody's, kept here so that it is not allocated
 	out     []byte
+
+	// start is instrument's one clock read at arrival: the instant the
+	// request's admission and deadline are reckoned from and its latencies
+	// measured from.
+	start time.Time
+	// route is the http_latency.<endpoint> timer of the route that served
+	// the request, set by its stack; instrument observes it with the same
+	// end reading as http_latency.
+	route *metrics.Timer
 }
 
 var statePool = sync.Pool{New: func() any { return new(reqState) }}
@@ -35,7 +46,7 @@ var statePool = sync.Pool{New: func() any { return new(reqState) }}
 const maxPooledBuf = 16 << 10
 
 func (st *reqState) release() {
-	st.ResponseWriter = nil
+	st.ResponseWriter, st.route = nil, nil
 	if st.body.Cap() > maxPooledBuf {
 		st.body = bytes.Buffer{}
 	}
@@ -80,7 +91,9 @@ func (st *reqState) readBody(r io.Reader, limit int64) ([]byte, error) {
 // instant and costs nothing until someone waits on it. Deadline and Err
 // compare against the clock; the Done channel, the timer that closes it and
 // the hook on the parent's cancellation exist only from the first Done call
-// on — the governor's, on a result-cache miss. A cached answer never asks.
+// on — a request waiting on another's result-cache flight, or a batch
+// statement waiting for a worker slot. The governor reads Err once per
+// quantum and never asks for Done; a cached answer reads Err once.
 //
 // It is allocated per request and never pooled: a context outlives the call
 // it was made for whenever something derived from it does (a child context,
@@ -98,9 +111,11 @@ type deadlineCtx struct {
 	after      map[*func()]struct{}
 }
 
-func newDeadlineCtx(parent context.Context, timeout time.Duration) *deadlineCtx {
-	c := &deadlineCtx{parent: parent, deadline: time.Now().Add(timeout)}
-	if pd, ok := parent.Deadline(); ok && pd.Before(c.deadline) {
+// newDeadlineCtx returns a context that expires at deadline, or at the
+// parent's deadline if that is earlier. It reads no clock.
+func newDeadlineCtx(parent context.Context, deadline time.Time) *deadlineCtx {
+	c := &deadlineCtx{parent: parent, deadline: deadline}
+	if pd, ok := parent.Deadline(); ok && pd.Before(deadline) {
 		c.deadline = pd
 	}
 	return c

@@ -38,12 +38,19 @@ const (
 	classInstance
 )
 
+// handler is what a route serves a request with. ctx is the request's
+// context: under withDeadline it carries the request deadline, which
+// r.Context() does not, because the request is not copied to carry it. A
+// handler is handed the deadline as its first argument instead of having
+// to know where to look for it.
+type handler func(ctx context.Context, w http.ResponseWriter, r *http.Request)
+
 // route is one entry of the route table.
 type route struct {
 	pattern  string // ServeMux pattern: method and full path
 	class    routeClass
 	endpoint string // names the http_latency.<endpoint> timer; probes have none
-	handle   http.HandlerFunc
+	handle   handler
 }
 
 // routes is the whole HTTP surface: the v1 API and the two probes.
@@ -73,25 +80,32 @@ func (s *Server) routes() []route {
 }
 
 // stack wraps a route's handler in the middleware its class calls for.
-// The percentile timer is innermost, so it times the handler alone.
+// The percentile timer is claimed innermost, so it observes the requests
+// the handler served; instrument observes it, with the request's whole
+// latency.
 func (s *Server) stack(rt route) http.Handler {
 	if rt.class == classProbe {
-		return rt.handle
+		return withRequestContext(rt.handle)
 	}
 	t := s.reg.Timer("http_latency." + rt.endpoint)
-	var h http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rt.handle(w, r)
-		t.Observe(time.Since(start))
-	})
+	timed := func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
+		w.(*reqState).route = t
+		rt.handle(ctx, w, r)
+	}
 	switch rt.class {
 	case classRepl:
-		return s.requireToken(h)
+		return s.requireToken(withRequestContext(timed))
 	case classAdmin:
-		return s.requireToken(s.limitInflight(s.withDeadline(h)))
+		return s.requireToken(s.limitInflight(s.withDeadline(timed)))
 	default:
-		return s.admit(s.limitInflight(s.withDeadline(h)))
+		return s.admit(s.limitInflight(s.withDeadline(timed)))
 	}
+}
+
+// withRequestContext serves h with the request's own context, as the
+// routes outside the request deadline are served.
+func withRequestContext(h handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { h(r.Context(), w, r) })
 }
 
 // Handler returns the HTTP handler for the catalog: every route of the
@@ -135,7 +149,7 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) admit(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		tenant := r.PathValue("name")
-		d := s.adm.Admit(tenant)
+		d := s.adm.AdmitAt(tenant, w.(*reqState).start)
 		if !d.OK {
 			s.shed.Inc()
 			code := apiv1.CodeQuotaExceeded
@@ -199,22 +213,23 @@ func (s *Server) limitInflight(next http.Handler) http.Handler {
 	})
 }
 
-// withDeadline bounds the request with Config.RequestTimeout via the
-// context every engine call already honors; an expired deadline surfaces
-// as 503 through classifyQueryError. The context arms nothing unless
-// something waits on it (see deadlineCtx).
-func (s *Server) withDeadline(next http.Handler) http.Handler {
+// withDeadline bounds the request with Config.RequestTimeout, counted from
+// its arrival, through the context it hands next: every engine call honors
+// it, and an expired deadline surfaces as 503 through classifyQueryError.
+// The context arms nothing unless something waits on it (see deadlineCtx),
+// and the request is not copied to carry it.
+func (s *Server) withDeadline(next handler) http.Handler {
 	if s.reqTimeout <= 0 {
-		return next
+		return withRequestContext(next)
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx := newDeadlineCtx(r.Context(), s.reqTimeout)
+		ctx := newDeadlineCtx(r.Context(), w.(*reqState).start.Add(s.reqTimeout))
 		defer ctx.cancel(context.Canceled)
-		next.ServeHTTP(w, r.WithContext(ctx))
+		next(ctx, w, r)
 	})
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealthz(_ context.Context, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"uptime_s": time.Since(s.started).Seconds(),
@@ -224,7 +239,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleReadyz reports whether this server should receive traffic: not
 // while draining for shutdown, and not ready for writes once the store
 // has degraded (readiness is the operator's signal to fail over).
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReadyz(_ context.Context, w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
 		return
@@ -280,18 +295,23 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // optional structured logging, and lends the request its pooled state: the
 // ResponseWriter everything beneath sees is a *reqState, taken here and
 // returned here (a handler that panics past recoverPanics keeps it from the
-// pool, which is only a missed reuse).
+// pool, which is only a missed reuse). Its two clock reads are the
+// request's: the arrival it stamps on the state, and the end both
+// http_latency and the route's timer observe.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
 		rec := statePool.Get().(*reqState)
 		rec.ResponseWriter, rec.status, rec.bytes, rec.wrote = w, http.StatusOK, 0, false
+		rec.start = time.Now()
 		s.inflight.Inc()
 		defer s.inflight.Dec()
 		next.ServeHTTP(rec, r)
-		d := time.Since(start)
+		d := time.Since(rec.start)
 		s.requests.Inc()
 		s.latency.Observe(d)
+		if rec.route != nil {
+			rec.route.Observe(d)
+		}
 		if rec.status >= 400 {
 			s.errors.Inc()
 		}
