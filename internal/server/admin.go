@@ -63,7 +63,7 @@ func (s *Server) handleQuotasPut(_ context.Context, w http.ResponseWriter, r *ht
 // response is the backup's manifest — everything a later pxmlbackup
 // verify/restore needs to know about what was captured.
 func (s *Server) handleBackup(_ context.Context, w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
+	if !s.store.Durable() {
 		httpError(w, http.StatusConflict, apiv1.CodeConflict, fmt.Errorf("server has no durable store to back up"))
 		return
 	}
@@ -126,7 +126,7 @@ func resolveBackupDir(root, name string) (string, error) {
 // at-rest files. Corruption degrades the store (readyz flips) and comes
 // back as a 500 so the caller knows restoration is now the job at hand.
 func (s *Server) handleScrub(_ context.Context, w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
+	if !s.store.Durable() {
 		httpError(w, http.StatusConflict, apiv1.CodeConflict, fmt.Errorf("server has no durable store to scrub"))
 		return
 	}

@@ -6,9 +6,12 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"pxml/internal/apiv1"
 	"pxml/internal/fixtures"
+	"pxml/internal/repl"
 	"pxml/internal/store"
 )
 
@@ -85,17 +88,43 @@ func TestAdminBackupConfinedToRoot(t *testing.T) {
 	}
 }
 
+// TestAdminBackupWithoutStore checks what an in-memory server answers
+// where the answer depends on durability: 409 on every backup, scrub,
+// failover and replication route, no store or replication section and no
+// store_* name in /v1/metrics, no epoch header on writes, any name
+// accepted, and no recovery report.
 func TestAdminBackupWithoutStore(t *testing.T) {
 	s := MustNew(Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	resp, body := do(t, "POST", ts.URL+"/v1/admin/backup?dir=/tmp/x", "", "application/json")
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("backup on memory-only server: status %d: %s", resp.StatusCode, body)
+	for _, route := range []string{
+		"POST /v1/admin/backup?dir=/tmp/x",
+		"POST /v1/admin/scrub",
+		"POST /v1/admin/promote",
+		"POST /v1/admin/demote",
+		"GET " + repl.StreamPath + "?from=1:0",
+		"GET " + repl.BootstrapPath,
+		"GET " + repl.EpochPath,
+	} {
+		method, path, _ := strings.Cut(route, " ")
+		resp, body := do(t, method, ts.URL+path, `{"epoch":9}`, "application/json")
+		if resp.StatusCode != http.StatusConflict || !strings.Contains(body, apiv1.CodeConflict) {
+			t.Errorf("%s on memory-only server: status %d: %s", route, resp.StatusCode, body)
+		}
 	}
-	resp, body = do(t, "POST", ts.URL+"/v1/admin/scrub", "", "application/json")
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("scrub on memory-only server: status %d: %s", resp.StatusCode, body)
+	for _, req := range []struct{ method, body string }{{"PUT", figure2Text(t)}, {"DELETE", ""}} {
+		resp, body := do(t, req.method, ts.URL+"/v1/instances/has.dot", req.body, "text/plain")
+		if resp.StatusCode >= 300 || resp.Header.Get(repl.HeaderEpoch) != "" {
+			t.Errorf("%s of a dotted name: status %d, epoch header %q: %s",
+				req.method, resp.StatusCode, resp.Header.Get(repl.HeaderEpoch), body)
+		}
+	}
+	_, body := do(t, "GET", ts.URL+"/v1/metrics", "", "")
+	if strings.Contains(body, `"store"`) || strings.Contains(body, `"replication"`) || strings.Contains(body, "store_") {
+		t.Errorf("memory-only server's metrics name the store: %s", body)
+	}
+	if rep := s.RecoveryReport(); rep != nil {
+		t.Errorf("memory-only server's recovery report = %+v", rep)
 	}
 }
 

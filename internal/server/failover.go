@@ -190,7 +190,7 @@ func (s *Server) drainOldLeader(ctx context.Context, f *followerState, res *prom
 // fenceSelf fences this node at epoch (recording leaderURL when known),
 // logging the transition once. No-op on followers and on stale epochs.
 func (s *Server) fenceSelf(epoch uint64, leaderURL string) {
-	if s.store == nil || s.store.IsFollower() {
+	if s.store.IsFollower() {
 		return
 	}
 	alreadyFenced, _, _ := s.store.Fenced()
@@ -271,7 +271,7 @@ func (s *Server) epochInfo() epochInfo {
 // probe. Token-gated like the rest of the replication surface, mounted
 // outside admission so probes keep answering under load.
 func (s *Server) handleReplEpoch(_ context.Context, w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
+	if !s.store.Durable() {
 		apiv1.WriteError(w, http.StatusConflict, apiv1.CodeConflict,
 			"server has no durable store, hence no replication epoch")
 		return
@@ -281,7 +281,7 @@ func (s *Server) handleReplEpoch(_ context.Context, w http.ResponseWriter, r *ht
 
 // handlePromote serves POST /v1/admin/promote?force=1 on a follower.
 func (s *Server) handlePromote(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
+	if !s.store.Durable() {
 		httpError(w, http.StatusConflict, apiv1.CodeConflict, fmt.Errorf("server has no durable store to promote"))
 		return
 	}
@@ -307,7 +307,7 @@ func (s *Server) handlePromote(ctx context.Context, w http.ResponseWriter, r *ht
 // claim is refused — fencing on rumor alone would let any caller with
 // the token turn the real leader read-only.
 func (s *Server) handleDemote(_ context.Context, w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
+	if !s.store.Durable() {
 		httpError(w, http.StatusConflict, apiv1.CodeConflict, fmt.Errorf("server has no durable store to demote"))
 		return
 	}
@@ -360,7 +360,7 @@ func (s *Server) probePeersOnce(ctx context.Context) uint64 {
 		if info.Epoch > highest {
 			highest = info.Epoch
 		}
-		if s.store != nil && info.Epoch > s.store.Epoch() {
+		if info.Epoch > s.store.Epoch() {
 			// info.Leader names where writes belong as far as that peer
 			// knows, whatever its role; trust it the same way the fenced
 			// 409's X-Pxml-Repl-Leader header is trusted.
@@ -426,7 +426,7 @@ func (s *Server) startProber() {
 				return
 			case <-ticker.C:
 			}
-			if s.store == nil || s.store.IsFollower() {
+			if s.store.IsFollower() {
 				continue
 			}
 			s.probePeersOnce(ctx)

@@ -149,7 +149,7 @@ func (s *Server) handlePut(_ context.Context, w http.ResponseWriter, r *http.Req
 	name := r.PathValue("name")
 	// Refuse before working: a name the store cannot hold is known from the
 	// URL alone, ahead of reading, decoding and validating the body.
-	if s.store != nil && !validName(name) {
+	if s.store.Durable() && !validName(name) {
 		httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, fmt.Errorf("name %q not storable (use [A-Za-z0-9_-])", name))
 		return
 	}
@@ -193,7 +193,7 @@ func (s *Server) handlePut(_ context.Context, w http.ResponseWriter, r *http.Req
 // harness) can prove no two epochs ever acknowledged writes
 // concurrently.
 func (s *Server) stampEpoch(w http.ResponseWriter) {
-	if s.store != nil {
+	if s.store.Durable() {
 		w.Header().Set(repl.HeaderEpoch, strconv.FormatUint(s.store.Epoch(), 10))
 	}
 }
@@ -263,7 +263,7 @@ func (s *Server) handleQuery(ctx context.Context, w http.ResponseWriter, r *http
 		}
 		// Refuse before working, as handlePut does: a name the store
 		// cannot hold is known from the URL alone.
-		if s.store != nil && !validName(storeAs) {
+		if s.store.Durable() && !validName(storeAs) {
 			httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, fmt.Errorf("name %q not storable (use [A-Za-z0-9_-])", storeAs))
 			return
 		}

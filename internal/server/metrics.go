@@ -116,7 +116,7 @@ func (s *Server) handleMetrics(_ context.Context, w http.ResponseWriter, r *http
 			Bytes:          s.reg.Counter("telemetry_bytes").Value(),
 		}
 	}
-	if s.store != nil {
+	if s.store.Durable() {
 		payload.Store = map[string]any{
 			"dir":       s.store.Dir(),
 			"wal_bytes": s.store.WALSize(),

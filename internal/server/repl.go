@@ -194,10 +194,8 @@ func (s *Server) redirectToLeader(w http.ResponseWriter, r *http.Request) bool {
 	var leader string
 	if f := s.follower.Load(); f != nil {
 		leader = f.LeaderURL()
-	} else if s.store != nil {
-		if fenced, _, url := s.store.Fenced(); fenced {
-			leader = url
-		}
+	} else if fenced, _, url := s.store.Fenced(); fenced {
+		leader = url
 	}
 	if leader == "" {
 		return false
@@ -236,7 +234,7 @@ func (s *Server) requireToken(next http.Handler) http.Handler {
 // Followers serve it too — their store streams exactly like a leader's,
 // so replicas can chain.
 func (s *Server) handleReplStream(_ context.Context, w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
+	if !s.store.Durable() {
 		apiv1.WriteError(w, http.StatusConflict, apiv1.CodeConflict,
 			"server has no durable store to replicate")
 		return
@@ -250,7 +248,7 @@ func (s *Server) handleReplStream(_ context.Context, w http.ResponseWriter, r *h
 // handleReplBootstrap serves GET /v1/repl/bootstrap: a tar of a fresh
 // backup a new follower restores from.
 func (s *Server) handleReplBootstrap(_ context.Context, w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
+	if !s.store.Durable() {
 		apiv1.WriteError(w, http.StatusConflict, apiv1.CodeConflict,
 			"server has no durable store to replicate")
 		return
@@ -280,10 +278,10 @@ type replMetrics struct {
 
 // replSection builds the metrics section and refreshes the exported
 // replication gauges (repl_lag_bytes, repl_staleness_ms, repl_diverged)
-// so the statsd stream carries them too. Returns nil on a server with
-// no store.
+// so the statsd stream carries them too. Returns nil on a server without
+// a durable store.
 func (s *Server) replSection() *replMetrics {
-	if s.store == nil {
+	if !s.store.Durable() {
 		return nil
 	}
 	epoch := s.store.Epoch()

@@ -244,24 +244,22 @@ func (s *Server) handleReadyz(_ context.Context, w http.ResponseWriter, r *http.
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
 		return
 	}
-	if s.store != nil {
-		if h := s.store.Health(); h.Degraded {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-				"status": "degraded",
-				"reason": h.Reason,
-			})
-			return
-		}
-		if fenced, epoch, leader := s.store.Fenced(); fenced {
-			// A fenced ex-leader still serves reads, but readiness is the
-			// routing signal and writes belong on the successor.
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-				"status": "fenced",
-				"epoch":  epoch,
-				"leader": leader,
-			})
-			return
-		}
+	if h := s.store.Health(); h.Degraded {
+		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+			"status": "degraded",
+			"reason": h.Reason,
+		})
+		return
+	}
+	if fenced, epoch, leader := s.store.Fenced(); fenced {
+		// A fenced ex-leader still serves reads, but readiness is the
+		// routing signal and writes belong on the successor.
+		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+			"status": "fenced",
+			"epoch":  epoch,
+			"leader": leader,
+		})
+		return
 	}
 	if f := s.follower.Load(); f != nil {
 		st := f.puller.Status()

@@ -54,7 +54,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -80,28 +79,22 @@ const defaultResultCacheBytes = 32 << 20
 // maxStatementBytes bounds a single pxql statement (or batch) body.
 const maxStatementBytes = 1 << 20
 
-// Server is a concurrency-safe catalog of named query engines, optionally
-// backed by the durable storage engine (see Config.StoreDir). Everything
+// Server is a concurrency-safe catalog of named query engines, held in
+// a store: durable with Config.StoreDir, in memory without. Everything
 // Config sets is fixed at construction.
 type Server struct {
-	// With a store, the store's catalog is the only catalog: each name's
-	// engine is memoized on its current catalog entry (store.Memo), so it
-	// lives exactly as long as the version it was built from. Without
-	// one, engines is the catalog: an immutable map behind an atomic
-	// pointer that readers load with one pointer read and no lock, and
-	// that writers replace with a copy-on-write successor under mu.
-	mu         sync.Mutex
-	engines    atomic.Pointer[map[string]*served]
-	store      *store.Store // log-structured persistence; nil without Config.StoreDir
+	// store's catalog is the only catalog: each name's engine is memoized
+	// on its current catalog entry (store.Memo), so it lives exactly as
+	// long as the version it was built from.
+	store      *store.Store // durable with Config.StoreDir, memory-only (store.OpenMemory) without
 	backupRoot string       // /v1/admin/backup destination root; "" = endpoint disabled
 	maxBody    int64
 	log        *slog.Logger
 
-	// results memoizes scalar query answers across all instances; version
-	// gives every engine built a fresh cache-key prefix, so entries for a
+	// results memoizes scalar query answers across all instances; each
+	// engine's keys carry its name and catalog version, so entries for a
 	// replaced instance are unreachable from its successor's engine.
 	results      *rescache.Cache
-	version      atomic.Uint64
 	queryWorkers int // batch worker bound per engine; 0 = engine default
 
 	started    time.Time
@@ -316,7 +309,6 @@ func New(cfg Config) (*Server, error) {
 		reg:        metrics.NewRegistry(),
 		results:    rescache.New(cacheBytes),
 	}
-	s.engines.Store(&map[string]*served{})
 	s.requests = s.reg.Counter("http_requests")
 	s.errors = s.reg.Counter("http_errors")
 	s.shed = s.reg.Counter("http_shed")
@@ -416,6 +408,8 @@ func New(cfg Config) (*Server, error) {
 		// Engines build lazily, on a version's first query (served). Cold
 		// open therefore costs the store's frame scan, not a full decode
 		// + engine build per instance.
+	} else {
+		s.store = store.OpenMemory()
 	}
 
 	if cfg.FollowLeader != "" {
@@ -423,7 +417,7 @@ func New(cfg Config) (*Server, error) {
 			s.store.Close()
 			return nil, fmt.Errorf("server: %w", err)
 		}
-	} else if s.store != nil && !s.store.IsFollower() && len(s.peers) > 0 {
+	} else if s.store.Durable() && !s.store.IsFollower() && len(s.peers) > 0 {
 		// Split-brain guard for restarts: before this node serves a
 		// single write as leader, ask the peers whether a higher epoch
 		// exists. A rebooted old leader fences here, ahead of its first
@@ -449,7 +443,7 @@ func MustNew(cfg Config) *Server {
 }
 
 // RecoveryReport returns the durable store's crash-recovery report, or
-// nil when the server is not store-backed.
+// nil on an in-memory server.
 func (s *Server) RecoveryReport() *store.RecoveryReport { return s.report }
 
 // served is what the server keeps per instance version: an engine and,
@@ -484,11 +478,13 @@ func (p *perShape[T]) of(shape string) *T {
 	return m
 }
 
-// newEngine wraps an instance in an engine wired to the shared result
-// cache under a fresh version prefix (the \x00 separator keeps any
-// name/statement pair from colliding with another prefix).
-func (s *Server) newEngine(name string, pi *core.ProbInstance) *served {
-	prefix := fmt.Sprintf("%s@%d\x00", name, s.version.Add(1))
+// newEngine wraps version of name's instance in an engine wired to the
+// shared result cache under the prefix "<name>@<version>\x00". A store
+// never repeats a name's version (delete and re-put keep counting up), so
+// the prefix names one version of one name; the \x00 separator keeps any
+// name/statement pair from colliding with another prefix.
+func (s *Server) newEngine(name string, version uint64, pi *core.ProbInstance) *served {
+	prefix := fmt.Sprintf("%s@%d\x00", name, version)
 	opts := []engine.Option{
 		engine.WithResultCache(s.results, prefix),
 		// Feed every statement's shape and latency into the shared
@@ -524,22 +520,15 @@ func (s *Server) newEngine(name string, pi *core.ProbInstance) *served {
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
 // Put stores an instance under a name, replacing any previous one. The
-// instance must not be mutated afterwards. With the durable store
-// backing the catalog, Put only writes the store, which is what is
-// served: a write the store rejects (degraded read-only mode, append
-// failure) is not served either — the error matches store.ErrDegraded
-// when the store has flipped read-only.
+// instance must not be mutated afterwards. Put only writes the store,
+// which is what is served: a write the store rejects (degraded read-only
+// mode, append failure) is not served either — the error matches
+// store.ErrDegraded when the store has flipped read-only.
 func (s *Server) Put(name string, pi *core.ProbInstance) error {
-	if s.store != nil {
-		if !validName(name) {
-			return fmt.Errorf("server: name %q not storable (use [A-Za-z0-9_-])", name)
-		}
-		return s.store.Put(name, pi)
+	if s.store.Durable() && !validName(name) {
+		return fmt.Errorf("server: name %q not storable (use [A-Za-z0-9_-])", name)
 	}
-	s.mu.Lock()
-	s.mutateEnginesLocked(func(m map[string]*served) { m[name] = s.newEngine(name, pi) })
-	s.mu.Unlock()
-	return nil
+	return s.store.Put(name, pi)
 }
 
 // Get returns the named instance.
@@ -549,24 +538,6 @@ func (s *Server) Get(name string) (*core.ProbInstance, bool) {
 		return nil, false
 	}
 	return eng.Instance(), true
-}
-
-// engineMap returns the in-memory server's published catalog. The map is
-// immutable; mutators publish successors via mutateEnginesLocked.
-func (s *Server) engineMap() map[string]*served {
-	return *s.engines.Load()
-}
-
-// mutateEnginesLocked publishes a copy-on-write successor of the
-// in-memory catalog transformed by fn. Callers hold s.mu.
-func (s *Server) mutateEnginesLocked(fn func(m map[string]*served)) {
-	cur := s.engineMap()
-	m := make(map[string]*served, len(cur)+1)
-	for k, v := range cur {
-		m[k] = v
-	}
-	fn(m)
-	s.engines.Store(&m)
 }
 
 // Engine returns the named instance's query engine.
@@ -579,27 +550,22 @@ func (s *Server) Engine(name string) (*engine.Engine, bool) {
 }
 
 // served returns the named instance's engine and breaker keys: one
-// atomic catalog load and no lock. On a store-backed server they are
-// built on the first query of each version and memoized on its catalog
-// entry, so they are always those of the version the store serves.
+// atomic catalog load and no lock. They are built on the first use of
+// each version and memoized on its catalog entry, so they are always
+// those of the version the store serves.
 func (s *Server) served(name string) (*served, bool) {
-	if s.store == nil {
-		sv, ok := s.engineMap()[name]
-		return sv, ok
-	}
-	v, ok := s.store.Memo(name, func(pi *core.ProbInstance) any { return s.newEngine(name, pi) })
+	v, ok := s.store.Memo(name, func(version uint64, pi *core.ProbInstance) any {
+		return s.newEngine(name, version, pi)
+	})
 	if !ok {
 		return nil, false
 	}
 	return v.(*served), true
 }
 
-// built is served without the build: on a store-backed server a version
-// not queried yet has no engine.
+// built is served without the build: a version not used yet has no
+// engine.
 func (s *Server) built(name string) (*served, bool) {
-	if s.store == nil {
-		return s.served(name)
-	}
 	v, ok := s.store.Memo(name, nil)
 	if !ok {
 		return nil, false
@@ -607,33 +573,19 @@ func (s *Server) built(name string) (*served, bool) {
 	return v.(*served), true
 }
 
-// Delete removes the named instance, reporting whether it existed. Like
-// Put, a store-backed server only writes the store: a degraded store
-// rejects the delete (error matching store.ErrDegraded) and the instance
-// stays served, rather than vanishing from memory only to resurrect from
-// disk on the next restart.
+// Delete removes the named instance, reporting whether it existed; of
+// racing deletes of one name, exactly one reports true. Like Put, it only
+// writes the store: a degraded store rejects the delete (error matching
+// store.ErrDegraded) and the instance stays served, rather than vanishing
+// from memory only to resurrect from disk on the next restart.
 func (s *Server) Delete(name string) (bool, error) {
-	if s.store != nil {
-		_, existed := s.store.Version(name)
-		if err := s.store.Delete(name); err != nil {
-			return false, err
-		}
-		return existed, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.engineMap()[name]
-	if ok {
-		s.mutateEnginesLocked(func(m map[string]*served) { delete(m, name) })
-	}
-	return ok, nil
+	return s.store.Delete(name)
 }
 
 // Close stops the telemetry flush loop (after one final flush), stops
-// the replication puller on a follower, and releases the persistence
-// backend (flushing the WAL when the store is in use). The catalog
-// keeps serving from memory afterwards, but further writes are no
-// longer durable.
+// the replication puller on a follower, and closes the store (flushing
+// a durable one's WAL). The catalog keeps serving reads afterwards; a
+// durable store refuses further writes.
 func (s *Server) Close() error {
 	if s.exp != nil {
 		s.exp.Stop()
@@ -641,26 +593,13 @@ func (s *Server) Close() error {
 	}
 	s.stopProber()
 	s.stopFollower()
-	if s.store != nil {
-		return s.store.Close()
-	}
-	return nil
+	return s.store.Close()
 }
 
-// Names returns the stored names, sorted. Lock-free: the store's
-// catalog (which caches its sorted key list per epoch) on store-backed
-// servers, the in-memory catalog otherwise.
+// Names returns the stored names, sorted. Lock-free: the store's catalog
+// caches its sorted key list per epoch.
 func (s *Server) Names() []string {
-	if s.store != nil {
-		return s.store.Names()
-	}
-	em := s.engineMap()
-	out := make([]string, 0, len(em))
-	for n := range em {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return s.store.Names()
 }
 
 // validName reports whether a name is safe for persistent storage.

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pxml/internal/apiv1"
@@ -285,32 +286,84 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
+// serverKinds opens one in-memory and one durable server, each closed
+// with the test.
+func serverKinds(t *testing.T) map[string]*Server {
+	t.Helper()
+	kinds := map[string]*Server{}
+	for kind, cfg := range map[string]Config{
+		"memory":  {},
+		"durable": {StoreDir: t.TempDir(), StoreOptions: store.Options{Fsync: store.FsyncNever}},
+	} {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		kinds[kind] = s
+	}
+	return kinds
+}
+
 // TestConcurrentPutsServeTheStoredInstance races eight PUTs of one name
 // per round and checks that the server then serves the instance the store
 // holds: an engine kept apart from the store's catalog can be installed
 // out of commit order and serve a version the store has replaced.
 func TestConcurrentPutsServeTheStoredInstance(t *testing.T) {
-	s, err := New(Config{StoreDir: t.TempDir(), StoreOptions: store.Options{Fsync: store.FsyncNever}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for round := 0; round < 300; round++ {
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := s.Put("hot", smallTree()); err != nil {
-					t.Error(err)
+	for kind, s := range serverKinds(t) {
+		t.Run(kind, func(t *testing.T) {
+			for round := 0; round < 300; round++ {
+				var wg sync.WaitGroup
+				for g := 0; g < 8; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						if err := s.Put("hot", smallTree()); err != nil {
+							t.Error(err)
+						}
+					}()
 				}
-			}()
-		}
-		wg.Wait()
-		want, _ := s.store.Get("hot")
-		if got, ok := s.Get("hot"); !ok || got != want {
-			t.Fatalf("round %d: server serves %p, store holds %p", round, got, want)
-		}
+				wg.Wait()
+				want, _ := s.store.Get("hot")
+				if got, ok := s.Get("hot"); !ok || got != want {
+					t.Fatalf("round %d: server serves %p, store holds %p", round, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestConcurrentDeletesReportOneExisted races eight DELETEs of a freshly
+// put name per round: exactly one may report that the name existed (204),
+// the others must find it gone (404), on either kind of server.
+func TestConcurrentDeletesReportOneExisted(t *testing.T) {
+	for kind, s := range serverKinds(t) {
+		t.Run(kind, func(t *testing.T) {
+			for round := 0; round < 200; round++ {
+				if err := s.Put("doomed", smallTree()); err != nil {
+					t.Fatal(err)
+				}
+				var existed atomic.Int32
+				var wg sync.WaitGroup
+				for g := 0; g < 8; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						ok, err := s.Delete("doomed")
+						if err != nil {
+							t.Error(err)
+						}
+						if ok {
+							existed.Add(1)
+						}
+					}()
+				}
+				wg.Wait()
+				if n := existed.Load(); n != 1 {
+					t.Fatalf("round %d: %d racing deletes reported the name existed, want 1", round, n)
+				}
+			}
+		})
 	}
 }
 

@@ -34,7 +34,7 @@ func TestBackupVerifyRestoreRoundTrip(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		mustPut(t, s, fmt.Sprintf("post-%d", i), fig)
 	}
-	if err := s.Delete("pre-0"); err != nil {
+	if _, err := s.Delete("pre-0"); err != nil {
 		t.Fatal(err)
 	}
 

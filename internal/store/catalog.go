@@ -191,15 +191,15 @@ func (s *Store) Version(name string) (uint64, bool) {
 }
 
 // Memo returns the value memoized on name's current entry, building it
-// from the entry's instance on first use. An entry is one version of one
-// name: Put, ReplApply and recovery install a fresh entry with an empty
-// memo, Delete removes it, and compaction and commits to other names
-// carry it over untouched, so a memo lives exactly as long as the version
-// it was built from. Racing first builds may both run; one wins the
-// compare-and-swap and every caller gets the winner. A nil build only
-// peeks. ok is false when name is absent or its lazy decode failed, and,
+// from the entry's version and instance on first use. An entry is one
+// version of one name: Put, ReplApply and recovery install a fresh entry
+// with an empty memo, Delete removes it, and compaction and commits to
+// other names carry it over untouched, so a memo lives exactly as long as
+// the version it was built from. Racing first builds may both run; one
+// wins the compare-and-swap and every caller gets the winner. A nil build
+// only peeks. ok is false when name is absent or its lazy decode failed, and,
 // with a nil build, when nothing is memoized yet. Lock-free.
-func (s *Store) Memo(name string, build func(*core.ProbInstance) any) (any, bool) {
+func (s *Store) Memo(name string, build func(version uint64, pi *core.ProbInstance) any) (any, bool) {
 	e, ok := s.cat.Load().m[name]
 	if !ok {
 		return nil, false
@@ -214,7 +214,7 @@ func (s *Store) Memo(name string, build func(*core.ProbInstance) any) (any, bool
 	if !ok {
 		return nil, false
 	}
-	v := build(pi)
+	v := build(e.version, pi)
 	if !e.memo.CompareAndSwap(nil, &v) {
 		v = *e.memo.Load()
 	}

@@ -197,7 +197,7 @@ func TestFenceStickyAcrossReopen(t *testing.T) {
 	if !errors.Is(err, ErrEpochFenced) {
 		t.Fatalf("Put on fenced store = %v, want ErrEpochFenced", err)
 	}
-	if err := s.Delete("keep"); !errors.Is(err, ErrEpochFenced) {
+	if _, err := s.Delete("keep"); !errors.Is(err, ErrEpochFenced) {
 		t.Fatalf("Delete on fenced store = %v, want ErrEpochFenced", err)
 	}
 	wantInstance(t, s, "keep", fig) // reads keep serving

@@ -56,7 +56,7 @@ func TestPutFsyncFailureDegradesStore(t *testing.T) {
 	if err := s.Put("more", fig); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("second Put = %v, want ErrDegraded", err)
 	}
-	if err := s.Delete("keep"); !errors.Is(err, ErrDegraded) {
+	if _, err := s.Delete("keep"); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("Delete = %v, want ErrDegraded", err)
 	}
 	wantInstance(t, s, "keep", fig)
@@ -341,7 +341,7 @@ func TestGroupCommitDiskFullDegradesStore(t *testing.T) {
 	if err := s.Put("more", fig); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("Put after disk full = %v, want ErrDegraded", err)
 	}
-	if err := s.Delete("keep"); !errors.Is(err, ErrDegraded) {
+	if _, err := s.Delete("keep"); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("Delete after disk full = %v, want ErrDegraded", err)
 	}
 	wantInstance(t, s, "keep", fig)

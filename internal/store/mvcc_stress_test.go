@@ -128,7 +128,7 @@ func TestMVCCStressLeader(t *testing.T) {
 				name := stressName(i % stressNames)
 				var err error
 				if w%4 == 3 && i%11 == 0 {
-					err = s.Delete(name)
+					_, err = s.Delete(name)
 				} else {
 					err = s.Put(name, alt)
 				}
@@ -196,7 +196,7 @@ func TestMVCCStressFollower(t *testing.T) {
 				name := stressName(i % stressNames)
 				var err error
 				if i%13 == 0 {
-					err = leader.Delete(name)
+					_, err = leader.Delete(name)
 				} else {
 					err = leader.Put(name, alt)
 				}

@@ -134,7 +134,7 @@ func TestKillAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustPut(t, s, "c", varied)
-	if err := s.Delete("b"); err != nil {
+	if _, err := s.Delete("b"); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()

@@ -256,7 +256,7 @@ func TestChaosSoak(t *testing.T) {
 					// pre-checked degraded state skips the hedge.
 					degradedBefore := s.Health().Degraded
 					if wr.Intn(5) == 0 {
-						switch err := s.Delete(name); {
+						switch _, err := s.Delete(name); {
 						case err == nil:
 							local.acknowledge(name, soakAbsent)
 						case errors.Is(err, ErrDegraded) && degradedBefore:

@@ -169,10 +169,11 @@ const (
 	quarantineDir = "quarantine"
 )
 
-// Store is a durable catalog of named probabilistic instances. All
-// methods are safe for concurrent use. Instances handed to Put (and
-// returned by Get/All) are shared, not copied: callers must treat them as
-// immutable, which is the convention across the codebase.
+// Store is a catalog of named probabilistic instances, durable when opened
+// with Open and in memory only when opened with OpenMemory. All methods
+// are safe for concurrent use. Instances handed to Put (and returned by
+// Get/All) are shared, not copied: callers must treat them as immutable,
+// which is the convention across the codebase.
 //
 // An unrecoverable write error (failed WAL append, failed foreground
 // fsync, or background maintenance that keeps failing after retries)
@@ -312,6 +313,8 @@ type commitReq struct {
 	inst    *core.ProbInstance
 	payload []byte
 	done    chan error
+	// existed is a delete's outcome, set by installLocked before done.
+	existed bool
 }
 
 var commitReqPool = sync.Pool{
@@ -322,6 +325,7 @@ var commitReqPool = sync.Pool{
 func freeCommitReq(req *commitReq) {
 	req.inst = nil
 	req.name = ""
+	req.existed = false
 	req.payload = req.payload[:0]
 	commitReqPool.Put(req)
 }
@@ -483,6 +487,24 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 	return s, report, nil
 }
 
+// OpenMemory returns a store that keeps its catalog in memory only. It
+// has the durable store's catalog, per-name versions, Memo and sorted
+// names, and Put and Delete publish a catalog successor directly: no
+// record is encoded, no goroutine runs, no file is touched, and no metric
+// is registered. Close does nothing. The methods that read or write the
+// data directory or its WAL (Backup, Scrub, Compact, Promote, Fence,
+// AdoptEpoch, ReplApply, ReadStream, CommitSignal) are for durable stores
+// only; see Durable.
+func OpenMemory() *Store {
+	s := &Store{nameVers: make(map[string]uint64)}
+	s.cat.Store(emptyCatalog())
+	return s
+}
+
+// Durable reports whether the store persists to a data directory (Open)
+// rather than keeping its catalog in memory only (OpenMemory).
+func (s *Store) Durable() bool { return s.dir != "" }
+
 func (s *Store) path(name string) string { return filepath.Join(s.dir, name) }
 
 // Dir returns the store's data directory.
@@ -493,7 +515,8 @@ func (s *Store) Dir() string { return s.dir }
 // concurrent mutations into one WAL write + one fsync, and Put returns
 // only after its batch is appended (and, under FsyncAlways, on stable
 // storage) and the instance installed. A degraded store rejects Put with
-// an error matching ErrDegraded and leaves the catalog untouched.
+// an error matching ErrDegraded and leaves the catalog untouched. A
+// memory store installs the instance directly.
 func (s *Store) Put(name string, pi *core.ProbInstance) error {
 	if name == "" {
 		return fmt.Errorf("store: empty instance name")
@@ -506,69 +529,80 @@ func (s *Store) Put(name string, pi *core.ProbInstance) error {
 	}
 	req := commitReqPool.Get().(*commitReq)
 	req.op, req.name, req.inst = opPut, name, pi
-	req.payload = appendPutRecord(req.payload[:0], name, pi)
-	return s.submit(req)
+	if s.Durable() {
+		req.payload = appendPutRecord(req.payload[:0], name, pi)
+	}
+	_, err := s.submit(req)
+	return err
 }
 
 // Delete durably removes name from the catalog via the same group-commit
-// path as Put. Deleting an absent name is a no-op (and writes nothing).
+// path as Put, reporting whether name was live. Of racing deletes of one
+// name exactly one reports true: existed is decided as the delete is
+// installed. Deleting an absent name is a no-op (and writes nothing).
 // A degraded store rejects Delete with an error matching ErrDegraded.
-func (s *Store) Delete(name string) error {
+func (s *Store) Delete(name string) (existed bool, err error) {
 	if s.roleFollower.Load() {
-		return fmt.Errorf("%w: delete %q", ErrFollowerReadOnly, name)
+		return false, fmt.Errorf("%w: delete %q", ErrFollowerReadOnly, name)
 	}
 	s.mu.RLock()
 	if s.degraded {
 		err := s.degradedErrLocked()
 		s.mu.RUnlock()
-		return err
+		return false, err
 	}
 	if s.fenced {
 		err := s.fencedErrLocked()
 		s.mu.RUnlock()
-		return err
+		return false, err
 	}
 	s.mu.RUnlock()
 	if _, ok := s.cat.Load().m[name]; !ok {
-		return nil
+		return false, nil
 	}
 	req := commitReqPool.Get().(*commitReq)
 	req.op, req.name, req.inst = opDelete, name, nil
-	req.payload = appendDeleteRecord(req.payload[:0], name)
+	if s.Durable() {
+		req.payload = appendDeleteRecord(req.payload[:0], name)
+	}
 	return s.submit(req)
 }
 
 // submit hands one mutation to the committer and waits for its batch's
-// outcome. The closing check and the WaitGroup increment happen under
-// the same read lock Close writes `closing` under, so Close observes
-// every accepted submission before it stops the committer — a submitted
-// request is never abandoned.
-func (s *Store) submit(req *commitReq) error {
+// outcome, returning a delete's existed with it. The closing check and
+// the WaitGroup increment happen under the same read lock Close writes
+// `closing` under, so Close observes every accepted submission before it
+// stops the committer — a submitted request is never abandoned. A memory
+// store installs the mutation itself, under s.mu.
+func (s *Store) submit(req *commitReq) (bool, error) {
+	defer freeCommitReq(req)
+	if !s.Durable() {
+		s.mu.Lock()
+		s.installLocked([]*commitReq{req})
+		s.mu.Unlock()
+		return req.existed, nil
+	}
 	s.mu.RLock()
 	if s.closed || s.closing {
 		s.mu.RUnlock()
-		freeCommitReq(req)
-		return fmt.Errorf("store: closed")
+		return false, fmt.Errorf("store: closed")
 	}
 	if s.degraded {
 		err := s.degradedErrLocked()
 		s.mu.RUnlock()
-		freeCommitReq(req)
-		return err
+		return false, err
 	}
 	if s.fenced {
 		err := s.fencedErrLocked()
 		s.mu.RUnlock()
-		freeCommitReq(req)
-		return err
+		return false, err
 	}
 	s.submitWG.Add(1)
 	s.mu.RUnlock()
 	s.commits <- req
 	err := <-req.done
 	s.submitWG.Done()
-	freeCommitReq(req)
-	return err
+	return req.existed, err
 }
 
 // Get returns the named instance. Lock-free: one atomic catalog load
@@ -755,19 +789,7 @@ func (s *Store) commitLocked(frames []byte, batch []*commitReq) error {
 			return s.degradeLocked(err)
 		}
 	}
-	// One copy-on-write catalog publish for the whole batch: readers go
-	// from epoch N to N+1 in a single atomic step, never observing a
-	// partially applied group commit.
-	s.mutateCatalogLocked(func(m map[string]*catEntry) {
-		for _, r := range batch {
-			switch r.op {
-			case opPut:
-				m[r.name] = s.newEntryLocked(r.name, r.inst)
-			case opDelete:
-				delete(m, r.name)
-			}
-		}
-	})
+	s.installLocked(batch)
 	s.signalCommitLocked()
 	if s.opts.SegmentSize > 0 && s.walBytes >= s.opts.SegmentSize {
 		if err := s.rotateLocked(); err != nil {
@@ -779,6 +801,25 @@ func (s *Store) commitLocked(frames []byte, batch []*commitReq) error {
 	}
 	s.maybeKickLocked()
 	return nil
+}
+
+// installLocked publishes the batch's mutations as one copy-on-write
+// catalog successor: readers go from epoch N to N+1 in a single atomic
+// step, never observing a partially applied group commit. A delete's
+// existed is decided here, so a second delete of one name in the same
+// batch finds it already gone. Callers hold s.mu.
+func (s *Store) installLocked(batch []*commitReq) {
+	s.mutateCatalogLocked(func(m map[string]*catEntry) {
+		for _, r := range batch {
+			switch r.op {
+			case opPut:
+				m[r.name] = s.newEntryLocked(r.name, r.inst)
+			case opDelete:
+				_, r.existed = m[r.name]
+				delete(m, r.name)
+			}
+		}
+	})
 }
 
 // rotateLocked seals the active segment and switches appends to the next
@@ -1057,8 +1098,11 @@ func (s *Store) writeSnapshotLocked() error {
 // Close is idempotent and safe for concurrent use; on a degraded store
 // the final flush is skipped (the WAL tail is already suspect — recovery
 // cleans it up on the next open) and only the close error, if any, is
-// reported.
+// reported. Closing a memory store does nothing.
 func (s *Store) Close() error {
+	if !s.Durable() {
+		return nil
+	}
 	s.mu.Lock()
 	if s.closing {
 		s.mu.Unlock()

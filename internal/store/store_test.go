@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -54,10 +55,10 @@ func TestPutGetDeleteReopen(t *testing.T) {
 	mustPut(t, s, "fig2", fig)
 	mustPut(t, s, "varied", varied)
 	mustPut(t, s, "doomed", fig)
-	if err := s.Delete("doomed"); err != nil {
+	if _, err := s.Delete("doomed"); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if err := s.Delete("never-existed"); err != nil {
+	if _, err := s.Delete("never-existed"); err != nil {
 		t.Fatalf("Delete of absent name: %v", err)
 	}
 	if got, want := s.Names(), []string{"fig2", "varied"}; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
@@ -102,11 +103,11 @@ func TestMemoLivesAsLongAsItsVersion(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := open(t, dir, Options{})
 	builds := 0
-	build := func(pi *core.ProbInstance) any {
+	build := func(_ uint64, pi *core.ProbInstance) any {
 		builds++
 		return builds
 	}
-	memo := func(b func(*core.ProbInstance) any) any {
+	memo := func(b func(uint64, *core.ProbInstance) any) any {
 		t.Helper()
 		v, ok := s.Memo("x", b)
 		if !ok {
@@ -147,12 +148,105 @@ func TestMemoLivesAsLongAsItsVersion(t *testing.T) {
 	if v := memo(build); v != 3 {
 		t.Fatalf("build after reopen = %v, want 3", v)
 	}
-	if err := s.Delete("x"); err != nil {
+	if _, err := s.Delete("x"); err != nil {
 		t.Fatal(err)
 	}
 	if v := memo(build); v != nil {
 		t.Fatalf("memo after delete = %v", v)
 	}
+}
+
+// TestMemoryStore runs one script of puts, deletes and memo builds on a
+// memory store and on a durable one: both must answer it alike, versions
+// counting up across delete and re-put and each memo living exactly as
+// long as its version. The memory store must start no goroutine and
+// create no file, even in the working directory its empty Dir names.
+func TestMemoryStore(t *testing.T) {
+	want := []string{
+		"put x: version 1 true, names [x], epoch +1, memo <nil>",
+		"build x: v1#1",
+		"put y: version 1 true, names [x y], epoch +2, memo v1#1",
+		"re-put x: version 2 true, names [x y], epoch +3, memo <nil>",
+		"build x: v2#2",
+		"delete x: true <nil>",
+		"deleted x: version 0 false, names [y], epoch +4, memo <nil>",
+		"delete x again: false <nil>",
+		"put x again: version 3 true, names [x y], epoch +5, memo <nil>",
+		"build x: v3#3",
+	}
+	script := func(s *Store) []string {
+		var out []string
+		note := func(format string, args ...any) { out = append(out, fmt.Sprintf(format, args...)) }
+		e0 := s.CatalogEpoch()
+		observe := func(op string) {
+			v, ok := s.Version("x")
+			peek, _ := s.Memo("x", nil)
+			note("%s: version %d %v, names %v, epoch +%d, memo %v", op, v, ok, s.Names(), s.CatalogEpoch()-e0, peek)
+		}
+		builds := 0
+		build := func() {
+			v, _ := s.Memo("x", func(version uint64, _ *core.ProbInstance) any {
+				builds++
+				return fmt.Sprintf("v%d#%d", version, builds)
+			})
+			note("build x: %v", v)
+		}
+		mustPut(t, s, "x", fixtures.Figure2())
+		observe("put x")
+		build()
+		mustPut(t, s, "y", fixtures.Figure2())
+		observe("put y")
+		mustPut(t, s, "x", fixtures.Figure2VariedLeaves())
+		observe("re-put x")
+		build()
+		existed, err := s.Delete("x")
+		note("delete x: %v %v", existed, err)
+		observe("deleted x")
+		existed, err = s.Delete("x")
+		note("delete x again: %v %v", existed, err)
+		mustPut(t, s, "x", fixtures.Figure2())
+		observe("put x again")
+		build()
+		return out
+	}
+	check := func(kind string, got []string) {
+		t.Helper()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s store:\n got %q\nwant %q", kind, got, want)
+		}
+	}
+
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cwd := t.TempDir()
+	if err := os.Chdir(cwd); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	goroutines := runtime.NumGoroutine()
+	mem := OpenMemory()
+	if mem.Durable() {
+		t.Error("memory store reports Durable")
+	}
+	check("memory", script(mem))
+	if err := mem.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("memory store: %d goroutines, %d before OpenMemory", n, goroutines)
+	}
+	if files, err := os.ReadDir(cwd); err != nil || len(files) != 0 {
+		t.Errorf("memory store left %d files in the working directory (%v)", len(files), err)
+	}
+
+	s, _ := open(t, t.TempDir(), Options{})
+	defer s.Close()
+	if !s.Durable() {
+		t.Error("durable store reports not Durable")
+	}
+	check("durable", script(s))
 }
 
 // TestMemoRacingBuildsAgree checks that concurrent first builds of one
@@ -167,7 +261,7 @@ func TestMemoRacingBuildsAgree(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i], _ = s.Memo("x", func(*core.ProbInstance) any { return new(int) })
+			got[i], _ = s.Memo("x", func(uint64, *core.ProbInstance) any { return new(int) })
 		}()
 	}
 	wg.Wait()
@@ -327,7 +421,7 @@ func TestConcurrentMutation(t *testing.T) {
 				name := fmt.Sprintf("inst-%d", r.Intn(10))
 				switch r.Intn(3) {
 				case 0:
-					if err := s.Delete(name); err != nil {
+					if _, err := s.Delete(name); err != nil {
 						t.Errorf("Delete: %v", err)
 					}
 				default:

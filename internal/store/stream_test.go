@@ -79,7 +79,7 @@ func TestStreamFollowerConvergesAcrossRotations(t *testing.T) {
 		mustPut(t, leader, fmt.Sprintf("inst-%02d", i), fig)
 	}
 	mustPut(t, leader, "dropme", fig)
-	if err := leader.Delete("dropme"); err != nil {
+	if _, err := leader.Delete("dropme"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -341,7 +341,7 @@ func TestReplApplyGuards(t *testing.T) {
 	if err := follower.Put("x", fig); !errors.Is(err, ErrFollowerReadOnly) {
 		t.Fatalf("follower Put err = %v, want ErrFollowerReadOnly", err)
 	}
-	if err := follower.Delete("x"); !errors.Is(err, ErrFollowerReadOnly) {
+	if _, err := follower.Delete("x"); !errors.Is(err, ErrFollowerReadOnly) {
 		t.Fatalf("follower Delete err = %v, want ErrFollowerReadOnly", err)
 	}
 	if _, err := leader.ReplApply(Pos{Seg: 1, Off: 0}, 0, nil); err == nil {
