@@ -75,7 +75,7 @@ bench-smoke:
 	$(BENCH_SMOKE) -bench PointQuery ./internal/query
 	$(BENCH_SMOKE) -bench 'InferDAG|TreePath|CompileFigure2' ./internal/bayes
 	$(BENCH_SMOKE) -bench 'Encode|Decode' ./internal/codec
-	$(BENCH_SMOKE) -bench 'FollowerFanout|CachedHit|QueryMiss(DAG)?' ./internal/server
+	$(BENCH_SMOKE) -bench 'FollowerFanout|CachedHit|QueryMiss(DAG)?|PutPipeline' ./internal/server
 	$(BENCH_SMOKE) -bench InsertFull ./internal/rescache
 
 # Reproduce the paper's Figure 7 panels into results/ (wall clock). The
@@ -169,6 +169,7 @@ fuzz-smoke:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzDecodeBinary -fuzztime 10s
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzDecodeTextDifferential -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzWeakTablesDifferential -fuzztime 10s
+	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzGraphDifferential -fuzztime 10s
 	$(GO) test ./internal/pathexpr -run '^$$' -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/pathexpr -run '^$$' -fuzz FuzzPlanDifferential -fuzztime 10s
 	$(GO) test ./internal/pxql -run '^$$' -fuzz FuzzParse -fuzztime 10s
@@ -178,9 +179,9 @@ fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s
 	$(GO) test ./internal/rescache -run '^$$' -fuzz FuzzCacheDifferential -fuzztime 10s
 
-# Short fuzz passes over the codecs, the weak-instance tables, the plan
-# builder and variable elimination (each against what it replaced), the
-# path-expression parser, the pxql parser and shape classifier, the query
+# Short fuzz passes over the codecs, the weak-instance tables, the graph's
+# rows, the plan builder and variable elimination (each against what it
+# replaced), the path-expression parser, the pxql parser and shape classifier, the query
 # response encoder (against encoding/json), the store's frame scanner
 # and record decoder, and the result cache (against a reference LRU).
 fuzz:
@@ -189,6 +190,7 @@ fuzz:
 	$(GO) test ./internal/codec -fuzz FuzzDecodeJSON -fuzztime 30s
 	$(GO) test ./internal/codec -fuzz FuzzDecodeBinary -fuzztime 30s
 	$(GO) test ./internal/core -fuzz FuzzWeakTablesDifferential -fuzztime 30s
+	$(GO) test ./internal/graph -fuzz FuzzGraphDifferential -fuzztime 30s
 	$(GO) test ./internal/pathexpr -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/pathexpr -fuzz FuzzPlanDifferential -fuzztime 30s
 	$(GO) test ./internal/pxql -fuzz FuzzParse -fuzztime 30s

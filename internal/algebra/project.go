@@ -96,24 +96,33 @@ func AncestorProjectTimed(pi *core.ProbInstance, p pathexpr.Path, sink *Timings)
 	// instance nobody else can see yet, so the per-call graph invalidation
 	// of SetLCh/SetCard/AddObject would buy nothing.
 	ld := core.NewLoader(pi.Root(), len(plan.Nodes))
-	for _, t := range pi.Types() {
-		// Error impossible: types were valid in the input.
-		_ = ld.RegisterType(t)
+	// Only objects above the matched level keep children.
+	ld.ExpectParents(matched)
+	ld.ShareTypes(pi.WeakInstance)
+	// In a forest the walk meets every kept object once, so the loader
+	// numbers them without an id table (Loader.Add); elsewhere an object
+	// kept under two parents must get one number.
+	number := ld.Number
+	if pathexpr.NewIndex(pi.WeakInstance.Graph()).Forest() {
+		number = ld.Add
 	}
 	labels, of, alive := u.labels, u.of, u.alive
-	stack := append(u.stack[:0], 0)
+	// The stack holds (plan position, result number) pairs; the root is
+	// the loader's number 0.
+	stack := append(u.stack[:0], 0, 0)
+	rootKept := false
 	for len(stack) > 0 {
-		pos := int(stack[len(stack)-1])
-		stack = stack[:len(stack)-1]
+		pos, on := int(stack[len(stack)-2]), stack[len(stack)-1]
+		stack = stack[:len(stack)-2]
 		o := plan.Nodes[pos].ID
 		if pos >= matched {
 			// Matched objects are leaves of the result; keep their leaf
 			// type and VPF when they had one.
 			if t, ok := pi.TypeOf(o); ok {
 				// Error impossible: type registered above.
-				_ = ld.SetLeafType(o, t.Name)
+				_ = ld.SetLeafType(on, t.Name)
 				if v := pi.VPF(o); v != nil {
-					ld.SetVPF(o, v)
+					ld.SetVPF(on, v)
 				}
 			}
 			continue
@@ -163,20 +172,23 @@ func AncestorProjectTimed(pi *core.ProbInstance, p pathexpr.Path, sink *Timings)
 			if lc.kept == 0 {
 				continue
 			}
-			cs := cut(&u.ids, lc.kept)
+			cs := u.nums[:0]
 			for j, k := range kids {
 				if alive[j] && int(of[j]) == l {
-					cs = append(cs, k.ID)
-					ld.AddObject(k.ID)
-					stack = append(stack, k.Pos)
+					n := number(k.ID)
+					ld.Declare(n)
+					cs = append(cs, n)
+					stack = append(stack, k.Pos, n)
 				}
 			}
-			ld.SetEdges(o, lc.label, cs, lc.lo, lc.hi)
+			ld.SetEdges(on, lc.label, cs, lc.lo, lc.hi)
+			u.nums = cs
 			survivors += lc.kept
 		}
 		if survivors > 0 {
-			ld.SetOPF(o, w)
+			ld.SetOPF(on, w)
 		}
+		rootKept = rootKept || pos == 0 && survivors > 0
 	}
 	u.labels, u.of, u.alive, u.stack = labels, of, alive, stack
 	out, err := ld.Instance()
@@ -185,7 +197,7 @@ func AncestorProjectTimed(pi *core.ProbInstance, p pathexpr.Path, sink *Timings)
 	}
 	sw.lap(phaseStructure)
 	// If stripping removed every root child, collapse to the bare root.
-	if out.IsLeaf(out.Root()) {
+	if !rootKept {
 		return bareRoot(pi), nil
 	}
 	return out, nil
@@ -232,6 +244,7 @@ type updater struct {
 	of     []int32
 	alive  []bool
 	stack  []int32
+	nums   []int32 // one lch set's object numbers
 
 	// What the result keeps is cut from two slices sized to it once every
 	// object is updated: the child sets of the new OPFs and of lch, and the
@@ -490,9 +503,7 @@ func (u *updater) canonicalize(base int, dense bool) {
 
 // seal turns what the update recorded for the plan's objects above the
 // matched level into their ℘'. It first sizes u.entries and u.ids to the
-// whole result — ids with room for the structure pass's lch sets, which
-// hold at most every kept edge once — so every OPF is cut from the same two
-// slices.
+// whole result, so every OPF is cut from the same two slices.
 func (u *updater) seal(plan pathexpr.Plan, matched int) {
 	entries, members := 0, 0
 	for _, pd := range u.pending[:matched] {
@@ -505,7 +516,7 @@ func (u *updater) seal(plan pathexpr.Plan, matched int) {
 		}
 	}
 	u.entries = make([]prob.OPFEntry, 0, entries)
-	u.ids = make([]model.ObjectID, 0, members+len(plan.Kids))
+	u.ids = make([]model.ObjectID, 0, members)
 	for pos, pd := range u.pending[:matched] {
 		if !pd.live {
 			continue

@@ -210,9 +210,9 @@ func refAncestorProject(pi *core.ProbInstance, p pathexpr.Path) (*core.ProbInsta
 			// type and VPF when they had one.
 			if t, ok := pi.TypeOf(o); ok {
 				// Error impossible: type registered above.
-				_ = ld.SetLeafType(o, t.Name)
+				_ = ld.SetLeafType(ld.Number(o), t.Name)
 				if v := pi.VPF(o); v != nil {
-					ld.SetVPF(o, v)
+					ld.SetVPF(ld.Number(o), v)
 				}
 			}
 			continue
@@ -243,7 +243,7 @@ func refAncestorProject(pi *core.ProbInstance, p pathexpr.Path) (*core.ProbInsta
 			perLabel[l] = append(perLabel[l], ch)
 			if !visited[ch] {
 				visited[ch] = true
-				ld.AddObject(ch)
+				ld.Declare(ld.Number(ch))
 				stack = append(stack, ch)
 			}
 		}
@@ -252,9 +252,13 @@ func refAncestorProject(pi *core.ProbInstance, p pathexpr.Path) (*core.ProbInsta
 		}
 		for l, cs := range perLabel {
 			lo, hi := refCardBounds(w, pi, o, l)
-			ld.SetEdges(o, l, cs, lo, hi)
+			nums := make([]int32, len(cs))
+			for i, c := range cs {
+				nums[i] = ld.Number(c)
+			}
+			ld.SetEdges(ld.Number(o), l, nums, lo, hi)
 		}
-		ld.SetOPF(o, w)
+		ld.SetOPF(ld.Number(o), w)
 	}
 	out, err := ld.Instance()
 	if err != nil {

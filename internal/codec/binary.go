@@ -7,7 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"pxml/internal/core"
@@ -101,129 +101,208 @@ func EncodeBinary(w io.Writer, pi *core.ProbInstance) error {
 }
 
 // appendBinaryBody serializes the instance structure (everything between
-// the length prefix and the CRC).
+// the length prefix and the CRC). The string table is V, which the instance
+// keeps sorted, merged with the few other strings: labels, type names and
+// values. An object id is found in it by number, and only the others are
+// looked up (DESIGN §31).
 func appendBinaryBody(buf []byte, pi *core.ProbInstance) []byte {
-	// Intern every string the instance mentions. Sizing by object count
-	// (ids dominate the table; labels and values add a fraction) avoids
-	// rehash churn on large instances.
-	est := pi.NumObjects()*2 + 16
-	idx := make(map[string]uint64, est)
-	strs := make([]string, 0, est)
-	intern := func(s string) {
-		if _, ok := idx[s]; !ok {
-			idx[s] = 0 // its table position, once the table is sorted
-			strs = append(strs, s)
-		}
+	start := len(buf)
+	buf, odd := appendBody(buf, pi, nil)
+	if len(odd) > 0 {
+		// Only an instance that fails validation holds strings the table
+		// was not made from: ids outside V, values outside every domain.
+		// Encoded again, the table has them.
+		buf, _ = appendBody(buf[:start], pi, odd)
 	}
-	objs := pi.Objects()
-	labels := make([][]model.Label, len(objs))
-	intern(pi.Root())
-	for i, o := range objs {
-		intern(o)
-		labels[i] = pi.Labels(o)
-		for _, l := range labels[i] {
-			intern(l)
-			for _, c := range pi.LCh(o, l) {
-				intern(c)
-			}
-		}
-		if v, ok := pi.DefaultValue(o); ok {
-			intern(v)
-		}
-		if w := pi.OPF(o); w != nil {
-			w.Each(func(c sets.Set, _ float64) {
-				for _, m := range c {
-					intern(m)
-				}
-			})
-		}
-		if v := pi.VPF(o); v != nil {
-			v.Each(func(val string, _ float64) { intern(val) })
-		}
+	return buf
+}
+
+// appendBody is appendBinaryBody with a table made from V, the labels, the
+// types and extra. It returns in odd the strings it met that the table
+// lacks, which it wrote as index 0.
+func appendBody(buf []byte, pi *core.ProbInstance, extra []string) (_ []byte, odd []string) {
+	rank := pi.Ranks()
+	ids := make([]string, 0, pi.NumObjects())
+	others := make(map[string]uint64)
+	for _, s := range extra {
+		others[s] = 0
 	}
-	var typeNames []string
+	pi.EachObject(func(ob core.Object) {
+		ids = append(ids, ob.ID)
+		ob.EachLabel(func(l model.Label, _ sets.Set, _ []int32, _ sets.Interval) { others[l] = 0 })
+	})
+	typeNames := make([]string, 0, len(pi.Types()))
 	for name, t := range pi.Types() {
 		typeNames = append(typeNames, name)
-		intern(t.Name)
+		others[t.Name] = 0
 		for _, v := range t.Domain {
-			intern(v)
+			others[v] = 0
 		}
 	}
-	sort.Strings(typeNames)
+	slices.Sort(typeNames)
 	typePos := make(map[model.TypeName]uint64, len(typeNames))
 	for i, name := range typeNames {
 		typePos[name] = uint64(i)
 	}
-	sort.Strings(strs)
-	for i, s := range strs {
-		idx[s] = uint64(i)
+	root, rootInV := slices.BinarySearch(ids, pi.Root())
+	if !rootInV {
+		others[pi.Root()] = 0
 	}
 
-	buf = binary.AppendUvarint(buf, uint64(len(strs)))
-	for _, s := range strs {
+	// Merge the sorted ids with the sorted others into the table: pos[r]
+	// is where the id of rank r lands.
+	keys := make([]string, 0, len(others))
+	for k := range others {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	pos := make([]uint64, len(ids))
+	table := make([]string, 0, len(ids)+len(keys))
+	for i, j := 0, 0; i < len(ids) || j < len(keys); {
+		at := uint64(len(table))
+		switch {
+		case j == len(keys) || i < len(ids) && ids[i] < keys[j]:
+			table, pos[i] = append(table, ids[i]), at
+			i++
+		case i == len(ids) || keys[j] < ids[i]:
+			table, others[keys[j]] = append(table, keys[j]), at
+			j++
+		default:
+			table, pos[i], others[keys[j]] = append(table, ids[i]), at, at
+			i, j = i+1, j+1
+		}
+	}
+	// index returns the table index of s, an object of number n or a
+	// string that is none (n < 0).
+	index := func(s string, n int32) uint64 {
+		if n >= 0 && rank[n] >= 0 {
+			return pos[rank[n]]
+		}
+		at, ok := others[s]
+		if !ok {
+			odd = append(odd, s)
+		}
+		return at
+	}
+
+	buf = binary.AppendUvarint(buf, uint64(len(table)))
+	for _, s := range table {
 		buf = binary.AppendUvarint(buf, uint64(len(s)))
 		buf = append(buf, s...)
 	}
-	buf = binary.AppendUvarint(buf, idx[pi.Root()])
+	if rootInV {
+		buf = binary.AppendUvarint(buf, pos[root])
+	} else {
+		buf = binary.AppendUvarint(buf, others[pi.Root()])
+	}
 
 	buf = binary.AppendUvarint(buf, uint64(len(typeNames)))
 	for _, name := range typeNames {
 		t := pi.Types()[name]
-		buf = binary.AppendUvarint(buf, idx[t.Name])
+		buf = binary.AppendUvarint(buf, others[t.Name])
 		buf = binary.AppendUvarint(buf, uint64(len(t.Domain)))
 		for _, v := range t.Domain {
-			buf = binary.AppendUvarint(buf, idx[v])
+			buf = binary.AppendUvarint(buf, others[v])
 		}
 	}
 
-	buf = binary.AppendUvarint(buf, uint64(len(objs)))
-	for i, o := range objs {
-		buf = binary.AppendUvarint(buf, idx[o])
-		if t, ok := pi.TypeOf(o); ok {
-			buf = binary.AppendUvarint(buf, typePos[t.Name]+1)
+	buf = binary.AppendUvarint(buf, uint64(len(ids)))
+	var kids kidTable
+	var members []int32
+	pi.EachObject(func(ob core.Object) {
+		kids.load(ob)
+		buf = binary.AppendUvarint(buf, index(ob.ID, ob.Num))
+		if ob.Type != "" {
+			buf = binary.AppendUvarint(buf, typePos[ob.Type]+1)
 		} else {
 			buf = binary.AppendUvarint(buf, 0)
 		}
-		if v, ok := pi.DefaultValue(o); ok {
-			buf = binary.AppendUvarint(buf, idx[v]+1)
+		if ob.HasDefault {
+			buf = binary.AppendUvarint(buf, index(ob.Default, -1)+1)
 		} else {
 			buf = binary.AppendUvarint(buf, 0)
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(labels[i])))
-		for _, l := range labels[i] {
-			buf = binary.AppendUvarint(buf, idx[l])
-			iv := pi.Card(o, l)
+		buf = binary.AppendUvarint(buf, uint64(kids.labels))
+		ob.EachLabel(func(l model.Label, cs sets.Set, nums []int32, iv sets.Interval) {
+			buf = binary.AppendUvarint(buf, others[l])
 			buf = binary.AppendVarint(buf, int64(iv.Min))
 			buf = binary.AppendVarint(buf, int64(iv.Max))
-			cs := pi.LCh(o, l)
 			buf = binary.AppendUvarint(buf, uint64(cs.Len()))
-			for _, c := range cs {
-				buf = binary.AppendUvarint(buf, idx[c])
+			for k, c := range cs {
+				buf = binary.AppendUvarint(buf, index(c, nums[k]))
 			}
-		}
-		if w := pi.OPF(o); w != nil {
+		})
+		if w := ob.OPF; w != nil {
 			buf = binary.AppendUvarint(buf, uint64(w.Len()))
 			w.Each(func(c sets.Set, p float64) {
 				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p))
 				buf = binary.AppendUvarint(buf, uint64(c.Len()))
-				for _, m := range c {
-					buf = binary.AppendUvarint(buf, idx[m])
+				members = kids.match(members, c)
+				for i, m := range c {
+					buf = binary.AppendUvarint(buf, index(m, members[i]))
 				}
 			})
 		} else {
 			buf = binary.AppendUvarint(buf, 0)
 		}
-		if v := pi.VPF(o); v != nil {
+		if v := ob.VPF; v != nil {
 			buf = binary.AppendUvarint(buf, uint64(v.Len()))
 			v.Each(func(val string, p float64) {
 				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p))
-				buf = binary.AppendUvarint(buf, idx[val])
+				buf = binary.AppendUvarint(buf, index(val, -1))
 			})
 		} else {
 			buf = binary.AppendUvarint(buf, 0)
 		}
+	})
+	return buf, odd
+}
+
+// kidTable is one object's potential children with their numbers, which
+// is how the encoder finds an OPF member's number without a lookup by id.
+type kidTable struct {
+	ids    []string
+	nums   []int32
+	labels int
+	buf    struct {
+		ids  []string
+		nums []int32
 	}
-	return buf
+}
+
+// load fills the table with ob's potential children: one label's as the
+// instance stores them, several joined.
+func (kt *kidTable) load(ob core.Object) {
+	kt.buf.ids, kt.buf.nums, kt.labels = kt.buf.ids[:0], kt.buf.nums[:0], 0
+	ob.EachLabel(func(_ model.Label, kids sets.Set, nums []int32, _ sets.Interval) {
+		kt.buf.ids, kt.buf.nums = append(kt.buf.ids, kids...), append(kt.buf.nums, nums...)
+		kt.ids, kt.nums, kt.labels = kids, nums, kt.labels+1
+	})
+	if kt.labels != 1 {
+		kt.ids, kt.nums = kt.buf.ids, kt.buf.nums
+	}
+}
+
+// match returns in dst the number of each member of c, -1 for one that is
+// no potential child. Members come in id order, as each label's children
+// do, so a member is looked for from the previous one's place on, round
+// the table once, by equality alone — which two copies of one decoded
+// string settle at once.
+func (kt *kidTable) match(dst []int32, c sets.Set) []int32 {
+	dst, j, n := dst[:0], 0, len(kt.ids)
+	for _, m := range c {
+		k := 0
+		for k < n && kt.ids[(j+k)%n] != m {
+			k++
+		}
+		if k == n {
+			dst = append(dst, -1)
+			continue
+		}
+		j = (j + k) % n
+		dst, j = append(dst, kt.nums[j]), j+1
+	}
+	return dst
 }
 
 // DecodeBinary reads an instance from the framed binary encoding. It
@@ -357,14 +436,23 @@ func (c *bcursor) f64() (float64, error) {
 }
 
 func (c *bcursor) str(table []string) (string, error) {
-	i, err := c.uvarint()
+	i, err := c.ref(table)
 	if err != nil {
 		return "", err
 	}
-	if i >= uint64(len(table)) {
-		return "", fmt.Errorf("codec: string index %d out of range (table size %d)", i, len(table))
-	}
 	return table[i], nil
+}
+
+// ref reads a string-table index.
+func (c *bcursor) ref(table []string) (int, error) {
+	i, err := c.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if i >= uint64(len(table)) {
+		return 0, fmt.Errorf("codec: string index %d out of range (table size %d)", i, len(table))
+	}
+	return int(i), nil
 }
 
 // arena hands out sub-slices from shared slabs, collapsing the thousands of
@@ -479,20 +567,34 @@ func decodeBinaryBody(body []byte, in *Interner) (*core.ProbInstance, error) {
 	}
 	var (
 		ids  arena[string]
+		kids []int32
 		opfs arena[prob.OPFEntry]
 		vpfs arena[prob.VPFEntry]
 	)
+	// num[k] is 1 + the object number of table[k], given on its first use
+	// as an object id, so the decode hashes each id once (DESIGN §31).
+	num := make([]int32, len(table))
+	object := func(k int) (model.ObjectID, int32, error) {
+		if unitSep {
+			if err := checkObjectID(table[k]); err != nil {
+				return "", 0, err
+			}
+		}
+		if num[k] == 0 {
+			num[k] = ld.Number(table[k]) + 1
+		}
+		return table[k], num[k] - 1, nil
+	}
 	for i := 0; i < nObjs; i++ {
-		o, err := c.str(table)
+		k, err := c.ref(table)
 		if err != nil {
 			return nil, err
 		}
-		if unitSep {
-			if err := checkObjectID(o); err != nil {
-				return nil, err
-			}
+		o, on, err := object(k)
+		if err != nil {
+			return nil, err
 		}
-		ld.AddObject(o)
+		ld.Declare(on)
 		typeRef, err := c.uvarint()
 		if err != nil {
 			return nil, err
@@ -508,12 +610,12 @@ func decodeBinaryBody(body []byte, in *Interner) (*core.ProbInstance, error) {
 			return nil, fmt.Errorf("codec: value reference %d out of range for object %s", valRef, o)
 		}
 		if typeRef > 0 {
-			if err := ld.SetLeafType(o, typeNames[typeRef-1]); err != nil {
+			if err := ld.SetLeafType(on, typeNames[typeRef-1]); err != nil {
 				return nil, fmt.Errorf("codec: %w", err)
 			}
 		}
 		if valRef > 0 {
-			if err := ld.SetDefaultValue(o, table[valRef-1]); err != nil {
+			if err := ld.SetDefaultValue(on, table[valRef-1]); err != nil {
 				return nil, fmt.Errorf("codec: %w", err)
 			}
 		}
@@ -541,20 +643,21 @@ func decodeBinaryBody(body []byte, in *Interner) (*core.ProbInstance, error) {
 			if nCh == 0 {
 				return nil, fmt.Errorf("codec: empty lch entry for (%s, %s)", o, l)
 			}
-			children := ids.take(nCh)
-			for k := range children {
-				if children[k], err = c.str(table); err != nil {
+			kids = kids[:0]
+			for j := 0; j < nCh; j++ {
+				k, err := c.ref(table)
+				if err != nil {
 					return nil, err
 				}
-				if unitSep {
-					if err := checkObjectID(children[k]); err != nil {
-						return nil, err
-					}
+				_, n, err := object(k)
+				if err != nil {
+					return nil, err
 				}
+				kids = append(kids, n)
 			}
-			// The encoder emits members in canonical (sorted) order, so
-			// FromSorted adopts the slice without a sort or copy.
-			ld.SetEdges(o, l, sets.FromSorted(children), int(min64), int(max64))
+			// The encoder emits members in canonical (sorted) order, which
+			// the loader adopts without a sort.
+			ld.SetEdges(on, l, kids, int(min64), int(max64))
 		}
 		nOPF, err := c.count(9)
 		if err != nil {
@@ -598,7 +701,7 @@ func decodeBinaryBody(body []byte, in *Interner) (*core.ProbInstance, error) {
 					w.Put(e.Set, e.Prob)
 				}
 			}
-			ld.SetOPF(o, w)
+			ld.SetOPF(on, w)
 		}
 		nVPF, err := c.count(9)
 		if err != nil {
@@ -620,7 +723,7 @@ func decodeBinaryBody(body []byte, in *Interner) (*core.ProbInstance, error) {
 				}
 				es[j] = prob.VPFEntry{Value: val, Prob: p}
 			}
-			ld.SetVPF(o, prob.VPFFromSorted(es))
+			ld.SetVPF(on, prob.VPFFromSorted(es))
 		}
 	}
 	if c.remaining() != 0 {

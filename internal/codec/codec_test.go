@@ -229,3 +229,27 @@ func TestDecodersRefuseUnitSeparatorIDs(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeErrorIsDeterministic: a document with two faults gets the same
+// error on every decode. Validation used to range over maps, so which of
+// "root r appears in lch(x,b)" and "…lch(y,b)" it reported changed from
+// call to call; it now walks the objects in id order.
+func TestDecodeErrorIsDeterministic(t *testing.T) {
+	doc := []byte("pxml/1\nroot r\nlch r a 0 2 x y\nlch x b 0 1 r\nlch y b 0 1 r\n")
+	seen := map[string]int{}
+	for i := 0; i < 200; i++ {
+		_, err := DecodeTextBytes(doc)
+		if err == nil {
+			t.Fatal("a document with the root as a child decoded")
+		}
+		seen[err.Error()]++
+	}
+	if len(seen) != 1 {
+		t.Fatalf("200 decodes gave %d messages: %v", len(seen), seen)
+	}
+	for msg := range seen {
+		if !strings.Contains(msg, "root r appears in lch(x,b)") {
+			t.Errorf("message %q, want the fault of x, the first object in id order", msg)
+		}
+	}
+}

@@ -4,16 +4,15 @@ import (
 	"testing"
 
 	"pxml/internal/core"
-	"pxml/internal/sets"
 )
 
 func internTestInstance(t *testing.T) *core.ProbInstance {
 	t.Helper()
 	ld := core.NewLoader("r", 8)
-	ld.AddObject("r")
-	ld.AddObject("a")
-	ld.AddObject("b")
-	ld.SetEdges("r", "child", sets.FromSorted([]string{"a", "b"}), 1, 2)
+	r, a, b := ld.Number("r"), ld.Number("a"), ld.Number("b")
+	ld.Declare(a)
+	ld.Declare(b)
+	ld.SetEdges(r, "child", []int32{a, b}, 1, 2)
 	pi, err := ld.Instance()
 	if err != nil {
 		t.Fatalf("instance: %v", err)

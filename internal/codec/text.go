@@ -164,13 +164,14 @@ func DecodeTextBytes(raw []byte) (*core.ProbInstance, error) {
 	// The encoder writes four to seven lines per object; sizing the tables
 	// from the line count spares them most of their regrowth.
 	objects := bytes.Count(raw, []byte{'\n'})/5 + 1
-	d := textDecoder{objects: objects, strs: make(map[string]string, objects)}
+	d := textDecoder{objects: objects, strs: make(map[string]string)}
 	return d.decode(raw)
 }
 
 // textDecoder is the state of one DecodeTextBytes call. It tokenises the
-// document in place, interns every identifier once, and assembles the
-// instance through core.Loader; each object's opf and vpf lines are
+// document in place and assembles the instance through core.Loader, whose
+// numbering interns every object id once (DESIGN §31); labels, type names
+// and values are interned in strs. Each object's opf and vpf lines are
 // collected and handed to prob as one slice, which a document in the
 // encoder's canonical order seals without an index.
 type textDecoder struct {
@@ -180,9 +181,12 @@ type textDecoder struct {
 	// unitSep is set when the document holds U+001F anywhere, and only then
 	// are a record's object ids looked at for it (see checkObjectID).
 	unitSep bool
-	// lastObject is the id the latest lch, opf, leaf or vpf record named.
+	// lastObject is the id the latest lch, opf, leaf or vpf record named,
+	// and lastNum its number.
 	lastObject model.ObjectID
+	lastNum    int32
 	ids        arena[string]
+	kids       []int32
 	fields     [][]byte
 	names      []string
 	opfs       runs[prob.OPFEntry]
@@ -200,18 +204,18 @@ type pendingLeaf struct{ typ, val string }
 // joined at the end.
 type runs[E any] struct {
 	cur   []E // entries of curO's run in progress
-	curO  model.ObjectID
+	curO  int32
 	done  []objRun[E]
 	arena arena[E]
 }
 
 type objRun[E any] struct {
-	o  model.ObjectID
+	o  int32
 	es []E
 }
 
-func (r *runs[E]) add(o model.ObjectID, e E) {
-	if o != r.curO {
+func (r *runs[E]) add(o int32, e E) {
+	if len(r.cur) == 0 || o != r.curO {
 		r.flush()
 		r.curO = o
 	}
@@ -230,24 +234,27 @@ func (r *runs[E]) flush() {
 
 // finish returns one run per object, in order of first appearance, later
 // runs of an object appended to its first (into a new array: arena slices
-// have no spare capacity). The caller may keep the entry slices.
-func (r *runs[E]) finish() []objRun[E] {
+// have no spare capacity). The caller may keep the entry slices. at is
+// scratch indexed by object number, all zero, and left so.
+func (r *runs[E]) finish(at []int32) []objRun[E] {
 	r.flush()
-	first := make(map[model.ObjectID]int, len(r.done))
 	joined := r.done[:0]
 	for _, run := range r.done {
-		if j, resumed := first[run.o]; resumed {
-			joined[j].es = append(joined[j].es, run.es...)
+		if j := at[run.o]; j > 0 {
+			joined[j-1].es = append(joined[j-1].es, run.es...)
 		} else {
-			first[run.o] = len(joined)
+			at[run.o] = int32(len(joined)) + 1
 			joined = append(joined, run)
 		}
+	}
+	for _, run := range joined {
+		at[run.o] = 0
 	}
 	return joined
 }
 
-// str interns a token: the lookup does not allocate, the first occurrence
-// copies the bytes out of the document.
+// str interns a label, type name or value: the lookup does not allocate,
+// the first occurrence copies the bytes out of the document.
 func (d *textDecoder) str(b []byte) string {
 	if s, ok := d.strs[string(b)]; ok {
 		return s
@@ -257,20 +264,20 @@ func (d *textDecoder) str(b []byte) string {
 	return s
 }
 
-// object interns the id a record starts with; consecutive records mostly
+// object numbers the id a record starts with; consecutive records mostly
 // name the same object, which a comparison settles without a lookup.
-func (d *textDecoder) object(b []byte) model.ObjectID {
+func (d *textDecoder) object(b []byte) int32 {
 	if string(b) != d.lastObject {
-		d.lastObject = d.str(b)
+		d.lastObject, d.lastNum = d.ld.NumberBytes(b)
 	}
-	return d.lastObject
+	return d.lastNum
 }
 
-// set returns the canonical set over the tokens, which it interns.
+// set returns the canonical set over the tokens, which the loader numbers.
 func (d *textDecoder) set(tokens [][]byte) sets.Set {
 	members := d.ids.take(len(tokens))
 	for i, t := range tokens {
-		members[i] = d.str(t)
+		members[i], _ = d.ld.NumberBytes(t)
 	}
 	return sets.FromSorted(members)
 }
@@ -354,22 +361,22 @@ func (d *textDecoder) decode(raw []byte) (*core.ProbInstance, error) {
 	if d.ld == nil {
 		return nil, fmt.Errorf("codec: missing root record")
 	}
-	for _, run := range d.leaves.finish() {
+	at := make([]int32, d.ld.Len())
+	for _, run := range d.leaves.finish(at) {
 		o, pl := run.o, run.es[len(run.es)-1]
 		if err := d.ld.SetLeafType(o, pl.typ); err != nil {
-			return nil, fmt.Errorf("codec: leaf %s: %w", o, err)
+			return nil, fmt.Errorf("codec: leaf %s: %w", d.ld.Name(o), err)
 		}
-		d.ld.AddObject(o)
 		if pl.val != "" {
 			if err := d.ld.SetDefaultValue(o, pl.val); err != nil {
-				return nil, fmt.Errorf("codec: leaf %s: %w", o, err)
+				return nil, fmt.Errorf("codec: leaf %s: %w", d.ld.Name(o), err)
 			}
 		}
 	}
-	for _, run := range d.opfs.finish() {
+	for _, run := range d.opfs.finish(at) {
 		d.ld.SetOPF(run.o, prob.OPFFromSorted(run.es))
 	}
-	for _, run := range d.vpfs.finish() {
+	for _, run := range d.vpfs.finish(at) {
 		d.ld.SetVPF(run.o, prob.VPFFromSorted(run.es))
 	}
 	pi, err := d.ld.Instance()
@@ -413,7 +420,7 @@ func (d *textDecoder) record(lineNo int, line []byte) error {
 		if d.ld != nil {
 			return bad("duplicate root")
 		}
-		d.ld = core.NewLoader(d.str(fields[1]), d.objects)
+		d.ld = core.NewLoader(string(fields[1]), d.objects)
 	case "type":
 		if len(fields) < 3 {
 			return bad("type needs a name and a domain")
@@ -434,12 +441,15 @@ func (d *textDecoder) record(lineNo int, line []byte) error {
 		if err1 != nil || err2 != nil {
 			return bad("bad cardinality")
 		}
-		o, children := d.object(fields[1]), d.set(fields[5:])
-		d.ld.AddObject(o)
-		for _, c := range children {
-			d.ld.AddObject(c)
+		o := d.object(fields[1])
+		d.ld.Declare(o)
+		d.kids = d.kids[:0]
+		for _, f := range fields[5:] {
+			_, c := d.ld.NumberBytes(f)
+			d.ld.Declare(c)
+			d.kids = append(d.kids, c)
 		}
-		d.ld.SetEdges(o, d.str(fields[2]), children, min, max)
+		d.ld.SetEdges(o, d.str(fields[2]), d.kids, min, max)
 	case "opf":
 		if len(fields) < 3 {
 			return bad("opf needs id and probability")
@@ -476,7 +486,8 @@ func (d *textDecoder) record(lineNo int, line []byte) error {
 		if len(fields) != 2 {
 			return bad("obj needs one id")
 		}
-		d.ld.AddObject(d.str(fields[1]))
+		_, o := d.ld.NumberBytes(fields[1])
+		d.ld.Declare(o)
 	default:
 		return bad("unknown record")
 	}

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"pxml/internal/model"
@@ -13,97 +13,75 @@ import (
 
 // localInterp is ℘ of Definition 3.10: it maps each non-leaf object to an
 // OPF over its potential child sets, and each typed leaf object to a VPF
-// over its value domain. Untyped leaves (which the algebra can create; see
-// model.Instance) have no local probability function and contribute a unit
-// factor to instance probabilities.
+// over its value domain, by object number. Untyped leaves (which the
+// algebra can create; see model.Instance) have no local probability
+// function and contribute a unit factor to instance probabilities.
 //
-// An interpretation is either self-contained (base's maps are nil) or an
-// overlay: its own tables hold the assignments made through it and shadow
-// base, which it reads through to for every other object. Base tables are
-// some self-contained interpretation's own (overlays are one level deep),
-// and that interpretation is never written again once they are lent.
+// An interpretation is either self-contained or an overlay, whose own
+// assignments shadow the base tables it reads through to for every other
+// object (see lpfs). Base tables are some self-contained interpretation's
+// own (overlays are one level deep), and that interpretation is never
+// written again once they are lent.
 type localInterp struct {
-	interpTables
-	base interpTables
+	opf       lpfs[prob.OPF]
+	vpf       lpfs[prob.VPF]
+	isOverlay bool
 
 	// lent is set once some overlay has this interpretation's own tables
 	// as its base; ProbInstance.writable then stops writing them.
 	lent atomic.Bool
 }
 
-type interpTables struct {
-	opf map[model.ObjectID]*prob.OPF
-	vpf map[model.ObjectID]*prob.VPF
+// lpfs is one kind of local probability function by object number: base,
+// and for an overlay the assignments made through it in delta, which
+// shadow base. The numbers an instance gives are few and dense, so base is
+// a slice; an overlay's delta holds the handful an algebra operator writes.
+type lpfs[F any] struct {
+	base  []*F
+	delta map[int32]*F
 }
 
-func newLocalInterp() *localInterp {
-	return &localInterp{interpTables: interpTables{
-		opf: make(map[model.ObjectID]*prob.OPF),
-		vpf: make(map[model.ObjectID]*prob.VPF),
-	}}
+// get returns the function assigned to object number i; nil when none is.
+func (t *lpfs[F]) get(i int32) *F {
+	if f, ok := t.delta[i]; ok {
+		return f
+	}
+	if int(i) < len(t.base) {
+		return t.base[i]
+	}
+	return nil
+}
+
+// set assigns f to object number i in base, and setDelta in an overlay's
+// delta.
+func (t *lpfs[F]) set(i int32, f *F) {
+	if n := int(i) + 1 - len(t.base); n > 0 {
+		t.base = append(t.base, make([]*F, n)...)
+	}
+	t.base[i] = f
+}
+
+func (t *lpfs[F]) setDelta(i int32, f *F) {
+	if t.delta == nil {
+		t.delta = make(map[int32]*F)
+	}
+	t.delta[i] = f
 }
 
 // overlay returns an interpretation that reads the same assignments as li
-// and records its own without touching li's maps. An overlay of an overlay
-// copies the delta and shares the base, so chains never grow.
+// and records its own without touching li's tables. An overlay of an
+// overlay copies the delta and shares the base, so chains never grow.
 func (li *localInterp) overlay() *localInterp {
-	if li.base.opf != nil {
-		return &localInterp{
-			interpTables: interpTables{opf: maps.Clone(li.opf), vpf: maps.Clone(li.vpf)},
-			base:         li.base,
-		}
-	}
 	// Load first: concurrent overlays of one published instance would
 	// otherwise all write the same cache line.
-	if !li.lent.Load() {
+	if !li.isOverlay && !li.lent.Load() {
 		li.lent.Store(true)
 	}
-	c := newLocalInterp()
-	c.base = li.interpTables
-	return c
-}
-
-// readThrough returns o's assignment: own shadows base (nil when there is
-// none).
-func readThrough[F any](own, base map[model.ObjectID]F, o model.ObjectID) F {
-	if f, ok := own[o]; ok {
-		return f
+	return &localInterp{
+		opf:       lpfs[prob.OPF]{base: li.opf.base, delta: maps.Clone(li.opf.delta)},
+		vpf:       lpfs[prob.VPF]{base: li.vpf.base, delta: maps.Clone(li.vpf.delta)},
+		isOverlay: true,
 	}
-	return base[o]
-}
-
-// eachThrough calls fn once per object with an assignment in own or, not
-// shadowed by it, in base — in no particular order.
-func eachThrough[F any](own, base map[model.ObjectID]F, fn func(model.ObjectID, F)) {
-	for o, f := range own {
-		fn(o, f)
-	}
-	for o, f := range base {
-		if _, shadowed := own[o]; !shadowed {
-			fn(o, f)
-		}
-	}
-}
-
-// numThrough counts the objects eachThrough visits.
-func numThrough[F any](own, base map[model.ObjectID]F) int {
-	n := len(own) + len(base)
-	if len(base) > 0 {
-		for o := range own {
-			if _, shadows := base[o]; shadows {
-				n--
-			}
-		}
-	}
-	return n
-}
-
-func (li *localInterp) eachOPF(fn func(model.ObjectID, *prob.OPF)) {
-	eachThrough(li.opf, li.base.opf, fn)
-}
-
-func (li *localInterp) eachVPF(fn func(model.ObjectID, *prob.VPF)) {
-	eachThrough(li.vpf, li.base.vpf, fn)
 }
 
 // ProbInstance is a probabilistic instance I = (V, lch, τ, val, card, ℘)
@@ -117,16 +95,13 @@ type ProbInstance struct {
 // NewProbInstance returns a probabilistic instance over a fresh weak
 // instance with the given root.
 func NewProbInstance(root model.ObjectID) *ProbInstance {
-	return &ProbInstance{
-		WeakInstance: NewWeakInstance(root),
-		interp:       newLocalInterp(),
-	}
+	return FromWeak(NewWeakInstance(root))
 }
 
 // FromWeak wraps an existing weak instance with an empty local
 // interpretation. The weak instance is used directly, not copied.
 func FromWeak(w *WeakInstance) *ProbInstance {
-	return &ProbInstance{WeakInstance: w, interp: newLocalInterp()}
+	return &ProbInstance{WeakInstance: w, interp: &localInterp{}}
 }
 
 // Weak returns the underlying weak instance.
@@ -144,20 +119,45 @@ func (pi *ProbInstance) writable() *localInterp {
 
 // SetOPF assigns ℘(o) for a non-leaf object. w must not be mutated
 // afterwards (see the package comment).
-func (pi *ProbInstance) SetOPF(o model.ObjectID, w *prob.OPF) { pi.writable().opf[o] = w }
+func (pi *ProbInstance) SetOPF(o model.ObjectID, w *prob.OPF) {
+	setLPF(pi, &pi.writable().opf, o, w)
+}
 
 // SetVPF assigns ℘(o) for a leaf object. w must not be mutated afterwards
 // (see the package comment).
-func (pi *ProbInstance) SetVPF(o model.ObjectID, w *prob.VPF) { pi.writable().vpf[o] = w }
+func (pi *ProbInstance) SetVPF(o model.ObjectID, w *prob.VPF) {
+	setLPF(pi, &pi.writable().vpf, o, w)
+}
+
+// setLPF assigns f to o in t, numbering o if it has no number yet (which
+// gives the weak instance private tables, as any mutation does).
+func setLPF[F any](pi *ProbInstance, t *lpfs[F], o model.ObjectID, f *F) {
+	i, ok := pi.num(o)
+	if !ok {
+		pi.own()
+		i = pi.number(o)
+	}
+	if pi.interp.isOverlay {
+		t.setDelta(i, f)
+	} else {
+		t.set(i, f)
+	}
+}
 
 // OPF returns ℘(o) for a non-leaf object, nil when unset.
 func (pi *ProbInstance) OPF(o model.ObjectID) *prob.OPF {
-	return readThrough(pi.interp.opf, pi.interp.base.opf, o)
+	if i, ok := pi.num(o); ok {
+		return pi.interp.opf.get(i)
+	}
+	return nil
 }
 
 // VPF returns ℘(o) for a leaf object, nil when unset.
 func (pi *ProbInstance) VPF(o model.ObjectID) *prob.VPF {
-	return readThrough(pi.interp.vpf, pi.interp.base.vpf, o)
+	if i, ok := pi.num(o); ok {
+		return pi.interp.vpf.get(i)
+	}
+	return nil
 }
 
 // Overlay returns an instance that is observationally a deep copy of pi but
@@ -179,9 +179,15 @@ func (pi *ProbInstance) Overlay() *ProbInstance {
 // Clone returns a deep copy of the probabilistic instance, local
 // probability functions included; nothing is shared with pi.
 func (pi *ProbInstance) Clone() *ProbInstance {
-	c := &ProbInstance{WeakInstance: pi.WeakInstance.Clone(), interp: newLocalInterp()}
-	pi.interp.eachOPF(func(o model.ObjectID, w *prob.OPF) { c.interp.opf[o] = w.Clone() })
-	pi.interp.eachVPF(func(o model.ObjectID, w *prob.VPF) { c.interp.vpf[o] = w.Clone() })
+	c := FromWeak(pi.WeakInstance.Clone())
+	for i := range pi.names {
+		if w := pi.interp.opf.get(int32(i)); w != nil {
+			c.interp.opf.set(int32(i), w.Clone())
+		}
+		if v := pi.interp.vpf.get(int32(i)); v != nil {
+			c.interp.vpf.set(int32(i), v.Clone())
+		}
+	}
 	return c
 }
 
@@ -194,24 +200,24 @@ func (pi *ProbInstance) Rename(m map[model.ObjectID]model.ObjectID) *ProbInstanc
 		}
 		return o
 	}
-	out := &ProbInstance{
-		WeakInstance: pi.WeakInstance.Rename(m),
-		interp:       newLocalInterp(),
+	w, to := pi.WeakInstance.rename(m)
+	out := FromWeak(w)
+	for i := range pi.names {
+		if w := pi.interp.opf.get(int32(i)); w != nil {
+			nw := prob.NewOPF()
+			w.Each(func(c sets.Set, p float64) {
+				ids := make([]string, c.Len())
+				for i, id := range c {
+					ids[i] = rn(id)
+				}
+				nw.Add(sets.NewSet(ids...), p)
+			})
+			out.interp.opf.set(to[i], nw)
+		}
+		if v := pi.interp.vpf.get(int32(i)); v != nil {
+			out.interp.vpf.set(to[i], v.Clone())
+		}
 	}
-	pi.interp.eachOPF(func(o model.ObjectID, w *prob.OPF) {
-		nw := prob.NewOPF()
-		w.Each(func(c sets.Set, p float64) {
-			ids := make([]string, c.Len())
-			for i, id := range c {
-				ids[i] = rn(id)
-			}
-			nw.Add(sets.NewSet(ids...), p)
-		})
-		out.interp.opf[rn(o)] = nw
-	})
-	pi.interp.eachVPF(func(o model.ObjectID, w *prob.VPF) {
-		out.interp.vpf[rn(o)] = w.Clone()
-	})
 	return out
 }
 
@@ -238,20 +244,15 @@ func (pi *ProbInstance) validate(checkPC bool) error {
 		return err
 	}
 	var sc supportScratch
-	nOPF, nVPF := 0, 0
-	for _, o := range pi.sortedObjects() {
-		w, v := pi.OPF(o), pi.VPF(o)
-		if w != nil {
-			nOPF++
-		}
-		if v != nil {
-			nVPF++
-		}
-		if pi.IsLeaf(o) {
+	for _, i := range pi.sortedOrder() {
+		o, e := pi.names[i], &pi.objs[i]
+		w, v := pi.interp.opf.get(i), pi.interp.vpf.get(i)
+		if !hasKids(e.groups) {
 			if w != nil {
 				return fmt.Errorf("core: leaf %s has an OPF", o)
 			}
-			if t, typed := pi.TypeOf(o); typed {
+			if e.typ != 0 {
+				t := pi.types[pi.typeOf(e)]
 				if v == nil {
 					return fmt.Errorf("core: typed leaf %s has no VPF", o)
 				}
@@ -281,11 +282,11 @@ func (pi *ProbInstance) validate(checkPC bool) error {
 		if err := w.Validate(); err != nil {
 			return fmt.Errorf("core: OPF(%s): %w", o, err)
 		}
-		if err := pi.checkOPFSupport(o, w, checkPC, &sc); err != nil {
+		if err := pi.checkOPFSupport(o, e.groups, w, checkPC, &sc); err != nil {
 			return err
 		}
 	}
-	return pi.checkFunctionsInV(nOPF, nVPF)
+	return pi.checkFunctionsInV()
 }
 
 // supportScratch is what checkOPFSupport reuses across objects: one
@@ -302,8 +303,7 @@ type supportScratch struct {
 // labels' child sets pairwise disjoint, so |c ∩ lch(o,l)| per label counts
 // c's l-children, and c has a non-child exactly when the counts fall short
 // of |c|; only that failure looks for the member to name.
-func (pi *ProbInstance) checkOPFSupport(o model.ObjectID, w *prob.OPF, checkPC bool, sc *supportScratch) error {
-	gs := pi.edges[o]
+func (pi *ProbInstance) checkOPFSupport(o model.ObjectID, gs []edgeGroup, w *prob.OPF, checkPC bool, sc *supportScratch) error {
 	sc.counts = append(sc.counts[:0], make([]int, len(gs))...)
 	var pcKeys map[string]bool
 	if checkPC {
@@ -353,33 +353,30 @@ func (pi *ProbInstance) checkOPFSupport(o model.ObjectID, w *prob.OPF, checkPC b
 // checkFunctionsInV rejects a local probability function assigned to an
 // object outside V: nothing that walks V (the encoders, the engine) would
 // ever see it, so an instance carrying one is not the instance it encodes
-// to. The caller counted the functions on objects of V; only a surplus pays
-// for the scan that names an offender.
-func (pi *ProbInstance) checkFunctionsInV(nOPF, nVPF int) error {
-	li := pi.interp
-	if nOPF != numThrough(li.opf, li.base.opf) {
-		if o, found := outsideV(pi.WeakInstance, li.opf, li.base.opf); found {
-			return fmt.Errorf("core: OPF assigned to %s, which is not an object of the instance", o)
-		}
+// to. Only numbers outside V can hold one, and usually there are none.
+func (pi *ProbInstance) checkFunctionsInV() error {
+	if pi.nV == len(pi.names) {
+		return nil
 	}
-	if nVPF != numThrough(li.vpf, li.base.vpf) {
-		if o, found := outsideV(pi.WeakInstance, li.vpf, li.base.vpf); found {
-			return fmt.Errorf("core: VPF assigned to %s, which is not an object of the instance", o)
-		}
+	if o, found := outsideV(pi, &pi.interp.opf); found {
+		return fmt.Errorf("core: OPF assigned to %s, which is not an object of the instance", o)
+	}
+	if o, found := outsideV(pi, &pi.interp.vpf); found {
+		return fmt.Errorf("core: VPF assigned to %s, which is not an object of the instance", o)
 	}
 	return nil
 }
 
-// outsideV returns the smallest object outside V that own or base assigns
-// a (non-nil) function to.
-func outsideV[F any](w *WeakInstance, own, base map[model.ObjectID]*F) (model.ObjectID, bool) {
+// outsideV returns the smallest object outside V that t assigns a function
+// to.
+func outsideV[F any](pi *ProbInstance, t *lpfs[F]) (model.ObjectID, bool) {
 	var least model.ObjectID
 	found := false
-	eachThrough(own, base, func(o model.ObjectID, f *F) {
-		if f != nil && !w.HasObject(o) && (!found || o < least) {
+	for i, o := range pi.names {
+		if !pi.objs[i].inV && t.get(int32(i)) != nil && (!found || o < least) {
 			least, found = o, true
 		}
-	})
+	}
 	return least, found
 }
 
@@ -543,16 +540,61 @@ func (pi *ProbInstance) ComputeStats() Stats {
 
 // SortedOPFObjects returns the non-leaf objects that carry an OPF, sorted.
 func (pi *ProbInstance) SortedOPFObjects() []model.ObjectID {
-	out := make([]model.ObjectID, 0, len(pi.interp.opf))
-	pi.interp.eachOPF(func(o model.ObjectID, _ *prob.OPF) { out = append(out, o) })
-	sort.Strings(out)
-	return out
+	return carriers(pi, &pi.interp.opf)
 }
 
 // SortedVPFObjects returns the leaf objects that carry a VPF, sorted.
 func (pi *ProbInstance) SortedVPFObjects() []model.ObjectID {
-	out := make([]model.ObjectID, 0, len(pi.interp.vpf))
-	pi.interp.eachVPF(func(o model.ObjectID, _ *prob.VPF) { out = append(out, o) })
-	sort.Strings(out)
+	return carriers(pi, &pi.interp.vpf)
+}
+
+// carriers returns the objects t assigns a function to, sorted.
+func carriers[F any](pi *ProbInstance, t *lpfs[F]) []model.ObjectID {
+	var out []model.ObjectID
+	for i, o := range pi.names {
+		if t.get(int32(i)) != nil {
+			out = append(out, o)
+		}
+	}
+	slices.Sort(out)
 	return out
+}
+
+// Object is what the tables hold for one object of V, as EachObject hands
+// it to the passes over every object (the encoders, the governor's
+// profile), which would otherwise look each table up by id.
+type Object struct {
+	ID model.ObjectID
+	// Num is the object's number, which the vertices of the instance's
+	// graph share (DESIGN §31).
+	Num  int32
+	Leaf bool
+	// Type is τ(o), "" when untyped; Default is val(o) when HasDefault.
+	Type       model.TypeName
+	Default    model.Value
+	HasDefault bool
+	OPF        *prob.OPF
+	VPF        *prob.VPF
+	groups     []edgeGroup
+}
+
+// EachLabel calls fn for every label under which the object has potential
+// children, in label order, with those children, their numbers in the
+// same order and card(o, l).
+func (ob Object) EachLabel(fn func(l model.Label, kids sets.Set, nums []int32, card sets.Interval)) {
+	for i := range ob.groups {
+		if g := &ob.groups[i]; len(g.kids) > 0 {
+			fn(g.label, g.kids, g.nums, g.interval())
+		}
+	}
+}
+
+// EachObject calls fn for every object of V in sorted order.
+func (pi *ProbInstance) EachObject(fn func(Object)) {
+	for _, i := range pi.sortedOrder() {
+		e := &pi.objs[i]
+		v, hasVal := pi.vals[i]
+		fn(Object{ID: pi.names[i], Num: i, Leaf: !hasKids(e.groups), Type: pi.typeOf(e),
+			Default: v, HasDefault: hasVal, OPF: pi.interp.opf.get(i), VPF: pi.interp.vpf.get(i), groups: e.groups})
+	}
 }

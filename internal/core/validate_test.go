@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"pxml/internal/codec"
@@ -198,9 +199,10 @@ func TestMemoInvalidation(t *testing.T) {
 		// Loader.Instance memoizes a pass; a later mutation must not hide
 		// behind it.
 		ld := core.NewLoader("r", 2)
-		ld.AddObject("x")
-		ld.SetEdges("r", "l", sets.NewSet("x"), 0, 1)
-		ld.SetOPF("r", one("x"))
+		r, x := ld.Number("r"), ld.Number("x")
+		ld.Declare(x)
+		ld.SetEdges(r, "l", []int32{x}, 0, 1)
+		ld.SetOPF(r, one("x"))
 		pi, err := ld.Instance()
 		if err != nil {
 			t.Fatal(err)
@@ -239,24 +241,30 @@ func TestMemoInvalidation(t *testing.T) {
 // decoder's repeated and child-less lch records included.
 func TestLoaderSetEdges(t *testing.T) {
 	ld := core.NewLoader("r", 4)
-	for _, o := range []string{"x", "y", "z"} {
-		ld.AddObject(o)
+	r := ld.Number("r")
+	// Numbered out of id order; SetEdges sorts what it is given.
+	z, y, x := ld.Number("z"), ld.Number("y"), ld.Number("x")
+	for _, o := range []int32{x, y, z} {
+		ld.Declare(o)
 	}
 	// A stored interval does not outlive the set it was given with.
-	ld.SetEdges("r", "l", sets.NewSet("x", "y"), 1, 1)
-	ld.SetEdges("r", "l", sets.NewSet("x", "y", "z"), 0, 3)
+	ld.SetEdges(r, "l", []int32{x, y}, 1, 1)
+	ld.SetEdges(r, "l", []int32{z, x, y, x}, 0, 3)
 	// An empty set removes the pair and still records a non-default interval.
-	ld.SetEdges("r", "gone", sets.NewSet("x"), 0, 1)
-	ld.SetEdges("r", "gone", nil, 2, 5)
-	ld.SetEdges("x", "only", sets.NewSet("y"), 0, 1)
-	ld.SetEdges("x", "only", nil, 0, 0)
-	ld.SetOPF("r", prob.OPFFromSorted([]prob.OPFEntry{{Set: sets.NewSet("x", "y", "z"), Prob: 1}}))
+	ld.SetEdges(r, "gone", []int32{x}, 0, 1)
+	ld.SetEdges(r, "gone", nil, 2, 5)
+	ld.SetEdges(x, "only", []int32{y}, 0, 1)
+	ld.SetEdges(x, "only", nil, 0, 0)
+	ld.SetOPF(r, prob.OPFFromSorted([]prob.OPFEntry{{Set: sets.NewSet("x", "y", "z"), Prob: 1}}))
 	pi, err := ld.Instance()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := pi.Card("r", "l"); got != (sets.Interval{Min: 0, Max: 3}) {
 		t.Errorf("card(r,l) = %v, want the default [0,3]", got)
+	}
+	if got := pi.LCh("r", "l"); !got.Equal(sets.NewSet("x", "y", "z")) {
+		t.Errorf("lch(r,l) = %v", got)
 	}
 	if got := pi.Labels("r"); len(got) != 1 || got[0] != "l" {
 		t.Errorf("labels(r) = %v", got)
@@ -296,5 +304,39 @@ func TestDecodeMakesNoMapPerParent(t *testing.T) {
 	without := testing.AllocsPerRun(10, func() { _, _ = codec.DecodeTextBytes(noLch) })
 	if lch := with - without; lch > 16 {
 		t.Errorf("lch records of %d objects cost %v allocations, want at most 16", in.PI.NumObjects(), lch)
+	}
+}
+
+// TestLoaderAddLeavesIDsToFirstLookup: a loader that only Adds keeps no id
+// table; the instance builds it once on the first lookup by id, which
+// concurrent readers may all make at once (run under -race).
+func TestLoaderAddLeavesIDsToFirstLookup(t *testing.T) {
+	ld := core.NewLoader("r", 4)
+	x, y := ld.Add("x"), ld.Add("y")
+	ld.Declare(x)
+	ld.Declare(y)
+	ld.SetEdges(0, "l", []int32{y, x}, 1, 2)
+	ld.SetOPF(0, prob.OPFFromSorted([]prob.OPFEntry{{Set: sets.NewSet("x"), Prob: 0.5}, {Set: sets.NewSet("y"), Prob: 0.5}}))
+	pi, err := ld.Instance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if !pi.HasObject("y") || pi.OPF("r") == nil || !pi.LCh("r", "l").Equal(sets.NewSet("x", "y")) || pi.HasObject("z") {
+				t.Error("lookups by id disagree with the load")
+			}
+		}()
+	}
+	wg.Wait()
+	if err := pi.ValidateLite(); err != nil {
+		t.Fatal(err)
+	}
+	pi.AddObject("z")
+	if !pi.HasObject("z") || pi.NumObjects() != 4 {
+		t.Errorf("AddObject after a lazy table: %v", pi.Objects())
 	}
 }

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -80,22 +79,76 @@ type structMemo struct {
 	shapeKnown bool
 	// valid records that Validate passed on the tables as they are.
 	valid bool
-	// objects is V in sorted order, which every pass over an instance
-	// (validation, the encoders, the governor's profile) starts from.
-	objects []model.ObjectID
+	// order is V in sorted order as object numbers, which the passes over
+	// an instance (ValidateLite, the encoders, the governor's profile)
+	// start from, and rank, by number, each one's position in it, -1
+	// outside V (DESIGN §31).
+	order []int32
+	rank  []int32
 }
 
-// weakTables are the maps behind a WeakInstance, grouped so that an
-// overlay can share them and Clone/own can copy them in one step.
+// weakTables are the tables behind a WeakInstance, grouped so that an
+// overlay can share them and Clone/own can copy them in one step. Every
+// object the tables mention has a number, given on first mention, and the
+// per-object tables are slices indexed by it; ids is the only table keyed
+// by the id string (DESIGN §31).
 type weakTables struct {
-	objects map[model.ObjectID]struct{}
-	// edges holds lch and card: per object, one group per label, sorted by
-	// label. A slice stored here is never written again — a mutator stores a
-	// fresh one — so copying the map copies the tables (DESIGN §25).
-	edges map[model.ObjectID][]edgeGroup
-	types map[model.TypeName]model.Type
-	typ   map[model.ObjectID]model.TypeName
-	val   map[model.ObjectID]model.Value
+	// ids is nil until first needed in tables a loader filled through
+	// Add, and lazy then builds it from names (see idMap).
+	ids   map[model.ObjectID]int32
+	lazy  *lazyIDs
+	names []model.ObjectID // by number
+	objs  []objEntry       // by number
+	// vals holds val(o) by number; default values are rare, so it is made
+	// on the first.
+	vals map[int32]model.Value
+	// types holds the registered types by name and typeNames their names
+	// in the order they were registered; typeNums maps a name to 1 + its
+	// position there, which is what an objEntry's typ holds (0 untyped).
+	types     map[model.TypeName]model.Type
+	typeNames []model.TypeName
+	typeNums  map[model.TypeName]int32
+	nV        int // |V|: the objects with inV set
+}
+
+// lazyIDs is an id table built on first use, once for all the readers of
+// the tables that share it.
+type lazyIDs struct {
+	once sync.Once
+	m    map[model.ObjectID]int32
+}
+
+// idMap returns the id table, building it if a loader left it to be built.
+func (t *weakTables) idMap() map[model.ObjectID]int32 {
+	if t.ids != nil || t.lazy == nil {
+		return t.ids
+	}
+	t.lazy.once.Do(func() {
+		t.lazy.m = make(map[model.ObjectID]int32, len(t.names))
+		for i, o := range t.names {
+			t.lazy.m[o] = int32(i)
+		}
+	})
+	return t.lazy.m
+}
+
+// num returns o's number.
+func (t *weakTables) num(o model.ObjectID) (int32, bool) {
+	i, ok := t.idMap()[o]
+	return i, ok
+}
+
+// objEntry is what the tables hold for one numbered object. An edge group
+// slice stored here is never written again — a mutator stores a fresh one
+// — so copying the objs slice copies the tables (DESIGN §25).
+type objEntry struct {
+	// groups holds lch and card: one group per label, sorted by label.
+	groups []edgeGroup
+	// typ is τ(o): 1 + its position in typeNames, 0 when untyped.
+	typ int32
+	// inV says the object is in V; a number may also belong to an object
+	// only mentioned, as a loaded lch child or the target of SetOPF.
+	inV bool
 }
 
 // edgeGroup is lch(o, label) with card(o, label) when one was set. A group
@@ -104,6 +157,7 @@ type weakTables struct {
 type edgeGroup struct {
 	label   model.Label
 	kids    sets.Set
+	nums    []int32 // the numbers of kids, in the same order
 	card    sets.Interval
 	hasCard bool
 }
@@ -131,9 +185,17 @@ func hasKids(gs []edgeGroup) bool {
 	return false
 }
 
+// groups returns o's edge groups; nil when o has none or no number.
+func (t *weakTables) groups(o model.ObjectID) []edgeGroup {
+	if i, ok := t.num(o); ok {
+		return t.objs[i].groups
+	}
+	return nil
+}
+
 // group returns o's group for l; nil when there is none.
 func (t *weakTables) group(o model.ObjectID, l model.Label) *edgeGroup {
-	gs := t.edges[o]
+	gs := t.groups(o)
 	if i, ok := findGroup(gs, l); ok {
 		return &gs[i]
 	}
@@ -154,38 +216,47 @@ func withGroup(gs []edgeGroup, g edgeGroup) []edgeGroup {
 	case keep:
 		gs = slices.Insert(gs, i, g)
 	}
-	return gs
-}
-
-// setGroups records gs as o's groups; no groups, no entry.
-func (t *weakTables) setGroups(o model.ObjectID, gs []edgeGroup) {
 	if len(gs) == 0 {
-		delete(t.edges, o)
-	} else {
-		t.edges[o] = gs
+		return nil
 	}
+	return gs
 }
 
 // putGroup is withGroup on o's groups for the mutators: the stored slice
 // is a new one, and the one it replaces, which an overlay or a clone may
 // share, is not written.
-func (t *weakTables) putGroup(o model.ObjectID, g edgeGroup) {
-	t.setGroups(o, withGroup(slices.Clone(t.edges[o]), g))
+func (t *weakTables) putGroup(o int32, g edgeGroup) {
+	t.objs[o].groups = withGroup(slices.Clone(t.objs[o].groups), g)
+}
+
+// number returns o's number, giving o the next one when it has none. The
+// caller owns the tables.
+func (t *weakTables) number(o model.ObjectID) int32 {
+	if i, ok := t.num(o); ok {
+		return i
+	}
+	t.ids = t.idMap()
+	return t.add(o)
+}
+
+// add gives o, which has no number, the next one.
+func (t *weakTables) add(o model.ObjectID) int32 {
+	i := int32(len(t.names))
+	if t.ids != nil {
+		t.ids[o] = i
+	}
+	t.names = append(t.names, o)
+	t.objs = append(t.objs, objEntry{})
+	return i
 }
 
 // NewWeakInstance returns a weak instance containing only the root object.
 func NewWeakInstance(root model.ObjectID) *WeakInstance {
-	w := &WeakInstance{
-		root: root,
-		weakTables: weakTables{
-			objects: make(map[model.ObjectID]struct{}),
-			edges:   make(map[model.ObjectID][]edgeGroup),
-			types:   make(map[model.TypeName]model.Type),
-			typ:     make(map[model.ObjectID]model.TypeName),
-			val:     make(map[model.ObjectID]model.Value),
-		},
-	}
-	w.objects[root] = struct{}{}
+	w := &WeakInstance{root: root, weakTables: weakTables{
+		ids:   make(map[model.ObjectID]int32),
+		types: make(map[model.TypeName]model.Type),
+	}}
+	w.addObject(root)
 	return w
 }
 
@@ -193,7 +264,7 @@ func NewWeakInstance(root model.ObjectID) *WeakInstance {
 func (w *WeakInstance) Root() model.ObjectID { return w.root }
 
 // invalidateGraph drops everything memoized after a mutation of V, lch or
-// card: the graph, its shape and Validate's verdict.
+// card: the sorted view, the graph, its shape and Validate's verdict.
 func (w *WeakInstance) invalidateGraph() {
 	w.graphMu.Lock()
 	w.memo = structMemo{}
@@ -236,43 +307,84 @@ func (w *WeakInstance) own() {
 
 // AddObject inserts an object into V.
 func (w *WeakInstance) AddObject(o model.ObjectID) {
-	if _, ok := w.objects[o]; ok {
-		return
+	if !w.HasObject(o) {
+		w.own()
+		w.addObject(o)
 	}
-	w.own()
-	w.objects[o] = struct{}{}
-	w.invalidateGraph()
+}
+
+// addObject is AddObject for a caller that owns the tables, returning o's
+// number. A new member of V appends to the numbering out of sorted order,
+// so the memoized sorted view goes with the rest of the memo.
+func (w *WeakInstance) addObject(o model.ObjectID) int32 {
+	i := w.number(o)
+	if !w.objs[i].inV {
+		w.objs[i].inV = true
+		w.nV++
+		w.invalidateGraph()
+	}
+	return i
 }
 
 // HasObject reports whether o ∈ V.
 func (w *WeakInstance) HasObject(o model.ObjectID) bool {
-	_, ok := w.objects[o]
-	return ok
+	i, ok := w.num(o)
+	return ok && w.objs[i].inV
 }
 
 // Objects returns V in sorted order. The slice is the caller's to keep.
 func (w *WeakInstance) Objects() []model.ObjectID {
-	return slices.Clone(w.sortedObjects())
+	order := w.sortedOrder()
+	out := make([]model.ObjectID, len(order))
+	for k, i := range order {
+		out[k] = w.names[i]
+	}
+	return out
 }
 
-// sortedObjects is Objects without the copy: the memoized slice itself,
-// which callers must not modify.
-func (w *WeakInstance) sortedObjects() []model.ObjectID {
+// Ranks returns, by object number, each object's position in V's sorted
+// order (-1 for a number outside V), from the memoized view every pass over
+// an instance starts from. The slice is shared: treat it as read-only.
+func (w *WeakInstance) Ranks() []int32 {
 	w.graphMu.Lock()
 	defer w.graphMu.Unlock()
-	if w.memo.objects == nil {
-		out := make([]model.ObjectID, 0, len(w.objects))
-		for o := range w.objects {
-			out = append(out, o)
-		}
-		sort.Strings(out)
-		w.memo.objects = out
+	w.sortedLocked()
+	return w.memo.rank
+}
+
+// sortedOrder returns V in sorted order as object numbers.
+func (w *WeakInstance) sortedOrder() []int32 {
+	w.graphMu.Lock()
+	defer w.graphMu.Unlock()
+	w.sortedLocked()
+	return w.memo.order
+}
+
+// sortedLocked fills the memoized sorted view for a caller holding graphMu:
+// a permutation of the numbers, sorted once, in place of sorting the ids.
+func (w *WeakInstance) sortedLocked() {
+	if w.memo.order != nil {
+		return
 	}
-	return w.memo.objects
+	order := make([]int32, 0, w.nV)
+	for i := range w.objs {
+		if w.objs[i].inV {
+			order = append(order, int32(i))
+		}
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(w.names[a], w.names[b]) })
+	rank := make([]int32, len(w.names))
+	for i := range rank {
+		rank[i] = -1
+	}
+	for k, i := range order {
+		rank[i] = int32(k)
+	}
+	w.memo.order, w.memo.rank = order, rank
 }
 
 // NumObjects returns |V|.
-func (w *WeakInstance) NumObjects() int { return len(w.objects) }
+func (w *WeakInstance) NumObjects() int { return w.nV }
 
 // SetLCh declares lch(o, l) = children: the set of objects that may be
 // children of o under label l. All mentioned objects are added to V.
@@ -280,15 +392,16 @@ func (w *WeakInstance) NumObjects() int { return len(w.objects) }
 func (w *WeakInstance) SetLCh(o model.ObjectID, l model.Label, children ...model.ObjectID) {
 	w.own()
 	w.invalidateGraph()
-	w.AddObject(o)
-	for _, c := range children {
-		w.AddObject(c)
-	}
+	i := w.addObject(o)
 	g := edgeGroup{label: l, kids: sets.NewSet(children...)}
+	g.nums = make([]int32, len(g.kids))
+	for k, c := range g.kids {
+		g.nums[k] = w.addObject(c)
+	}
 	if old := w.group(o, l); old != nil {
 		g.card, g.hasCard = old.card, old.hasCard
 	}
-	w.putGroup(o, g)
+	w.putGroup(i, g)
 }
 
 // LCh returns lch(o, l); nil when empty.
@@ -301,7 +414,7 @@ func (w *WeakInstance) LCh(o model.ObjectID, l model.Label) sets.Set {
 
 // Labels returns the labels under which o has potential children, sorted.
 func (w *WeakInstance) Labels(o model.ObjectID) []model.Label {
-	gs := w.edges[o]
+	gs := w.groups(o)
 	out := make([]model.Label, 0, len(gs))
 	for i := range gs {
 		if len(gs[i].kids) > 0 {
@@ -315,7 +428,7 @@ func (w *WeakInstance) Labels(o model.ObjectID) []model.Label {
 // that may be a child of o.
 func (w *WeakInstance) AllChildren(o model.ObjectID) sets.Set {
 	var u sets.Set
-	for _, g := range w.edges[o] {
+	for _, g := range w.groups(o) {
 		u = u.Union(g.kids)
 	}
 	return u
@@ -326,7 +439,7 @@ func (w *WeakInstance) AllChildren(o model.ObjectID) sets.Set {
 // Uniqueness is guaranteed by Validate's label-disjointness check; on an
 // instance that fails it the smallest matching label is returned.
 func (w *WeakInstance) LabelOf(o, child model.ObjectID) (model.Label, bool) {
-	for _, g := range w.edges[o] {
+	for _, g := range w.groups(o) {
 		if g.kids.Contains(child) {
 			return g.label, true
 		}
@@ -338,12 +451,12 @@ func (w *WeakInstance) LabelOf(o, child model.ObjectID) (model.Label, bool) {
 func (w *WeakInstance) SetCard(o model.ObjectID, l model.Label, min, max int) {
 	w.own()
 	w.invalidateGraph()
-	w.AddObject(o)
+	i := w.addObject(o)
 	g := edgeGroup{label: l, card: sets.Interval{Min: min, Max: max}, hasCard: true}
 	if old := w.group(o, l); old != nil {
-		g.kids = old.kids
+		g.kids, g.nums = old.kids, old.nums
 	}
-	w.putGroup(o, g)
+	w.putGroup(i, g)
 }
 
 // Card returns card(o, l). When no interval has been set the default is
@@ -359,7 +472,7 @@ func (w *WeakInstance) Card(o model.ObjectID, l model.Label) sets.Interval {
 // IsLeaf reports whether o is a leaf of the weak instance: it has no
 // potential children under any label.
 func (w *WeakInstance) IsLeaf(o model.ObjectID) bool {
-	return !hasKids(w.edges[o])
+	return !hasKids(w.groups(o))
 }
 
 // RegisterType records a leaf type so objects can reference it by name.
@@ -368,68 +481,91 @@ func (w *WeakInstance) RegisterType(t model.Type) error {
 		return err
 	}
 	if old, ok := w.types[t.Name]; ok {
-		if len(old.Domain) != len(t.Domain) {
+		if !slices.Equal(old.Domain, t.Domain) {
 			return fmt.Errorf("core: type %q re-registered with different domain", t.Name)
-		}
-		for i := range old.Domain {
-			if old.Domain[i] != t.Domain[i] {
-				return fmt.Errorf("core: type %q re-registered with different domain", t.Name)
-			}
 		}
 		return nil
 	}
 	w.own()
 	w.invalidateValid()
 	w.types[t.Name] = t
+	if w.typeNums == nil {
+		w.typeNums = make(map[model.TypeName]int32)
+	}
+	w.typeNums[t.Name] = int32(len(w.typeNames)) + 1
+	w.typeNames = append(w.typeNames, t.Name)
 	return nil
+}
+
+// typeOf returns the name of τ for an object's entry, "" when untyped.
+func (t *weakTables) typeOf(e *objEntry) model.TypeName {
+	if e.typ == 0 {
+		return ""
+	}
+	return t.typeNames[e.typ-1]
 }
 
 // Types returns the registered types keyed by name. Callers must not mutate
 // the returned map.
 func (w *WeakInstance) Types() map[model.TypeName]model.Type { return w.types }
 
-// SetLeafType assigns τ(o) = tn. The type must have been registered.
+// SetLeafType assigns τ(o) = tn, adding o to V. The type must have been
+// registered.
 func (w *WeakInstance) SetLeafType(o model.ObjectID, tn model.TypeName) error {
-	if _, ok := w.types[tn]; !ok {
+	typ, ok := w.typeNums[tn]
+	if !ok {
 		return fmt.Errorf("core: unknown type %q for object %s", tn, o)
 	}
 	w.own()
 	w.invalidateValid()
-	w.AddObject(o)
-	w.typ[o] = tn
+	w.objs[w.addObject(o)].typ = typ
 	return nil
 }
 
 // SetDefaultValue assigns val(o) = v, the representative leaf value of
 // Definition 3.4 item 4. The value must lie in the object's type domain.
 func (w *WeakInstance) SetDefaultValue(o model.ObjectID, v model.Value) error {
-	tn, ok := w.typ[o]
-	if !ok {
+	i, ok := w.num(o)
+	if !ok || w.objs[i].typ == 0 {
 		return fmt.Errorf("core: object %s has no type; set one before a default value", o)
 	}
+	return w.setDefault(i, v)
+}
+
+// setDefault is SetDefaultValue for an object known by number.
+func (w *WeakInstance) setDefault(i int32, v model.Value) error {
+	tn := w.typeOf(&w.objs[i])
+	if tn == "" {
+		return fmt.Errorf("core: object %s has no type; set one before a default value", w.names[i])
+	}
 	if !w.types[tn].Has(v) {
-		return fmt.Errorf("core: value %q outside dom(%s) for object %s", v, tn, o)
+		return fmt.Errorf("core: value %q outside dom(%s) for object %s", v, tn, w.names[i])
 	}
 	w.own()
 	w.invalidateValid()
-	w.val[o] = v
+	if w.vals == nil {
+		w.vals = make(map[int32]model.Value)
+	}
+	w.vals[i] = v
 	return nil
 }
 
 // TypeOf returns τ(o); the boolean result is false for untyped objects.
 func (w *WeakInstance) TypeOf(o model.ObjectID) (model.Type, bool) {
-	tn, ok := w.typ[o]
-	if !ok {
-		return model.Type{}, false
+	if i, ok := w.num(o); ok && w.objs[i].typ != 0 {
+		return w.types[w.typeOf(&w.objs[i])], true
 	}
-	return w.types[tn], true
+	return model.Type{}, false
 }
 
 // DefaultValue returns val(o); the boolean result is false when no default
 // value was assigned.
 func (w *WeakInstance) DefaultValue(o model.ObjectID) (model.Value, bool) {
-	v, ok := w.val[o]
-	return v, ok
+	if i, ok := w.num(o); ok {
+		v, ok := w.vals[i]
+		return v, ok
+	}
+	return "", false
 }
 
 // PotentialLChildSets returns PL(o, l), the potential l-child sets of
@@ -447,7 +583,7 @@ func (w *WeakInstance) PotentialChildSets(o model.ObjectID, limit int) ([]sets.S
 	if limit <= 0 {
 		limit = DefaultPCLimit
 	}
-	gs := w.edges[o]
+	gs := w.groups(o)
 	total := 1
 	fams := make([]sets.Family, 0, len(gs))
 	for i := range gs {
@@ -473,7 +609,7 @@ func (w *WeakInstance) PCSize(o model.ObjectID, limit int) int {
 	if limit <= 0 {
 		limit = DefaultPCLimit
 	}
-	gs, total := w.edges[o], 1
+	gs, total := w.groups(o), 1
 	for i := range gs {
 		g := &gs[i]
 		if len(g.kids) == 0 {
@@ -501,6 +637,7 @@ func (w *WeakInstance) Graph() *graph.Graph {
 // graphLocked is Graph for callers holding graphMu.
 func (w *WeakInstance) graphLocked() *graph.Graph {
 	if w.memo.graph == nil {
+		w.sortedLocked()
 		w.memo.graph = w.buildGraph()
 	}
 	return w.memo.graph
@@ -518,16 +655,21 @@ func (w *WeakInstance) shape() graph.Shape {
 	return w.memo.shape
 }
 
-// buildGraph constructs the weak instance graph from scratch. A potential
-// child of o under label l occurs in some set of PC(o), and so gets its
-// edge, when some potential l-child set contains it and no label's family,
-// l's included, is empty.
+// buildGraph constructs the weak instance graph over the instance's own
+// numbering, one row per object (DESIGN §31). A potential child of o under
+// label l occurs in some set of PC(o), and so gets its edge, when some
+// potential l-child set contains it and no label's family, l's included,
+// is empty.
 func (w *WeakInstance) buildGraph() *graph.Graph {
-	g := graph.NewSized(len(w.objects))
-	for o := range w.objects {
-		g.AddNode(o)
+	n := 0
+	for i := range w.objs {
+		for _, g := range w.objs[i].groups {
+			n += len(g.nums)
+		}
 	}
-	for o, gs := range w.edges {
+	links := make([]graph.Link, 0, n)
+	for i := range w.objs {
+		gs := w.objs[i].groups
 		if !satisfiable(gs) {
 			continue
 		}
@@ -535,13 +677,14 @@ func (w *WeakInstance) buildGraph() *graph.Graph {
 			if eg.hasCard && eg.card.Max < 1 {
 				continue
 			}
-			for _, c := range eg.kids {
-				// Relabel conflicts surface in Validate; ignore here.
-				_ = g.AddEdge(o, c, eg.label)
+			for _, c := range eg.nums {
+				links = append(links, graph.Link{From: int32(i), To: c, Label: eg.label})
 			}
 		}
 	}
-	return g
+	// Numbers given after the sorted view was taken are no vertices.
+	rank := w.memo.rank
+	return graph.Build(w.idMap(), w.names[:len(rank)], w.memo.order, rank, links)
 }
 
 // satisfiable reports whether every label of gs has a potential l-child
@@ -576,7 +719,7 @@ func (w *WeakInstance) IsTree() bool { return w.shape().Tree }
 // AllReachable reports whether every object of V is reachable from the root
 // in the weak instance graph, from the same memoized pass as IsTree.
 func (w *WeakInstance) AllReachable() bool {
-	return w.shape().Reachable == len(w.objects)
+	return w.shape().Reachable == w.nV
 }
 
 // Validate checks the structural invariants of Definition 3.4: the root
@@ -601,42 +744,41 @@ func (w *WeakInstance) Validate() error {
 	return nil
 }
 
+// validate reports the first fault of a walk that is the same for the same
+// tables: every object in number order, labels in order; every lch error
+// ahead of any card error. A loader numbers objects in the order its input
+// mentions them, so one document always gets one message, and loading
+// sorts nothing (DESIGN §31).
 func (w *WeakInstance) validate() error {
-	if _, ok := w.objects[w.root]; !ok {
+	// The root is numbered first.
+	if !w.objs[0].inV {
 		return fmt.Errorf("core: root %s not in V", w.root)
 	}
-	seen := make(map[model.ObjectID]model.Label)
-	// Every lch error is reported ahead of any card error.
 	var cardErr error
-	for o, gs := range w.edges {
-		if _, ok := w.objects[o]; !ok && hasKids(gs) {
+	for i := range w.objs {
+		o, e := w.names[i], &w.objs[i]
+		if !e.inV && hasKids(e.groups) {
 			return fmt.Errorf("core: lch parent %s not in V", o)
 		}
-		// Cross-label duplicates need the seen map; within one label the
-		// canonical Set is already duplicate-free, so single-label objects
-		// (the common case) skip the bookkeeping entirely.
-		multi := len(gs) > 1
-		if multi {
-			clear(seen)
-		}
-		for _, g := range gs {
+		for gi, g := range e.groups {
 			if g.hasCard && cardErr == nil {
 				if err := g.card.Validate(); err != nil {
 					cardErr = fmt.Errorf("core: card(%s,%s): %w", o, g.label, err)
 				}
 			}
-			for _, c := range g.kids {
-				if _, ok := w.objects[c]; !ok {
-					return fmt.Errorf("core: lch(%s,%s) child %s not in V", o, g.label, c)
+			for k, c := range g.nums {
+				if !w.objs[c].inV {
+					return fmt.Errorf("core: lch(%s,%s) child %s not in V", o, g.label, g.kids[k])
 				}
-				if c == w.root {
+				if c == 0 {
 					return fmt.Errorf("core: root %s appears in lch(%s,%s)", w.root, o, g.label)
 				}
-				if multi {
-					if prev, dup := seen[c]; dup {
-						return fmt.Errorf("core: object %s is a potential child of %s under labels %q and %q", c, o, prev, g.label)
+				// Within one label the canonical Set is duplicate-free; an
+				// object has few labels, so the earlier ones are searched.
+				for _, prev := range e.groups[:gi] {
+					if prev.kids.Contains(g.kids[k]) {
+						return fmt.Errorf("core: object %s is a potential child of %s under labels %q and %q", g.kids[k], o, prev.label, g.label)
 					}
-					seen[c] = g.label
 				}
 			}
 		}
@@ -644,41 +786,41 @@ func (w *WeakInstance) validate() error {
 	if cardErr != nil {
 		return cardErr
 	}
-	for o, tn := range w.typ {
-		if _, ok := w.types[tn]; !ok {
-			return fmt.Errorf("core: object %s has unregistered type %q", o, tn)
+	for i := range w.objs {
+		e := &w.objs[i]
+		if e.typ == 0 {
+			continue
 		}
-		if !w.IsLeaf(o) {
-			return fmt.Errorf("core: non-leaf object %s carries leaf type %q", o, tn)
-		}
-	}
-	for o, v := range w.val {
-		tn, ok := w.typ[o]
-		if !ok {
-			return fmt.Errorf("core: object %s has default value but no type", o)
-		}
-		if !w.types[tn].Has(v) {
-			return fmt.Errorf("core: default value %q of %s outside dom(%s)", v, o, tn)
+		tn := w.typeOf(e)
+		v, hasVal := w.vals[int32(i)]
+		switch {
+		case hasKids(e.groups):
+			return fmt.Errorf("core: non-leaf object %s carries leaf type %q", w.names[i], tn)
+		case hasVal && !w.types[tn].Has(v):
+			return fmt.Errorf("core: default value %q of %s outside dom(%s)", v, w.names[i], tn)
 		}
 	}
 	return nil
 }
 
 // Clone returns a deep copy of the weak instance. Edge groups, child sets
-// and types are shared (never written once stored); maps are copied.
+// and types are shared (never written once stored); tables are copied.
 func (w *WeakInstance) Clone() *WeakInstance {
 	return &WeakInstance{root: w.root, weakTables: w.weakTables.clone()}
 }
 
-// clone copies every map. Nothing below them needs copying: the mutators
+// clone copies every table. Nothing below them needs copying: the mutators
 // replace an object's group slice instead of writing into it.
 func (t weakTables) clone() weakTables {
 	return weakTables{
-		objects: maps.Clone(t.objects),
-		edges:   maps.Clone(t.edges),
-		types:   maps.Clone(t.types),
-		typ:     maps.Clone(t.typ),
-		val:     maps.Clone(t.val),
+		ids:       maps.Clone(t.idMap()),
+		names:     slices.Clone(t.names),
+		objs:      slices.Clone(t.objs),
+		vals:      maps.Clone(t.vals),
+		types:     maps.Clone(t.types),
+		typeNames: slices.Clone(t.typeNames),
+		typeNums:  maps.Clone(t.typeNums),
+		nV:        t.nV,
 	}
 }
 
@@ -686,6 +828,13 @@ func (t weakTables) clone() weakTables {
 // substituted per the mapping (identifiers absent from the map are kept).
 // It is used by the Cartesian product to make operand universes disjoint.
 func (w *WeakInstance) Rename(m map[model.ObjectID]model.ObjectID) *WeakInstance {
+	c, _ := w.rename(m)
+	return c
+}
+
+// rename is Rename, also returning each object's number in the copy by its
+// number in w.
+func (w *WeakInstance) rename(m map[model.ObjectID]model.ObjectID) (*WeakInstance, []int32) {
 	rn := func(o model.ObjectID) model.ObjectID {
 		if n, ok := m[o]; ok {
 			return n
@@ -693,29 +842,43 @@ func (w *WeakInstance) Rename(m map[model.ObjectID]model.ObjectID) *WeakInstance
 		return o
 	}
 	c := NewWeakInstance(rn(w.root))
-	for o := range w.objects {
-		c.objects[rn(o)] = struct{}{}
+	c.types, c.typeNames, c.typeNums = maps.Clone(w.types), slices.Clone(w.typeNames), maps.Clone(w.typeNums)
+	to := make([]int32, len(w.names))
+	for i, o := range w.names {
+		to[i] = c.number(rn(o))
 	}
-	for o, gs := range w.edges {
+	for i, e := range w.objs {
+		ce := &c.objs[to[i]]
+		if e.inV && !ce.inV {
+			ce.inV = true
+			c.nV++
+		}
+		if e.typ != 0 {
+			ce.typ = e.typ
+		}
+		if v, ok := w.vals[int32(i)]; ok {
+			if c.vals == nil {
+				c.vals = make(map[int32]model.Value)
+			}
+			c.vals[to[i]] = v
+		}
+		if e.groups == nil {
+			continue
+		}
 		// Labels are not renamed, so the groups stay in label order.
-		cgs := slices.Clone(gs)
-		for i, g := range cgs {
+		ce.groups = slices.Clone(e.groups)
+		for k, g := range ce.groups {
 			ids := make([]string, g.kids.Len())
 			for j, id := range g.kids {
 				ids[j] = rn(id)
 			}
-			cgs[i].kids = sets.NewSet(ids...)
+			g.kids = sets.NewSet(ids...)
+			g.nums = make([]int32, len(g.kids))
+			for j, id := range g.kids {
+				g.nums[j] = c.ids[id]
+			}
+			ce.groups[k] = g
 		}
-		c.edges[rn(o)] = cgs
 	}
-	for k, v := range w.types {
-		c.types[k] = v
-	}
-	for k, v := range w.typ {
-		c.typ[rn(k)] = v
-	}
-	for k, v := range w.val {
-		c.val[rn(k)] = v
-	}
-	return c
+	return c, to
 }

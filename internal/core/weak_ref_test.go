@@ -9,6 +9,7 @@ import (
 
 	"pxml/internal/graph"
 	"pxml/internal/model"
+	"pxml/internal/prob"
 	"pxml/internal/sets"
 )
 
@@ -20,6 +21,10 @@ type refWeak struct {
 	objects map[model.ObjectID]struct{}
 	lch     map[model.ObjectID]map[model.Label]sets.Set
 	card    map[model.ObjectID]map[model.Label]sets.Interval
+	// typ is τ, and opf and vpf say which objects carry a local
+	// probability function.
+	typ      map[model.ObjectID]model.TypeName
+	opf, vpf map[model.ObjectID]bool
 }
 
 func newRefWeak(root model.ObjectID) *refWeak {
@@ -28,6 +33,9 @@ func newRefWeak(root model.ObjectID) *refWeak {
 		objects: map[model.ObjectID]struct{}{root: {}},
 		lch:     make(map[model.ObjectID]map[model.Label]sets.Set),
 		card:    make(map[model.ObjectID]map[model.Label]sets.Interval),
+		typ:     make(map[model.ObjectID]model.TypeName),
+		opf:     make(map[model.ObjectID]bool),
+		vpf:     make(map[model.ObjectID]bool),
 	}
 }
 
@@ -101,6 +109,7 @@ func (w *refWeak) clone() *refWeak {
 	for o, m := range w.card {
 		c.card[o] = maps.Clone(m)
 	}
+	c.typ, c.opf, c.vpf = maps.Clone(w.typ), maps.Clone(w.opf), maps.Clone(w.vpf)
 	return c
 }
 
@@ -128,6 +137,15 @@ func (w *refWeak) rename(m map[model.ObjectID]model.ObjectID) *refWeak {
 	}
 	for o, lm := range w.card {
 		c.card[rn(o)] = maps.Clone(lm)
+	}
+	for o, tn := range w.typ {
+		c.typ[rn(o)] = tn
+	}
+	for o := range w.opf {
+		c.opf[rn(o)] = true
+	}
+	for o := range w.vpf {
+		c.vpf[rn(o)] = true
 	}
 	return c
 }
@@ -295,6 +313,11 @@ func (w *refWeak) validate() error {
 			}
 		}
 	}
+	for o, tn := range w.typ {
+		if !w.isLeaf(o) {
+			return fmt.Errorf("core: non-leaf object %s carries leaf type %q", o, tn)
+		}
+	}
 	return nil
 }
 
@@ -303,11 +326,13 @@ func (w *refWeak) validate() error {
 var (
 	refNames  = []model.ObjectID{"r", "a", "b", "c", "d", "e", "f"}
 	refLabels = []model.Label{"k", "l", "m"}
+	refType   = model.NewType("t", "x", "y")
 )
 
-// compareWeak fails t unless w and ref agree on every accessor.
-func compareWeak(t *testing.T, step string, w *WeakInstance, ref *refWeak) {
+// compareWeak fails t unless pi and ref agree on every accessor.
+func compareWeak(t *testing.T, step string, pi *ProbInstance, ref *refWeak) {
 	t.Helper()
+	w := pi.WeakInstance
 	fail := func(format string, args ...any) {
 		t.Helper()
 		t.Fatalf("%s: "+format, append([]any{step}, args...)...)
@@ -340,6 +365,15 @@ func compareWeak(t *testing.T, step string, w *WeakInstance, ref *refWeak) {
 		}
 		if got, want := w.IsLeaf(o), ref.isLeaf(o); got != want {
 			fail("IsLeaf(%s) = %v, reference %v", o, got, want)
+		}
+		if typ, typed := w.TypeOf(o); typ.Name != ref.typ[o] || typed != (ref.typ[o] != "") {
+			fail("TypeOf(%s) = %q %v, reference %q", o, typ.Name, typed, ref.typ[o])
+		}
+		if got, want := pi.OPF(o) != nil, ref.opf[o]; got != want {
+			fail("OPF(%s) set %v, reference %v", o, got, want)
+		}
+		if got, want := pi.VPF(o) != nil, ref.vpf[o]; got != want {
+			fail("VPF(%s) set %v, reference %v", o, got, want)
 		}
 		if got, want := w.AllChildren(o), ref.allChildren(o); !got.Equal(want) {
 			fail("AllChildren(%s) = %v, reference %v", o, got, want)
@@ -378,20 +412,45 @@ func compareWeak(t *testing.T, step string, w *WeakInstance, ref *refWeak) {
 	if !slices.Equal(got, wantEdges) {
 		fail("graph edges %v, reference %v", got, wantEdges)
 	}
+	// The graph over the instance's numbering answers like one the model
+	// numbers for itself from the reference's edges.
+	s := model.NewInstance(ref.root)
+	for o := range ref.objects {
+		s.AddObject(o)
+	}
+	for _, e := range wantEdges {
+		_ = s.AddEdge(e.From, e.To, e.Label)
+	}
+	g, sg := w.Graph(), s.Graph()
+	for _, o := range refNames {
+		if !slices.Equal(g.Children(o), sg.Children(o)) || !slices.Equal(g.Parents(o), sg.Parents(o)) {
+			fail("Children(%s) %v, Parents %v; reference %v, %v", o, g.Children(o), g.Parents(o), sg.Children(o), sg.Parents(o))
+		}
+	}
+	if got, want := g.Shape(ref.root), sg.Shape(ref.root); got != want {
+		fail("Shape %+v, reference %+v", got, want)
+	}
+	if got, want := w.IsTree(), g.Shape(ref.root).Tree; got != want {
+		fail("IsTree %v, graph says %v", got, want)
+	}
 }
 
-// FuzzWeakTablesDifferential holds the flat edge groups behind WeakInstance
-// to the map-of-maps tables they replaced (refWeak): a bulk load through
-// Loader.SetEdges (replacing and removing groups, leaving card-only ones),
-// then SetLCh (empty included), SetCard with or without an lch entry and
-// AddObject on one of several handles made by overlay, Clone and Rename,
-// every handle compared with its reference after every step — so a
+// FuzzWeakTablesDifferential holds the numbered tables behind
+// ProbInstance (DESIGN §31) to the map-of-maps tables they replaced
+// (refWeak): a bulk load through Loader.SetEdges (replacing and removing
+// groups, leaving card-only ones, naming objects before or without
+// declaring them), then SetLCh (empty included), SetCard with or without an
+// lch entry, AddObject (out of sorted order, on overlays too), and for an
+// op byte of 0xc0 or more SetLeafType, SetOPF and SetVPF (on objects
+// outside V too) on one of several handles made by Overlay, Clone and
+// Rename, every handle compared with its reference after every step — so a
 // mutation through one handle that another could see fails too.
 func FuzzWeakTablesDifferential(f *testing.F) {
 	f.Add([]byte{3, 1, 0x21, 0x07, 0x10, 1, 0x21, 0x00, 0x00, 0, 0x40, 0x05, 0x33, 3, 0, 0x11, 0x03})
 	f.Add([]byte{0, 0, 0x10, 0x06, 1, 0x22, 0x21, 3, 4, 0, 0x31, 0x00, 5, 0x13, 6, 0x00, 1, 0x10, 0x30})
 	f.Add([]byte{5, 1, 0x00, 0x3e, 0x05, 1, 0x01, 0x3e, 0x00, 1, 0x00, 0x00, 0x00, 1, 0x12, 0x00, 0x26, 2, 0x40})
 	f.Add([]byte{2, 1, 0x10, 0x01, 0x0f, 0, 0x10, 0x00, 0, 0x11, 0x01, 3, 1, 0x10, 0x33, 4, 0, 0x12, 0x02, 6, 0x00})
+	f.Add([]byte{4, 2, 0x00, 0x3e, 0x05, 0, 0x15, 1, 0x06, 0x06, 0x0b, 3, 0x04, 0xc0, 0x06, 0xc1, 0x00, 0xc2, 0x05, 0xc1, 0x33, 4, 0x00, 1, 0xc0, 0x01, 3, 0x02, 0xc2, 0x16, 6, 0x01, 0x00, 0xc1, 0x04})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {
@@ -414,26 +473,34 @@ func FuzzWeakTablesDifferential(f *testing.F) {
 		}
 		bounds := func(b byte) (int, int) { return int(b&3) - 1, int(b>>2&3) - 1 }
 
-		// A bulk load: AddObject and SetEdges, the decoders' two calls.
+		// A bulk load: Declare and SetEdges, the decoders' two calls. The
+		// kids are numbered in refNames order, which is not sorted order.
 		ld := NewLoader("r", int(next()%8))
+		if err := ld.RegisterType(refType); err != nil {
+			t.Fatal(err)
+		}
 		ref := newRefWeak("r")
 		for n := next() % 16; n > 0 && len(data) > 0; n-- {
 			op, at := next(), next()
 			o, l := name(at), label(at>>4)
 			if op%3 == 0 {
-				ld.AddObject(o)
+				ld.Declare(ld.Number(o))
 				ref.addObject(o)
 				continue
 			}
-			kids := sets.NewSet(members(next())...)
+			kids := members(next())
 			lo, hi := bounds(next())
 			if op%3 == 2 {
-				lo, hi = 0, kids.Len() // the default interval, which is not stored
+				lo, hi = 0, len(kids) // the default interval, which is not stored
 			}
-			ld.SetEdges(o, l, kids, lo, hi)
-			ref.setEdges(o, l, kids, lo, hi)
+			nums := make([]int32, len(kids))
+			for i, c := range kids {
+				nums[i] = ld.Number(c)
+			}
+			ld.SetEdges(ld.Number(o), l, nums, lo, hi)
+			ref.setEdges(o, l, sets.NewSet(kids...), lo, hi)
 		}
-		handles, refs := []*WeakInstance{ld.pi.WeakInstance}, []*refWeak{ref}
+		handles, refs := []*ProbInstance{ld.pi}, []*refWeak{ref}
 		compareWeak(t, "loaded", handles[0], refs[0])
 
 		cur := 0
@@ -442,47 +509,66 @@ func FuzzWeakTablesDifferential(f *testing.F) {
 			w, r := handles[cur], refs[cur]
 			o, l := name(at), label(at>>4)
 			var did string
-			switch op % 8 {
-			case 0, 1:
-				kids := members(next())
-				w.SetLCh(o, l, kids...)
-				r.setLCh(o, l, kids...)
-				did = fmt.Sprintf("SetLCh(%s,%s,%v)", o, l, kids)
-			case 2:
-				lo, hi := bounds(next())
-				w.SetCard(o, l, lo, hi)
-				r.setCard(o, l, lo, hi)
-				did = fmt.Sprintf("SetCard(%s,%s,%d,%d)", o, l, lo, hi)
-			case 3:
-				w.AddObject(o)
+			switch {
+			case op >= 0xc0 && op%4 == 0:
+				// SetLeafType puts o in V; on a non-leaf Validate refuses it.
+				if err := w.SetLeafType(o, refType.Name); err != nil {
+					t.Fatal(err)
+				}
 				r.addObject(o)
-				did = "AddObject(" + o + ")"
-			case 4, 5, 6:
-				if len(handles) == 6 {
+				r.typ[o] = refType.Name
+				did = "SetLeafType(" + o + ")"
+			case op >= 0xc0 && op%2 == 1:
+				w.SetOPF(o, prob.NewOPF())
+				r.opf[o] = true
+				did = "SetOPF(" + o + ")"
+			case op >= 0xc0:
+				w.SetVPF(o, prob.PointMass("x"))
+				r.vpf[o] = true
+				did = "SetVPF(" + o + ")"
+			default:
+				switch op % 8 {
+				case 0, 1:
+					kids := members(next())
+					w.SetLCh(o, l, kids...)
+					r.setLCh(o, l, kids...)
+					did = fmt.Sprintf("SetLCh(%s,%s,%v)", o, l, kids)
+				case 2:
+					lo, hi := bounds(next())
+					w.SetCard(o, l, lo, hi)
+					r.setCard(o, l, lo, hi)
+					did = fmt.Sprintf("SetCard(%s,%s,%d,%d)", o, l, lo, hi)
+				case 3:
+					w.AddObject(o)
+					r.addObject(o)
+					did = "AddObject(" + o + ")"
+				case 4, 5, 6:
+					if len(handles) == 6 {
+						cur = int(at) % len(handles)
+						did = fmt.Sprintf("switch to %d", cur)
+						break
+					}
+					var c *ProbInstance
+					var cr *refWeak
+					switch op % 8 {
+					case 4:
+						c, cr, did = w.Overlay(), r.clone(), "Overlay"
+					case 5:
+						c, cr, did = w.Clone(), r.clone(), "Clone"
+					default:
+						// A rotation of the names by at.
+						m := make(map[model.ObjectID]model.ObjectID, len(refNames))
+						for i, o := range refNames {
+							m[o] = refNames[(i+int(at))%len(refNames)]
+						}
+						c, cr, did = w.Rename(m), r.rename(m), fmt.Sprintf("Rename(+%d)", at)
+					}
+					handles, refs = append(handles, c), append(refs, cr)
+					cur = int(next()) % len(handles)
+				default:
 					cur = int(at) % len(handles)
 					did = fmt.Sprintf("switch to %d", cur)
-					break
 				}
-				var c *WeakInstance
-				var cr *refWeak
-				switch op % 8 {
-				case 4:
-					c, cr, did = w.overlay(), r.clone(), "overlay"
-				case 5:
-					c, cr, did = w.Clone(), r.clone(), "Clone"
-				default:
-					// A rotation of the names by at.
-					m := make(map[model.ObjectID]model.ObjectID, len(refNames))
-					for i, o := range refNames {
-						m[o] = refNames[(i+int(at))%len(refNames)]
-					}
-					c, cr, did = w.Rename(m), r.rename(m), fmt.Sprintf("Rename(+%d)", at)
-				}
-				handles, refs = append(handles, c), append(refs, cr)
-				cur = int(next()) % len(handles)
-			default:
-				cur = int(at) % len(handles)
-				did = fmt.Sprintf("switch to %d", cur)
 			}
 			for i := range handles {
 				compareWeak(t, fmt.Sprintf("step %d %s, handle %d", step, did, i), handles[i], refs[i])

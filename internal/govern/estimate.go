@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"pxml/internal/core"
-	"pxml/internal/model"
 	"pxml/internal/sets"
 )
 
@@ -51,25 +50,33 @@ func Measure(pi *core.ProbInstance) Profile {
 	p := Profile{Tree: pi.IsTree(), WorldsFloor: 1}
 	g := pi.WeakInstance.Graph()
 	root := pi.Root()
-	// Only objects reachable from the root enter the BN. The shape pass
-	// behind IsTree has usually shown that to be all of V already; only
-	// otherwise is the graph walked for the reachable set.
-	var objs []model.ObjectID
-	if pi.AllReachable() {
-		objs = pi.Objects()
-	} else {
-		objs = g.ReachableFrom(root)
+	// states holds, by object number, each BN variable's state count; 0
+	// marks an object outside the network. Only objects reachable from the
+	// root enter it. The shape pass behind IsTree has usually shown that to
+	// be all of V already; only otherwise is the graph walked for the
+	// reachable set.
+	states := make([]int, len(pi.Ranks()))
+	var reached []bool
+	if !pi.AllReachable() {
+		reached = make([]bool, len(states))
+		for _, o := range g.ReachableFrom(root) {
+			if v, ok := g.Vertex(o); ok {
+				reached[v] = true
+			}
+		}
 	}
-	p.Objects = len(objs)
 
 	// First pass: per-object BN state counts, mirroring bayes.Compile
 	// (positive OPF entries for interior objects, positive VPF entries
 	// or a single "present" state for leaves, +1 absent for non-roots).
-	states := make(map[model.ObjectID]int, len(objs))
-	for _, o := range objs {
+	pi.EachObject(func(ob core.Object) {
+		if reached != nil && !reached[ob.Num] {
+			return
+		}
+		p.Objects++
 		n := 0
-		if !pi.IsLeaf(o) {
-			if opf := pi.OPF(o); opf != nil {
+		if !ob.Leaf {
+			if opf := ob.OPF; opf != nil {
 				k := opf.Len()
 				if k > p.MaxOPFEntries {
 					p.MaxOPFEntries = k
@@ -83,11 +90,11 @@ func Measure(pi *core.ProbInstance) Profile {
 						n++
 					}
 				})
-				if o == root && n > 1 {
+				if ob.ID == root && n > 1 {
 					p.WorldsFloor = float64(n)
 				}
 			}
-		} else if vpf := pi.VPF(o); vpf != nil {
+		} else if vpf := ob.VPF; vpf != nil {
 			p.TotalOPFEntries += int64(vpf.Len())
 			vpf.Each(func(_ string, pr float64) {
 				if pr > 0 {
@@ -97,34 +104,34 @@ func Measure(pi *core.ProbInstance) Profile {
 		} else {
 			n = 1
 		}
-		if o != root {
+		if ob.ID != root {
 			n++
 		}
-		if n < 1 {
-			// A zero-state variable is invalid input, not a cost blowup;
-			// count it as 1 so products stay meaningful.
-			n = 1
-		}
-		states[o] = n
-	}
+		// A zero-state variable is invalid input, not a cost blowup; count
+		// it as 1 so products stay meaningful.
+		states[ob.Num] = max(n, 1)
+	})
 
 	// Second pass: predicted CPT cells per object — its own cardinality
 	// times the product of its kept (reachable) parents' cardinalities.
 	// Objects come in sorted order, so of several equally wide the
 	// smallest id is the one named.
-	for _, o := range objs {
-		cells := float64(states[o])
-		g.EachParent(o, func(par string) {
-			if n, kept := states[par]; kept {
+	pi.EachObject(func(ob core.Object) {
+		if states[ob.Num] == 0 {
+			return
+		}
+		cells := float64(states[ob.Num])
+		for _, par := range g.Pred(ob.Num) {
+			if n := states[par]; n > 0 {
 				cells *= float64(n)
 			}
-		})
+		}
 		p.TotalCPTCells += cells
 		if cells > p.MaxCPTCells {
 			p.MaxCPTCells = cells
-			p.WidestObject = o
+			p.WidestObject = ob.ID
 		}
-	}
+	})
 	return p
 }
 

@@ -14,106 +14,208 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync/atomic"
 )
 
-// Graph is an edge-labeled directed graph that only grows: vertices and
-// edges are added, never removed. The zero value is not usable; create
-// instances with New.
+// Graph is an edge-labeled directed graph in compressed sparse row form:
+// built once by Build over the numbering of its builder (DESIGN §31) and
+// never changed. Every row is sorted, so the accessors are slice walks, and
+// the ones that return []string return views of one stored array, which
+// callers must treat as read-only.
 type Graph struct {
-	nodes map[string]struct{}
-	// out maps a source vertex to its successors and the edge label.
-	out map[string]map[string]string
-	// in maps a target vertex to the set of its predecessors.
-	in map[string]map[string]struct{}
-	// succ memoizes Successors until the next edge is added.
-	succ atomic.Pointer[Successors]
+	// ids numbers the names; it is the builder's table, kept rather than
+	// copied, so it may know numbers at or past len(names), which are no
+	// vertices here.
+	ids   map[string]int32
+	names []string // by number
+	// rank is each number's position in order, -1 for a number that is no
+	// vertex; order lists the vertices in name order.
+	rank  []int32
+	order []int32
+	out   rows // successors, each row in target order, with labels
+	in    rows // predecessors, each row in source order
+	succ  Successors
 }
 
-// New returns an empty graph.
-func New() *Graph { return NewSized(0) }
+// rows is one direction of the adjacency: row v is [off[v], off[v+1]).
+type rows struct {
+	off   []int32
+	v     []int32  // the other endpoint
+	name  []string // its name, the array Children and Parents return views of
+	label []string // the edge labels (successor rows only)
+}
 
-// NewSized returns an empty graph with room for the given number of
-// vertices, for builders that know it upfront.
-func NewSized(nodes int) *Graph {
-	return &Graph{
-		nodes: make(map[string]struct{}, nodes),
-		out:   make(map[string]map[string]string, nodes/2),
-		in:    make(map[string]map[string]struct{}, nodes),
+func (r *rows) row(v int32) (lo, hi int32) { return r.off[v], r.off[v+1] }
+
+// Link is an edge between numbered vertices, as Build takes it.
+type Link struct {
+	From, To int32
+	Label    string
+}
+
+// Build returns the graph over names, with an edge per link, whose
+// vertices are order — numbers in name order — and any endpoint of links it
+// lacks; with a nil order every name is a vertex. rank is order's inverse
+// (position by number, -1 off order) and ids names's: Build keeps all four
+// instead of copying them, so the caller must not change them afterwards,
+// beyond adding names past the end. Of several links joining one ordered
+// pair the first is kept.
+func Build(ids map[string]int32, names []string, order, rank []int32, links []Link) *Graph {
+	g := &Graph{ids: ids, names: names, rank: rank, order: order}
+	var extra []int32
+	if order == nil {
+		g.rank = make([]int32, len(names))
+		for v := range names {
+			extra = append(extra, int32(v))
+		}
 	}
+	for _, l := range links {
+		for _, v := range [2]int32{l.From, l.To} {
+			if g.rank[v] < 0 && !slices.Contains(extra, v) {
+				// Only a weak instance that fails validation has an edge
+				// outside its order.
+				extra = append(extra, v)
+			}
+		}
+	}
+	if len(extra) > 0 {
+		g.order = append(slices.Clone(order), extra...)
+		slices.SortFunc(g.order, func(a, b int32) int { return cmp.Compare(names[a], names[b]) })
+		g.rank = slices.Clone(g.rank)
+		for k, v := range g.order {
+			g.rank[v] = int32(k)
+		}
+	}
+	if !slices.IsSortedFunc(links, func(a, b Link) int { return cmp.Compare(a.From, b.From) }) {
+		links = slices.Clone(links)
+		slices.SortStableFunc(links, func(a, b Link) int { return cmp.Compare(a.From, b.From) })
+	}
+	g.buildOut(links)
+	g.buildIn()
+	g.succ = newSuccessors(g)
+	return g
 }
 
-// AddNode inserts a vertex. Adding an existing vertex is a no-op.
-func (g *Graph) AddNode(id string) {
-	g.nodes[id] = struct{}{}
+// buildOut fills the successor rows from links sorted by source: each row
+// sorted by target, a repeated target dropped.
+func (g *Graph) buildOut(links []Link) {
+	n := len(g.names)
+	byTarget := func(a, b Link) int { return cmp.Compare(g.rank[a.To], g.rank[b.To]) }
+	r := rows{off: make([]int32, n+1), v: make([]int32, 0, len(links)),
+		name: make([]string, 0, len(links)), label: make([]string, 0, len(links))}
+	for lo := 0; lo < len(links); {
+		from, hi := links[lo].From, lo+1
+		for hi < len(links) && links[hi].From == from {
+			hi++
+		}
+		run := links[lo:hi]
+		if !slices.IsSortedFunc(run, byTarget) {
+			run = slices.Clone(run)
+			slices.SortStableFunc(run, byTarget)
+		}
+		start := int32(len(r.v))
+		for i, l := range run {
+			if i > 0 && l.To == run[i-1].To {
+				continue
+			}
+			r.v, r.name, r.label = append(r.v, l.To), append(r.name, g.names[l.To]), append(r.label, l.Label)
+		}
+		r.off[from+1] = int32(len(r.v)) - start
+		lo = hi
+	}
+	for v := 0; v < n; v++ {
+		r.off[v+1] += r.off[v]
+	}
+	g.out = r
+}
+
+// buildIn fills the predecessor rows from the successor rows; visiting the
+// sources in name order leaves every row sorted.
+func (g *Graph) buildIn() {
+	n, m := len(g.names), len(g.out.v)
+	r := rows{off: make([]int32, n+1), v: make([]int32, m), name: make([]string, m)}
+	for _, to := range g.out.v {
+		r.off[to+1]++
+	}
+	for v := 0; v < n; v++ {
+		r.off[v+1] += r.off[v]
+	}
+	at := slices.Clone(r.off[:n])
+	for _, from := range g.order {
+		lo, hi := g.out.row(from)
+		for _, to := range g.out.v[lo:hi] {
+			r.v[at[to]], r.name[at[to]] = from, g.names[from]
+			at[to]++
+		}
+	}
+	g.in = r
+}
+
+// Vertex returns the number of vertex id.
+func (g *Graph) Vertex(id string) (int32, bool) {
+	v, ok := g.ids[id]
+	if !ok || int(v) >= len(g.rank) || g.rank[v] < 0 {
+		return 0, false
+	}
+	return v, true
 }
 
 // HasNode reports whether the vertex exists.
 func (g *Graph) HasNode(id string) bool {
-	_, ok := g.nodes[id]
+	_, ok := g.Vertex(id)
 	return ok
 }
 
-// AddEdge inserts the edge from → to with the given label, creating the
-// endpoints if necessary. It returns an error if an edge between the pair
-// already exists with a different label; re-adding an identical edge is a
-// no-op. This enforces the model's single-label-per-edge rule.
-func (g *Graph) AddEdge(from, to, label string) error {
-	if cur, ok := g.out[from][to]; ok {
-		if cur == label {
-			return nil
+// outRow returns o's successor row; empty when o is no vertex.
+func (g *Graph) outRow(o string) (lo, hi int32) {
+	if v, ok := g.Vertex(o); ok {
+		return g.out.row(v)
+	}
+	return 0, 0
+}
+
+// target returns where the edge from → to sits among the successors, or -1.
+func (g *Graph) target(from, to string) int32 {
+	t, ok := g.Vertex(to)
+	if !ok {
+		return -1
+	}
+	lo, hi := g.outRow(from)
+	for i := lo; i < hi; i++ {
+		if g.out.v[i] == t {
+			return i
 		}
-		return fmt.Errorf("graph: edge (%s,%s) already labeled %q, cannot relabel to %q", from, to, cur, label)
 	}
-	g.AddNode(from)
-	g.AddNode(to)
-	if g.out[from] == nil {
-		g.out[from] = make(map[string]string)
-	}
-	g.out[from][to] = label
-	if g.succ.Load() != nil {
-		g.succ.Store(nil)
-	}
-	if g.in[to] == nil {
-		g.in[to] = make(map[string]struct{})
-	}
-	g.in[to][from] = struct{}{}
-	return nil
+	return -1
 }
 
 // HasEdge reports whether the edge from → to exists.
-func (g *Graph) HasEdge(from, to string) bool {
-	_, ok := g.out[from][to]
-	return ok
-}
+func (g *Graph) HasEdge(from, to string) bool { return g.target(from, to) >= 0 }
 
 // Label returns the label of the edge from → to. The boolean result is
 // false when the edge does not exist.
 func (g *Graph) Label(from, to string) (string, bool) {
-	l, ok := g.out[from][to]
-	return l, ok
+	if i := g.target(from, to); i >= 0 {
+		return g.out.label[i], true
+	}
+	return "", false
 }
 
 // NumNodes returns the number of vertices.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
+func (g *Graph) NumNodes() int { return len(g.order) }
 
 // NumEdges returns the number of edges.
-func (g *Graph) NumEdges() int {
-	n := 0
-	for _, m := range g.out {
-		n += len(m)
-	}
-	return n
-}
+func (g *Graph) NumEdges() int { return len(g.out.v) }
 
 // Nodes returns all vertices in sorted order.
-func (g *Graph) Nodes() []string {
-	ids := make([]string, 0, len(g.nodes))
-	for id := range g.nodes {
-		ids = append(ids, id)
+func (g *Graph) Nodes() []string { return g.namesOf(g.order) }
+
+// namesOf returns the names of the numbers vs.
+func (g *Graph) namesOf(vs []int32) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = g.names[v]
 	}
-	sort.Strings(ids)
-	return ids
+	return out
 }
 
 // Edge is a labeled directed edge.
@@ -124,61 +226,46 @@ type Edge struct {
 // Edges returns all edges sorted by (From, To).
 func (g *Graph) Edges() []Edge {
 	es := make([]Edge, 0, g.NumEdges())
-	for from, m := range g.out {
-		for to, l := range m {
-			es = append(es, Edge{From: from, To: to, Label: l})
+	for _, from := range g.order {
+		lo, hi := g.out.row(from)
+		for i := lo; i < hi; i++ {
+			es = append(es, Edge{From: g.names[from], To: g.out.name[i], Label: g.out.label[i]})
 		}
 	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].From != es[j].From {
-			return es[i].From < es[j].From
-		}
-		return es[i].To < es[j].To
-	})
 	return es
 }
 
 // Children returns C(o), the successors of o, in sorted order (Def 3.2).
 func (g *Graph) Children(o string) []string {
-	m := g.out[o]
-	cs := make([]string, 0, len(m))
-	for c := range m {
-		cs = append(cs, c)
-	}
-	sort.Strings(cs)
-	return cs
+	lo, hi := g.outRow(o)
+	return g.out.name[lo:hi:hi]
 }
 
 // OutDegree returns the number of children of o.
-func (g *Graph) OutDegree(o string) int { return len(g.out[o]) }
+func (g *Graph) OutDegree(o string) int { return len(g.Children(o)) }
 
 // InDegree returns the number of parents of o.
-func (g *Graph) InDegree(o string) int { return len(g.in[o]) }
+func (g *Graph) InDegree(o string) int { return len(g.Parents(o)) }
 
 // Parents returns parents(o), the predecessors of o, in sorted order
 // (Def 3.2).
 func (g *Graph) Parents(o string) []string {
-	m := g.in[o]
-	ps := make([]string, 0, len(m))
-	for p := range m {
-		ps = append(ps, p)
+	if v, ok := g.Vertex(o); ok {
+		lo, hi := g.in.row(v)
+		return g.in.name[lo:hi:hi]
 	}
-	sort.Strings(ps)
-	return ps
+	return nil
 }
 
-// EachParent calls fn for every parent of o in sorted order. It avoids the
-// allocation of Parents where o has at most one, which is every vertex of a
-// tree.
+// Pred returns the numbers of vertex v's parents, in name order.
+func (g *Graph) Pred(v int32) []int32 {
+	lo, hi := g.in.row(v)
+	return g.in.v[lo:hi:hi]
+}
+
+// EachParent calls fn for every parent of o in sorted order.
 func (g *Graph) EachParent(o string, fn func(parent string)) {
-	m := g.in[o]
-	if len(m) > 1 {
-		for _, p := range g.Parents(o) {
-			fn(p)
-		}
-		return
-	}
-	for p := range m {
+	for _, p := range g.Parents(o) {
 		fn(p)
 	}
 }
@@ -187,26 +274,23 @@ func (g *Graph) EachParent(o string, fn func(parent string)) {
 // sorted order (Def 3.2).
 func (g *Graph) LCh(o, label string) []string {
 	var cs []string
-	for c, l := range g.out[o] {
-		if l == label {
-			cs = append(cs, c)
+	lo, hi := g.outRow(o)
+	for i := lo; i < hi; i++ {
+		if g.out.label[i] == label {
+			cs = append(cs, g.out.name[i])
 		}
 	}
-	sort.Strings(cs)
 	return cs
 }
 
 // IsLeaf reports whether o has no children (Def 3.2).
-func (g *Graph) IsLeaf(o string) bool { return len(g.out[o]) == 0 }
+func (g *Graph) IsLeaf(o string) bool { return len(g.Children(o)) == 0 }
 
-// Descendants returns des(o): every vertex reachable from o by a non-empty
-// directed path, in sorted order (Def 3.2).
-func (g *Graph) Descendants(o string) []string {
-	seen := make(map[string]bool)
-	var stack []string
-	for c := range g.out[o] {
-		stack = append(stack, c)
-	}
+// reach returns, in name order, what a walk from the given vertices meets.
+func (g *Graph) reach(from []int32) []string {
+	seen := make([]bool, len(g.names))
+	var got []int32
+	stack := slices.Clone(from)
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -214,108 +298,95 @@ func (g *Graph) Descendants(o string) []string {
 			continue
 		}
 		seen[cur] = true
-		for c := range g.out[cur] {
-			if !seen[c] {
-				stack = append(stack, c)
-			}
-		}
+		got = append(got, cur)
+		lo, hi := g.out.row(cur)
+		stack = append(stack, g.out.v[lo:hi]...)
 	}
-	ds := make([]string, 0, len(seen))
-	for id := range seen {
-		ds = append(ds, id)
+	slices.SortFunc(got, func(a, b int32) int { return cmp.Compare(g.rank[a], g.rank[b]) })
+	return g.namesOf(got)
+}
+
+// Descendants returns des(o): every vertex reachable from o by a non-empty
+// directed path, in sorted order (Def 3.2).
+func (g *Graph) Descendants(o string) []string {
+	v, ok := g.Vertex(o)
+	if !ok {
+		return []string{}
 	}
-	sort.Strings(ds)
-	return ds
+	lo, hi := g.out.row(v)
+	return g.reach(g.out.v[lo:hi])
 }
 
 // ReachableFrom returns the set of vertices reachable from root, including
 // root itself, in sorted order.
 func (g *Graph) ReachableFrom(root string) []string {
-	if !g.HasNode(root) {
+	v, ok := g.Vertex(root)
+	if !ok {
 		return nil
 	}
-	seen := map[string]bool{root: true}
-	stack := []string{root}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for c := range g.out[cur] {
-			if !seen[c] {
-				seen[c] = true
-				stack = append(stack, c)
-			}
-		}
-	}
-	rs := make([]string, 0, len(seen))
-	for id := range seen {
-		rs = append(rs, id)
-	}
-	sort.Strings(rs)
-	return rs
+	return g.reach([]int32{v})
 }
 
-// TopoSort returns a topological order of all vertices. It returns an error
-// naming a vertex on a cycle if the graph is cyclic.
+// TopoSort returns a topological order of all vertices, of the vertices
+// free at each step the smallest first. It returns an error naming a vertex
+// on a cycle if the graph is cyclic.
 func (g *Graph) TopoSort() ([]string, error) {
-	indeg := make(map[string]int, len(g.nodes))
-	for id := range g.nodes {
-		indeg[id] = len(g.in[id])
-	}
-	var queue []string
-	for id, d := range indeg {
-		if d == 0 {
-			queue = append(queue, id)
+	indeg := make([]int32, len(g.names))
+	var ready rankHeap
+	for _, v := range g.order {
+		lo, hi := g.in.row(v)
+		if indeg[v] = hi - lo; indeg[v] == 0 {
+			ready.push(g.rank[v])
 		}
 	}
-	sort.Strings(queue)
-	order := make([]string, 0, len(g.nodes))
-	for len(queue) > 0 {
-		// Pop the smallest id to keep the order deterministic.
-		cur := queue[0]
-		queue = queue[1:]
-		order = append(order, cur)
-		var freed []string
-		for c := range g.out[cur] {
-			indeg[c]--
-			if indeg[c] == 0 {
-				freed = append(freed, c)
+	order := make([]string, 0, len(g.order))
+	for len(ready) > 0 {
+		cur := g.order[ready.pop()]
+		order = append(order, g.names[cur])
+		lo, hi := g.out.row(cur)
+		for _, c := range g.out.v[lo:hi] {
+			if indeg[c]--; indeg[c] == 0 {
+				ready.push(g.rank[c])
 			}
 		}
-		sort.Strings(freed)
-		queue = mergeSorted(queue, freed)
 	}
-	if len(order) != len(g.nodes) {
-		for id, d := range indeg {
-			if d > 0 {
-				return nil, fmt.Errorf("graph: cycle detected through vertex %q", id)
+	if len(order) != len(g.order) {
+		for _, v := range g.order {
+			if indeg[v] > 0 {
+				return nil, fmt.Errorf("graph: cycle detected through vertex %q", g.names[v])
 			}
 		}
 	}
 	return order, nil
 }
 
-// mergeSorted merges two ascending string slices into one ascending slice.
-func mergeSorted(a, b []string) []string {
-	if len(b) == 0 {
-		return a
+// rankHeap is a binary min-heap of vertex ranks.
+type rankHeap []int32
+
+func (h *rankHeap) push(r int32) {
+	*h = append(*h, r)
+	for i := len(*h) - 1; i > 0 && (*h)[(i-1)/2] > (*h)[i]; i = (i - 1) / 2 {
+		(*h)[(i-1)/2], (*h)[i] = (*h)[i], (*h)[(i-1)/2]
 	}
-	if len(a) == 0 {
-		return b
-	}
-	out := make([]string, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
+}
+
+func (h *rankHeap) pop() int32 {
+	s, top := *h, (*h)[0]
+	n := len(s) - 1
+	s[0], s = s[n], s[:n]
+	for i, m := 0, 0; ; i = m {
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < n && s[c] < s[m] {
+				m = c
+			}
 		}
+		if m == i {
+			break
+		}
+		s[i], s[m] = s[m], s[i]
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	*h = s
+	return top
 }
 
 // IsAcyclic reports whether the graph contains no directed cycle.
@@ -343,106 +414,71 @@ type Shape struct {
 // from root in one pass, where IsAcyclic, ReachableFrom and a degree scan
 // would each walk the graph again (and sort what they return).
 func (g *Graph) Shape(root string) Shape {
-	if !g.HasNode(root) {
+	rv, ok := g.Vertex(root)
+	if !ok {
 		return Shape{Acyclic: g.IsAcyclic()}
 	}
 	// Tree degrees: when every vertex has at most one parent and the root
 	// none, a walk from the root meets each vertex at most once, so it
 	// needs no visited set.
-	treeDegrees := len(g.in[root]) == 0
-	if treeDegrees {
-		for id := range g.nodes {
-			if id != root && len(g.in[id]) != 1 {
-				treeDegrees = false
-				break
-			}
+	treeDegrees := len(g.Pred(rv)) == 0
+	for _, v := range g.order {
+		if treeDegrees = treeDegrees && (v == rv || len(g.Pred(v)) == 1); !treeDegrees {
+			break
 		}
 	}
 	if treeDegrees {
 		n := 0
-		stack := []string{root}
+		stack := []int32{rv}
 		for len(stack) > 0 {
 			cur := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			n++
-			for c := range g.out[cur] {
-				stack = append(stack, c)
-			}
+			lo, hi := g.out.row(cur)
+			stack = append(stack, g.out.v[lo:hi]...)
 		}
 		// Vertices the walk missed have one parent each, all among
 		// themselves: they close a cycle.
-		all := n == len(g.nodes)
+		all := n == len(g.order)
 		return Shape{Acyclic: all, Tree: all, Reachable: n}
 	}
 	// Kahn's algorithm, carrying "reachable from root" along each edge: a
 	// vertex leaves the queue after all its parents, so its flag is final.
-	type mark struct {
-		indeg   int
-		reached bool
-	}
-	marks := make(map[string]mark, len(g.nodes))
-	queue := make([]string, 0, len(g.nodes))
-	for id := range g.nodes {
-		d := len(g.in[id])
-		marks[id] = mark{indeg: d, reached: id == root}
-		if d == 0 {
-			queue = append(queue, id)
+	indeg := make([]int32, len(g.names))
+	reached := make([]bool, len(g.names))
+	reached[rv] = true
+	queue := make([]int32, 0, len(g.order))
+	for _, v := range g.order {
+		if indeg[v] = int32(len(g.Pred(v))); indeg[v] == 0 {
+			queue = append(queue, v)
 		}
 	}
 	reachable := 0
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
-		reached := marks[cur].reached
-		if reached {
+		if reached[cur] {
 			reachable++
 		}
-		for c := range g.out[cur] {
-			m := marks[c]
-			m.indeg--
-			m.reached = m.reached || reached
-			marks[c] = m
-			if m.indeg == 0 {
+		lo, hi := g.out.row(cur)
+		for _, c := range g.out.v[lo:hi] {
+			reached[c] = reached[c] || reached[cur]
+			if indeg[c]--; indeg[c] == 0 {
 				queue = append(queue, c)
 			}
 		}
 	}
-	if len(queue) != len(g.nodes) {
+	if len(queue) != len(g.order) {
 		return Shape{Reachable: -1}
 	}
 	return Shape{Acyclic: true, Reachable: reachable}
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := New()
-	for id := range g.nodes {
-		c.AddNode(id)
-	}
-	for from, m := range g.out {
-		for to, l := range m {
-			// Error impossible: the source graph has no duplicate pairs.
-			_ = c.AddEdge(from, to, l)
-		}
-	}
-	return c
-}
-
 // EachChild calls fn for every (child, label) pair of o in sorted child
-// order. Like Children it collects and sorts o's successors on every call;
-// what it saves is the label lookup per child. Path evaluation, which needs
-// neither per call, reads Successors.
+// order.
 func (g *Graph) EachChild(o string, fn func(child, label string)) {
-	m := g.out[o]
-	if len(m) == 0 {
-		return
-	}
-	cs := make([]string, 0, len(m))
-	for c := range m {
-		cs = append(cs, c)
-	}
-	sort.Strings(cs)
-	for _, c := range cs {
-		fn(c, m[c])
+	lo, hi := g.outRow(o)
+	for i := lo; i < hi; i++ {
+		fn(g.out.name[i], g.out.label[i])
 	}
 }
 
@@ -454,50 +490,40 @@ type Arc struct {
 // Successors is the label-partitioned successor table of a graph: for every
 // vertex its out-edges sorted by (label, target), so the edges carrying one
 // label are a contiguous run in target order. It is what path evaluation
-// reads; the graph builds it once (Graph.Successors) and shares it between
-// callers, who must treat every slice it returns as read-only.
+// reads; the graph builds it with its rows and shares it between callers,
+// who must treat every slice it returns as read-only.
 type Successors struct {
 	g *Graph
-	// out[v] is carved from one array holding every edge.
-	out map[string][]Arc
+	// arcs holds the successor rows reordered by label; a row with a single
+	// label is in the order it already had.
+	arcs []Arc
 	// forest reports that no vertex has two parents, so distinct vertices
 	// have disjoint successors and a level-by-level walk never meets a
 	// vertex twice.
 	forest bool
 }
 
-// Successors returns the graph's successor table, building it on first use
-// after the last AddEdge. Concurrent first readers may each build it; the
-// tables are equal and one of them stays.
-func (g *Graph) Successors() *Successors {
-	if s := g.succ.Load(); s != nil {
-		return s
+func newSuccessors(g *Graph) Successors {
+	s := Successors{g: g, arcs: make([]Arc, len(g.out.v)), forest: true}
+	for i := range s.arcs {
+		s.arcs[i] = Arc{To: g.out.name[i], Label: g.out.label[i]}
 	}
-	s := &Successors{g: g, out: make(map[string][]Arc, len(g.out)), forest: true}
-	arcs := make([]Arc, 0, g.NumEdges())
-	for from, m := range g.out {
-		start := len(arcs)
-		for to, l := range m {
-			arcs = append(arcs, Arc{To: to, Label: l})
-		}
-		run := arcs[start:len(arcs):len(arcs)]
-		slices.SortFunc(run, func(a, b Arc) int {
-			if c := cmp.Compare(a.Label, b.Label); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.To, b.To)
-		})
-		s.out[from] = run
+	for v := range g.names {
+		lo, hi := g.out.row(int32(v))
+		// A stable sort by label keeps each label's run in target order.
+		slices.SortStableFunc(s.arcs[lo:hi], func(a, b Arc) int { return cmp.Compare(a.Label, b.Label) })
 	}
-	for _, ps := range g.in {
-		if len(ps) > 1 {
+	for v := range g.names {
+		if lo, hi := g.in.row(int32(v)); hi-lo > 1 {
 			s.forest = false
 			break
 		}
 	}
-	g.succ.Store(s)
 	return s
 }
+
+// Successors returns the graph's successor table.
+func (g *Graph) Successors() *Successors { return &g.succ }
 
 // Graph returns the graph the table was built from.
 func (s *Successors) Graph() *Graph { return s.g }
@@ -506,11 +532,14 @@ func (s *Successors) Graph() *Graph { return s.g }
 func (s *Successors) Forest() bool { return s.forest }
 
 // Out returns every out-edge of v, sorted by (label, target).
-func (s *Successors) Out(v string) []Arc { return s.out[v] }
+func (s *Successors) Out(v string) []Arc {
+	lo, hi := s.g.outRow(v)
+	return s.arcs[lo:hi:hi]
+}
 
 // Via returns the out-edges of v labeled label, sorted by target.
 func (s *Successors) Via(v, label string) []Arc {
-	arcs := s.out[v]
+	arcs := s.Out(v)
 	lo := sort.Search(len(arcs), func(i int) bool { return arcs[i].Label >= label })
 	hi := lo
 	for hi < len(arcs) && arcs[hi].Label == label {

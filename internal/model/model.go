@@ -7,8 +7,11 @@ package model
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"pxml/internal/graph"
 )
@@ -77,43 +80,89 @@ func (t Type) Validate() error {
 // leaf; semantics (compatibility, probabilities) apply the value conditions
 // only to typed leaves.
 type Instance struct {
-	root  ObjectID
-	g     *graph.Graph
+	root ObjectID
+	// ids numbers the objects in the order they were added, and edges maps
+	// a (parent, child) pair of numbers to its label: the adjacency the
+	// Add methods grow, which Graph turns into a graph.Graph.
+	ids   map[ObjectID]int32
+	names []ObjectID
+	edges map[[2]int32]Label
 	types map[TypeName]Type
 	typ   map[ObjectID]TypeName
 	val   map[ObjectID]Value
+	// g memoizes Graph until the next AddObject or AddEdge.
+	g atomic.Pointer[graph.Graph]
 }
 
 // NewInstance returns an instance containing only the given root object.
 func NewInstance(root ObjectID) *Instance {
 	s := &Instance{
 		root:  root,
-		g:     graph.New(),
+		ids:   make(map[ObjectID]int32),
+		edges: make(map[[2]int32]Label),
 		types: make(map[TypeName]Type),
 		typ:   make(map[ObjectID]TypeName),
 		val:   make(map[ObjectID]Value),
 	}
-	s.g.AddNode(root)
+	s.AddObject(root)
 	return s
 }
 
 // Root returns the root object.
 func (s *Instance) Root() ObjectID { return s.root }
 
-// Graph returns the underlying graph. Callers must treat it as read-only;
-// mutate instances through the Instance methods so type/value bookkeeping
-// stays consistent.
-func (s *Instance) Graph() *graph.Graph { return s.g }
+// Graph returns the instance's graph, built on first use after the last
+// AddObject or AddEdge and shared between callers, who must treat it as
+// read-only.
+func (s *Instance) Graph() *graph.Graph {
+	if g := s.g.Load(); g != nil {
+		return g
+	}
+	links := make([]graph.Link, 0, len(s.edges))
+	for p, l := range s.edges {
+		links = append(links, graph.Link{From: p[0], To: p[1], Label: l})
+	}
+	g := graph.Build(s.ids, s.names, nil, nil, links)
+	s.g.Store(g)
+	return g
+}
+
+// number returns o's number, adding o when it is new.
+func (s *Instance) number(o ObjectID) int32 {
+	n, ok := s.ids[o]
+	if !ok {
+		n = int32(len(s.names))
+		s.ids[o] = n
+		s.names = append(s.names, o)
+		s.g.Store(nil)
+	}
+	return n
+}
 
 // AddObject inserts an object with no edges.
-func (s *Instance) AddObject(o ObjectID) { s.g.AddNode(o) }
+func (s *Instance) AddObject(o ObjectID) { s.number(o) }
 
 // HasObject reports whether o is in the instance.
-func (s *Instance) HasObject(o ObjectID) bool { return s.g.HasNode(o) }
+func (s *Instance) HasObject(o ObjectID) bool {
+	_, ok := s.ids[o]
+	return ok
+}
 
-// AddEdge inserts the labeled edge o → child.
+// AddEdge inserts the labeled edge o → child, adding both objects. It
+// returns an error if the pair is already joined under a different label;
+// re-adding an identical edge is a no-op. This enforces the model's
+// single-label-per-edge rule.
 func (s *Instance) AddEdge(o, child ObjectID, l Label) error {
-	return s.g.AddEdge(o, child, l)
+	p := [2]int32{s.number(o), s.number(child)}
+	if cur, ok := s.edges[p]; ok {
+		if cur == l {
+			return nil
+		}
+		return fmt.Errorf("model: edge (%s,%s) already labeled %q, cannot relabel to %q", o, child, cur, l)
+	}
+	s.edges[p] = l
+	s.g.Store(nil)
+	return nil
 }
 
 // RegisterType records a leaf type so objects can reference it by name.
@@ -142,7 +191,7 @@ func (s *Instance) SetLeaf(o ObjectID, tn TypeName, v Value) error {
 	if !t.Has(v) {
 		return fmt.Errorf("model: value %q not in dom(%s) for object %s", v, tn, o)
 	}
-	s.g.AddNode(o)
+	s.AddObject(o)
 	s.typ[o] = tn
 	s.val[o] = v
 	return nil
@@ -165,22 +214,23 @@ func (s *Instance) ValueOf(o ObjectID) (Value, bool) {
 }
 
 // Objects returns all objects in sorted order.
-func (s *Instance) Objects() []ObjectID { return s.g.Nodes() }
+func (s *Instance) Objects() []ObjectID { return s.Graph().Nodes() }
 
 // NumObjects returns |V|.
-func (s *Instance) NumObjects() int { return s.g.NumNodes() }
+func (s *Instance) NumObjects() int { return len(s.names) }
 
 // Edges returns all edges sorted by (from, to).
-func (s *Instance) Edges() []graph.Edge { return s.g.Edges() }
+func (s *Instance) Edges() []graph.Edge { return s.Graph().Edges() }
 
-// Children returns C(o).
-func (s *Instance) Children(o ObjectID) []ObjectID { return s.g.Children(o) }
+// Children returns C(o) in sorted order. The slice is shared: treat it as
+// read-only.
+func (s *Instance) Children(o ObjectID) []ObjectID { return s.Graph().Children(o) }
 
 // LCh returns lch(o, l).
-func (s *Instance) LCh(o ObjectID, l Label) []ObjectID { return s.g.LCh(o, l) }
+func (s *Instance) LCh(o ObjectID, l Label) []ObjectID { return s.Graph().LCh(o, l) }
 
 // IsLeaf reports whether o has no children in this instance.
-func (s *Instance) IsLeaf(o ObjectID) bool { return s.g.IsLeaf(o) }
+func (s *Instance) IsLeaf(o ObjectID) bool { return s.Graph().IsLeaf(o) }
 
 // Types returns the registered types keyed by name. Callers must not
 // mutate the returned map.
@@ -191,17 +241,18 @@ func (s *Instance) Types() map[TypeName]Type { return s.types }
 // root, values conform to their declared type domains, and only leaves
 // carry values.
 func (s *Instance) Validate() error {
-	if !s.g.HasNode(s.root) {
+	g := s.Graph()
+	if !g.HasNode(s.root) {
 		return fmt.Errorf("model: root %s missing", s.root)
 	}
-	if ps := s.g.Parents(s.root); len(ps) > 0 {
+	if ps := g.Parents(s.root); len(ps) > 0 {
 		return fmt.Errorf("model: root %s has parents %v", s.root, ps)
 	}
 	reach := make(map[ObjectID]bool)
-	for _, o := range s.g.ReachableFrom(s.root) {
+	for _, o := range g.ReachableFrom(s.root) {
 		reach[o] = true
 	}
-	for _, o := range s.g.Nodes() {
+	for _, o := range g.Nodes() {
 		if !reach[o] {
 			return fmt.Errorf("model: object %s unreachable from root", o)
 		}
@@ -218,7 +269,7 @@ func (s *Instance) Validate() error {
 		if !t.Has(v) {
 			return fmt.Errorf("model: object %s has value %q outside dom(%s)", o, v, tn)
 		}
-		if !s.g.IsLeaf(o) {
+		if !g.IsLeaf(o) {
 			return fmt.Errorf("model: non-leaf object %s carries a leaf type", o)
 		}
 	}
@@ -232,23 +283,15 @@ func (s *Instance) Validate() error {
 
 // Clone returns a deep copy of the instance.
 func (s *Instance) Clone() *Instance {
-	c := &Instance{
+	return &Instance{
 		root:  s.root,
-		g:     s.g.Clone(),
-		types: make(map[TypeName]Type, len(s.types)),
-		typ:   make(map[ObjectID]TypeName, len(s.typ)),
-		val:   make(map[ObjectID]Value, len(s.val)),
+		ids:   maps.Clone(s.ids),
+		names: slices.Clone(s.names),
+		edges: maps.Clone(s.edges),
+		types: maps.Clone(s.types),
+		typ:   maps.Clone(s.typ),
+		val:   maps.Clone(s.val),
 	}
-	for k, v := range s.types {
-		c.types[k] = v
-	}
-	for k, v := range s.typ {
-		c.typ[k] = v
-	}
-	for k, v := range s.val {
-		c.val[k] = v
-	}
-	return c
 }
 
 // CanonicalKey returns a string that uniquely identifies the instance up to
@@ -260,12 +303,13 @@ func (s *Instance) CanonicalKey() string {
 	b.WriteString("root=")
 	b.WriteString(s.root)
 	b.WriteString(";V=")
-	for _, o := range s.g.Nodes() {
+	g := s.Graph()
+	for _, o := range g.Nodes() {
 		b.WriteString(o)
 		b.WriteByte(',')
 	}
 	b.WriteString(";E=")
-	for _, e := range s.g.Edges() {
+	for _, e := range g.Edges() {
 		b.WriteString(e.From)
 		b.WriteByte('>')
 		b.WriteString(e.To)

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -178,5 +179,47 @@ func TestStringRendering(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("String() missing %q:\n%s", want, out)
 		}
+	}
+}
+
+func TestAddEdgeRelabelFails(t *testing.T) {
+	s := NewInstance("a")
+	if err := s.AddEdge("a", "b", "x"); err != nil {
+		t.Fatalf("first AddEdge: %v", err)
+	}
+	if err := s.AddEdge("a", "b", "x"); err != nil {
+		t.Fatalf("idempotent AddEdge: %v", err)
+	}
+	if err := s.AddEdge("a", "b", "y"); err == nil {
+		t.Fatal("expected error when relabeling existing edge")
+	}
+	if l, ok := s.Graph().Label("a", "b"); !ok || l != "x" {
+		t.Errorf("Label(a,b) = %q,%v after the refused relabel", l, ok)
+	}
+}
+
+// TestCloneIndependence: a clone grows apart from its original, and a graph
+// taken before a mutation is not changed by it.
+func TestCloneIndependence(t *testing.T) {
+	s := figure1(t)
+	g := s.Graph()
+	c := s.Clone()
+	if !reflect.DeepEqual(s.Edges(), c.Edges()) || !reflect.DeepEqual(s.Objects(), c.Objects()) {
+		t.Fatal("clone differs from original")
+	}
+	if err := c.AddEdge("B1", "T9", "title"); err != nil {
+		t.Fatal(err)
+	}
+	if s.HasObject("T9") || s.Graph().HasEdge("B1", "T9") {
+		t.Error("mutating clone affected original")
+	}
+	if !c.Graph().HasEdge("B1", "T9") {
+		t.Error("the clone's graph lacks its new edge")
+	}
+	if err := s.AddEdge("B1", "T8", "title"); err != nil {
+		t.Fatal(err)
+	}
+	if g.HasNode("T8") || g.HasEdge("B1", "T8") || !s.Graph().HasEdge("B1", "T8") {
+		t.Error("a graph taken before AddEdge sees the new edge, or the next one does not")
 	}
 }

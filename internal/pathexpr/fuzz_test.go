@@ -3,7 +3,6 @@ package pathexpr
 import (
 	"testing"
 
-	"pxml/internal/graph"
 	"pxml/internal/model"
 )
 
@@ -58,13 +57,13 @@ func FuzzPlanDifferential(f *testing.F) {
 				}
 			}
 		}
-		g := graph.New()
-		g.AddNode("n0")
+		s := model.NewInstance("n0")
 		for e := in[4:]; len(e) >= 2; e = e[2:] {
 			// A pair the graph already labels differently is refused; the
 			// rest of the input still applies.
-			_ = g.AddEdge(vertex(e[0]), vertex(e[1]), labels[int(e[0]/8)%3])
+			_ = s.AddEdge(vertex(e[0]), vertex(e[1]), labels[int(e[0]/8)%3])
 		}
+		g := s.Graph()
 		if msg := checkPlan(g, p, targets); msg != "" {
 			t.Fatalf("%s targets %v over %v: %s", p, targets, g.Edges(), msg)
 		}

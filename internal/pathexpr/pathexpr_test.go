@@ -6,6 +6,7 @@ import (
 
 	"pxml/internal/fixtures"
 	"pxml/internal/graph"
+	"pxml/internal/model"
 )
 
 func TestParse(t *testing.T) {
@@ -136,10 +137,11 @@ func TestProjectAncestorsNoMatch(t *testing.T) {
 // full match are dropped — the paper's E′ definition keeps only edges on
 // complete match paths.
 func TestPlanPartialPathPruned(t *testing.T) {
-	g := graph.New()
-	_ = g.AddEdge("r", "x", "a")
-	_ = g.AddEdge("r", "y", "a")
-	_ = g.AddEdge("x", "z", "b")
+	s := model.NewInstance("r")
+	_ = s.AddEdge("r", "x", "a")
+	_ = s.AddEdge("r", "y", "a")
+	_ = s.AddEdge("x", "z", "b")
+	g := s.Graph()
 	// y has no b-child: it must not be kept.
 	pl := NewPlan(g, MustParse("r.a.b"), nil)
 	if levelIDs(pl, 1)["y"] {
@@ -174,10 +176,11 @@ func TestPlanPartialPathPruned(t *testing.T) {
 // when its endpoint is matched via another path (the r -a-> x case worked
 // out in the package design notes).
 func TestPlanDAGMultiLevel(t *testing.T) {
-	g := graph.New()
-	_ = g.AddEdge("r", "x", "a")
-	_ = g.AddEdge("r", "y", "a")
-	_ = g.AddEdge("y", "x", "a")
+	s := model.NewInstance("r")
+	_ = s.AddEdge("r", "x", "a")
+	_ = s.AddEdge("r", "y", "a")
+	_ = s.AddEdge("y", "x", "a")
+	g := s.Graph()
 	pl := NewPlan(g, MustParse("r.a.a"), nil)
 	// x is matched (via y); the direct edge r→x is level-0→1, but x at
 	// level 1 has no a-child, so that occurrence dies out.
@@ -214,11 +217,12 @@ func TestPlanTargetsRestriction(t *testing.T) {
 // TestPlanSelfDAGEdgeDedup: an object met at several depths is one node per
 // depth, and an edge kept at one depth is kept once there.
 func TestPlanSelfDAGEdgeDedup(t *testing.T) {
-	g := graph.New()
-	_ = g.AddEdge("r", "m", "a")
-	_ = g.AddEdge("m", "n", "a")
-	_ = g.AddEdge("n", "q", "a")
-	_ = g.AddEdge("r", "n", "a")
+	s := model.NewInstance("r")
+	_ = s.AddEdge("r", "m", "a")
+	_ = s.AddEdge("m", "n", "a")
+	_ = s.AddEdge("n", "q", "a")
+	_ = s.AddEdge("r", "n", "a")
+	g := s.Graph()
 	// Path r.a.a.a: n occurs at levels 1 and 2, but only its level-2
 	// occurrence reaches q at level 3.
 	if msg := checkPlan(g, MustParse("r.a.a.a"), nil); msg != "" {
@@ -246,8 +250,7 @@ func TestPlanSelfDAGEdgeDedup(t *testing.T) {
 // TestLevelsEmptyRoot: a root the graph lacks reaches nothing, so the plan
 // is empty at every level and denotes no object.
 func TestLevelsEmptyRoot(t *testing.T) {
-	g := graph.New()
-	g.AddNode("r")
+	g := model.NewInstance("r").Graph()
 	p := MustParse("q.a")
 	pl := NewPlan(g, p, nil)
 	if !pl.IsEmpty() || len(pl.Matched()) != 0 {
@@ -267,7 +270,8 @@ func TestLevelsEmptyRoot(t *testing.T) {
 // straight from the graph give the reference's targets and plans on the
 // Figure 1 instance for every label combination.
 func TestIndexedEvaluationMatchesDirect(t *testing.T) {
-	g := fixtures.Figure1().Graph()
+	s := fixtures.Figure1()
+	g := s.Graph()
 	idx := NewIndex(g)
 	if idx != NewIndex(g) {
 		t.Error("the graph did not keep its index")
@@ -294,8 +298,8 @@ func TestIndexedEvaluationMatchesDirect(t *testing.T) {
 		t.Errorf("restricted plan: %s", msg)
 	}
 	// An edge added after the index was built is seen by the next one.
-	_ = g.AddEdge("R", "J1", "journal")
-	if got := MustParse("R.journal").Targets(g); !reflect.DeepEqual(got, []string{"J1"}) {
+	_ = s.AddEdge("R", "J1", "journal")
+	if got := MustParse("R.journal").Targets(s.Graph()); !reflect.DeepEqual(got, []string{"J1"}) {
 		t.Errorf("after AddEdge: Targets = %v", got)
 	}
 }

@@ -109,6 +109,38 @@ func BenchmarkPutPipeline(b *testing.B) {
 	}
 }
 
+// TestPutPipelineAllocs: what ingest_mix's 341-object PUT asks of the
+// library, allocation by allocation — the text decode, ValidateLite, the
+// binary record and the governor profile plus path index — on one fresh
+// decode. It was 2 102 while every per-object table was a map keyed by the
+// id string and the encoder interned every string again; with one number
+// per object (DESIGN §31) it is 1 213, almost all of it the decode's local
+// probability functions. The race detector changes what escapes, so the
+// test does not run under it.
+func TestPutPipelineAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts under -race are not the program's")
+	}
+	body := putBody(t, 4)
+	var record []byte
+	const ceiling = 1260
+	n := testing.AllocsPerRun(20, func() {
+		pi, err := codec.DecodeText(bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pi.ValidateLite(); err != nil {
+			t.Fatal(err)
+		}
+		record = codec.AppendBinary(record[:0], pi)
+		benchProfile = govern.Measure(pi)
+		benchIndex = pathexpr.NewIndex(pi.WeakInstance.Graph())
+	})
+	if n > ceiling {
+		t.Fatalf("a 341-object PUT allocates %v times, ceiling %d", n, ceiling)
+	}
+}
+
 // harnessConfig is e2ebench's base Config: the README's hardened
 // deployment, so the limiter, the request deadline, the governor and the
 // breaker are all on the path.
