@@ -60,7 +60,7 @@ func main() {
 	out := flag.String("o", "", "output file for instance-valued results (default stdout)")
 	outFormat := flag.String("oformat", "text", "output format: text or json")
 	top := flag.Int("top", 10, "print at most this many worlds for -op worlds (0 = all)")
-	timeout := flag.Duration("timeout", 0, "abort probabilistic queries, counts and enumerations after this long (0 = no limit)")
+	timeout := flag.Duration("timeout", 0, "abort any operation, projections and selections included, after this long (0 = no limit)")
 	serverURL := flag.String("server", "", "fetch the instance from this pxmld base URL; the positional argument becomes an instance name")
 	retries := flag.Int("retries", 3, "with -server: retries on 429/503 and transient network errors (exponential backoff + jitter, honors Retry-After)")
 	flag.Parse()
@@ -118,37 +118,19 @@ func main() {
 	switch *op {
 	case "project", "single", "descend":
 		requirePath(path)
-		var res *pxml.ProbInstance
-		switch *op {
-		case "project":
-			res, err = pxml.AncestorProject(pi, path)
-		case "single":
-			res, err = pxml.SingleProject(pi, path)
-		case "descend":
-			res, err = pxml.DescendantProject(pi, path)
-		}
-		if err != nil {
-			fatalHint(err)
-		}
-		writeResult(res)
+		writeResult(exec(ctx, eng, pxml.PXQLQuery{Op: *op, Path: path}).Instance)
 	case "select":
 		requirePath(path)
 		require(*object, "-object")
-		res, p, err := pxml.Select(pi, pxml.ObjectCondition{Path: path, Object: *object})
-		if err != nil {
-			fatalHint(err)
-		}
-		fmt.Fprintf(os.Stderr, "P(%s = %s) = %.9f\n", path, *object, p)
-		writeResult(res)
+		res := exec(ctx, eng, pxml.PXQLQuery{Op: "select", Cond: pxml.ObjectCondition{Path: path, Object: *object}})
+		fmt.Fprintf(os.Stderr, "P(%s = %s) = %.9f\n", path, *object, *res.Prob)
+		writeResult(res.Instance)
 	case "selectval":
 		requirePath(path)
 		require(*value, "-value")
-		res, p, err := pxml.Select(pi, pxml.ValueCondition{Path: path, Value: *value})
-		if err != nil {
-			fatalHint(err)
-		}
-		fmt.Fprintf(os.Stderr, "P(val(%s) = %s) = %.9f\n", path, *value, p)
-		writeResult(res)
+		res := exec(ctx, eng, pxml.PXQLQuery{Op: "select", Cond: pxml.ValueCondition{Path: path, Value: *value}})
+		fmt.Fprintf(os.Stderr, "P(val(%s) = %s) = %.9f\n", path, *value, *res.Prob)
+		writeResult(res.Instance)
 	case "point":
 		requirePath(path)
 		require(*object, "-object")

@@ -71,12 +71,16 @@ func TestIntegrationBinaries(t *testing.T) {
 	}
 	// An unknown op fails.
 	run(true, "./cmd/pxmlquery", "-op", "nope", inst)
-	// -timeout bounds every operation the engine runs, counts included: an
-	// expired deadline on a 1 365-object tree is an error, not an answer.
+	// -timeout bounds every operation the engine runs, counts and
+	// projections included: an expired deadline on a 1 365-object tree is
+	// an error, not an answer.
 	big := filepath.Join(dir, "big.pxml")
 	run(false, "./cmd/pxmlgen", "-depth", "5", "-branch", "4", "-labeling", "FR", "-seed", "5", "-o", big)
 	if out := run(true, "./cmd/pxmlquery", "-op", "count", "-path", "n0.L0x0.L1x0", "-timeout", "1ns", big); !strings.Contains(out, "deadline exceeded") {
 		t.Errorf("pxmlquery count past its -timeout:\n%s", out)
+	}
+	if out := run(true, "./cmd/pxmlquery", "-op", "project", "-path", "n0.L0x0.L1x0", "-timeout", "1ns", big); !strings.Contains(out, "deadline exceeded") {
+		t.Errorf("pxmlquery project past its -timeout:\n%s", out)
 	}
 
 	// Bench: a tiny sweep.

@@ -67,9 +67,6 @@ type Config struct {
 	// divides under overload. Zero disables the fairness tier (the rate
 	// quotas still apply).
 	InflightLimit int
-	// OverloadFraction is the inflight utilisation (0..1] above which
-	// weighted fair sharing kicks in. Zero defaults to 0.75.
-	OverloadFraction float64
 	// Registry, when set, receives per-tenant admitted/shed counters
 	// (admission_admitted.<tenant>, admission_shed.<tenant>) plus the
 	// totals, so the statsd exporter picks them up for free.
@@ -78,10 +75,10 @@ type Config struct {
 	Now func() time.Time
 }
 
-// defaultOverloadFraction: fairness engages at 75% inflight utilisation.
-// Below that there is spare capacity and shedding an in-quota request
-// would be pure waste; above it the shared semaphore is close to queuing.
-const defaultOverloadFraction = 0.75
+// overloadFraction: fairness engages at 75% inflight utilisation. Below
+// that there is spare capacity and shedding an in-quota request would be
+// pure waste; above it the shared semaphore is close to queuing.
+const overloadFraction = 0.75
 
 // Decision is the outcome of one Admit call.
 type Decision struct {
@@ -109,14 +106,13 @@ type bucket struct {
 
 // Controller admits or sheds requests per tenant.
 type Controller struct {
-	mu       sync.Mutex
-	def      Quota
-	tenants  map[string]Quota
-	buckets  map[string]*bucket
-	limit    int
-	overload float64
-	now      func() time.Time
-	reg      *metrics.Registry
+	mu      sync.Mutex
+	def     Quota
+	tenants map[string]Quota
+	buckets map[string]*bucket
+	limit   int
+	now     func() time.Time
+	reg     *metrics.Registry
 
 	inflight                 int // total admitted and not yet released
 	admittedTotal, shedTotal *metrics.Counter
@@ -133,16 +129,12 @@ func New(cfg Config) (*Controller, error) {
 		}
 	}
 	c := &Controller{
-		def:      cfg.Default,
-		tenants:  cloneQuotas(cfg.Tenants),
-		buckets:  make(map[string]*bucket),
-		limit:    cfg.InflightLimit,
-		overload: cfg.OverloadFraction,
-		now:      cfg.Now,
-		reg:      cfg.Registry,
-	}
-	if c.overload <= 0 || c.overload > 1 {
-		c.overload = defaultOverloadFraction
+		def:     cfg.Default,
+		tenants: cloneQuotas(cfg.Tenants),
+		buckets: make(map[string]*bucket),
+		limit:   cfg.InflightLimit,
+		now:     cfg.Now,
+		reg:     cfg.Registry,
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -208,7 +200,7 @@ func (c *Controller) AdmitAt(tenant string, now time.Time) Decision {
 	// Tier 2: weighted fair sharing of the inflight capacity, engaged
 	// only when the server is near its limit. A tenant already using at
 	// least its fair share is shed so the headroom goes to the others.
-	if c.limit > 0 && float64(c.inflight) >= c.overload*float64(c.limit) {
+	if c.limit > 0 && float64(c.inflight) >= overloadFraction*float64(c.limit) {
 		totalWeight := 0.0
 		for name, tb := range c.buckets {
 			if tb.inflight > 0 || name == tenant {
@@ -340,7 +332,7 @@ func (c *Controller) State() Snapshot {
 	s := Snapshot{
 		Default:          c.def,
 		InflightLimit:    c.limit,
-		OverloadFraction: c.overload,
+		OverloadFraction: overloadFraction,
 		Inflight:         c.inflight,
 		Tenants:          make(map[string]TenantState),
 	}

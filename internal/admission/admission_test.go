@@ -148,8 +148,7 @@ func TestWeightedFairnessUnderOverload(t *testing.T) {
 	clk := newFakeClock()
 	c := mustNew(t, Config{
 		// No rate quota: only the fairness tier is active.
-		InflightLimit:    10,
-		OverloadFraction: 0.5,
+		InflightLimit: 10,
 		Tenants: map[string]Quota{
 			"heavy": {Weight: 3},
 			"light": {Weight: 1},
@@ -178,8 +177,9 @@ func TestWeightedFairnessUnderOverload(t *testing.T) {
 	if c.Admit("heavy").OK {
 		t.Fatal("heavy admitted while over its weighted share")
 	}
-	// ...until releases bring it back under: 4 inflight < 7.5.
-	for i := 0; i < 6; i++ {
+	// ...until releases bring it back under: 7 inflight < 7.5, with the
+	// tier still engaged at 8 of 10.
+	for i := 0; i < 3; i++ {
 		c.Release("heavy")
 	}
 	if !c.Admit("heavy").OK {

@@ -188,9 +188,6 @@ func (g *Graph) target(from, to string) int32 {
 	return -1
 }
 
-// HasEdge reports whether the edge from → to exists.
-func (g *Graph) HasEdge(from, to string) bool { return g.target(from, to) >= 0 }
-
 // Label returns the label of the edge from → to. The boolean result is
 // false when the edge does not exist.
 func (g *Graph) Label(from, to string) (string, bool) {
@@ -199,9 +196,6 @@ func (g *Graph) Label(from, to string) (string, bool) {
 	}
 	return "", false
 }
-
-// NumNodes returns the number of vertices.
-func (g *Graph) NumNodes() int { return len(g.order) }
 
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return len(g.out.v) }
@@ -241,12 +235,6 @@ func (g *Graph) Children(o string) []string {
 	return g.out.name[lo:hi:hi]
 }
 
-// OutDegree returns the number of children of o.
-func (g *Graph) OutDegree(o string) int { return len(g.Children(o)) }
-
-// InDegree returns the number of parents of o.
-func (g *Graph) InDegree(o string) int { return len(g.Parents(o)) }
-
 // Parents returns parents(o), the predecessors of o, in sorted order
 // (Def 3.2).
 func (g *Graph) Parents(o string) []string {
@@ -261,13 +249,6 @@ func (g *Graph) Parents(o string) []string {
 func (g *Graph) Pred(v int32) []int32 {
 	lo, hi := g.in.row(v)
 	return g.in.v[lo:hi:hi]
-}
-
-// EachParent calls fn for every parent of o in sorted order.
-func (g *Graph) EachParent(o string, fn func(parent string)) {
-	for _, p := range g.Parents(o) {
-		fn(p)
-	}
 }
 
 // LCh returns lch(o, l): the children of o reached via edges labeled l, in
@@ -389,12 +370,6 @@ func (h *rankHeap) pop() int32 {
 	return top
 }
 
-// IsAcyclic reports whether the graph contains no directed cycle.
-func (g *Graph) IsAcyclic() bool {
-	_, err := g.TopoSort()
-	return err == nil
-}
-
 // Shape is what one pass over the graph establishes about its form
 // relative to a root vertex.
 type Shape struct {
@@ -411,12 +386,13 @@ type Shape struct {
 }
 
 // Shape derives acyclicity, tree-ness and the number of vertices reachable
-// from root in one pass, where IsAcyclic, ReachableFrom and a degree scan
+// from root in one pass, where TopoSort, ReachableFrom and a degree scan
 // would each walk the graph again (and sort what they return).
 func (g *Graph) Shape(root string) Shape {
 	rv, ok := g.Vertex(root)
 	if !ok {
-		return Shape{Acyclic: g.IsAcyclic()}
+		_, err := g.TopoSort()
+		return Shape{Acyclic: err == nil}
 	}
 	// Tree degrees: when every vertex has at most one parent and the root
 	// none, a walk from the root meets each vertex at most once, so it

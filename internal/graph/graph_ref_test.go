@@ -67,21 +67,12 @@ func (g *refGraph) AddEdge(from, to, label string) error {
 	return nil
 }
 
-// HasEdge reports whether the edge from → to exists.
-func (g *refGraph) HasEdge(from, to string) bool {
-	_, ok := g.out[from][to]
-	return ok
-}
-
 // Label returns the label of the edge from → to. The boolean result is
 // false when the edge does not exist.
 func (g *refGraph) Label(from, to string) (string, bool) {
 	l, ok := g.out[from][to]
 	return l, ok
 }
-
-// NumNodes returns the number of vertices.
-func (g *refGraph) NumNodes() int { return len(g.nodes) }
 
 // NumEdges returns the number of edges.
 func (g *refGraph) NumEdges() int {
@@ -130,12 +121,6 @@ func (g *refGraph) Children(o string) []string {
 	return cs
 }
 
-// OutDegree returns the number of children of o.
-func (g *refGraph) OutDegree(o string) int { return len(g.out[o]) }
-
-// InDegree returns the number of parents of o.
-func (g *refGraph) InDegree(o string) int { return len(g.in[o]) }
-
 // Parents returns parents(o), the predecessors of o, in sorted order
 // (Def 3.2).
 func (g *refGraph) Parents(o string) []string {
@@ -146,22 +131,6 @@ func (g *refGraph) Parents(o string) []string {
 	}
 	sort.Strings(ps)
 	return ps
-}
-
-// EachParent calls fn for every parent of o in sorted order. It avoids the
-// allocation of Parents where o has at most one, which is every vertex of a
-// tree.
-func (g *refGraph) EachParent(o string, fn func(parent string)) {
-	m := g.in[o]
-	if len(m) > 1 {
-		for _, p := range g.Parents(o) {
-			fn(p)
-		}
-		return
-	}
-	for p := range m {
-		fn(p)
-	}
 }
 
 // LCh returns lch(o, l): the children of o reached via edges labeled l, in
@@ -299,18 +268,13 @@ func mergeSorted(a, b []string) []string {
 	return out
 }
 
-// IsAcyclic reports whether the graph contains no directed cycle.
-func (g *refGraph) IsAcyclic() bool {
-	_, err := g.TopoSort()
-	return err == nil
-}
-
 // Shape derives acyclicity, tree-ness and the number of vertices reachable
-// from root in one pass, where IsAcyclic, ReachableFrom and a degree scan
+// from root in one pass, where TopoSort, ReachableFrom and a degree scan
 // would each walk the graph again (and sort what they return).
 func (g *refGraph) Shape(root string) Shape {
 	if !g.HasNode(root) {
-		return Shape{Acyclic: g.IsAcyclic()}
+		_, err := g.TopoSort()
+		return Shape{Acyclic: err == nil}
 	}
 	// Tree degrees: when every vertex has at most one parent and the root
 	// none, a walk from the root meets each vertex at most once, so it
@@ -530,7 +494,7 @@ func FuzzGraphDifferential(f *testing.F) {
 		}
 		forest := true
 		for _, v := range ref.Nodes() {
-			forest = forest && ref.InDegree(v) <= 1
+			forest = forest && len(ref.Parents(v)) <= 1
 		}
 		if got := g.Successors().Forest(); got != forest {
 			fail("Forest", got, forest)

@@ -61,7 +61,7 @@ func TestLeavesRootsDegrees(t *testing.T) {
 		if g.IsLeaf(id) {
 			leaves = append(leaves, id)
 		}
-		if g.InDegree(id) == 0 {
+		if len(g.Parents(id)) == 0 {
 			roots = append(roots, id)
 		}
 	}
@@ -71,8 +71,8 @@ func TestLeavesRootsDegrees(t *testing.T) {
 	if want := []string{"R"}; !reflect.DeepEqual(roots, want) {
 		t.Errorf("roots = %v, want %v", roots, want)
 	}
-	if g.OutDegree("R") != 3 || g.InDegree("R") != 0 {
-		t.Errorf("degrees of R: out=%d in=%d", g.OutDegree("R"), g.InDegree("R"))
+	if len(g.Children("R")) != 3 || len(g.Parents("R")) != 0 {
+		t.Errorf("degrees of R: out=%d in=%d", len(g.Children("R")), len(g.Parents("R")))
 	}
 	if !g.IsLeaf("I1") || g.IsLeaf("A1") {
 		t.Error("IsLeaf misclassification")
@@ -94,8 +94,8 @@ func TestReachableFrom(t *testing.T) {
 	ref.AddNode("orphan")
 	g := ref.csr()
 	all := g.ReachableFrom("R")
-	if len(all) != g.NumNodes()-1 {
-		t.Errorf("ReachableFrom(R) = %d nodes, want %d", len(all), g.NumNodes()-1)
+	if len(all) != len(g.Nodes())-1 {
+		t.Errorf("ReachableFrom(R) = %d nodes, want %d", len(all), len(g.Nodes())-1)
 	}
 	if got := g.ReachableFrom("missing"); got != nil {
 		t.Errorf("ReachableFrom(missing) = %v, want nil", got)
@@ -120,8 +120,8 @@ func TestTopoSortAcyclic(t *testing.T) {
 			t.Errorf("edge %v violates topological order", e)
 		}
 	}
-	if !g.IsAcyclic() {
-		t.Error("IsAcyclic = false for DAG")
+	if !g.Shape("R").Acyclic {
+		t.Error("Shape(R).Acyclic = false for DAG")
 	}
 }
 
@@ -134,15 +134,15 @@ func TestTopoSortCycle(t *testing.T) {
 	if _, err := g.TopoSort(); err == nil {
 		t.Fatal("expected cycle error")
 	}
-	if g.IsAcyclic() {
-		t.Error("IsAcyclic = true for cycle")
+	if g.Shape("a").Acyclic {
+		t.Error("Shape(a).Acyclic = true for cycle")
 	}
 }
 
 func TestSelfLoopIsCycle(t *testing.T) {
 	ref := newRef()
 	_ = ref.AddEdge("a", "a", "x")
-	if g := ref.csr(); g.IsAcyclic() {
+	if g := ref.csr(); g.Shape("a").Acyclic {
 		t.Error("self-loop should be cyclic")
 	}
 }
@@ -193,7 +193,7 @@ func TestQuickTopoSortRandomDAGs(t *testing.T) {
 				return false
 			}
 		}
-		return len(order) == g.NumNodes()
+		return len(order) == len(g.Nodes())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(20250705))}); err != nil {
 		t.Fatal(err)
@@ -225,9 +225,9 @@ func TestQuickDescendantPartition(t *testing.T) {
 }
 
 // TestQuickShapeMatchesSeparatePasses: Shape's one pass agrees with
-// IsAcyclic, ReachableFrom and a degree scan on random graphs — trees,
+// TopoSort, ReachableFrom and a degree scan on random graphs — trees,
 // forests, DAGs with shared children, graphs with cycles on and off the
-// root's side — and EachParent with Parents.
+// root's side — and Parents with the edge list.
 func TestQuickShapeMatchesSeparatePasses(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -258,23 +258,29 @@ func TestQuickShapeMatchesSeparatePasses(t *testing.T) {
 		g := b.csr()
 		root := name(0)
 		reach := g.ReachableFrom(root)
-		tree := g.IsAcyclic() && len(reach) == n && g.InDegree(root) == 0
+		_, err := g.TopoSort()
+		acyclic := err == nil
+		tree := acyclic && len(reach) == n && len(g.Parents(root)) == 0
 		for i := 1; i < n; i++ {
-			tree = tree && g.InDegree(name(i)) == 1
+			tree = tree && len(g.Parents(name(i))) == 1
 		}
 		got := g.Shape(root)
-		if got.Acyclic != g.IsAcyclic() || got.Tree != tree {
-			t.Logf("seed %d: %+v, want acyclic %v tree %v (edges %v)", seed, got, g.IsAcyclic(), tree, g.Edges())
+		if got.Acyclic != acyclic || got.Tree != tree {
+			t.Logf("seed %d: %+v, want acyclic %v tree %v (edges %v)", seed, got, acyclic, tree, g.Edges())
 			return false
 		}
 		if got.Reachable != len(reach) && !(got.Reachable == -1 && !got.Acyclic) {
 			t.Logf("seed %d: reachable %d, want %d (edges %v)", seed, got.Reachable, len(reach), g.Edges())
 			return false
 		}
+		// Edges is sorted by (From, To), so the sources of the edges into
+		// one vertex come out in the sorted order Parents promises.
+		ps := make(map[string][]string)
+		for _, e := range g.Edges() {
+			ps[e.To] = append(ps[e.To], e.From)
+		}
 		for i := 0; i < n; i++ {
-			var ps []string
-			g.EachParent(name(i), func(p string) { ps = append(ps, p) })
-			if len(ps) != g.InDegree(name(i)) || len(ps) > 0 && !reflect.DeepEqual(ps, g.Parents(name(i))) {
+			if got := g.Parents(name(i)); len(got) != len(ps[name(i)]) || len(got) > 0 && !reflect.DeepEqual(got, ps[name(i)]) {
 				return false
 			}
 		}

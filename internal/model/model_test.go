@@ -2,6 +2,7 @@ package model
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -142,7 +143,7 @@ func TestCloneAndEqual(t *testing.T) {
 	if s.Equal(c) {
 		t.Error("mutation of clone should break equality")
 	}
-	if s.Graph().HasEdge("B1", "A3") {
+	if slices.Contains(s.Graph().Children("B1"), "A3") {
 		t.Error("clone shares graph with original")
 	}
 }
@@ -210,16 +211,16 @@ func TestCloneIndependence(t *testing.T) {
 	if err := c.AddEdge("B1", "T9", "title"); err != nil {
 		t.Fatal(err)
 	}
-	if s.HasObject("T9") || s.Graph().HasEdge("B1", "T9") {
+	if s.HasObject("T9") || slices.Contains(s.Graph().Children("B1"), "T9") {
 		t.Error("mutating clone affected original")
 	}
-	if !c.Graph().HasEdge("B1", "T9") {
+	if !slices.Contains(c.Graph().Children("B1"), "T9") {
 		t.Error("the clone's graph lacks its new edge")
 	}
 	if err := s.AddEdge("B1", "T8", "title"); err != nil {
 		t.Fatal(err)
 	}
-	if g.HasNode("T8") || g.HasEdge("B1", "T8") || !s.Graph().HasEdge("B1", "T8") {
+	if g.HasNode("T8") || slices.Contains(g.Children("B1"), "T8") || !slices.Contains(s.Graph().Children("B1"), "T8") {
 		t.Error("a graph taken before AddEdge sees the new edge, or the next one does not")
 	}
 }

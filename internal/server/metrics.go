@@ -94,10 +94,8 @@ func (s *Server) handleMetrics(_ context.Context, w http.ResponseWriter, r *http
 		ResultCache:   s.results.Stats(),
 		Instances:     insts,
 	}
-	if s.adm != nil {
-		snap := s.adm.State()
-		payload.Admission = &snap
-	}
+	adm := s.adm.State()
+	payload.Admission = &adm
 	if s.exp != nil {
 		network := s.expCfg.Network
 		if network == "" {

@@ -211,9 +211,6 @@ type Config struct {
 	DefaultQuota admission.Quota
 	// TenantQuotas maps instance names to per-tenant quotas.
 	TenantQuotas map[string]admission.Quota
-	// OverloadFraction is the inflight utilisation above which weighted
-	// fair admission engages; 0 = admission default (0.75).
-	OverloadFraction float64
 
 	// StatsdAddr enables the telemetry push loop to this host:port.
 	StatsdAddr string
@@ -344,11 +341,10 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	adm, err := admission.New(admission.Config{
-		Default:          cfg.DefaultQuota,
-		Tenants:          cfg.TenantQuotas,
-		InflightLimit:    cfg.MaxInflight,
-		OverloadFraction: cfg.OverloadFraction,
-		Registry:         s.reg,
+		Default:       cfg.DefaultQuota,
+		Tenants:       cfg.TenantQuotas,
+		InflightLimit: cfg.MaxInflight,
+		Registry:      s.reg,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
@@ -394,10 +390,6 @@ func New(cfg Config) (*Server, error) {
 			// A replica's WAL is a byte mirror of its leader's; the store
 			// rejects local writes and rotates only on the leader's cue.
 			opts.Follower = true
-		} else {
-			// Leaders stamp each group commit with wall-clock time so
-			// followers can report staleness, not just byte lag.
-			opts.Stamps = true
 		}
 		st, report, err := store.Open(cfg.StoreDir, opts)
 		if err != nil {

@@ -91,12 +91,8 @@ func (s *Store) archiveSegments(pending []segInfo) error {
 		}
 		s.mu.Unlock()
 		if copied {
-			if s.archivedSegs != nil {
-				s.archivedSegs.Inc()
-			}
-			if s.opts.Logger != nil {
-				s.opts.Logger.Printf("store: archived %s", segmentFile(si.n))
-			}
+			s.archivedSegs.Inc()
+			s.opts.Logger.Printf("store: archived %s", segmentFile(si.n))
 		}
 	}
 	return nil
@@ -187,9 +183,7 @@ func (s *Store) pruneArchive() error {
 		if err := s.fs.Remove(filepath.Join(s.opts.ArchiveDir, segmentFile(victim))); err != nil {
 			return fmt.Errorf("segment %d: %w", victim, err)
 		}
-		if s.opts.Logger != nil {
-			s.opts.Logger.Printf("store: archive retention dropped %s", segmentFile(victim))
-		}
+		s.opts.Logger.Printf("store: archive retention dropped %s", segmentFile(victim))
 		segs = segs[1:]
 	}
 	return nil

@@ -106,9 +106,7 @@ func (s *Store) Backup(destDir string) (*Manifest, error) {
 	items = append(items, copyItem{segmentFile(s.seg), s.walBytes})
 	s.backups++
 	s.mu.Unlock()
-	if s.backupsC != nil {
-		s.backupsC.Inc()
-	}
+	s.backupsC.Inc()
 	defer func() {
 		s.mu.Lock()
 		s.backups--
@@ -187,10 +185,8 @@ func (s *Store) Backup(destDir string) (*Manifest, error) {
 	if err := s.fs.SyncDir(destDir); err != nil {
 		return nil, fmt.Errorf("store: backup dir fsync: %w", err)
 	}
-	if s.opts.Logger != nil {
-		s.opts.Logger.Printf("store: backup of %d instances (%d files, pos %s) written to %s",
-			man.Instances, len(man.Segments)+btoi(man.Snapshot != nil), man.Pos, destDir)
-	}
+	s.opts.Logger.Printf("store: backup of %d instances (%d files, pos %s) written to %s",
+		man.Instances, len(man.Segments)+btoi(man.Snapshot != nil), man.Pos, destDir)
 	return man, nil
 }
 
@@ -286,8 +282,7 @@ type RestoreOptions struct {
 	// backup back to an earlier position.
 	ToPos *Pos
 	// ToTime, when non-zero, cuts replay before the first group commit
-	// stamped after this instant. Requires segments written with
-	// archiving enabled (stamps are only written then).
+	// stamped after this instant. Every group commit carries a stamp.
 	ToTime time.Time
 	// FS is the filesystem to restore through; nil means the real one.
 	FS vfs.FS

@@ -133,12 +133,8 @@ func (s *Store) entryInstance(name string, e *catEntry) (*core.ProbInstance, boo
 		// and the error is surfaced via log + counter rather than
 		// degrading the whole store.
 		e.failed.Store(true)
-		if s.lazyErrsC != nil {
-			s.lazyErrsC.Inc()
-		}
-		if s.opts.Logger != nil {
-			s.opts.Logger.Printf("store: lazy decode of %q failed: %v", name, err)
-		}
+		s.lazyErrsC.Inc()
+		s.opts.Logger.Printf("store: lazy decode of %q failed: %v", name, err)
 		return nil, false
 	}
 	e.inst.Store(pi)

@@ -115,10 +115,7 @@ func (s *Store) Promote() (uint64, error) {
 	s.fenced = false
 	s.fencedLeader = ""
 	s.roleFollower.Store(false)
-	s.stamps.Store(true)
-	if s.opts.Logger != nil {
-		s.opts.Logger.Printf("store: promoted to leader at epoch %d (pos %s)", next, Pos{Seg: s.seg, Off: s.walBytes})
-	}
+	s.opts.Logger.Printf("store: promoted to leader at epoch %d (pos %s)", next, Pos{Seg: s.seg, Off: s.walBytes})
 	return next, nil
 }
 
@@ -151,9 +148,7 @@ func (s *Store) Fence(epoch uint64, leaderURL string) error {
 	if leaderURL != "" {
 		s.fencedLeader = leaderURL
 	}
-	if s.opts.Logger != nil {
-		s.opts.Logger.Printf("store: fenced by epoch %d (leader %q); writes rejected until this node rejoins as a follower", epoch, s.fencedLeader)
-	}
+	s.opts.Logger.Printf("store: fenced by epoch %d (leader %q); writes rejected until this node rejoins as a follower", epoch, s.fencedLeader)
 	return s.persistEpochLocked(s.epoch, true, s.fencedLeader)
 }
 
@@ -181,9 +176,7 @@ func (s *Store) adoptEpochLocked(epoch uint64) error {
 	if err := s.persistEpochLocked(epoch, s.fenced, s.fencedLeader); err != nil {
 		return err
 	}
-	if s.opts.Logger != nil {
-		s.opts.Logger.Printf("store: adopted leader epoch %d (was %d)", epoch, s.epoch)
-	}
+	s.opts.Logger.Printf("store: adopted leader epoch %d (was %d)", epoch, s.epoch)
 	s.epoch = epoch
 	return nil
 }

@@ -229,7 +229,7 @@ func TestFenceStickyAcrossReopen(t *testing.T) {
 
 func TestReplApplyEpochGuard(t *testing.T) {
 	ldir := t.TempDir()
-	leader, _ := open(t, ldir, Options{Stamps: true})
+	leader, _ := open(t, ldir, Options{})
 	defer leader.Close()
 	fdir := t.TempDir()
 	follower, _ := open(t, fdir, Options{Follower: true})

@@ -207,13 +207,20 @@ func TestBackgroundCompactionRetriesThenDegrades(t *testing.T) {
 }
 
 // TestTornWALWriteRecoveryMatrix cuts a WAL append short at several byte
-// offsets — inside the magic, inside the header, inside the payload, one
-// byte shy of complete — and asserts that (a) the failed Put degrades
-// the store rather than acking, and (b) a clean reopen truncates the
-// torn tail and recovers exactly the acknowledged instances.
+// offsets — inside the magic, inside the header, inside the payload, of
+// both the commit's stamp frame and its record frame — and asserts that
+// (a) the failed Put degrades the store rather than acking, and (b) a
+// clean reopen truncates the torn tail and recovers exactly the
+// acknowledged instances. A complete stamp frame ahead of a torn record
+// is a valid frame and stays.
 func TestTornWALWriteRecoveryMatrix(t *testing.T) {
-	cuts := []int{1, 3, 5, 11, 13, 40}
+	stampFrame := frameHeaderSize + len(appendStampRecord(nil, 0))
+	cuts := []int{1, 3, 5, 11, 13, 40, stampFrame + 1, stampFrame + 5, stampFrame + 13}
 	for _, cut := range cuts {
+		torn := cut
+		if cut > stampFrame {
+			torn = cut - stampFrame
+		}
 		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
 			dir := t.TempDir()
 			ffs := vfs.NewFaultFS(nil)
@@ -230,8 +237,8 @@ func TestTornWALWriteRecoveryMatrix(t *testing.T) {
 
 			s2, rep := open(t, dir, Options{})
 			defer s2.Close()
-			if rep.TruncatedBytes != int64(cut) {
-				t.Fatalf("recovery truncated %d bytes, want %d (report: %s)", rep.TruncatedBytes, cut, rep)
+			if rep.TruncatedBytes != int64(torn) {
+				t.Fatalf("recovery truncated %d bytes, want %d (report: %s)", rep.TruncatedBytes, torn, rep)
 			}
 			if len(rep.Quarantined) != 0 {
 				t.Fatalf("torn tail should be truncated, not quarantined: %s", rep)

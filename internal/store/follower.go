@@ -34,7 +34,7 @@ type ApplyResult struct {
 	Records int
 	// StampNanos is the newest wall-clock stamp in the chunk (unix
 	// nanoseconds), 0 if the chunk carried none. The leader writes one
-	// ahead of each group commit when Options.Stamps or archiving is on.
+	// ahead of each group commit.
 	StampNanos int64
 }
 
@@ -151,10 +151,8 @@ func (s *Store) ReplApply(from Pos, epoch uint64, data []byte) (ApplyResult, err
 		if out.StampNanos > s.lastReplStamp {
 			s.lastReplStamp = out.StampNanos
 		}
-		if s.walAppends != nil {
-			s.walAppends.Add(int64(out.Records))
-			s.walAppendBytes.Add(int64(len(data)))
-		}
+		s.walAppends.Add(int64(out.Records))
+		s.walAppendBytes.Add(int64(len(data)))
 		s.signalCommitLocked()
 		s.maybeKickLocked()
 	}

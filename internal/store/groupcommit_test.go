@@ -7,8 +7,10 @@ package store
 // precedes the batch's fsync.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -152,6 +154,59 @@ func TestGroupCommitDurableAcrossReopen(t *testing.T) {
 			}
 			wantInstance(t, re, name, want)
 		}
+	}
+}
+
+// TestEveryGroupCommitIsStamped: a store opened with zero Options writes
+// one wall-clock stamp ahead of every group commit, and a follower
+// applying its stream learns the newest one.
+func TestEveryGroupCommitIsStamped(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := open(t, dir, Options{})
+	defer s.Close()
+	fig := fixtures.Figure2()
+	before := time.Now().UnixNano()
+	for i := 0; i < 4; i++ {
+		mustPut(t, s, fmt.Sprintf("inst-%d", i), fig)
+	}
+	if _, err := s.Delete("inst-0"); err != nil {
+		t.Fatal(err)
+	}
+	after := time.Now().UnixNano()
+
+	data, err := os.ReadFile(activeSegmentPath(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []byte
+	var last int64
+	if _, err := scanFrames(data, func(_ int64, payload []byte) error {
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			return err
+		}
+		ops = append(ops, rec.op)
+		if rec.op == opStamp {
+			if rec.ts < before || rec.ts > after || rec.ts < last {
+				t.Errorf("stamp %d outside [%d, %d] or before the previous %d", rec.ts, before, after, last)
+			}
+			last = rec.ts
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Each mutation waited for its own commit, so each is a batch of one.
+	want := []byte{opStamp, opPut, opStamp, opPut, opStamp, opPut, opStamp, opPut, opStamp, opDelete}
+	if !bytes.Equal(ops, want) {
+		t.Fatalf("WAL record ops = %v, want %v", ops, want)
+	}
+
+	follower, _ := open(t, t.TempDir(), Options{Follower: true})
+	defer follower.Close()
+	replicate(t, s, follower, 0)
+	if got := follower.LastReplStamp(); got != last {
+		t.Fatalf("follower LastReplStamp = %d, want the leader's last stamp %d", got, last)
 	}
 }
 

@@ -104,15 +104,11 @@ func (s *Store) degradeLocked(cause error) error {
 		s.degraded = true
 		s.degradedAt = time.Now()
 		s.degradeCause = cause.Error()
-		if s.degradedG != nil {
-			s.degradedG.Set(1)
-		}
+		s.degradedG.Set(1)
 		// Wake any Compact parked behind an online backup; it will see
 		// the degraded flag and bail out.
 		s.backupsDone.Broadcast()
-		if s.opts.Logger != nil {
-			s.opts.Logger.Printf("store: DEGRADED, serving read-only: %v", cause)
-		}
+		s.opts.Logger.Printf("store: DEGRADED, serving read-only: %v", cause)
 	}
 	return fmt.Errorf("%w: %w", ErrDegraded, cause)
 }
@@ -126,9 +122,7 @@ func (s *Store) degradedErrLocked() error {
 // report and the matching metric. Callers hold s.mu.
 func (s *Store) noteErrLocked(tally *int64, c *metrics.Counter, err error) {
 	*tally++
-	if c != nil {
-		c.Inc()
-	}
+	c.Inc()
 	s.lastErr = err.Error()
 	s.lastErrAt = time.Now()
 }
@@ -158,18 +152,14 @@ func (s *Store) retrying(what string, fn func() error) {
 		if err == nil || errors.Is(err, ErrDegraded) {
 			return
 		}
-		if s.opts.Logger != nil {
-			s.opts.Logger.Printf("store: %s attempt %d/%d failed: %v", what, attempt, bgMaxAttempts, err)
-		}
+		s.opts.Logger.Printf("store: %s attempt %d/%d failed: %v", what, attempt, bgMaxAttempts, err)
 		if attempt >= bgMaxAttempts {
 			s.mu.Lock()
 			s.degradeLocked(fmt.Errorf("%s failed after %d attempts: %w", what, attempt, err))
 			s.mu.Unlock()
 			return
 		}
-		if s.bgRetries != nil {
-			s.bgRetries.Inc()
-		}
+		s.bgRetries.Inc()
 		// Full jitter over [backoff/2, backoff] keeps retries from
 		// synchronizing while staying deterministic in expectation.
 		d := backoff/2 + time.Duration(rand.Int64N(int64(backoff/2)+1))

@@ -14,13 +14,13 @@ import (
 //
 // where body is the pxml-bin/1 encoding of the instance for opPut and
 // empty for opDelete. Snapshot files contain only opPut records; the WAL
-// contains both, plus — when WAL archiving is enabled — opStamp commit
-// markers:
+// contains both, plus opStamp commit markers:
 //
 //	op (1 byte = 3) | unix nanoseconds (int64 LE)
 //
-// The committer writes one stamp ahead of each group commit so archived
-// segments carry the wall-clock trail point-in-time recovery cuts on.
+// The committer writes one stamp ahead of each group commit so segments
+// carry the wall-clock trail point-in-time recovery cuts on and followers
+// measure staleness against.
 // Replay ignores stamps; they never change catalog state.
 const (
 	opPut    = byte(1)

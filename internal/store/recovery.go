@@ -143,9 +143,7 @@ func (s *Store) recover() (*RecoveryReport, error) {
 	cur := s.cat.Load()
 	s.cat.Store(&catalog{epoch: cur.epoch + 1, m: s.recm})
 	s.recm = nil
-	if s.opts.Logger != nil {
-		s.opts.Logger.Printf("store: %s", report)
-	}
+	s.opts.Logger.Printf("store: %s", report)
 	return report, nil
 }
 
@@ -269,9 +267,7 @@ func (s *Store) quarantine(source string, off int64, data []byte, cause error, r
 		Path:   path,
 		Err:    cause.Error(),
 	})
-	if s.opts.Logger != nil {
-		s.opts.Logger.Printf("store: quarantined %d corrupt bytes from %s@%d to %s: %v", len(data), source, off, path, cause)
-	}
+	s.opts.Logger.Printf("store: quarantined %d corrupt bytes from %s@%d to %s: %v", len(data), source, off, path, cause)
 	s.pruneQuarantine()
 	return nil
 }
@@ -296,18 +292,14 @@ func (s *Store) pruneQuarantine() {
 			if rerr := s.fs.Remove(filepath.Join(qdir, e.Name())); rerr != nil {
 				continue
 			}
-			if s.opts.Logger != nil {
-				s.opts.Logger.Printf("store: quarantine over %d-file cap, evicted oldest %s", max, e.Name())
-			}
+			s.opts.Logger.Printf("store: quarantine over %d-file cap, evicted oldest %s", max, e.Name())
 		}
 		if entries, err = s.fs.ReadDir(qdir); err != nil {
 			return
 		}
 	}
 	s.quarantineFiles = len(entries)
-	if s.quarantineG != nil {
-		s.quarantineG.Set(int64(len(entries)))
-	}
+	s.quarantineG.Set(int64(len(entries)))
 }
 
 func quarantineModTime(e os.DirEntry) time.Time {

@@ -94,18 +94,14 @@ func (s *Store) scrubOne(name string) error {
 		s.mu.Unlock()
 		return fmt.Errorf("store: scrub read %s: %w", name, err)
 	}
-	if s.scrubBytesC != nil {
-		s.scrubBytesC.Add(int64(len(data)))
-	}
+	s.scrubBytesC.Add(int64(len(data)))
 	res, _ := scanFrames(data, func(int64, []byte) error { return nil })
 	if len(res.Bad) == 0 && res.TornTail == 0 {
 		return nil
 	}
 	s.mu.Lock()
 	s.scrubCorruptions++
-	if s.scrubCorruptC != nil {
-		s.scrubCorruptC.Inc()
-	}
+	s.scrubCorruptC.Inc()
 	err = s.degradeLocked(fmt.Errorf("scrub: %s fails verification (%d bad regions, %d-byte torn tail)",
 		name, len(res.Bad), res.TornTail))
 	s.mu.Unlock()
@@ -118,7 +114,5 @@ func (s *Store) scrubPassDone() {
 	s.scrubPasses++
 	s.scrubLastAt = time.Now()
 	s.mu.Unlock()
-	if s.scrubPassesC != nil {
-		s.scrubPassesC.Inc()
-	}
+	s.scrubPassesC.Inc()
 }

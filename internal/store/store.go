@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"path/filepath"
 	"sync"
@@ -90,17 +91,10 @@ type Options struct {
 	// ArchiveDir, when non-empty, is a directory sealed WAL segments are
 	// hard-linked or copied into as they rotate. Together with a base
 	// backup the archive supports point-in-time recovery (see backup.go).
-	// Archiving also makes the committer stamp each group commit with a
-	// wall-clock marker so Restore can cut by time.
 	ArchiveDir string
 	// ArchiveRetention caps how many archived segments are kept; once
 	// exceeded, the oldest are deleted. 0 keeps everything.
 	ArchiveRetention int
-	// Stamps makes the committer write a wall-clock stamp frame ahead of
-	// each group commit even when ArchiveDir is unset. Replication
-	// leaders enable this so followers can measure wall-clock staleness
-	// from the stream itself; archiving stores stamp regardless.
-	Stamps bool
 	// Follower puts the store in replica mode: local Put/Delete are
 	// rejected (the WAL is a verbatim copy of a leader's, advanced only
 	// by ReplApply, so a local mutation would fork the timeline) and
@@ -117,9 +111,11 @@ type Options struct {
 	// are evicted first. 0 means DefaultQuarantineMax, negative disables
 	// the cap.
 	QuarantineMax int
-	// Registry, when non-nil, receives the store_* counters.
+	// Registry receives the store_* counters; nil means a private
+	// registry no one reads.
 	Registry *metrics.Registry
-	// Logger, when non-nil, receives recovery and compaction reports.
+	// Logger receives recovery, compaction and failure reports; nil
+	// discards them.
 	Logger *log.Logger
 	// FS is the filesystem the store runs on; nil means the real one
 	// (vfs.OS). Tests substitute a vfs.FaultFS to exercise failure
@@ -293,14 +289,13 @@ type Store struct {
 
 	// Leader-epoch and fencing state (see epoch.go). epoch/fenced/
 	// fencedLeader are guarded by mu and mirrored in the fsync'd EPOCH
-	// file. roleFollower and stamps start as Options.Follower /
-	// Options.Stamps but are atomics because Promote flips the role live
-	// while Put/Delete/commitGroup read them without holding mu.
+	// file. roleFollower starts as Options.Follower but is an atomic
+	// because Promote flips the role live while Put/Delete read it
+	// without holding mu.
 	epoch        uint64
 	fenced       bool
 	fencedLeader string
 	roleFollower atomic.Bool
-	stamps       atomic.Bool
 }
 
 // commitReq is one mutation waiting for its group commit. The payload is
@@ -371,48 +366,17 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 			return nil, nil, fmt.Errorf("store: archive dir: %w", err)
 		}
 	}
-	s := &Store{
-		dir:        dir,
-		opts:       opts,
-		fs:         opts.FS,
-		nameVers:   make(map[string]uint64),
-		interner:   codec.NewInterner(),
-		commits:    make(chan *commitReq, commitQueueDepth),
-		commitDone: make(chan struct{}),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
-		kick:       make(chan struct{}, 1),
-		archKick:   make(chan struct{}, 1),
-
-		commitSignal: make(chan struct{}),
-	}
-	s.cat.Store(emptyCatalog())
-	s.backupsDone = sync.NewCond(&s.mu)
-	if reg := opts.Registry; reg != nil {
-		s.walAppends = reg.Counter("store_wal_appends")
-		s.walAppendBytes = reg.Counter("store_wal_append_bytes")
-		s.walFsyncs = reg.Counter("store_wal_fsyncs")
-		s.compactions = reg.Counter("store_compactions")
-		s.fsyncErrsC = reg.Counter("store_fsync_errors")
-		s.compactErrsC = reg.Counter("store_compact_errors")
-		s.bgRetries = reg.Counter("store_bg_retries")
-		s.degradedG = reg.Gauge("store_degraded")
-		s.commitBatches = reg.Counter("store_commit_batches")
-		s.commitBatchSz = reg.IntHistogram("store_commit_batch_size")
-		s.rotations = reg.Counter("store_wal_rotations")
-		s.rotateErrsC = reg.Counter("store_rotate_errors")
-		s.archivedSegs = reg.Counter("store_archived_segments")
-		s.archiveErrsC = reg.Counter("store_archive_errors")
-		s.backupsC = reg.Counter("store_backups")
-		s.scrubPassesC = reg.Counter("store_scrub_passes")
-		s.scrubBytesC = reg.Counter("store_scrub_bytes")
-		s.scrubCorruptC = reg.Counter("store_scrub_corruptions")
-		s.quarantineG = reg.Gauge("store_quarantine_files")
-		s.segmentsG = reg.Gauge("store_wal_segments")
-		s.lazyErrsC = reg.Counter("store_lazy_decode_errors")
-	}
+	s := newStore(dir, opts)
+	s.fs = opts.FS
+	s.interner = codec.NewInterner()
+	s.commits = make(chan *commitReq, commitQueueDepth)
+	s.commitDone = make(chan struct{})
+	s.stop = make(chan struct{})
+	s.done = make(chan struct{})
+	s.kick = make(chan struct{}, 1)
+	s.archKick = make(chan struct{}, 1)
+	s.commitSignal = make(chan struct{})
 	s.roleFollower.Store(opts.Follower)
-	s.stamps.Store(opts.Stamps)
 	report, err := s.recover()
 	if err != nil {
 		return nil, nil, err
@@ -444,10 +408,8 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 		// the sealed collisions because their bytes are prefixes of (or
 		// identical to) the archived originals.
 		s.sealed = append(s.sealed, segInfo{n: s.seg, size: s.activeBytes})
-		if opts.Logger != nil {
-			opts.Logger.Printf("store: active segment %d collides with archived history (archive max %d); sealing it and continuing at segment %d",
-				s.seg, archMax, archMax+2)
-		}
+		s.opts.Logger.Printf("store: active segment %d collides with archived history (archive max %d); sealing it and continuing at segment %d",
+			s.seg, archMax, archMax+2)
 		s.seg = archMax + 2
 	}
 	wal, err := s.fs.OpenAppend(s.path(segmentFile(s.seg)))
@@ -465,9 +427,7 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 	for _, si := range s.sealed {
 		s.walTotal += si.size
 	}
-	if s.segmentsG != nil {
-		s.segmentsG.Set(int64(len(s.sealed) + 1))
-	}
+	s.segmentsG.Set(int64(len(s.sealed) + 1))
 	// A recovery that had to quarantine or truncate leaves the on-disk
 	// state it repaired around; compact immediately so the next open
 	// starts from a clean snapshot and an empty WAL.
@@ -477,11 +437,10 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 			return nil, nil, err
 		}
 	}
-	if reg := opts.Registry; reg != nil {
-		reg.Counter("store_recovered_instances").Add(int64(s.Len()))
-		reg.Counter("store_recovery_quarantined").Add(int64(len(report.Quarantined)))
-		reg.Counter("store_recovery_truncated_bytes").Add(report.TruncatedBytes)
-	}
+	reg := s.opts.Registry
+	reg.Counter("store_recovered_instances").Add(int64(s.Len()))
+	reg.Counter("store_recovery_quarantined").Add(int64(len(report.Quarantined)))
+	reg.Counter("store_recovery_truncated_bytes").Add(report.TruncatedBytes)
 	go s.committer()
 	go s.background()
 	return s, report, nil
@@ -490,14 +449,54 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 // OpenMemory returns a store that keeps its catalog in memory only. It
 // has the durable store's catalog, per-name versions, Memo and sorted
 // names, and Put and Delete publish a catalog successor directly: no
-// record is encoded, no goroutine runs, no file is touched, and no metric
-// is registered. Close does nothing. The methods that read or write the
-// data directory or its WAL (Backup, Scrub, Compact, Promote, Fence,
-// AdoptEpoch, ReplApply, ReadStream, CommitSignal) are for durable stores
-// only; see Durable.
-func OpenMemory() *Store {
-	s := &Store{nameVers: make(map[string]uint64)}
+// record is encoded, no goroutine runs, and no file is touched. Its
+// counters live in a private registry. Close does nothing. The methods
+// that read or write the data directory or its WAL (Backup, Scrub,
+// Compact, Promote, Fence, AdoptEpoch, ReplApply, ReadStream,
+// CommitSignal) are for durable stores only; see Durable.
+func OpenMemory() *Store { return newStore("", Options{}) }
+
+// newStore builds what every store has, durable or not: an empty
+// catalog, its counters, and a logger. A nil Options.Registry becomes a
+// private registry and a nil Options.Logger one that discards, so no
+// counter update or report needs a nil check.
+func newStore(dir string, opts Options) *Store {
+	if opts.Registry == nil {
+		opts.Registry = metrics.NewRegistry()
+	}
+	if opts.Logger == nil {
+		opts.Logger = log.New(io.Discard, "", 0)
+	}
+	reg := opts.Registry
+	s := &Store{
+		dir:      dir,
+		opts:     opts,
+		nameVers: make(map[string]uint64),
+
+		walAppends:     reg.Counter("store_wal_appends"),
+		walAppendBytes: reg.Counter("store_wal_append_bytes"),
+		walFsyncs:      reg.Counter("store_wal_fsyncs"),
+		compactions:    reg.Counter("store_compactions"),
+		fsyncErrsC:     reg.Counter("store_fsync_errors"),
+		compactErrsC:   reg.Counter("store_compact_errors"),
+		bgRetries:      reg.Counter("store_bg_retries"),
+		degradedG:      reg.Gauge("store_degraded"),
+		commitBatches:  reg.Counter("store_commit_batches"),
+		commitBatchSz:  reg.IntHistogram("store_commit_batch_size"),
+		rotations:      reg.Counter("store_wal_rotations"),
+		rotateErrsC:    reg.Counter("store_rotate_errors"),
+		archivedSegs:   reg.Counter("store_archived_segments"),
+		archiveErrsC:   reg.Counter("store_archive_errors"),
+		backupsC:       reg.Counter("store_backups"),
+		scrubPassesC:   reg.Counter("store_scrub_passes"),
+		scrubBytesC:    reg.Counter("store_scrub_bytes"),
+		scrubCorruptC:  reg.Counter("store_scrub_corruptions"),
+		quarantineG:    reg.Gauge("store_quarantine_files"),
+		segmentsG:      reg.Gauge("store_wal_segments"),
+		lazyErrsC:      reg.Counter("store_lazy_decode_errors"),
+	}
 	s.cat.Store(emptyCatalog())
+	s.backupsDone = sync.NewCond(&s.mu)
 	return s
 }
 
@@ -731,16 +730,11 @@ collect:
 // silently drop the dirty pages, so no write in the batch can be trusted
 // — recovery on the next open truncates whatever tail actually landed.
 func (s *Store) commitGroup(batch []*commitReq) {
-	buf := s.commitBuf[:0]
-	if s.opts.ArchiveDir != "" || s.stamps.Load() {
-		// One wall-clock stamp ahead of each batch gives archived
-		// segments the timeline point-in-time restore cuts on, and gives
-		// replication followers the wall-clock trail staleness is
-		// measured against. Only archiving or stamping stores pay for
-		// it; replay ignores the marker.
-		s.stampBuf = appendStampRecord(s.stampBuf[:0], time.Now().UnixNano())
-		buf = appendFrame(buf, s.stampBuf)
-	}
+	// One wall-clock stamp ahead of each batch gives the WAL the timeline
+	// point-in-time restore cuts on, and gives replication followers the
+	// wall-clock trail staleness is measured against. Replay ignores it.
+	s.stampBuf = appendStampRecord(s.stampBuf[:0], time.Now().UnixNano())
+	buf := appendFrame(s.commitBuf[:0], s.stampBuf)
 	for _, r := range batch {
 		buf = appendFrame(buf, r.payload)
 	}
@@ -776,14 +770,10 @@ func (s *Store) commitLocked(frames []byte, batch []*commitReq) error {
 	s.walTotal += int64(len(frames))
 	s.walRecords += int64(len(batch))
 	s.walDirty = true
-	if s.walAppends != nil {
-		s.walAppends.Add(int64(len(batch)))
-		s.walAppendBytes.Add(int64(len(frames)))
-	}
-	if s.commitBatches != nil {
-		s.commitBatches.Inc()
-		s.commitBatchSz.Observe(int64(len(batch)))
-	}
+	s.walAppends.Add(int64(len(batch)))
+	s.walAppendBytes.Add(int64(len(frames)))
+	s.commitBatches.Inc()
+	s.commitBatchSz.Observe(int64(len(batch)))
 	if s.opts.Fsync == FsyncAlways {
 		if err := s.syncLocked(); err != nil {
 			return s.degradeLocked(err)
@@ -856,15 +846,11 @@ func (s *Store) rotateToLocked(next uint64) error {
 	s.seg = next
 	s.walBytes = 0
 	s.walDirty = false
-	if cerr := old.Close(); cerr != nil && s.opts.Logger != nil {
+	if cerr := old.Close(); cerr != nil {
 		s.opts.Logger.Printf("store: close sealed segment: %v", cerr)
 	}
-	if s.rotations != nil {
-		s.rotations.Inc()
-	}
-	if s.segmentsG != nil {
-		s.segmentsG.Set(int64(len(s.sealed) + 1))
-	}
+	s.rotations.Inc()
+	s.segmentsG.Set(int64(len(s.sealed) + 1))
 	s.archKickLocked()
 	return nil
 }
@@ -890,9 +876,7 @@ func (s *Store) syncLocked() error {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.walDirty = false
-	if s.walFsyncs != nil {
-		s.walFsyncs.Inc()
-	}
+	s.walFsyncs.Inc()
 	return nil
 }
 
@@ -1032,9 +1016,7 @@ func (s *Store) Compact() error {
 		s.walTotal -= si.size
 	}
 	s.sealed = keep
-	if s.segmentsG != nil {
-		s.segmentsG.Set(int64(len(s.sealed) + 1))
-	}
+	s.segmentsG.Set(int64(len(s.sealed) + 1))
 	if rmErr != nil {
 		err := fmt.Errorf("store: remove sealed segment: %w", rmErr)
 		s.noteErrLocked(&s.compactErrs, s.compactErrsC, err)
@@ -1046,12 +1028,8 @@ func (s *Store) Compact() error {
 		return err
 	}
 	s.walRecords = 0
-	if s.compactions != nil {
-		s.compactions.Inc()
-	}
-	if s.opts.Logger != nil {
-		s.opts.Logger.Printf("store: compacted %d instances into %s", s.Len(), snapshotName)
-	}
+	s.compactions.Inc()
+	s.opts.Logger.Printf("store: compacted %d instances into %s", s.Len(), snapshotName)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -231,6 +232,33 @@ func TestMemoryStore(t *testing.T) {
 		t.Error("memory store reports Durable")
 	}
 	check("memory", script(mem))
+	// The rest of what a memory store supports: reads of the catalog, and
+	// the durable store's state, which for a store without a disk is zero.
+	wantInstance(t, mem, "x", fixtures.Figure2())
+	if _, ok := mem.Get("gone"); ok {
+		t.Error("Get of an absent name found one")
+	}
+	if all := mem.All(); len(all) != 2 || all["x"] == nil || all["y"] == nil || mem.Len() != 2 {
+		t.Errorf("All = %v, Len = %d, want x and y", all, mem.Len())
+	}
+	if v, ok := mem.Version("y"); v != 1 || !ok {
+		t.Errorf("Version(y) = %d %v, want 1 true", v, ok)
+	}
+	if fenced, epoch, leader := mem.Fenced(); fenced || epoch != 0 || leader != "" || mem.Epoch() != 0 {
+		t.Errorf("Fenced = %v %d %q, Epoch = %d", fenced, epoch, leader, mem.Epoch())
+	}
+	if mem.IsFollower() || mem.Degraded() || mem.Dir() != "" || mem.LastReplStamp() != 0 {
+		t.Errorf("IsFollower %v, Degraded %v, Dir %q, LastReplStamp %d", mem.IsFollower(), mem.Degraded(), mem.Dir(), mem.LastReplStamp())
+	}
+	if mem.WALSize() != 0 || mem.Pos() != (Pos{}) {
+		t.Errorf("WALSize %d, Pos %s, want 0 and 0:0", mem.WALSize(), mem.Pos())
+	}
+	if h := mem.Health(); h.Degraded || h.Instances != 2 || h.WALBytes != 0 || h.WALRecords != 0 || h.LastError != "" {
+		t.Errorf("Health = %+v", h)
+	}
+	if err := mem.Sync(); err != nil {
+		t.Errorf("Sync = %v", err)
+	}
 	if err := mem.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -374,6 +402,97 @@ func TestFsyncMetrics(t *testing.T) {
 	}
 	if got := snap["store_wal_append_bytes"].(int64); got <= 0 {
 		t.Fatalf("store_wal_append_bytes = %d, want > 0", got)
+	}
+}
+
+// TestStoreCountsWithoutRegistry: a store opened with zero Options counts
+// into a registry of its own through rotation, compaction, scrub,
+// quarantine and degrade, and reports to a logger that discards.
+func TestStoreCountsWithoutRegistry(t *testing.T) {
+	dir := t.TempDir()
+	fig := fixtures.Figure2()
+	counter := func(s *Store, name string) int64 { return s.opts.Registry.Counter(name).Value() }
+	gauge := func(s *Store, name string) int64 { return s.opts.Registry.Gauge(name).Value() }
+
+	s, _ := open(t, dir, Options{})
+	mustPut(t, s, "a", fig)
+	mustPut(t, s, "b", fig)
+	mustPut(t, s, "c", fig)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Scrub(); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int64{
+		"store_wal_appends": 3, "store_commit_batches": 3, "store_wal_rotations": 1,
+		"store_compactions": 1, "store_scrub_passes": 1,
+	} {
+		if got := counter(s, name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got := counter(s, "store_wal_fsyncs"); got < 3 {
+		t.Errorf("store_wal_fsyncs = %d, want >= 3", got)
+	}
+	if got := counter(s, "store_scrub_bytes"); got <= 0 {
+		t.Errorf("store_scrub_bytes = %d, want > 0", got)
+	}
+	if got := gauge(s, "store_wal_segments"); got != 1 {
+		t.Errorf("store_wal_segments = %d, want 1", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Flip a payload byte of the first snapshot record: the reopen
+	// quarantines it.
+	snap := filepath.Join(dir, snapshotName)
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[frameHeaderSize+1] ^= 0xff
+	if err := os.WriteFile(snap, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, rep := open(t, dir, Options{})
+	defer s2.Close()
+	if s2.opts.Registry == s.opts.Registry {
+		t.Fatal("two stores opened without a registry share one")
+	}
+	if len(rep.Quarantined) != 1 {
+		t.Fatalf("quarantine report = %+v", rep.Quarantined)
+	}
+	if got := counter(s2, "store_recovery_quarantined"); got != 1 {
+		t.Errorf("store_recovery_quarantined = %d, want 1", got)
+	}
+	if got := counter(s2, "store_recovered_instances"); got != 2 {
+		t.Errorf("store_recovered_instances = %d, want 2", got)
+	}
+	if got := gauge(s2, "store_quarantine_files"); got != 1 {
+		t.Errorf("store_quarantine_files = %d, want 1", got)
+	}
+
+	// Rot the snapshot the repairing compaction wrote: a scrub degrades.
+	if data, err = os.ReadFile(snap); err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(snap, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Scrub(); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("scrub of rotted snapshot: err = %v, want ErrDegraded", err)
+	}
+	if got := counter(s2, "store_scrub_corruptions"); got != 1 {
+		t.Errorf("store_scrub_corruptions = %d, want 1", got)
+	}
+	if got := gauge(s2, "store_degraded"); got != 1 {
+		t.Errorf("store_degraded = %d, want 1", got)
+	}
+	if err := s2.Put("rejected", fig); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("write to degraded store: err = %v, want ErrDegraded", err)
 	}
 }
 
