@@ -49,11 +49,11 @@ bench:
 # pipeline stage by stage (decode, validate, encode, profile + index), and one
 # query through the whole handler stack, answered from the result cache
 # (CachedHit) and evaluated on the tree lane (QueryMiss) and the BN lane
-# (QueryMissDAG).
+# (QueryMissDAG), and the router alone on that query's route (Route).
 bench-store:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/store
 	$(GO) test -run '^$$' -bench 'Binary|Text' -benchmem ./internal/codec
-	$(GO) test -run '^$$' -bench 'PutPipeline|CachedHit|QueryMiss(DAG)?' -benchmem -cpu 1 ./internal/server
+	$(GO) test -run '^$$' -bench 'PutPipeline|CachedHit|QueryMiss(DAG)?|Route' -benchmem -cpu 1 ./internal/server
 
 # Quick benchmark smoke for CI: one iteration per benchmark at
 # GOMAXPROCS 1 and 4, enough to catch perf-critical paths that stop
@@ -75,7 +75,7 @@ bench-smoke:
 	$(BENCH_SMOKE) -bench PointQuery ./internal/query
 	$(BENCH_SMOKE) -bench 'InferDAG|TreePath|CompileFigure2' ./internal/bayes
 	$(BENCH_SMOKE) -bench 'Encode|Decode' ./internal/codec
-	$(BENCH_SMOKE) -bench 'FollowerFanout|CachedHit|QueryMiss(DAG)?|PutPipeline' ./internal/server
+	$(BENCH_SMOKE) -bench 'FollowerFanout|CachedHit|QueryMiss(DAG)?|PutPipeline|Route' ./internal/server
 	$(BENCH_SMOKE) -bench InsertFull ./internal/rescache
 
 # Reproduce the paper's Figure 7 panels into results/ (wall clock). The
@@ -174,6 +174,7 @@ fuzz-smoke:
 	$(GO) test ./internal/pathexpr -run '^$$' -fuzz FuzzPlanDifferential -fuzztime 10s
 	$(GO) test ./internal/pxql -run '^$$' -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzAppendQueryResponse -fuzztime 10s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzRouteDifferential$$' -fuzztime 10s
 	$(GO) test ./internal/bayes -run '^$$' -fuzz FuzzEliminateDifferential -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzScanFrames -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s
@@ -182,7 +183,8 @@ fuzz-smoke:
 # Short fuzz passes over the codecs, the weak-instance tables, the graph's
 # rows, the plan builder and variable elimination (each against what it
 # replaced), the path-expression parser, the pxql parser and shape classifier, the query
-# response encoder (against encoding/json), the store's frame scanner
+# response encoder (against encoding/json), the router (against the
+# http.ServeMux it replaced), the store's frame scanner
 # and record decoder, and the result cache (against a reference LRU).
 fuzz:
 	$(GO) test ./internal/codec -fuzz 'FuzzDecodeText$$' -fuzztime 30s
@@ -195,6 +197,7 @@ fuzz:
 	$(GO) test ./internal/pathexpr -fuzz FuzzPlanDifferential -fuzztime 30s
 	$(GO) test ./internal/pxql -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzAppendQueryResponse -fuzztime 30s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzRouteDifferential$$' -fuzztime 30s
 	$(GO) test ./internal/bayes -run '^$$' -fuzz FuzzEliminateDifferential -fuzztime 30s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzScanFrames -fuzztime 30s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 30s

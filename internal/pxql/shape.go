@@ -89,7 +89,15 @@ func ClassifyShape(statement string) string {
 	case "PRODUCT", "JOIN":
 		return ShapeProduct
 	case "PROB":
-		sub, _ := nextField(rest)
+		// Only the sub-form's first keywordWindow bytes are read: when the
+		// window past the space is ASCII, the field is sought in it alone,
+		// not to the end of a path operand. Anything else takes the whole
+		// field, since ToUpper may change a rune's width.
+		sub := strings.TrimLeftFunc(rest, unicode.IsSpace)
+		if w := sub[:min(len(sub), keywordWindow+1)]; utf8.ValidString(w) && utf8.RuneCountInString(w) == len(w) {
+			sub = w
+		}
+		sub, _ = nextField(sub)
 		if up := upperPrefix(buf[:0], sub); string(up) == "EXISTS" || bytes.HasPrefix(up, []byte("VAL(")) {
 			return ShapeExists
 		}

@@ -93,6 +93,14 @@ var parseSeeds = []string{
 	"WORLDS 3", "TOPK 2", "ESTIMATE 100 EXISTS R.book", "estimate 100 R.book = B1",
 	"  stats  ", "\u017ftats", "\u017f\u0131ngle R.a", "PRODUCT a b", "JOIN a b", "FROBNICATE", "",
 	"SELECT \u0250\u0250\u0250\u0250\u0250\u0250 AND x", "SELECT R.a = \u0131 AND R.b = Y",
+	// The PROB sub-form read within keywordWindow+1 bytes: a long operand,
+	// EXISTS and VAL( ended by spaces other than U+0020, second fields of
+	// exactly keywordWindow and keywordWindow+1 bytes, and a byte outside
+	// ASCII inside the window and just past it.
+	"PROB R." + strings.Repeat("book.", 200) + "author = A1", "PROB EXISTS\u00a0R.a", "PROB EXISTS\u2003R.a",
+	"PROB EXISTS\vR.a", "PROB VAL(\u0085R.a) = x", "PROB EXISTSABCD", "PROB EXISTSABCDE",
+	"PROB VAL(R.a.bc", "PROB VAL(R.a.bcd", "PROB EXI\u017fTS R.a", "PROB EXISTSABCD\u017f", "PROB EXISTSABCDE\u017f",
+	"PROB EXISTSABC\u0250", "prob \u0131xists", "PROB VAL\u0130(R.a) = x",
 }
 
 func TestClassifyShapeSeeds(t *testing.T) {

@@ -25,7 +25,7 @@ type refEntry struct {
 	cost int64
 }
 
-func (r *refLRU) shard(key string) *[]refEntry { return &r.shards[fnv32a(key)&r.mask] }
+func (r *refLRU) shard(key string) *[]refEntry { return &r.shards[shardHash(key)&r.mask] }
 
 func (r *refLRU) index(key string) int {
 	return slices.IndexFunc(*r.shard(key), func(e refEntry) bool { return e.key == key })

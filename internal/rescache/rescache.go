@@ -98,22 +98,28 @@ func NewSharded(maxBytes int64, shards int) *Cache {
 	return c
 }
 
-// fnv32a hashes the key for shard selection.
-func fnv32a(s string) uint32 {
-	const (
-		offset = 2166136261
-		prime  = 16777619
-	)
-	h := uint32(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= prime
+// shardHash hashes the key for shard selection eight bytes a step, with
+// fixed constants: a key picks the same shard in every process, so eviction
+// patterns repeat from run to run.
+func shardHash(s string) uint32 {
+	const m = 0x9e3779b97f4a7c15
+	h := uint64(len(s)) * m
+	for ; len(s) >= 8; s = s[8:] {
+		w := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+		h = (h ^ w) * m
+		h ^= h >> 32
 	}
-	return h
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * m
+	}
+	h ^= h >> 29
+	h *= 0xbf58476d1ce4e5b9
+	return uint32(h ^ h>>32)
 }
 
 func (c *Cache) shard(key string) *shard {
-	return &c.shards[fnv32a(key)&c.mask]
+	return &c.shards[shardHash(key)&c.mask]
 }
 
 // Get returns the cached value for key, if present, marking it

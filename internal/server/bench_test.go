@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -265,3 +266,29 @@ func BenchmarkQueryMiss(b *testing.B) {
 // whole handler stack: admission, the governor, the BN lane and the
 // response, with nothing cached.
 func BenchmarkQueryMissDAG(b *testing.B) { benchReplay(b, newDAGReplay(b)) }
+
+// BenchmarkRoute is the router alone on point_hot's route: every handler
+// of the table does nothing and runs bare, so what is timed is the match.
+// It allocates nothing.
+func BenchmarkRoute(b *testing.B) {
+	s := MustNew(Config{})
+	b.Cleanup(func() { s.Close() })
+	table := s.routes()
+	for i := range table {
+		table[i].class, table[i].handle = classProbe, func(context.Context, http.ResponseWriter, *http.Request) {}
+	}
+	rt := s.newRouter(table)
+	req, err := http.NewRequest(http.MethodPost, "/v1/instances/hot0/query", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := &reqState{ResponseWriter: &nopWriter{hdr: http.Header{}}}
+	if n := testing.AllocsPerRun(10, func() { rt.ServeHTTP(w, req) }); n != 0 || w.name != "hot0" {
+		b.Fatalf("routed to name %q with %v allocations, want hot0 with none", w.name, n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt.ServeHTTP(w, req)
+	}
+}

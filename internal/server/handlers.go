@@ -146,7 +146,7 @@ func (s *Server) handlePut(_ context.Context, w http.ResponseWriter, r *http.Req
 	if s.redirectToLeader(w, r) {
 		return
 	}
-	name := r.PathValue("name")
+	name := w.(*reqState).name
 	// Refuse before working: a name the store cannot hold is known from the
 	// URL alone, ahead of reading, decoding and validating the body.
 	if s.store.Durable() && !validName(name) {
@@ -199,9 +199,9 @@ func (s *Server) stampEpoch(w http.ResponseWriter) {
 }
 
 func (s *Server) handleGet(_ context.Context, w http.ResponseWriter, r *http.Request) {
-	pi, ok := s.Get(r.PathValue("name"))
+	pi, ok := s.Get(w.(*reqState).name)
 	if !ok {
-		httpError(w, http.StatusNotFound, apiv1.CodeNotFound, fmt.Errorf("no instance %q", r.PathValue("name")))
+		httpError(w, http.StatusNotFound, apiv1.CodeNotFound, fmt.Errorf("no instance %q", w.(*reqState).name))
 		return
 	}
 	if strings.Contains(r.Header.Get("Accept"), "json") {
@@ -221,13 +221,13 @@ func (s *Server) handleDelete(_ context.Context, w http.ResponseWriter, r *http.
 	if s.redirectToLeader(w, r) {
 		return
 	}
-	ok, err := s.Delete(r.PathValue("name"))
+	ok, err := s.Delete(w.(*reqState).name)
 	if err != nil {
 		httpWriteError(w, err)
 		return
 	}
 	if !ok {
-		httpError(w, http.StatusNotFound, apiv1.CodeNotFound, fmt.Errorf("no instance %q", r.PathValue("name")))
+		httpError(w, http.StatusNotFound, apiv1.CodeNotFound, fmt.Errorf("no instance %q", w.(*reqState).name))
 		return
 	}
 	s.stampEpoch(w)
@@ -235,9 +235,9 @@ func (s *Server) handleDelete(_ context.Context, w http.ResponseWriter, r *http.
 }
 
 func (s *Server) handleDot(_ context.Context, w http.ResponseWriter, r *http.Request) {
-	pi, ok := s.Get(r.PathValue("name"))
+	pi, ok := s.Get(w.(*reqState).name)
 	if !ok {
-		httpError(w, http.StatusNotFound, apiv1.CodeNotFound, fmt.Errorf("no instance %q", r.PathValue("name")))
+		httpError(w, http.StatusNotFound, apiv1.CodeNotFound, fmt.Errorf("no instance %q", w.(*reqState).name))
 		return
 	}
 	w.Header().Set("Content-Type", "text/vnd.graphviz; charset=utf-8")
@@ -268,12 +268,12 @@ func (s *Server) handleQuery(ctx context.Context, w http.ResponseWriter, r *http
 			return
 		}
 	}
-	sv, ok := s.served(r.PathValue("name"))
+	st := w.(*reqState) // instrument hands every handler one
+	sv, ok := s.served(st.name)
 	if !ok {
-		httpError(w, http.StatusNotFound, apiv1.CodeNotFound, fmt.Errorf("no instance %q", r.PathValue("name")))
+		httpError(w, http.StatusNotFound, apiv1.CodeNotFound, fmt.Errorf("no instance %q", st.name))
 		return
 	}
-	st := w.(*reqState) // instrument hands every handler one
 	body, err := st.readBody(r.Body, maxStatementBytes)
 	if err != nil {
 		httpDecodeError(w, err)
@@ -331,9 +331,9 @@ type batchEntry struct {
 // Per-statement failures are reported inline so one bad statement doesn't
 // void the rest.
 func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-	sv, ok := s.served(r.PathValue("name"))
+	sv, ok := s.served(w.(*reqState).name)
 	if !ok {
-		httpError(w, http.StatusNotFound, apiv1.CodeNotFound, fmt.Errorf("no instance %q", r.PathValue("name")))
+		httpError(w, http.StatusNotFound, apiv1.CodeNotFound, fmt.Errorf("no instance %q", w.(*reqState).name))
 		return
 	}
 	body, err := w.(*reqState).readBody(r.Body, maxStatementBytes)

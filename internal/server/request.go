@@ -28,6 +28,9 @@ type reqState struct {
 	body    bytes.Buffer
 	limited io.LimitedReader // readBody's, kept here so that it is not allocated
 	out     []byte
+	// name is the {name} segment of the route serving the request,
+	// unescaped, and "" on a route without one: the router's match.
+	name string
 
 	// start is instrument's one clock read at arrival: the instant the
 	// request's admission and deadline are reckoned from and its latencies
@@ -46,7 +49,7 @@ var statePool = sync.Pool{New: func() any { return new(reqState) }}
 const maxPooledBuf = 16 << 10
 
 func (st *reqState) release() {
-	st.ResponseWriter, st.route = nil, nil
+	st.ResponseWriter, st.route, st.name = nil, nil, ""
 	if st.body.Cap() > maxPooledBuf {
 		st.body = bytes.Buffer{}
 	}
@@ -132,7 +135,7 @@ func (c *deadlineCtx) Err() error {
 	if err != nil {
 		return err
 	}
-	if err = c.parent.Err(); err == nil && time.Now().Before(c.deadline) {
+	if err = c.parent.Err(); err == nil && time.Until(c.deadline) > 0 {
 		return nil
 	}
 	if err == nil {

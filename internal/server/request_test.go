@@ -21,10 +21,11 @@ import (
 )
 
 // TestCachedHitAllocs: what a cached point query allocates between
-// ServeHTTP and the response bytes. What is left is the mux's match slice,
-// the deadline context, the statement string and the cache key; anything
-// above the ceilings is something new. The race detector changes what
-// escapes, so the test does not run under it.
+// ServeHTTP and the response bytes. What is left is the deadline context,
+// the statement string and the cache key (the router matches without
+// allocating, BenchmarkRoute); anything above the ceilings is something
+// new. The race detector changes what escapes, so the test does not run
+// under it.
 func TestCachedHitAllocs(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts under -race are not the program's")
@@ -35,7 +36,7 @@ func TestCachedHitAllocs(t *testing.T) {
 			t.Fatalf("warm-up status %d", st)
 		}
 	}
-	const ceiling, byteCeiling, runs = 4, 256, 200
+	const ceiling, byteCeiling, runs = 3, 224, 200
 	if n := testing.AllocsPerRun(runs, func() { rp.serve() }); n > ceiling {
 		t.Fatalf("a cached hit allocates %v times, ceiling %d", n, ceiling)
 	}
@@ -88,10 +89,10 @@ func serveQuery(t *testing.T, s *Server, stmt string) (*httptest.ResponseRecorde
 	var seen *deadlineCtx
 	h := s.instrument(s.withDeadline(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 		seen = ctx.(*deadlineCtx)
+		w.(*reqState).name = "fig" // what the router hands a matched route
 		s.handleQuery(ctx, w, r)
 	}))
 	req := httptest.NewRequest(http.MethodPost, "/v1/instances/fig/query", strings.NewReader(stmt))
-	req.SetPathValue("name", "fig")
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	return rec, seen

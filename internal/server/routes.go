@@ -7,6 +7,8 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"net/url"
+	"path"
 	"runtime/debug"
 	"strings"
 	"time"
@@ -47,7 +49,7 @@ type handler func(ctx context.Context, w http.ResponseWriter, r *http.Request)
 
 // route is one entry of the route table.
 type route struct {
-	pattern  string // ServeMux pattern: method and full path
+	pattern  string // method and path; {name} stands for one segment
 	class    routeClass
 	endpoint string // names the http_latency.<endpoint> timer; probes have none
 	handle   handler
@@ -108,37 +110,128 @@ func withRequestContext(h handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { h(r.Context(), w, r) })
 }
 
-// Handler returns the HTTP handler for the catalog: every route of the
-// table on one mux, each under its class's stack, and the whole under
-// request metrics, optional structured logging and panic recovery.
-// Anything no route claims, unversioned paths included, answers the 404
-// envelope.
+// Handler returns the HTTP handler for the catalog: the route table's
+// router, each route under its class's stack, and the whole under request
+// metrics, optional structured logging and panic recovery.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	for _, rt := range s.routes() {
-		mux.Handle(rt.pattern, s.stack(rt))
+	return s.instrument(s.recoverPanics(s.newRouter(s.routes())))
+}
+
+// router maps each route's pattern to the route under its stack, and a GET
+// route's pattern with HEAD for GET to the same. A request's pattern is its
+// method and its path with the name segment, if it has one, replaced by
+// {name}. What it misses it answers as net/http's mux does (held to that by
+// FuzzRouteDifferential): a non-canonical path is a 301 to its cleaned form
+// (query kept), a routed path asked with another method a 405 with Allow,
+// and anything else the 404 envelope.
+type router map[string]http.Handler
+
+// newRouter builds the router of table.
+func (s *Server) newRouter(table []route) router {
+	rt := router{}
+	for _, r := range table {
+		rt[r.pattern] = s.stack(r)
+		if path, ok := strings.CutPrefix(r.pattern, http.MethodGet+" "); ok {
+			rt[http.MethodHead+" "+path] = rt[r.pattern]
+		}
 	}
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		// The catch-all also claims a routed path asked with the wrong
-		// method, which the mux alone would answer 405: ask it which
-		// methods the path does take.
-		var allow []string
-		probe := *r
-		for _, m := range []string{http.MethodGet, http.MethodPut, http.MethodPost, http.MethodDelete} {
-			probe.Method = m
-			if _, pattern := mux.Handler(&probe); pattern != "/" {
-				allow = append(allow, m)
-			}
+	return rt
+}
+
+func (rt router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.RequestURI == "*" {
+		if r.ProtoAtLeast(1, 1) {
+			w.Header().Set("Connection", "close")
 		}
-		if len(allow) > 0 {
-			w.Header().Set("Allow", strings.Join(allow, ", "))
-			http.Error(w, http.StatusText(http.StatusMethodNotAllowed), http.StatusMethodNotAllowed)
-			return
+		w.WriteHeader(http.StatusBadRequest)
+		return
+	}
+	// A path with no escapes is matched as it stands; one with escapes on
+	// the segments of its escaped form, each unescaped.
+	path, escaped := r.URL.Path, r.URL.RawPath != ""
+	if escaped {
+		path = r.URL.EscapedPath()
+	}
+	switch {
+	case r.Method == http.MethodConnect && !strings.Contains(path, "/"):
+		redirect(w, r, cleanPath(r.URL.Path)+"/")
+		return
+	case r.Method == http.MethodConnect:
+		path = cleanPath(path) // never served, but answered with the cleaned path's Allow
+	// Only a path with an empty, . or .. segment, or none at all, pays for
+	// cleanPath.
+	case (!strings.HasPrefix(path, "/") || strings.Contains(path, "//") || strings.Contains(path, "/.")) && cleanPath(path) != path:
+		redirect(w, r, cleanPath(r.URL.EscapedPath()))
+		return
+	}
+	var buf [64]byte
+	pattern, name := appendPattern(append(append(buf[:0], r.Method...), ' '), path, escaped)
+	if h := rt[string(pattern)]; h != nil {
+		w.(*reqState).name = name
+		h.ServeHTTP(w, r)
+		return
+	}
+	var allow []string
+	for _, m := range []string{http.MethodGet, http.MethodPut, http.MethodPost, http.MethodDelete} {
+		if rt[m+string(pattern[len(r.Method):])] != nil {
+			allow = append(allow, m)
 		}
-		apiv1.WriteError(w, http.StatusNotFound, apiv1.CodeNotFound,
-			fmt.Sprintf("no route %s (the API lives under %s)", r.URL.Path, apiv1.Prefix))
-	})
-	return s.instrument(s.recoverPanics(mux))
+	}
+	if len(allow) > 0 {
+		w.Header().Set("Allow", strings.Join(allow, ", "))
+		http.Error(w, http.StatusText(http.StatusMethodNotAllowed), http.StatusMethodNotAllowed)
+		return
+	}
+	apiv1.WriteError(w, http.StatusNotFound, apiv1.CodeNotFound,
+		fmt.Sprintf("no route %s (the API lives under %s)", r.URL.Path, apiv1.Prefix))
+}
+
+// instancePrefix is every named route's path up to its name segment.
+const instancePrefix = apiv1.Prefix + "/instances/"
+
+// appendPattern appends the clean path as the table writes it, with a
+// non-empty segment after instancePrefix replaced by {name}, and returns
+// that name. A path without escapes takes one cut. An escaped one is read
+// segment by segment, each unescaped, except that a segment other than the
+// name which would unescape to hold a slash stays escaped: no route
+// matches it.
+func appendPattern(dst []byte, path string, escaped bool) (_ []byte, name string) {
+	if rest, named := strings.CutPrefix(path, instancePrefix); !escaped {
+		if name, _, _ = strings.Cut(rest, "/"); !named || name == "" {
+			return append(dst, path...), ""
+		}
+		return append(append(dst, instancePrefix+"{name}"...), rest[len(name):]...), name
+	}
+	start := len(dst)
+	for rest, more := path[1:], true; more; {
+		var seg string
+		seg, rest, more = strings.Cut(rest, "/")
+		atName := string(dst[start:]) == instancePrefix[:len(instancePrefix)-1]
+		if u, err := url.PathUnescape(seg); err == nil && (atName || !strings.Contains(u, "/")) {
+			seg = u
+		}
+		if atName && seg != "" && seg != "/" {
+			name, seg = seg, "{name}"
+		}
+		dst = append(append(dst, '/'), seg...)
+	}
+	return dst, name
+}
+
+// cleanPath roots p and removes its empty, . and .. segments, keeping a
+// trailing slash.
+func cleanPath(p string) string {
+	np := path.Clean("/" + p)
+	if strings.HasSuffix(p, "/") && np != "/" {
+		np += "/"
+	}
+	return np
+}
+
+// redirect answers a permanent redirect to path, keeping the query.
+func redirect(w http.ResponseWriter, r *http.Request, path string) {
+	u := url.URL{Path: path, RawQuery: r.URL.RawQuery}
+	http.Redirect(w, r, u.String(), http.StatusMovedPermanently)
 }
 
 // admit runs the per-tenant admission tier: token-bucket quotas first,
@@ -148,7 +241,7 @@ func (s *Server) Handler() http.Handler {
 // Retry-After hint and never reach the shared limiter.
 func (s *Server) admit(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tenant := r.PathValue("name")
+		tenant := w.(*reqState).name
 		d := s.adm.AdmitAt(tenant, w.(*reqState).start)
 		if !d.OK {
 			s.shed.Inc()
@@ -289,7 +382,7 @@ func (s *Server) handleReadyz(_ context.Context, w http.ResponseWriter, r *http.
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
 }
 
-// instrument wraps the mux with request counting, latency observation and
+// instrument wraps the router with request counting, latency observation and
 // optional structured logging, and lends the request its pooled state: the
 // ResponseWriter everything beneath sees is a *reqState, taken here and
 // returned here (a handler that panics past recoverPanics keeps it from the
