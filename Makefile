@@ -168,6 +168,7 @@ e2e-smoke:
 fuzz-smoke:
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzDecodeBinary -fuzztime 10s
 	$(GO) test ./internal/codec -run '^$$' -fuzz FuzzDecodeTextDifferential -fuzztime 10s
+	$(GO) test ./internal/codec -run '^$$' -fuzz '^FuzzParseProbDifferential$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzWeakTablesDifferential -fuzztime 10s
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzGraphDifferential -fuzztime 10s
 	$(GO) test ./internal/pathexpr -run '^$$' -fuzz FuzzParse -fuzztime 10s
@@ -180,7 +181,8 @@ fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s
 	$(GO) test ./internal/rescache -run '^$$' -fuzz FuzzCacheDifferential -fuzztime 10s
 
-# Short fuzz passes over the codecs, the weak-instance tables, the graph's
+# Short fuzz passes over the codecs, the text decoder's probability read
+# (against strconv.ParseFloat), the weak-instance tables, the graph's
 # rows, the plan builder and variable elimination (each against what it
 # replaced), the path-expression parser, the pxql parser and shape classifier, the query
 # response encoder (against encoding/json), the router (against the
@@ -189,6 +191,7 @@ fuzz-smoke:
 fuzz:
 	$(GO) test ./internal/codec -fuzz 'FuzzDecodeText$$' -fuzztime 30s
 	$(GO) test ./internal/codec -fuzz FuzzDecodeTextDifferential -fuzztime 30s
+	$(GO) test ./internal/codec -run '^$$' -fuzz '^FuzzParseProbDifferential$$' -fuzztime 30s
 	$(GO) test ./internal/codec -fuzz FuzzDecodeJSON -fuzztime 30s
 	$(GO) test ./internal/codec -fuzz FuzzDecodeBinary -fuzztime 30s
 	$(GO) test ./internal/core -fuzz FuzzWeakTablesDifferential -fuzztime 30s

@@ -215,43 +215,19 @@ func conditionChain(pi, out *core.ProbInstance, p pathexpr.Path, o model.ObjectI
 	return total, nil
 }
 
-// rootChain locates o under p in O(depth): on a tree o ∈ p iff the unique
-// parent chain of o has p's length, carries p's labels and ends at p.Root,
-// so walking that chain upwards decides membership without evaluating p
-// over the whole graph. It returns the chain o … p.Root, or an
-// ErrZeroProbability error when o ∉ p. An object with several parents means
-// the caller's tree promise is broken; which error that yields is then
-// decided by evaluating p, as the chain alone cannot.
+// rootChain locates o under p in O(depth) with pathexpr.RootChain and
+// returns the chain o … p.Root, or an ErrZeroProbability error when o ∉ p.
+// An object with several parents means the caller's tree promise is
+// broken; which error that yields is then decided by evaluating p, as the
+// chain alone cannot.
 func rootChain(g *graph.Graph, p pathexpr.Path, o model.ObjectID) ([]model.ObjectID, error) {
-	notIn := func() error {
-		return fmt.Errorf("%w: %s does not satisfy %s", ErrZeroProbability, o, p)
+	chain, ok := pathexpr.RootChain(make([]model.ObjectID, 0, p.Len()+1), g, p, o)
+	if chain == nil || !ok && !p.Matches(g, o) {
+		return nil, fmt.Errorf("%w: %s does not satisfy %s", ErrZeroProbability, o, p)
 	}
-	if !g.HasNode(o) {
-		return nil, notIn()
-	}
-	chain := make([]model.ObjectID, 1, p.Len()+1)
-	chain[0] = o
-	cur := o
-	for level := p.Len(); level > 0; level-- {
-		ps := g.Parents(cur)
-		if len(ps) > 1 {
-			if !p.Matches(g, o) {
-				return nil, notIn()
-			}
-			return nil, fmt.Errorf("algebra: object %s has %d parents; chain conditioning needs a tree", cur, len(ps))
-		}
-		if len(ps) == 0 {
-			return nil, notIn()
-		}
-		want := p.Labels[level-1]
-		if l, _ := g.Label(ps[0], cur); want != pathexpr.Wildcard && want != l {
-			return nil, notIn()
-		}
-		cur = ps[0]
-		chain = append(chain, cur)
-	}
-	if cur != p.Root {
-		return nil, notIn()
+	if !ok {
+		shared := chain[len(chain)-1]
+		return nil, fmt.Errorf("algebra: object %s has %d parents; chain conditioning needs a tree", shared, len(g.Parents(shared)))
 	}
 	return chain, nil
 }

@@ -291,16 +291,22 @@ func (kt *kidTable) load(ob core.Object) {
 func (kt *kidTable) match(dst []int32, c sets.Set) []int32 {
 	dst, j, n := dst[:0], 0, len(kt.ids)
 	for _, m := range c {
-		k := 0
-		for k < n && kt.ids[(j+k)%n] != m {
+		// i walks the ring from j, k counts its steps.
+		i, k := j, 0
+		for k < n && kt.ids[i] != m {
 			k++
+			if i++; i == n {
+				i = 0
+			}
 		}
 		if k == n {
 			dst = append(dst, -1)
 			continue
 		}
-		j = (j + k) % n
-		dst, j = append(dst, kt.nums[j]), j+1
+		dst = append(dst, kt.nums[i])
+		if j = i + 1; j == n {
+			j = 0
+		}
 	}
 	return dst
 }
@@ -469,6 +475,26 @@ const (
 	minArenaSlab = 1 << 8
 	maxArenaSlab = 1 << 12
 )
+
+// room returns the slab's free room, at least n long, as an empty slice for
+// a caller to append a run of unknown length to; keep then claims the run.
+func (a *arena[T]) room(n int) []T {
+	if n > cap(a.slab)-len(a.slab) {
+		a.next = min(max(2*a.next, minArenaSlab), maxArenaSlab)
+		a.slab = make([]T, 0, max(a.next, n))
+	}
+	return a.slab[len(a.slab):len(a.slab)]
+}
+
+// keep claims run, which was appended to what room returned, and returns it
+// with no spare capacity. A run that outgrew the room has an array of its
+// own and claims nothing.
+func (a *arena[T]) keep(run []T) []T {
+	if len(run) <= cap(a.slab)-len(a.slab) {
+		a.slab = a.slab[:len(a.slab)+len(run)]
+	}
+	return run[:len(run):len(run)]
+}
 
 // take returns n zeroed elements with no spare capacity.
 func (a *arena[T]) take(n int) []T {

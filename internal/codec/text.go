@@ -3,11 +3,16 @@ package codec
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"pxml/internal/core"
 	"pxml/internal/model"
@@ -187,7 +192,6 @@ type textDecoder struct {
 	lastNum    int32
 	ids        arena[string]
 	kids       []int32
-	fields     [][]byte
 	names      []string
 	opfs       runs[prob.OPFEntry]
 	vpfs       runs[prob.VPFEntry]
@@ -198,13 +202,14 @@ type textDecoder struct {
 type pendingLeaf struct{ typ, val string }
 
 // runs collects, per object and in line order, the entries its records
-// contribute. Adjacent records of one object, the normal layout, fill a
-// reused buffer that is copied out at its exact size when another object's
-// record arrives; only an object whose records resume later has its runs
-// joined at the end.
+// contribute. Adjacent records of one object, the normal layout, are
+// appended where the arena has room, sized by the run before, and the run
+// is claimed at its exact size when another object's record arrives; only
+// an object whose records resume later has its runs joined at the end.
 type runs[E any] struct {
 	cur   []E // entries of curO's run in progress
 	curO  int32
+	last  int // the length of the run before
 	done  []objRun[E]
 	arena arena[E]
 }
@@ -218,6 +223,7 @@ func (r *runs[E]) add(o int32, e E) {
 	if len(r.cur) == 0 || o != r.curO {
 		r.flush()
 		r.curO = o
+		r.cur = r.arena.room(max(r.last, 1))
 	}
 	r.cur = append(r.cur, e)
 }
@@ -225,10 +231,8 @@ func (r *runs[E]) add(o int32, e E) {
 // flush closes the run in progress.
 func (r *runs[E]) flush() {
 	if len(r.cur) > 0 {
-		es := r.arena.take(len(r.cur))
-		copy(es, r.cur)
-		r.done = append(r.done, objRun[E]{r.curO, es})
-		r.cur = r.cur[:0]
+		r.done = append(r.done, objRun[E]{r.curO, r.arena.keep(r.cur)})
+		r.cur, r.last = nil, len(r.cur)
 	}
 }
 
@@ -273,17 +277,20 @@ func (d *textDecoder) object(b []byte) int32 {
 	return d.lastNum
 }
 
-// set returns the canonical set over the tokens, which the loader numbers.
-func (d *textDecoder) set(tokens [][]byte) sets.Set {
-	members := d.ids.take(len(tokens))
-	for i, t := range tokens {
-		members[i], _ = d.ld.NumberBytes(t)
+// set returns the canonical set over the rest of c's fields, which the
+// loader numbers.
+func (d *textDecoder) set(c *fieldCursor) sets.Set {
+	// A field and the space before it take two bytes at least.
+	members := d.ids.room((c.end - c.pos + 1) / 2)
+	for f := c.next(); f != nil; f = c.next() {
+		id, _ := d.ld.NumberBytes(f)
+		members = append(members, id)
 	}
-	return sets.FromSorted(members)
+	return sets.FromSorted(d.ids.keep(members))
 }
 
-// Byte classes for splitFields: a token byte, one of the six ASCII space
-// bytes, or part of a multi-byte rune.
+// Byte classes for fieldCursor: a token byte, one of the six ASCII space
+// bytes bytes.Fields separates on, or part of a multi-byte rune.
 const (
 	byteToken = iota
 	byteSpace
@@ -300,27 +307,117 @@ var byteClass = func() (t [256]uint8) {
 	return t
 }()
 
-// splitFields is bytes.Fields into a reused buffer. A line holding any byte
-// of a multi-byte rune takes bytes.Fields itself, so U+0085, U+00A0 and the
-// other non-ASCII spaces still separate.
-func splitFields(dst [][]byte, line []byte) [][]byte {
-	dst = dst[:0]
-	for i := 0; i < len(line); {
-		start := i
-		for i < len(line) && byteClass[line[i]] == byteToken {
-			i++
-		}
-		if i > start {
-			dst = append(dst, line[start:i])
-		}
-		if i < len(line) {
-			if byteClass[line[i]] == byteHigh {
-				return append(dst[:0], bytes.Fields(line)...)
+// fieldCursor walks the fields of one line as bytes.Fields cuts them: runs
+// of bytes between white space, where white space is one of the six ASCII
+// spaces or, at a byte of 0x80 or above, a rune unicode.IsSpace accepts
+// (U+0085, U+00A0, U+2003, ...). A byte of invalid UTF-8 is a one-byte rune
+// that is not a space, as bytes.Fields decodes it.
+//
+// buf holds the line and the rest of the document after it, so a field can
+// be scanned eight bytes at a time up to the line's end: whatever byte
+// follows a line in buf is its newline or carriage return, which ends a
+// field as white space does.
+type fieldCursor struct {
+	buf []byte
+	end int // the line is buf[:end]
+	pos int
+}
+
+// skip moves past white space.
+func (c *fieldCursor) skip() {
+	for c.pos < c.end {
+		switch byteClass[c.buf[c.pos]] {
+		case byteSpace:
+			c.pos++
+			continue
+		case byteHigh:
+			if n := c.spaceRune(c.pos); n > 0 {
+				c.pos += n
+				continue
 			}
+		}
+		return
+	}
+}
+
+// spaceRune returns the width of the rune at buf[i] when it is white
+// space, and 0 when it is not.
+func (c *fieldCursor) spaceRune(i int) int {
+	if r, n := utf8.DecodeRune(c.buf[i:c.end]); unicode.IsSpace(r) {
+		return n
+	}
+	return 0
+}
+
+// next returns the next field, or nil when the line has no more.
+func (c *fieldCursor) next() []byte {
+	buf, i := c.buf, c.pos
+	if i < c.end && buf[i] == ' ' {
+		// The encoder separates fields with one space.
+		i++
+	}
+	if i < c.end && byteClass[buf[i]] != byteToken {
+		c.pos = i
+		c.skip()
+		i = c.pos
+	}
+	start := i
+	for i+8 <= len(buf) {
+		if m := specialBytes(binary.LittleEndian.Uint64(buf[i:])); m != 0 {
+			i += bits.TrailingZeros64(m) / 8
+			break
+		}
+		i += 8
+	}
+	for i < c.end {
+		switch byteClass[buf[i]] {
+		case byteToken:
 			i++
+			continue
+		case byteHigh:
+			if c.spaceRune(i) == 0 {
+				_, n := utf8.DecodeRune(buf[i:c.end])
+				i += n
+				continue
+			}
+		}
+		break
+	}
+	c.pos = i
+	if i == start {
+		return nil
+	}
+	return buf[start:i]
+}
+
+// errNoField is what fieldCursor.prob reports at the end of the line.
+var errNoField = errors.New("codec: no field")
+
+// prob reads the next field as a probability: strconv.ParseFloat's result
+// for it, bit for bit and error for error. A field fastFloat takes whole is
+// converted where it lies in the line; any other goes to ParseFloat.
+func (c *fieldCursor) prob() (float64, error) {
+	c.skip()
+	if p, n, ok := fastFloat(c.buf[c.pos:]); ok {
+		if e := c.pos + n; e == c.end || e < c.end && byteClass[c.buf[e]] == byteSpace {
+			c.pos = e
+			return p, nil
 		}
 	}
-	return dst
+	f := c.next()
+	if f == nil {
+		return 0, errNoField
+	}
+	return strconv.ParseFloat(string(f), 64)
+}
+
+// specialBytes marks the bytes of v outside 0x21–0x7F, the bytes that may
+// end a field: subtracting 0x21 from each borrows exactly where one is below
+// it, and a byte of 0x80 or above has its top bit set already. A borrow can
+// mark bytes above the first marked one too, so only the lowest mark is
+// exact; it is the only one read.
+func specialBytes(v uint64) uint64 {
+	return ((v - 0x2121212121212121) | v) & 0x8080808080808080
 }
 
 // nextLine cuts the line starting at raw[pos] the way bufio.ScanLines does:
@@ -350,11 +447,12 @@ func (d *textDecoder) decode(raw []byte) (*core.ProbInstance, error) {
 	}
 	d.unitSep = bytes.IndexByte(raw, unitSeparator) >= 0
 	for lineNo := 2; pos < len(raw); lineNo++ {
+		start := pos
 		var line []byte
 		if line, pos, err = nextLine(raw, pos); err != nil {
 			return nil, fmt.Errorf("codec: %w", err)
 		}
-		if err := d.record(lineNo, line); err != nil {
+		if err := d.record(lineNo, fieldCursor{buf: raw[start:], end: len(line)}); err != nil {
 			return nil, err
 		}
 	}
@@ -386,75 +484,74 @@ func (d *textDecoder) decode(raw []byte) (*core.ProbInstance, error) {
 	return pi, nil
 }
 
-// record applies one line of the document.
-func (d *textDecoder) record(lineNo int, line []byte) error {
-	d.fields = splitFields(d.fields, line)
-	fields := d.fields
-	if len(fields) == 0 {
+// record applies the line c walks, reading its fields as it goes.
+func (d *textDecoder) record(lineNo int, c fieldCursor) error {
+	line := c.buf[:c.end]
+	kind := c.next()
+	if kind == nil {
 		return nil
 	}
 	bad := func(msg string) error {
 		return fmt.Errorf("codec: line %d: %s: %q", lineNo, msg, line)
 	}
 	if d.ld == nil {
-		switch string(fields[0]) {
+		switch string(kind) {
 		case "root":
 		case "type", "lch", "opf", "leaf", "vpf", "obj":
-			return bad(string(fields[0]) + " before root")
+			return bad(string(kind) + " before root")
 		default:
 			return bad("unknown record")
 		}
 	}
-	if d.unitSep {
-		for i, f := range fields {
-			if namesObject(string(fields[0]), i) && bytes.IndexByte(f, unitSeparator) >= 0 {
-				return bad("object id contains U+001F")
-			}
-		}
+	if d.unitSep && unitSepInID(string(kind), line) {
+		return bad("object id contains U+001F")
 	}
-	switch string(fields[0]) {
+	switch string(kind) {
 	case "root":
-		if len(fields) != 2 {
+		id := c.next()
+		if id == nil || c.next() != nil {
 			return bad("root needs one id")
 		}
 		if d.ld != nil {
 			return bad("duplicate root")
 		}
-		d.ld = core.NewLoader(string(fields[1]), d.objects)
+		d.ld = core.NewLoader(string(id), d.objects)
 	case "type":
-		if len(fields) < 3 {
-			return bad("type needs a name and a domain")
-		}
 		d.names = d.names[:0]
-		for _, f := range fields[1:] {
+		for f := c.next(); f != nil; f = c.next() {
 			d.names = append(d.names, d.str(f))
+		}
+		if len(d.names) < 2 {
+			return bad("type needs a name and a domain")
 		}
 		if err := d.ld.RegisterType(model.NewType(d.names[0], d.names[1:]...)); err != nil {
 			return fmt.Errorf("codec: line %d: %w", lineNo, err)
 		}
 	case "lch":
-		if len(fields) < 5 {
+		id, label, lo, hi := c.next(), c.next(), c.next(), c.next()
+		if hi == nil {
 			return bad("lch needs id label min max children")
 		}
-		min, err1 := strconv.Atoi(string(fields[3]))
-		max, err2 := strconv.Atoi(string(fields[4]))
+		min, err1 := strconv.Atoi(string(lo))
+		max, err2 := strconv.Atoi(string(hi))
 		if err1 != nil || err2 != nil {
 			return bad("bad cardinality")
 		}
-		o := d.object(fields[1])
+		o := d.object(id)
 		d.ld.Declare(o)
 		d.kids = d.kids[:0]
-		for _, f := range fields[5:] {
-			_, c := d.ld.NumberBytes(f)
-			d.ld.Declare(c)
-			d.kids = append(d.kids, c)
+		for f := c.next(); f != nil; f = c.next() {
+			_, k := d.ld.NumberBytes(f)
+			d.ld.Declare(k)
+			d.kids = append(d.kids, k)
 		}
-		d.ld.SetEdges(o, d.str(fields[2]), d.kids, min, max)
+		d.ld.SetEdges(o, d.str(label), d.kids, min, max)
 	case "opf":
-		if len(fields) < 3 {
+		id := c.next()
+		p, err := c.prob()
+		if err == errNoField {
 			return bad("opf needs id and probability")
 		}
-		p, err := strconv.ParseFloat(string(fields[2]), 64)
 		if err != nil {
 			return bad("bad probability")
 		}
@@ -463,35 +560,51 @@ func (d *textDecoder) record(lineNo int, line []byte) error {
 			// always decoded to.
 			p = 0
 		}
-		d.opfs.add(d.object(fields[1]), prob.OPFEntry{Set: d.set(fields[3:]), Prob: p})
+		d.opfs.add(d.object(id), prob.OPFEntry{Set: d.set(&c), Prob: p})
 	case "leaf":
-		if len(fields) != 3 && len(fields) != 4 {
+		id, typ, val := c.next(), c.next(), c.next()
+		if typ == nil || c.next() != nil {
 			return bad("leaf needs id type [value]")
 		}
-		pl := pendingLeaf{typ: d.str(fields[2])}
-		if len(fields) == 4 {
-			pl.val = d.str(fields[3])
+		pl := pendingLeaf{typ: d.str(typ)}
+		if val != nil {
+			pl.val = d.str(val)
 		}
-		d.leaves.add(d.object(fields[1]), pl)
+		d.leaves.add(d.object(id), pl)
 	case "vpf":
-		if len(fields) != 4 {
+		id := c.next()
+		p, err := c.prob()
+		val := c.next()
+		if err == errNoField || val == nil || c.next() != nil {
 			return bad("vpf needs id probability value")
 		}
-		p, err := strconv.ParseFloat(string(fields[2]), 64)
 		if err != nil {
 			return bad("bad probability")
 		}
-		d.vpfs.add(d.object(fields[1]), prob.VPFEntry{Value: d.str(fields[3]), Prob: p})
+		d.vpfs.add(d.object(id), prob.VPFEntry{Value: d.str(val), Prob: p})
 	case "obj":
-		if len(fields) != 2 {
+		id := c.next()
+		if id == nil || c.next() != nil {
 			return bad("obj needs one id")
 		}
-		_, o := d.ld.NumberBytes(fields[1])
+		_, o := d.ld.NumberBytes(id)
 		d.ld.Declare(o)
 	default:
 		return bad("unknown record")
 	}
 	return nil
+}
+
+// unitSepInID reports whether a field of line that names an object, in a
+// record of the given kind, holds unitSeparator.
+func unitSepInID(kind string, line []byte) bool {
+	c := fieldCursor{buf: line, end: len(line)}
+	for i, f := 0, c.next(); f != nil; i, f = i+1, c.next() {
+		if namesObject(kind, i) && bytes.IndexByte(f, unitSeparator) >= 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // namesObject reports whether field i of a record of the given kind is an

@@ -173,29 +173,30 @@ func (g *Graph) outRow(o string) (lo, hi int32) {
 	return 0, 0
 }
 
-// target returns where the edge from → to sits among the successors, or -1.
-func (g *Graph) target(from, to string) int32 {
-	t, ok := g.Vertex(to)
-	if !ok {
-		return -1
-	}
-	lo, hi := g.outRow(from)
-	for i := lo; i < hi; i++ {
-		if g.out.v[i] == t {
-			return i
-		}
-	}
-	return -1
-}
-
 // Label returns the label of the edge from → to. The boolean result is
 // false when the edge does not exist.
 func (g *Graph) Label(from, to string) (string, bool) {
-	if i := g.target(from, to); i >= 0 {
-		return g.out.label[i], true
+	f, ok1 := g.Vertex(from)
+	t, ok2 := g.Vertex(to)
+	if !ok1 || !ok2 {
+		return "", false
+	}
+	return g.EdgeLabel(f, t)
+}
+
+// EdgeLabel is Label between numbered vertices.
+func (g *Graph) EdgeLabel(from, to int32) (string, bool) {
+	lo, hi := g.out.row(from)
+	for i := lo; i < hi; i++ {
+		if g.out.v[i] == to {
+			return g.out.label[i], true
+		}
 	}
 	return "", false
 }
+
+// Name returns the id of vertex v.
+func (g *Graph) Name(v int32) string { return g.names[v] }
 
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return len(g.out.v) }

@@ -81,6 +81,43 @@ func (p Path) Matches(g *graph.Graph, o model.ObjectID) bool {
 	return !NewPlan(g, p, map[model.ObjectID]bool{o: true}).IsEmpty()
 }
 
+// RootChain decides o ∈ p by o's parent chain, in O(p.Len()) and without a
+// plan: where every object on the way has one parent, o ∈ p iff the p.Len()
+// edges above o carry p's labels (a wildcard matches any) and the chain
+// ends at p.Root (Section 6.2: on a tree a point query reduces to that
+// chain). RootChain appends the chain o … p.Root to dst and returns it when
+// o ∈ p, and returns nil when o ∉ p; ok is true in both cases. When an
+// object on the way has several parents the chain alone cannot decide: ok
+// is false and the chain returned ends at that object, for the caller to
+// name or to fall back on NewPlan.
+func RootChain(dst []model.ObjectID, g *graph.Graph, p Path, o model.ObjectID) (chain []model.ObjectID, ok bool) {
+	v, found := g.Vertex(o)
+	if !found {
+		return nil, true
+	}
+	chain = append(dst, o)
+	for level := p.Len(); level > 0; level-- {
+		ps := g.Pred(v)
+		if len(ps) > 1 {
+			return chain, false
+		}
+		if len(ps) == 0 {
+			return nil, true
+		}
+		if want := p.Labels[level-1]; want != Wildcard {
+			if l, _ := g.EdgeLabel(ps[0], v); l != want {
+				return nil, true
+			}
+		}
+		v = ps[0]
+		chain = append(chain, g.Name(v))
+	}
+	if g.Name(v) != p.Root {
+		return nil, true
+	}
+	return chain, true
+}
+
 // Plan is the located skeleton of an ancestor projection (Definition 5.2):
 // the objects and edges lying on a complete root-to-match path, as flat
 // slices.

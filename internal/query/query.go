@@ -73,13 +73,13 @@ func PointQuery(pi *core.ProbInstance, p pathexpr.Path, o model.ObjectID) (float
 	if !pi.IsTree() {
 		return 0, ErrNotTree
 	}
-	return epsilonRoot(pi, pi.WeakInstance.Graph(), p, map[model.ObjectID]bool{o: true}, nil, nil)
+	return pointEpsilon(pi, pi.WeakInstance.Graph(), p, o, nil, nil)
 }
 
 // PointQueryIndexedCtx is PointQuery through a prebuilt index, under ctx's
 // governor. Precondition: pi's weak graph is a tree; it does not check.
 func PointQueryIndexedCtx(ctx context.Context, pi *core.ProbInstance, idx *pathexpr.Index, p pathexpr.Path, o model.ObjectID) (float64, error) {
-	return epsilonRoot(pi, idx.Graph(), p, map[model.ObjectID]bool{o: true}, nil, govern.From(ctx))
+	return pointEpsilon(pi, idx.Graph(), p, o, nil, govern.From(ctx))
 }
 
 // ExistsQuery computes the extension the paper describes at the end of
@@ -87,7 +87,7 @@ func PointQueryIndexedCtx(ctx context.Context, pi *core.ProbInstance, idx *pathe
 // objects satisfying the path expression together with their path
 // ancestors and computes ε_r bottom-up.
 func ExistsQuery(ctx context.Context, pi *core.ProbInstance, p pathexpr.Path) (float64, error) {
-	return treeEpsilon(ctx, pi, p, nil, nil)
+	return treeEpsilon(ctx, pi, p, nil)
 }
 
 // ValueExistsQuery computes the probability that some leaf satisfying p
@@ -95,21 +95,74 @@ func ExistsQuery(ctx context.Context, pi *core.ProbInstance, p pathexpr.Path) (f
 // condition val(p) = v. Matched leaves succeed with probability VPF(v);
 // matched non-leaves or unvalued leaves never do.
 func ValueExistsQuery(ctx context.Context, pi *core.ProbInstance, p pathexpr.Path, v model.Value) (float64, error) {
-	return treeEpsilon(ctx, pi, p, nil, valueSuccess(pi, v))
+	return treeEpsilon(ctx, pi, p, valueSuccess(pi, v))
 }
 
 // ValuePointQuery computes P(o ∈ p ∧ val(o) = v) for a specific leaf o.
 func ValuePointQuery(ctx context.Context, pi *core.ProbInstance, p pathexpr.Path, o model.ObjectID, v model.Value) (float64, error) {
-	return treeEpsilon(ctx, pi, p, map[model.ObjectID]bool{o: true}, valueSuccess(pi, v))
-}
-
-// treeEpsilon is epsilonRoot on a tree instance under ctx's governor, and
-// ErrNotTree on any other.
-func treeEpsilon(ctx context.Context, pi *core.ProbInstance, p pathexpr.Path, targets map[model.ObjectID]bool, success func(model.ObjectID) float64) (float64, error) {
 	if !pi.IsTree() {
 		return 0, ErrNotTree
 	}
-	return epsilonRoot(pi, pi.WeakInstance.Graph(), p, targets, success, govern.From(ctx))
+	return pointEpsilon(pi, pi.WeakInstance.Graph(), p, o, valueSuccess(pi, v), govern.From(ctx))
+}
+
+// treeEpsilon is epsilonRoot over every match on a tree instance under
+// ctx's governor, and ErrNotTree on any other.
+func treeEpsilon(ctx context.Context, pi *core.ProbInstance, p pathexpr.Path, success func(model.ObjectID) float64) (float64, error) {
+	if !pi.IsTree() {
+		return 0, ErrNotTree
+	}
+	return epsilonRoot(pi, pi.WeakInstance.Graph(), p, nil, success, govern.From(ctx))
+}
+
+// pointEpsilon is epsilonRoot with targets {o}, read off o's root chain
+// (pathexpr.RootChain) instead of a plan: where every object above o has
+// one parent, the plan restricted to o is that chain, one node per level.
+// It runs the same recursion over the same nodes in the same order — each
+// chain object's OPF entries in canonical order, ε of the object below it
+// standing in for the plan's one kept child — and charges the governor the
+// same steps, so answers and step counts are those of the plan, bit for
+// bit (DESIGN §34). An object with several parents on the way sends the
+// query to the plan.
+func pointEpsilon(pi *core.ProbInstance, g *graph.Graph, p pathexpr.Path, o model.ObjectID, success func(model.ObjectID) float64, gov *govern.Governor) (float64, error) {
+	if p.Root != pi.Root() || p.Len() == 0 {
+		return epsilonRoot(pi, g, p, map[model.ObjectID]bool{o: true}, success, gov)
+	}
+	var buf [16]model.ObjectID
+	chain, ok := pathexpr.RootChain(buf[:0], g, p, o)
+	if !ok {
+		return epsilonRoot(pi, g, p, map[model.ObjectID]bool{o: true}, success, gov)
+	}
+	if chain == nil {
+		return 0, nil
+	}
+	eps := 1.0
+	if success != nil {
+		eps = success(o)
+	}
+	for k := 1; k < len(chain); k++ {
+		opf := pi.OPF(chain[k])
+		if opf == nil {
+			return 0, fmt.Errorf("query: non-leaf %s has no OPF", chain[k])
+		}
+		if err := gov.Step(int64(opf.Len())); err != nil {
+			return 0, err
+		}
+		kid, fail := chain[k-1], 0.0
+		opf.Each(func(c sets.Set, pr float64) {
+			if pr <= 0 {
+				return
+			}
+			f := pr
+			if c.Contains(kid) {
+				f *= 1 - eps
+			}
+			fail += f
+		})
+		eps = 1 - fail
+	}
+	// Clamp tiny negative residue from floating-point cancellation.
+	return max(eps, 0), nil
 }
 
 // valueSuccess is the success probability of a matched object in a value

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"pxml/internal/apiv1"
@@ -153,27 +154,9 @@ func (s *Server) handlePut(_ context.Context, w http.ResponseWriter, r *http.Req
 		httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, fmt.Errorf("name %q not storable (use [A-Za-z0-9_-])", name))
 		return
 	}
-	// Read fully before decoding so an oversized body is always reported
-	// as 413 rather than as whatever parse error the truncation causes. A
-	// body that declares its length is read into one buffer of that size
-	// (capped at the limit); a chunked or understated one grows as it goes.
-	var body bytes.Buffer
-	if r.ContentLength >= 0 {
-		body.Grow(int(min(r.ContentLength, s.maxBody)) + bytes.MinRead)
-	}
-	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody))
+	pi, err := s.decodePut(w, r)
 	if err != nil {
 		httpDecodeError(w, err)
-		return
-	}
-	var pi *core.ProbInstance
-	if strings.Contains(r.Header.Get("Content-Type"), "json") {
-		pi, err = codec.DecodeJSON(&body)
-	} else {
-		pi, err = codec.DecodeTextBytes(body.Bytes())
-	}
-	if err != nil {
-		httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, err)
 		return
 	}
 	if err := pi.ValidateLite(); err != nil {
@@ -186,6 +169,41 @@ func (s *Server) handlePut(_ context.Context, w http.ResponseWriter, r *http.Req
 	}
 	s.stampEpoch(w)
 	writeJSON(w, http.StatusCreated, map[string]any{"name": name, "objects": pi.NumObjects()})
+}
+
+// putBodyPool holds the buffers PUT bodies are read into.
+var putBodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledPutBody is the largest buffer that goes back to putBodyPool: one
+// enormous body must not stay resident behind the ordinary ones.
+const maxPooledPutBody = 4 << 20
+
+// decodePut reads r's body and decodes it, as JSON when the Content-Type
+// says so and in the text encoding otherwise. It reads the whole body
+// before decoding, so an oversized one always fails with the
+// *http.MaxBytesError httpDecodeError answers 413 for, rather than with
+// whatever parse error the truncation causes. The body is read into a
+// pooled buffer, grown at once to a declared length (capped at the limit);
+// the decoders keep nothing of the bytes, so the buffer goes back to the
+// pool on return.
+func (s *Server) decodePut(w http.ResponseWriter, r *http.Request) (*core.ProbInstance, error) {
+	body := putBodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if body.Cap() <= maxPooledPutBody {
+			body.Reset()
+			putBodyPool.Put(body)
+		}
+	}()
+	if r.ContentLength >= 0 {
+		body.Grow(int(min(r.ContentLength, s.maxBody)) + bytes.MinRead)
+	}
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody)); err != nil {
+		return nil, err
+	}
+	if strings.Contains(r.Header.Get("Content-Type"), "json") {
+		return codec.DecodeJSON(body)
+	}
+	return codec.DecodeTextBytes(body.Bytes())
 }
 
 // stampEpoch marks a successful write acknowledgement with the leader

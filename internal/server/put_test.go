@@ -265,3 +265,89 @@ func TestPutServesWhatItAlwaysServed(t *testing.T) {
 	}
 	check(reopened, "reopened")
 }
+
+// TestBackToBackPutsStoreTheirOwnBodies: PUT bodies are read into pooled
+// buffers, so each PUT reads over the bytes of an earlier one. Back-to-back
+// PUTs of different bodies through Handler() — text and JSON, a declared
+// and an undeclared length, after a 400 and after a 413 that left a body
+// half read — each store exactly their own instance, checked once all of
+// them have run.
+func TestBackToBackPutsStoreTheirOwnBodies(t *testing.T) {
+	encode := func(pi *core.ProbInstance, json bool) string {
+		var buf bytes.Buffer
+		var err error
+		if json {
+			err = codec.EncodeJSON(&buf, pi)
+		} else {
+			err = codec.EncodeText(&buf, pi)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	instance := func(depth int, seed int64) *core.ProbInstance {
+		in, err := gen.Generate(gen.Config{Depth: depth, Branch: 4, Labeling: gen.FR, LeafDomainSize: 2, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in.PI
+	}
+	big, small, third, fourth := instance(4, 1), instance(2, 2), instance(3, 3), instance(2, 4)
+	maxBody := int64(len(encode(big, true))) + 1024
+	s := MustNew(Config{MaxBody: maxBody})
+	defer s.Close()
+	h := s.Handler()
+	want := map[string]*core.ProbInstance{}
+	for _, step := range []struct {
+		name    string
+		pi      *core.ProbInstance // nil: body is sent as is
+		body    string
+		json    bool
+		chunked bool
+		status  int
+	}{
+		{name: "big", pi: big, status: http.StatusCreated},
+		{name: "small", pi: small, status: http.StatusCreated},
+		{name: "bad", body: "pxml/1\nroot r\nfrob x\n", status: http.StatusBadRequest},
+		{name: "third", pi: third, json: true, status: http.StatusCreated},
+		{name: "huge", body: encode(big, false) + strings.Repeat("\n", int(maxBody)), chunked: true, status: http.StatusRequestEntityTooLarge},
+		{name: "fourth", pi: fourth, chunked: true, status: http.StatusCreated},
+		{name: "small-again", pi: small, json: true, chunked: true, status: http.StatusCreated},
+	} {
+		body, ct := step.body, "text/plain"
+		if step.pi != nil {
+			body = encode(step.pi, step.json)
+		}
+		if step.json {
+			ct = "application/json"
+		}
+		req := httptest.NewRequest("PUT", "/v1/instances/"+step.name, strings.NewReader(body))
+		req.Header.Set("Content-Type", ct)
+		if step.chunked {
+			req.ContentLength = -1
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != step.status {
+			t.Fatalf("PUT %s: status %d, want %d: %s", step.name, rec.Code, step.status, rec.Body)
+		}
+		if step.pi != nil {
+			want[step.name] = step.pi
+		}
+	}
+	for name, pi := range want {
+		got, ok := s.Get(name)
+		if !ok {
+			t.Fatalf("%s: not stored", name)
+		}
+		if !core.Equal(got, pi, 0) || !bytes.Equal(codec.AppendBinary(nil, got), codec.AppendBinary(nil, pi)) {
+			t.Errorf("%s: stored instance differs from the one PUT", name)
+		}
+	}
+	for _, name := range []string{"bad", "huge"} {
+		if _, ok := s.Get(name); ok {
+			t.Errorf("%s: a refused PUT was stored", name)
+		}
+	}
+}
