@@ -192,12 +192,12 @@ func mulInto(dst, a, b *Factor) {
 }
 
 // without returns a zero factor over f's variables minus position pos,
-// cut from a, with the block sizes around pos: f's flat index is
-// (h·c + s)·lo + l for h < hi, state s < c of the dropped variable, l < lo,
-// and the result's is h·lo + l.
-func (f *Factor) without(a *arena, pos int) (out *Factor, hi, c, lo int) {
+// with the block sizes around pos: f's flat index is (h·c + s)·lo + l for
+// h < hi, state s < c of the dropped variable, l < lo, and the result's is
+// h·lo + l.
+func (f *Factor) without(pos int) (out *Factor, hi, c, lo int) {
 	n := len(f.vars) - 1
-	ints := a.ints(2 * n)
+	ints := make([]int, 2*n)
 	vars, card := ints[:n:n], ints[n:]
 	copy(vars, f.vars[:pos])
 	copy(vars[pos:], f.vars[pos+1:])
@@ -210,7 +210,7 @@ func (f *Factor) without(a *arena, pos int) (out *Factor, hi, c, lo int) {
 	for _, k := range f.card[pos+1:] {
 		lo *= k
 	}
-	return a.factor(vars, card, a.floats(hi*lo)), hi, f.card[pos], lo
+	return &Factor{vars: vars, card: card, vals: make([]float64, hi*lo)}, hi, f.card[pos], lo
 }
 
 // clone returns a copy of f cut from a.
@@ -222,15 +222,12 @@ func (f *Factor) clone(a *arena) *Factor {
 
 // SumOut returns the factor with variable v marginalized away. Summing out
 // a variable the factor does not mention returns a copy.
-func (f *Factor) SumOut(v int) *Factor { return f.sumOut(nil, v) }
-
-// sumOut is SumOut with the result cut from a.
-func (f *Factor) sumOut(a *arena, v int) *Factor {
+func (f *Factor) SumOut(v int) *Factor {
 	pos := f.pos(v)
 	if pos == -1 {
-		return f.clone(a)
+		return f.clone(nil)
 	}
-	out, hi, c, lo := f.without(a, pos)
+	out, hi, c, lo := f.without(pos)
 	for h := 0; h < hi; h++ {
 		row := out.vals[h*lo : (h+1)*lo]
 		for s := 0; s < c; s++ {
@@ -250,7 +247,7 @@ func (f *Factor) Reduce(v, s int) *Factor {
 	if pos == -1 {
 		return f.clone(nil)
 	}
-	out, hi, c, lo := f.without(nil, pos)
+	out, hi, c, lo := f.without(pos)
 	for h := 0; h < hi; h++ {
 		copy(out.vals[h*lo:(h+1)*lo], f.vals[(h*c+s)*lo:])
 	}
@@ -337,40 +334,58 @@ func EliminateAll(factors []*Factor, keep map[int]bool) (*Factor, error) {
 // elimination is the state of one variable-elimination run. It lives in a
 // pooled workspace and every run starts by resetting it; the factors it is
 // given are only read.
+//
+// Inside a run a variable is its local slot, its position in ids: every
+// factor in work — the inputs' headers and each τ — lists slots, not ids,
+// and only the result is mapped back (DESIGN §35).
 type elimination struct {
-	// work holds the input factors followed by each bucket's summed-out
+	// work holds a header per input factor, over the input's table but
+	// with its variables in slots, followed by each bucket's summed-out
 	// result; an entry is nil once it has been merged into a bucket.
 	work []*Factor
-	// ids lists the distinct variable ids in ascending order; a
-	// variable's position in it indexes adj, cost and mark.
+	// ids lists the distinct variable ids in ascending order; slot i is
+	// ids[i], and indexes adj, cost, mark and at.
 	ids []int
-	// adj[i] lists, ascending, the live factors that mention variable i.
-	// A bucket's result replaces at least one factor in each list it
-	// joins, so no list outgrows its initial length. The lists are carved
-	// from backing, behind ids.
+	// adj[i] lists, ascending, the live factors that mention slot i. A
+	// bucket's result replaces at least one factor in each list it joins,
+	// so no list outgrows its initial length. The lists are carved from
+	// backing, behind ids.
 	adj     [][]int
 	backing []int
-	// cost[i] is the table size eliminating variable i would leave (the
+	// cost[i] is the table size eliminating slot i would leave (the
 	// product of its neighbours' cardinalities); -1 once it is
 	// eliminated, or from the start when the caller keeps it.
 	cost []float64
-	// mark stamps the neighbours already counted while scoring; it and
-	// the degree count are cut from scratch.
+	// mark stamps the slots already counted while scoring or already in
+	// the bucket product; at[i] is slot i's position in that product.
+	// Both are cut from scratch.
 	mark    []int
+	at      []int
 	scratch []int
 	epoch   int
-	// heap orders the candidates by (cost, variable id). Re-scoring
-	// pushes a fresh entry; entries whose cost is out of date are
-	// skipped when popped.
+	// heap orders the candidates by (cost, slot). Re-scoring pushes a
+	// fresh entry; entries whose cost is out of date are skipped when
+	// popped.
 	heap []candidate
-	// prod are the two scratch factors bucket products alternate between.
-	// They outlive the run, so a warm workspace multiplies in place.
+	// The fused bucket pass (fuse): ops are the bucket's factors; uv and
+	// uc the variables and cardinalities of the product they would
+	// multiply to, in mulInto's order; strides each operand's stride
+	// along each of them, operand after operand; offs each operand's
+	// offset and strides along the eliminated and the last variable, then
+	// the odometer's digits, while τ is written.
+	ops     []*Factor
+	uv, uc  []int
+	strides []int
+	offs    []int
+	// prod are the two scratch factors the final multiply of the kept
+	// factors alternates between. They outlive the run, so a warm
+	// workspace multiplies in place.
 	prod [2]Factor
 }
 
 type candidate struct {
 	cost float64
-	v    int // position in elimination.ids
+	v    int // slot
 }
 
 func (c candidate) before(d candidate) bool {
@@ -384,10 +399,10 @@ func (c candidate) before(d candidate) bool {
 // that shared a factor with the eliminated one are re-scored.
 //
 // Each τ is cut from w's arena and the result is one of w's factors (a
-// product scratch, a τ, or an input): the caller reads it before release.
+// product scratch, a τ, or an input's header over the input's table): the
+// caller reads it before release.
 func (w *workspace) eliminate(g *govern.Governor, factors []*Factor, kept func(v int) bool) (*Factor, error) {
 	e := &w.elimination
-	e.work = append(e.work[:0], factors...)
 	arity := 0
 	for _, f := range factors {
 		arity += len(f.vars)
@@ -409,28 +424,35 @@ func (w *workspace) eliminate(g *govern.Governor, factors []*Factor, kept func(v
 	}
 	e.backing = ints[:0]
 	e.ids = ints[:n:n]
-	// Adjacency in one backing array: count, carve, fill.
-	if cap(e.scratch) < 2*n {
-		e.scratch = make([]int, 2*n)
+	if cap(e.scratch) < 3*n {
+		e.scratch = make([]int, 3*n)
 	}
-	scratch := e.scratch[:2*n]
+	scratch := e.scratch[:3*n]
 	clear(scratch)
-	e.mark, e.epoch = scratch[:n:n], 0
-	degree := scratch[n:]
+	e.mark, e.at, e.epoch = scratch[:n:n], scratch[n:2*n:2*n], 0
+	degree := scratch[2*n:]
+	// Each input once into slots, in a header of its own.
+	e.work = e.work[:0]
+	slots := w.arena.ints(arity)
 	for _, f := range factors {
-		for _, v := range f.vars {
-			degree[e.local(v)]++
+		vars := slots[:len(f.vars):len(f.vars)]
+		slots = slots[len(f.vars):]
+		for k, v := range f.vars {
+			i, _ := slices.BinarySearch(e.ids, v)
+			vars[k] = i
+			degree[i]++
 		}
+		e.work = append(e.work, w.arena.factor(vars, f.card, f.vals))
 	}
+	// Adjacency in one backing array: count, carve, fill.
 	backing := ints[n:n]
 	e.adj = e.adj[:0]
 	for _, d := range degree {
 		e.adj = append(e.adj, backing[len(backing):len(backing):len(backing)+d])
 		backing = backing[:len(backing)+d]
 	}
-	for fi, f := range factors {
-		for _, v := range f.vars {
-			i := e.local(v)
+	for fi, f := range e.work {
+		for _, i := range f.vars {
 			e.adj[i] = append(e.adj[i], fi)
 		}
 	}
@@ -477,24 +499,23 @@ func (w *workspace) eliminate(g *govern.Governor, factors []*Factor, kept func(v
 		out = w.arena.newFactor(nil, nil)
 		out.vals[0] = 1
 	}
+	// Every header in work is w's, so the result's slots become ids in
+	// place.
+	for k, i := range out.vars {
+		out.vars[k] = e.ids[i]
+	}
 	return out, nil
 }
 
-// local returns the position of variable id v in e.ids.
-func (e *elimination) local(v int) int {
-	i, _ := slices.BinarySearch(e.ids, v)
-	return i
-}
-
-// rescore recomputes variable i's elimination cost from the live factors
-// that mention it and queues it under the new cost.
+// rescore recomputes slot i's elimination cost from the live factors that
+// mention it and queues it under the new cost.
 func (e *elimination) rescore(i int) {
 	e.epoch++
 	cost := 1.0
 	for _, fi := range e.adj[i] {
 		f := e.work[fi]
-		for k, v := range f.vars {
-			if j := e.local(v); j != i && e.mark[j] != e.epoch {
+		for k, j := range f.vars {
+			if j != i && e.mark[j] != e.epoch {
 				e.mark[j] = e.epoch
 				cost *= float64(f.card[k])
 			}
@@ -504,33 +525,28 @@ func (e *elimination) rescore(i int) {
 	e.push(candidate{cost, i})
 }
 
-// sumOut multiplies the bucket of variable i — every live factor that
-// mentions it, in creation order — sums the variable out of the product
-// into a table cut from a, and re-scores the variables the result touches.
+// sumOut eliminates slot i: it sums the product of the bucket — every live
+// factor that mentions i, in creation order — over i's states into a τ cut
+// from a, and re-scores the slots τ touches.
 func (e *elimination) sumOut(g *govern.Governor, a *arena, i int) error {
 	e.cost[i] = -1
 	bucket := e.adj[i]
 	if len(bucket) == 0 {
 		return nil
 	}
-	prod := e.work[bucket[0]]
-	for k, fi := range bucket[1:] {
-		f := e.work[fi]
-		if err := chargeProduct(g, prod, f); err != nil {
-			return err
-		}
-		dst := &e.prod[k%2]
-		mulInto(dst, prod, f)
-		prod = dst
-	}
+	ops := e.ops[:0]
 	for _, fi := range bucket {
+		ops = append(ops, e.work[fi])
 		e.work[fi] = nil
 	}
-	tau := prod.sumOut(a, e.ids[i])
+	e.ops = ops
+	tau, err := e.fuse(g, a, i)
+	if err != nil {
+		return err
+	}
 	ti := len(e.work)
 	e.work = append(e.work, tau)
-	for _, v := range tau.vars {
-		j := e.local(v)
+	for _, j := range tau.vars {
 		live := e.adj[j][:0]
 		for _, fi := range e.adj[j] {
 			if e.work[fi] != nil {
@@ -543,6 +559,151 @@ func (e *elimination) sumOut(g *govern.Governor, a *arena, i int) error {
 		}
 	}
 	return nil
+}
+
+// fuse returns τ, the product of the operands e.ops summed over slot i, cut
+// from a; e.mark and e.at must cover every slot the operands mention. The
+// product is never built: each τ cell multiplies the operands left to right
+// and adds those products in ascending state order from 0, which is what
+// mulInto into a scratch, operand after operand, followed by
+// SumOut computes, bit for bit. Every product is rounded to float64
+// before it is added, so no platform fuses the multiply into the sum. The
+// governor is charged the tables that chain would fill, in its order,
+// before any cell is written.
+//
+// τ's variables are the chain's product's without i, in order; an
+// odometer walks all but the last of them, and each row of the last is a
+// strided loop over the operands' tables.
+func (e *elimination) fuse(g *govern.Governor, a *arena, i int) (*Factor, error) {
+	ops := e.ops
+	// The product's variables: the first operand's, then each later
+	// operand's new ones in its own order.
+	e.epoch++
+	uv, uc := e.uv[:0], e.uc[:0]
+	cells := 1.0
+	for k, f := range ops {
+		for d, j := range f.vars {
+			if e.mark[j] != e.epoch {
+				e.mark[j] = e.epoch
+				e.at[j] = len(uv)
+				uv = append(uv, j)
+				uc = append(uc, f.card[d])
+				cells *= float64(f.card[d])
+			}
+		}
+		if k > 0 {
+			if err := chargeCells(g, cells, "intermediate factor"); err != nil {
+				return nil, err
+			}
+		}
+	}
+	e.uv, e.uc = uv, uc
+	n, m, p := len(uv), len(ops), e.at[i]
+	strides := slices.Grow(e.strides[:0], m*n)[:m*n]
+	clear(strides)
+	e.strides = strides
+	for k, f := range ops {
+		st := strides[k*n : (k+1)*n]
+		s := 1
+		for d := len(f.vars) - 1; d >= 0; d-- {
+			st[e.at[f.vars[d]]] = s
+			s *= f.card[d]
+		}
+	}
+	nt := n - 1
+	ints := a.ints(2 * nt)
+	vars, card := ints[:nt:nt], ints[nt:]
+	copy(vars, uv[:p])
+	copy(vars[p:], uv[p+1:])
+	copy(card, uc[:p])
+	copy(card[p:], uc[p+1:])
+	size := 1
+	for _, c := range card {
+		size *= c
+	}
+	vals := cut(&a.vals, size) // every cell is written below
+	tau := a.factor(vars, card, vals)
+	c := uc[p]
+	// The last τ variable's position in the product; a scalar τ is one
+	// row of one cell.
+	last, cl := n-1, 1
+	if last == p {
+		last--
+	}
+	if last >= 0 {
+		cl = uc[last]
+	}
+	// Per operand: its flat offset at the row's first cell, its strides
+	// along p and along the last variable (0 for a scalar τ's row), then
+	// the odometer's digits.
+	offs := slices.Grow(e.offs[:0], 3*m+n)[:3*m+n]
+	clear(offs)
+	e.offs = offs
+	off, sp, sl, digit := offs[:m], offs[m:2*m], offs[2*m:3*m], offs[3*m:]
+	for k := range ops {
+		sp[k] = strides[k*n+p]
+		if last >= 0 {
+			sl[k] = strides[k*n+last]
+		}
+	}
+	if m == 2 {
+		// Most buckets of a diamond DAG's queries are two factors.
+		av, sap, sal := ops[0].vals, sp[0], sl[0]
+		bv, sbp, sbl := ops[1].vals, sp[1], sl[1]
+		for base := 0; base < size; base += cl {
+			ja, jb := off[0], off[1]
+			for l := base; l < base+cl; l++ {
+				sum, ka, kb := 0.0, ja, jb
+				for s := 0; s < c; s++ {
+					sum += float64(av[ka] * bv[kb])
+					ka += sap
+					kb += sbp
+				}
+				vals[l] = sum
+				ja += sal
+				jb += sbl
+			}
+			e.step(off, digit, p, last)
+		}
+		return tau, nil
+	}
+	for base := 0; base < size; base += cl {
+		for l := 0; l < cl; l++ {
+			sum := 0.0
+			for s := 0; s < c; s++ {
+				x := ops[0].vals[off[0]+s*sp[0]+l*sl[0]]
+				for k := 1; k < m; k++ {
+					x = float64(x * ops[k].vals[off[k]+s*sp[k]+l*sl[k]])
+				}
+				sum += x
+			}
+			vals[base+l] = sum
+		}
+		e.step(off, digit, p, last)
+	}
+	return tau, nil
+}
+
+// step advances the odometer over the product positions other than p and
+// last by one, moving each operand's offset in off along.
+func (e *elimination) step(off, digit []int, p, last int) {
+	n := len(e.uv)
+	for j := last - 1; j >= 0; j-- {
+		if j == p {
+			continue
+		}
+		digit[j]++
+		for k := range off {
+			off[k] += e.strides[k*n+j]
+		}
+		if digit[j] < e.uc[j] {
+			return
+		}
+		for k := range off {
+			off[k] -= e.strides[k*n+j] * e.uc[j]
+		}
+		digit[j] = 0
+	}
 }
 
 func (e *elimination) push(c candidate) {

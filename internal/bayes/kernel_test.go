@@ -1,9 +1,12 @@
 package bayes
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"pxml/internal/govern"
 )
 
 // The reference kernels decode every cell into a per-variable assignment
@@ -110,8 +113,9 @@ func TestStrideKernelsMatchReference(t *testing.T) {
 		a, b := randomFactor(r, pr[0]), randomFactor(r, pr[1])
 		prod := Multiply(a, b)
 		sameFactor(t, "Multiply", prod, refMultiply(a, b))
-		// The elimination loop multiplies into a reused scratch factor,
-		// which may be larger or smaller than the product it receives.
+		// The final multiply of the kept factors goes into a reused
+		// scratch factor, which may be larger or smaller than the
+		// product it receives.
 		scratch := Factor{vars: make([]int, 1, 3), card: make([]int, 1, 3), vals: make([]float64, 7)}
 		mulInto(&scratch, a, b)
 		sameFactor(t, "mulInto", &scratch, prod)
@@ -124,6 +128,77 @@ func TestStrideKernelsMatchReference(t *testing.T) {
 				sameFactor(t, "Reduce", prod.Reduce(v, 0), prod)
 			}
 		}
+	}
+}
+
+// TestFusedBucketMatchesChain holds the one-pass bucket kernel to what it
+// replaced: multiplying the bucket left to right (refMultiply, which
+// mulInto equals) and summing the variable out of the product with
+// SumOut. τ must have the chain's variables and bits, and the governor
+// must be charged the chain's products in its order — the same steps and
+// bytes, and the same refusal under a budget.
+func TestFusedBucketMatchesChain(t *testing.T) {
+	r := rand.New(rand.NewSource(35))
+	// Variable v has cardinality 1 + v%4: 0, 4 and 8 have one state.
+	pool := []int{0, 1, 3, 4, 5, 6, 7, 8}
+	type bucket struct {
+		v   int
+		fvs [][]int
+	}
+	buckets := []bucket{
+		{2, [][]int{{2}}},                          // one factor, scalar τ
+		{2, [][]int{{2}, {2}, {2}}},                // scalar τ from three
+		{2, [][]int{{1, 2}, {2, 3}}},               // disjoint apart from v
+		{2, [][]int{{1, 2, 3}, {3, 2, 1}}},         // the same variables
+		{2, [][]int{{2, 5, 6}, {5, 6, 2}, {6, 2}}}, // shared, nested
+		{4, [][]int{{4, 1}, {0, 4}, {4, 8}}},       // v has one state
+		{3, [][]int{{1, 3}, {3, 5}, {3, 6}, {3, 7, 8}}},
+	}
+	for i := 0; i < 300; i++ {
+		b := bucket{v: 2}
+		for n := 1 + r.Intn(4); n > 0; n-- {
+			vs := []int{2}
+			for _, u := range pool {
+				if r.Intn(3) == 0 {
+					vs = append(vs, u)
+				}
+			}
+			b.fvs = append(b.fvs, vs)
+		}
+		buckets = append(buckets, b)
+	}
+	w := new(workspace)
+	e := &w.elimination
+	e.mark, e.at = make([]int, 9), make([]int, 9)
+	for bi, b := range buckets {
+		var fs []*Factor
+		for _, vs := range b.fvs {
+			fs = append(fs, randomFactor(r, vs))
+		}
+		budget := govern.Budget{}
+		if bi%3 == 2 {
+			budget.MaxSteps = int64(r.Intn(400))
+		}
+		gChain := govern.New(context.Background(), budget)
+		prod, errChain := fs[0], error(nil)
+		for _, f := range fs[1:] {
+			if errChain = chargeProduct(gChain, prod, f); errChain != nil {
+				break
+			}
+			prod = refMultiply(prod, f)
+		}
+		gFused := govern.New(context.Background(), budget)
+		e.ops = append(e.ops[:0], fs...)
+		tau, err := e.fuse(gFused, &w.arena, b.v)
+		sameOutcome(t, "fuse", err, errChain)
+		if gFused.Steps() != gChain.Steps() || gFused.Bytes() != gChain.Bytes() {
+			t.Fatalf("bucket %v: charged %d steps and %d bytes, the chain %d and %d",
+				b.fvs, gFused.Steps(), gFused.Bytes(), gChain.Steps(), gChain.Bytes())
+		}
+		if err == nil {
+			sameBits(t, "fuse", tau, prod.SumOut(b.v))
+		}
+		w.arena.reset()
 	}
 }
 

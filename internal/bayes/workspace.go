@@ -69,9 +69,10 @@ func (w *workspace) release() {
 // grew it past maxPooledWords.
 func (w *workspace) reset() {
 	clear(w.work)
+	clear(w.ops)
 	clear(w.in)
 	clear(w.extra)
-	w.work, w.in, w.extra = w.work[:0], w.in[:0], w.extra[:0]
+	w.work, w.ops, w.in, w.extra = w.work[:0], w.ops[:0], w.in[:0], w.extra[:0]
 	w.arena.reset()
 	if w.words() > maxPooledWords {
 		*w = workspace{}
@@ -82,6 +83,7 @@ func (w *workspace) reset() {
 func (w *workspace) words() int {
 	n := cap(w.work) + cap(w.ids) + cap(w.backing) + 3*cap(w.adj) + cap(w.cost) +
 		cap(w.scratch) + 2*cap(w.heap) +
+		cap(w.uv) + cap(w.uc) + cap(w.strides) + cap(w.offs) + cap(w.ops) +
 		cap(w.arena.vals) + cap(w.arena.idx) + 9*cap(w.arena.hdr) +
 		cap(w.seeds) + cap(w.found) + cap(w.in) + cap(w.extra) + cap(w.seen.stamp)/2 +
 		3*cap(w.via) + cap(w.par) + 2*cap(w.level) + cap(w.terms) + cap(w.targets)

@@ -256,14 +256,16 @@ func TestWorkspaceRetention(t *testing.T) {
 	if small == 0 || small > maxPooledWords {
 		t.Fatalf("after a small query the workspace holds %d words, want some and at most %d", small, maxPooledWords)
 	}
-	// Eliminating variable 1 multiplies (0, 1) by (1, 2): 1024·2·1024 cells.
-	a := NewFactor([]int{0, 1}, []int{1024, 2})
+	// Eliminating variable 1 from (0, 1) × (1, 2) leaves a τ over (0, 2)
+	// of 2048·1024 cells, half the hard cap; the bucket's product is never
+	// built.
+	a := NewFactor([]int{0, 1}, []int{2048, 2})
 	b := NewFactor([]int{1, 2}, []int{2, 1024})
 	out, err := w.eliminate(nil, []*Factor{a, b}, func(v int) bool { return v != 1 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Size() != 1024*1024 || w.words() < MaxFactorEntries/2 {
+	if out.Size() != 2048*1024 || w.words() < MaxFactorEntries/2 {
 		t.Fatalf("result of %d cells from a workspace of %d words; the test no longer builds a large table", out.Size(), w.words())
 	}
 	w.reset()

@@ -283,7 +283,7 @@ func TestLoaderSetEdges(t *testing.T) {
 // TestDecodeMakesNoMapPerParent: the lch records of a 341-object tree (85
 // parents) cost the text decoder a handful of allocations — label strings,
 // the chunks child sets and edge groups are cut from — and nothing per
-// parent: 5 measured. With lch and card as maps of maps they cost 174, two
+// parent: 15 measured. With lch and card as maps of maps they cost 174, two
 // small maps per parent.
 func TestDecodeMakesNoMapPerParent(t *testing.T) {
 	in, err := gen.Generate(gen.Config{Depth: 4, Branch: 4, Labeling: gen.FR, LeafDomainSize: 2, Seed: 1})
@@ -302,8 +302,8 @@ func TestDecodeMakesNoMapPerParent(t *testing.T) {
 	}
 	with := testing.AllocsPerRun(10, func() { _, _ = codec.DecodeTextBytes(doc.Bytes()) })
 	without := testing.AllocsPerRun(10, func() { _, _ = codec.DecodeTextBytes(noLch) })
-	if lch := with - without; lch > 16 {
-		t.Errorf("lch records of %d objects cost %v allocations, want at most 16", in.PI.NumObjects(), lch)
+	if lch := with - without; lch > 15 {
+		t.Errorf("lch records of %d objects cost %v allocations, want at most 15", in.PI.NumObjects(), lch)
 	}
 }
 

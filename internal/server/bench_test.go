@@ -198,10 +198,10 @@ func newReplay(tb testing.TB, cfg Config, depth int) *replay {
 	return replayOf(tb, cfg, in.PI, "PROB "+p.String()+" = "+o)
 }
 
-// newDAGReplay is infer_dag's op: PROB OBJECT on a leaf of a width-5,
-// two-parent diamond DAG, with a result cache that holds nothing, so every
-// op parses and runs the BN lane.
-func newDAGReplay(tb testing.TB) *replay {
+// newDAGReplay is one of infer_dag's statements on a width-5, two-parent
+// diamond DAG, with a result cache that holds nothing, so every op parses
+// and runs the BN lane.
+func newDAGReplay(tb testing.TB, stmt string) *replay {
 	tb.Helper()
 	pi, err := gen.WidthBomb(gen.BombConfig{Width: 5, Parents: 2, Seed: 1})
 	if err != nil {
@@ -209,7 +209,7 @@ func newDAGReplay(tb testing.TB) *replay {
 	}
 	cfg := harnessConfig()
 	cfg.ResultCacheBytes = 1
-	return replayOf(tb, cfg, pi, "PROB OBJECT leaf2")
+	return replayOf(tb, cfg, pi, stmt)
 }
 
 // replayOf serves stmt on pi, stored as instance hot0 of a new server.
@@ -264,10 +264,18 @@ func BenchmarkQueryMiss(b *testing.B) {
 	benchReplay(b, newReplay(b, cfg, 6))
 }
 
-// BenchmarkQueryMissDAG is infer_dag's PROB OBJECT on a leaf through the
-// whole handler stack: admission, the governor, the BN lane and the
-// response, with nothing cached.
-func BenchmarkQueryMissDAG(b *testing.B) { benchReplay(b, newDAGReplay(b)) }
+// BenchmarkQueryMissDAG is infer_dag's two statements on a leaf through
+// the whole handler stack: admission, the governor, the BN lane and the
+// response, with nothing cached. The path form is 5 of the workload's 12
+// statements and the larger share of its time in bayes.
+func BenchmarkQueryMissDAG(b *testing.B) {
+	for _, q := range []struct{ name, stmt string }{
+		{"object", "PROB OBJECT leaf2"},
+		{"path", "PROB bomb.arm.leaf = leaf2"},
+	} {
+		b.Run(q.name, func(b *testing.B) { benchReplay(b, newDAGReplay(b, q.stmt)) })
+	}
+}
 
 // BenchmarkRoute is the router alone on point_hot's route: every handler
 // of the table does nothing and runs bare, so what is timed is the match.

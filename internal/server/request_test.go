@@ -60,7 +60,7 @@ func TestQueryMissAllocs(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts under -race are not the program's")
 	}
-	rp := newDAGReplay(t)
+	rp := newDAGReplay(t, "PROB OBJECT leaf2")
 	for i := 0; i < 3; i++ {
 		if st := rp.serve(); st != http.StatusOK {
 			t.Fatalf("warm-up status %d", st)
