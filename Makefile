@@ -72,7 +72,8 @@ bench-smoke:
 	$(BENCH_SMOKE) -bench 'StormRead|ColdOpen' ./internal/store
 	$(BENCH_SMOKE) -bench QueryPoint ./internal/engine
 	$(BENCH_SMOKE) -bench 'Select|AncestorProject' ./internal/algebra
-	$(BENCH_SMOKE) -bench PointQuery ./internal/query
+	$(BENCH_SMOKE) -bench ChildSets ./internal/core
+	$(BENCH_SMOKE) -bench 'PointQuery|ExistsQuery' ./internal/query
 	$(BENCH_SMOKE) -bench 'InferDAG|TreePath|CompileFigure2' ./internal/bayes
 	$(BENCH_SMOKE) -bench 'Encode|Decode' ./internal/codec
 	$(BENCH_SMOKE) -bench 'FollowerFanout|CachedHit|QueryMiss(DAG)?|PutPipeline|Route' ./internal/server
@@ -173,6 +174,7 @@ fuzz-smoke:
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzGraphDifferential -fuzztime 10s
 	$(GO) test ./internal/pathexpr -run '^$$' -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/pathexpr -run '^$$' -fuzz FuzzPlanDifferential -fuzztime 10s
+	$(GO) test ./internal/algebra -run '^$$' -fuzz '^FuzzProjectDifferential$$' -fuzztime 10s
 	$(GO) test ./internal/pxql -run '^$$' -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzAppendQueryResponse -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzRouteDifferential$$' -fuzztime 10s
@@ -183,8 +185,9 @@ fuzz-smoke:
 
 # Short fuzz passes over the codecs, the text decoder's probability read
 # (against strconv.ParseFloat), the weak-instance tables, the graph's
-# rows, the plan builder and variable elimination (each against what it
-# replaced), the path-expression parser, the pxql parser and shape classifier, the query
+# rows, the plan builder, the ancestor projection and selection on the
+# bitset view of child sets, and variable elimination (each against what
+# it replaced), the path-expression parser, the pxql parser and shape classifier, the query
 # response encoder (against encoding/json), the router (against the
 # http.ServeMux it replaced), the store's frame scanner
 # and record decoder, and the result cache (against a reference LRU).
@@ -198,6 +201,7 @@ fuzz:
 	$(GO) test ./internal/graph -fuzz FuzzGraphDifferential -fuzztime 30s
 	$(GO) test ./internal/pathexpr -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/pathexpr -fuzz FuzzPlanDifferential -fuzztime 30s
+	$(GO) test ./internal/algebra -run '^$$' -fuzz '^FuzzProjectDifferential$$' -fuzztime 30s
 	$(GO) test ./internal/pxql -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzAppendQueryResponse -fuzztime 30s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzRouteDifferential$$' -fuzztime 30s

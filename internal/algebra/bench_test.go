@@ -53,6 +53,29 @@ func BenchmarkSelect(b *testing.B) {
 	})
 }
 
+// BenchmarkSelectCold is BenchmarkSelect on a version no reader has used
+// yet: each op selects on a fresh Overlay of the tree, which shares its
+// graph but starts without a bitset view, so the op reads the rows of the
+// chain it conditions (DESIGN §36).
+func BenchmarkSelectCold(b *testing.B) {
+	benchTrees(b, func(b *testing.B, in *gen.Instance, r *rand.Rand) {
+		p, o, ok := in.RandomSelection(r)
+		if !ok {
+			b.Fatal("no satisfiable selection")
+		}
+		cond := ObjectCondition{Path: p, Object: o}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out, _, err := Select(in.PI.Overlay(), cond)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink = out
+		}
+	})
+}
+
 // BenchmarkAncestorProject is Λ_p for a fixed random full-depth p: it
 // rebuilds every kept object's OPF, so it grows with the number of objects
 // the result keeps, reported beside the time per one of them.
@@ -74,6 +97,29 @@ func BenchmarkAncestorProject(b *testing.B) {
 		kept := float64(benchSink.NumObjects())
 		b.ReportMetric(kept, "kept-objects")
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/kept, "ns/kept-object")
+	})
+}
+
+// BenchmarkAncestorProjectCold is BenchmarkAncestorProject on a version no
+// reader has used yet: each op projects a fresh Overlay of the tree, which
+// shares its graph but starts without a bitset view, so the op reads the
+// rows of the objects it visits (DESIGN §36) as the first projection of a
+// newly stored version does.
+func BenchmarkAncestorProjectCold(b *testing.B) {
+	benchTrees(b, func(b *testing.B, in *gen.Instance, r *rand.Rand) {
+		p, ok := in.RandomQuery(r)
+		if !ok {
+			b.Fatal("no satisfiable query")
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out, err := AncestorProject(in.PI.Overlay(), p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink = out
+		}
 	})
 }
 

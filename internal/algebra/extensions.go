@@ -187,6 +187,7 @@ func matchedJoint(pi *core.ProbInstance, plan pathexpr.Plan) ([]*prob.OPF, error
 		joint[pos] = d
 	}
 	var members []int32
+	view := pi.ChildSets()
 	for level := n - 1; level >= 0; level-- {
 		lo, hi := plan.Level(level)
 		for pos := lo; pos < hi; pos++ {
@@ -198,7 +199,7 @@ func matchedJoint(pi *core.ProbInstance, plan pathexpr.Plan) ([]*prob.OPF, error
 			kids := plan.KidsOf(pos)
 			d := prob.NewOPF()
 			overflow := false
-			opf.Each(func(c sets.Set, pr float64) {
+			view.Each(plan.Nodes[pos].V, func(c []uint64, pr float64) {
 				if pr <= 0 || overflow {
 					return
 				}

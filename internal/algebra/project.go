@@ -11,7 +11,6 @@ import (
 	"pxml/internal/model"
 	"pxml/internal/pathexpr"
 	"pxml/internal/prob"
-	"pxml/internal/sets"
 )
 
 // maxSurvivalFanout caps the per-entry subset enumeration of the ℘ update
@@ -65,16 +64,17 @@ func AncestorProjectTimed(pi *core.ProbInstance, p pathexpr.Path, sink *Timings)
 	for pos := matched; pos < len(plan.Nodes); pos++ {
 		u.eps[pos] = 1
 	}
+	// Every OPF is read as bits of its object's row (DESIGN §36).
+	view := pi.ChildSets()
 	for level := n - 1; level >= 0; level-- {
 		lo, hi := plan.Level(level)
 		for pos := lo; pos < hi; pos++ {
-			o := plan.Nodes[pos].ID
-			opf := pi.OPF(o)
-			if opf == nil {
-				return nil, fmt.Errorf("algebra: non-leaf %s has no OPF", o)
+			nd := plan.Nodes[pos]
+			if view.OPF(nd.V) == nil {
+				return nil, fmt.Errorf("algebra: non-leaf %s has no OPF", nd.ID)
 			}
 			var err error
-			if u.eps[pos], err = u.survivalUpdate(pos, o, opf, plan.KidsOf(pos)); err != nil {
+			if u.eps[pos], err = u.survivalUpdate(pos, nd, view, plan.KidsOf(pos)); err != nil {
 				return nil, err
 			}
 		}
@@ -114,15 +114,15 @@ func AncestorProjectTimed(pi *core.ProbInstance, p pathexpr.Path, sink *Timings)
 	for len(stack) > 0 {
 		pos, on := int(stack[len(stack)-2]), stack[len(stack)-1]
 		stack = stack[:len(stack)-2]
-		o := plan.Nodes[pos].ID
 		if pos >= matched {
 			// Matched objects are leaves of the result; keep their leaf
 			// type and VPF when they had one.
-			if t, ok := pi.TypeOf(o); ok {
+			v := plan.Nodes[pos].V
+			if t := pi.TypeNameAt(v); t != "" {
 				// Error impossible: type registered above.
-				_ = ld.SetLeafType(on, t.Name)
-				if v := pi.VPF(o); v != nil {
-					ld.SetVPF(on, v)
+				_ = ld.SetLeafType(on, t)
+				if vpf := pi.VPFAt(v); vpf != nil {
+					ld.SetVPF(on, vpf)
 				}
 			}
 			continue
@@ -133,9 +133,11 @@ func AncestorProjectTimed(pi *core.ProbInstance, p pathexpr.Path, sink *Timings)
 		}
 		// One pass over the support of ℘'(o) finds the kept children with a
 		// positive marginal and, per label, the fewest and the most of them
-		// a supported set holds (the Section 6.1 card′ formulas). The plan
-		// carries each kept child's label, and its run is in id order, so
-		// every per-label subsequence is a canonical set as built.
+		// a supported set holds (the Section 6.1 card′ formulas). The
+		// update left each entry's members as a run of indexes into the
+		// kept children, so the pass reads those instead of the sets. The
+		// plan carries each kept child's label, and its run is in id order,
+		// so every per-label subsequence is a canonical set as built.
 		kids := plan.KidsOf(pos)
 		labels, of, alive = labels[:0], of[:0], append(alive[:0], make([]bool, len(kids))...)
 		for _, k := range kids {
@@ -146,12 +148,12 @@ func AncestorProjectTimed(pi *core.ProbInstance, p pathexpr.Path, sink *Timings)
 			}
 			of = append(of, int32(l))
 		}
-		w.Each(func(c sets.Set, pr float64) {
-			if pr <= 0 {
-				return
+		pd := u.pending[pos]
+		for k, e := range u.entries[pd.at : int(pd.at)+pd.len()] {
+			if e.Prob <= 0 {
+				continue
 			}
-			u.members = pathexpr.Members(u.members[:0], kids, c)
-			for _, j := range u.members {
+			for _, j := range u.run(pd, k) {
 				lc := &labels[of[j]]
 				lc.n++
 				if !alive[j] {
@@ -166,7 +168,7 @@ func AncestorProjectTimed(pi *core.ProbInstance, p pathexpr.Path, sink *Timings)
 				}
 				lc.hi, lc.n = max(lc.hi, lc.n), 0
 			}
-		})
+		}
 		survivors := 0
 		for l, lc := range labels {
 			if lc.kept == 0 {
@@ -175,7 +177,7 @@ func AncestorProjectTimed(pi *core.ProbInstance, p pathexpr.Path, sink *Timings)
 			cs := u.nums[:0]
 			for j, k := range kids {
 				if alive[j] && int(of[j]) == l {
-					n := number(k.ID)
+					n := number(plan.Nodes[k.Pos].ID)
 					ld.Declare(n)
 					cs = append(cs, n)
 					stack = append(stack, k.Pos, n)
@@ -228,12 +230,11 @@ type updater struct {
 	pending []pending   // by plan position, above the matched level
 	newOPF  []*prob.OPF // by plan position: ℘'(o), nil when o keeps no child
 
-	members []int32   // kept children in the entry being spread, as indexes into kids
+	members []int32   // listed: kept children in the entry being spread, as indexes into kids
 	sure    []int32   // those that survive surely (ε = 1) ...
 	unsure  []int32   // ... and those that may not,
 	ueps    []float64 // with their ε
 	acc     []float64 // dense: probability by survivor bitmask
-	masks   []uint16  // dense: the bitmasks that got any
 	runs    []int32   // survivor sets as runs of ascending indexes into kids
 	sets    []survivorSet
 
@@ -259,6 +260,7 @@ type updater struct {
 // by. live is false when o keeps no child and gets no ℘'.
 type pending struct {
 	lo, hi   int32
+	at       int32 // where seal put ℘'(o)'s entries in u.entries
 	empty    float64
 	hasEmpty bool
 	total    float64
@@ -340,7 +342,7 @@ func (u *updater) compare(a, b survivorSet) int {
 	return slices.Compare(u.runs[a.lo:a.hi], u.runs[b.lo:b.hi])
 }
 
-// survivalUpdate computes the Section 6.1 update for the object o at plan
+// survivalUpdate computes the Section 6.1 update for the object nd at plan
 // position pos: for each original OPF entry c, distribute its probability
 // over the subsets of the kept children in c that may survive, weighting by
 // Π ε_j for survivors and Π (1−ε_j) for kept non-survivors (dropped children
@@ -355,81 +357,13 @@ func (u *updater) compare(a, b survivorSet) int {
 // ℘'(o) is normalized by a sum in canonical order, so the result is the same
 // bit for bit from run to run; seal hands it to prob.OPFFromSorted already
 // canonical.
-func (u *updater) survivalUpdate(pos int, o model.ObjectID, opf *prob.OPF, kids []pathexpr.Kid) (float64, error) {
-	dense := len(kids) <= denseFanout
-	if dense {
-		if need := 1 << len(kids); cap(u.acc) < need {
-			u.acc = make([]float64, need)
-		} else {
-			u.acc = u.acc[:need]
-			clear(u.acc)
-		}
-	}
+func (u *updater) survivalUpdate(pos int, nd pathexpr.Node, view *core.ChildSets, kids []pathexpr.Kid) (float64, error) {
 	base := len(u.sets)
-	var badFanout error
-	opf.Each(func(c sets.Set, p float64) {
-		if p <= 0 || badFanout != nil {
-			return
-		}
-		// Partition the entry's kept children into sure survivors (ε = 1)
-		// and uncertain ones; enumerate survivor subsets of the latter.
-		u.members = pathexpr.Members(u.members[:0], kids, c)
-		u.sure, u.unsure, u.ueps = u.sure[:0], u.unsure[:0], u.ueps[:0]
-		var sureMask uint16
-		for _, j := range u.members {
-			switch e := u.eps[kids[j].Pos]; {
-			case e <= 0: // dead child: marginalized away like a dropped one
-			case e >= 1:
-				u.sure = append(u.sure, j)
-				sureMask |= 1 << j
-			default:
-				u.unsure = append(u.unsure, j)
-				u.ueps = append(u.ueps, e)
-			}
-		}
-		k := len(u.unsure)
-		if k > maxSurvivalFanout {
-			badFanout = fmt.Errorf("algebra: survival fanout 2^%d exceeds limit", k)
-			return
-		}
-		for sub := 0; sub < 1<<k; sub++ {
-			weight, mask := p, sureMask
-			for i, e := range u.ueps {
-				if sub>>i&1 != 0 {
-					weight *= e
-					mask |= 1 << u.unsure[i]
-				} else {
-					weight *= 1 - e
-				}
-			}
-			if weight <= 0 {
-				continue
-			}
-			if dense {
-				u.acc[mask] += weight
-				continue
-			}
-			// List the survivors in id order: sure and unsure are both
-			// ascending, so a linear merge keeps canonical order.
-			lo, si := int32(len(u.runs)), 0
-			for i, j := range u.unsure {
-				if sub>>i&1 == 0 {
-					continue
-				}
-				for si < len(u.sure) && u.sure[si] < j {
-					u.runs = append(u.runs, u.sure[si])
-					si++
-				}
-				u.runs = append(u.runs, j)
-			}
-			u.runs = append(u.runs, u.sure[si:]...)
-			u.sets = append(u.sets, survivorSet{lo, int32(len(u.runs)), weight})
-		}
-	})
-	if badFanout != nil {
-		return 0, badFanout
+	if len(kids) <= denseFanout {
+		u.spreadDense(nd, view, kids)
+	} else if err := u.spreadListed(nd, view, kids); err != nil {
+		return 0, err
 	}
-	u.canonicalize(base, dense)
 
 	// ε_o is read off the mass of ∅, which sorts first when any entry
 	// emitted it.
@@ -453,57 +387,207 @@ func (u *updater) survivalUpdate(pos int, o model.ObjectID, opf *prob.OPF, kids 
 			pd.total += s.p
 		}
 		if pd.total <= 0 {
-			return 0, fmt.Errorf("algebra: normalizing ℘'(%s): prob: cannot normalize OPF with mass %v", o, pd.total)
+			return 0, fmt.Errorf("algebra: normalizing ℘'(%s): prob: cannot normalize OPF with mass %v", nd.ID, pd.total)
 		}
 	}
 	u.pending[pos] = pd
 	return eps, nil
 }
 
-// canonicalize leaves in u.sets[base:] the distinct survivor sets of one
-// object in canonical order, each with its summed probability.
-func (u *updater) canonicalize(base int, dense bool) {
-	if !dense {
-		// Stable, so equal sets stay in emission order and sum in it.
-		own := u.sets[base:]
-		slices.SortStableFunc(own, u.compare)
-		n := 0
-		for _, s := range own {
-			if n > 0 && u.compare(own[n-1], s) == 0 {
-				own[n-1].p += s.p
-			} else {
-				own[n] = s
-				n++
+// spreadDense is the update of an object with at most denseFanout kept
+// children: survivor sets are bitmasks over them, summed in u.acc. Each
+// entry's kept children are a mask read off its bits; each survivor weight
+// is the left-to-right product p·f₀·f₁·… over the uncertain ones in
+// ascending order, as the listed update computes it, but taken depth-first
+// so that survivor sets sharing a prefix of choices share its product. A
+// mask gets at most one weight per entry, so the order within an entry
+// changes no sum. The distinct sets leave in canonical order, read off
+// canonicalMasks.
+func (u *updater) spreadDense(nd pathexpr.Node, view *core.ChildSets, kids []pathexpr.Kid) {
+	if need := 1 << len(kids); cap(u.acc) < need {
+		u.acc = make([]float64, need)
+	} else {
+		u.acc = u.acc[:need]
+		clear(u.acc)
+	}
+	// Kept children that survive surely (ε = 1) and those that may not; a
+	// dead one (ε = 0) is in neither and marginalizes away like a dropped
+	// one.
+	var sure, unsure uint16
+	for j, k := range kids {
+		switch e := u.eps[k.Pos]; {
+		case e <= 0:
+		case e >= 1:
+			sure |= 1 << j
+		default:
+			unsure |= 1 << j
+		}
+	}
+	var ueps [denseFanout]float64
+	var ubit [denseFanout]uint16
+	var weight [denseFanout + 1]float64
+	var mask [denseFanout + 1]uint16
+	view.Each(nd.V, func(c []uint64, p float64) {
+		if p <= 0 {
+			return
+		}
+		var in uint16
+		for j, k := range kids {
+			in |= uint16(c[k.Slot>>6]>>(k.Slot&63)&1) << j
+		}
+		k := 0
+		for rest := in & unsure; rest != 0; rest &= rest - 1 {
+			j := bits.TrailingZeros16(rest)
+			ueps[k], ubit[k] = u.eps[kids[j].Pos], 1<<j
+			k++
+		}
+		// Choice i survives when bit k−1−i of sub is set, so the last
+		// choice varies fastest and sub's trailing zeros say how many of
+		// the last choices changed since sub−1.
+		weight[0], mask[0] = p, in&sure
+		from := 0
+		for sub := 0; sub < 1<<k; sub++ {
+			if sub > 0 {
+				from = k - 1 - bits.TrailingZeros(uint(sub))
+			}
+			for i := from; i < k; i++ {
+				if sub>>(k-1-i)&1 != 0 {
+					weight[i+1], mask[i+1] = weight[i]*ueps[i], mask[i]|ubit[i]
+				} else {
+					weight[i+1], mask[i+1] = weight[i]*(1-ueps[i]), mask[i]
+				}
+			}
+			if weight[k] > 0 {
+				u.acc[mask[k]] += weight[k]
 			}
 		}
-		u.sets = u.sets[:base+n]
-		return
-	}
-	u.masks = u.masks[:0]
-	for mask, p := range u.acc {
-		if p > 0 {
-			u.masks = append(u.masks, uint16(mask))
-		}
-	}
-	slices.SortFunc(u.masks, func(a, b uint16) int {
-		if c := cmp.Compare(bits.OnesCount16(a), bits.OnesCount16(b)); c != 0 {
-			return c
-		}
-		// The lowest kid in one set and not the other decides.
-		return cmp.Compare(bits.Reverse16(b), bits.Reverse16(a))
 	})
-	for _, mask := range u.masks {
-		lo := int32(len(u.runs))
-		for rest := mask; rest != 0; rest &= rest - 1 {
-			u.runs = append(u.runs, int32(bits.TrailingZeros16(rest)))
+	for _, m := range canonicalMasks()[len(kids)] {
+		if p := u.acc[m]; p > 0 {
+			lo := int32(len(u.runs))
+			for rest := m; rest != 0; rest &= rest - 1 {
+				u.runs = append(u.runs, int32(bits.TrailingZeros16(rest)))
+			}
+			u.sets = append(u.sets, survivorSet{lo, int32(len(u.runs)), p})
 		}
-		u.sets = append(u.sets, survivorSet{lo, int32(len(u.runs)), u.acc[mask]})
 	}
+}
+
+// canonicalMasks returns, for every k ≤ denseFanout, the bitmasks over k
+// kept children in the canonical order of the sets they stand for: by size,
+// then by members, where the lowest kid in one set and not the other
+// decides.
+var canonicalMasks = sync.OnceValue(func() [denseFanout + 1][]uint16 {
+	var t [denseFanout + 1][]uint16
+	for k := range t {
+		t[k] = make([]uint16, 1<<k)
+		for m := range t[k] {
+			t[k][m] = uint16(m)
+		}
+		slices.SortFunc(t[k], func(a, b uint16) int {
+			if c := cmp.Compare(bits.OnesCount16(a), bits.OnesCount16(b)); c != 0 {
+				return c
+			}
+			return cmp.Compare(bits.Reverse16(b), bits.Reverse16(a))
+		})
+	}
+	return t
+})
+
+// spreadListed is the update of an object with more than denseFanout kept
+// children: each survivor set is listed as a run of ascending indexes into
+// kids, and the runs are sorted and merged.
+func (u *updater) spreadListed(nd pathexpr.Node, view *core.ChildSets, kids []pathexpr.Kid) error {
+	base := len(u.sets)
+	var badFanout error
+	view.Each(nd.V, func(c []uint64, p float64) {
+		if p <= 0 || badFanout != nil {
+			return
+		}
+		// Partition the entry's kept children into sure survivors (ε = 1)
+		// and uncertain ones; enumerate survivor subsets of the latter.
+		u.members = pathexpr.Members(u.members[:0], kids, c)
+		u.sure, u.unsure, u.ueps = u.sure[:0], u.unsure[:0], u.ueps[:0]
+		for _, j := range u.members {
+			switch e := u.eps[kids[j].Pos]; {
+			case e <= 0: // dead child: marginalized away like a dropped one
+			case e >= 1:
+				u.sure = append(u.sure, j)
+			default:
+				u.unsure = append(u.unsure, j)
+				u.ueps = append(u.ueps, e)
+			}
+		}
+		k := len(u.unsure)
+		if k > maxSurvivalFanout {
+			badFanout = fmt.Errorf("algebra: survival fanout 2^%d exceeds limit", k)
+			return
+		}
+		for sub := 0; sub < 1<<k; sub++ {
+			weight := p
+			for i, e := range u.ueps {
+				if sub>>i&1 != 0 {
+					weight *= e
+				} else {
+					weight *= 1 - e
+				}
+			}
+			if weight <= 0 {
+				continue
+			}
+			// List the survivors in id order: sure and unsure are both
+			// ascending, so a linear merge keeps canonical order.
+			lo, si := int32(len(u.runs)), 0
+			for i, j := range u.unsure {
+				if sub>>i&1 == 0 {
+					continue
+				}
+				for si < len(u.sure) && u.sure[si] < j {
+					u.runs = append(u.runs, u.sure[si])
+					si++
+				}
+				u.runs = append(u.runs, j)
+			}
+			u.runs = append(u.runs, u.sure[si:]...)
+			u.sets = append(u.sets, survivorSet{lo, int32(len(u.runs)), weight})
+		}
+	})
+	if badFanout != nil {
+		return badFanout
+	}
+	// Stable, so equal sets stay in emission order and sum in it.
+	own := u.sets[base:]
+	slices.SortStableFunc(own, u.compare)
+	n := 0
+	for _, s := range own {
+		if n > 0 && u.compare(own[n-1], s) == 0 {
+			own[n-1].p += s.p
+		} else {
+			own[n] = s
+			n++
+		}
+	}
+	u.sets = u.sets[:base+n]
+	return nil
+}
+
+// run returns the members of entry k of ℘'(o), o the object pd records,
+// as indexes into its kept children: none for the leading ∅ entry.
+func (u *updater) run(pd pending, k int) []int32 {
+	if pd.hasEmpty {
+		if k == 0 {
+			return nil
+		}
+		k--
+	}
+	s := u.sets[int(pd.lo)+k]
+	return u.runs[s.lo:s.hi]
 }
 
 // seal turns what the update recorded for the plan's objects above the
 // matched level into their ℘'. It first sizes u.entries and u.ids to the
-// whole result, so every OPF is cut from the same two slices.
+// whole result, so every OPF is cut from the same two slices, and records
+// where each object's entries start for the structure pass.
 func (u *updater) seal(plan pathexpr.Plan, matched int) {
 	entries, members := 0, 0
 	for _, pd := range u.pending[:matched] {
@@ -517,10 +601,12 @@ func (u *updater) seal(plan pathexpr.Plan, matched int) {
 	}
 	u.entries = make([]prob.OPFEntry, 0, entries)
 	u.ids = make([]model.ObjectID, 0, members)
-	for pos, pd := range u.pending[:matched] {
+	for pos := range u.pending[:matched] {
+		pd := &u.pending[pos]
 		if !pd.live {
 			continue
 		}
+		pd.at = int32(len(u.entries))
 		kids, es := plan.KidsOf(pos), cut(&u.entries, pd.len())
 		if pd.hasEmpty {
 			es = append(es, prob.OPFEntry{Prob: pd.empty})
@@ -528,7 +614,7 @@ func (u *updater) seal(plan pathexpr.Plan, matched int) {
 		for _, s := range u.sets[pd.lo:pd.hi] {
 			ids := cut(&u.ids, int(s.hi-s.lo))
 			for _, j := range u.runs[s.lo:s.hi] {
-				ids = append(ids, kids[j].ID)
+				ids = append(ids, plan.Nodes[kids[j].Pos].ID)
 			}
 			es = append(es, prob.OPFEntry{Set: ids, Prob: s.p / pd.total})
 		}

@@ -143,7 +143,7 @@ func refAncestorProject(pi *core.ProbInstance, p pathexpr.Path) (*core.ProbInsta
 		for pos := lo; pos < hi; pos++ {
 			keep[level][plan.Nodes[pos].ID] = true
 			for _, k := range plan.KidsOf(pos) {
-				keptChildren[plan.Nodes[pos].ID] = append(keptChildren[plan.Nodes[pos].ID], k.ID)
+				keptChildren[plan.Nodes[pos].ID] = append(keptChildren[plan.Nodes[pos].ID], plan.Nodes[k.Pos].ID)
 			}
 		}
 	}

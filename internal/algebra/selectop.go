@@ -176,9 +176,12 @@ func SelectTimed(pi *core.ProbInstance, cond Condition, sink *Timings) (*core.Pr
 // conditionChain conditions every ancestor OPF along the unique
 // root-to-object chain on containing the next chain object, applying an
 // optional extra conditioning step at the selected object itself. It
-// returns the total probability of the conditioned event.
+// returns the total probability of the conditioned event. An entry holds
+// the chain object when the bit at its slot in the parent's row is set in
+// the entry's child set (core.ChildSets, DESIGN §36).
 func conditionChain(pi, out *core.ProbInstance, p pathexpr.Path, o model.ObjectID, sw *stopwatch, extra func(model.ObjectID) (float64, error)) (float64, error) {
-	chain, err := rootChain(pi.WeakInstance.Graph(), p, o)
+	g := pi.WeakInstance.Graph()
+	chain, err := rootChain(g, p, o)
 	sw.lap(phaseLocate)
 	if err != nil {
 		return 0, err
@@ -189,13 +192,17 @@ func conditionChain(pi, out *core.ProbInstance, p pathexpr.Path, o model.ObjectI
 	// chain is o … root; walk top-down conditioning each ancestor on
 	// containing its chain child.
 	total := 1.0
+	view := pi.ChildSets()
 	for i := len(chain) - 1; i >= 1; i-- {
 		parent, child := chain[i], chain[i-1]
-		opf := pi.OPF(parent)
+		pv, _ := g.Vertex(parent)
+		cv, _ := g.Vertex(child)
+		opf := view.OPF(pv)
 		if opf == nil {
 			return 0, fmt.Errorf("algebra: chain object %s has no OPF", parent)
 		}
-		cond, norm, ok := opf.ConditionContains(child)
+		slot, _ := g.Slot(pv, cv)
+		cond, norm, ok := opf.ConditionAt(func(e int) bool { return view.Has(pv, e, slot) })
 		if !ok {
 			sw.lap(phaseUpdate)
 			return 0, fmt.Errorf("%w: edge %s → %s has zero probability", ErrZeroProbability, parent, child)

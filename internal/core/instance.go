@@ -121,6 +121,7 @@ func (pi *ProbInstance) writable() *localInterp {
 // afterwards (see the package comment).
 func (pi *ProbInstance) SetOPF(o model.ObjectID, w *prob.OPF) {
 	setLPF(pi, &pi.writable().opf, o, w)
+	pi.dropChildSets()
 }
 
 // SetVPF assigns ℘(o) for a leaf object. w must not be mutated afterwards
@@ -159,6 +160,10 @@ func (pi *ProbInstance) VPF(o model.ObjectID) *prob.VPF {
 	}
 	return nil
 }
+
+// VPFAt is VPF for an object known by number, such as a vertex of the
+// instance's graph (DESIGN §31).
+func (pi *ProbInstance) VPFAt(i int32) *prob.VPF { return pi.interp.vpf.get(i) }
 
 // Overlay returns an instance that is observationally a deep copy of pi but
 // shares everything with it: the weak-instance tables, the memoized graph

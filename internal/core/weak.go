@@ -85,6 +85,10 @@ type structMemo struct {
 	// outside V (DESIGN §31).
 	order []int32
 	rank  []int32
+	// childSets is the bitset view of an instance's OPFs over graph's rows
+	// (ProbInstance.ChildSets, DESIGN §36), for the interpretation it
+	// names; SetOPF drops it too.
+	childSets *ChildSets
 }
 
 // weakTables are the tables behind a WeakInstance, grouped so that an
@@ -287,6 +291,8 @@ func (w *WeakInstance) overlay() *WeakInstance {
 	w.graphMu.Lock()
 	c.memo = w.memo
 	w.graphMu.Unlock()
+	// The view belongs to w's interpretation, never the overlay's.
+	c.memo.childSets = nil
 	c.shared.Store(true)
 	// Load first: concurrent overlays of one published instance would
 	// otherwise all write the same cache line.
@@ -556,6 +562,15 @@ func (w *WeakInstance) TypeOf(o model.ObjectID) (model.Type, bool) {
 		return w.types[w.typeOf(&w.objs[i])], true
 	}
 	return model.Type{}, false
+}
+
+// TypeNameAt returns the name of τ(o) for the object numbered i, "" when
+// it is untyped or i numbers no object.
+func (w *WeakInstance) TypeNameAt(i int32) model.TypeName {
+	if int(i) >= len(w.objs) {
+		return ""
+	}
+	return w.typeOf(&w.objs[i])
 }
 
 // DefaultValue returns val(o); the boolean result is false when no default

@@ -195,6 +195,22 @@ func (g *Graph) EdgeLabel(from, to int32) (string, bool) {
 	return "", false
 }
 
+// ChildNames returns the names of vertex v's successors in target order:
+// Children by number. Slot numbers index this row.
+func (g *Graph) ChildNames(v int32) []string {
+	lo, hi := g.out.row(v)
+	return g.out.name[lo:hi:hi]
+}
+
+// Slot returns the position of to in from's row of successors in target
+// order; false when there is no edge from → to.
+func (g *Graph) Slot(from, to int32) (int32, bool) {
+	lo, hi := g.out.row(from)
+	row := g.out.v[lo:hi]
+	i, ok := slices.BinarySearchFunc(row, g.rank[to], func(c, r int32) int { return cmp.Compare(g.rank[c], r) })
+	return int32(i), ok
+}
+
 // Name returns the id of vertex v.
 func (g *Graph) Name(v int32) string { return g.names[v] }
 
@@ -459,9 +475,14 @@ func (g *Graph) EachChild(o string, fn func(child, label string)) {
 	}
 }
 
-// Arc is one out-edge of a vertex as the successor table stores it.
+// Arc is one out-edge of a vertex as the successor table stores it: its
+// label, the target's vertex number V, and Slot, the target's position in
+// the source's row of successors in target order (Children, ChildNames),
+// which is what the bitset view of an instance's child sets indexes
+// (DESIGN §36).
 type Arc struct {
-	To, Label string
+	Label   string
+	V, Slot int32
 }
 
 // Successors is the label-partitioned successor table of a graph: for every
@@ -482,11 +503,11 @@ type Successors struct {
 
 func newSuccessors(g *Graph) Successors {
 	s := Successors{g: g, arcs: make([]Arc, len(g.out.v)), forest: true}
-	for i := range s.arcs {
-		s.arcs[i] = Arc{To: g.out.name[i], Label: g.out.label[i]}
-	}
 	for v := range g.names {
 		lo, hi := g.out.row(int32(v))
+		for i := lo; i < hi; i++ {
+			s.arcs[i] = Arc{Label: g.out.label[i], V: g.out.v[i], Slot: i - lo}
+		}
 		// A stable sort by label keeps each label's run in target order.
 		slices.SortStableFunc(s.arcs[lo:hi], func(a, b Arc) int { return cmp.Compare(a.Label, b.Label) })
 	}
@@ -508,14 +529,14 @@ func (s *Successors) Graph() *Graph { return s.g }
 // Forest reports whether every vertex has at most one parent.
 func (s *Successors) Forest() bool { return s.forest }
 
-// Out returns every out-edge of v, sorted by (label, target).
-func (s *Successors) Out(v string) []Arc {
-	lo, hi := s.g.outRow(v)
+// Out returns every out-edge of vertex v, sorted by (label, target).
+func (s *Successors) Out(v int32) []Arc {
+	lo, hi := s.g.out.row(v)
 	return s.arcs[lo:hi:hi]
 }
 
-// Via returns the out-edges of v labeled label, sorted by target.
-func (s *Successors) Via(v, label string) []Arc {
+// Via returns the out-edges of vertex v labeled label, sorted by target.
+func (s *Successors) Via(v int32, label string) []Arc {
 	arcs := s.Out(v)
 	lo := sort.Search(len(arcs), func(i int) bool { return arcs[i].Label >= label })
 	hi := lo

@@ -407,17 +407,21 @@ func (g *refGraph) csr() *Graph {
 }
 
 // arcs returns v's out-edges sorted by (label, target), which is what
-// Successors.Out answers.
-func (g *refGraph) arcs(v string) []Arc {
+// Successors.Out answers, each target numbered as in the graph csr built
+// and placed at its position among v's children in name order.
+func (g *refGraph) arcs(v string, csr *Graph) []Arc {
 	var arcs []Arc
+	kids := g.Children(v)
 	for to, l := range g.out[v] {
-		arcs = append(arcs, Arc{To: to, Label: l})
+		n, _ := csr.Vertex(to)
+		arcs = append(arcs, Arc{Label: l, V: n, Slot: int32(slices.Index(kids, to))})
 	}
+	// Slots are in target order.
 	slices.SortFunc(arcs, func(a, b Arc) int {
 		if c := cmp.Compare(a.Label, b.Label); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.To, b.To)
+		return cmp.Compare(a.Slot, b.Slot)
 	})
 	return arcs
 }
@@ -481,8 +485,24 @@ func FuzzGraphDifferential(f *testing.F) {
 			if got, want := g.ReachableFrom(v), ref.ReachableFrom(v); !slices.Equal(got, want) {
 				fail("ReachableFrom("+v+")", got, want)
 			}
-			if got, want := g.Successors().Out(v), ref.arcs(v); !slices.Equal(got, want) {
-				fail("Out("+v+")", got, want)
+			if vn, ok := g.Vertex(v); ok {
+				if got, want := g.Successors().Out(vn), ref.arcs(v, g); !slices.Equal(got, want) {
+					fail("Out("+v+")", got, want)
+				}
+				if got, want := g.ChildNames(vn), ref.Children(v); !slices.Equal(got, want) {
+					fail("ChildNames("+v+")", got, want)
+				}
+				for c := byte(0); c < 12; c++ {
+					cn, cok := g.Vertex(name(c))
+					if !cok {
+						continue
+					}
+					slot, found := g.Slot(vn, cn)
+					at := slices.Index(ref.Children(v), name(c))
+					if found != (at >= 0) || found && slot != int32(at) {
+						fail("Slot("+v+","+name(c)+")", slot, at)
+					}
+				}
 			}
 			for c := byte(0); c < 12; c++ {
 				gl, gok := g.Label(v, name(c))

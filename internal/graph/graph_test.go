@@ -309,19 +309,23 @@ func TestSuccessors(t *testing.T) {
 	if s != g.Successors() || s.Graph() != g {
 		t.Error("the graph did not keep its table")
 	}
-	if got, want := s.Out("r"), []Arc{{"z", "a"}, {"a", "b"}, {"c", "b"}, {"b", "c"}}; !reflect.DeepEqual(got, want) {
+	// r's children in name order are a, b, c, z: an arc's slot is its
+	// target's place there.
+	num := func(v string) int32 { n, _ := g.Vertex(v); return n }
+	arc := func(to, l string, slot int32) Arc { return Arc{Label: l, V: num(to), Slot: slot} }
+	if got, want := s.Out(num("r")), []Arc{arc("z", "a", 3), arc("a", "b", 0), arc("c", "b", 2), arc("b", "c", 1)}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Out(r) = %v, want %v", got, want)
 	}
-	if got, want := s.Via("r", "b"), []Arc{{"a", "b"}, {"c", "b"}}; !reflect.DeepEqual(got, want) {
+	if got, want := s.Via(num("r"), "b"), []Arc{arc("a", "b", 0), arc("c", "b", 2)}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Via(r,b) = %v, want %v", got, want)
 	}
 	for _, l := range []string{"", "aa", "bb", "d"} {
-		if got := s.Via("r", l); len(got) != 0 {
+		if got := s.Via(num("r"), l); len(got) != 0 {
 			t.Errorf("Via(r,%q) = %v", l, got)
 		}
 	}
-	if len(s.Out("x")) != 0 || len(s.Via("nowhere", "a")) != 0 {
-		t.Error("a leaf or a stranger has successors")
+	if len(s.Out(num("x"))) != 0 || len(s.Via(num("x"), "b")) != 0 {
+		t.Error("a leaf has successors")
 	}
 	if !s.Forest() {
 		t.Error("one parent each, yet not a forest")
@@ -329,9 +333,10 @@ func TestSuccessors(t *testing.T) {
 	if err := ref.AddEdge("c", "x", "b"); err != nil {
 		t.Fatal(err)
 	}
-	s = ref.csr().Successors()
-	if s.Forest() || !reflect.DeepEqual(s.Via("c", "b"), []Arc{{"x", "b"}}) {
-		t.Errorf("after AddEdge: forest %v, Via(c,b) = %v", s.Forest(), s.Via("c", "b"))
+	g = ref.csr()
+	s = g.Successors()
+	if s.Forest() || !reflect.DeepEqual(s.Via(num("c"), "b"), []Arc{arc("x", "b", 0)}) {
+		t.Errorf("after AddEdge: forest %v, Via(c,b) = %v", s.Forest(), s.Via(num("c"), "b"))
 	}
 }
 
@@ -350,9 +355,9 @@ func TestSuccessorsConcurrentFirstUse(t *testing.T) {
 			defer wg.Done()
 			s := g.Successors()
 			for i := 0; i <= 200; i++ {
-				v := fmt.Sprintf("n%d", i)
+				v, _ := g.Vertex(fmt.Sprintf("n%d", i))
 				if !reflect.DeepEqual(s.Out(v), want.Out(v)) {
-					t.Errorf("Out(%s) = %v, want %v", v, s.Out(v), want.Out(v))
+					t.Errorf("Out(n%d) = %v, want %v", i, s.Out(v), want.Out(v))
 				}
 			}
 		}()

@@ -2,6 +2,7 @@ package interval
 
 import (
 	"fmt"
+	"strings"
 
 	"pxml/internal/model"
 	"pxml/internal/pathexpr"
@@ -149,7 +150,7 @@ func epsilonBound(in *Instance, p pathexpr.Path, targets map[model.ObjectID]bool
 			// children at one end of their ε bounds: ε max gives the least.
 			fail := func(c sets.Set, epsMax bool) float64 {
 				q := 1.0
-				members = pathexpr.Members(members[:0], kids, c)
+				members = kidsIn(members[:0], plan, kids, c)
 				for _, j := range members {
 					if e := eps[kids[j].Pos]; epsMax {
 						q *= 1 - e.Hi
@@ -181,4 +182,24 @@ func epsilonBound(in *Instance, p pathexpr.Path, targets map[model.ObjectID]bool
 		}
 	}
 	return eps[0], nil
+}
+
+// kidsIn appends to dst, for every kept child in kids that is a member of
+// the canonical set c, its index in kids. Both are in ascending id, so this
+// is one merge walk. It is pathexpr.Members for an interval OPF, which has
+// no bitset view.
+func kidsIn(dst []int32, plan pathexpr.Plan, kids []pathexpr.Kid, c sets.Set) []int32 {
+	for i, j := 0, 0; i < len(c) && j < len(kids); {
+		switch strings.Compare(c[i], plan.Nodes[kids[j].Pos].ID) {
+		case -1:
+			i++
+		case 1:
+			j++
+		default:
+			dst = append(dst, int32(j))
+			i++
+			j++
+		}
+	}
+	return dst
 }

@@ -130,8 +130,9 @@ func RootChain(dst []model.ObjectID, g *graph.Graph, p Path, o model.ObjectID) (
 // several depths has one node per depth.
 //
 // Kids holds the kept edges grouped by parent: a node's kept children are one
-// contiguous run (KidsOf) in ascending child id, each with its edge label and
-// the child's position, which is always greater than the parent's.
+// contiguous run (KidsOf) in ascending child id, each with its edge label,
+// the child's position, which is always greater than the parent's, and its
+// slot in the parent's row of successors.
 type Plan struct {
 	Path  Path
 	Nodes []Node
@@ -143,16 +144,22 @@ type Plan struct {
 
 // Node is one kept object at one depth.
 type Node struct {
-	ID            model.ObjectID
+	ID model.ObjectID
+	// V is the object's vertex number in the graph the plan was read from,
+	// which an instance's own tables share (DESIGN §31).
+	V             int32
 	kids, kidsEnd int32
 }
 
-// Kid is one kept edge, seen from its parent.
+// Kid is one kept edge, seen from its parent. The child is Plan.Nodes[Pos].
 type Kid struct {
-	ID    model.ObjectID
 	Label model.Label
 	// Pos is the child's position in Plan.Nodes.
 	Pos int32
+	// Slot is the child's position in its parent's row of successors in id
+	// order (graph.Arc.Slot), the bit a child set of the parent's OPF
+	// holds it at (Members).
+	Slot int32
 }
 
 // NewPlan computes the ancestor-projection plan of p over g, read through
@@ -163,7 +170,8 @@ type Kid struct {
 // path are kept, so the plan is empty exactly when nothing (targeted) matches.
 func NewPlan(g *graph.Graph, p Path, targets map[model.ObjectID]bool) Plan {
 	pl := Plan{Path: p}
-	if !g.HasNode(p.Root) {
+	root, ok := g.Vertex(p.Root)
+	if !ok {
 		return pl
 	}
 	idx := NewIndex(g)
@@ -172,35 +180,35 @@ func NewPlan(g *graph.Graph, p Path, targets map[model.ObjectID]bool) Plan {
 	// Forward: every object the label sequence reaches, level by level;
 	// reached[start[i]:start[i+1]] is level i.
 	wk := walkPool.Get().(*walk)
-	reached := append(wk.reached[:0], candidate{id: p.Root})
+	reached := append(wk.reached[:0], candidate{v: root})
 	below := wk.below[:0]
 	defer func() { wk.release(reached, below) }()
 	start := make([]int32, n+2)
 	start[1] = 1
 	// In a forest no object is reached twice. Elsewhere seen finds the
 	// level's earlier occurrence; nil, it never does.
-	var seen map[model.ObjectID]int32
+	var seen map[int32]int32
 	if !idx.Forest() {
 		if wk.seen == nil {
-			wk.seen = make(map[model.ObjectID]int32)
+			wk.seen = make(map[int32]int32)
 		}
 		seen = wk.seen
 	}
 	for i, l := range p.Labels {
 		clear(seen)
 		for c := start[i]; c < start[i+1]; c++ {
-			arcs := idx.Out(reached[c].id)
+			arcs := idx.Out(reached[c].v)
 			if l != Wildcard {
-				arcs = idx.Via(reached[c].id, l)
+				arcs = idx.Via(reached[c].v, l)
 			}
 			reached[c].arcs, reached[c].first = arcs, int32(len(below))
 			for _, a := range arcs {
-				at, again := seen[a.To]
+				at, again := seen[a.V]
 				if !again {
 					at = int32(len(reached))
-					reached = append(reached, candidate{id: a.To})
+					reached = append(reached, candidate{v: a.V})
 					if seen != nil {
-						seen[a.To] = at
+						seen[a.V] = at
 					}
 				}
 				below = append(below, at)
@@ -213,7 +221,7 @@ func NewPlan(g *graph.Graph, p Path, targets map[model.ObjectID]bool) Plan {
 	nodes, kids := 0, 0
 	for c := start[n]; c < start[n+1]; c++ {
 		reached[c].pos = -1
-		if targets == nil || targets[reached[c].id] {
+		if targets == nil || targets[g.Name(reached[c].v)] {
 			reached[c].pos = 0
 			nodes++
 		}
@@ -256,17 +264,18 @@ func NewPlan(g *graph.Graph, p Path, targets map[model.ObjectID]bool) Plan {
 			if r.pos < 0 {
 				continue
 			}
-			nd := Node{ID: r.id, kids: int32(len(pl.Kids))}
+			nd := Node{ID: g.Name(r.v), V: r.v, kids: int32(len(pl.Kids))}
 			for k, a := range r.arcs {
 				if at := reached[below[int(r.first)+k]].pos; at >= 0 {
-					pl.Kids = append(pl.Kids, Kid{ID: a.To, Label: a.Label, Pos: at})
+					pl.Kids = append(pl.Kids, Kid{Label: a.Label, Pos: at, Slot: a.Slot})
 				}
 			}
 			nd.kidsEnd = int32(len(pl.Kids))
 			if i < n && p.Labels[i] == Wildcard {
 				// A wildcard step follows several label runs, each in id
-				// order; the node's run must be in id order as a whole.
-				slices.SortFunc(pl.Kids[nd.kids:nd.kidsEnd], func(a, b Kid) int { return cmp.Compare(a.ID, b.ID) })
+				// order; the node's run must be in id order as a whole,
+				// which is slot order.
+				slices.SortFunc(pl.Kids[nd.kids:nd.kidsEnd], func(a, b Kid) int { return cmp.Compare(a.Slot, b.Slot) })
 			}
 			pl.Nodes = append(pl.Nodes, nd)
 		}
@@ -278,9 +287,9 @@ func NewPlan(g *graph.Graph, p Path, targets map[model.ObjectID]bool) Plan {
 
 // candidate is an object the forward walk reached at one depth.
 type candidate struct {
-	id   model.ObjectID
+	v    int32       // its vertex number
 	arcs []graph.Arc // the edges the next step may follow
-	// below[first+k] is where arcs[k].To sits in reached.
+	// below[first+k] is where arcs[k].V sits in reached.
 	first int32
 	// pos is the object's position in the plan, -1 when it is not kept.
 	pos int32
@@ -293,7 +302,7 @@ type candidate struct {
 type walk struct {
 	reached []candidate
 	below   []int32
-	seen    map[model.ObjectID]int32
+	seen    map[int32]int32
 }
 
 var walkPool = sync.Pool{New: func() any { return new(walk) }}
@@ -346,20 +355,15 @@ func (pl Plan) Matched() []model.ObjectID {
 }
 
 // Members appends to dst, for every kept child in kids that is a member of
-// the canonical set c, its index in kids. Both are in ascending id, so this
-// is one merge walk; every reader of a local probability function over a plan
-// uses it to find which kept children a child set contains.
-func Members(dst []int32, kids []Kid, c []model.ObjectID) []int32 {
-	for i, j := 0, 0; i < len(c) && j < len(kids); {
-		switch strings.Compare(c[i], kids[j].ID) {
-		case -1:
-			i++
-		case 1:
-			j++
-		default:
+// the child set bits, its index in kids, in ascending order. bits is the set
+// as the bitset view of an instance's OPFs holds it (core.ChildSets, DESIGN
+// §36): bit s of word s/64 is the parent's s-th child in id order, so a kid
+// is a member when the bit at its Slot is set. Every reader of a prob.OPF
+// over a plan uses it to find which kept children a child set contains.
+func Members(dst []int32, kids []Kid, bits []uint64) []int32 {
+	for j, k := range kids {
+		if bits[k.Slot>>6]>>(k.Slot&63)&1 != 0 {
 			dst = append(dst, int32(j))
-			i++
-			j++
 		}
 	}
 	return dst
@@ -384,7 +388,7 @@ func ProjectAncestors(s *model.Instance, p Path) *model.Instance {
 	for pos, nd := range pl.Nodes {
 		for _, k := range pl.KidsOf(pos) {
 			// Error impossible: source edges are uniquely labeled.
-			_ = out.AddEdge(nd.ID, k.ID, k.Label)
+			_ = out.AddEdge(nd.ID, pl.Nodes[k.Pos].ID, k.Label)
 		}
 	}
 	// Preserve type/value for kept objects that remain leaves: a typed leaf

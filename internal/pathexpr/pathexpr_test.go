@@ -164,10 +164,11 @@ func TestPlanPartialPathPruned(t *testing.T) {
 	if pl.Nodes[0].ID != "r" || len(pl.Nodes) != 3 {
 		t.Fatalf("Nodes = %v", pl.Nodes)
 	}
-	if kids := pl.KidsOf(0); len(kids) != 1 || kids[0] != (Kid{ID: "x", Label: "a", Pos: 1}) {
+	// r's children are x and y, so x sits in slot 0 of r's row.
+	if kids := pl.KidsOf(0); len(kids) != 1 || kids[0] != (Kid{Label: "a", Pos: 1, Slot: 0}) {
 		t.Errorf("KidsOf(root) = %v", kids)
 	}
-	if kids := pl.KidsOf(1); len(kids) != 1 || kids[0] != (Kid{ID: "z", Label: "b", Pos: 2}) {
+	if kids := pl.KidsOf(1); len(kids) != 1 || kids[0] != (Kid{Label: "b", Pos: 2, Slot: 0}) || pl.Nodes[2].ID != "z" {
 		t.Errorf("KidsOf(x) = %v", kids)
 	}
 }

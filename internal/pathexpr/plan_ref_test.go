@@ -142,7 +142,7 @@ func planEdges(pl Plan) []graph.Edge {
 	var edges []graph.Edge
 	for pos, nd := range pl.Nodes {
 		for _, k := range pl.KidsOf(pos) {
-			if e := (graph.Edge{From: nd.ID, To: k.ID, Label: k.Label}); !seen[e] {
+			if e := (graph.Edge{From: nd.ID, To: pl.Nodes[k.Pos].ID, Label: k.Label}); !seen[e] {
 				seen[e] = true
 				edges = append(edges, e)
 			}
@@ -210,15 +210,24 @@ func checkPlan(g *graph.Graph, p Path, targets map[model.ObjectID]bool) string {
 			if (len(kids) == 0) != (i == p.Len()) {
 				return "only matched nodes may be childless"
 			}
+			parent := got.Nodes[pos]
+			if v, _ := g.Vertex(parent.ID); v != parent.V {
+				return "node number is not the vertex's"
+			}
+			row := g.Children(parent.ID)
 			for k, kid := range kids {
 				nlo, nhi := got.Level(i + 1)
-				if int(kid.Pos) < nlo || int(kid.Pos) >= nhi || got.Nodes[kid.Pos].ID != kid.ID {
-					return "kid position does not name the child one level down"
+				if int(kid.Pos) < nlo || int(kid.Pos) >= nhi {
+					return "kid position is not one level down"
 				}
-				if l, _ := g.Label(got.Nodes[pos].ID, kid.ID); l != kid.Label {
+				child := got.Nodes[kid.Pos].ID
+				if int(kid.Slot) >= len(row) || row[kid.Slot] != child {
+					return "kid slot does not name the child in the parent's row"
+				}
+				if l, _ := g.Label(parent.ID, child); l != kid.Label {
 					return "kid label is not the edge's"
 				}
-				if k > 0 && kids[k-1].ID >= kid.ID {
+				if k > 0 && (got.Nodes[kids[k-1].Pos].ID >= child || kids[k-1].Slot >= kid.Slot) {
 					return "kids not in ascending id"
 				}
 			}

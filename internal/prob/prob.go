@@ -261,10 +261,18 @@ func (w *OPF) ConditionContains(member string) (*OPF, float64, bool) {
 // child sets, with the probability of the predicate. The second result is
 // false when the event has probability zero.
 func (w *OPF) Condition(pred func(sets.Set) bool) (*OPF, float64, bool) {
+	es := w.sortedEntries()
+	return w.ConditionAt(func(i int) bool { return pred(es[i].Set) })
+}
+
+// ConditionAt is Condition for a predicate over the entries' positions in
+// Each's order, for a caller that knows each entry's child set by position
+// (such as a bitset view of it).
+func (w *OPF) ConditionAt(keep func(i int) bool) (*OPF, float64, bool) {
 	var kept []OPFEntry
 	norm := 0.0
-	for _, e := range w.sortedEntries() {
-		if pred(e.Set) {
+	for i, e := range w.sortedEntries() {
+		if keep(i) {
 			kept = append(kept, e)
 			norm += e.Prob
 		}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime/debug"
@@ -46,6 +47,39 @@ func BenchmarkPointQuery(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			pr, err := PointQuery(in.PI, p, o)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink = pr
+		}
+	})
+}
+
+// BenchmarkExistsQuery is P(∃ p) for a fixed random full-depth p on a tree
+// every reader has used.
+func BenchmarkExistsQuery(b *testing.B) { benchExists(b, false) }
+
+// BenchmarkExistsQueryCold is BenchmarkExistsQuery on a version no reader
+// has used yet: each op asks a fresh Overlay of the tree, which shares its
+// graph but starts without a bitset view, so the op reads the rows of the
+// objects it visits (DESIGN §36) as the first query of a newly stored
+// version does.
+func BenchmarkExistsQueryCold(b *testing.B) { benchExists(b, true) }
+
+func benchExists(b *testing.B, cold bool) {
+	benchTrees(b, func(b *testing.B, in *gen.Instance, r *rand.Rand) {
+		p, ok := in.RandomQuery(r)
+		if !ok {
+			b.Fatal("no satisfiable query")
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pi := in.PI
+			if cold {
+				pi = pi.Overlay()
+			}
+			pr, err := ExistsQuery(context.Background(), pi, p)
 			if err != nil {
 				b.Fatal(err)
 			}

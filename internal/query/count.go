@@ -7,7 +7,6 @@ import (
 	"pxml/internal/core"
 	"pxml/internal/govern"
 	"pxml/internal/pathexpr"
-	"pxml/internal/sets"
 )
 
 // CountDistribution computes the exact probability distribution of
@@ -46,6 +45,7 @@ func CountDistribution(ctx context.Context, pi *core.ProbInstance, p pathexpr.Pa
 		dist[pos] = map[int]float64{1: 1}
 	}
 	var members []int32
+	view := pi.ChildSets()
 	for level := n - 1; level >= 0; level-- {
 		lo, hi := plan.Level(level)
 		for pos := lo; pos < hi; pos++ {
@@ -56,7 +56,7 @@ func CountDistribution(ctx context.Context, pi *core.ProbInstance, p pathexpr.Pa
 			kids := plan.KidsOf(pos)
 			out := map[int]float64{}
 			var err error
-			opf.Each(func(c sets.Set, pr float64) {
+			view.Each(plan.Nodes[pos].V, func(c []uint64, pr float64) {
 				if pr <= 0 || err != nil {
 					return
 				}

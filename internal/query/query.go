@@ -219,6 +219,7 @@ func epsilonRoot(pi *core.ProbInstance, g *graph.Graph, p pathexpr.Path, targets
 		}
 	}
 	var members []int32
+	view := pi.ChildSets()
 	for level := n - 1; level >= 0; level-- {
 		lo, hi := plan.Level(level)
 		for pos := lo; pos < hi; pos++ {
@@ -231,7 +232,7 @@ func epsilonRoot(pi *core.ProbInstance, g *graph.Graph, p pathexpr.Path, targets
 			}
 			kids := plan.KidsOf(pos)
 			fail := 0.0
-			opf.Each(func(c sets.Set, pr float64) {
+			view.Each(plan.Nodes[pos].V, func(c []uint64, pr float64) {
 				if pr <= 0 {
 					return
 				}

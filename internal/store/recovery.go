@@ -105,16 +105,18 @@ func (s *Store) recover() (*RecoveryReport, error) {
 	// The snapshot is the one file large enough to matter at open: map
 	// it read-only and defer instance decode to first touch (frame CRCs
 	// are still verified eagerly, so corruption quarantines now, not at
-	// query time). WAL files replay eagerly — they are short-lived,
-	// carry deletes, and get truncated/rewritten, so aliasing them is
-	// not worth the bookkeeping.
-	if _, err := s.recoverFile(snapshotName, "snapshot", false, true, &report.SnapshotRecords, report); err != nil {
+	// query time). WAL files are read, not mapped — they are
+	// short-lived, carry deletes, and get truncated/rewritten, so
+	// aliasing them is not worth the bookkeeping — and settle decodes
+	// each name's surviving put once every segment is replayed.
+	if _, err := s.recoverFile(snapshotName, "snapshot", false, nil, &report.SnapshotRecords, report); err != nil {
 		return nil, err
 	}
 	segs, err := listSegments(s.fs, s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	wal := make(walReplay)
 	for i, n := range segs {
 		// Only the highest-numbered segment was being appended to at the
 		// time of a crash, so only it gets the truncate-the-torn-tail
@@ -122,7 +124,7 @@ func (s *Store) recover() (*RecoveryReport, error) {
 		// quarantined instead.
 		last := i == len(segs)-1
 		source := strings.TrimSuffix(segmentFile(n), segSuffix)
-		size, err := s.recoverFile(segmentFile(n), source, last, false, &report.WALRecords, report)
+		size, err := s.recoverFile(segmentFile(n), source, last, wal, &report.WALRecords, report)
 		if err != nil {
 			return nil, err
 		}
@@ -133,6 +135,9 @@ func (s *Store) recover() (*RecoveryReport, error) {
 		} else {
 			s.sealed = append(s.sealed, segInfo{n: n, size: size})
 		}
+	}
+	if err := s.settle(wal, report); err != nil {
+		return nil, err
 	}
 	// Pick up quarantine files left by earlier runs so the cap and the
 	// gauge reflect the directory, not just this recovery.
@@ -147,6 +152,27 @@ func (s *Store) recover() (*RecoveryReport, error) {
 	return report, nil
 }
 
+// walReplay holds, per name, the WAL put records replay has met since the
+// name's last delete, for settle to decode only the one that survives.
+type walReplay map[string]*walPuts
+
+// walPuts is one name's put records in replay order, and what the catalog
+// held for the name before the first of them: an entry from the snapshot,
+// or nothing.
+type walPuts struct {
+	base *catEntry
+	puts []walPut
+}
+
+// walPut is one put record: its frame payload, where that sits, and where
+// the instance encoding starts in it.
+type walPut struct {
+	source  string
+	off     int64
+	payload []byte
+	bodyOff int
+}
+
 // recoverFile replays one frame file, if present, into the catalog,
 // reporting its (post-truncation) size. With truncateTail set — the
 // file was being appended to when the process died — a trailing
@@ -154,7 +180,15 @@ func (s *Store) recover() (*RecoveryReport, error) {
 // the signature of an append cut short by a crash. Otherwise a torn tail
 // is quarantined like any other corruption (snapshots and sealed
 // segments are never appended to, so a short tail means real damage).
-func (s *Store) recoverFile(fileName, source string, truncateTail, lazy bool, nRecords *int, report *RecoveryReport) (int64, error) {
+//
+// Every frame gets its CRC check, its record header parsed (splitRecord)
+// and a put's instance encoding checked to its own frame (CheckBinary);
+// a failure quarantines it. The snapshot, mapped (wal nil), installs each
+// put as an entry that decodes on first touch. A WAL segment, read, hands
+// each put to wal instead, and settle decodes only the put of each name
+// that survives every segment (DESIGN §9).
+func (s *Store) recoverFile(fileName, source string, truncateTail bool, wal walReplay, nRecords *int, report *RecoveryReport) (int64, error) {
+	lazy := wal == nil
 	var data []byte
 	var src *vfs.Mapping
 	if lazy {
@@ -182,42 +216,37 @@ func (s *Store) recoverFile(fileName, source string, truncateTail, lazy bool, nR
 		}
 	}
 	res, err := scanFrames(data, func(off int64, payload []byte) error {
-		if lazy {
-			op, name, body, derr := splitRecord(payload)
-			if derr == nil && op == opPut {
-				// Frame CRC already covers these bytes; CheckBinary
-				// additionally validates the record's own frame (magic,
-				// length, CRC) so a malformed embed quarantines at open,
-				// exactly like the eager path. Only the structural
-				// decode is deferred.
-				derr = codec.CheckBinary(body)
-			}
-			if derr != nil {
-				return s.quarantine(source, off, payload, derr, report)
-			}
-			switch op {
-			case opPut:
-				*nRecords++
-				s.recm[name] = s.newLazyEntryLocked(name, payload, len(payload)-len(body), src)
-			case opDelete:
-				*nRecords++
-				delete(s.recm, name)
-			case opStamp:
-				// Commit-time wall-clock marker; no catalog effect.
-			}
-			return nil
+		op, name, body, derr := splitRecord(payload)
+		if derr == nil && op == opPut {
+			// Frame CRC already covers these bytes; CheckBinary
+			// additionally validates the record's own frame (magic,
+			// length, CRC) so a malformed embed quarantines at open.
+			// Only the structural decode is deferred.
+			derr = codec.CheckBinary(body)
 		}
-		rec, derr := decodeRecord(payload)
 		if derr != nil {
 			return s.quarantine(source, off, payload, derr, report)
 		}
-		switch rec.op {
+		switch op {
 		case opPut:
 			*nRecords++
-			s.recm[rec.name] = s.newEntryLocked(rec.name, rec.inst)
+			if lazy {
+				s.recm[name] = s.newLazyEntryLocked(name, payload, len(payload)-len(body), src)
+				break
+			}
+			// Counted and versioned now, as if it decodes; settle takes
+			// both back for a surviving put that does not.
+			s.nameVers[name]++
+			w := wal[name]
+			if w == nil {
+				w = &walPuts{base: s.recm[name]}
+				wal[name] = w
+			}
+			w.puts = append(w.puts, walPut{source: source, off: off, payload: payload, bodyOff: len(payload) - len(body)})
 		case opDelete:
 			*nRecords++
-			delete(s.recm, rec.name)
+			delete(s.recm, name)
+			delete(wal, name)
 		case opStamp:
 			// Commit-time wall-clock marker; no catalog effect.
 		}
@@ -247,6 +276,45 @@ func (s *Store) recoverFile(fileName, source string, truncateTail, lazy bool, nR
 		}
 	}
 	return size, nil
+}
+
+// settle installs, for every name the WAL put, the last of its puts that
+// decodes, in name order. One that does not is quarantined, uncounted and
+// unversioned, as replay would have done on meeting it, and the put before
+// it stands in; when none decodes, the name keeps what the snapshot gave
+// it, if anything. Only these surviving puts are decoded: a superseded one
+// was checked to the snapshot's depth and no further.
+func (s *Store) settle(wal walReplay, report *RecoveryReport) error {
+	names := make([]string, 0, len(wal))
+	for name := range wal {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		w := wal[name]
+		if w.base != nil {
+			s.recm[name] = w.base
+		} else {
+			delete(s.recm, name)
+		}
+		for i := len(w.puts) - 1; i >= 0; i-- {
+			p := w.puts[i]
+			pi, err := codec.DecodeBinaryBytes(p.payload[p.bodyOff:])
+			if err == nil {
+				e := &catEntry{version: s.nameVers[name]}
+				e.inst.Store(pi)
+				s.recm[name] = e
+				break
+			}
+			err = fmt.Errorf("store: record %q: %w", name, err)
+			if qerr := s.quarantine(p.source, p.off, p.payload, err, report); qerr != nil {
+				return qerr
+			}
+			report.WALRecords--
+			s.nameVers[name]--
+		}
+	}
+	return nil
 }
 
 // quarantine preserves a corrupt byte region under quarantine/ and logs

@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -185,6 +187,104 @@ func TestKillAndReopen(t *testing.T) {
 	}
 	if rep3.Recovered != 3 {
 		t.Fatalf("second reopen recovered %d, want 3", rep3.Recovered)
+	}
+}
+
+// undecodablePut returns a put record payload for name whose instance
+// encoding passes codec.CheckBinary — right magic, length and CRC — but
+// whose body is no instance, so only the full decode refuses it.
+func undecodablePut(t *testing.T, name string) []byte {
+	t.Helper()
+	enc := codec.AppendBinary(nil, fixtures.Figure2())
+	body := []byte{0xff, 0xff, 0xff, 0xff, 0x07}
+	bad := binary.AppendUvarint(append([]byte(nil), enc[:4]...), uint64(len(body)))
+	bad = binary.LittleEndian.AppendUint32(append(bad, body...), crc32.ChecksumIEEE(body))
+	if err := codec.CheckBinary(bad); err != nil {
+		t.Fatalf("crafted encoding fails the frame check: %v", err)
+	}
+	if _, err := codec.DecodeBinaryBytes(bad); err == nil {
+		t.Fatal("crafted encoding decodes")
+	}
+	payload := binary.AppendUvarint([]byte{opPut}, uint64(len(name)))
+	return append(append(payload, name...), bad...)
+}
+
+// TestRecoveryQuarantinesCorruptSurvivingPut: replay decodes only each
+// name's last put, across segments. When that put passes every frame
+// check but does not decode, it is quarantined at open and the put before
+// it stands in, with the count and the per-name version it had before the
+// bad record was appended; a name whose only put is bad is absent.
+func TestRecoveryQuarantinesCorruptSurvivingPut(t *testing.T) {
+	dir := t.TempDir()
+	fig, varied := fixtures.Figure2(), fixtures.Figure2VariedLeaves()
+	s, _ := open(t, dir, Options{CompactThreshold: -1})
+	mustPut(t, s, "a", fig)
+	mustPut(t, s, "a", varied)
+	mustPut(t, s, "b", fig)
+	s.Close()
+	s, rep := open(t, dir, Options{CompactThreshold: -1})
+	wantA, _ := s.Version("a")
+	wantRecords := rep.WALRecords
+	s.Close()
+
+	wal := activeSegmentPath(t, dir)
+	appendToFile(t, wal, appendFrame(nil, undecodablePut(t, "a")))
+	appendToFile(t, wal, appendFrame(nil, undecodablePut(t, "z")))
+
+	s2, rep := open(t, dir, Options{CompactThreshold: -1})
+	defer s2.Close()
+	if len(rep.Quarantined) != 2 || !strings.HasPrefix(rep.Quarantined[0].Source, "wal-") {
+		t.Fatalf("quarantine report = %+v", rep.Quarantined)
+	}
+	for _, q := range rep.Quarantined {
+		if _, err := os.Stat(q.Path); err != nil {
+			t.Fatalf("quarantined bytes not preserved: %v", err)
+		}
+	}
+	if rep.WALRecords != wantRecords || rep.Recovered != 2 {
+		t.Fatalf("%s; want %d wal records and 2 instances", rep, wantRecords)
+	}
+	wantInstance(t, s2, "a", varied)
+	wantInstance(t, s2, "b", fig)
+	if v, _ := s2.Version("a"); v != wantA {
+		t.Fatalf("version of a = %d, want %d", v, wantA)
+	}
+	if _, ok := s2.Get("z"); ok {
+		t.Fatal("a name whose only put is undecodable was recovered")
+	}
+}
+
+// TestRecoverySupersededPutChecks: a superseded put still gets the frame
+// checks at open — one with a damaged frame CRC is quarantined, and the
+// put after it is what the name holds — but not the full decode: one that
+// passes the frame checks and does not decode is counted like any put and
+// never quarantined, because a later put of its name survives it.
+func TestRecoverySupersededPutChecks(t *testing.T) {
+	dir := t.TempDir()
+	fig, varied := fixtures.Figure2(), fixtures.Figure2VariedLeaves()
+	s, _ := open(t, dir, Options{CompactThreshold: -1})
+	mustPut(t, s, "b", fig)
+	s.Close()
+
+	damaged := appendFrame(nil, appendPutRecord(nil, "a", fig))
+	damaged[frameHeaderSize+1] ^= 0xff
+	wal := activeSegmentPath(t, dir)
+	appendToFile(t, wal, damaged)
+	appendToFile(t, wal, appendFrame(nil, undecodablePut(t, "a")))
+	appendToFile(t, wal, appendFrame(nil, appendPutRecord(nil, "a", varied)))
+
+	s2, rep := open(t, dir, Options{CompactThreshold: -1})
+	defer s2.Close()
+	if len(rep.Quarantined) != 1 || rep.Quarantined[0].Offset == 0 {
+		t.Fatalf("quarantine report = %+v", rep.Quarantined)
+	}
+	if rep.WALRecords != 3 || rep.Recovered != 2 {
+		t.Fatalf("%s; want 3 wal records (b and a's two frame-checked puts) and 2 instances", rep)
+	}
+	wantInstance(t, s2, "a", varied)
+	wantInstance(t, s2, "b", fig)
+	if v, _ := s2.Version("a"); v != 2 {
+		t.Fatalf("version of a = %d, want 2", v)
 	}
 }
 
