@@ -88,10 +88,11 @@ fig7:
 	$(GO) run ./cmd/pxmlbench -panel c -instances 2 -queries 4 -csv results/fig7c.csv | tee results/fig7c.txt
 
 # Fault-injection suite: the FaultFS matrix over the store (torn WAL
-# writes, failed fsyncs, snapshot rename failures, degraded mode) and
-# the hardened serving path, all under the race detector.
+# writes, failed fsyncs, snapshot rename failures, degraded mode), the
+# directory-durability check of every publishing step, and the hardened
+# serving path, all under the race detector.
 faults:
-	$(GO) test -race -run 'Fault|Torn|Degrad|Injected|Retries|Healthz|Limiter|Bypass|Panic|Deadline|CloseReports' ./internal/vfs ./internal/store ./internal/server
+	$(GO) test -race -run 'Fault|Torn|Degrad|Injected|Retries|Healthz|Limiter|Bypass|Panic|Deadline|CloseReports|DurableSteps' ./internal/vfs ./internal/store ./internal/server
 
 # Chaos soak: randomized Put/Delete traffic under randomized fault
 # schedules with kill-reopen cycles and online backups, asserting zero

@@ -70,12 +70,6 @@ func (s stateSet) has(st int) bool {
 // Var returns a variable by id.
 func (n *Network) Var(id int) Variable { return n.vars[id] }
 
-// NumVars returns the number of variables.
-func (n *Network) NumVars() int { return len(n.vars) }
-
-// NumFactors returns the number of CPT factors.
-func (n *Network) NumFactors() int { return len(n.factors) }
-
 // VarOf returns the variable id of an object. The boolean result is false
 // for unknown objects.
 func (n *Network) VarOf(o model.ObjectID) (int, bool) {

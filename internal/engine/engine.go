@@ -216,9 +216,6 @@ func New(pi *core.ProbInstance, opts ...Option) *Engine {
 // Instance returns the wrapped instance (treat as read-only).
 func (e *Engine) Instance() *core.ProbInstance { return e.pi }
 
-// Workers returns the batch worker-pool bound.
-func (e *Engine) Workers() int { return cap(e.sem) }
-
 // Metrics returns a JSON-encodable snapshot of the engine's counters and
 // latency timer.
 func (e *Engine) Metrics() map[string]any { return e.reg.Snapshot() }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"pxml/internal/vfs"
 )
 
 // WAL archiving. When Options.ArchiveDir is set, every sealed segment is
@@ -100,7 +102,9 @@ func (s *Store) archiveSegments(pending []segInfo) error {
 
 // archiveOne puts one sealed segment's bytes in the archive, reporting
 // whether a copy was actually performed (false when the bytes were
-// already there). An existing archived file under the same name is
+// already there). A nil return means the archived entry is durable: the
+// caller marks the segment archived, and compaction may then delete the
+// local copy. An existing archived file under the same name is
 // compared byte for byte and never overwritten with different history —
 // see the package comment above for the three tolerated cases.
 func (s *Store) archiveOne(si segInfo) (bool, error) {
@@ -109,16 +113,16 @@ func (s *Store) archiveOne(si segInfo) (bool, error) {
 	existing, err := s.fs.ReadFile(dst)
 	if os.IsNotExist(err) {
 		// Fresh name: hard-link when the filesystem allows it (cheap, and
-		// shares storage with the immutable source), else stage a durable
-		// copy through a temp name.
+		// shares storage with the immutable source), else publish a
+		// durable copy through a temp name.
 		if lerr := s.fs.Link(src, dst); lerr == nil {
-			return true, nil
+			return true, s.fs.SyncDir(s.opts.ArchiveDir)
 		}
 		local, rerr := s.fs.ReadFile(src)
 		if rerr != nil {
 			return false, rerr
 		}
-		return true, s.writeArchive(local, dst)
+		return true, s.writeArchive(si.n, local)
 	}
 	if err != nil {
 		return false, err
@@ -135,7 +139,7 @@ func (s *Store) archiveOne(si segInfo) (bool, error) {
 	case len(existing) < len(local) && bytes.Equal(existing, local[:len(existing)]):
 		// A previous copy torn by a crash; replace it atomically with the
 		// complete segment.
-		return true, s.writeArchive(local, dst)
+		return true, s.writeArchive(si.n, local)
 	case len(existing) > len(local) && bytes.Equal(existing[:len(local)], local):
 		// The archived copy is longer and this segment is its prefix: the
 		// archive kept the original of a timeline this store was restored
@@ -147,23 +151,11 @@ func (s *Store) archiveOne(si segInfo) (bool, error) {
 	}
 }
 
-// writeArchive stages data under a temp name, fsyncs it, and renames it
-// into place, so a crash can never leave a torn segment file in the
-// archive masquerading as a sealed one.
-func (s *Store) writeArchive(data []byte, dst string) error {
-	tmp := dst + ".tmp"
-	if err := s.fs.WriteFile(tmp, data); err != nil {
-		return err
-	}
-	if err := s.fs.Sync(tmp); err != nil {
-		s.fs.Remove(tmp)
-		return err
-	}
-	if err := s.fs.Rename(tmp, dst); err != nil {
-		s.fs.Remove(tmp)
-		return err
-	}
-	return s.fs.SyncDir(s.opts.ArchiveDir)
+// writeArchive publishes segment n's bytes in the archive through a temp
+// name, so a crash can never leave a torn segment file in the archive
+// masquerading as a sealed one.
+func (s *Store) writeArchive(n uint64, data []byte) error {
+	return vfs.PublishFile(s.fs, s.opts.ArchiveDir, segmentFile(n), data)
 }
 
 // pruneArchive enforces Options.ArchiveRetention by deleting the oldest

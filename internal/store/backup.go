@@ -123,7 +123,7 @@ func (s *Store) Backup(destDir string) (*Manifest, error) {
 	if err := requireEmptyDir(s.fs, destDir); err != nil {
 		return nil, err
 	}
-	if err := s.fs.MkdirAll(destDir); err != nil {
+	if err := vfs.MkdirAllSynced(s.fs, destDir); err != nil {
 		return nil, fmt.Errorf("store: backup: %w", err)
 	}
 	var written []string
@@ -165,25 +165,19 @@ func (s *Store) Backup(destDir string) (*Manifest, error) {
 			man.Segments = append(man.Segments, mf)
 		}
 	}
-	// Manifest last: its appearance commits the backup.
+	// Manifest last: its appearance commits the backup, so every data
+	// file's entry is made durable before it can appear.
+	if err := s.fs.SyncDir(destDir); err != nil {
+		return fail(fmt.Errorf("store: backup dir fsync: %w", err))
+	}
 	buf, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
 		return fail(fmt.Errorf("store: backup manifest: %w", err))
 	}
 	buf = append(buf, '\n')
-	tmp := filepath.Join(destDir, manifestName+".tmp")
-	written = append(written, tmp)
-	if err := s.fs.WriteFile(tmp, buf); err != nil {
-		return fail(fmt.Errorf("store: backup manifest write: %w", err))
-	}
-	if err := s.fs.Sync(tmp); err != nil {
-		return fail(fmt.Errorf("store: backup manifest fsync: %w", err))
-	}
-	if err := s.fs.Rename(tmp, filepath.Join(destDir, manifestName)); err != nil {
-		return fail(fmt.Errorf("store: backup manifest rename: %w", err))
-	}
-	if err := s.fs.SyncDir(destDir); err != nil {
-		return nil, fmt.Errorf("store: backup dir fsync: %w", err)
+	written = append(written, filepath.Join(destDir, manifestName))
+	if err := vfs.PublishFile(s.fs, destDir, manifestName, buf); err != nil {
+		return fail(fmt.Errorf("store: backup manifest: %w", err))
 	}
 	s.opts.Logger.Printf("store: backup of %d instances (%d files, pos %s) written to %s",
 		man.Instances, len(man.Segments)+btoi(man.Snapshot != nil), man.Pos, destDir)
@@ -424,8 +418,11 @@ func Restore(backupDir, dataDir string, opts RestoreOptions) (*RestoreResult, er
 		return nil, fmt.Errorf("store: restored tree fails to close: %w", cerr)
 	}
 
-	// Swap: rename any existing dataDir aside, move the stage in, and
-	// only then delete the old tree.
+	// Swap: make the staged entries durable, rename any existing dataDir
+	// aside, move the stage in, and only then delete the old tree.
+	if err := fsys.SyncDir(stage); err != nil {
+		return nil, fmt.Errorf("store: restore: %w", err)
+	}
 	aside := dataDir + ".pre-restore"
 	if _, err := fsys.ReadDir(aside); err == nil {
 		return nil, fmt.Errorf("store: restore: leftover %s from an earlier restore; remove it first", aside)
@@ -578,9 +575,6 @@ func renumberPastArchive(fsys vfs.FS, stage, archiveDir string, pos Pos) (Pos, e
 		if pos.Seg == n {
 			out.Seg = to
 		}
-	}
-	if err := fsys.SyncDir(stage); err != nil {
-		return Pos{}, fmt.Errorf("store: restore renumber: %w", err)
 	}
 	return out, nil
 }

@@ -20,9 +20,9 @@ package store
 //     it and rejoins it as a follower via the bootstrap path.
 //
 // The epoch lives in an fsync'd EPOCH file in the data directory,
-// written with the same tmp → fsync → rename → dir-fsync protocol as
-// the snapshot. A store without the file is at epoch 1, unfenced — the
-// state every store ever written by an older build is in. The file is
+// published with vfs.PublishFile like the snapshot. A store without the
+// file is at epoch 1, unfenced — the state every store ever written by
+// an older build is in. The file is
 // deliberately not part of backups: a bootstrapped follower learns the
 // leader's epoch from the first stream response instead, and a restored
 // store starts a fresh timeline whose era is the restorer's problem.
@@ -35,6 +35,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"pxml/internal/vfs"
 )
 
 // epochFileName is the fsync'd epoch/fencing state file in the data dir.
@@ -181,10 +183,9 @@ func (s *Store) adoptEpochLocked(epoch uint64) error {
 	return nil
 }
 
-// persistEpochLocked durably writes the EPOCH file: temp file in the
-// data dir, fsync, atomic rename, directory fsync — the same protocol
-// the snapshot uses, so a crash leaves either the old file or the new
-// one, never a torn mix. Callers hold s.mu.
+// persistEpochLocked durably replaces the EPOCH file (vfs.PublishFile),
+// so a crash leaves either the old file or the new one, never a torn
+// mix. Callers hold s.mu.
 func (s *Store) persistEpochLocked(epoch uint64, fenced bool, leaderURL string) error {
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "%s\nepoch %d\n", epochMagic, epoch)
@@ -194,31 +195,8 @@ func (s *Store) persistEpochLocked(epoch uint64, fenced bool, leaderURL string) 
 	if leaderURL != "" {
 		fmt.Fprintf(&buf, "leader %s\n", leaderURL)
 	}
-	f, err := s.fs.CreateTemp(s.dir, epochFileName+".tmp-*")
-	if err != nil {
+	if err := vfs.PublishFile(s.fs, s.dir, epochFileName, buf.Bytes()); err != nil {
 		return fmt.Errorf("epoch persist: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		f.Close()
-		s.fs.Remove(tmp)
-		return fmt.Errorf("epoch persist: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		s.fs.Remove(tmp)
-		return fmt.Errorf("epoch persist fsync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		s.fs.Remove(tmp)
-		return fmt.Errorf("epoch persist close: %w", err)
-	}
-	if err := s.fs.Rename(tmp, s.path(epochFileName)); err != nil {
-		s.fs.Remove(tmp)
-		return fmt.Errorf("epoch persist rename: %w", err)
-	}
-	if err := s.fs.SyncDir(s.dir); err != nil {
-		return fmt.Errorf("epoch persist dir fsync: %w", err)
 	}
 	return nil
 }

@@ -61,10 +61,16 @@ func (s *Store) ReplApply(from Pos, epoch uint64, data []byte) (ApplyResult, err
 	// Verify and decode outside the lock: nothing below may land in the
 	// WAL unless the whole chunk is well-formed.
 	var recs []record
+	var out ApplyResult
 	res, err := scanFrames(data, func(off int64, payload []byte) error {
 		rec, derr := decodeRecord(payload)
 		if derr != nil {
 			return fmt.Errorf("frame at +%d: %w", off, derr)
+		}
+		if rec.op == opStamp {
+			out.StampNanos = max(out.StampNanos, rec.ts)
+		} else {
+			out.Records++
 		}
 		recs = append(recs, rec)
 		return nil
@@ -107,7 +113,7 @@ func (s *Store) ReplApply(from Pos, epoch uint64, data []byte) (ApplyResult, err
 				ErrApplyMismatch, from, from.Seg)
 		}
 		// The leader rotated (possibly across a restore gap): mirror it.
-		if err := s.rotateToLocked(from.Seg); err != nil {
+		if err := s.rotateLocked(from.Seg); err != nil {
 			return ApplyResult{}, s.degradeLocked(fmt.Errorf("repl rotate: %w", err))
 		}
 	default:
@@ -115,46 +121,26 @@ func (s *Store) ReplApply(from Pos, epoch uint64, data []byte) (ApplyResult, err
 			ErrApplyMismatch, from, s.seg, s.walBytes)
 	}
 
-	out := ApplyResult{Records: 0}
 	if len(data) > 0 {
-		if _, err := s.wal.Write(data); err != nil {
-			return ApplyResult{}, s.degradeLocked(fmt.Errorf("repl wal append: %w", err))
-		}
-		s.walBytes += int64(len(data))
-		s.walTotal += int64(len(data))
-		s.walDirty = true
-		if s.opts.Fsync == FsyncAlways {
-			if err := s.syncLocked(); err != nil {
-				return ApplyResult{}, s.degradeLocked(err)
-			}
-		}
 		// One catalog publish per applied chunk, mirroring the leader's
 		// one-publish-per-group-commit: follower readers step whole
 		// epochs, never a partially applied chunk.
-		s.mutateCatalogLocked(func(m map[string]*catEntry) {
-			for _, rec := range recs {
-				switch rec.op {
-				case opPut:
-					m[rec.name] = s.newEntryLocked(rec.name, rec.inst)
-					out.Records++
-				case opDelete:
-					delete(m, rec.name)
-					out.Records++
-				case opStamp:
-					if rec.ts > out.StampNanos {
-						out.StampNanos = rec.ts
+		err := s.appendLocked(data, out.Records, func() {
+			s.mutateCatalogLocked(func(m map[string]*catEntry) {
+				for _, rec := range recs {
+					switch rec.op {
+					case opPut:
+						m[rec.name] = s.newEntryLocked(rec.name, rec.inst)
+					case opDelete:
+						delete(m, rec.name)
 					}
 				}
-			}
+			})
 		})
-		s.walRecords += int64(out.Records)
-		if out.StampNanos > s.lastReplStamp {
-			s.lastReplStamp = out.StampNanos
+		if err != nil {
+			return ApplyResult{}, err
 		}
-		s.walAppends.Add(int64(out.Records))
-		s.walAppendBytes.Add(int64(len(data)))
-		s.signalCommitLocked()
-		s.maybeKickLocked()
+		s.lastReplStamp = max(s.lastReplStamp, out.StampNanos)
 	}
 	out.Pos = Pos{Seg: s.seg, Off: s.walBytes}
 	return out, nil

@@ -355,14 +355,14 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 	if opts.FS == nil {
 		opts.FS = vfs.OS
 	}
-	if err := opts.FS.MkdirAll(dir); err != nil {
+	if err := vfs.MkdirAllSynced(opts.FS, dir); err != nil {
 		return nil, nil, fmt.Errorf("store: %w", err)
 	}
 	if err := checkLayout(opts.FS, dir); err != nil {
 		return nil, nil, err
 	}
 	if opts.ArchiveDir != "" {
-		if err := opts.FS.MkdirAll(opts.ArchiveDir); err != nil {
+		if err := vfs.MkdirAllSynced(opts.FS, opts.ArchiveDir); err != nil {
 			return nil, nil, fmt.Errorf("store: archive dir: %w", err)
 		}
 	}
@@ -412,28 +412,18 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 			s.seg, archMax, archMax+2)
 		s.seg = archMax + 2
 	}
-	wal, err := s.fs.OpenAppend(s.path(segmentFile(s.seg)))
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: %w", err)
-	}
-	size, err := wal.Size()
-	if err != nil {
-		wal.Close()
-		return nil, nil, fmt.Errorf("store: %w", err)
-	}
-	s.wal = wal
-	s.walBytes = size
-	s.walTotal = size
 	for _, si := range s.sealed {
 		s.walTotal += si.size
 	}
-	s.segmentsG.Set(int64(len(s.sealed) + 1))
+	if err := s.openSegmentLocked(s.seg); err != nil {
+		return nil, nil, fmt.Errorf("store: %w", err)
+	}
 	// A recovery that had to quarantine or truncate leaves the on-disk
 	// state it repaired around; compact immediately so the next open
 	// starts from a clean snapshot and an empty WAL.
 	if report.dirty() {
 		if err := s.Compact(); err != nil {
-			wal.Close()
+			s.wal.Close()
 			return nil, nil, err
 		}
 	}
@@ -753,9 +743,8 @@ func (s *Store) commitGroup(batch []*commitReq) {
 	s.commitBatch = batch[:0]
 }
 
-// commitLocked performs the WAL append + fsync + catalog install for one
-// batch. Callers hold s.mu. Install happens only after the bytes are
-// durable per the fsync policy (persist-before-install).
+// commitLocked appends one batch through appendLocked and rotates the
+// active segment once it passes Options.SegmentSize. Callers hold s.mu.
 func (s *Store) commitLocked(frames []byte, batch []*commitReq) error {
 	if s.closed {
 		return fmt.Errorf("store: closed")
@@ -763,32 +752,48 @@ func (s *Store) commitLocked(frames []byte, batch []*commitReq) error {
 	if s.degraded {
 		return s.degradedErrLocked()
 	}
-	if _, err := s.wal.Write(frames); err != nil {
-		return s.degradeLocked(fmt.Errorf("wal append: %w", err))
+	if err := s.appendLocked(frames, len(batch), func() { s.installLocked(batch) }); err != nil {
+		return err
 	}
-	s.walBytes += int64(len(frames))
-	s.walTotal += int64(len(frames))
-	s.walRecords += int64(len(batch))
-	s.walDirty = true
-	s.walAppends.Add(int64(len(batch)))
-	s.walAppendBytes.Add(int64(len(frames)))
 	s.commitBatches.Inc()
 	s.commitBatchSz.Observe(int64(len(batch)))
-	if s.opts.Fsync == FsyncAlways {
-		if err := s.syncLocked(); err != nil {
-			return s.degradeLocked(err)
-		}
-	}
-	s.installLocked(batch)
-	s.signalCommitLocked()
 	if s.opts.SegmentSize > 0 && s.walBytes >= s.opts.SegmentSize {
-		if err := s.rotateLocked(); err != nil {
+		if err := s.rotateLocked(s.seg + 1); err != nil {
 			// The batch is already durable in the (oversized) active
 			// segment; a failed rotation is a maintenance problem, not a
 			// commit failure.
 			s.noteErrLocked(&s.rotateErrs, s.rotateErrsC, fmt.Errorf("wal rotate: %w", err))
 		}
 	}
+	return nil
+}
+
+// appendLocked is the one way bytes enter the WAL, for a leader's group
+// commit and a follower's replicated chunk alike: it writes frames to the
+// active segment, accounts them (records counts the catalog mutations
+// they carry), fsyncs them under FsyncAlways, runs install only then
+// (persist before install), signals stream readers, and nudges
+// compaction. A write or fsync failure degrades the store and install
+// never runs: a short write can leave a torn frame at the tail, and after
+// a failed fsync the kernel may drop the dirty pages. Callers hold s.mu.
+func (s *Store) appendLocked(frames []byte, records int, install func()) error {
+	if _, err := s.wal.Write(frames); err != nil {
+		return s.degradeLocked(fmt.Errorf("wal append: %w", err))
+	}
+	n := int64(len(frames))
+	s.walBytes += n
+	s.walTotal += n
+	s.walRecords += int64(records)
+	s.walDirty = true
+	s.walAppends.Add(int64(records))
+	s.walAppendBytes.Add(n)
+	if s.opts.Fsync == FsyncAlways {
+		if err := s.syncLocked(); err != nil {
+			return s.degradeLocked(err)
+		}
+	}
+	install()
+	s.signalCommitLocked()
 	s.maybeKickLocked()
 	return nil
 }
@@ -812,46 +817,59 @@ func (s *Store) installLocked(batch []*commitReq) {
 	})
 }
 
-// rotateLocked seals the active segment and switches appends to the next
-// numbered one. The outgoing segment is fsynced first, so a sealed file
-// is complete and immutable from the moment it stops being active —
-// that invariant is what lets backup, archive, and scrub read sealed
-// segments without coordination. On any failure the store keeps writing
-// to the old active segment, exactly as before. Callers hold s.mu.
-func (s *Store) rotateLocked() error { return s.rotateToLocked(s.seg + 1) }
-
-// rotateToLocked is rotateLocked with an explicit successor number:
-// follower apply uses it to mirror the leader's segment numbering,
-// including the gaps a restore leaves. next must exceed the active
-// segment's number.
-func (s *Store) rotateToLocked(next uint64) error {
+// rotateLocked seals the active segment and switches appends to segment
+// next, which must exceed the active segment's number: the committer and
+// compaction pass s.seg+1, and follower apply passes the leader's number
+// to mirror its numbering, including the gaps a restore leaves. The
+// outgoing segment is fsynced first, so a sealed file is complete and
+// immutable from the moment it stops being active — that invariant is
+// what lets backup, archive, and scrub read sealed segments without
+// coordination. On any failure the store keeps writing to the old active
+// segment, exactly as before. Callers hold s.mu.
+func (s *Store) rotateLocked(next uint64) error {
 	if next <= s.seg {
 		return fmt.Errorf("rotate to segment %d: not past active segment %d", next, s.seg)
 	}
 	if err := s.syncLocked(); err != nil {
 		return err
 	}
-	nf, err := s.fs.OpenAppend(s.path(segmentFile(next)))
-	if err != nil {
-		return fmt.Errorf("open segment %d: %w", next, err)
-	}
-	if err := s.fs.SyncDir(s.dir); err != nil {
-		nf.Close()
-		s.fs.Remove(s.path(segmentFile(next)))
-		return fmt.Errorf("dir fsync: %w", err)
-	}
-	old := s.wal
-	s.sealed = append(s.sealed, segInfo{n: s.seg, size: s.walBytes})
-	s.wal = nf
-	s.seg = next
-	s.walBytes = 0
-	s.walDirty = false
-	if cerr := old.Close(); cerr != nil {
-		s.opts.Logger.Printf("store: close sealed segment: %v", cerr)
+	if err := s.openSegmentLocked(next); err != nil {
+		return err
 	}
 	s.rotations.Inc()
-	s.segmentsG.Set(int64(len(s.sealed) + 1))
 	s.archKickLocked()
+	return nil
+}
+
+// openSegmentLocked makes segment n the active segment, for Open and for
+// rotation alike: it opens the file for appending (creating it if absent)
+// and fsyncs the data directory, so the entry survives power loss before
+// any append to it can be acknowledged. Only then does it seal the
+// previous active segment, if any, and switch appends to n. On failure
+// the store is unchanged; a file the call created stays behind, empty,
+// for a later open or rotation to reuse. Callers hold s.mu.
+func (s *Store) openSegmentLocked(n uint64) error {
+	f, err := s.fs.OpenAppend(s.path(segmentFile(n)))
+	if err != nil {
+		return fmt.Errorf("open segment %d: %w", n, err)
+	}
+	size, err := f.Size()
+	if err == nil {
+		err = s.fs.SyncDir(s.dir)
+	}
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("open segment %d: %w", n, err)
+	}
+	if s.wal != nil {
+		s.sealed = append(s.sealed, segInfo{n: s.seg, size: s.walBytes})
+		if cerr := s.wal.Close(); cerr != nil {
+			s.opts.Logger.Printf("store: close sealed segment: %v", cerr)
+		}
+	}
+	s.wal, s.seg, s.walBytes, s.walDirty = f, n, size, false
+	s.walTotal += size
+	s.segmentsG.Set(int64(len(s.sealed) + 1))
 	return nil
 }
 
@@ -908,9 +926,9 @@ func (s *Store) maybeKickLocked() {
 // Compact writes a fresh snapshot of the catalog and retires the WAL
 // segments it supersedes. The write protocol is crash-safe at every
 // step: the active segment is sealed by rotation, every sealed segment
-// is archived (when archiving is on), the snapshot is staged in a temp
-// file, fsynced, atomically renamed, the directory entry is fsynced, and
-// only then are the superseded local segments deleted. A crash between
+// is durably archived (when archiving is on), the snapshot is published
+// with vfs.PublishFile, and only then are the superseded local segments
+// deleted. A crash between
 // the rename and the deletions merely replays the sealed segments over
 // the new snapshot, which is idempotent because records carry full
 // instance values and replay order (snapshot, then segments ascending)
@@ -953,7 +971,7 @@ func (s *Store) Compact() error {
 		// Seal the active segment so the snapshot supersedes whole
 		// segments only; a failed rotation leaves the store exactly as it
 		// was.
-		if err := s.rotateLocked(); err != nil {
+		if err := s.rotateLocked(s.seg + 1); err != nil {
 			err = fmt.Errorf("store: compact rotate: %w", err)
 			s.noteErrLocked(&s.compactErrs, s.compactErrsC, err)
 			s.mu.Unlock()
@@ -1046,27 +1064,8 @@ func (s *Store) writeSnapshotLocked() error {
 			return err
 		}
 	}
-	tmp, err := s.fs.CreateTemp(s.dir, snapshotName+".tmp-")
-	if err != nil {
+	if err := vfs.PublishFile(s.fs, s.dir, snapshotName, buf); err != nil {
 		return fmt.Errorf("store: snapshot: %w", err)
-	}
-	defer s.fs.Remove(tmp.Name())
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: snapshot write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: snapshot fsync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: snapshot close: %w", err)
-	}
-	if err := s.fs.Rename(tmp.Name(), s.path(snapshotName)); err != nil {
-		return fmt.Errorf("store: snapshot rename: %w", err)
-	}
-	if err := s.fs.SyncDir(s.dir); err != nil {
-		return fmt.Errorf("store: dir fsync: %w", err)
 	}
 	return nil
 }

@@ -133,7 +133,8 @@ func (osFS) ReadDir(dir string) ([]os.DirEntry, error) { return os.ReadDir(dir) 
 
 // CopyFile duplicates src to dst through fsys and fsyncs the copy, so
 // backup and archive copies are durable before anyone records their
-// existence. Every step goes through fsys, which lets a FaultFS fail or
+// existence. The new entry is durable only once the caller fsyncs dst's
+// directory. Every step goes through fsys, which lets a FaultFS fail or
 // tear the copy deterministically.
 func CopyFile(fsys FS, src, dst string) error {
 	data, err := fsys.ReadFile(src)
@@ -144,4 +145,42 @@ func CopyFile(fsys FS, src, dst string) error {
 		return err
 	}
 	return fsys.Sync(dst)
+}
+
+// PublishFile durably replaces dir/name with data: it writes a temp file
+// <name>.tmp-* in dir, fsyncs and closes it, renames it over name, and
+// fsyncs dir, so a crash leaves the old file or the new one, never a torn
+// mix, and a nil return means the new entry survives power loss (fsyncing
+// a file does not make its directory entry durable). The temp file is
+// removed on any failure before the rename.
+func PublishFile(fsys FS, dir, name string, data []byte) error {
+	f, err := fsys.CreateTemp(dir, name+".tmp-*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, filepath.Join(dir, name))
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+		return err
+	}
+	return fsys.SyncDir(dir)
+}
+
+// MkdirAllSynced is MkdirAll followed by an fsync of dir's parent, so a
+// directory that did not exist survives power loss. Only dir's own entry
+// is synced: missing ancestors are created but not made durable.
+func MkdirAllSynced(fsys FS, dir string) error {
+	if err := fsys.MkdirAll(dir); err != nil {
+		return err
+	}
+	return fsys.SyncDir(filepath.Dir(dir))
 }

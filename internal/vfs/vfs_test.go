@@ -302,3 +302,35 @@ func TestFaultFSDiskFull(t *testing.T) {
 		t.Fatalf("Remove on full disk: %v", err)
 	}
 }
+
+// TestPublishFileFaults fails each step of PublishFile in turn: a failure
+// before the rename leaves the old file in place, a failed directory
+// fsync reports an error after the new file landed, and no failure
+// leaves a temp file behind.
+func TestPublishFileFaults(t *testing.T) {
+	for _, tc := range []struct {
+		op   Op
+		want string
+	}{
+		{OpCreate, "old"}, {OpWrite, "old"}, {OpSync, "old"}, {OpRename, "old"}, {OpSyncDir, "new"}, {"", "new"},
+	} {
+		dir := t.TempDir()
+		if err := OS.WriteFile(filepath.Join(dir, "EPOCH"), []byte("old")); err != nil {
+			t.Fatal(err)
+		}
+		ff := NewFaultFS(nil)
+		if tc.op != "" {
+			ff.FailAll(tc.op, "")
+		}
+		err := PublishFile(ff, dir, "EPOCH", []byte("new"))
+		if (err != nil) != (tc.op != "") {
+			t.Errorf("%s fault: PublishFile = %v", tc.op, err)
+		}
+		if data, _ := OS.ReadFile(filepath.Join(dir, "EPOCH")); string(data) != tc.want {
+			t.Errorf("%s fault: file holds %q, want %q", tc.op, data, tc.want)
+		}
+		if left, _ := OS.Glob(filepath.Join(dir, "EPOCH.tmp-*")); len(left) != 0 {
+			t.Errorf("%s fault: temp files left behind: %v", tc.op, left)
+		}
+	}
+}
