@@ -89,10 +89,11 @@ fig7:
 
 # Fault-injection suite: the FaultFS matrix over the store (torn WAL
 # writes, failed fsyncs, snapshot rename failures, degraded mode), the
-# directory-durability check of every publishing step, and the hardened
-# serving path, all under the race detector.
+# directory-durability check of every publishing step and of recovery's
+# quarantine copy, and the hardened serving path, all under the race
+# detector.
 faults:
-	$(GO) test -race -run 'Fault|Torn|Degrad|Injected|Retries|Healthz|Limiter|Bypass|Panic|Deadline|CloseReports|DurableSteps' ./internal/vfs ./internal/store ./internal/server
+	$(GO) test -race -run 'Fault|Torn|Degrad|Injected|Retries|Healthz|Limiter|Bypass|Panic|Deadline|CloseReports|DurableSteps|QuarantineDurable' ./internal/vfs ./internal/store ./internal/server
 
 # Chaos soak: randomized Put/Delete traffic under randomized fault
 # schedules with kill-reopen cycles and online backups, asserting zero
@@ -179,6 +180,8 @@ fuzz-smoke:
 	$(GO) test ./internal/pxql -run '^$$' -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzAppendQueryResponse -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzRouteDifferential$$' -fuzztime 10s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzHitMissDifferential$$' -fuzztime 10s
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzWithProbDifferential$$' -fuzztime 10s
 	$(GO) test ./internal/bayes -run '^$$' -fuzz FuzzEliminateDifferential -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzScanFrames -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s
@@ -190,8 +193,10 @@ fuzz-smoke:
 # bitset view of child sets, and variable elimination (each against what
 # it replaced), the path-expression parser, the pxql parser and shape classifier, the query
 # response encoder (against encoding/json), the router (against the
-# http.ServeMux it replaced), the store's frame scanner
-# and record decoder, and the result cache (against a reference LRU).
+# http.ServeMux it replaced), a cached hit (against the miss that filled
+# the cache), the probability renderer (against strconv's 'f'), the
+# store's frame scanner and record decoder, and the result cache (against
+# a reference LRU).
 fuzz:
 	$(GO) test ./internal/codec -fuzz 'FuzzDecodeText$$' -fuzztime 30s
 	$(GO) test ./internal/codec -fuzz FuzzDecodeTextDifferential -fuzztime 30s
@@ -206,6 +211,8 @@ fuzz:
 	$(GO) test ./internal/pxql -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzAppendQueryResponse -fuzztime 30s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzRouteDifferential$$' -fuzztime 30s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzHitMissDifferential$$' -fuzztime 30s
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzWithProbDifferential$$' -fuzztime 30s
 	$(GO) test ./internal/bayes -run '^$$' -fuzz FuzzEliminateDifferential -fuzztime 30s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzScanFrames -fuzztime 30s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 30s

@@ -19,7 +19,9 @@ import (
 
 // FuzzProjectDifferential holds Λ_p and σ, which read every OPF through the
 // bitset view (DESIGN §36), to their references: Λ_p to refAncestorProject
-// bit for bit, σ to selectByCopy in probability bits and result. A case is
+// bit for bit, with every ℘' in the strict canonical order seal adopts it
+// in unchecked (checkCanonical), σ to selectByCopy in probability bits and
+// result. A case is
 // a generated tree — SL or FR labeling, branching 2–8 — whose view is
 // started before perturb rewrites some of its OPFs, queried three times on
 // a full path (so every row it visits is read once without being kept,

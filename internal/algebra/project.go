@@ -355,8 +355,9 @@ func (u *updater) compare(a, b survivorSet) int {
 //
 // Equal survivor sets are summed in the order the entries emit them and
 // ℘'(o) is normalized by a sum in canonical order, so the result is the same
-// bit for bit from run to run; seal hands it to prob.OPFFromSorted already
-// canonical.
+// bit for bit from run to run; seal emits it in strict canonical order and
+// adopts it as it stands (prob.SealedOPF; FuzzProjectDifferential holds
+// the order).
 func (u *updater) survivalUpdate(pos int, nd pathexpr.Node, view *core.ChildSets, kids []pathexpr.Kid) (float64, error) {
 	base := len(u.sets)
 	if len(kids) <= denseFanout {
@@ -618,7 +619,7 @@ func (u *updater) seal(plan pathexpr.Plan, matched int) {
 			}
 			es = append(es, prob.OPFEntry{Set: ids, Prob: s.p / pd.total})
 		}
-		u.newOPF[pos] = prob.OPFFromSorted(es)
+		u.newOPF[pos] = prob.SealedOPF(es)
 	}
 }
 

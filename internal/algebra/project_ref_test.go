@@ -1,8 +1,10 @@
 package algebra
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pxml/internal/core"
@@ -290,7 +292,24 @@ func checkAgainstReference(t *testing.T, pi *core.ProbInstance, p pathexpr.Path)
 	if err := got.ValidateLite(); err != nil {
 		t.Fatalf("Λ_%s invalid: %v", p, err)
 	}
+	checkCanonical(t, p, got)
 	return got
+}
+
+// checkCanonical requires every OPF of Λ_p's result to hold its entries in
+// strict canonical order — by set size, then by members, no set twice —
+// which seal emits by construction and prob.SealedOPF adopts unchecked.
+func checkCanonical(t *testing.T, p pathexpr.Path, got *core.ProbInstance) {
+	t.Helper()
+	for _, o := range got.SortedOPFObjects() {
+		es := got.OPF(o).Entries()
+		for i := 1; i < len(es); i++ {
+			a, b := es[i-1].Set, es[i].Set
+			if c := cmp.Compare(len(a), len(b)); c > 0 || c == 0 && slices.Compare(a, b) >= 0 {
+				t.Fatalf("Λ_%s: ℘'(%s) holds %v before %v, not in strict canonical order", p, o, a, b)
+			}
+		}
+	}
 }
 
 // perturb rewrites a few OPFs of a generated tree so that the update meets

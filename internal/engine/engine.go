@@ -110,9 +110,13 @@ type Engine struct {
 
 	// Optional memoization of whole statement results (see
 	// WithResultCache). rkey namespaces this engine's entries inside the
-	// shared cache; the owner bumps the prefix to invalidate.
+	// shared cache; the owner changes the namespace to invalidate.
 	rcache *rescache.Cache
 	rkey   string
+
+	// gate, when set (WithGate), decides whether a statement the result
+	// cache does not answer is evaluated.
+	gate Gate
 
 	// shapeObs, when set (WithShapeObserver), receives every evaluated
 	// statement's shape and latency — the server's per-shape percentile
@@ -143,27 +147,49 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithResultCache memoizes successful Run results in a shared cache,
-// keyed by keyPrefix + the statement text. Concurrent identical
-// statements collapse to one evaluation (singleflight). Instance-valued
-// results are never cached — they can be arbitrarily large and are handed
-// to callers who may store them. A kept result keeps its rendered v1 query
-// body beside it (see Answer). The cache holds no reference back to the
-// engine, so invalidation is the owner's job: replace the engine (or the
-// prefix) whenever the underlying instance changes, and the old entries
-// become unreachable and age out of the LRU.
-func WithResultCache(c *rescache.Cache, keyPrefix string) Option {
+// WithResultCache memoizes successful Run and Answer results in a shared
+// cache, keyed by the statement text within namespace. Concurrent
+// identical statements collapse to one evaluation (singleflight).
+// Instance-valued results are never cached — they can be arbitrarily large
+// and are handed to callers who may store them. A kept result keeps its
+// rendered v1 query body beside it (see Answer). The cache holds no
+// reference back to the engine, so invalidation is the owner's job:
+// replace the engine (or the namespace) whenever the underlying instance
+// changes, and the old entries become unreachable and age out of the LRU.
+func WithResultCache(c *rescache.Cache, namespace string) Option {
 	return func(e *Engine) {
 		e.rcache = c
-		e.rkey = keyPrefix
+		e.rkey = namespace
 	}
 }
 
+// A Gate decides whether a statement the result cache does not answer is
+// evaluated, and hears how each evaluation it let through ended: the
+// server's per-shape circuit breaker is one. It is asked with the shape
+// the engine's own parse gives, after that parse, so a statement answered
+// from the cache, and one that does not parse, never reaches it. Its
+// methods run on the evaluating goroutine and must not block.
+type Gate interface {
+	// Enter is asked before the statement is evaluated. A non-nil error is
+	// the statement's outcome instead, and the engine does not meter it.
+	Enter(shape string) error
+	// Leave is told the outcome of every evaluation Enter let through.
+	Leave(shape string, err error)
+}
+
+// WithGate puts g in front of the evaluation of every statement text
+// (Run, RunBatch, Answer); the typed entry points (Exec, Prob*) do not
+// consult it.
+func WithGate(g Gate) Option {
+	return func(e *Engine) { e.gate = g }
+}
+
 // WithShapeObserver registers f to receive the statement shape (see
-// pxql.ClassifyShape) and wall-clock latency of every Run/Exec/Prob*
-// evaluation, including result-cache hits. f runs on the request
-// goroutine after the result is ready, so it must be fast and must not
-// block — recording into a lock-free metrics.Timer is the intended use.
+// pxql.Query.Shape) and wall-clock latency of every Run/Exec/Prob*/Answer
+// evaluation, including Run's result-cache hits; a Cached Answer is its
+// caller's to time. f runs on the request goroutine after the result is
+// ready, so it must be fast and must not block — recording into a
+// lock-free metrics.Timer is the intended use.
 func WithShapeObserver(f func(shape string, d time.Duration)) Option {
 	return func(e *Engine) { e.shapeObs = f }
 }
@@ -365,13 +391,20 @@ func (e *Engine) Warm(ctx context.Context) error {
 	return err
 }
 
-// finish records one query's latency and error outcome.
-func (e *Engine) finish(d time.Duration, err error) {
+// finish records one statement's latency, shape and error outcome.
+func (e *Engine) finish(shape string, d time.Duration, err error) {
 	e.latency.Observe(d)
+	if e.shapeObs != nil {
+		e.shapeObs(shape, d)
+	}
 	if err != nil {
 		e.errs.Inc()
 	}
 }
+
+// Latency returns the timer of the engine's statement latencies ("latency"
+// in Metrics), for a caller that times a Cached answer itself.
+func (e *Engine) Latency() *metrics.Timer { return e.latency }
 
 // Run parses and executes one pxql statement. Cancellation and deadlines
 // on ctx are checked between the parse, structure-build and inference
@@ -379,94 +412,155 @@ func (e *Engine) finish(d time.Duration, err error) {
 // cache attached (WithResultCache), a repeated statement is answered from
 // the cache — with the very *pxql.Result the first evaluation produced — and
 // concurrent identical statements share one evaluation; hits still count
-// toward queries and latency.
+// toward queries and latency. With a gate attached (WithGate), a statement
+// the cache does not answer is evaluated only if the gate lets it through.
 func (e *Engine) Run(ctx context.Context, statement string) (*pxql.Result, error) {
-	res, _, err := e.Answer(ctx, statement)
-	return res, err
+	l := lookup{ctx: func() context.Context { return ctx }, start: time.Now()}
+	v, found, err := rescache.Do(e.rcache, e.rkey, statement, l.context, e.compute)
+	a, err := e.answer(&l, v, found, err, func() string { return statement })
+	if a.Cached {
+		e.finish(a.Shape, time.Since(l.start), nil)
+	}
+	return a.Result, err
 }
 
-// Answer is Run for a server: with the result it returns body, the v1
-// query response for it (apiv1.AppendQueryResponse, no stored name) when
-// the result cache keeps the result. The body is rendered once, when the
-// result enters the cache, and shared with every later caller of the
-// statement, so it is read-only. It is nil for a result the cache does not
-// keep: no cache, an instance-valued result, one no shard could hold.
-func (e *Engine) Answer(ctx context.Context, statement string) (res *pxql.Result, body []byte, err error) {
-	start := time.Now()
+// An Answer is a statement's outcome as Answer gives it to a server.
+type Answer struct {
+	// Result is the statement's result, shared with every other caller of
+	// the statement: a Result is immutable once returned (see pxql.Result).
+	Result *pxql.Result
+	// Body is the v1 query response for Result
+	// (apiv1.AppendQueryResponse, no stored name) when the result cache
+	// keeps Result. It is rendered once, when the result enters the cache,
+	// and shared with every later caller of the statement, so it is
+	// read-only. It is nil for a result the cache does not keep: no cache,
+	// an instance-valued result, one no shard could hold.
+	Body []byte
+	// Shape is the statement's shape as the engine's parse gave it:
+	// pxql.ShapeOther for a statement that does not parse.
+	Shape string
+	// Cached is set for an answer the result cache held. The engine read no
+	// clock for it and leaves its latency to the caller: to Latency's timer
+	// and to whatever the caller's shape observer would record.
+	Cached bool
+}
+
+// Answer is Run for a server, on the statement's bytes. A statement the
+// result cache holds is answered from it with no context, no clock read, no
+// parse and no copy of the bytes, and the answer is Cached. Any other is
+// answered as Run answers it, under the context ctx returns: ctx is called
+// once, and only then.
+func (e *Engine) Answer(statement []byte, ctx func() context.Context) (Answer, error) {
+	l := lookup{ctx: ctx}
+	v, found, err := rescache.Do(e.rcache, e.rkey, statement, l.context, e.compute)
+	return e.answer(&l, v, found, err, func() string { return string(statement) })
+}
+
+// lookup is one statement text's trip through the result cache (Run,
+// Answer): its context is asked for only when no resident entry answers
+// the statement, and the stopwatch of such a statement starts at start,
+// or then when start is zero. (It holds no pointer that evaluation keeps,
+// so it and the ctx it calls stay on the caller's stack.)
+type lookup struct {
+	ctx   func() context.Context
+	start time.Time
+}
+
+// context is the cache's ctx for rescache.Do.
+func (l *lookup) context() context.Context {
+	if l.start.IsZero() {
+		l.start = time.Now()
+	}
+	return l.ctx()
+}
+
+// answer meters what rescache.Do returned for l and makes it an Answer: a
+// resident entry counts as a query and a hit and is left for the caller to
+// time; any other statement is timed from l.start, unless the gate refused
+// it, which leaves it unmetered: it was not evaluated. text is the
+// statement, asked for only by a caller that gave up on the evaluation it
+// waited for, whose shape nothing else gives.
+func (e *Engine) answer(l *lookup, v any, found rescache.Found, err error, text func() string) (Answer, error) {
+	c, _ := v.(*cached)
+	if found == rescache.Resident {
+		e.queries.Inc()
+		e.rhits.Inc()
+		return Answer{Result: &c.res, Body: c.body, Shape: c.shape, Cached: true}, nil
+	}
+	if c == nil {
+		c = &cached{shape: shapeOf(text())}
+	}
+	if c.refused {
+		return Answer{Shape: c.shape}, err
+	}
 	e.queries.Inc()
-	shape := "" // set by this call's evaluation or by the cached entry
-	defer func() {
-		d := time.Since(start)
-		e.finish(d, err)
-		if e.shapeObs != nil {
-			if shape == "" { // no parse of ours, nor a cached entry, gave one
-				shape = pxql.ClassifyShape(statement)
-			}
-			e.shapeObs(shape, d)
-		}
-	}()
-	if err = ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	if e.rcache == nil {
-		res, shape, err = e.runParsed(ctx, statement)
-		return res, nil, err
-	}
-	computed := false
-	v, err := e.rcache.DoCtx(ctx, e.rkey+statement, func() (any, int64, error) {
-		computed = true
-		var r *pxql.Result
-		var rerr error
-		r, shape, rerr = e.runParsed(ctx, statement)
-		if rerr != nil {
-			return nil, 0, rerr
-		}
-		// Shared with concurrent waiters either way, but neither retained
-		// nor rendered.
-		if r.Instance != nil || !e.rcache.Holds(resultCost(statement, r, nil)) {
-			return r, -1, nil
-		}
-		c := &cached{res: r, shape: shape, body: apiv1.AppendQueryResponse(nil, r.Text, r.Prob, "")}
-		return c, resultCost(statement, r, c.body), nil
-	})
 	switch {
-	case computed:
+	case found == rescache.Computed && e.rcache != nil:
 		e.rmisses.Inc()
-	case err == nil:
+	case found == rescache.Joined && err == nil:
 		e.rhits.Inc()
 	}
+	e.finish(c.shape, time.Since(l.start), err)
 	if err != nil {
-		return nil, nil, err
+		return Answer{Shape: c.shape}, err
 	}
-	// The cached value itself, shared with every other caller of the same
-	// statement: a Result is immutable once returned (see pxql.Result).
-	if c, ok := v.(*cached); ok {
-		shape = c.shape
-		return c.res, c.body, nil
-	}
-	return v.(*pxql.Result), nil, nil
+	return Answer{Result: &c.res, Body: c.body, Shape: c.shape}, nil
 }
 
-// cached is what the result cache keeps for a statement: the result, the
-// statement's shape as its parse gave it, and the result's v1 query
-// response body. All three are set when the entry is filled and never
-// written again.
+// cached is what evaluating a statement text leaves: the result, the
+// statement's shape as its parse gave it, and, when the result cache keeps
+// the result, its v1 query response body. All are set by compute and never
+// written again; a failed evaluation leaves its shape (and refused, when
+// the gate refused it) for the callers that waited on it.
 type cached struct {
-	res   *pxql.Result
-	shape string
-	body  []byte
+	res     pxql.Result
+	shape   string
+	body    []byte
+	refused bool
 }
 
-// runParsed is the uncached parse+execute path behind Answer. It also
-// returns the statement's shape as its parse gives it ("" for a statement
-// that does not parse).
-func (e *Engine) runParsed(ctx context.Context, statement string) (*pxql.Result, string, error) {
+// compute parses and evaluates one statement for answer, and returns what
+// the result cache is to keep of it, with a negative cost when it is not to
+// keep it.
+func (e *Engine) compute(ctx context.Context, statement string) (any, int64, error) {
+	c := &cached{shape: pxql.ShapeOther}
 	q, err := pxql.Parse(statement)
 	if err != nil {
-		return nil, "", err
+		return c, 0, err
 	}
-	res, err := e.exec(ctx, false, q)
-	return res, q.Shape(), err
+	c.shape = q.Shape()
+	if e.gate != nil {
+		if err := e.gate.Enter(c.shape); err != nil {
+			c.refused = true
+			return c, 0, err
+		}
+	}
+	err = e.evaluate(ctx, false, c.shape, q.Op, q.Top, func(ctx context.Context) (err error) {
+		c.res, err = e.dispatch(ctx, q)
+		return err
+	})
+	if e.gate != nil {
+		e.gate.Leave(c.shape, err)
+	}
+	if err != nil {
+		return c, 0, err
+	}
+	// Shared with concurrent waiters either way, but neither retained nor
+	// rendered.
+	if e.rcache == nil || c.res.Instance != nil || !e.rcache.Holds(resultCost(statement, &c.res, nil)) {
+		return c, -1, nil
+	}
+	c.body = apiv1.AppendQueryResponse(nil, c.res.Text, c.res.Prob, "")
+	return c, resultCost(statement, &c.res, c.body), nil
+}
+
+// shapeOf is statement's shape as the engine's parse gives it.
+func shapeOf(statement string) string {
+	q, err := pxql.Parse(statement)
+	if err != nil {
+		return pxql.ShapeOther
+	}
+	return q.Shape()
 }
 
 // resultCost estimates the bytes a cached result pins: the statement (in

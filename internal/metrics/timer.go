@@ -66,19 +66,33 @@ func timerBucketMidNS(i int) float64 {
 }
 
 // Observe records one duration (negatives clamp to zero).
-func (t *Timer) Observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
+func (t *Timer) Observe(d time.Duration) { t.Record(SampleOf(d)) }
+
+// A Sample is one duration made ready for Record: clamped at zero, with its
+// bucket worked out, so that the timers observing the same duration share
+// that work.
+type Sample struct {
+	ns     int64
+	bucket int
+}
+
+// SampleOf readies d for Record (negatives clamp to zero).
+func SampleOf(d time.Duration) Sample {
+	d = max(d, 0)
+	return Sample{int64(d), timerIndex(d)}
+}
+
+// Record records one readied duration: Observe(d) is Record(SampleOf(d)).
+func (t *Timer) Record(s Sample) {
 	t.count.Add(1)
-	t.sum.Add(int64(d))
+	t.sum.Add(s.ns)
 	for {
 		cur := t.max.Load()
-		if int64(d) <= cur || t.max.CompareAndSwap(cur, int64(d)) {
+		if s.ns <= cur || t.max.CompareAndSwap(cur, s.ns) {
 			break
 		}
 	}
-	t.buckets[timerIndex(d)].Add(1)
+	t.buckets[s.bucket].Add(1)
 }
 
 // Count returns the number of observations.

@@ -74,11 +74,15 @@ func OPFFromSorted(es []OPFEntry) *OPF {
 			return w
 		}
 	}
-	return sealedOPF(es)
+	return SealedOPF(es)
 }
 
-// sealedOPF adopts a slice known to be in strict canonical order.
-func sealedOPF(es []OPFEntry) *OPF {
+// SealedOPF adopts es as the sealed representation of an OPF, as
+// OPFFromSorted does, without checking: the caller guarantees es is in
+// strict canonical order (set size, then lexicographic, no set twice),
+// because it built es that way, and must not use es afterwards. Input from
+// outside the program goes through OPFFromSorted.
+func SealedOPF(es []OPFEntry) *OPF {
 	w := new(OPF)
 	w.sorted.Store(&es)
 	return w
@@ -231,7 +235,7 @@ func (w *OPF) Normalize() error {
 // immutable by convention).
 func (w *OPF) Clone() *OPF {
 	if w.entries == nil {
-		return sealedOPF(slices.Clone(w.sortedEntries()))
+		return SealedOPF(slices.Clone(w.sortedEntries()))
 	}
 	return &OPF{entries: maps.Clone(w.entries)}
 }
@@ -284,7 +288,7 @@ func (w *OPF) ConditionAt(keep func(i int) bool) (*OPF, float64, bool) {
 		kept[i].Prob /= norm
 	}
 	// A filtered canonical slice is the result's canonical slice.
-	return sealedOPF(kept), norm, true
+	return SealedOPF(kept), norm, true
 }
 
 // MarginalizeDrop removes the given objects from every child set, summing

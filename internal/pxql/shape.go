@@ -72,12 +72,12 @@ func shapeOfOp(op string) string {
 }
 
 // ClassifyShape determines a statement's shape lexically — first keyword,
-// plus the PROB sub-form — without a full parse and without allocating, so
-// a caller on the hot path (the server's breaker key) can classify a
-// cache-hit statement without paying Parse. (The engine reads a shape off
-// its own parse and keeps it with the cached result.) It splits and
-// upper-cases fields exactly as Parse does,
-// so it agrees with Query.Shape for every statement Parse accepts.
+// plus the PROB sub-form — without a full parse and without allocating,
+// for a caller that needs a shape without paying Parse. (The server no
+// longer does: the engine reads a shape off its own parse, keeps it with
+// the cached result, and hands it to the breaker on a miss.) It splits and
+// upper-cases fields exactly as Parse does, so it agrees with Query.Shape
+// for every statement Parse accepts.
 func ClassifyShape(statement string) string {
 	kw, rest := nextField(statement)
 	var buf [keywordWindow]byte

@@ -20,18 +20,18 @@ type refLRU struct {
 }
 
 type refEntry struct {
-	key  string
+	key  key
 	val  int
 	cost int64
 }
 
-func (r *refLRU) shard(key string) *[]refEntry { return &r.shards[shardHash(key)&r.mask] }
+func (r *refLRU) shard(k key) *[]refEntry { return &r.shards[shardHash(k.ns, k.stmt)&r.mask] }
 
-func (r *refLRU) index(key string) int {
-	return slices.IndexFunc(*r.shard(key), func(e refEntry) bool { return e.key == key })
+func (r *refLRU) index(k key) int {
+	return slices.IndexFunc(*r.shard(k), func(e refEntry) bool { return e.key == k })
 }
 
-func (r *refLRU) get(key string) (int, bool) {
+func (r *refLRU) get(key key) (int, bool) {
 	i := r.index(key)
 	if i < 0 {
 		r.misses++
@@ -44,7 +44,16 @@ func (r *refLRU) get(key string) (int, bool) {
 	return e.val, true
 }
 
-func (r *refLRU) remove(key string) bool {
+// peek reports whether key is resident, moving and counting nothing.
+func (r *refLRU) peek(key key) (int, bool) {
+	i := r.index(key)
+	if i < 0 {
+		return 0, false
+	}
+	return (*r.shard(key))[i].val, true
+}
+
+func (r *refLRU) remove(key key) bool {
 	i := r.index(key)
 	if i >= 0 {
 		sh := r.shard(key)
@@ -53,7 +62,7 @@ func (r *refLRU) remove(key string) bool {
 	return i >= 0
 }
 
-func (r *refLRU) put(key string, val int, cost int64) {
+func (r *refLRU) put(key key, val int, cost int64) {
 	r.remove(key)
 	if cost = max(cost, 0) + entryOverhead; cost > r.budget {
 		return
@@ -66,9 +75,9 @@ func (r *refLRU) put(key string, val int, cost int64) {
 	}
 }
 
-// do is DoCtx run serially: a hit answers, a miss computes val and caches it
+// do is Do run serially: a hit answers, a miss computes val and caches it
 // unless the compute failed or cost is negative.
-func (r *refLRU) do(key string, val int, cost int64, fail bool) (int, bool) {
+func (r *refLRU) do(key key, val int, cost int64, fail bool) (int, bool) {
 	if v, ok := r.get(key); ok {
 		return v, true
 	}
@@ -90,15 +99,18 @@ func refBytes(sh []refEntry) (n int64) {
 
 var errCompute = errors.New("compute failed")
 
-// FuzzCacheDifferential runs a byte-coded sequence of Put, Get, DoCtx
-// (succeeding, failing, or with a negative cost), Remove and Purge on a
+// FuzzCacheDifferential runs a byte-coded sequence of Put, Get, DoCtx and
+// Do (succeeding, failing, or with a negative cost), Remove and Purge on a
 // cache of one or two shards and on refLRU, and after every step requires
 // the same answer, the same residents in the same recency order with the
-// same values and costs, and the same counters and byte total.
+// same values and costs, and the same counters and byte total. Do names
+// its key by a namespace and the statement's bytes; the string-keyed
+// methods reach the empty namespace, which Do reaches too.
 //
 // Input: byte 0 picks the shard count (1 + b&1), byte 1 the per-shard
-// budget (16·b), then three bytes per step: operation, key (one of 12) and
-// cost (4·b − 32, so negative and over-budget costs both occur).
+// budget (16·b), then three bytes per step: operation, key (one of 6
+// statements, in one of 2 namespaces for Do) and cost (4·b − 32, so
+// negative and over-budget costs both occur).
 func FuzzCacheDifferential(f *testing.F) {
 	f.Add([]byte{0, 40, 0, 1, 20, 0, 2, 20, 0, 3, 20, 3, 1, 0, 0, 4, 20})
 	f.Add([]byte{1, 0, 0, 1, 20, 5, 2, 20, 3, 2, 0})
@@ -122,24 +134,25 @@ func FuzzCacheDifferential(f *testing.F) {
 		ref := &refLRU{shards: make([][]refEntry, shards), mask: uint32(shards - 1), budget: per}
 		ctx := context.Background()
 		for step, op := 0, data[2:]; len(op) >= 3; step, op = step+1, op[3:] {
-			key, cost := fmt.Sprintf("k%d", op[1]%12), int64(op[2])*4-32
+			stmt, cost := fmt.Sprintf("k%d", op[1]%6), int64(op[2])*4-32
+			key := key{stmt: stmt}
 			var what string
-			switch op[0] % 10 {
+			switch op[0] % 12 {
 			case 0, 1, 2:
 				what = "Put"
-				c.Put(key, step, cost)
+				c.Put(stmt, step, cost)
 				ref.put(key, step, cost)
 			case 3, 4:
 				what = "Get"
-				v, ok := c.Get(key)
+				v, ok := c.Get(stmt)
 				want, wantOK := ref.get(key)
 				if ok != wantOK || ok && v.(int) != want {
 					t.Fatalf("step %d: Get(%s) = %v, %v; want %v, %v", step, key, v, ok, want, wantOK)
 				}
 			case 5, 6, 7:
-				fail := op[0]%10 == 7
+				fail := op[0]%12 == 7
 				what = fmt.Sprintf("DoCtx(fail=%v)", fail)
-				v, err := c.DoCtx(ctx, key, func() (any, int64, error) {
+				v, err := c.DoCtx(ctx, stmt, func() (any, int64, error) {
 					if fail {
 						return nil, 0, errCompute
 					}
@@ -149,19 +162,42 @@ func FuzzCacheDifferential(f *testing.F) {
 				if (err == nil) != wantOK || err == nil && v.(int) != want {
 					t.Fatalf("step %d: DoCtx(%s) = %v, %v; want %v, ok %v", step, key, v, err, want, wantOK)
 				}
-			case 8:
+			case 8, 9:
+				fail := op[0]%12 == 9
+				key.ns = []string{"", "inst@1"}[op[1]/6%2]
+				what = fmt.Sprintf("Do(fail=%v)", fail)
+				asked := false
+				v, found, err := Do(c, key.ns, []byte(stmt), func() context.Context { asked = true; return ctx },
+					func(_ context.Context, s string) (any, int64, error) {
+						if s != stmt {
+							t.Fatalf("step %d: compute given %q for %q", step, s, stmt)
+						}
+						if fail {
+							return nil, 0, errCompute
+						}
+						return step, cost, nil
+					})
+				wantFound := Computed
+				if _, ok := ref.peek(key); ok {
+					wantFound = Resident
+				}
+				want, wantOK := ref.do(key, step, cost, fail)
+				if (err == nil) != wantOK || err == nil && v.(int) != want || found != wantFound || asked != (found != Resident) {
+					t.Fatalf("step %d: Do(%v) = %v, found %v, %v, context asked %v; want %v, found %v, ok %v", step, key, v, found, err, asked, want, wantFound, wantOK)
+				}
+			case 10:
 				what = "Remove"
-				if got, want := c.Remove(key), ref.remove(key); got != want {
+				if got, want := c.Remove(stmt), ref.remove(key); got != want {
 					t.Fatalf("step %d: Remove(%s) = %v, want %v", step, key, got, want)
 				}
-			case 9:
+			case 11:
 				what = "Purge"
 				c.Purge()
 				for i := range ref.shards {
 					ref.shards[i] = nil
 				}
 			}
-			checkAgainst(t, fmt.Sprintf("step %d (%s %s, cost %d)", step, what, key, cost), c, ref)
+			checkAgainst(t, fmt.Sprintf("step %d (%s %v, cost %d)", step, what, key, cost), c, ref)
 		}
 	})
 }
@@ -176,7 +212,7 @@ func checkAgainst(t *testing.T, at string, c *Cache, ref *refLRU) {
 		var got []refEntry
 		for e := s.lru.prev; e != &s.lru; e = e.prev {
 			if e.next.prev != e || s.items[e.key] != e {
-				t.Fatalf("%s: shard %d: entry %s is not linked both ways and mapped", at, i, e.key)
+				t.Fatalf("%s: shard %d: entry %v is not linked both ways and mapped", at, i, e.key)
 			}
 			got = append(got, refEntry{e.key, e.val.(int), e.cost})
 		}
@@ -247,5 +283,33 @@ func BenchmarkInsertFull(b *testing.B) {
 				c.Put(keys[i%len(keys)], resultValue, 8)
 			}
 		})
+	}
+}
+
+// TestDoHitAllocatesNothing: a resident statement is found by its bytes
+// within its namespace without building a key string, and its context is
+// never asked for; the same bytes in another namespace are another entry.
+func TestDoHitAllocatesNothing(t *testing.T) {
+	c := NewSharded(1<<20, 4)
+	stmt := []byte("PROB R.book.author = A1")
+	ctx := func() context.Context { return context.Background() }
+	compute := func(_ context.Context, s string) (any, int64, error) { return resultValue, int64(len(s)), nil }
+	for _, ns := range []string{"inst@1", "inst@2"} {
+		if _, found, err := Do(c, ns, stmt, ctx, compute); found != Computed || err != nil {
+			t.Fatalf("first Do in %s: found %v, %v; want Computed", ns, found, err)
+		}
+	}
+	asked := false
+	n := testing.AllocsPerRun(100, func() {
+		v, found, err := Do(c, "inst@1", stmt, func() context.Context { asked = true; return nil }, compute)
+		if v != resultValue || found != Resident || err != nil {
+			t.Fatalf("hit: %v, found %v, %v", v, found, err)
+		}
+	})
+	if n != 0 || asked {
+		t.Fatalf("a hit allocates %v times and asked for its context: %v; want neither", n, asked)
+	}
+	if st := c.Stats(); st.Entries != 2 || st.Misses != 2 {
+		t.Fatalf("%+v; want two entries and two misses", st)
 	}
 }

@@ -6,20 +6,22 @@
 // finishes and receive the same value (or error). Errors are never
 // cached — the next caller retries.
 //
-// The cache never returns a stale entry for a key it was given; staleness
-// is the caller's concern and is handled by versioned keys: embed a
-// monotonically increasing instance version in the key and bump it on
-// every mutation, so entries for the old version become unreachable and
-// age out of the LRU naturally.
+// A key is a namespace and a statement within it (Do). The cache never
+// returns a stale entry for a key it was given; staleness is the caller's
+// concern and is handled by versioned namespaces: name a monotonically
+// increasing instance version in the namespace and bump it on every
+// mutation, so entries for the old version become unreachable and age out
+// of the LRU naturally. A statement is looked up by its bytes, which a hit
+// never copies.
 //
-// A key is hashed (FNV-1a) to one of a power-of-two number of shards,
-// each with its own byte budget and its own mutex. A shard is a map from
-// key to entry plus an intrusive doubly-linked list of the same entries in
-// recency order, both guarded by that mutex: a hit moves its entry to the
-// front, an insert links one entry and unlinks from the tail until the
-// shard is back under budget, and a removal unlinks. Every operation is
-// O(1), nothing is copied, and the order is exact LRU under any
-// interleaving. All methods are safe for concurrent use.
+// A key is hashed to one of a power-of-two number of shards, each with its
+// own byte budget and its own mutex. A shard is a map from key to entry
+// plus an intrusive doubly-linked list of the same entries in recency
+// order, both guarded by that mutex: a hit moves its entry to the front, an
+// insert links one entry and unlinks from the tail until the shard is back
+// under budget, and a removal unlinks. Every operation is O(1), nothing is
+// copied, and the order is exact LRU under any interleaving. All methods
+// are safe for concurrent use.
 package rescache
 
 import (
@@ -46,18 +48,22 @@ type Cache struct {
 // counters included, so a lookup pays for no atomic besides the lock.
 type shard struct {
 	mu      sync.Mutex
-	items   map[string]*entry
+	items   map[key]*entry
 	lru     entry // sentinel: lru.next is the most recently used, lru.prev the least
 	budget  int64
 	bytes   int64
-	flights map[string]*flight
+	flights map[key]*flight
 
 	hits, misses, evictions int64
 	collapsed               int64 // lookups served by joining an in-flight compute
 }
 
+// key names an entry: a statement within a namespace. The string-keyed
+// methods (Get, Put, DoCtx, Remove) use the empty namespace.
+type key struct{ ns, stmt string }
+
 type entry struct {
-	key        string
+	key        key
 	val        any
 	cost       int64
 	prev, next *entry
@@ -92,18 +98,29 @@ func NewSharded(maxBytes int64, shards int) *Cache {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.budget = per
-		s.flights = make(map[string]*flight)
+		s.flights = make(map[key]*flight)
 		s.clearLocked()
 	}
 	return c
 }
 
-// shardHash hashes the key for shard selection eight bytes a step, with
+// shardHash hashes a key for shard selection eight bytes a step, with
 // fixed constants: a key picks the same shard in every process, so eviction
-// patterns repeat from run to run.
-func shardHash(s string) uint32 {
+// patterns repeat from run to run. Both lengths enter the seed, so the
+// same bytes split differently between namespace and statement hash
+// differently.
+func shardHash[S string | []byte](ns string, stmt S) uint32 {
 	const m = 0x9e3779b97f4a7c15
-	h := uint64(len(s)) * m
+	h := (uint64(len(ns))<<32 | uint64(len(stmt))) * m
+	h = mix(mix(h, ns), stmt)
+	h ^= h >> 29
+	h *= 0xbf58476d1ce4e5b9
+	return uint32(h ^ h>>32)
+}
+
+// mix folds s into h.
+func mix[S string | []byte](h uint64, s S) uint64 {
+	const m = 0x9e3779b97f4a7c15
 	for ; len(s) >= 8; s = s[8:] {
 		w := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
 			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
@@ -113,36 +130,36 @@ func shardHash(s string) uint32 {
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * m
 	}
-	h ^= h >> 29
-	h *= 0xbf58476d1ce4e5b9
-	return uint32(h ^ h>>32)
+	return h
 }
 
-func (c *Cache) shard(key string) *shard {
-	return &c.shards[shardHash(key)&c.mask]
+func (c *Cache) shard(k key) *shard {
+	return &c.shards[shardHash(k.ns, k.stmt)&c.mask]
 }
 
-// Get returns the cached value for key, if present, marking it
-// most-recently-used.
-func (c *Cache) Get(key string) (any, bool) {
-	s := c.shard(key)
+// Get returns the value cached under k in the empty namespace, if present,
+// marking it most-recently-used.
+func (c *Cache) Get(k string) (any, bool) {
+	s := c.shard(key{stmt: k})
 	s.mu.Lock()
-	v, ok := s.getLocked(key)
+	defer s.mu.Unlock()
+	e, ok := s.items[key{stmt: k}]
 	if !ok {
 		s.misses++
+		return nil, false
 	}
-	s.mu.Unlock()
-	return v, ok
+	return s.hitLocked(e), true
 }
 
-// Put inserts (or replaces) key with the given value and cost. A cost the
-// shard's whole budget could not hold is refused: nothing is stored, no
-// resident is evicted to make room that could never be enough, and a value
-// already under key is dropped (it is no longer what key holds).
-func (c *Cache) Put(key string, v any, cost int64) {
-	s := c.shard(key)
+// Put inserts (or replaces) k in the empty namespace with the given value
+// and cost. A cost the shard's whole budget could not hold is refused:
+// nothing is stored, no resident is evicted to make room that could never
+// be enough, and a value already under k is dropped (it is no longer what k
+// holds).
+func (c *Cache) Put(k string, v any, cost int64) {
+	s := c.shard(key{stmt: k})
 	s.mu.Lock()
-	s.insertLocked(key, v, cost)
+	s.insertLocked(key{stmt: k}, v, cost)
 	s.mu.Unlock()
 }
 
@@ -154,51 +171,98 @@ func (c *Cache) Holds(cost int64) bool {
 	return cost >= 0 && cost+entryOverhead <= c.shards[0].budget
 }
 
-// DoCtx returns the cached value for key, or computes it exactly once
-// across concurrent callers. compute returns (value, cost, err): on err the
-// value is handed to every waiting caller but never cached; on success the
-// value is cached unless cost is negative (the caller's "do not cache"
-// signal) or more than a shard can hold — still shared with concurrent
-// waiters.
+// DoCtx is Do for the key string in the empty namespace, under ctx.
+func (c *Cache) DoCtx(ctx context.Context, k string, compute func() (v any, cost int64, err error)) (any, error) {
+	v, _, err := Do(c, "", k, func() context.Context { return ctx },
+		func(context.Context, string) (any, int64, error) { return compute() })
+	return v, err
+}
+
+// Found is how a Do call came by its value.
+type Found int
+
+const (
+	// Resident: the cache held the value.
+	Resident Found = iota
+	// Joined: another caller's compute, which this one waited for, produced
+	// the value or the error (or this caller gave up waiting).
+	Joined
+	// Computed: this caller's compute produced the value or the error.
+	Computed
+)
+
+// Do returns the value cached under stmt in namespace ns, or computes it
+// exactly once across concurrent callers, and reports how it came by it. A
+// Resident value is found by the statement's bytes, which are not copied;
+// ctx is then never called. A caller that finds nothing resident calls ctx
+// once, for the context it waits on another caller's compute under or
+// hands its own compute, and that compute receives the statement as a
+// string: the one copy of it the entry keeps.
 //
-// A waiter whose ctx is done returns ctx.Err() promptly instead of
+// compute returns (value, cost, err): on err the value is handed to every
+// waiting caller but never cached; on success the value is cached unless
+// cost is negative (the caller's "do not cache" signal) or more than a
+// shard can hold — still shared with concurrent waiters.
+//
+// A waiter whose context is done returns its error promptly instead of
 // blocking on the flight leader. The leader itself is NOT cancelled by a
-// waiter's ctx — it runs compute to completion and still populates the
+// waiter's context — it runs compute to completion and still populates the
 // cache, so one abandoned client cannot poison the result for the callers
-// that stayed. (A leader whose own compute observes its ctx — as the
+// that stayed. (A leader whose own compute observes its context — as the
 // engine's governed computes do — fails with an error, which is never
 // cached.) A compute that panics caches nothing, hands its waiters an
 // error wrapping the panic value, and re-panics in the leader.
-func (c *Cache) DoCtx(ctx context.Context, key string, compute func() (v any, cost int64, err error)) (any, error) {
-	s := c.shard(key)
-	s.mu.Lock()
-	if v, ok := s.getLocked(key); ok {
-		s.mu.Unlock()
-		return v, nil
+//
+// A nil cache holds nothing and collapses nothing: every call computes.
+func Do[S string | []byte](c *Cache, ns string, stmt S, ctx func() context.Context, compute func(ctx context.Context, stmt string) (v any, cost int64, err error)) (v any, found Found, err error) {
+	if c == nil {
+		v, _, err = compute(ctx(), string(stmt))
+		return v, Computed, err
 	}
-	if f, ok := s.flights[key]; ok {
+	s := &c.shards[shardHash(ns, stmt)&c.mask]
+	s.mu.Lock()
+	// The conversion in the index expression copies nothing.
+	if e, ok := s.items[key{ns, string(stmt)}]; ok {
+		v = s.hitLocked(e)
 		s.mu.Unlock()
-		select {
-		case <-f.done:
-			s.mu.Lock()
-			s.collapsed++
-			if f.err == nil { // a failed or panicked compute served nothing
-				s.hits++
-			}
-			s.mu.Unlock()
-			return f.val, f.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+		return v, Resident, nil
+	}
+	k := key{ns, string(stmt)}
+	if f, ok := s.flights[k]; ok {
+		s.mu.Unlock()
+		v, err = s.wait(ctx(), f)
+		return v, Joined, err
 	}
 	f := &flight{done: make(chan struct{})}
-	s.flights[key] = f
+	s.flights[k] = f
 	s.misses++
 	s.mu.Unlock()
+	s.lead(ctx, k, f, compute)
+	return f.val, Computed, f.err
+}
 
-	// Settle the flight however compute ends, a panic included: a flight
-	// left registered and open blocks every later caller of key until its
-	// own deadline.
+// wait returns what the flight f leads to, or ctx's error if ctx is done
+// first.
+func (s *shard) wait(ctx context.Context, f *flight) (any, error) {
+	select {
+	case <-f.done:
+		s.mu.Lock()
+		s.collapsed++
+		if f.err == nil { // a failed or panicked compute served nothing
+			s.hits++
+		}
+		s.mu.Unlock()
+		return f.val, f.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// lead runs compute under ctx() for the flight f registered under k and
+// settles the flight however that ends, a panic included: a flight left
+// registered and open blocks every later caller of k until its own
+// deadline.
+func (s *shard) lead(ctx func() context.Context, k key, f *flight, compute func(context.Context, string) (any, int64, error)) {
 	cost := int64(-1)
 	defer func() {
 		p := recover()
@@ -206,9 +270,9 @@ func (c *Cache) DoCtx(ctx context.Context, key string, compute func() (v any, co
 			f.err = panicError(p)
 		}
 		s.mu.Lock()
-		delete(s.flights, key)
+		delete(s.flights, k)
 		if f.err == nil && cost >= 0 {
-			s.insertLocked(key, f.val, cost)
+			s.insertLocked(k, f.val, cost)
 		}
 		s.mu.Unlock()
 		close(f.done)
@@ -216,8 +280,7 @@ func (c *Cache) DoCtx(ctx context.Context, key string, compute func() (v any, co
 			panic(p)
 		}
 	}()
-	f.val, cost, f.err = compute()
-	return f.val, f.err
+	f.val, cost, f.err = compute(ctx(), k.stmt)
 }
 
 // panicError is what the waiters of a compute that panicked with p receive.
@@ -228,31 +291,27 @@ func panicError(p any) error {
 	return fmt.Errorf("rescache: compute panicked: %v", p)
 }
 
-// getLocked returns key's value, moves its entry to the front of the list
-// and counts the hit. Caller holds s.mu.
-func (s *shard) getLocked(key string) (any, bool) {
-	e, ok := s.items[key]
-	if !ok {
-		return nil, false
-	}
+// hitLocked returns the resident e's value, moves e to the front of the
+// list and counts the hit. Caller holds s.mu.
+func (s *shard) hitLocked(e *entry) any {
 	s.hits++
 	unlink(e)
 	s.pushFront(e)
-	return e.val, true
+	return e.val
 }
 
 // insertLocked links a new entry for key at the front, replacing any entry
 // already under key, then evicts from the tail until the shard is back
 // under budget. An entry that alone exceeds the budget is refused (and the
 // old one dropped) before anything moves. Caller holds s.mu.
-func (s *shard) insertLocked(key string, v any, cost int64) {
+func (s *shard) insertLocked(k key, v any, cost int64) {
 	cost = max(cost, 0) + entryOverhead
-	s.removeLocked(key)
+	s.removeLocked(k)
 	if cost > s.budget {
 		return
 	}
-	e := &entry{key: key, val: v, cost: cost}
-	s.items[key] = e
+	e := &entry{key: k, val: v, cost: cost}
+	s.items[k] = e
 	s.pushFront(e)
 	s.bytes += cost
 	// The new entry alone fits, so the loop stops before reaching it.
@@ -276,17 +335,18 @@ func (s *shard) drop(e *entry) {
 	s.bytes -= e.cost
 }
 
-// Remove drops key from the cache, reporting whether it was present.
+// Remove drops k in the empty namespace from the cache, reporting whether
+// it was present.
 // In-flight computes for the key are unaffected.
-func (c *Cache) Remove(key string) bool {
-	s := c.shard(key)
+func (c *Cache) Remove(k string) bool {
+	s := c.shard(key{stmt: k})
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.removeLocked(key)
+	return s.removeLocked(key{stmt: k})
 }
 
-func (s *shard) removeLocked(key string) bool {
-	e, ok := s.items[key]
+func (s *shard) removeLocked(k key) bool {
+	e, ok := s.items[k]
 	if ok {
 		s.drop(e)
 	}
@@ -296,7 +356,7 @@ func (s *shard) removeLocked(key string) bool {
 // clearLocked empties the shard: a fresh map (so a purge releases the old
 // one's buckets) and an empty list.
 func (s *shard) clearLocked() {
-	s.items = make(map[string]*entry)
+	s.items = make(map[key]*entry)
 	s.lru.prev, s.lru.next = &s.lru, &s.lru
 	s.bytes = 0
 }

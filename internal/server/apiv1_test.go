@@ -340,7 +340,9 @@ func TestAdmissionBypassForProbes(t *testing.T) {
 
 // TestRouteStacks walks the route table and checks, from inside each
 // route's handler, which middleware its stack put around it. What a path
-// is owed is stated here by prefix, not read back from the table's class.
+// is owed is stated here by prefix, not read back from the table's class;
+// the query route's handler arms the request deadline itself, on a miss
+// (TestLazyDeadline).
 func TestRouteStacks(t *testing.T) {
 	const token = "s3cret"
 	s := MustNew(Config{
@@ -358,6 +360,8 @@ func TestRouteStacks(t *testing.T) {
 			gated = true
 		case strings.HasPrefix(path, "/v1/admin/"):
 			gated, limited, deadline = true, true, true
+		case path == queryPath:
+			admitted, limited = true, true
 		default:
 			admitted, limited, deadline = true, true, true
 		}
@@ -399,7 +403,8 @@ func TestRouteStacks(t *testing.T) {
 // the request arrived, keeps the request's values and is settled once the
 // handler returns; every other route, and every route of a server without
 // RequestTimeout, hands the request's own context. As in TestRouteStacks,
-// what a path is owed is stated by prefix.
+// what a path is owed is stated by prefix; the query route's handler arms
+// the deadline itself, on a miss (TestLazyDeadline).
 func TestRouteDeadlines(t *testing.T) {
 	const timeout = time.Minute
 	type key struct{}
@@ -407,7 +412,7 @@ func TestRouteDeadlines(t *testing.T) {
 		s := MustNew(cfg)
 		for _, rt := range s.routes() {
 			method, path, _ := strings.Cut(rt.pattern, " ")
-			owed := cfg.RequestTimeout > 0 && path != "/healthz" && path != "/readyz" && !strings.HasPrefix(path, "/v1/repl/")
+			owed := cfg.RequestTimeout > 0 && path != "/healthz" && path != "/readyz" && !strings.HasPrefix(path, "/v1/repl/") && path != queryPath
 			var seen context.Context
 			spy := rt
 			spy.handle = func(ctx context.Context, w http.ResponseWriter, r *http.Request) { seen = ctx }
@@ -442,6 +447,9 @@ func TestRouteDeadlines(t *testing.T) {
 		}
 	}
 }
+
+// queryPath is the query route's pattern path.
+const queryPath = "/v1/instances/{name}/query"
 
 func TestConfigValidatesQuotasAndTelemetry(t *testing.T) {
 	if _, err := New(Config{DefaultQuota: admission.Quota{Rate: 5, Burst: 0.1}}); err == nil {

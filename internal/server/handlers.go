@@ -23,7 +23,6 @@ import (
 	"pxml/internal/engine"
 	"pxml/internal/govern"
 	"pxml/internal/metrics"
-	"pxml/internal/pxql"
 	"pxml/internal/repl"
 	"pxml/internal/store"
 )
@@ -82,9 +81,9 @@ func httpWriteError(w http.ResponseWriter, err error) {
 }
 
 // queryFailure is the server's one verdict on a failed statement: the
-// status, code and Retry-After (0 for none) it answers with, the governor
-// counter it moves (nil for none), and whether it trips the statement
-// shape's circuit breaker.
+// status, code and Retry-After (0 for none) it answers with, the counter it
+// moves (nil for none), and whether it trips the statement shape's circuit
+// breaker.
 type queryFailure struct {
 	status  int
 	code    string
@@ -103,10 +102,14 @@ type queryFailure struct {
 // but the caller that went away (context.Canceled) trip the breaker: they
 // are the server protecting itself from the statement, while a departed
 // client is not the statement's fault and must not open the breaker for
-// everyone else. Anything else is the statement's own error, a 422 that
-// counts nowhere and trips nothing.
+// everyone else. A statement the breaker shed is a 503 with the breaker's
+// Retry-After, counted in breaker_shed. Anything else is the statement's
+// own error, a 422 that counts nowhere and trips nothing.
 func (s *Server) classifyQueryError(err error) queryFailure {
+	var open *breakerOpenError
 	switch {
+	case errors.As(err, &open):
+		return queryFailure{http.StatusServiceUnavailable, apiv1.CodeBreakerOpen, open.retry, s.breakerShed, false}
 	case errors.Is(err, govern.ErrIntractable):
 		return queryFailure{http.StatusUnprocessableEntity, apiv1.CodeIntractable, 0, s.qIntract, true}
 	case errors.Is(err, govern.ErrBudgetExceeded):
@@ -121,15 +124,26 @@ func (s *Server) classifyQueryError(err error) queryFailure {
 	return queryFailure{http.StatusUnprocessableEntity, apiv1.CodeStatementFailed, 0, nil, false}
 }
 
-// recordQueryError classifies a failed statement, feeds the verdict to
-// the breaker under key and to its counter, and returns it.
-func (s *Server) recordQueryError(key string, err error) queryFailure {
+// countQueryError classifies a failed statement, moves its counter and
+// returns the verdict. (The breaker hears of the statement from its
+// engine's gate, served.Leave, once per evaluation.)
+func (s *Server) countQueryError(err error) queryFailure {
 	f := s.classifyQueryError(err)
-	s.breaker.Record(key, f.trip)
 	if f.counter != nil {
 		f.counter.Inc()
 	}
 	return f
+}
+
+// breakerOpenError is a statement the circuit breaker shed under key:
+// retry is how long the breaker asks the client to wait.
+type breakerOpenError struct {
+	key   string
+	retry time.Duration
+}
+
+func (e *breakerOpenError) Error() string {
+	return fmt.Sprintf("circuit breaker open for %q statements (repeated budget trips)", e.key)
 }
 
 // httpDecodeError maps a body-read/decode error onto the envelope:
@@ -297,17 +311,13 @@ func (s *Server) handleQuery(ctx context.Context, w http.ResponseWriter, r *http
 		httpDecodeError(w, err)
 		return
 	}
-	stmt := string(body) // the engine may keep it as a cache key; body is the pool's
-	key := sv.breakerKeys[pxql.ShapeIndex(pxql.ClassifyShape(stmt))]
-	if allowed, retry := s.breaker.Allow(key); !allowed {
-		s.breakerShed.Inc()
-		apiv1.WriteErrorRetry(w, http.StatusServiceUnavailable, apiv1.CodeBreakerOpen,
-			fmt.Sprintf("circuit breaker open for %q statements (repeated budget trips)", key), retry)
-		return
-	}
-	res, resp, err := sv.eng.Answer(ctx, stmt)
+	// A statement the cache holds is answered from it: no deadline, no
+	// breaker, no clock read beyond instrument's, which also times the
+	// engine's latency and pxql_latency.<shape> for it. Any other arms the
+	// request deadline and is evaluated behind the breaker (served.Enter).
+	a, err := sv.eng.Answer(body, func() context.Context { return st.arm(ctx, s.reqTimeout) })
 	if err != nil {
-		f := s.recordQueryError(key, err)
+		f := s.countQueryError(err)
 		if f.retry > 0 {
 			apiv1.WriteErrorRetry(w, f.status, f.code, err.Error(), f.retry)
 		} else {
@@ -315,7 +325,10 @@ func (s *Server) handleQuery(ctx context.Context, w http.ResponseWriter, r *http
 		}
 		return
 	}
-	s.breaker.Record(key, false)
+	if a.Cached {
+		st.timers[1], st.timers[2] = sv.eng.Latency(), s.shapeLatency.of(a.Shape)
+	}
+	res, resp := a.Result, a.Body
 	if storeAs != "" {
 		if res.Instance == nil {
 			httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, fmt.Errorf("statement produced no instance to store"))
@@ -369,33 +382,18 @@ func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, r *http
 		httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, fmt.Errorf("empty batch"))
 		return
 	}
-	// The breaker applies per statement, preserving input order: shed
-	// statements report breaker_open inline and never reach the engine,
-	// the rest run over the pool and feed their outcomes back.
+	// The breaker applies per statement, through the engine's gate: a shed
+	// statement reports breaker_open inline and is not evaluated.
 	out := make([]batchEntry, len(stmts))
-	shapes := make([]string, len(stmts))
-	run := make([]string, 0, len(stmts))
-	runIdx := make([]int, 0, len(stmts))
-	for i, stmt := range stmts {
-		out[i].Statement = stmt
-		shapes[i] = sv.breakerKeys[pxql.ShapeIndex(pxql.ClassifyShape(stmt))]
-		if allowed, _ := s.breaker.Allow(shapes[i]); !allowed {
-			s.breakerShed.Inc()
-			out[i].Error = fmt.Sprintf("%s: circuit breaker open for %q statements", apiv1.CodeBreakerOpen, shapes[i])
-			continue
-		}
-		run = append(run, stmt)
-		runIdx = append(runIdx, i)
-	}
-	results := sv.eng.RunBatch(ctx, run)
-	for j, br := range results {
-		i := runIdx[j]
+	for i, br := range sv.eng.RunBatch(ctx, stmts) {
+		out[i].Statement = stmts[i]
 		if br.Err != nil {
-			s.recordQueryError(shapes[i], br.Err)
 			out[i].Error = br.Err.Error()
+			if f := s.countQueryError(br.Err); f.code == apiv1.CodeBreakerOpen {
+				out[i].Error = f.code + ": " + out[i].Error
+			}
 			continue
 		}
-		s.breaker.Record(shapes[i], false)
 		out[i].Text = br.Result.Text
 		out[i].Prob = br.Result.Prob
 	}

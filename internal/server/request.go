@@ -18,8 +18,8 @@ import (
 // writes through, the buffer a statement body is read into and the buffer
 // the query response is rendered into. instrument takes one from statePool
 // and returns it when the handler has returned; nothing may keep the
-// ResponseWriter, body or out beyond that (the statement is copied into a
-// string before it reaches the engine).
+// ResponseWriter, body or out beyond that (a statement the result cache
+// does not hold is copied into a string before the engine evaluates it).
 type reqState struct {
 	http.ResponseWriter
 	status  int
@@ -36,10 +36,16 @@ type reqState struct {
 	// request's admission and deadline are reckoned from and its latencies
 	// measured from.
 	start time.Time
-	// route is the http_latency.<endpoint> timer of the route that served
-	// the request, set by its stack; instrument observes it with the same
-	// end reading as http_latency.
-	route *metrics.Timer
+	// timers are what instrument observes with the request's latency
+	// beside http_latency: the http_latency.<endpoint> timer of the route
+	// that served the request, set by its stack, and, for a query the result
+	// cache answered, the engine's latency and pxql_latency.<shape>, set by
+	// handleQuery. A nil slot is skipped.
+	timers [3]*metrics.Timer
+	// deadline is the request deadline once arm has made it: withDeadline
+	// arms it before its route's handler runs, handleQuery only on a miss.
+	// instrument settles it when the handler has returned.
+	deadline *deadlineCtx
 }
 
 var statePool = sync.Pool{New: func() any { return new(reqState) }}
@@ -49,7 +55,7 @@ var statePool = sync.Pool{New: func() any { return new(reqState) }}
 const maxPooledBuf = 16 << 10
 
 func (st *reqState) release() {
-	st.ResponseWriter, st.route, st.name = nil, nil, ""
+	st.ResponseWriter, st.timers, st.name, st.deadline = nil, [3]*metrics.Timer{}, "", nil
 	if st.body.Cap() > maxPooledBuf {
 		st.body = bytes.Buffer{}
 	}
@@ -90,18 +96,29 @@ func (st *reqState) readBody(r io.Reader, limit int64) ([]byte, error) {
 	return st.body.Bytes(), nil
 }
 
+// arm returns the request deadline, timeout after the request's arrival,
+// as a context under parent that instrument settles, or parent itself when
+// timeout is not positive. It reads no clock.
+func (st *reqState) arm(parent context.Context, timeout time.Duration) context.Context {
+	if timeout <= 0 {
+		return parent
+	}
+	st.deadline = newDeadlineCtx(parent, st.start.Add(timeout))
+	return st.deadline
+}
+
 // deadlineCtx is the request deadline: a context that expires at a fixed
 // instant and costs nothing until someone waits on it. Deadline and Err
 // compare against the clock; the Done channel, the timer that closes it and
 // the hook on the parent's cancellation exist only from the first Done call
 // on — a request waiting on another's result-cache flight, or a batch
 // statement waiting for a worker slot. The governor reads Err once per
-// quantum and never asks for Done; a cached answer reads Err once.
+// quantum and never asks for Done; a cached answer has none.
 //
-// It is allocated per request and never pooled: a context outlives the call
-// it was made for whenever something derived from it does (a child context,
-// a result-cache flight other requests joined), and a recycled one would
-// hand those holders the next request's deadline.
+// It is allocated by each request that arms it and never pooled: a context
+// outlives the call it was made for whenever something derived from it does
+// (a child context, a result-cache flight other requests joined), and a
+// recycled one would hand those holders the next request's deadline.
 type deadlineCtx struct {
 	parent   context.Context
 	deadline time.Time
@@ -188,7 +205,7 @@ func (c *deadlineCtx) AfterFunc(f func()) (stop func() bool) {
 }
 
 // cancel settles the context with err unless it is settled already, and
-// returns what it settled with. withDeadline calls it with context.Canceled
+// returns what it settled with. instrument calls it with context.Canceled
 // when the handler returns, which is also what releases the timer and the
 // parent hook.
 func (c *deadlineCtx) cancel(err error) error {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"pxml/internal/apiv1"
+	"pxml/internal/metrics"
 	"pxml/internal/repl"
 )
 
@@ -38,13 +39,18 @@ const (
 	// front of the global limiter: a tenant over its quota is rejected
 	// before it can occupy one of the shared slots.
 	classInstance
+	// classQuery is the single-statement query route: classInstance's
+	// stack without the request deadline, which its handler arms itself on
+	// a result-cache miss. A cached answer needs no context.
+	classQuery
 )
 
 // handler is what a route serves a request with. ctx is the request's
 // context: under withDeadline it carries the request deadline, which
 // r.Context() does not, because the request is not copied to carry it. A
 // handler is handed the deadline as its first argument instead of having
-// to know where to look for it.
+// to know where to look for it; only handleQuery, outside withDeadline,
+// arms it itself (reqState.arm), and only when it evaluates.
 type handler func(ctx context.Context, w http.ResponseWriter, r *http.Request)
 
 // route is one entry of the route table.
@@ -75,7 +81,7 @@ func (s *Server) routes() []route {
 		{"GET " + v1 + "/instances/{name}", classInstance, "get", s.handleGet},
 		{"DELETE " + v1 + "/instances/{name}", classInstance, "delete", s.handleDelete},
 		{"GET " + v1 + "/instances/{name}/dot", classInstance, "dot", s.handleDot},
-		{"POST " + v1 + "/instances/{name}/query", classInstance, "query", s.handleQuery},
+		{"POST " + v1 + "/instances/{name}/query", classQuery, "query", s.handleQuery},
 		{"POST " + v1 + "/instances/{name}/batch", classInstance, "batch", s.handleBatch},
 		{"GET " + v1 + "/metrics", classInstance, "metrics", s.handleMetrics},
 	}
@@ -91,7 +97,7 @@ func (s *Server) stack(rt route) http.Handler {
 	}
 	t := s.reg.Timer("http_latency." + rt.endpoint)
 	timed := func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-		w.(*reqState).route = t
+		w.(*reqState).timers[0] = t
 		rt.handle(ctx, w, r)
 	}
 	switch rt.class {
@@ -99,6 +105,8 @@ func (s *Server) stack(rt route) http.Handler {
 		return s.requireToken(withRequestContext(timed))
 	case classAdmin:
 		return s.requireToken(s.limitInflight(s.withDeadline(timed)))
+	case classQuery:
+		return s.admit(s.limitInflight(withRequestContext(timed)))
 	default:
 		return s.admit(s.limitInflight(s.withDeadline(timed)))
 	}
@@ -310,15 +318,13 @@ func (s *Server) limitInflight(next http.Handler) http.Handler {
 // its arrival, through the context it hands next: every engine call honors
 // it, and an expired deadline surfaces as 503 through classifyQueryError.
 // The context arms nothing unless something waits on it (see deadlineCtx),
-// and the request is not copied to carry it.
+// the request is not copied to carry it, and instrument settles it.
 func (s *Server) withDeadline(next handler) http.Handler {
 	if s.reqTimeout <= 0 {
 		return withRequestContext(next)
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx := newDeadlineCtx(r.Context(), w.(*reqState).start.Add(s.reqTimeout))
-		defer ctx.cancel(context.Canceled)
-		next(ctx, w, r)
+		next(w.(*reqState).arm(r.Context(), s.reqTimeout), w, r)
 	})
 }
 
@@ -387,8 +393,10 @@ func (s *Server) handleReadyz(_ context.Context, w http.ResponseWriter, r *http.
 // ResponseWriter everything beneath sees is a *reqState, taken here and
 // returned here (a handler that panics past recoverPanics keeps it from the
 // pool, which is only a missed reuse). Its two clock reads are the
-// request's: the arrival it stamps on the state, and the end both
-// http_latency and the route's timer observe.
+// request's: the arrival it stamps on the state, and the end http_latency
+// and the state's timers observe, with one bucket lookup between them. It
+// settles the request deadline, if one was armed, once the handler has
+// returned.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := statePool.Get().(*reqState)
@@ -397,11 +405,17 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		s.inflight.Inc()
 		defer s.inflight.Dec()
 		next.ServeHTTP(rec, r)
+		if rec.deadline != nil {
+			rec.deadline.cancel(context.Canceled)
+		}
 		d := time.Since(rec.start)
 		s.requests.Inc()
-		s.latency.Observe(d)
-		if rec.route != nil {
-			rec.route.Observe(d)
+		smp := metrics.SampleOf(d)
+		s.latency.Record(smp)
+		for _, t := range rec.timers {
+			if t != nil {
+				t.Record(smp)
+			}
 		}
 		if rec.status >= 400 {
 			s.errors.Inc()

@@ -440,14 +440,34 @@ func (s *Server) RecoveryReport() *store.RecoveryReport { return s.report }
 
 // served is what the server keeps per instance version: an engine and,
 // built with it rather than per request, the circuit-breaker key of every
-// statement shape on its instance.
+// statement shape on its instance. It is its engine's gate: the breaker
+// guards evaluation, so a statement the result cache answers is served
+// whatever its shape's breaker state, and is neither a half-open probe nor
+// an outcome recorded against the breaker.
 type served struct {
 	eng *engine.Engine
+	srv *Server
 	// breakerKeys[pxql.ShapeIndex(shape)] is "<instance>.<shape>": the
 	// breaker scopes by instance as well as shape, so a width-bomb tripping
 	// "point" on one instance never sheds point queries on healthy ones. The
 	// key doubles as the breaker_state.<key> gauge suffix in /v1/metrics.
 	breakerKeys [pxql.NumShapes]string
+}
+
+// Enter is the breaker's Allow for shape on the served instance: a
+// *breakerOpenError when it sheds the statement.
+func (sv *served) Enter(shape string) error {
+	key := sv.breakerKeys[pxql.ShapeIndex(shape)]
+	if allowed, retry := sv.srv.breaker.Allow(key); !allowed {
+		return &breakerOpenError{key: key, retry: retry}
+	}
+	return nil
+}
+
+// Leave records an evaluation Enter let through with the breaker: a trip
+// when its failure is one (classifyQueryError).
+func (sv *served) Leave(shape string, err error) {
+	sv.srv.breaker.Record(sv.breakerKeys[pxql.ShapeIndex(shape)], err != nil && sv.srv.classifyQueryError(err).trip)
 }
 
 // perShape is one family of registry metrics, one per statement shape
@@ -471,14 +491,14 @@ func (p *perShape[T]) of(shape string) *T {
 }
 
 // newEngine wraps version of name's instance in an engine wired to the
-// shared result cache under the prefix "<name>@<version>\x00". A store
-// never repeats a name's version (delete and re-put keep counting up), so
-// the prefix names one version of one name; the \x00 separator keeps any
-// name/statement pair from colliding with another prefix.
+// shared result cache under the namespace "<name>@<version>", with the
+// breaker as its gate. A store never repeats a name's version (delete and
+// re-put keep counting up), so the namespace names one version of one name.
 func (s *Server) newEngine(name string, version uint64, pi *core.ProbInstance) *served {
-	prefix := fmt.Sprintf("%s@%d\x00", name, version)
+	sv := &served{srv: s}
 	opts := []engine.Option{
-		engine.WithResultCache(s.results, prefix),
+		engine.WithResultCache(s.results, fmt.Sprintf("%s@%d", name, version)),
+		engine.WithGate(sv),
 		// Feed every statement's shape and latency into the shared
 		// percentile timers, so /v1/metrics and the statsd stream report
 		// p50/p95/p99 per statement shape across all instances.
@@ -499,7 +519,7 @@ func (s *Server) newEngine(name string, version uint64, pi *core.ProbInstance) *
 	if s.queryWorkers > 0 {
 		opts = append(opts, engine.WithWorkers(s.queryWorkers))
 	}
-	sv := &served{eng: engine.New(pi, opts...)}
+	sv.eng = engine.New(pi, opts...)
 	for i, shape := range pxql.Shapes {
 		sv.breakerKeys[i] = name + "." + shape
 	}

@@ -5,8 +5,9 @@ package store
 // directory can vanish on power loss until that directory is fsynced.
 // The real file system keeps such entries across a process kill, so no
 // reopen-based test can see a missing SyncDir; syncRecorder instead
-// records which directories hold entries not yet synced and fails any
-// durable step that returns, or deletes a WAL segment, while one does.
+// records which directories hold entries not yet synced, and which files
+// written whole hold data not yet synced, and fails any durable step that
+// returns, or deletes a WAL segment, while one does.
 
 import (
 	"fmt"
@@ -31,6 +32,10 @@ type syncRecorder struct {
 	// dirty maps a directory to one entry created, renamed or linked into
 	// it since its last SyncDir.
 	dirty map[string]string
+	// unsynced holds the files written by WriteFile or through a
+	// CreateTemp handle since their last fsync (WAL segments, appended
+	// to, are counted by walCounter instead).
+	unsynced map[string]bool
 	// guard is a data directory whose WAL segments may be removed only
 	// while no directory is dirty (compaction deletes them only after the
 	// snapshot and every archive copy are durable).
@@ -41,12 +46,23 @@ type syncRecorder struct {
 }
 
 func newSyncRecorder() *syncRecorder {
-	return &syncRecorder{FS: vfs.OS, dirty: make(map[string]string)}
+	return &syncRecorder{FS: vfs.OS, dirty: make(map[string]string), unsynced: make(map[string]bool)}
 }
 
 func exists(name string) bool {
 	_, err := os.Lstat(name)
 	return err == nil
+}
+
+// wrote records whether name holds data not yet fsynced.
+func (r *syncRecorder) wrote(name string, unsynced bool) {
+	r.mu.Lock()
+	if unsynced {
+		r.unsynced[filepath.Clean(name)] = true
+	} else {
+		delete(r.unsynced, filepath.Clean(name))
+	}
+	r.mu.Unlock()
 }
 
 // added records a new entry at name, unsynced in name's directory.
@@ -71,10 +87,19 @@ func (r *syncRecorder) check(t *testing.T, step string) {
 	if len(left) > 0 {
 		t.Errorf("%s returned with unsynced directory entries: %s", step, strings.Join(left, ", "))
 	}
+	left = left[:0]
+	for name := range r.unsynced {
+		left = append(left, name)
+	}
+	sort.Strings(left)
+	if len(left) > 0 {
+		t.Errorf("%s returned with files whose data was not fsynced: %s", step, strings.Join(left, ", "))
+	}
 	for _, v := range r.violations {
 		t.Errorf("%s: %s", step, v)
 	}
 	r.dirty = make(map[string]string)
+	r.unsynced = make(map[string]bool)
 	r.violations = nil
 }
 
@@ -116,10 +141,11 @@ func (r *syncRecorder) OpenAppend(name string) (vfs.File, error) {
 
 func (r *syncRecorder) CreateTemp(dir, pattern string) (vfs.File, error) {
 	f, err := r.FS.CreateTemp(dir, pattern)
-	if err == nil {
-		r.added(f.Name())
+	if err != nil {
+		return nil, err
 	}
-	return f, err
+	r.added(f.Name())
+	return &syncTracked{File: f, r: r}, nil
 }
 
 func (r *syncRecorder) WriteFile(name string, data []byte) error {
@@ -130,6 +156,15 @@ func (r *syncRecorder) WriteFile(name string, data []byte) error {
 	if fresh {
 		r.added(name)
 	}
+	r.wrote(name, true)
+	return nil
+}
+
+func (r *syncRecorder) Sync(name string) error {
+	if err := r.FS.Sync(name); err != nil {
+		return err
+	}
+	r.wrote(name, false)
 	return nil
 }
 
@@ -140,6 +175,10 @@ func (r *syncRecorder) Rename(oldname, newname string) error {
 	// A renamed directory carries its own unsynced entries along.
 	r.mu.Lock()
 	oldc, newc := filepath.Clean(oldname), filepath.Clean(newname)
+	if r.unsynced[oldc] {
+		delete(r.unsynced, oldc)
+		r.unsynced[newc] = true
+	}
 	for dir, entry := range r.dirty {
 		if dir == oldc || strings.HasPrefix(dir, oldc+string(filepath.Separator)) {
 			delete(r.dirty, dir)
@@ -169,7 +208,11 @@ func (r *syncRecorder) Remove(name string) error {
 		}
 		r.mu.Unlock()
 	}
-	return r.FS.Remove(name)
+	if err := r.FS.Remove(name); err != nil {
+		return err
+	}
+	r.wrote(name, false)
+	return nil
 }
 
 func (r *syncRecorder) SyncDir(dir string) error {
@@ -179,6 +222,26 @@ func (r *syncRecorder) SyncDir(dir string) error {
 	r.mu.Lock()
 	delete(r.dirty, filepath.Clean(dir))
 	r.mu.Unlock()
+	return nil
+}
+
+// syncTracked tells its recorder whether a file made by CreateTemp holds
+// data not yet fsynced.
+type syncTracked struct {
+	vfs.File
+	r *syncRecorder
+}
+
+func (f *syncTracked) Write(p []byte) (int, error) {
+	f.r.wrote(f.Name(), true)
+	return f.File.Write(p)
+}
+
+func (f *syncTracked) Sync() error {
+	if err := f.File.Sync(); err != nil {
+		return err
+	}
+	f.r.wrote(f.Name(), false)
 	return nil
 }
 
@@ -344,4 +407,39 @@ func TestDurableStepsSyncTheirDirectory(t *testing.T) {
 		}
 		wantSameCatalog(t, leader, follower)
 	})
+}
+
+// TestQuarantineDurableBeforeOpenReturns: recovery's copy of a corrupt
+// region is the only one left of those bytes, so Open returns only once
+// the quarantine file's data, its entry and quarantine/'s own entry are
+// fsynced.
+func TestQuarantineDurableBeforeOpenReturns(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := open(t, dir, Options{CompactThreshold: -1})
+	mustPut(t, s, "a", fixtures.Figure2())
+	mustPut(t, s, "b", fixtures.Figure2())
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	snap := filepath.Join(dir, snapshotName)
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[frameHeaderSize+1] ^= 0xff // record "a"'s payload: its CRC fails
+	if err := os.WriteFile(snap, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := newSyncRecorder()
+	s2, rep := open(t, dir, Options{FS: rec})
+	defer s2.Close()
+	if len(rep.Quarantined) != 1 {
+		t.Fatalf("quarantine report = %+v, want one record", rep.Quarantined)
+	}
+	if got, err := os.ReadFile(rep.Quarantined[0].Path); err != nil || len(got) == 0 {
+		t.Fatalf("quarantined bytes not preserved: %v", err)
+	}
+	rec.check(t, "Open that quarantines")
 }

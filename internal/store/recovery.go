@@ -321,12 +321,16 @@ func (s *Store) settle(wal walReplay, report *RecoveryReport) error {
 // it in the report. The file name encodes source and offset, so repeated
 // recoveries of the same damage overwrite rather than accumulate.
 func (s *Store) quarantine(source string, off int64, data []byte, cause error, report *RecoveryReport) error {
+	// The copy is the only one left of the damaged bytes once recovery
+	// truncates or rewrites their source, so it is made durable, directory
+	// entries included, before recovery goes on.
 	qdir := s.path(quarantineDir)
-	if err := s.fs.MkdirAll(qdir); err != nil {
+	if err := vfs.MkdirAllSynced(s.fs, qdir); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	path := filepath.Join(qdir, fmt.Sprintf("%s-%08d.bin", source, off))
-	if err := s.fs.WriteFile(path, data); err != nil {
+	name := fmt.Sprintf("%s-%08d.bin", source, off)
+	path := filepath.Join(qdir, name)
+	if err := vfs.PublishFile(s.fs, qdir, name, data); err != nil {
 		return fmt.Errorf("store: quarantine: %w", err)
 	}
 	report.Quarantined = append(report.Quarantined, QuarantinedRecord{
