@@ -85,7 +85,7 @@
 // segments, -archive copies sealed segments into an archive directory
 // (the raw material for point-in-time recovery with pxmlbackup),
 // -scrub-interval re-verifies at-rest checksums in the background, and
-// POST /admin/backup cuts a consistent online backup while writes keep
+// POST /v1/admin/backup cuts a consistent online backup while writes keep
 // flowing. The backup endpoint is disabled unless -backup-dir names a
 // directory; clients then request backups by name and the daemon places
 // them in subdirectories of that root, so the HTTP API never accepts
@@ -102,9 +102,13 @@
 // promotion after a leader-silence window (-failover-silence).
 //
 // Each instance is served through a query engine that caches its derived
-// structures across queries; GET /metrics exposes per-instance query and
-// cache counters. Requests are logged as structured JSON on stderr
-// (disable with -quiet).
+// structures across queries; GET /v1/metrics exposes per-instance query
+// and cache counters.
+//
+// One logger writes JSON records on stderr: requests, lifecycle, and the
+// store's, replication's and telemetry's records (tagged "component").
+// -quiet sets its level to Warn: request and routine records go,
+// warnings and errors (a degraded store, a fence, a lost leader) stay.
 package main
 
 import (
@@ -112,7 +116,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"log/slog"
 	"net"
 	"net/http"
@@ -131,18 +134,6 @@ import (
 	"pxml/internal/server"
 	"pxml/internal/store"
 )
-
-// dirEmpty reports whether dir is absent or has no entries.
-func dirEmpty(dir string) (bool, error) {
-	entries, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return true, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return len(entries) == 0, nil
-}
 
 // loadFlags collects repeated -load name=file flags.
 type loadFlags []string
@@ -181,7 +172,7 @@ func main() {
 	dataDirAlias := flag.String("datadir", "", "alias for -data (kept for compatibility)")
 	fsyncPolicy := flag.String("fsync", "always", "WAL flush policy: always, interval, or never")
 	snapshotEvery := flag.Duration("snapshot-interval", 0, "snapshot the catalog and reset the WAL on this period (0 = size-triggered only)")
-	quiet := flag.Bool("quiet", false, "disable structured request logging")
+	quiet := flag.Bool("quiet", false, "log at Warn level: drop request and routine records, keep warnings and errors")
 	maxBody := flag.Int64("maxbody", 0, "instance upload size limit in bytes (0 = default 64MiB)")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline for API requests; expired requests answer 503 (0 = no deadline)")
 	maxInflight := flag.Int("max-inflight", 0, "maximum concurrent API requests before shedding with 429 (0 = unlimited)")
@@ -197,7 +188,7 @@ func main() {
 	segmentSize := flag.Int64("segment-size", 0, "WAL segment rotation threshold in bytes (0 = default 1MiB, negative = rotate only on compaction)")
 	archiveDir := flag.String("archive", "", "archive sealed WAL segments into this directory for point-in-time recovery (see pxmlbackup)")
 	archiveRetention := flag.Int("archive-retention", 0, "keep at most this many archived segments, oldest pruned first (0 = keep all)")
-	backupDir := flag.String("backup-dir", "", "enable POST /admin/backup and confine its destinations to subdirectories of this directory (empty = endpoint disabled)")
+	backupDir := flag.String("backup-dir", "", "enable POST /v1/admin/backup and confine its destinations to subdirectories of this directory (empty = endpoint disabled)")
 	scrubInterval := flag.Duration("scrub-interval", 0, "verify one at-rest store file's checksums on this cadence; corruption degrades to read-only (0 = off)")
 	quarantineMax := flag.Int("quarantine-max", 0, "keep at most this many quarantined corrupt-region files (0 = default 64, negative = unbounded)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this loopback address, e.g. 127.0.0.1:6060 (empty = off)")
@@ -222,6 +213,16 @@ func main() {
 	flag.Var(&loads, "load", "preload an instance: name=file (repeatable)")
 	flag.Parse()
 
+	level := slog.LevelInfo
+	if *quiet {
+		level = slog.LevelWarn
+	}
+	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	fatal := func(err error) {
+		logger.Error("exiting", "error", err)
+		os.Exit(1)
+	}
+
 	if *dataDir == "" {
 		*dataDir = *dataDirAlias
 	}
@@ -229,6 +230,7 @@ func main() {
 		*followToken = *adminToken
 	}
 	cfg := server.Config{
+		Logger:           logger,
 		MaxBody:          *maxBody,
 		RequestTimeout:   *reqTimeout,
 		MaxInflight:      *maxInflight,
@@ -259,9 +261,6 @@ func main() {
 			}
 		}
 	}
-	if !*quiet {
-		cfg.Logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	}
 	if *quotaDefault != "" {
 		q, err := parseQuota(*quotaDefault)
 		if err != nil {
@@ -283,10 +282,8 @@ func main() {
 		}
 		cfg.TenantQuotas[name] = q
 	}
-	var policy store.FsyncPolicy
 	if *dataDir != "" {
-		var err error
-		policy, err = store.ParseFsyncPolicy(*fsyncPolicy)
+		policy, err := store.ParseFsyncPolicy(*fsyncPolicy)
 		if err != nil {
 			fatal(err)
 		}
@@ -301,7 +298,6 @@ func main() {
 			ArchiveRetention: *archiveRetention,
 			ScrubInterval:    *scrubInterval,
 			QuarantineMax:    *quarantineMax,
-			Logger:           log.New(os.Stderr, "pxmld: ", 0),
 		}
 	}
 	if *followLeader != "" {
@@ -311,30 +307,29 @@ func main() {
 		// A fresh replica bootstraps from a leader backup before serving;
 		// a replica with existing data resumes the stream from its
 		// recovered position.
-		if empty, err := dirEmpty(*dataDir); err != nil {
+		entries, err := os.ReadDir(*dataDir)
+		if err != nil && !os.IsNotExist(err) {
 			fatal(err)
-		} else if empty {
-			fmt.Fprintf(os.Stderr, "pxmld: bootstrapping replica from %s\n", *followLeader)
+		}
+		if len(entries) == 0 {
+			logger.Info("bootstrapping replica", "leader", *followLeader)
 			client := &repl.Client{BaseURL: *followLeader, Token: *followToken, Retry: retry.Default}
 			res, err := client.Bootstrap(context.Background(), *dataDir)
 			if err != nil {
 				fatal(err)
 			}
-			fmt.Fprintf(os.Stderr, "pxmld: bootstrap complete: %d instances at %s\n", res.Instances, res.Pos)
+			logger.Info("bootstrap complete", "instances", res.Instances, "pos", res.Pos.String())
 		}
 	}
 	srv, err := server.New(cfg)
 	if err != nil {
 		fatal(err)
 	}
-	if *dataDir != "" {
-		fmt.Fprintf(os.Stderr, "catalog persisted in %s (fsync=%s): %s\n", *dataDir, policy, srv.RecoveryReport())
-	}
 	if *followLeader != "" {
-		fmt.Fprintf(os.Stderr, "pxmld: read replica of %s (writes 307-route there; readyz gates on staleness)\n", *followLeader)
+		logger.Info("read replica: writes 307-route to the leader; readyz gates on staleness", "leader", *followLeader)
 	}
 	if *statsdAddr != "" {
-		fmt.Fprintf(os.Stderr, "telemetry to %s://%s every %s\n", *statsdNetwork, *statsdAddr, *statsdInterval)
+		logger.Info("telemetry", "network", *statsdNetwork, "addr", *statsdAddr, "interval", statsdInterval.String())
 	}
 	if *mutexFraction > 0 {
 		runtime.SetMutexProfileFraction(*mutexFraction)
@@ -343,11 +338,11 @@ func main() {
 		runtime.SetBlockProfileRate(*blockRate)
 	}
 	if *pprofAddr != "" {
-		if err := servePprof(*pprofAddr); err != nil {
+		if err := servePprof(*pprofAddr, logger); err != nil {
 			fatal(err)
 		}
 		if *mutexFraction > 0 || *blockRate > 0 {
-			fmt.Fprintf(os.Stderr, "pprof on %s (mutex fraction %d, block rate %d)\n", *pprofAddr, *mutexFraction, *blockRate)
+			logger.Info("pprof sampling", "mutex_fraction", *mutexFraction, "block_rate", *blockRate)
 		}
 	}
 	for _, spec := range loads {
@@ -372,7 +367,7 @@ func main() {
 		if err := srv.Put(name, pi); err != nil {
 			fatal(fmt.Errorf("storing %s: %w", name, err))
 		}
-		fmt.Fprintf(os.Stderr, "loaded %s from %s (%d objects)\n", name, file, pi.NumObjects())
+		logger.Info("loaded", "instance", name, "file", file, "objects", pi.NumObjects())
 	}
 	// WriteTimeout must outlast the per-request deadline so slow requests
 	// are answered with a 503 body instead of a snapped connection.
@@ -397,15 +392,15 @@ func main() {
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
 		srv.SetDraining(true)
-		fmt.Fprintln(os.Stderr, "pxmld: draining (readyz now 503)")
+		logger.Info("draining; readyz now 503")
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := httpSrv.Shutdown(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "pxmld: drain incomplete: %v\n", err)
+			logger.Warn("drain incomplete", "error", err)
 		}
 		close(idle)
 	}()
-	fmt.Fprintf(os.Stderr, "pxmld listening on %s\n", *addr)
+	logger.Info("listening", "addr", *addr)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}
@@ -418,7 +413,7 @@ func main() {
 // servePprof starts the debug profiling listener on addr, which must be
 // loopback: the pprof endpoints expose heap contents and must never ride
 // on the public API listener or an external interface.
-func servePprof(addr string) error {
+func servePprof(addr string, logger *slog.Logger) error {
 	host, _, err := net.SplitHostPort(addr)
 	if err != nil {
 		return fmt.Errorf("-pprof %q: %w", addr, err)
@@ -438,16 +433,11 @@ func servePprof(addr string) error {
 	if err != nil {
 		return fmt.Errorf("-pprof %q: %w", addr, err)
 	}
-	fmt.Fprintf(os.Stderr, "pxmld: pprof on http://%s/debug/pprof/\n", ln.Addr())
+	logger.Info("pprof listening", "url", "http://"+ln.Addr().String()+"/debug/pprof/")
 	go func() {
 		if err := http.Serve(ln, mux); err != nil {
-			fmt.Fprintf(os.Stderr, "pxmld: pprof listener: %v\n", err)
+			logger.Error("pprof listener stopped", "error", err)
 		}
 	}()
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "pxmld:", err)
-	os.Exit(1)
 }

@@ -37,6 +37,7 @@
 package pxql
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -251,13 +252,17 @@ func parseAtomCondition(s string) (algebra.Condition, error) {
 	}
 }
 
+// parseProb parses the fields after PROB. Its keyword test folds case
+// into a stack buffer as ClassifyShape does, so `PROB <path> = <obj>`
+// allocates only what its path does.
 func parseProb(rest []string) (Query, error) {
 	if len(rest) == 0 {
 		return Query{}, fmt.Errorf("pxql: PROB needs arguments")
 	}
-	head := strings.ToUpper(rest[0])
+	var buf [keywordWindow]byte
+	head := upperPrefix(buf[:0], rest[0])
 	switch {
-	case head == "EXISTS":
+	case string(head) == "EXISTS":
 		if len(rest) != 2 {
 			return Query{}, fmt.Errorf("pxql: PROB EXISTS needs one path")
 		}
@@ -266,12 +271,12 @@ func parseProb(rest []string) (Query, error) {
 			return Query{}, err
 		}
 		return Query{Op: "prob-exists", Path: p}, nil
-	case head == "OBJECT":
+	case string(head) == "OBJECT":
 		if len(rest) != 2 {
 			return Query{}, fmt.Errorf("pxql: PROB OBJECT needs one object id")
 		}
 		return Query{Op: "prob-object", Object: rest[1]}, nil
-	case strings.HasPrefix(head, "VAL("):
+	case bytes.HasPrefix(head, []byte("VAL(")):
 		inner, value, err := splitCall(strings.Join(rest, " "), "VAL")
 		if err != nil {
 			return Query{}, err
@@ -282,17 +287,33 @@ func parseProb(rest []string) (Query, error) {
 		}
 		return Query{Op: "prob-value", Path: p, Value: value}, nil
 	default:
-		// PROB <path> = <obj>
-		joined := strings.Join(rest, " ")
-		eq := strings.Split(joined, "=")
-		if len(eq) != 2 {
+		// PROB <path> = <obj>: the fields, read as joined by single
+		// spaces, hold one '='. A side of one piece is not copied.
+		at, n := 0, 0
+		for i, f := range rest {
+			if c := strings.Count(f, "="); c > 0 {
+				at, n = i, n+c
+			}
+		}
+		if n != 1 {
 			return Query{}, fmt.Errorf("pxql: PROB needs path = object")
 		}
-		p, err := pathexpr.Parse(strings.TrimSpace(eq[0]))
+		path, obj, _ := strings.Cut(rest[at], "=")
+		if before := strings.Join(rest[:at], " "); path == "" {
+			path = before
+		} else if before != "" {
+			path = before + " " + path
+		}
+		if after := strings.Join(rest[at+1:], " "); obj == "" {
+			obj = after
+		} else if after != "" {
+			obj += " " + after
+		}
+		p, err := pathexpr.Parse(path)
 		if err != nil {
 			return Query{}, err
 		}
-		return Query{Op: "prob-point", Path: p, Object: strings.TrimSpace(eq[1])}, nil
+		return Query{Op: "prob-point", Path: p, Object: obj}, nil
 	}
 }
 

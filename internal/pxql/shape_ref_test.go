@@ -78,6 +78,7 @@ func checkStatement(t *testing.T, stmt string) {
 	if i := ShapeIndex(got); Shapes[i] != got {
 		t.Errorf("ShapeIndex(%q) = %d, which is %q", got, i, Shapes[i])
 	}
+	checkParseProb(t, stmt)
 }
 
 // parseSeeds: mixed-case keywords, the PROB sub-forms, leading and odd
@@ -119,9 +120,9 @@ func TestClassifyShapeAllocatesNothing(t *testing.T) {
 	}
 }
 
-// FuzzParse: Parse never panics, and the lexical classifier agrees with the
+// FuzzParse: Parse never panics, the lexical classifier agrees with the
 // parser on everything it accepts and with its own predecessor on
-// everything the predecessor got right.
+// everything the predecessor got right, and parseProb with its own.
 func FuzzParse(f *testing.F) {
 	for _, stmt := range parseSeeds {
 		f.Add(stmt)

@@ -19,7 +19,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"time"
+
+	"pxml/internal/logging"
 )
 
 // DefaultFailoverSilence is the leader-silence window that triggers
@@ -43,8 +46,9 @@ type MonitorConfig struct {
 	// semantics: the leader is presumed dead, so an unreachable drain
 	// must not stop the failover). Required.
 	Promote func(ctx context.Context) error
-	// Logf, when set, receives monitor decisions.
-	Logf func(format string, args ...any)
+	// Logger receives monitor decisions, tagged component=repl; nil
+	// discards them.
+	Logger *slog.Logger
 	// now and tick stub time in tests.
 	now  func() time.Time
 	tick time.Duration
@@ -70,6 +74,7 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
+	cfg.Logger = logging.OrDiscard(cfg.Logger).With("component", "repl")
 	if cfg.tick <= 0 {
 		cfg.tick = cfg.Silence / 10
 		if cfg.tick < 50*time.Millisecond {
@@ -83,12 +88,6 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 // promotes itself.
 func (m *Monitor) window() time.Duration {
 	return m.cfg.Silence * time.Duration(m.cfg.Priority)
-}
-
-func (m *Monitor) logf(format string, args ...any) {
-	if m.cfg.Logf != nil {
-		m.cfg.Logf(format, args...)
-	}
 }
 
 // Run watches until ctx is cancelled or a promotion succeeds (returns
@@ -114,7 +113,7 @@ func (m *Monitor) Run(ctx context.Context) error {
 		if st.Diverged {
 			if !warnedDiverged {
 				warnedDiverged = true
-				m.logf("repl: failover monitor: follower diverged; refusing to ever promote it (re-bootstrap required)")
+				m.cfg.Logger.Warn("failover monitor: follower diverged; refusing to ever promote it (re-bootstrap required)")
 			}
 			continue
 		}
@@ -127,13 +126,14 @@ func (m *Monitor) Run(ctx context.Context) error {
 		if silent < m.window() {
 			continue
 		}
-		m.logf("repl: failover monitor: leader silent for %s (window %s, priority %d); promoting",
-			silent.Round(time.Millisecond), m.window(), m.cfg.Priority)
+		m.cfg.Logger.Warn("failover monitor: leader silent; promoting",
+			"silent_ms", silent.Milliseconds(), "window_ms", m.window().Milliseconds(), "priority", m.cfg.Priority)
 		if err := m.cfg.Promote(ctx); err != nil {
 			if errors.Is(err, context.Canceled) || ctx.Err() != nil {
 				return ctx.Err()
 			}
-			m.logf("repl: failover monitor: promotion failed (will retry in %s): %v", promoteDelay, err)
+			m.cfg.Logger.Warn("failover monitor: promotion failed; will retry",
+				"retry_in_ms", promoteDelay.Milliseconds(), "error", err)
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
@@ -141,7 +141,6 @@ func (m *Monitor) Run(ctx context.Context) error {
 			}
 			continue
 		}
-		m.logf("repl: failover monitor: promotion succeeded; monitor exiting")
-		return nil
+		return nil // the serving layer logs the promotion
 	}
 }

@@ -12,10 +12,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math/rand/v2"
 	"sync"
 	"time"
 
+	"pxml/internal/logging"
 	"pxml/internal/retry"
 	"pxml/internal/store"
 )
@@ -41,8 +43,9 @@ type PullerConfig struct {
 	// Client.BaseURL to the new leader and reports the URL here so the
 	// serving layer can retarget its write redirects too.
 	OnRetarget func(leaderURL string)
-	// Logf, when set, receives connection-state transitions.
-	Logf func(format string, args ...any)
+	// Logger receives connection-state transitions, tagged
+	// component=repl; nil discards them.
+	Logger *slog.Logger
 	// now stubs time in tests.
 	now func() time.Time
 }
@@ -128,6 +131,7 @@ func NewPuller(cfg PullerConfig) (*Puller, error) {
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
+	cfg.Logger = logging.OrDiscard(cfg.Logger).With("component", "repl")
 	return &Puller{cfg: cfg}, nil
 }
 
@@ -155,12 +159,6 @@ func (p *Puller) Ready(maxStaleness time.Duration) bool {
 	return maxStaleness <= 0 || s.Staleness(p.cfg.now()) <= maxStaleness
 }
 
-func (p *Puller) logf(format string, args ...any) {
-	if p.cfg.Logf != nil {
-		p.cfg.Logf(format, args...)
-	}
-}
-
 // Run pulls and applies until ctx is cancelled (returns ctx.Err()), the
 // leader declares divergence (returns an error matching ErrDiverged),
 // or the local store refuses an apply for a non-positional reason, e.g.
@@ -186,7 +184,6 @@ func (p *Puller) Run(ctx context.Context) error {
 				p.status.CaughtUp = false
 				p.status.LastErr = err.Error()
 				p.mu.Unlock()
-				p.logf("repl: follower diverged from leader at %s: %v", from, err)
 				return err
 			}
 			if errors.Is(err, store.ErrEpochFenced) {
@@ -196,7 +193,7 @@ func (p *Puller) Run(ctx context.Context) error {
 				// successor from the demote notification or its own probe
 				// and names it on a later response.
 				if leader := FencedLeader(err); leader != "" && leader != p.cfg.Client.BaseURL {
-					p.logf("repl: leader %s fenced; retargeting to %s", p.cfg.Client.BaseURL, leader)
+					p.cfg.Logger.Info("leader fenced; retargeting", "old_leader", p.cfg.Client.BaseURL, "leader", leader)
 					p.cfg.Client.BaseURL = leader
 					if p.cfg.OnRetarget != nil {
 						p.cfg.OnRetarget(leader)
@@ -218,7 +215,7 @@ func (p *Puller) Run(ctx context.Context) error {
 			}
 			p.mu.Unlock()
 			if wasConnected {
-				p.logf("repl: lost leader at %s: %v", from, err)
+				p.cfg.Logger.Warn("lost leader", "pos", from.String(), "error", err)
 			}
 			wasConnected = false
 			// Jittered capped exponential backoff, reset on success.
@@ -235,7 +232,8 @@ func (p *Puller) Run(ctx context.Context) error {
 		}
 		delay = p.cfg.Backoff.BaseDelay
 		if !wasConnected {
-			p.logf("repl: streaming from leader at %s (lag %d bytes)", chunk.From, chunk.LagBytes)
+			p.cfg.Logger.Info("streaming from leader", "leader", p.cfg.Client.BaseURL,
+				"pos", chunk.From.String(), "lag_bytes", chunk.LagBytes)
 		}
 		wasConnected = true
 
@@ -246,7 +244,7 @@ func (p *Puller) Run(ctx context.Context) error {
 			// (no chunk ever flows) would never learn the current era.
 			if chunk.Epoch > p.cfg.Store.Epoch() {
 				if err := p.cfg.Store.AdoptEpoch(chunk.Epoch); err != nil {
-					p.logf("repl: epoch adopt failed: %v", err)
+					p.cfg.Logger.Warn("epoch adopt failed", "epoch", chunk.Epoch, "error", err)
 				}
 			}
 			p.noteExchange(chunk, now, true)

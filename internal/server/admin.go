@@ -47,9 +47,7 @@ func (s *Server) handleQuotasPut(_ context.Context, w http.ResponseWriter, r *ht
 		httpError(w, http.StatusBadRequest, apiv1.CodeInvalidRequest, err)
 		return
 	}
-	if s.log != nil {
-		s.log.Info("admission quotas reloaded", "tenants", len(req.Tenants))
-	}
+	s.log.Info("admission quotas reloaded", "tenants", len(req.Tenants))
 	writeJSON(w, http.StatusOK, s.adm.State())
 }
 
@@ -101,9 +99,6 @@ func (s *Server) handleBackup(_ context.Context, w http.ResponseWriter, r *http.
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, apiv1.CodeInternal, err)
 		return
-	}
-	if s.log != nil {
-		s.log.Info("backup complete", "dir", dest, "instances", man.Instances, "pos", man.Pos.String())
 	}
 	writeJSON(w, http.StatusOK, man)
 }

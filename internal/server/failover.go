@@ -117,7 +117,7 @@ func (s *Server) PromoteSelf(ctx context.Context, force bool) (*promoteResult, e
 		// Resume following so the node is not left in limbo.
 		cfg := s.cfg
 		cfg.FollowLeader = f.LeaderURL()
-		if rerr := s.startFollower(cfg); rerr != nil && s.log != nil {
+		if rerr := s.startFollower(cfg); rerr != nil {
 			s.log.Error("follower restart after failed promote", "error", rerr)
 		}
 		return nil, err
@@ -129,10 +129,8 @@ func (s *Server) PromoteSelf(ctx context.Context, force bool) (*promoteResult, e
 	if drainErr != nil {
 		res.DrainErr = drainErr.Error()
 	}
-	if s.log != nil {
-		s.log.Info("promoted to leader", "epoch", epoch, "pos", res.Pos,
-			"drained", res.Drained, "gap_bytes", res.GapBytes, "forced", force)
-	}
+	s.log.Info("promoted to leader", "epoch", epoch, "pos", res.Pos,
+		"drained", res.Drained, "gap_bytes", res.GapBytes, "forced", force)
 	// The old leader (if it ever comes back) must learn it was
 	// superseded even before any follower contacts it.
 	go s.notifyDemote(f.LeaderURL(), epoch)
@@ -187,22 +185,15 @@ func (s *Server) drainOldLeader(ctx context.Context, f *followerState, res *prom
 	}
 }
 
-// fenceSelf fences this node at epoch (recording leaderURL when known),
-// logging the transition once. No-op on followers and on stale epochs.
+// fenceSelf fences this node at epoch (recording leaderURL when known);
+// the store logs the transition once, and a fence it refuses or cannot
+// persist is logged here. No-op on followers.
 func (s *Server) fenceSelf(epoch uint64, leaderURL string) {
 	if s.store.IsFollower() {
 		return
 	}
-	alreadyFenced, _, _ := s.store.Fenced()
 	if err := s.store.Fence(epoch, leaderURL); err != nil {
-		if s.log != nil && !alreadyFenced {
-			s.log.Warn("fence refused", "epoch", epoch, "error", err)
-		}
-		return
-	}
-	if s.log != nil && !alreadyFenced {
-		s.log.Warn("fenced: superseded by a higher leader epoch; writes now redirect/reject",
-			"epoch", epoch, "new_leader", leaderURL)
+		s.log.Warn("fence failed", "epoch", epoch, "error", err)
 	}
 }
 
@@ -228,9 +219,7 @@ func (s *Server) notifyDemote(oldLeader string, epoch uint64) {
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		if s.log != nil {
-			s.log.Info("demote notification undeliverable (old leader down?)", "target", oldLeader, "error", err)
-		}
+		s.log.Info("demote notification undeliverable (old leader down?)", "target", oldLeader, "error", err)
 		return
 	}
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
@@ -346,28 +335,18 @@ func (s *Server) handleDemote(_ context.Context, w http.ResponseWriter, r *http.
 // probePeersOnce asks every configured peer for its epoch, fencing this
 // node if any reports a higher era (or the same era led by someone
 // else's successor — impossible without a higher epoch, so higher is
-// the only trigger). Returns the highest epoch seen. Unreachable peers
-// are no objection: without a quorum this probe cannot distinguish a
-// dead peer from a partitioned one, which is exactly why promotion is
-// supervised.
-func (s *Server) probePeersOnce(ctx context.Context) uint64 {
-	var highest uint64
+// the only trigger). Unreachable peers are no objection: without a
+// quorum this probe cannot distinguish a dead peer from a partitioned
+// one, which is exactly why promotion is supervised.
+func (s *Server) probePeersOnce(ctx context.Context) {
 	for _, peer := range s.peers {
-		info, err := s.probePeer(ctx, peer)
-		if err != nil {
-			continue
-		}
-		if info.Epoch > highest {
-			highest = info.Epoch
-		}
-		if info.Epoch > s.store.Epoch() {
+		if info, err := s.probePeer(ctx, peer); err == nil && info.Epoch > s.store.Epoch() {
 			// info.Leader names where writes belong as far as that peer
 			// knows, whatever its role; trust it the same way the fenced
 			// 409's X-Pxml-Repl-Leader header is trusted.
 			s.fenceSelf(info.Epoch, info.Leader)
 		}
 	}
-	return highest
 }
 
 func (s *Server) probePeer(ctx context.Context, peer string) (epochInfo, error) {

@@ -5,25 +5,12 @@ package server
 import (
 	"context"
 	"net/http"
-	"runtime"
 	"time"
 
 	"pxml/internal/admission"
 	"pxml/internal/govern"
+	"pxml/internal/metrics"
 )
-
-// updateRuntimeGauges refreshes the Go runtime gauges in the server
-// registry — heap occupancy, cumulative GC pause time, goroutine count —
-// so /metrics always reports a current reading.
-func (s *Server) updateRuntimeGauges() {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	s.reg.Gauge("runtime_heap_alloc_bytes").Set(int64(ms.HeapAlloc))
-	s.reg.Gauge("runtime_heap_sys_bytes").Set(int64(ms.HeapSys))
-	s.reg.Gauge("runtime_gc_pause_total_ns").Set(int64(ms.PauseTotalNs))
-	s.reg.Gauge("runtime_num_gc").Set(int64(ms.NumGC))
-	s.reg.Gauge("runtime_goroutines").Set(int64(runtime.NumGoroutine()))
-}
 
 // metricsSchemaVersion identifies the /v1/metrics payload layout.
 // Bump it on any breaking change to section names or field meanings;
@@ -69,7 +56,7 @@ type telemetryStatus struct {
 }
 
 func (s *Server) handleMetrics(_ context.Context, w http.ResponseWriter, r *http.Request) {
-	s.updateRuntimeGauges()
+	metrics.SampleRuntime(s.reg)
 	// Publish breaker states as gauges (closed=0, half-open=1, open=2),
 	// keyed <instance>.<shape>, so the statsd stream and alerting see
 	// transitions too.

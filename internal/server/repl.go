@@ -10,7 +10,6 @@ import (
 	"context"
 	"crypto/subtle"
 	"errors"
-	"fmt"
 	"net/http"
 	"strings"
 	"sync"
@@ -91,7 +90,7 @@ func (s *Server) startFollower(cfg Config) error {
 		Client:     client,
 		PollWait:   cfg.ReplPollWait,
 		OnRetarget: f.setLeaderURL,
-		Logf:       s.logf(),
+		Logger:     s.log,
 	})
 	if err != nil {
 		return err
@@ -103,8 +102,8 @@ func (s *Server) startFollower(cfg Config) error {
 	go func() {
 		defer close(f.pullDone)
 		err := puller.Run(ctx)
-		if s.log != nil && err != nil && !errors.Is(err, context.Canceled) {
-			s.log.Error("replication stopped", "leader", f.LeaderURL(), "error", err)
+		if err != nil && !errors.Is(err, context.Canceled) {
+			s.log.Error("replication stopped", "leader", f.LeaderURL(), "pos", s.store.Pos().String(), "error", err)
 		}
 	}()
 	if cfg.FailoverPriority > 0 {
@@ -119,7 +118,7 @@ func (s *Server) startFollower(cfg Config) error {
 				_, err := s.PromoteSelf(context.WithoutCancel(ctx), true)
 				return err
 			},
-			Logf: s.logf(),
+			Logger: s.log,
 		})
 		if err != nil {
 			cancel()
@@ -135,18 +134,6 @@ func (s *Server) startFollower(cfg Config) error {
 		}()
 	}
 	return nil
-}
-
-// logf adapts the server's structured logger to the repl package's
-// printf-style hooks (nil when logging is off).
-func (s *Server) logf() func(string, ...any) {
-	if s.log == nil {
-		return nil
-	}
-	log := s.log
-	return func(format string, args ...any) {
-		log.Info(fmt.Sprintf(format, args...))
-	}
 }
 
 // stopFollower tears the pull loop and monitor down (idempotent).

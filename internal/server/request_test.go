@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -26,11 +27,22 @@ import (
 // bytes of the pooled body, and a hit arms no request deadline; anything
 // above zero is something new. The race detector changes what escapes, so
 // the test does not run under it.
-func TestCachedHitAllocs(t *testing.T) {
+func TestCachedHitAllocs(t *testing.T) { cachedHitAllocs(t, harnessConfig()) }
+
+// TestCachedHitAllocsQuiet: pxmld -quiet's logger (JSON at Warn) costs a
+// hit nothing either: instrument asks Enabled before it builds the
+// request record.
+func TestCachedHitAllocsQuiet(t *testing.T) {
+	cfg := harnessConfig()
+	cfg.Logger = slog.New(slog.NewJSONHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelWarn}))
+	cachedHitAllocs(t, cfg)
+}
+
+func cachedHitAllocs(t *testing.T, cfg Config) {
 	if raceEnabled() {
 		t.Skip("allocation counts under -race are not the program's")
 	}
-	rp := newReplay(t, harnessConfig(), 4)
+	rp := newReplay(t, cfg, 4)
 	for i := 0; i < 3; i++ { // the miss, then enough hits to settle the pool
 		if st := rp.serve(); st != http.StatusOK {
 			t.Fatalf("warm-up status %d", st)

@@ -6,6 +6,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/url"
 	"path"
@@ -281,11 +282,9 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 				panic(v)
 			}
 			s.panics.Inc()
-			if s.log != nil {
-				s.log.Error("handler panic",
-					"method", r.Method, "path", r.URL.Path,
-					"panic", fmt.Sprint(v), "stack", string(debug.Stack()))
-			}
+			s.log.Error("handler panic",
+				"method", r.Method, "path", r.URL.Path,
+				"panic", fmt.Sprint(v), "stack", string(debug.Stack()))
 			if st, ok := w.(*reqState); !ok || !st.wrote {
 				httpError(w, http.StatusInternalServerError, apiv1.CodeInternal, fmt.Errorf("internal error"))
 			}
@@ -420,7 +419,9 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		if rec.status >= 400 {
 			s.errors.Inc()
 		}
-		if s.log != nil {
+		// Enabled first: a discarded or Warn-level record costs no
+		// attribute boxing on the request path.
+		if s.log.Enabled(r.Context(), slog.LevelInfo) {
 			s.log.Info("request",
 				"method", r.Method,
 				"path", r.URL.Path,

@@ -63,6 +63,7 @@ import (
 	"pxml/internal/core"
 	"pxml/internal/engine"
 	"pxml/internal/govern"
+	"pxml/internal/logging"
 	"pxml/internal/metrics"
 	"pxml/internal/pxql"
 	"pxml/internal/rescache"
@@ -160,11 +161,13 @@ type Config struct {
 	// Names are restricted to [A-Za-z0-9_-]+ to keep durable artifacts
 	// unambiguous.
 	StoreDir string
-	// StoreOptions tunes the durable store; only read with StoreDir.
-	// Its Registry is overridden with the server's own.
+	// StoreOptions tunes the durable store; only read with StoreDir. A
+	// nil Registry or Logger becomes the server's own.
 	StoreOptions store.Options
 
-	// Logger enables structured request/lifecycle logging; nil disables.
+	// Logger receives request and lifecycle records; the store (unless
+	// StoreOptions.Logger is set), telemetry and replication share it.
+	// nil discards.
 	Logger *slog.Logger
 	// MaxBody bounds instance-upload bodies in bytes; 0 means 64 MiB.
 	MaxBody int64
@@ -301,7 +304,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		maxBody:    maxBody,
 		backupRoot: cfg.BackupRoot,
-		log:        cfg.Logger,
+		log:        logging.OrDiscard(cfg.Logger),
 		started:    time.Now(),
 		reg:        metrics.NewRegistry(),
 		results:    rescache.New(cacheBytes),
@@ -358,7 +361,7 @@ func New(cfg Config) (*Server, error) {
 			Interval: cfg.StatsdInterval,
 			Prefix:   cfg.StatsdPrefix,
 			Registry: s.reg,
-			Logger:   cfg.Logger,
+			Logger:   s.log,
 			Sample:   func() { metrics.SampleRuntime(s.reg) },
 		}
 		exp, err := telemetry.New(s.expCfg)
@@ -385,6 +388,9 @@ func New(cfg Config) (*Server, error) {
 		opts := cfg.StoreOptions
 		if opts.Registry == nil {
 			opts.Registry = s.reg
+		}
+		if opts.Logger == nil {
+			opts.Logger = s.log
 		}
 		if cfg.FollowLeader != "" {
 			// A replica's WAL is a byte mirror of its leader's; the store

@@ -94,7 +94,7 @@ func (s *Store) archiveSegments(pending []segInfo) error {
 		s.mu.Unlock()
 		if copied {
 			s.archivedSegs.Inc()
-			s.opts.Logger.Printf("store: archived %s", segmentFile(si.n))
+			s.opts.Logger.Info("archived", "file", segmentFile(si.n))
 		}
 	}
 	return nil
@@ -175,7 +175,7 @@ func (s *Store) pruneArchive() error {
 		if err := s.fs.Remove(filepath.Join(s.opts.ArchiveDir, segmentFile(victim))); err != nil {
 			return fmt.Errorf("segment %d: %w", victim, err)
 		}
-		s.opts.Logger.Printf("store: archive retention dropped %s", segmentFile(victim))
+		s.opts.Logger.Info("archive retention dropped", "file", segmentFile(victim))
 		segs = segs[1:]
 	}
 	return nil

@@ -179,8 +179,8 @@ func (s *Store) Backup(destDir string) (*Manifest, error) {
 	if err := vfs.PublishFile(s.fs, destDir, manifestName, buf); err != nil {
 		return fail(fmt.Errorf("store: backup manifest: %w", err))
 	}
-	s.opts.Logger.Printf("store: backup of %d instances (%d files, pos %s) written to %s",
-		man.Instances, len(man.Segments)+btoi(man.Snapshot != nil), man.Pos, destDir)
+	s.opts.Logger.Info("backup written", "dir", destDir, "instances", man.Instances,
+		"files", len(man.Segments)+btoi(man.Snapshot != nil), "pos", man.Pos.String())
 	return man, nil
 }
 

@@ -134,7 +134,7 @@ func (s *Store) entryInstance(name string, e *catEntry) (*core.ProbInstance, boo
 		// degrading the whole store.
 		e.failed.Store(true)
 		s.lazyErrsC.Inc()
-		s.opts.Logger.Printf("store: lazy decode of %q failed: %v", name, err)
+		s.opts.Logger.Warn("lazy decode failed", "instance", name, "error", err)
 		return nil, false
 	}
 	e.inst.Store(pi)

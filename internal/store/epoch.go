@@ -117,7 +117,6 @@ func (s *Store) Promote() (uint64, error) {
 	s.fenced = false
 	s.fencedLeader = ""
 	s.roleFollower.Store(false)
-	s.opts.Logger.Printf("store: promoted to leader at epoch %d (pos %s)", next, Pos{Seg: s.seg, Off: s.walBytes})
 	return next, nil
 }
 
@@ -127,8 +126,8 @@ func (s *Store) Promote() (uint64, error) {
 // in-memory fence takes effect even if persisting it fails (refusing
 // writes is the safety property; durability of the refusal is best
 // effort on a store that cannot write its own EPOCH file). Re-fencing
-// at the same epoch merely fills in a previously unknown leader URL.
-// On a follower, Fence just adopts the higher epoch — a follower is
+// at the same epoch merely fills in a previously unknown leader URL; only
+// the first fence is logged. On a follower, Fence just adopts the higher epoch — a follower is
 // already read-only.
 func (s *Store) Fence(epoch uint64, leaderURL string) error {
 	s.mu.Lock()
@@ -145,12 +144,15 @@ func (s *Store) Fence(epoch uint64, leaderURL string) error {
 	if s.fenced && epoch == s.epoch && (leaderURL == "" || leaderURL == s.fencedLeader) {
 		return nil // idempotent re-fence
 	}
+	if !s.fenced {
+		s.opts.Logger.Warn("fenced: superseded by a higher leader epoch; writes now redirect or fail",
+			"epoch", epoch, "leader", leaderURL)
+	}
 	s.fenced = true
 	s.epoch = epoch
 	if leaderURL != "" {
 		s.fencedLeader = leaderURL
 	}
-	s.opts.Logger.Printf("store: fenced by epoch %d (leader %q); writes rejected until this node rejoins as a follower", epoch, s.fencedLeader)
 	return s.persistEpochLocked(s.epoch, true, s.fencedLeader)
 }
 
@@ -178,7 +180,7 @@ func (s *Store) adoptEpochLocked(epoch uint64) error {
 	if err := s.persistEpochLocked(epoch, s.fenced, s.fencedLeader); err != nil {
 		return err
 	}
-	s.opts.Logger.Printf("store: adopted leader epoch %d (was %d)", epoch, s.epoch)
+	s.opts.Logger.Info("adopted leader epoch", "epoch", epoch, "was", s.epoch)
 	s.epoch = epoch
 	return nil
 }

@@ -108,7 +108,7 @@ func (s *Store) degradeLocked(cause error) error {
 		// Wake any Compact parked behind an online backup; it will see
 		// the degraded flag and bail out.
 		s.backupsDone.Broadcast()
-		s.opts.Logger.Printf("store: DEGRADED, serving read-only: %v", cause)
+		s.opts.Logger.Warn("degraded; serving read-only", "error", cause)
 	}
 	return fmt.Errorf("%w: %w", ErrDegraded, cause)
 }
@@ -152,7 +152,8 @@ func (s *Store) retrying(what string, fn func() error) {
 		if err == nil || errors.Is(err, ErrDegraded) {
 			return
 		}
-		s.opts.Logger.Printf("store: %s attempt %d/%d failed: %v", what, attempt, bgMaxAttempts, err)
+		s.opts.Logger.Warn("background step failed", "step", what,
+			"attempt", attempt, "max_attempts", bgMaxAttempts, "error", err)
 		if attempt >= bgMaxAttempts {
 			s.mu.Lock()
 			s.degradeLocked(fmt.Errorf("%s failed after %d attempts: %w", what, attempt, err))

@@ -148,7 +148,7 @@ func (s *Store) recover() (*RecoveryReport, error) {
 	cur := s.cat.Load()
 	s.cat.Store(&catalog{epoch: cur.epoch + 1, m: s.recm})
 	s.recm = nil
-	s.opts.Logger.Printf("store: %s", report)
+	s.opts.Logger.Info("recovered", "dir", s.dir, "fsync", s.opts.Fsync.String(), "report", report)
 	return report, nil
 }
 
@@ -339,7 +339,8 @@ func (s *Store) quarantine(source string, off int64, data []byte, cause error, r
 		Path:   path,
 		Err:    cause.Error(),
 	})
-	s.opts.Logger.Printf("store: quarantined %d corrupt bytes from %s@%d to %s: %v", len(data), source, off, path, cause)
+	s.opts.Logger.Warn("quarantined corrupt bytes", "source", source, "offset", off,
+		"bytes", len(data), "path", path, "error", cause)
 	s.pruneQuarantine()
 	return nil
 }
@@ -364,7 +365,7 @@ func (s *Store) pruneQuarantine() {
 			if rerr := s.fs.Remove(filepath.Join(qdir, e.Name())); rerr != nil {
 				continue
 			}
-			s.opts.Logger.Printf("store: quarantine over %d-file cap, evicted oldest %s", max, e.Name())
+			s.opts.Logger.Info("quarantine over its cap; evicted the oldest file", "cap", max, "file", e.Name())
 		}
 		if entries, err = s.fs.ReadDir(qdir); err != nil {
 			return

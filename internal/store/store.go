@@ -2,8 +2,7 @@ package store
 
 import (
 	"fmt"
-	"io"
-	"log"
+	"log/slog"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -11,6 +10,7 @@ import (
 
 	"pxml/internal/codec"
 	"pxml/internal/core"
+	"pxml/internal/logging"
 	"pxml/internal/metrics"
 	"pxml/internal/vfs"
 )
@@ -114,9 +114,9 @@ type Options struct {
 	// Registry receives the store_* counters; nil means a private
 	// registry no one reads.
 	Registry *metrics.Registry
-	// Logger receives recovery, compaction and failure reports; nil
-	// discards them.
-	Logger *log.Logger
+	// Logger receives recovery, compaction and failure reports, tagged
+	// component=store; nil discards them.
+	Logger *slog.Logger
 	// FS is the filesystem the store runs on; nil means the real one
 	// (vfs.OS). Tests substitute a vfs.FaultFS to exercise failure
 	// paths deterministically.
@@ -408,8 +408,8 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 		// the sealed collisions because their bytes are prefixes of (or
 		// identical to) the archived originals.
 		s.sealed = append(s.sealed, segInfo{n: s.seg, size: s.activeBytes})
-		s.opts.Logger.Printf("store: active segment %d collides with archived history (archive max %d); sealing it and continuing at segment %d",
-			s.seg, archMax, archMax+2)
+		s.opts.Logger.Info("active segment collides with archived history; sealed it",
+			"segment", s.seg, "archive_max", archMax, "next_segment", archMax+2)
 		s.seg = archMax + 2
 	}
 	for _, si := range s.sealed {
@@ -449,14 +449,13 @@ func OpenMemory() *Store { return newStore("", Options{}) }
 // newStore builds what every store has, durable or not: an empty
 // catalog, its counters, and a logger. A nil Options.Registry becomes a
 // private registry and a nil Options.Logger one that discards, so no
-// counter update or report needs a nil check.
+// counter update or report needs a nil check; every report carries
+// component=store.
 func newStore(dir string, opts Options) *Store {
 	if opts.Registry == nil {
 		opts.Registry = metrics.NewRegistry()
 	}
-	if opts.Logger == nil {
-		opts.Logger = log.New(io.Discard, "", 0)
-	}
+	opts.Logger = logging.OrDiscard(opts.Logger).With("component", "store")
 	reg := opts.Registry
 	s := &Store{
 		dir:      dir,
@@ -864,7 +863,7 @@ func (s *Store) openSegmentLocked(n uint64) error {
 	if s.wal != nil {
 		s.sealed = append(s.sealed, segInfo{n: s.seg, size: s.walBytes})
 		if cerr := s.wal.Close(); cerr != nil {
-			s.opts.Logger.Printf("store: close sealed segment: %v", cerr)
+			s.opts.Logger.Warn("close sealed segment failed", "segment", s.seg, "error", cerr)
 		}
 	}
 	s.wal, s.seg, s.walBytes, s.walDirty = f, n, size, false
@@ -1047,7 +1046,7 @@ func (s *Store) Compact() error {
 	}
 	s.walRecords = 0
 	s.compactions.Inc()
-	s.opts.Logger.Printf("store: compacted %d instances into %s", s.Len(), snapshotName)
+	s.opts.Logger.Info("compacted", "instances", s.Len(), "file", snapshotName)
 	return nil
 }
 

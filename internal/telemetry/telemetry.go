@@ -38,6 +38,7 @@ import (
 	"sync"
 	"time"
 
+	"pxml/internal/logging"
 	"pxml/internal/metrics"
 )
 
@@ -66,8 +67,8 @@ type Config struct {
 	Dial func(network, addr string) (net.Conn, error)
 	// DialTimeout bounds one dial attempt; default 2s.
 	DialTimeout time.Duration
-	// Logger, when set, records connection transitions (never per-flush
-	// chatter).
+	// Logger records connection transitions (never per-flush chatter),
+	// tagged component=telemetry; nil discards them.
 	Logger *slog.Logger
 
 	// nowUnix stubs the Graphite line timestamp in tests.
@@ -124,6 +125,7 @@ func New(cfg Config) (*Exporter, error) {
 	if cfg.nowUnix == nil {
 		cfg.nowUnix = func() int64 { return time.Now().Unix() }
 	}
+	cfg.Logger = logging.OrDiscard(cfg.Logger).With("component", "telemetry")
 	return &Exporter{
 		cfg:     cfg,
 		last:    make(map[string]int64),
@@ -208,10 +210,8 @@ func (e *Exporter) Flush() {
 			e.conn.Close()
 			e.conn = nil
 			e.drops.Inc()
-			if e.cfg.Logger != nil {
-				e.cfg.Logger.Warn("telemetry sink write failed; dropping flush",
-					"addr", e.cfg.Addr, "error", err)
-			}
+			e.cfg.Logger.Warn("telemetry sink write failed; dropping flush",
+				"addr", e.cfg.Addr, "error", err)
 			return
 		}
 		sent += n
@@ -240,7 +240,7 @@ func (e *Exporter) dial() (net.Conn, error) {
 	}()
 	select {
 	case r := <-ch:
-		if r.err != nil && e.cfg.Logger != nil {
+		if r.err != nil {
 			e.cfg.Logger.Warn("telemetry sink unreachable; dropping flush",
 				"addr", e.cfg.Addr, "error", r.err)
 		}
